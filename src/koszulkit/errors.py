@@ -15,6 +15,10 @@ class GroebnerBudgetExceeded(ToolkitError):
     pass
 
 
+class ZeroRing(ToolkitError):
+    """The ideal is the whole polynomial ring, so the quotient is zero."""
+
+
 class EmptyVariableList(ToolkitError):
     pass
 

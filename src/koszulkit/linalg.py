@@ -1,11 +1,16 @@
 """Exact linear algebra over rings with the linear_solve capability.
 
-One engine drives everything: matrices over Z, Z/n, F_p[x] and its
-quotients are lifted to a Euclidean domain where a Smith decomposition
-with recorded transforms exists; fields use the same machinery with
-trivial gcds; finite-dimensional quotient algebras over F_p expand to
-plain F_p linear algebra.  Kernels, solvability, module cardinalities
-and subquotient presentations all read off these decompositions.
+Two engines.  Prime fields F_p and finite-dimensional F_p-algebras run on
+int rows over F_p: an algebra element expands to its multiplication matrix
+on the standard monomials, a prime-field entry is its own coordinate, and
+rows are packed into bitmask ints when p = 2.  Reduced row echelon form on
+those rows gives kernels, solutions and ranks (hence cardinalities)
+without any transform matrices.  Z, Z/n, Q and F_p[x] with its quotients
+are lifted to a Euclidean domain where a Smith decomposition with recorded
+transforms exists, and kernels, solvability, module cardinalities and
+subquotient presentations read off that decomposition.  The normal forms
+(smith_form, row_echelon, howell_form) keep their transform certificates
+over every ring, F_p included.
 """
 
 from __future__ import annotations
@@ -300,7 +305,7 @@ def lift_context(ring):
     if ring.kind == INTEGERS:
         return _LiftContext(IntED, None, lambda x: x.payload,
                             lambda p: RingElement(ring, p), None)
-    if ring.kind in (ZMOD, PRIMEFIELD) and ring.kind == ZMOD:
+    if ring.kind == ZMOD:
         n = ring.modulus
         return _LiftContext(IntED, n, lambda x: x.payload,
                             lambda p: RingElement(ring, p % n), n)
@@ -324,19 +329,36 @@ def lift_context(ring):
     return None
 
 
-def _expansion(ring):
-    if ring.kind == POLYQUOT and ring._finite_dimensional() and ring.coeff.kind == "Fp":
-        return _FiniteDimExpansion.get(ring)
-    return None
+def _fp_view_of(ring):
+    """The F_p view of a prime field or finite-dimensional F_p-algebra, or None.
+
+    The view is built once and kept on the ring, so it lives exactly as long
+    as the ring does.
+    """
+    view = getattr(ring, "_fp_view", None)
+    if view is None and (ring.kind == PRIMEFIELD or (
+            ring.kind == POLYQUOT and ring.coeff.kind == "Fp"
+            and ring._finite_dimensional())):
+        view = ring._fp_view = _FpView(ring)
+    return view
 
 
 def has_linear_solve(ring):
-    return lift_context(ring) is not None or _expansion(ring) is not None
+    return lift_context(ring) is not None or _fp_view_of(ring) is not None
 
 
-def _require_solver(ring):
-    if not has_linear_solve(ring):
+def _engine(ring):
+    """(F_p view, None) or (None, lift context): how kernels, solutions and
+    cardinalities over `ring` are computed.
+
+    Prime fields, and the F_p-algebras that have no Euclidean lift, run on
+    F_p rows; everything else runs smith_data on its lift.
+    """
+    ctx = None if ring.kind == PRIMEFIELD else lift_context(ring)
+    view = None if ctx is not None else _fp_view_of(ring)
+    if ctx is None and view is None:
         raise CapabilityMissing(f"{ring} does not support linear solving")
+    return view, ctx
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +520,13 @@ def smith_data(ed, grid, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# the finite-dimensional F_p expansion path
+# F_p elimination on int rows
 
 
 def _fp_rref(p, rows, ncols):
-    """In-place reduced row echelon; returns pivot column list.
+    """In-place reduced row echelon over the first `ncols` columns; returns
+    the pivot columns.  Entries beyond `ncols` (right-hand sides) are carried
+    along by the row operations but never chosen as pivots.
 
     For p = 2 rows are ints (bit j = column j); otherwise lists of ints.
     """
@@ -535,12 +559,16 @@ def _fp_rref(p, rows, ncols):
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(inv * x) % p for x in rows[rank]]
+        # the pivot row is zero left of col, so only the tails change
+        pivot = rows[rank]
+        inv = pow(pivot[col], -1, p)
+        tail = [(inv * x) % p for x in pivot[col:]]
+        rows[rank] = pivot[:col] + tail
         for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+            row = rows[r]
+            f = row[col] % p
+            if f and r != rank:
+                rows[r] = row[:col] + [(x - f * y) % p for x, y in zip(row[col:], tail)]
         pivots.append(col)
         rank += 1
     return pivots
@@ -568,30 +596,33 @@ def _fp_kernel(p, rows, ncols):
     return basis
 
 
-def _fp_solve(p, rows, ncols, b):
-    """One solution of rows * x = b over F_p, or None."""
-    if len(b) != len(rows):
+def _fp_solve(p, rows, ncols, rhs):
+    """One solution x of rows * x = b for every vector b in `rhs`, or None
+    when some b lies outside the column span.
+
+    The right-hand sides ride along as extra columns of a single elimination.
+    """
+    if any(len(b) != len(rows) for b in rhs):
         raise DimensionMismatch("rhs length does not match row count")
+    sols = [[0] * ncols for _ in rhs]
     if p == 2:
-        work = [r | (bit << ncols) for r, bit in zip(rows, b)]
+        work = [r | sum((b[i] & 1) << (ncols + k) for k, b in enumerate(rhs))
+                for i, r in enumerate(rows)]
         pivots = _fp_rref(2, work, ncols)
-        x = [0] * ncols
-        for r, pc in enumerate(pivots):
-            if work[r] & (1 << ncols):
-                x[pc] = 1
-        for r in range(len(pivots), len(work)):
-            if work[r] >> ncols:
-                return None
-        return x
-    work = [list(r) + [bb % p] for r, bb in zip(rows, b)]
-    pivots = _fp_rref(p, work, ncols)
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = work[r][ncols]
-    for r in range(len(pivots), len(work)):
-        if work[r][ncols] % p:
+        if any(work[r] >> ncols for r in range(len(pivots), len(work))):
             return None
-    return x
+        for r, pc in enumerate(pivots):
+            for k, x in enumerate(sols):
+                x[pc] = (work[r] >> (ncols + k)) & 1
+        return sols
+    work = [list(r) + [b[i] % p for b in rhs] for i, r in enumerate(rows)]
+    pivots = _fp_rref(p, work, ncols)
+    if any(x % p for r in range(len(pivots), len(work)) for x in work[r][ncols:]):
+        return None
+    for r, pc in enumerate(pivots):
+        for k, x in enumerate(sols):
+            x[pc] = work[r][ncols + k]
+    return sols
 
 
 def _fp_rank(p, rows, ncols):
@@ -599,53 +630,61 @@ def _fp_rank(p, rows, ncols):
     return len(_fp_rref(p, work, ncols))
 
 
-class _FiniteDimExpansion:
-    """Linear algebra over a finite-dimensional F_p-algebra by expansion."""
+class _FpView:
+    """F_p coordinates for a prime field or a finite-dimensional F_p-algebra.
 
-    _cache = {}
-
-    @classmethod
-    def get(cls, ring):
-        key = id(ring)
-        if key not in cls._cache:
-            cls._cache[key] = cls(ring)
-        return cls._cache[key]
+    An element has `dim` coordinates: its own value over F_p, or its
+    coefficients on the standard monomials of an algebra.  A matrix becomes
+    the int rows of its expansion over F_p, where each entry a stands for
+    the dim x dim matrix of multiplication by a; rows are bitmask ints when
+    p = 2 and lists of ints otherwise.
+    """
 
     def __init__(self, ring):
         self.ring = ring
-        self.p = ring.coeff.p
-        self.std = list(ring._std_monomials)
-        self.index = {m: i for i, m in enumerate(self.std)}
-        self.dim = len(self.std)
+        if ring.kind == PRIMEFIELD:
+            self.p, self.std, self.dim = ring.modulus, None, 1
+        else:
+            self.p, self.std = ring.coeff.p, ring._std_monomials
+            self.index = {m: i for i, m in enumerate(self.std)}
+            self.dim = len(self.std)
+        # multiplication matrices by payload: at most |ring| entries
         self._mult_cache = {}
 
     def coords(self, payload):
+        if self.std is None:
+            return [payload]
         out = [0] * self.dim
         for e, c in payload:
             out[self.index[e]] = c
         return out
 
-    def from_coords(self, coords):
+    def element(self, coords):
+        if self.std is None:
+            return RingElement(self.ring, coords[0] % self.p)
         d = {self.std[i]: c % self.p for i, c in enumerate(coords) if c % self.p}
         items = sorted(d.items(), key=lambda kv: self.ring._key(kv[0]), reverse=True)
         return RingElement(self.ring, tuple(items))
 
-    def mult_columns(self, payload):
+    def _mult_columns(self, payload):
         """Columns of the multiplication-by-payload map on the standard basis."""
         if payload not in self._mult_cache:
-            cols = []
-            for mono in self.std:
-                prod = self.ring.mul_payload(payload, ((mono, 1),))
-                cols.append(self.coords(prod))
-            self._mult_cache[payload] = cols
+            self._mult_cache[payload] = [
+                self.coords(self.ring.mul_payload(payload, ((mono, 1),)))
+                for mono in self.std]
         return self._mult_cache[payload]
 
-    def expand_matrix(self, A):
-        """(rows*dim) x (cols*dim) F_p rows; bitmask ints when p = 2.
+    def rows(self, A):
+        """(int rows, column count) of A expanded over F_p.
 
         Zero entries are skipped entirely, which matters for the sparse
         block matrices of hom complexes.
         """
+        if self.std is None:
+            if self.p == 2:
+                return [sum(1 << j for j, x in enumerate(r) if x.payload)
+                        for r in A.data], A.cols
+            return [[x.payload for x in r] for r in A.data], A.cols
         D = self.dim
         nrows, ncols = A.rows * D, A.cols * D
         if self.p == 2:
@@ -656,7 +695,7 @@ class _FiniteDimExpansion:
                     payload = A.data[i][j].payload
                     if not payload:
                         continue
-                    cols = self.mult_columns(payload)
+                    cols = self._mult_columns(payload)
                     base_col = j * D
                     for bcol in range(D):
                         col = cols[bcol]
@@ -671,7 +710,7 @@ class _FiniteDimExpansion:
                 payload = A.data[i][j].payload
                 if not payload:
                     continue
-                cols = self.mult_columns(payload)
+                cols = self._mult_columns(payload)
                 for bcol in range(D):
                     col = cols[bcol]
                     for brow in range(D):
@@ -679,16 +718,22 @@ class _FiniteDimExpansion:
                             grid[i * D + brow][j * D + bcol] = col[brow]
         return grid, ncols
 
-    def expand_column(self, b):
-        out = []
-        for i in range(b.rows):
-            out.extend(self.coords(b.data[i][0].payload))
-        return out
+    def column(self, B, j=0):
+        """F_p coordinates of column j of B."""
+        return [c for i in range(B.rows) for c in self.coords(B.data[i][j].payload)]
 
-    def column_from_vector(self, vec, nentries):
+    def matrix(self, vecs, nrows):
+        """The nrows x len(vecs) matrix whose columns have coordinates `vecs`."""
+        if not vecs:
+            return Matrix.zeros(self.ring, nrows, 0)
         D = self.dim
-        entries = [self.from_coords(vec[k * D:(k + 1) * D]) for k in range(nentries)]
-        return Matrix(self.ring, nentries, 1, tuple((e,) for e in entries))
+        cols = [[self.element(v[i * D:(i + 1) * D]) for i in range(nrows)] for v in vecs]
+        return Matrix(self.ring, nrows, len(vecs), tuple(zip(*cols)))
+
+    def rank(self, A):
+        """Rank of A's expansion: |column span of A| = p ** rank."""
+        rows, ncols = self.rows(A)
+        return _fp_rank(self.p, rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -699,27 +744,12 @@ def _matrix_to_grid(ctx, A):
     return [[ctx.to_payload(A.data[i][j]) for j in range(A.cols)] for i in range(A.rows)]
 
 
-def _smith_of(ring, A):
-    ctx = lift_context(ring)
-    grid = _matrix_to_grid(ctx, A)
-    return ctx, smith_data(ctx.ed, grid, A.rows, A.cols)
-
-
 def kernel_basis(ring, A):
     """Columns generating ker(A) as a module (a basis over fields, Z, F_p[x])."""
-    _require_solver(ring)
-    ctx = lift_context(ring)
-    if ctx is None:
-        exp = _expansion(ring)
-        rows, ncols = exp.expand_matrix(A)
-        vecs = [exp.column_from_vector(v, A.cols) for v in _fp_kernel(exp.p, rows, ncols)]
-        gens = [v for v in vecs if not v.is_zero()]
-        if not gens:
-            return Matrix.zeros(ring, A.cols, 0)
-        out = gens[0]
-        for g in gens[1:]:
-            out = out.hstack(g)
-        return out
+    view, ctx = _engine(ring)
+    if view is not None:
+        rows, ncols = view.rows(A)
+        return view.matrix(_fp_kernel(view.p, rows, ncols), A.cols)
     ed = ctx.ed
     sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
     f = ctx.modulus
@@ -750,25 +780,13 @@ def kernel_basis(ring, A):
 
 def solve(ring, A, B):
     """Some X with A X = B, or None; B may have several columns."""
-    _require_solver(ring)
+    view, ctx = _engine(ring)
     if A.rows != B.rows:
         raise DimensionMismatch(f"A is {A.rows}x{A.cols}, rhs has {B.rows} rows")
-    ctx = lift_context(ring)
-    if ctx is None:
-        exp = _expansion(ring)
-        rows, ncols = exp.expand_matrix(A)
-        cols = []
-        for b in B.columns():
-            vec = _fp_solve(exp.p, rows, ncols, exp.expand_column(b))
-            if vec is None:
-                return None
-            cols.append(exp.column_from_vector(vec, A.cols))
-        if not cols:
-            return Matrix.zeros(ring, A.cols, 0)
-        out = cols[0]
-        for c in cols[1:]:
-            out = out.hstack(c)
-        return out
+    if view is not None:
+        rows, ncols = view.rows(A)
+        sols = _fp_solve(view.p, rows, ncols, [view.column(B, j) for j in range(B.cols)])
+        return None if sols is None else view.matrix(sols, A.cols)
     ed = ctx.ed
     sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
     f = ctx.modulus
@@ -844,18 +862,12 @@ def invert(ring, A):
 
 def kernel_cardinality(ring, A):
     """|ker A| over a finite ring."""
-    ctx = lift_context(ring)
-    if ctx is None:
-        exp = _expansion(ring)
-        rows, ncols = exp.expand_matrix(A)
-        return exp.p ** (ncols - _fp_rank(exp.p, rows, ncols))
+    view, ctx = _engine(ring)
+    if view is not None:
+        return view.p ** (A.cols * view.dim - view.rank(A))
     if ctx.finite_card is None:
         raise CapabilityMissing(f"{ring} is not finite")
     ed = ctx.ed
-    if isinstance(ed, FieldED):
-        sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
-        rank = sum(1 for i in range(min(A.rows, A.cols)) if not ed.is_zero(sd.diag(i)))
-        return ctx.finite_card ** (A.cols - rank)
     sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
     f = ctx.modulus
     total = 1
@@ -873,11 +885,9 @@ def span_cardinality(ring, A):
     """|column span of A| as a submodule of ring^rows (finite rings)."""
     if A.cols == 0:
         return 1
-    ctx = lift_context(ring)
-    if ctx is None:
-        exp = _expansion(ring)
-        rows, ncols = exp.expand_matrix(A)
-        return exp.p ** _fp_rank(exp.p, rows, ncols)
+    view, ctx = _engine(ring)
+    if view is not None:
+        return view.p ** view.rank(A)
     if ctx.finite_card is None:
         raise CapabilityMissing(f"{ring} is not finite")
     return ctx.finite_card ** A.cols // kernel_cardinality(ring, A)
@@ -926,8 +936,9 @@ def smith_form(ring, A):
     if ctx is None or ctx.modulus is not None:
         raise CapabilityMissing(f"smith form needs a domain, not {ring}")
     sd = smith_data(ctx.ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
+    D = _grid_to_matrix(ring, ctx, sd.m) if A.rows else Matrix.zeros(ring, 0, A.cols)
     return NormalFormResult(
-        "smith", ring, _grid_to_matrix(ring, ctx, sd.m),
+        "smith", ring, D,
         _grid_to_matrix(ring, ctx, sd.S), _grid_to_matrix(ring, ctx, sd.Si),
         _grid_to_matrix(ring, ctx, sd.T), _grid_to_matrix(ring, ctx, sd.Ti), A)
 
@@ -1193,33 +1204,28 @@ def _zmod_invariants(ring, V, W):
     return card, tuple(sorted(factors))
 
 
+def _smith_rank(ctx, A):
+    sd = smith_data(ctx.ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
+    return sum(1 for i in range(min(A.rows, A.cols)) if not ctx.ed.is_zero(sd.diag(i)))
+
+
 def subquotient(ring, V, W):
     """Present span(V)/span(W); W's columns must lie inside span(V)."""
-    _require_solver(ring)
+    view, ctx = _engine(ring)
     if V.rows != W.rows:
         raise DimensionMismatch("ambient ranks differ")
-    if ring.kind in (RATIONALS, PRIMEFIELD):
-        ed = FieldED(ring)
-        sdv = smith_data(ed, [[x for x in r] for r in V.data] if V.rows else [],
-                         V.rows, V.cols)
-        rank_v = sum(1 for i in range(min(V.rows, V.cols))
-                     if not ed.is_zero(sdv.diag(i)))
-        sdw = smith_data(ed, [[x for x in r] for r in W.data] if W.rows else [],
-                         W.rows, W.cols)
-        rank_w = sum(1 for i in range(min(W.rows, W.cols))
-                     if not ed.is_zero(sdw.diag(i)))
-        dim = rank_v - rank_w
-        card = None
-        if ring.kind == PRIMEFIELD:
-            card = ring.modulus ** dim
+    if ring.kind == PRIMEFIELD:
+        dim = view.rank(V) - view.rank(W)
         return HomologySummary(ring, dim == 0, V.cols, dimension=dim,
-                               cardinality=card)
+                               cardinality=ring.modulus ** dim)
+    if ring.kind == RATIONALS:
+        dim = _smith_rank(ctx, V) - _smith_rank(ctx, W)
+        return HomologySummary(ring, dim == 0, V.cols, dimension=dim)
     if ring.kind == ZMOD:
         card, factors = _zmod_invariants(ring, V, W)
         return HomologySummary(ring, card == 1, V.cols, cardinality=card,
                                invariant_factors=factors,
                                free_rank=0 if card else None)
-    ctx = lift_context(ring)
     if ctx is not None and ctx.modulus is None:
         return _domain_subquotient(ring, V, W)
     # finite quotient rings: cardinality ratio
@@ -1233,7 +1239,7 @@ def subquotient(ring, V, W):
 
 def homology_module(ring, d_in, d_out):
     """ker(d_out)/im(d_in) for consecutive differentials d_out . d_in = 0."""
-    _require_solver(ring)
+    _engine(ring)  # CapabilityMissing without a solver
     if d_out.cols != d_in.rows:
         raise DimensionMismatch(
             f"d_out takes {d_out.cols} columns but d_in lands in {d_in.rows}")
@@ -1333,20 +1339,20 @@ def _hstack_all(cols, ring, rows):
     return out
 
 
-def _expansion_minimal_generators(ring, exp, M):
-    monomials = [RingElement(ring, ((m, 1),)) for m in exp.std]
-    nonconstant = [e for m, e in zip(exp.std, monomials) if sum(m) > 0]
-    span = _FpSpan(exp.p)
+def _expansion_minimal_generators(ring, view, M):
+    monomials = [RingElement(ring, ((m, 1),)) for m in view.std]
+    nonconstant = [e for m, e in zip(view.std, monomials) if sum(m) > 0]
+    span = _FpSpan(view.p)
     cols = [c for c in M.columns() if not c.is_zero()]
     for c in cols:
         for g in nonconstant:
-            span.add(_pack(exp.p, exp.expand_column(c.scale(g))))
+            span.add(_pack(view.p, view.column(c.scale(g))))
     kept = []
     for c in cols:
-        if not span.contains(_pack(exp.p, exp.expand_column(c))):
+        if not span.contains(_pack(view.p, view.column(c))):
             kept.append(c)
             for g in monomials:
-                span.add(_pack(exp.p, exp.expand_column(c.scale(g))))
+                span.add(_pack(view.p, view.column(c.scale(g))))
     return _hstack_all(kept, ring, M.rows)
 
 
@@ -1361,9 +1367,10 @@ def minimal_generators(ring, M):
         M = _hstack_all(cols, ring, M.rows)
     if M.cols <= 1 or not ring.local:
         return M
-    exp = _expansion(ring)
-    if exp is not None:
-        return _expansion_minimal_generators(ring, exp, M)
+    # prime fields keep the solve loop below, which decides the kept columns
+    view = _fp_view_of(ring) if ring.kind == POLYQUOT else None
+    if view is not None:
+        return _expansion_minimal_generators(ring, view, M)
     mgens = _maximal_ideal_elements(ring)
     cols = M.columns()
     changed = True

@@ -19,6 +19,7 @@ from .errors import (
     NonPrimeModulus,
     NotAHomomorphism,
     UnknownVariable,
+    ZeroRing,
 )
 
 INTEGERS = "integers"
@@ -251,20 +252,17 @@ def groebner_basis(gens, cf, key, budget=DEFAULT_GROEBNER_BUDGET):
             r = _poly_scale(r, cf.inv(r[0][1]), cf, key)
             basis.append(r)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    # inter-reduce to the unique reduced basis
-    reduced = []
-    for idx, g in enumerate(basis):
-        others = [h for k, h in enumerate(basis) if k != idx]
-        r = _poly_reduce(g, others, cf, key)
-        if r:
-            reduced.append(_poly_scale(r, cf.inv(r[0][1]), cf, key))
-    # a second pass reduces tails against the surviving leading terms
-    final = []
-    for idx, g in enumerate(reduced):
-        others = [h for k, h in enumerate(reduced) if k != idx]
-        r = _poly_reduce(g, others, cf, key)
-        if r:
-            final.append(_poly_scale(r, cf.inv(r[0][1]), cf, key))
+    # minimalize first: drop every element whose leading monomial another
+    # one's divides, keeping the first of equal leading monomials.  Two
+    # elements with equal leading monomials would reduce each other to zero.
+    lms = [g[0][0] for g in basis]
+    minimal = [g for idx, g in enumerate(basis)
+               if not any(monomial_divides(lm, lms[idx]) and (lm != lms[idx] or k < idx)
+                          for k, lm in enumerate(lms) if k != idx)]
+    # tail-reduce: no leading term divides another, so one pass leaves every
+    # leading term in place and gives the unique reduced basis
+    final = [_poly_reduce(g, minimal[:idx] + minimal[idx + 1:], cf, key)
+             for idx, g in enumerate(minimal)]
     final.sort(key=lambda g: key(g[0][0]))
     return tuple(final)
 
@@ -727,6 +725,8 @@ def poly_quotient(coeff, variables, ideal_texts=(), order="degrevlex",
         else:
             gens.append(text)
     gb = groebner_basis(gens, coeff, key, budget=budget)
+    if any(not any(g[0][0]) for g in gb):
+        raise ZeroRing(f"the ideal of {coeff}[{', '.join(variables)}] contains 1")
     return Ring(POLYQUOT, coeff=coeff, variables=variables,
                 ideal=tuple(gens), order=order, groebner=gb, budget=budget)
 

@@ -176,6 +176,17 @@ def test_cli_usage_error_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_zero_ring_exit_2(tmp_path):
+    code, out, err = run_cli(
+        ["ring", "new", "polyquot coeff=F2 vars=x order=degrevlex ideal=[1]"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    cxf = tmp_path / "P.cx"
+    cxf.write_text("ring polyquot coeff=Q vars=x,y order=degrevlex "
+                   "ideal=[x*y - 1, x^2]\ncomplex\nrank 0 = 1\n")
+    assert run_cli(["complex", "homology", str(cxf)])[0] == 2
+
+
 def test_cli_dg_extend_verify_klinear(tmp_path):
     kz, cxf = tmp_path / "K.kz", tmp_path / "P.cx"
     run_cli(["koszul", "build", "--ring", "zmod 4", "--sequence", "2",

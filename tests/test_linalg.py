@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +224,31 @@ def test_block_assembly_shapes():
         mat_block([[B, mat(Z4, [[1]])]])
     assert mat_identity(Z4, 3)[(1, 1)] == Z4.one
     assert mat_identity(Z4, 3)[(0, 1)] == Z4.zero
+
+
+def test_throwaway_rings_leave_no_module_level_cache_behind():
+    modules = [m for name, m in sys.modules.items() if name.startswith("koszulkit")]
+
+    def container_sizes():
+        sizes = {}
+        for m in modules:
+            for name, obj in vars(m).items():
+                if isinstance(obj, (dict, list, set)):
+                    sizes[m.__name__, name] = len(obj)
+                elif isinstance(obj, type) and obj.__module__ == m.__name__:
+                    for attr, val in vars(obj).items():
+                        if isinstance(val, (dict, list, set)):
+                            sizes[m.__name__, name, attr] = len(val)
+        return sizes
+
+    before = container_sizes()
+    refs = []
+    for _ in range(2000):
+        R = poly_quotient("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+        A = Matrix.from_rows(R, [[R.variable("x"), R.variable("y")]])
+        assert kernel_cardinality(R, A) == 16
+        refs.append(weakref.ref(R))
+    del R, A
+    gc.collect()
+    assert container_sizes() == before
+    assert not any(ref() is not None for ref in refs)

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from koszulkit.errors import (
     ElementSyntaxError, NonPrimeModulus, NotAHomomorphism, UnknownVariable,
+    ZeroRing,
 )
 from koszulkit.rings import (
-    GF, QQ, RingHom, ZZ, Zmod, format_element, make_ring, normal_form,
+    GF, QQ, RingElement, RingHom, ZZ, Zmod, format_element, make_ring, normal_form,
     parse_element, poly_quotient, ring_spec,
 )
 
@@ -149,6 +150,31 @@ def test_groebner_reduced_basis_is_deterministic():
     R1 = poly_quotient("Q", ["x", "y"], ["x^2 + y", "x*y - 1"])
     R2 = poly_quotient("Q", ["x", "y"], ["x*y - 1", "x^2 + y"])
     assert R1.groebner == R2.groebner
+
+
+def test_groebner_keeps_generators_with_equal_leading_terms():
+    R = poly_quotient("F2", ["x"], ["x^2", "x^2"])
+    assert [format_element(RingElement(R, g)) for g in R.groebner] == ["x^2"]
+    assert R.is_finite() and R.local
+    x = R.variable("x")
+    assert (x * x).is_zero()
+    # equal leading terms with different tails keep the ideal they generate
+    S = poly_quotient("F3", ["x", "y"], ["x^2 + y", "x^2", "y^3"])
+    assert S.groebner == poly_quotient("F3", ["x", "y"], ["x^2", "y"]).groebner
+
+
+@pytest.mark.parametrize("coeff,variables,ideal", [
+    ("F2", ["x"], ["1"]),
+    ("Q", ["x", "y"], ["x*y - 1", "x^2"]),
+    ("F3", ["x"], ["x^2 + 1", "x^2 - 1"]),
+])
+def test_zero_ring_rejected_at_construction(coeff, variables, ideal):
+    with pytest.raises(ZeroRing):
+        poly_quotient(coeff, variables, ideal)
+    spec = (f"polyquot coeff={coeff} vars={','.join(variables)} order=degrevlex "
+            f"ideal=[{', '.join(ideal)}]")
+    with pytest.raises(ZeroRing):
+        make_ring(spec)
 
 
 def test_hom_checks_relations():
