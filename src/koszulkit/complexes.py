@@ -236,6 +236,30 @@ def tensor_layout(M, N, n):
     return [(p, M.rank(n - p), N.rank(p)) for p in N.support]
 
 
+def tensor_differential(M, N, n):
+    """The degree-n differential of M (x) N, built from its nonzero blocks.
+
+    Summand p of the source maps by d_M (x) 1 into summand p of the target
+    and by (-1)^{n-p} 1 (x) d_N into summand p-1.  M and N may be any
+    complexes of matrices, validated or not, over one scalar ring.
+    """
+    src = tensor_layout(M, N, n)
+    tgt = tensor_layout(M, N, n - 1)
+    at = {p: k for k, (p, _, _) in enumerate(tgt)}
+    one = M.ring.one
+    blocks = {}
+    for k, (p, mp, np_) in enumerate(src):
+        d = M._diffs.get(n - p)
+        if d is not None and np_:
+            blocks[k, k] = d.kron(Matrix.identity(M.ring, np_))
+        d = N._diffs.get(p)
+        if d is not None and mp:
+            sign = one if (n - p) % 2 == 0 else -one
+            blocks[at[p - 1], k] = Matrix.identity(M.ring, mp).kron(d).scale(sign)
+    return Matrix.from_blocks(M.ring, [a * b for _, a, b in tgt],
+                              [a * b for _, a, b in src], blocks)
+
+
 def tensor(M, N):
     """Tensor product complex with the usual sign on the right differential.
 
@@ -249,35 +273,10 @@ def tensor(M, N):
         return zero_complex(ring)
     degrees = range(min(M.support) + min(N.support),
                     max(M.support) + max(N.support) + 1)
-    ranks = {}
-    for n in degrees:
-        ranks[n] = sum(mr * nr for _, mr, nr in tensor_layout(M, N, n))
-    diffs = {}
-    one = ring.one
-    for n in degrees:
-        src = tensor_layout(M, N, n)
-        tgt = tensor_layout(M, N, n - 1)
-        if not any(mr * nr for _, mr, nr in src):
-            continue
-        if not any(mr * nr for _, mr, nr in tgt):
-            continue
-        grid = []
-        for (q, mq, nq) in tgt:
-            row = []
-            for (p, mp, np_) in src:
-                rows_, cols_ = mq * nq, mp * np_
-                if p == q:
-                    block = M.diff(n - p).kron(Matrix.identity(ring, np_)) \
-                        if rows_ and cols_ else Matrix.zeros(ring, rows_, cols_)
-                elif p == q + 1:
-                    sign = one if (n - p) % 2 == 0 else -one
-                    block = Matrix.identity(ring, mp).kron(N.diff(p)).scale(sign) \
-                        if rows_ and cols_ else Matrix.zeros(ring, rows_, cols_)
-                else:
-                    block = Matrix.zeros(ring, rows_, cols_)
-                row.append(block)
-            grid.append(row)
-        diffs[n] = Matrix.block(grid)
+    ranks = {n: sum(mr * nr for _, mr, nr in tensor_layout(M, N, n))
+             for n in degrees}
+    diffs = {n: tensor_differential(M, N, n) for n in degrees
+             if ranks[n] and ranks.get(n - 1)}
     return ChainComplex(ring, ranks, diffs)
 
 
@@ -297,36 +296,30 @@ def hom_complex(M, N):
     ring = M.ring
     if M.is_zero_complex() or N.is_zero_complex():
         return zero_complex(ring)
-    lo = min(N.support) - max(M.support)
-    hi = max(N.support) - min(M.support)
-    ranks = {}
-    for n in range(lo, hi + 1):
-        ranks[n] = sum(a * b for _, a, b in hom_layout(M, N, n))
+    degrees = range(min(N.support) - max(M.support),
+                    max(N.support) - min(M.support) + 1)
+    ranks = {n: sum(a * b for _, a, b in hom_layout(M, N, n)) for n in degrees}
     diffs = {}
-    one = ring.one
-    for n in range(lo, hi + 1):
+    for n in degrees:
+        if not (ranks[n] and ranks.get(n - 1)):
+            continue
         src = hom_layout(M, N, n)
         tgt = hom_layout(M, N, n - 1)
-        if not any(a * b for _, a, b in src) or not any(a * b for _, a, b in tgt):
-            continue
-        sign = one if n % 2 == 0 else -one
-        grid = []
-        for (i2, a2, b2) in tgt:
-            row = []
-            for (i, a, b) in src:
-                rows_, cols_ = a2 * b2, a * b
-                if i2 == i and rows_ and cols_:
-                    # postcompose with d_N: vec_row(D F) = (D kron I) vec_row(F)
-                    block = N.diff(i + n).kron(Matrix.identity(ring, b))
-                elif i2 == i + 1 and rows_ and cols_:
-                    # precompose with d_M, sign -(-1)^n: (I kron d_M^T)
-                    block = Matrix.identity(ring, a2).kron(
-                        M.diff(i + 1).transpose()).scale(-sign)
-                else:
-                    block = Matrix.zeros(ring, rows_, cols_)
-                row.append(block)
-            grid.append(row)
-        diffs[n] = Matrix.block(grid)
+        at = {i: k for k, (i, _, _) in enumerate(tgt)}
+        sign = ring.one if n % 2 == 0 else -ring.one
+        blocks = {}
+        for k, (i, a, b) in enumerate(src):
+            # postcompose with d_N: vec_row(D F) = (D kron I) vec_row(F)
+            d = N._diffs.get(i + n)
+            if d is not None and b:
+                blocks[k, k] = d.kron(Matrix.identity(ring, b))
+            # precompose with d_M, sign -(-1)^n: (I kron d_M^T)
+            d = M._diffs.get(i + 1)
+            if d is not None and a:
+                blocks[at[i + 1], k] = Matrix.identity(ring, a).kron(
+                    d.transpose()).scale(-sign)
+        diffs[n] = Matrix.from_blocks(ring, [a * b for _, a, b in tgt],
+                                      [a * b for _, a, b in src], blocks)
     return ChainComplex(ring, ranks, diffs)
 
 
@@ -340,14 +333,18 @@ def cone(phi):
     ranks = {n: tgt.rank(n) + src.rank(n - 1) for n in degrees}
     diffs = {}
     for n in degrees:
-        rows = tgt.rank(n - 1) + src.rank(n - 2)
-        cols = tgt.rank(n) + src.rank(n - 1)
-        if rows == 0 or cols == 0:
+        heights = [tgt.rank(n - 1), src.rank(n - 2)]
+        widths = [tgt.rank(n), src.rank(n - 1)]
+        if not (sum(heights) and sum(widths)):
             continue
-        grid = [[tgt.diff(n), phi.component(n - 1)],
-                [Matrix.zeros(ring, src.rank(n - 2), tgt.rank(n)),
-                 src.diff(n - 1).scale(-ring.one)]]
-        diffs[n] = Matrix.block(grid)
+        blocks = {}
+        if n in tgt._diffs:
+            blocks[0, 0] = tgt._diffs[n]
+        if n - 1 in phi.components:
+            blocks[0, 1] = phi.components[n - 1]
+        if n - 1 in src._diffs:
+            blocks[1, 1] = src._diffs[n - 1].scale(-ring.one)
+        diffs[n] = Matrix.from_blocks(ring, heights, widths, blocks)
     return ChainComplex(ring, {n: r for n, r in ranks.items() if r}, diffs)
 
 
@@ -356,15 +353,12 @@ def cone_contraction_of_identity(M):
     ring = M.ring
     comps = {}
     for n in M.degrees():
-        rows = M.rank(n + 1) + M.rank(n)
-        cols = M.rank(n) + M.rank(n - 1)
-        if rows == 0 or cols == 0:
+        heights = [M.rank(n + 1), M.rank(n)]
+        widths = [M.rank(n), M.rank(n - 1)]
+        if not (sum(heights) and sum(widths)):
             continue
-        grid = [[Matrix.zeros(ring, M.rank(n + 1), M.rank(n)),
-                 Matrix.zeros(ring, M.rank(n + 1), M.rank(n - 1))],
-                [Matrix.identity(ring, M.rank(n)),
-                 Matrix.zeros(ring, M.rank(n), M.rank(n - 1))]]
-        comps[n] = Matrix.block(grid)
+        blocks = {(1, 0): Matrix.identity(ring, M.rank(n))} if M.rank(n) else {}
+        comps[n] = Matrix.from_blocks(ring, heights, widths, blocks)
     return Homotopy(comps, "contraction")
 
 
@@ -430,6 +424,19 @@ def is_minimal(M):
     return True
 
 
+def kernel_resolution(ring, d, steps):
+    """Up to `steps` further resolution differentials below d: each one is a
+    minimal generating set of the kernel of the one before.  The list stops
+    with the first kernel that vanishes, a matrix with no columns."""
+    out = []
+    for _ in range(steps):
+        if d.cols == 0:
+            break
+        d = minimal_generators(ring, kernel_basis(ring, d))
+        out.append(d)
+    return out
+
+
 def augment_by_resolution(A, m, depth_budget=4):
     """Extend A above degree m by a free resolution of ker(diff(m)).
 
@@ -443,15 +450,8 @@ def augment_by_resolution(A, m, depth_budget=4):
         raise DimensionMismatch(f"support of A must lie in degrees <= {m}")
     ranks = dict(A._ranks)
     diffs = dict(A._diffs)
-    current = A.diff(m)
-    degree = m
-    for _ in range(depth_budget):
-        K = kernel_basis(A.ring, current)
-        K = minimal_generators(A.ring, K)
-        if K.cols == 0:
-            break
-        degree += 1
-        ranks[degree] = K.cols
-        diffs[degree] = K
-        current = K
+    steps = kernel_resolution(A.ring, A.diff(m), depth_budget)
+    for degree, d in enumerate(steps, start=m + 1):
+        ranks[degree] = d.cols
+        diffs[degree] = d
     return ChainComplex(A.ring, ranks, diffs)

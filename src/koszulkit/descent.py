@@ -23,9 +23,11 @@ from typing import NamedTuple
 
 from .complexes import (
     ChainComplex, ChainMap, Homotopy, augment_by_resolution, cone, homology,
-    is_chain_map, is_contraction, is_minimal, tensor, tensor_layout,
+    is_chain_map, is_contraction, is_minimal, tensor, tensor_differential,
 )
-from .dgmodules import DGModule, extend, is_k_linear, verify_dg_module
+from .dgmodules import (
+    DGModule, extend, extension_action, is_k_linear, verify_dg_module,
+)
 from .errors import (
     CapabilityMissing, IncompleteAssignment, NonCanonicalHarness, RankMismatch,
     ShapeMismatch, UnverifiedDGModule, VerificationFailed, WindowViolated,
@@ -268,24 +270,8 @@ def shape_of(K, P):
     return SystemShape(m, e, s, r)
 
 
-def koszul_side_action(K, P, H, n):
-    """Multiplication by e_H on the extension, block-diagonal over summands."""
-    ring = K.ring
-    src = tensor_layout(K.complex, P, n)
-    tgt = tensor_layout(K.complex, P, n + len(H))
-    grid = []
-    for (q, mq, nq) in tgt:
-        row = []
-        for (p, mp, np_) in src:
-            if p == q and mq * nq and mp * np_:
-                row.append(K.mult_matrix(H, n - p).kron(Matrix.identity(ring, np_)))
-            else:
-                row.append(Matrix.zeros(ring, mq * nq, mp * np_))
-        grid.append(row)
-    if not grid or not grid[0]:
-        return Matrix.zeros(ring, sum(a * b for _, a, b in tgt),
-                            sum(a * b for _, a, b in src))
-    return Matrix.block(grid)
+# The action of e_H on the extension K (x) P, under its name in this module.
+koszul_side_action = extension_action
 
 
 def build_B_blocks(K, P, x_mats, scalar_ring=None):
@@ -293,57 +279,24 @@ def build_B_blocks(K, P, x_mats, scalar_ring=None):
 
     `x_mats[n]` is the degree-n map of P (concrete ring entries or symbolic
     VarPoly entries); returns {n: matrix} for n = 1 .. m+e+1 in the same
-    scalar domain.  With the actual differentials of P this reproduces
-    tensor(K, P) exactly.
+    scalar domain.  With the actual differentials of P this is exactly the
+    differential of tensor(K, P).
     """
     sample = next((mat for mat in x_mats.values() if mat.rows and mat.cols), None)
     if scalar_ring is not None:
         ring = scalar_ring
-    elif sample is not None:
-        ring = sample.ring
     else:
-        ring = K.ring
-    symbolic = isinstance(ring, VarPolyRing)
-    base = ring.base if symbolic else K.ring
-    if symbolic:
-        embed = lambda M: constant_matrix(ring, M)
-        ident = lambda k: constant_matrix(ring, Matrix.identity(K.ring, k))
-        sign_of = lambda s: VarPoly.constant(base, base.one if s == 1 else -base.one)
-    else:
-        embed = lambda M: M
-        ident = lambda k: Matrix.identity(K.ring, k)
-        sign_of = lambda s: base.one if s == 1 else -base.one
-
+        ring = sample.ring if sample is not None else K.ring
+    kc = K.complex
+    if isinstance(ring, VarPolyRing):
+        kc = ChainComplex(ring, {n: kc.rank(n) for n in kc.support},
+                          {n: constant_matrix(ring, kc.diff(n)) for n in kc.support},
+                          _validated=True)
     shape = shape_of(K, P)
-    m, e = shape.m, shape.e
-    out = {}
-    for n in range(1, m + e + 2):
-        src = tensor_layout(K.complex, P, n)
-        tgt = tensor_layout(K.complex, P, n - 1)
-        grid = []
-        for (q, mq, nq) in tgt:
-            row = []
-            for (p, mp, np_) in src:
-                rows_, cols_ = mq * nq, mp * np_
-                if p == q and rows_ and cols_:
-                    row.append(embed(K.complex.diff(n - p)).kron(ident(np_)))
-                elif p == q + 1 and rows_ and cols_:
-                    x = x_mats.get(p)
-                    if x is None:
-                        x = Matrix.zeros(ring, shape.s_at(p - 1), shape.s_at(p))
-                    block = ident(mp).kron(x)
-                    s = sign_of(1 if (n - p) % 2 == 0 else -1)
-                    row.append(block.scale(s))
-                else:
-                    row.append(Matrix.zeros(ring, rows_, cols_) if symbolic
-                               else Matrix.zeros(K.ring, rows_, cols_))
-            grid.append(row)
-        if grid and grid[0]:
-            out[n] = Matrix.block(grid)
-        else:
-            out[n] = Matrix.zeros(ring if symbolic else K.ring,
-                                  shape.r_at(n - 1), shape.r_at(n))
-    return out
+    X = ChainComplex(ring, {n: shape.s_at(n) for n in range(shape.m + 1)},
+                     x_mats, _validated=True)
+    return {n: tensor_differential(kc, X, n)
+            for n in range(1, shape.m + shape.e + 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +423,26 @@ def generate_system(K, P, F=None, check_minimal=True):
         hdeg = len(H)
         for n in range(0, m + e - hdeg + 1):
             v = constant_matrix(vring, F.action_matrix(H, n))
-            w = constant_matrix(vring, koszul_side_action(K, P, H, n))
+            w = constant_matrix(vring, extension_action(K, P, H, n))
             lhs = y_at(n + hdeg) * v - w * y_at(n)
             equations.extend(_matrix_equations("S3", h_index, n, lhs))
     # S4: contraction of the mapping cone, Kronecker delta constant term
     def cone_diff(n):
-        top_left = B[n] if n in B else Matrix.zeros(
-            vring, shape.r_at(n - 1), shape.r_at(n))
-        grid = [[top_left, y_at(n - 1)],
-                [Matrix.zeros(vring, shape.r_at(n - 2), shape.r_at(n)),
-                 u_at(n - 1).scale(VarPoly.constant(ring, -ring.one))]]
-        return Matrix.block(grid)
+        blocks = {}
+        if n in B:
+            blocks[0, 0] = B[n]
+        if n - 1 in ymat:
+            blocks[0, 1] = ymat[n - 1]
+        u = F.underlying.diff(n - 1)
+        if u.rows and u.cols:
+            blocks[1, 1] = constant_matrix(vring, u.scale(-ring.one))
+        return Matrix.from_blocks(vring, [shape.r_at(n - 1), shape.r_at(n - 2)],
+                                  [shape.r_at(n), shape.r_at(n - 1)], blocks)
 
-    one = VarPoly.constant(ring, ring.one)
+    cone_diffs = {n: cone_diff(n) for n in range(0, m + e + 3)}
     for n in range(0, m + e + 2):
         size = shape.r_at(n) + shape.r_at(n - 1)
-        lhs = z_at(n - 1) * cone_diff(n) + cone_diff(n + 1) * z_at(n)
+        lhs = z_at(n - 1) * cone_diffs[n] + cone_diffs[n + 1] * z_at(n)
         delta = Matrix.identity(vring, size)
         equations.extend(_matrix_equations("S4", None, n, lhs - delta))
 

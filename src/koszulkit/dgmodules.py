@@ -8,10 +8,11 @@ can check directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import ChainMap, tensor, tensor_layout
 from .errors import MixedRings
+from .koszul import AxiomReport, AxiomResult
 from .matrices import Matrix
 
 
@@ -43,39 +44,32 @@ class DGModule:
         return f"DGModule({self.algebra!r}, {self.underlying!r})"
 
 
-def extend(K, M):
-    """The extension K (x) M with action e_h . (u (x) x) = (e_h u) (x) x.
+def extension_action(K, M, H, n):
+    """Multiplication by e_H on K (x) M, from degree n to degree n + |H|.
 
-    On the summand K_{n-p} (x) M_p the action of e_h is the Kronecker
-    product of the algebra's multiplication matrix with the identity.
+    On the summand K_{n-p} (x) M_p it is the algebra's multiplication
+    matrix (x) the identity; the action is block-diagonal over summands.
     """
+    h = len(H)
+    src = tensor_layout(K.complex, M, n)
+    tgt = tensor_layout(K.complex, M, n + h)
+    blocks = {}
+    for k, (p, kp, mp) in enumerate(src):
+        if kp and mp and K.degree_rank(n - p + h):
+            blocks[k, k] = K.mult_matrix(H, n - p).kron(Matrix.identity(K.ring, mp))
+    return Matrix.from_blocks(K.ring, [a * b for _, a, b in tgt],
+                              [a * b for _, a, b in src], blocks)
+
+
+def extend(K, M):
+    """The extension K (x) M with action e_h . (u (x) x) = (e_h u) (x) x."""
     if K.ring != M.ring:
         raise MixedRings("extend over different rings")
-    ring = K.ring
     under = tensor(K.complex, M)
     action = {}
     for H in (S for d in K.basis.values() for S in d):
-        per = {}
-        for n in under.degrees():
-            src = tensor_layout(K.complex, M, n)
-            tgt = tensor_layout(K.complex, M, n + len(H))
-            rows = sum(a * b for _, a, b in tgt)
-            cols = sum(a * b for _, a, b in src)
-            if rows == 0 or cols == 0:
-                continue
-            grid = []
-            for (q, mq, nq) in tgt:
-                row = []
-                for (p, mp, np_) in src:
-                    r_, c_ = mq * nq, mp * np_
-                    if p == q and r_ and c_:
-                        row.append(K.mult_matrix(H, n - p).kron(
-                            Matrix.identity(ring, np_)))
-                    else:
-                        row.append(Matrix.zeros(ring, r_, c_))
-                grid.append(row)
-            per[n] = Matrix.block(grid)
-        action[H] = per
+        action[H] = {n: extension_action(K, M, H, n) for n in under.degrees()
+                     if under.rank(n) and under.rank(n + len(H))}
     D = DGModule(K, under, action)
     report = verify_dg_module(D)
     if not report.ok:
@@ -83,35 +77,12 @@ def extend(K, M):
     return D
 
 
-@dataclass
-class AxiomResult:
-    name: str
-    ok: bool
-    counterexample: str = ""
-
-
-@dataclass
-class DgModuleReport:
-    results: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.ok]
-
-    def lines(self):
-        return [f"{r.name}: {'ok' if r.ok else 'FAIL ' + r.counterexample}"
-                for r in self.results]
-
-
 def verify_dg_module(D):
     """Unitality, associativity and Leibniz on all basis elements and degrees."""
     K = D.algebra
     under = D.underlying
     ring = under.ring
-    report = DgModuleReport()
+    report = AxiomReport()
     degrees = list(under.degrees())
 
     ok, ce = True, ""

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import ChainComplex, free_module_complex, hom_complex, homology, tensor
-from .errors import CapabilityMissing, DimensionMismatch, NotLocal, NotRegular
+from .complexes import (
+    ChainComplex, free_module_complex, hom_complex, hom_layout, homology,
+    kernel_resolution, tensor,
+)
+from .errors import (
+    CapabilityMissing, DimensionMismatch, NotLocal, NotRegular, ToolkitError,
+)
 from .linalg import (
     HomologySummary, has_linear_solve, image_membership, kernel_basis,
-    minimal_generators, solve, span_cardinality, subquotient,
+    kernel_cardinality, minimal_generators, span_cardinality, subquotient,
 )
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, RingHom, Zmod, poly_quotient
@@ -75,17 +80,8 @@ def resolve(pres, depth):
     ring = pres.ring
     if not has_linear_solve(ring):
         raise CapabilityMissing(f"cannot resolve over {ring}")
-    diffs = []
-    current = minimal_generators(ring, pres.relations)
-    diffs.append(current)
-    for _ in range(depth - 1):
-        if current.cols == 0:
-            break
-        K = kernel_basis(ring, current)
-        K = minimal_generators(ring, K)
-        diffs.append(K)
-        current = K
-    return diffs
+    first = minimal_generators(ring, pres.relations)
+    return [first] + kernel_resolution(ring, first, depth - 1)
 
 
 def resolution_complex(pres, depth):
@@ -173,32 +169,20 @@ def hom_into_presented(source_free, target):
     block-diagonal over the summands Hom(M_i, N_{i+n}), each block
     kron(rel_{i+n}, I_{rank M_i}) in the (target, source) row-major layout.
     """
-    from .complexes import hom_layout
     amb = hom_complex(source_free, target.ambient)
     ring = amb.ring
     relations = {}
     for n in amb.degrees():
         layout = hom_layout(source_free, target.ambient, n)
-        specs = []
-        for (i, a, b) in layout:
-            rel = target.relation(i + n)
-            specs.append((a * b, rel.cols * b,
-                          rel.kron(Matrix.identity(ring, b))
-                          if a * b and rel.cols * b else None))
-        total_rows = sum(s[0] for s in specs)
-        total_cols = sum(s[1] for s in specs)
-        if total_rows == 0 or total_cols == 0:
+        rels = [target.relation(i + n) for i, _, _ in layout]
+        heights = [a * b for _, a, b in layout]
+        widths = [rel.cols * b for rel, (_, _, b) in zip(rels, layout)]
+        if not (sum(heights) and sum(widths)):
             continue
-        grid = []
-        for bi, (h, w, blk) in enumerate(specs):
-            row = []
-            for bj, (h2, w2, blk2) in enumerate(specs):
-                if bi == bj and blk is not None:
-                    row.append(blk)
-                else:
-                    row.append(Matrix.zeros(ring, h, w2))
-            grid.append(row)
-        relations[n] = Matrix.block(grid)
+        blocks = {(k, k): rel.kron(Matrix.identity(ring, b))
+                  for k, (rel, (_, a, b)) in enumerate(zip(rels, layout))
+                  if a and rel.cols and b}
+        relations[n] = Matrix.from_blocks(ring, heights, widths, blocks)
     return PresentedComplex(amb, relations)
 
 
@@ -224,12 +208,19 @@ def tensor_koszul_presented(K, pres):
 # Ext
 
 
+def _check_window(window):
+    if window < 0:
+        raise ToolkitError(f"the window must be nonnegative, got {window}")
+
+
 def ext_table(M, N, window):
     """[Ext^i(M, N) for i = 0..window] as homology summaries.
 
     M and N are presentations over a linear_solve ring; the resolution of M
-    is taken to depth window + 1, so every listed value is exact.
+    is taken to depth window + 1, so every listed value is exact.  Window 0
+    lists Hom(M, N) alone; a negative window is rejected.
     """
+    _check_window(window)
     res = resolution_complex(M, window + 1)
     target = module_as_presented_complex(N)
     G = hom_into_presented(res, target)
@@ -309,17 +300,10 @@ def homothety_check(C, window):
     U0 = C.relations.kron(Matrix.identity(ring, g)) if C.relations.cols else \
         Matrix.zeros(ring, g * g, 0)
     id_vec = _identity_hom_vector(ring, g)
-    ann = 0
-    for r in ring.elements():
-        scaled = id_vec.scale(r)
-        if U0.cols:
-            if solve(ring, U0, scaled) is not None:
-                ann += 1
-        elif scaled.is_zero():
-            ann += 1
+    # r annihilates C exactly when r . id lies in the span of U0, so the
+    # kernel of [id | U0] is the annihilator times the kernel of U0
+    ann = kernel_cardinality(ring, id_vec.hstack(U0)) // kernel_cardinality(ring, U0)
     ring_card = ring.cardinality()
-    if ann == 0:
-        ann = 1  # zero always annihilates into the span
     if hom_card == ring_card and ann == 1:
         return SdcVerdict("semidualizing", window,
                           hom_cardinality=hom_card,
@@ -444,6 +428,7 @@ def ext_sup_via_koszul(M, X, K, window):
     degrees above it, so the direct side scans [window, window + e] when
     deciding whether the edge is active.
     """
+    _check_window(window)
     e = K.e
     table = ext_table(M, X, window + e)
     nonzero_direct = [i for i in range(window + 1) if not table[i].is_zero]

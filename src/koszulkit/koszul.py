@@ -145,7 +145,9 @@ class AxiomResult:
 
 
 @dataclass
-class DgaReport:
+class AxiomReport:
+    """Axiom results in check order; shared by DG algebras and DG modules."""
+
     results: list = field(default_factory=list)
 
     @property
@@ -171,7 +173,7 @@ def verify_dga(K, mult_override=None):
     """
     mult = mult_override if mult_override is not None else K.mult
     ring = K.ring
-    report = DgaReport()
+    report = AxiomReport()
 
     def mat(H, n):
         per = mult.get(tuple(H))

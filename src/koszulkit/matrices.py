@@ -7,6 +7,8 @@ The `ring` slot is any object exposing `zero` and `one` attributes.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import DimensionMismatch, MixedRings
 
 
@@ -42,6 +44,33 @@ class Matrix:
                                      for i in range(n)))
 
     @classmethod
+    def from_blocks(cls, ring, heights, widths, blocks):
+        """Assemble a block matrix from its nonzero blocks.
+
+        Block row i is heights[i] tall and block column j is widths[j] wide;
+        `blocks` maps (i, j) to the matrix in that position, and every
+        absent position is zero.
+        """
+        row_at = [0, *accumulate(heights)]
+        col_at = [0, *accumulate(widths)]
+        z = ring.zero
+        data = [[z] * col_at[-1] for _ in range(row_at[-1])]
+        for (i, j), m in blocks.items():
+            if not (0 <= i < len(heights) and 0 <= j < len(widths)):
+                raise DimensionMismatch(
+                    f"block ({i},{j}) outside a {len(heights)}x{len(widths)} grid")
+            if m.ring != ring:
+                raise MixedRings("blocks over different rings")
+            if m.rows != heights[i] or m.cols != widths[j]:
+                raise DimensionMismatch(
+                    f"block ({i},{j}) is {m.rows}x{m.cols}, expected "
+                    f"{heights[i]}x{widths[j]}")
+            r0, c0, c1 = row_at[i], col_at[j], col_at[j + 1]
+            for r, line in enumerate(m.data, start=r0):
+                data[r][c0:c1] = line
+        return cls(ring, row_at[-1], col_at[-1], tuple(map(tuple, data)))
+
+    @classmethod
     def block(cls, grid):
         """Assemble a block matrix from a grid (list of lists) of matrices.
 
@@ -50,27 +79,12 @@ class Matrix:
         """
         if not grid or not grid[0]:
             raise DimensionMismatch("empty block grid")
-        ring = grid[0][0].ring
-        heights = [row[0].rows for row in grid]
         widths = [m.cols for m in grid[0]]
-        for i, row in enumerate(grid):
-            if len(row) != len(widths):
-                raise DimensionMismatch("ragged block grid")
-            for j, m in enumerate(row):
-                if m.ring != ring:
-                    raise MixedRings("blocks over different rings")
-                if m.rows != heights[i] or m.cols != widths[j]:
-                    raise DimensionMismatch(
-                        f"block ({i},{j}) is {m.rows}x{m.cols}, expected "
-                        f"{heights[i]}x{widths[j]}")
-        data = []
-        for i, row in enumerate(grid):
-            for r in range(heights[i]):
-                line = []
-                for m in row:
-                    line.extend(m.data[r])
-                data.append(tuple(line))
-        return cls(ring, sum(heights), sum(widths), tuple(data))
+        if any(len(row) != len(widths) for row in grid):
+            raise DimensionMismatch("ragged block grid")
+        return cls.from_blocks(
+            grid[0][0].ring, [row[0].rows for row in grid], widths,
+            {(i, j): m for i, row in enumerate(grid) for j, m in enumerate(row)})
 
     @classmethod
     def diag(cls, ring, entries):
@@ -207,22 +221,3 @@ class Matrix:
         body = "; ".join(", ".join(repr(a) for a in r) for r in self.data)
         return f"[{body}]"
 
-
-def mat_mul(a, b):
-    return a * b
-
-
-def mat_add(a, b):
-    return a + b
-
-
-def mat_scale(c, a):
-    return a.scale(c)
-
-
-def mat_identity(ring, n):
-    return Matrix.identity(ring, n)
-
-
-def mat_block(grid):
-    return Matrix.block(grid)

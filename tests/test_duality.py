@@ -4,7 +4,7 @@ import random
 import pytest
 
 from koszulkit import duality as du
-from koszulkit.errors import NotLocal, NotRegular
+from koszulkit.errors import NotLocal, NotRegular, ToolkitError
 from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, ZZ, Zmod, parse_element, poly_quotient
@@ -92,6 +92,16 @@ def test_ext_symmetric_example_over_z4():
     assert all(h.cardinality == 2 for h in table)
 
 
+def test_negative_window_is_rejected():
+    k = du.ModulePresentation.residue_field(F2X)
+    K = koszul(F2X, [parse_element(F2X, "x")])
+    for check in (lambda: du.ext_table(k, k, -1), lambda: du.homothety_check(k, -1),
+                  lambda: du.ext_sup_via_koszul(k, k, K, -1)):
+        with pytest.raises(ToolkitError):
+            check()
+    assert len(du.ext_table(k, k, 0)) == 1  # window 0 is Hom alone
+
+
 # --- homothety ---
 
 def test_ring_is_semidualizing_everywhere():
@@ -110,6 +120,29 @@ def test_omega_is_semidualizing():
     assert v.ok
     assert v.hom_cardinality == 8 and v.ring_cardinality == 8
     assert v.annihilator_cardinality == 1
+
+
+def test_homothety_annihilator_against_enumeration():
+    # r annihilates C exactly when r e_k lies in the relation span for
+    # every generator e_k; count those r by enumerating ring and span
+    from helpers import random_matrix, span_of_columns
+    rng = random.Random(17)
+    rings = (Z4, Zmod(8), Zmod(27), poly_quotient("F2", ["x"], ["x^3"]), QUAD,
+             poly_quotient("F3", ["x"], ["x^2"]))
+    cases = [du.ModulePresentation.residue_field(QUAD)]
+    for ring in rings:
+        for _ in range(6):
+            g, c = rng.randint(1, 2), rng.randint(0, 2)
+            cases.append(du.ModulePresentation(ring, g, random_matrix(ring, g, c, rng)))
+    for C in cases:
+        ring, g = C.ring, C.gens
+        span = span_of_columns(ring, C.relations)
+        expected = sum(
+            all(tuple((r if i == k else ring.zero).payload for i in range(g)) in span
+                for k in range(g))
+            for r in ring.elements())
+        assert du.homothety_check(C, 0).annihilator_cardinality == expected, C
+    assert du.homothety_check(cases[0], 0).annihilator_cardinality == 4
 
 
 def test_omega_endomorphisms_by_enumeration():

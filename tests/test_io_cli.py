@@ -187,6 +187,17 @@ def test_cli_zero_ring_exit_2(tmp_path):
     assert run_cli(["complex", "homology", str(cxf)])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ext", "table", "-M", str(GOLDEN / "k.pm"), "-N", str(GOLDEN / "k.pm")],
+    ["sdc", "check", "--module", str(GOLDEN / "omega.pm")],
+    ["sdc", "bidual", "--source", str(GOLDEN / "k.pm"), "--module", str(GOLDEN / "omega.pm")],
+])
+def test_cli_negative_window_exit_2(argv):
+    code, out, err = run_cli(argv + ["--window", "-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_cli_dg_extend_verify_klinear(tmp_path):
     kz, cxf = tmp_path / "K.kz", tmp_path / "P.cx"
     run_cli(["koszul", "build", "--ring", "zmod 4", "--sequence", "2",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit.errors import CapabilityMissing, NotAComplex
+from koszulkit.errors import CapabilityMissing, DimensionMismatch, MixedRings, NotAComplex
 from koszulkit.linalg import (
     homology_module, howell_form, image_membership, invert, kernel_basis,
     kernel_cardinality, matrix_normal_form, minimal_generators, row_echelon,
@@ -210,20 +210,43 @@ def test_matrix_multiplication_algebra():
 
 
 def test_block_assembly_shapes():
-    from koszulkit.matrices import mat_block, mat_identity
     B = mat(Z4, [[2, 0], [0, 2]])
-    Y = mat_identity(Z4, 2)
+    Y = Matrix.identity(Z4, 2)
     U = mat(Z4, [[2, 0]])
-    cone_style = mat_block([
+    cone_style = Matrix.block([
         [B, Y],
         [Matrix.zeros(Z4, 1, 2), U.scale(-Z4.one)],
     ])
     assert (cone_style.rows, cone_style.cols) == (3, 4)
     assert cone_style[(0, 2)] == Z4.one and cone_style[(2, 2)] == Z4.from_int(2)
     with pytest.raises(Exception):
-        mat_block([[B, mat(Z4, [[1]])]])
-    assert mat_identity(Z4, 3)[(1, 1)] == Z4.one
-    assert mat_identity(Z4, 3)[(0, 1)] == Z4.zero
+        Matrix.block([[B, mat(Z4, [[1]])]])
+    assert Matrix.identity(Z4, 3)[(1, 1)] == Z4.one
+    assert Matrix.identity(Z4, 3)[(0, 1)] == Z4.zero
+
+
+def test_from_blocks_sparse_assembly():
+    B = mat(Z4, [[2, 0], [0, 2]])
+    U = mat(Z4, [[2, 1]])
+    M = Matrix.from_blocks(Z4, [2, 1], [2, 2], {(0, 1): B, (1, 0): U})
+    assert M == Matrix.block([[Matrix.zeros(Z4, 2, 2), B],
+                              [U, Matrix.zeros(Z4, 1, 2)]])
+    # a dense grid gives what Matrix.block gives
+    rng = random.Random(3)
+    grid = [[random_matrix(Z4, h, w, rng) for w in (1, 0, 3)] for h in (2, 0, 1)]
+    dense = {(i, j): m for i, row in enumerate(grid) for j, m in enumerate(row)}
+    assert Matrix.from_blocks(Z4, [2, 0, 1], [1, 0, 3], dense) == Matrix.block(grid)
+    # zero heights and widths, and no blocks at all
+    assert Matrix.from_blocks(Z4, [0, 0], [3], {}) == Matrix.zeros(Z4, 0, 3)
+    assert Matrix.from_blocks(Z4, [2], [0, 0], {}) == Matrix.zeros(Z4, 2, 0)
+    assert Matrix.from_blocks(Z4, [], [], {}) == Matrix.zeros(Z4, 0, 0)
+    assert Matrix.from_blocks(Z4, [1, 2], [2], {}) == Matrix.zeros(Z4, 3, 2)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_blocks(Z4, [2, 1], [2, 2], {(1, 1): B})
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_blocks(Z4, [2], [2], {(1, 0): B})
+    with pytest.raises(MixedRings):
+        Matrix.from_blocks(Z4, [2], [2], {(0, 0): Matrix.identity(Zmod(8), 2)})
 
 
 def test_throwaway_rings_leave_no_module_level_cache_behind():
