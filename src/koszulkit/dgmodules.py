@@ -167,24 +167,11 @@ class AdjunctionTransport:
 
     def forward(self, psi):
         K, M, N = self.K, self.M, self.N
-        ring = K.ring
         ext = tensor(K.complex, M)
-        comps = {}
-        for n in ext.degrees():
-            cols = []
-            for (p, mrank, prank) in tensor_layout(K.complex, M, n):
-                if mrank == 0 or prank == 0:
-                    continue
-                for H in K.basis[n - p]:
-                    block = N.action_matrix(H, p) * psi.component(p)
-                    cols.append(block)
-            if not cols:
-                continue
-            acc = cols[0]
-            for c in cols[1:]:
-                acc = acc.hstack(c)
-            comps[n] = acc
-        return ChainMap(ext, self.N.underlying, comps)
+        block = lambda H, p: N.action_matrix(H, p) * psi.component(p)
+        comps = {n: _summand_columns(K, M, n, N.underlying.rank(n), block)
+                 for n in ext.degrees()}
+        return ChainMap(ext, N.underlying, comps)
 
     def backward(self, Phi):
         K, M = self.K, self.M
@@ -240,18 +227,14 @@ def multiplication_map(K, D):
     """
     M = D.underlying
     ext = tensor(K.complex, M)
-    comps = {}
-    for n in ext.degrees():
-        cols = []
-        for (p, mrank, prank) in tensor_layout(K.complex, M, n):
-            if mrank == 0 or prank == 0:
-                continue
-            for H in K.basis[n - p]:
-                cols.append(D.action_matrix(H, p))
-        if not cols:
-            continue
-        acc = cols[0]
-        for c in cols[1:]:
-            acc = acc.hstack(c)
-        comps[n] = acc
+    comps = {n: _summand_columns(K, M, n, M.rank(n), D.action_matrix)
+             for n in ext.degrees()}
     return ChainMap(ext, M, comps)
+
+
+def _summand_columns(K, M, n, height, block):
+    """A map out of (K (x) M)_n, given on e_H (x) M_p by block(H, p)."""
+    pieces = [(H, p) for p, kp, mp in tensor_layout(K.complex, M, n) if kp and mp
+              for H in K.basis[n - p]]
+    return Matrix.from_blocks(K.ring, [height], [M.rank(p) for _, p in pieces],
+                              {(0, j): block(H, p) for j, (H, p) in enumerate(pieces)})

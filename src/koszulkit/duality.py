@@ -137,7 +137,7 @@ def presented_homology(pc, t):
     ring = pc.ambient.ring
     amb_rank = pc.ambient.rank(t)
     if amb_rank == 0:
-        return HomologySummary(ring, True, 0, cardinality=1 if ring.is_finite() else None,
+        return HomologySummary(ring, True, cardinality=1 if ring.is_finite() else None,
                                dimension=0 if ring.kind in ("rationals", "primefield") else None,
                                free_rank=0, invariant_factors=())
     d_t = pc.ambient.diff(t)
@@ -152,7 +152,7 @@ def presented_homology(pc, t):
         if num % den or (num // den) % wcard:
             raise ArithmeticError("span cardinalities violate divisibility")
         card = num // den // wcard
-        return HomologySummary(ring, card == 1, amb_rank, cardinality=card)
+        return HomologySummary(ring, card == 1, cardinality=card)
     # explicit subquotient over Z, F_p[x], Q
     V = kernel_basis(ring, d_t.hstack(rel_prev))
     V = V.submatrix(range(amb_rank), range(V.cols)) if V.cols else \

@@ -1,27 +1,32 @@
 """Exact linear algebra over rings with the linear_solve capability.
 
-Two engines.  Prime fields F_p and finite-dimensional F_p-algebras run on
-int rows over F_p: an algebra element expands to its multiplication matrix
-on the standard monomials, a prime-field entry is its own coordinate, and
-rows are packed into bitmask ints when p = 2.  Reduced row echelon form on
-those rows gives kernels, solutions and ranks (hence cardinalities)
-without any transform matrices.  Z, Z/n, Q and F_p[x] with its quotients
-are lifted to a Euclidean domain where a Smith decomposition with recorded
-transforms exists, and kernels, solvability, module cardinalities and
-subquotient presentations read off that decomposition.  The normal forms
-(smith_form, row_echelon, howell_form) keep their transform certificates
-over every ring, F_p included.
+Three elimination engines.  Prime fields F_p and
+finite-dimensional F_p-algebras run on int rows over F_p (_fp_rref): an
+algebra element expands to its multiplication matrix on the standard
+monomials, a prime-field entry is its own coordinate, and rows are packed
+into bitmask ints when p = 2.  Reduced row echelon form on those rows gives
+kernels, solutions and ranks (hence cardinalities, and the unit test of
+those algebras) without any transform matrices.  Z, Z/n, Q and F_p[x] with
+its quotients are lifted to a Euclidean domain, where smith_data
+diagonalizes with recorded transforms; kernels, solvability, module
+cardinalities and subquotient presentations read off that decomposition,
+and a subquotient over Z/n is the one over Z of the lifts enlarged by n Z^u.
+The certified normal forms other than Smith come from one Hermite row
+reducer (_hermite) over a Euclidean domain: row_echelon runs it over the
+field, howell_form over Z on the lift stacked on n*I.  minimal_generators
+also keeps an incremental F_p span (_FpSpan) for its membership tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .errors import CapabilityMissing, DimensionMismatch, NotAComplex
+from .errors import BudgetExceeded, CapabilityMissing, DimensionMismatch, NotAComplex
 from .matrices import Matrix
 from .rings import (
-    INTEGERS, POLYQUOT, PRIMEFIELD, RATIONALS, ZMOD, RingElement,
+    INTEGERS, POLYQUOT, PRIMEFIELD, RATIONALS, ZMOD, ZZ, RingElement,
 )
 
 _SMITH_SWEEP_CAP = 10_000
@@ -501,7 +506,7 @@ def smith_data(ed, grid, rows, cols):
         # fold the next diagonal entry into row i so the gcd step can run
         row_combine(i, i + 1, ed.one, ed.one, ed.zero, ed.one)
     else:
-        raise ArithmeticError("smith sweep cap exceeded")
+        raise BudgetExceeded(f"smith sweep cap {_SMITH_SWEEP_CAP} exceeded")
 
     # canonicalize diagonal units (positive integers / monic polynomials)
     for i in range(limit):
@@ -943,43 +948,63 @@ def smith_form(ring, A):
         _grid_to_matrix(ring, ctx, sd.T), _grid_to_matrix(ring, ctx, sd.Ti), A)
 
 
+def _hermite(ed, grid, ncols):
+    """Row-reduce `grid` in place to Hermite form over `ed`; return (U, U^-1).
+
+    Column by column, gcd row combinations of determinant 1 collect the
+    column's gcd in the pivot row, `ed.canon` normalizes the pivot and
+    `ed.divmod_` reduces the entries above it, so U * input = grid.  Over a
+    field this is the reduced row echelon form.
+    """
+    total = len(grid)
+    add, mul, neg = ed.add, ed.mul, ed.neg
+    U, Ui = _identity_grid(ed, total), _identity_grid(ed, total)
+
+    def combine(i, j, a, b, c, d):
+        # rows (i,j) <- (a ri + b rj, c ri + d rj), det = ad - bc = 1
+        for mat in (grid, U):
+            ri, rj = mat[i], mat[j]
+            mat[i] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rj)]
+            mat[j] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rj)]
+        for r in Ui:
+            x, y = r[i], r[j]
+            r[i] = add(mul(d, x), neg(mul(c, y)))
+            r[j] = add(mul(a, y), neg(mul(b, x)))
+
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row == total:
+            break
+        for i in range(pivot_row + 1, total):
+            b = grid[i][col]
+            if not ed.is_zero(b):
+                a = grid[pivot_row][col]
+                g, s, t = ed.gcdex(a, b)
+                combine(pivot_row, i, s, t, neg(ed.quo(b, g)), ed.quo(a, g))
+        piv = grid[pivot_row][col]
+        if ed.is_zero(piv):
+            continue
+        u, c = ed.canon(piv)
+        if c != piv:
+            inv = ed.unit_inv(u)
+            grid[pivot_row] = [mul(inv, x) for x in grid[pivot_row]]
+            U[pivot_row] = [mul(inv, x) for x in U[pivot_row]]
+            for r in Ui:
+                r[pivot_row] = mul(u, r[pivot_row])
+        for i in range(pivot_row):
+            q, _ = ed.divmod_(grid[i][col], c)
+            if not ed.is_zero(q):
+                combine(i, pivot_row, ed.one, neg(q), ed.zero, ed.one)
+        pivot_row += 1
+    return U, Ui
+
+
 def row_echelon(ring, A):
     """Reduced row echelon over a field, with recorded row transform."""
     if ring.kind not in (RATIONALS, PRIMEFIELD):
         raise CapabilityMissing(f"row echelon requires a field, got {ring}")
-    ed = FieldED(ring)
     m = [list(r) for r in A.data]
-    L = _identity_grid(ed, A.rows)
-    Li = _identity_grid(ed, A.rows)
-    rank = 0
-    for col in range(A.cols):
-        sel = None
-        for r in range(rank, A.rows):
-            if not m[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        if sel != rank:
-            m[rank], m[sel] = m[sel], m[rank]
-            L[rank], L[sel] = L[sel], L[rank]
-            for row in Li:
-                row[rank], row[sel] = row[sel], row[rank]
-        c = m[rank][col]
-        inv = ed.inv(c)
-        m[rank] = [inv * x for x in m[rank]]
-        L[rank] = [inv * x for x in L[rank]]
-        for row in Li:
-            row[rank] = c * row[rank]
-        for r in range(A.rows):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-                L[r] = [x - f * y for x, y in zip(L[r], L[rank])]
-                # (I + f e_r e_rank^T)^-1 adds f * column r into column rank
-                for row in Li:
-                    row[rank] = row[rank] + f * row[r]
-        rank += 1
+    L, Li = _hermite(FieldED(ring), m, A.cols)
     to_m = lambda g, rows, cols: Matrix(ring, rows, cols, tuple(tuple(r) for r in g)) \
         if rows else Matrix.zeros(ring, 0, cols)
     return NormalFormResult(
@@ -998,50 +1023,10 @@ def howell_form(ring, A):
     if ring.kind not in (ZMOD, PRIMEFIELD):
         raise CapabilityMissing(f"howell form is for Z/n, got {ring}")
     n = ring.modulus
-    ed = IntED
-    rows, cols = A.rows, A.cols
-    grid = [[A.data[i][j].payload for j in range(cols)] for i in range(rows)]
+    cols = A.cols
+    grid = [[x.payload for x in r] for r in A.data]
     grid += [[n if i == j else 0 for j in range(cols)] for i in range(cols)]
-    total = rows + cols
-    U = _identity_grid(ed, total)
-    Ui = _identity_grid(ed, total)
-
-    def combine(i, j, a, b, c, d):
-        # rows (i,j) <- (a ri + b rj, c ri + d rj), det = ad - bc = 1
-        for mat in (grid, U):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [a * x + b * y for x, y in zip(ri, rj)]
-            mat[j] = [c * x + d * y for x, y in zip(ri, rj)]
-        for r in Ui:
-            x, y = r[i], r[j]
-            r[i] = d * x - c * y
-            r[j] = a * y - b * x
-
-    def negate_row(i):
-        grid[i] = [-x for x in grid[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Ui:
-            r[i] = -r[i]
-
-    # hermite: column by column on the padded stack
-    pivot_row = 0
-    for col in range(cols):
-        for i in range(pivot_row + 1, total):
-            if grid[i][col]:
-                a, b = grid[pivot_row][col], grid[i][col]
-                g, s, t = ed.gcdex(a, b)
-                combine(pivot_row, i, s, t, -(b // g), a // g)
-        if grid[pivot_row][col]:
-            if grid[pivot_row][col] < 0:
-                negate_row(pivot_row)
-            piv = grid[pivot_row][col]
-            for i in range(pivot_row):
-                q = grid[i][col] // piv
-                if q:
-                    combine(i, pivot_row, 1, -q, 0, 1)
-            pivot_row += 1
-            if pivot_row == total:
-                break
+    U, Ui = _hermite(IntED, grid, cols)
 
     def conv(g, width):
         if not g:
@@ -1051,7 +1036,7 @@ def howell_form(ring, A):
 
     padded = A.vstack(Matrix.zeros(ring, cols, cols))
     return NormalFormResult(
-        "howell", ring, conv(grid, cols), conv(U, total), conv(Ui, total),
+        "howell", ring, conv(grid, cols), conv(U, len(grid)), conv(Ui, len(grid)),
         Matrix.identity(ring, cols), Matrix.identity(ring, cols), padded)
 
 
@@ -1079,12 +1064,11 @@ class HomologySummary:
 
     Fields are None when not applicable: `dimension` over fields,
     `cardinality` over finite rings, `free_rank`/`invariant_factors`
-    over Z and F_p[x].
+    over Z, Z/n and F_p[x].
     """
 
     ring: object
     is_zero: bool
-    ngens: int
     cardinality: int | None = None
     dimension: int | None = None
     free_rank: int | None = None
@@ -1097,10 +1081,12 @@ class HomologySummary:
         if r.kind in (RATIONALS, PRIMEFIELD) and self.dimension is not None:
             return f"k^{self.dimension}"
         if self.free_rank is not None or self.invariant_factors:
-            parts = []
-            if self.free_rank:
-                parts.append(f"Z^{self.free_rank}")
-            parts.extend(f"Z/{f}" for f in (self.invariant_factors or ()))
+            # Z/n summaries carry abelian-group invariants, so they read as Z
+            base = "Z" if r.kind in (INTEGERS, ZMOD) else \
+                f"{r.coeff}[{', '.join(r.variables)}]"
+            parts = [f"{base}^{self.free_rank}"] if self.free_rank else []
+            parts.extend(f"Z/{f}" if base == "Z" else f"{base}/({f})"
+                         for f in (self.invariant_factors or ()))
             if parts:
                 return " + ".join(parts)
         return f"card {self.cardinality}"
@@ -1118,7 +1104,7 @@ class HomologySummary:
 
 
 def _domain_subquotient(ring, V, W):
-    """span(V)/span(W) over Z or F_p[x]: free rank plus invariant factors."""
+    """span(V)/span(W) over Z, Q or F_p[x]: free rank plus invariant factors."""
     ctx = lift_context(ring)
     ed = ctx.ed
     sd = smith_data(ed, _matrix_to_grid(ctx, V), V.rows, V.cols)
@@ -1130,7 +1116,7 @@ def _domain_subquotient(ring, V, W):
             basis_cols.append([ed.mul(sd.Si[r][i], d) for r in range(V.rows)])
     k = len(basis_cols)
     if k == 0:
-        return HomologySummary(ring, True, 0, free_rank=0, invariant_factors=())
+        return HomologySummary(ring, True, free_rank=0, invariant_factors=())
     B = Matrix(ring, V.rows, k,
                tuple(tuple(ctx.from_payload(basis_cols[j][i]) for j in range(k))
                      for i in range(V.rows)))
@@ -1149,64 +1135,8 @@ def _domain_subquotient(ring, V, W):
             factors.append(ctx.from_payload(d))
     free_rank = k - rank_rel
     is_zero = free_rank == 0 and not factors
-    return HomologySummary(ring, is_zero, k, free_rank=free_rank,
+    return HomologySummary(ring, is_zero, free_rank=free_rank,
                            invariant_factors=tuple(factors))
-
-
-def _zmod_invariants(ring, V, W):
-    """Abelian-group invariant factors of span(V)/span(W) over Z/n."""
-    n = ring.modulus
-    u = V.rows
-    zz_cols_v = [[V.data[i][j].payload for i in range(u)] for j in range(V.cols)]
-    zz_cols_w = [[W.data[i][j].payload for i in range(u)] for j in range(W.cols)]
-    for i in range(u):
-        e = [n if k == i else 0 for k in range(u)]
-        zz_cols_v.append(e)
-        zz_cols_w.append(e)
-    ed = IntED
-    grid_v = [[col[i] for col in zz_cols_v] for i in range(u)]
-    sd = smith_data(ed, grid_v, u, len(zz_cols_v))
-    basis = []
-    for i in range(u):
-        d = sd.diag(i)
-        if d == 0:
-            raise ArithmeticError("lattice above nZ^u must have full rank")
-        basis.append([sd.Si[r][i] * d for r in range(u)])
-    # coordinates of W generators in that basis, computed over Z
-    bgrid = [[basis[j][i] for j in range(u)] for i in range(u)]
-    bsd = smith_data(ed, bgrid, u, u)
-    factors = []
-    rel_cols = []
-    for col in zz_cols_w:
-        c = [sum(bsd.S[i][k] * col[k] for k in range(u)) for i in range(u)]
-        y = [0] * u
-        good = True
-        for i in range(u):
-            d = bsd.diag(i)
-            q, r = divmod(c[i], d)
-            if r:
-                good = False
-                break
-            y[i] = q
-        if not good:
-            raise ArithmeticError("relation outside the lattice")
-        rel_cols.append([sum(bsd.T[i][k] * y[k] for k in range(u)) for i in range(u)])
-    rel_grid = [[col[i] for col in rel_cols] for i in range(u)]
-    rsd = smith_data(ed, rel_grid, u, len(rel_cols))
-    card = 1
-    for i in range(u):
-        d = rsd.diag(i)
-        if d == 0:
-            raise ArithmeticError("finite quotient expected")
-        card *= abs(d)
-        if abs(d) != 1:
-            factors.append(abs(d))
-    return card, tuple(sorted(factors))
-
-
-def _smith_rank(ctx, A):
-    sd = smith_data(ctx.ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
-    return sum(1 for i in range(min(A.rows, A.cols)) if not ctx.ed.is_zero(sd.diag(i)))
 
 
 def subquotient(ring, V, W):
@@ -1216,16 +1146,22 @@ def subquotient(ring, V, W):
         raise DimensionMismatch("ambient ranks differ")
     if ring.kind == PRIMEFIELD:
         dim = view.rank(V) - view.rank(W)
-        return HomologySummary(ring, dim == 0, V.cols, dimension=dim,
+        return HomologySummary(ring, dim == 0, dimension=dim,
                                cardinality=ring.modulus ** dim)
     if ring.kind == RATIONALS:
-        dim = _smith_rank(ctx, V) - _smith_rank(ctx, W)
-        return HomologySummary(ring, dim == 0, V.cols, dimension=dim)
+        dim = _domain_subquotient(ring, V, W).free_rank
+        return HomologySummary(ring, dim == 0, dimension=dim)
     if ring.kind == ZMOD:
-        card, factors = _zmod_invariants(ring, V, W)
-        return HomologySummary(ring, card == 1, V.cols, cardinality=card,
-                               invariant_factors=factors,
-                               free_rank=0 if card else None)
+        # span(V)/span(W) over Z/n is the quotient of the Z-lifts, each
+        # enlarged by n Z^u, so it is finite and its invariants are integers
+        Z = ZZ()
+        nI = Matrix.identity(Z, V.rows).scale(Z.from_int(ring.modulus))
+        lift = lambda M: M.map_entries(lambda x: RingElement(Z, x.payload), Z).hstack(nI)
+        factors = tuple(f.payload for f in
+                        _domain_subquotient(Z, lift(V), lift(W)).invariant_factors)
+        card = prod(factors)
+        return HomologySummary(ring, card == 1, cardinality=card,
+                               invariant_factors=factors, free_rank=0)
     if ctx is not None and ctx.modulus is None:
         return _domain_subquotient(ring, V, W)
     # finite quotient rings: cardinality ratio
@@ -1234,7 +1170,7 @@ def subquotient(ring, V, W):
     if cv % cw:
         raise ArithmeticError("image span does not divide kernel span")
     card = cv // cw
-    return HomologySummary(ring, card == 1, V.cols, cardinality=card)
+    return HomologySummary(ring, card == 1, cardinality=card)
 
 
 def homology_module(ring, d_in, d_out):

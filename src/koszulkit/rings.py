@@ -12,6 +12,7 @@ import re
 from fractions import Fraction
 
 from .errors import (
+    CapabilityMissing,
     ElementSyntaxError,
     EmptyVariableList,
     GroebnerBudgetExceeded,
@@ -463,45 +464,28 @@ class Ring:
         # no quotient relations: units are the nonzero constants
         if not self.groebner:
             return len(a) == 1 and sum(a[0][0]) == 0
-        raise NotImplementedError(
-            "unit test unavailable for infinite-dimensional proper quotients")
+        raise CapabilityMissing(
+            f"unit test unavailable for the infinite-dimensional quotient {self}")
 
     def _finite_dimensional(self):
         return self.kind == POLYQUOT and self._std_monomials is not None
 
     def _unit_by_multiplication_matrix(self, a):
-        # mult-by-a on the standard monomial basis, invertible over the field
+        # a is a unit iff multiplication by a is injective on the standard
+        # monomials, i.e. has full rank over the coefficient field
+        from .linalg import _fp_view_of, kernel_basis
+        from .matrices import Matrix
         std = self._std_monomials
+        if self.coeff.kind == "Fp":
+            mult_by_a = Matrix(self, 1, 1, ((RingElement(self, a),),))
+            return _fp_view_of(self).rank(mult_by_a) == len(std)
+        Q = QQ()
         index = {m: i for i, m in enumerate(std)}
-        cf = self.coeff
-        cols = []
-        for m in std:
-            prod = self.normal_form_payload(_poly_mul(a, ((m, cf.one()),), cf, self._key))
-            col = [cf.zero()] * len(std)
-            for e, c in prod:
-                col[index[e]] = c
-            cols.append(col)
-        # Gaussian elimination over the coefficient field
-        n = len(std)
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        rank = 0
-        for col in range(n):
-            piv = None
-            for r in range(rank, n):
-                if not cf.is_zero(mat[r][col]):
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = cf.inv(mat[rank][col])
-            mat[rank] = [cf.mul(inv, x) for x in mat[rank]]
-            for r in range(n):
-                if r != rank and not cf.is_zero(mat[r][col]):
-                    f = mat[r][col]
-                    mat[r] = [cf.add(x, cf.neg(cf.mul(f, y))) for x, y in zip(mat[r], mat[rank])]
-            rank += 1
-        return rank == n
+        grid = [[Q.zero] * len(std) for _ in std]
+        for j, m in enumerate(std):
+            for e, c in self.mul_payload(a, ((m, Fraction(1)),)):
+                grid[index[e]][j] = RingElement(Q, c)
+        return kernel_basis(Q, Matrix.from_rows(Q, grid)).cols == 0
 
     # -- finite enumeration -------------------------------------------------------
 

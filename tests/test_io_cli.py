@@ -171,6 +171,15 @@ def test_cli_pipeline(tmp_path):
     assert kio.load(str(outc)) == kio.load(str(cxf))
 
 
+def test_cli_homology_names_the_polynomial_ring(tmp_path):
+    cxf = tmp_path / "P.cx"
+    cxf.write_text("ring polyquot coeff=F2 vars=t order=degrevlex ideal=[]\n"
+                   "complex\nrank 0 = 2\nrank 1 = 1\ndiff 1 = 2x1 [[t^2], [0]]\n")
+    code, out, _ = run_cli(["complex", "homology", str(cxf)])
+    assert code == 0
+    assert out.splitlines()[:2] == ["H0: F2[t]^1 + F2[t]/(t^2)", "H1: 0"]
+
+
 def test_cli_usage_error_exit_2(tmp_path):
     code, _, err = run_cli(["complex", "homology", str(tmp_path / "nope.cx")])
     assert code == 2

@@ -1,0 +1,153 @@
+"""Normal forms, subquotients and the unit test against independent oracles.
+
+Enumeration decides spans, quotients and units over finite rings; sympy
+(skipped when absent) gives reduced row echelon forms over Q and GF(p) and
+Smith forms over Z.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+from math import gcd, prod
+
+import pytest
+
+from koszulkit.errors import BudgetExceeded, CapabilityMissing
+from koszulkit import linalg
+from koszulkit.linalg import howell_form, row_echelon, smith_form, subquotient
+from koszulkit.matrices import Matrix
+from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, parse_element, poly_quotient
+
+from helpers import random_matrix
+
+
+def sparse_matrix(ring, rows, cols, rng):
+    """Random entries, about a third of them zero, so ranks drop often."""
+    M = random_matrix(ring, rows, cols, rng)
+    return M.map_entries(lambda x: x if rng.random() < 0.65 else ring.zero)
+
+
+def span(n, vectors, width):
+    """Every Z/n-combination of int vectors, as a set of tuples."""
+    out = {(0,) * width}
+    for v in vectors:
+        out = {tuple((s + k * x) % n for s, x in zip(w, v)) for w in out for k in range(n)}
+    return out
+
+
+def rows_of(M):
+    return [[x.payload for x in r] for r in M.data]
+
+
+def columns_of(M):
+    return [[M.data[i][j].payload for i in range(M.rows)] for j in range(M.cols)]
+
+
+@pytest.mark.parametrize("ring", [QQ(), GF(2), GF(5), GF(7)], ids=str)
+def test_row_echelon_matches_sympy_rref(ring):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(41)
+    if ring.kind == "rationals":
+        K, to_sympy = sympy.QQ, sympy.QQ.convert
+        from_sympy = lambda x: Fraction(int(x.numerator), int(x.denominator))
+    else:
+        p = ring.modulus
+        K = sympy.GF(p)
+        to_sympy, from_sympy = K.convert, lambda x: int(x) % p
+    for _ in range(40):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        A = sparse_matrix(ring, rows, cols, rng)
+        nf = row_echelon(ring, A)
+        assert nf.verify()
+        if rows == 0 or cols == 0:
+            assert nf.matrix == A
+            continue
+        ref, _ = DomainMatrix([[to_sympy(x.payload) for x in r] for r in A.data],
+                              (rows, cols), K).rref()
+        assert rows_of(nf.matrix) == [[from_sympy(x) for x in r] for r in ref.to_list()]
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_howell_rows_span_the_row_span(n):
+    R = Zmod(n)
+    rng = random.Random(n)
+    for _ in range(40):
+        A = sparse_matrix(R, rng.randint(0, 3), rng.randint(1, 3), rng)
+        nf = howell_form(R, A)
+        assert nf.verify()
+        assert span(n, rows_of(nf.matrix), A.cols) == span(n, rows_of(A), A.cols)
+
+
+@pytest.mark.parametrize("n", [8, 12, 27])
+def test_zmod_subquotient_matches_enumeration(n):
+    R = Zmod(n)
+    rng = random.Random(100 + n)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for _ in range(30):
+        u, v = rng.randint(0, 3), rng.randint(0, 3)
+        V = sparse_matrix(R, u, v, rng)
+        W = V * sparse_matrix(R, v, rng.randint(0, 3), rng)
+        h = subquotient(R, V, W)
+        span_v, span_w = span(n, columns_of(V), u), span(n, columns_of(W), u)
+        assert h.cardinality == len(span_v) // len(span_w)
+        assert h.is_zero == (span_v == span_w)
+        factors = h.invariant_factors
+        assert all(f > 1 for f in factors) and prod(factors) == h.cardinality
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        # the d-torsion counts of a finite abelian group fix its invariants
+        for d in divisors:
+            torsion = sum(1 for x in span_v if tuple(d * c % n for c in x) in span_w)
+            assert torsion // len(span_w) == prod(gcd(d, f) for f in factors)
+
+
+@pytest.mark.parametrize("coeff, variables, ideal", [
+    ("F2", ["x"], ["x^3"]),
+    ("F3", ["x", "y"], ["x^2", "y^2"]),
+    ("F2", ["x"], ["x^2 + x"]),
+])
+def test_is_unit_matches_enumeration(coeff, variables, ideal):
+    R = poly_quotient(coeff, variables, ideal)
+    elements = list(R.elements())
+    for a in elements:
+        assert a.is_unit() == any(a * b == R.one for b in elements)
+
+
+def test_is_unit_over_q_dual_numbers():
+    R = poly_quotient("Q", ["x"], ["x^2"])
+    x = R.variable("x")
+    const = lambda q: RingElement(R, (((0,), q),)) if q else R.zero
+    for c0, c1 in product([0, 3, Fraction(-1, 2)], [0, 1, Fraction(5, 7)]):
+        a = const(Fraction(c0)) + const(Fraction(c1)) * x
+        if c0:
+            inverse = const(1 / Fraction(c0)) - const(c1 / Fraction(c0) ** 2) * x
+            assert a.is_unit() and a * inverse == R.one
+        else:
+            # a squares to zero, so no b has ab = 1
+            assert not a.is_unit() and (a * a).is_zero()
+
+
+def test_unit_test_of_an_infinite_quotient_is_a_missing_capability():
+    R = poly_quotient("Q", ["x", "y"], ["x*y"])
+    with pytest.raises(CapabilityMissing):
+        parse_element(R, "x + 1").is_unit()
+
+
+def test_smith_sweep_cap_raises_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(linalg, "_SMITH_SWEEP_CAP", 0)
+    Z = ZZ()
+    with pytest.raises(BudgetExceeded):
+        smith_form(Z, Matrix.identity(Z, 2))
+
+
+def test_smith_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    Z = ZZ()
+    rng = random.Random(7)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        A = sparse_matrix(Z, rows, cols, rng)
+        ref = smith_normal_form(sympy.Matrix(rows_of(A)), domain=sympy.ZZ)
+        expected = [abs(int(ref[i, i])) for i in range(min(rows, cols))]
+        assert [d.payload for d in smith_form(Z, A).diagonal()] == expected
