@@ -2,7 +2,8 @@
 
 Every command reads canonical text (or .json) files, writes results to
 stdout or -o, and exits 0 on success, 1 on a definitive mathematical
-failure (a verification that says no), 2 on input or usage errors.
+failure (a verification that says no), 2 on input or usage errors, and
+3 on an internal error (any other exception, reported on one stderr line).
 Reports are byte-stable for fixed inputs.
 """
 
@@ -20,13 +21,13 @@ from .descent import (
     canonical_solution, generate_system, reconstruct, truncate_extend,
     verify_assignment,
 )
-from .dgmodules import extend, is_k_linear, verify_dg_module
+from .dgmodules import extend, is_k_linear
 from .duality import (
     biduality_check, ext_table, homothety_check, koszul_sdc_transfer,
     lifting_verify,
 )
 from .errors import ToolkitError, VerificationFailed, WindowViolated
-from .koszul import koszul, verify_dga
+from .koszul import koszul
 from .rings import make_ring, parse_element, ring_spec
 
 
@@ -142,8 +143,7 @@ def cmd_koszul_build(args):
 
 
 def cmd_koszul_verify(args):
-    K = kio.load(args.file)
-    report = verify_dga(K)
+    report = kio.load(args.file).axioms
     _emit("\n".join(report.lines()) + "\n", args.output)
     if not report.ok:
         raise MathFailure("DG algebra axioms fail")
@@ -158,8 +158,7 @@ def cmd_dg_extend(args):
 
 
 def cmd_dg_verify(args):
-    D = kio.load(args.file)
-    report = verify_dg_module(D)
+    report = kio.load(args.file).axioms
     _emit("\n".join(report.lines()) + "\n", args.output)
     if not report.ok:
         raise MathFailure("DG module axioms fail")
@@ -456,6 +455,10 @@ def main(argv=None):
     except (ToolkitError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        sys.stderr.write(f"error: internal: {message}\n")
+        return 3
 
 
 if __name__ == "__main__":

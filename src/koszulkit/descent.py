@@ -26,7 +26,7 @@ from .complexes import (
     is_chain_map, is_contraction, is_minimal, tensor, tensor_differential,
 )
 from .dgmodules import (
-    DGModule, extend, extension_action, is_k_linear, verify_dg_module,
+    DGModule, extend, extension_action, is_k_linear,
 )
 from .errors import (
     CapabilityMissing, IncompleteAssignment, NonCanonicalHarness, RankMismatch,
@@ -380,7 +380,7 @@ def generate_system(K, P, F=None, check_minimal=True):
             raise RankMismatch(
                 f"module rank {F.underlying.rank(n)} at degree {n}, "
                 f"expected {shape.r_at(n)}")
-    if not verify_dg_module(F).ok:
+    if not F.axioms.ok:
         raise UnverifiedDGModule("the supplied DG module fails its axioms")
 
     vring = VarPolyRing(ring)

@@ -8,12 +8,40 @@ can check directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .complexes import ChainMap, tensor, tensor_layout
 from .errors import MixedRings
-from .koszul import AxiomReport, AxiomResult
 from .matrices import Matrix
+
+
+@dataclass
+class AxiomResult:
+    name: str
+    ok: bool
+    counterexample: str = ""
+
+
+@dataclass
+class AxiomReport:
+    """Axiom results in check order; shared by DG algebras and DG modules."""
+
+    results: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return all(r.ok for r in self.results)
+
+    def failures(self):
+        return [r for r in self.results if not r.ok]
+
+    def lines(self):
+        out = []
+        for r in self.results:
+            status = "ok" if r.ok else f"FAIL {r.counterexample}"
+            out.append(f"{r.name}: {status}")
+        return out
 
 
 class DGModule:
@@ -36,6 +64,11 @@ class DGModule:
                                 self.underlying.rank(n + len(H)),
                                 self.underlying.rank(n))
         return m
+
+    @cached_property
+    def axioms(self):
+        """This module's axiom report, computed on first use and kept."""
+        return verify_dg_module(self)
 
     def ring(self):
         return self.underlying.ring
@@ -71,19 +104,23 @@ def extend(K, M):
         action[H] = {n: extension_action(K, M, H, n) for n in under.degrees()
                      if under.rank(n) and under.rank(n + len(H))}
     D = DGModule(K, under, action)
-    report = verify_dg_module(D)
-    if not report.ok:
-        raise ArithmeticError(f"extension failed its own axioms: {report.failures()}")
+    if not D.axioms.ok:
+        raise ArithmeticError(f"extension failed its own axioms: {D.axioms.failures()}")
     return D
 
 
 def verify_dg_module(D):
-    """Unitality, associativity and Leibniz on all basis elements and degrees."""
+    """Unitality, associativity and Leibniz on all basis elements and degrees.
+
+    Every call checks afresh; D.axioms keeps one report per module.  An
+    identity whose matrices have no rows or no columns holds vacuously and
+    is skipped.
+    """
     K = D.algebra
     under = D.underlying
     ring = under.ring
     report = AxiomReport()
-    degrees = list(under.degrees())
+    degrees = [n for n in under.degrees() if under.rank(n)]
 
     ok, ce = True, ""
     for n in degrees:
@@ -98,6 +135,8 @@ def verify_dg_module(D):
         for H in all_basis:
             prod = K.product_of_basis(G, H)
             for n in degrees:
+                if not under.rank(n + len(G) + len(H)):
+                    continue
                 lhs = D.action_matrix(G, n + len(H)) * D.action_matrix(H, n)
                 if prod is None:
                     if not lhs.is_zero():
@@ -122,6 +161,8 @@ def verify_dg_module(D):
         h = len(H)
         sign = ring.one if h % 2 == 0 else -ring.one
         for n in degrees:
+            if not under.rank(n + h - 1):
+                continue
             lhs = under.diff(n + h) * D.action_matrix(H, n) \
                 - D.action_matrix(H, n - 1).scale(sign) * under.diff(n)
             rhs = Matrix.zeros(ring, under.rank(n + h - 1), under.rank(n))

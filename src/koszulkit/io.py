@@ -219,10 +219,8 @@ def load_dg_module(text):
                 per[n] = Matrix.zeros(ring, rows, cols)
         full_action[H] = per
     D = DGModule(K, under, full_action)
-    from .dgmodules import verify_dg_module
-    report = verify_dg_module(D)
-    if not report.ok:
-        first = report.failures()[0]
+    if not D.axioms.ok:
+        first = D.axioms.failures()[0]
         raise FormatError(
             f"serialized module fails the {first.name} axiom ({first.counterexample})")
     return D

@@ -12,9 +12,10 @@ matrix below is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from .complexes import ChainComplex, homology, sup_inf, tensor
+from .dgmodules import AxiomReport, AxiomResult, DGModule, verify_dg_module
 from .errors import CapabilityMissing, MixedRings
 from .matrices import Matrix
 
@@ -118,6 +119,11 @@ class KoszulAlgebra:
     def degree_rank(self, n):
         return len(self.basis.get(n, []))
 
+    @cached_property
+    def axioms(self):
+        """This algebra's axiom report, computed on first use and kept."""
+        return verify_dga(self)
+
     def __repr__(self):
         seq = ", ".join(repr(a) for a in self.elements)
         return f"Koszul({self.ring}; {seq})"
@@ -127,9 +133,8 @@ def koszul(ring, elements):
     """Koszul DG algebra on a sequence; e = 0 gives the unit algebra."""
     elems = [ring.from_int(a) if isinstance(a, int) else a for a in elements]
     K = KoszulAlgebra(ring, elems)
-    report = verify_dga(K)
-    if not report.ok:
-        raise ArithmeticError(f"internal DG axiom failure: {report.failures()}")
+    if not K.axioms.ok:
+        raise ArithmeticError(f"internal DG axiom failure: {K.axioms.failures()}")
     return K
 
 
@@ -137,88 +142,25 @@ def koszul(ring, elements):
 # axiom verification
 
 
-@dataclass
-class AxiomResult:
-    name: str
-    ok: bool
-    counterexample: str = ""
-
-
-@dataclass
-class AxiomReport:
-    """Axiom results in check order; shared by DG algebras and DG modules."""
-
-    results: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return all(r.ok for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.ok]
-
-    def lines(self):
-        out = []
-        for r in self.results:
-            status = "ok" if r.ok else f"FAIL {r.counterexample}"
-            out.append(f"{r.name}: {status}")
-        return out
-
-
 def verify_dga(K, mult_override=None):
     """Check the DG algebra axioms on the finite basis.
 
-    `mult_override` substitutes the multiplication matrices (used by tests
-    to plant sign errors); everything else reads from K.
+    Unitality, associativity and Leibniz are the DG module axioms of K
+    acting on itself (verify_dg_module); the other three belong to the
+    algebra.  Every call checks afresh; K.axioms keeps one report per
+    algebra.  `mult_override` substitutes the multiplication matrices (used
+    by tests to plant sign errors); everything else reads from K.
     """
     mult = mult_override if mult_override is not None else K.mult
-    ring = K.ring
-    report = AxiomReport()
+    unitality, associativity, leibniz = \
+        verify_dg_module(DGModule(K, K.complex, mult)).results
 
-    def mat(H, n):
-        per = mult.get(tuple(H))
-        if per is None or n not in per:
-            return Matrix.zeros(ring, K.degree_rank(n + len(H)), K.degree_rank(n))
-        return per[n]
-
-    # d squared
     ok, ce = True, ""
     for n in range(1, K.e + 1):
         if not (K.complex.diff(n - 1) * K.complex.diff(n)).is_zero():
             ok, ce = False, f"degree {n}"
             break
-    report.results.append(AxiomResult("d_squared_zero", ok, ce))
-
-    # unitality: the empty subset acts as the identity
-    ok, ce = True, ""
-    for n in range(K.e + 1):
-        if mat((), n) != Matrix.identity(ring, K.degree_rank(n)):
-            ok, ce = False, f"degree {n}"
-            break
-    report.results.append(AxiomResult("unitality", ok, ce))
-
-    # matrix products realize the structure constants (associativity)
-    ok, ce = True, ""
-    for G in (S for d in K.basis.values() for S in d):
-        for H in (S for d in K.basis.values() for S in d):
-            if len(G) + len(H) > K.e:
-                continue
-            prod = K.product_of_basis(G, H)
-            for n in range(0, K.e - len(G) - len(H) + 1):
-                lhs = mat(G, n + len(H)) * mat(H, n)
-                if prod is None:
-                    rhs = Matrix.zeros(ring, lhs.rows, lhs.cols)
-                else:
-                    sign, U = prod
-                    rhs = mat(U, n) if sign == 1 else mat(U, n).scale(-ring.one)
-                if lhs != rhs:
-                    ok, ce = False, f"e_{G} * e_{H} at degree {n}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.results.append(AxiomResult("associativity", ok, ce))
+    d_squared = AxiomResult("d_squared_zero", ok, ce)
 
     # graded commutativity on basis pairs, via structure constants
     ok, ce = True, ""
@@ -235,37 +177,17 @@ def verify_dga(K, mult_override=None):
                 break
         if not ok:
             break
-    report.results.append(AxiomResult("graded_commutativity", ok, ce))
+    commutativity = AxiomResult("graded_commutativity", ok, ce)
 
-    # odd-degree squares vanish
     ok, ce = True, ""
     for d in K.basis.values():
         for S in d:
             if len(S) % 2 == 1 and K.product_of_basis(S, S) is not None:
                 ok, ce = False, f"e_{S}"
                 break
-    report.results.append(AxiomResult("odd_squares_zero", ok, ce))
-
-    # Leibniz: d . mult(H) - (-1)^{|H|} mult(H) . d = action of d(e_H)
-    ok, ce = True, ""
-    for Hdeg in range(K.e + 1):
-        for H in K.basis[Hdeg]:
-            sign = ring.one if Hdeg % 2 == 0 else -ring.one
-            for n in range(0, K.e - Hdeg + 1):
-                lhs = K.complex.diff(n + Hdeg) * mat(H, n) \
-                    - mat(H, n - 1).scale(sign) * K.complex.diff(n)
-                rhs = Matrix.zeros(ring, K.degree_rank(n + Hdeg - 1), K.degree_rank(n))
-                for coeff, H2 in K.diff_of_basis(H):
-                    rhs = rhs + mat(H2, n).scale(coeff)
-                if lhs != rhs:
-                    ok, ce = False, f"e_{H} at degree {n}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.results.append(AxiomResult("leibniz", ok, ce))
-    return report
+    odd_squares = AxiomResult("odd_squares_zero", ok, ce)
+    return AxiomReport([d_squared, unitality, associativity, commutativity,
+                        odd_squares, leibniz])
 
 
 # ---------------------------------------------------------------------------

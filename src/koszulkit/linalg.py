@@ -5,16 +5,16 @@ finite-dimensional F_p-algebras run on int rows over F_p (_fp_rref): an
 algebra element expands to its multiplication matrix on the standard
 monomials, a prime-field entry is its own coordinate, and rows are packed
 into bitmask ints when p = 2.  Reduced row echelon form on those rows gives
-kernels, solutions and ranks (hence cardinalities, and the unit test of
-those algebras) without any transform matrices.  Z, Z/n, Q and F_p[x] with
-its quotients are lifted to a Euclidean domain, where smith_data
-diagonalizes with recorded transforms; kernels, solvability, module
-cardinalities and subquotient presentations read off that decomposition,
-and a subquotient over Z/n is the one over Z of the lifts enlarged by n Z^u.
+kernels, solutions and ranks (hence cardinalities, the unit test of those
+algebras and their minimal generating sets) without any transform matrices.
+Z, Z/n, Q and F_p[x] with its quotients are lifted to a Euclidean domain,
+where smith_data diagonalizes with recorded transforms; kernels,
+solvability, module cardinalities and subquotient presentations read off
+that decomposition, and a subquotient over Z/n is the one over Z of the
+lifts enlarged by n Z^u.
 The certified normal forms other than Smith come from one Hermite row
 reducer (_hermite) over a Euclidean domain: row_echelon runs it over the
-field, howell_form over Z on the lift stacked on n*I.  minimal_generators
-also keeps an incremental F_p span (_FpSpan) for its membership tests.
+field, howell_form over Z on the lift stacked on n*I.
 """
 
 from __future__ import annotations
@@ -1082,8 +1082,7 @@ class HomologySummary:
             return f"k^{self.dimension}"
         if self.free_rank is not None or self.invariant_factors:
             # Z/n summaries carry abelian-group invariants, so they read as Z
-            base = "Z" if r.kind in (INTEGERS, ZMOD) else \
-                f"{r.coeff}[{', '.join(r.variables)}]"
+            base = "Z" if r.kind in (INTEGERS, ZMOD) else repr(r)
             parts = [f"{base}^{self.free_rank}"] if self.free_rank else []
             parts.extend(f"Z/{f}" if base == "Z" else f"{base}/({f})"
                          for f in (self.invariant_factors or ()))
@@ -1196,66 +1195,6 @@ def image_membership(ring, V, W):
 # minimal generating sets (Nakayama reduction over local rings)
 
 
-class _FpSpan:
-    """Incremental membership-only span of F_p vectors.
-
-    Rows are kept in descending pivot order (pivot = highest nonzero index),
-    so a single reduction pass decides membership.
-    """
-
-    def __init__(self, p):
-        self.p = p
-        self.rows = []  # (vector, pivot index); bitmask ints when p = 2
-
-    def _reduce(self, vec):
-        if self.p == 2:
-            for row, piv in self.rows:
-                if (vec >> piv) & 1:
-                    vec ^= row
-            return vec
-        v = list(vec)
-        for row, piv in self.rows:
-            c = v[piv] % self.p
-            if c:
-                f = (c * pow(row[piv], -1, self.p)) % self.p
-                v = [(x - f * y) % self.p for x, y in zip(v, row)]
-        return v
-
-    def _insert(self, row, piv):
-        lo = 0
-        while lo < len(self.rows) and self.rows[lo][1] > piv:
-            lo += 1
-        self.rows.insert(lo, (row, piv))
-
-    def add(self, vec):
-        r = self._reduce(vec)
-        if self.p == 2:
-            if r:
-                self._insert(r, r.bit_length() - 1)
-                return True
-            return False
-        piv = None
-        for i, x in enumerate(r):
-            if x % self.p:
-                piv = i
-        if piv is None:
-            return False
-        self._insert(r, piv)
-        return True
-
-    def contains(self, vec):
-        r = self._reduce(vec)
-        if self.p == 2:
-            return r == 0
-        return all(x % self.p == 0 for x in r)
-
-
-def _pack(p, vec):
-    if p == 2:
-        return sum((x & 1) << i for i, x in enumerate(vec))
-    return vec
-
-
 def _maximal_ideal_elements(ring):
     out = []
     for g in ring.maximal_ideal:
@@ -1267,29 +1206,26 @@ def _maximal_ideal_elements(ring):
 
 
 def _hstack_all(cols, ring, rows):
-    if not cols:
-        return Matrix.zeros(ring, rows, 0)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out.hstack(c)
-    return out
+    return Matrix.from_blocks(ring, [rows], [c.cols for c in cols],
+                              {(0, j): c for j, c in enumerate(cols)})
 
 
 def _expansion_minimal_generators(ring, view, M):
-    monomials = [RingElement(ring, ((m, 1),)) for m in view.std]
-    nonconstant = [e for m, e in zip(view.std, monomials) if sum(m) > 0]
-    span = _FpSpan(view.p)
-    cols = [c for c in M.columns() if not c.is_zero()]
-    for c in cols:
-        for g in nonconstant:
-            span.add(_pack(view.p, view.column(c.scale(g))))
-    kept = []
-    for c in cols:
-        if not span.contains(_pack(view.p, view.column(c))):
-            kept.append(c)
-            for g in monomials:
-                span.add(_pack(view.p, view.column(c.scale(g))))
-    return _hstack_all(kept, ring, M.rows)
+    """Keep column c_j exactly when it is outside the F_p-span of mM and
+    c_1 ... c_{j-1}: the pivot columns among c_1 ... c_k of one _fp_rref
+    over the vectors c*g (every column c, every nonconstant monomial g),
+    then c_1 ... c_k."""
+    nonconstant = [RingElement(ring, ((m, 1),)) for m in view.std if sum(m) > 0]
+    cols = M.columns()
+    vecs = [view.column(c.scale(g)) for c in cols for g in nonconstant]
+    vecs += [view.column(c) for c in cols]
+    if view.p == 2:
+        rows = [sum(1 << j for j, x in enumerate(r) if x) for r in zip(*vecs)]
+    else:
+        rows = [list(r) for r in zip(*vecs)]
+    first = len(vecs) - len(cols)
+    pivots = _fp_rref(view.p, rows, len(vecs))
+    return _hstack_all([cols[j - first] for j in pivots if j >= first], ring, M.rows)
 
 
 def minimal_generators(ring, M):

@@ -542,8 +542,11 @@ class Ring:
             return f"Z/{self.modulus}"
         if self.kind == PRIMEFIELD:
             return f"F{self.modulus}"
+        poly = f"{self.coeff}[{', '.join(self.variables)}]"
+        if not self.ideal:
+            return poly
         gens = ", ".join(format_element(RingElement(self, g)) for g in self.ideal)
-        return f"{self.coeff}[{', '.join(self.variables)}]/({gens})"
+        return f"{poly}/({gens})"
 
 
 class RingElement:

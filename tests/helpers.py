@@ -1,6 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
 import itertools
+import sys
 
 from koszulkit.complexes import ChainComplex, tensor_layout
 from koszulkit.descent import Assignment, SystemVariable, _assignment_matrix
@@ -165,3 +166,18 @@ def conjugated_assignment(K, P, system, sol, rng):
             for j in range(Zp.cols):
                 vals[SystemVariable("Z", n, i + 1, j + 1)] = Zp.data[i][j]
     return Assignment(sol.hom, vals)
+
+
+def count_calls(monkeypatch, func):
+    """Wrap `func` in every koszulkit module that binds it; returns the list
+    of first arguments the wrapped function is called with."""
+    seen = []
+
+    def counting(obj, *args, **kwargs):
+        seen.append(obj)
+        return func(obj, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("koszulkit") and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counting)
+    return seen

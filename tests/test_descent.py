@@ -4,16 +4,16 @@ import pytest
 
 from koszulkit import complexes as cx
 from koszulkit import descent as ds
-from koszulkit.dgmodules import extend
+from koszulkit.dgmodules import DGModule, extend, verify_dg_module
 from koszulkit.errors import (
     NonCanonicalHarness, NotMinimal, RankMismatch, ShapeMismatch,
-    VerificationFailed, WindowViolated,
+    UnverifiedDGModule, VerificationFailed, WindowViolated,
 )
 from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
 from koszulkit.rings import RingHom, ZZ, Zmod, parse_element, poly_quotient
 
-from helpers import conjugated_assignment, random_minimal_complex
+from helpers import conjugated_assignment, count_calls, random_minimal_complex
 
 Z = ZZ()
 Z4 = Zmod(4)
@@ -161,6 +161,27 @@ def test_rank_mismatch_rejected():
     F = extend(K, wrongP)
     with pytest.raises(RankMismatch):
         ds.generate_system(K, P, F)
+
+
+def test_generate_system_checks_the_canonical_module_once(monkeypatch):
+    K, P = small_instance()
+    seen = count_calls(monkeypatch, verify_dg_module)
+    ds.generate_system(K, P)
+    assert len(seen) == 1
+
+
+def test_supplied_module_with_planted_action_error_rejected():
+    K, P = small_instance()
+    D = extend(K, P)
+    action = {H: dict(per) for H, per in D.action.items()}
+    n, m = next((n, m) for n, m in action[(1,)].items() if not m.is_zero())
+    rows = [list(r) for r in m.data]
+    i, j = next((i, j) for i, r in enumerate(rows) for j, x in enumerate(r)
+                if not x.is_zero())
+    rows[i][j] = rows[i][j] + Z4.one
+    action[(1,)][n] = Matrix.from_rows(Z4, rows)
+    with pytest.raises(UnverifiedDGModule):
+        ds.generate_system(K, P, DGModule(K, D.underlying, action))
 
 
 def test_unit_perturbations_detected():

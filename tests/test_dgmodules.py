@@ -2,14 +2,14 @@ import random
 
 from koszulkit import complexes as cx
 from koszulkit.dgmodules import (
-    adjunction_transport, extend, is_k_linear, multiplication_map, unit_map,
-    verify_dg_module,
+    AxiomResult, DGModule, adjunction_transport, extend, is_k_linear,
+    multiplication_map, unit_map, verify_dg_module,
 )
-from koszulkit.koszul import koszul
+from koszulkit.koszul import koszul, verify_dga
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, RingHom, ZZ, Zmod
 
-from helpers import random_matrix
+from helpers import count_calls, random_matrix
 
 Z = ZZ()
 Z4 = Zmod(4)
@@ -35,6 +35,32 @@ def test_extend_verifies():
     D = extend(K, P)
     assert verify_dg_module(D).ok
     assert [D.underlying.rank(n) for n in (0, 1, 2)] == [1, 2, 1]
+
+
+def test_each_built_object_is_checked_once(monkeypatch):
+    seen = count_calls(monkeypatch, verify_dg_module)
+    K = koszul(Z4, [Z4.from_int(2), Z4.from_int(2)])
+    # the algebra's unitality, associativity and Leibniz are the module pass
+    # on K acting on itself
+    assert len(seen) == 1 and seen[0].underlying is K.complex
+    P = cx.make_complex(Z4, {0: 1, 1: 1}, {1: mat(Z4, [[2]])})
+    D = extend(K, P)
+    assert seen[1:] == [D]
+    assert K.axioms.ok and D.axioms.ok and len(seen) == 2
+
+
+def test_explicit_verifiers_check_the_current_matrices():
+    K = koszul(Z4, [Z4.from_int(2)])
+    P = cx.make_complex(Z4, {0: 1, 1: 1}, {1: mat(Z4, [[2]])})
+    D = extend(K, P)
+    assert K.axioms.ok and D.axioms.ok
+    # a planted zero action breaks Leibniz against d(e_1) = 2
+    K.mult[(1,)][0] = Matrix.zeros(Z4, 1, 1)
+    D.action[(1,)][0] = Matrix.zeros(Z4, 2, 1)
+    assert [r.name for r in verify_dga(K).failures()] == ["leibniz"]
+    assert [r.name for r in verify_dg_module(D).failures()] == ["leibniz"]
+    # the kept reports describe the objects as they were built
+    assert K.axioms.ok and D.axioms.ok
 
 
 def test_zero_module_passes_vacuously():
@@ -66,6 +92,17 @@ def test_planted_sign_flip_located():
     rep = verify_dg_module(bad)
     assert not rep.ok
     assert rep.failures()[0].counterexample
+
+
+def test_leibniz_is_checked_where_the_action_leaves_the_module():
+    # e_1 maps degree 0 into degree 1 and degree 1 out of the module; its
+    # Leibniz identity at degree 1 is c r = 2 I, which fails though r c = 2
+    K = koszul(Z4, [Z4.from_int(2)])
+    M = cx.make_complex(Z4, {0: 1, 1: 2}, {1: mat(Z4, [[2, 0]])})
+    action = {(): {0: Matrix.identity(Z4, 1), 1: Matrix.identity(Z4, 2)},
+              (1,): {0: mat(Z4, [[1], [0]])}}
+    rep = verify_dg_module(DGModule(K, M, action))
+    assert rep.failures() == [AxiomResult("leibniz", False, "e_(1,) at degree 1")]
 
 
 def test_minimality_transfer():

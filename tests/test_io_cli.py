@@ -5,17 +5,19 @@ from pathlib import Path
 
 import pytest
 
+from koszulkit import cli
 from koszulkit import complexes as cx
 from koszulkit import descent as ds
 from koszulkit import io as kio
+from koszulkit import koszul as kk
 from koszulkit.cli import main
-from koszulkit.dgmodules import extend
+from koszulkit.dgmodules import AxiomReport, AxiomResult, extend, verify_dg_module
 from koszulkit.duality import ModulePresentation
-from koszulkit.koszul import koszul
+from koszulkit.koszul import koszul, verify_dga
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod, poly_quotient
 
-from helpers import random_minimal_complex
+from helpers import count_calls, random_minimal_complex
 
 Z = ZZ()
 Z4 = Zmod(4)
@@ -183,6 +185,40 @@ def test_cli_homology_names_the_polynomial_ring(tmp_path):
 def test_cli_usage_error_exit_2(tmp_path):
     code, _, err = run_cli(["complex", "homology", str(tmp_path / "nope.cx")])
     assert code == 2
+
+
+def test_cli_internal_error_exit_3(monkeypatch):
+    def broken(args):
+        raise RuntimeError("planted\nfault")
+
+    monkeypatch.setattr(cli, "cmd_ring_new", broken)
+    code, out, err = run_cli(["ring", "new", "zmod 4"])
+    assert (code, out, err) == (3, "", "error: internal: RuntimeError: planted fault\n")
+    # a Koszul algebra failing its own axioms is an internal error too
+    failing = AxiomReport([AxiomResult("leibniz", False, "planted")])
+    monkeypatch.setattr(kk, "verify_dga", lambda K: failing)
+    code, out, err = run_cli(["koszul", "build", "--ring", "zmod 4", "--sequence", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: internal: ArithmeticError:") and len(err.splitlines()) == 1
+
+
+def test_cli_koszul_verify_checks_the_algebra_once(monkeypatch):
+    seen = count_calls(monkeypatch, verify_dga)
+    code, out, _ = run_cli(["koszul", "verify", str(GOLDEN / "K4_on_2.kz")])
+    assert (code, out) == (0, (GOLDEN / "verify_K4.txt").read_text())
+    assert len(seen) == 1
+
+
+def test_cli_dg_verify_checks_algebra_and_module_once_each(tmp_path, monkeypatch):
+    dgf = tmp_path / "F.dg"
+    assert run_cli(["dg", "extend", str(GOLDEN / "K4_on_2.kz"), str(GOLDEN / "P.cx"),
+                    "-o", str(dgf)])[0] == 0
+    algebras = count_calls(monkeypatch, verify_dga)
+    modules = count_calls(monkeypatch, verify_dg_module)
+    code, out, _ = run_cli(["dg", "verify", str(dgf)])
+    assert code == 0 and out.endswith("leibniz: ok\n")
+    assert len(algebras) == 1
+    assert len(modules) == 2 and modules[0].underlying is algebras[0].complex
 
 
 def test_cli_zero_ring_exit_2(tmp_path):

@@ -81,6 +81,15 @@ def test_flipped_sign_is_located():
                for r in rep.failures())
 
 
+def test_planted_product_error_is_an_associativity_counterexample():
+    K = koszul(Z, [Z.from_int(2), Z.from_int(3)])
+    bad = {H: dict(per) for H, per in K.mult.items()}
+    bad[(1, 2)][0] = Matrix.from_rows(Z, [[Z.from_int(-1)]])
+    failures = verify_dga(K, mult_override=bad).failures()
+    assert failures[0].name == "associativity"
+    assert failures[0].counterexample == "e_(1,) . e_(2,) at degree 0"
+
+
 def test_base_change_examples():
     K = koszul(Z, [Z.from_int(2)])
     K4 = koszul_base_change(RingHom(Z, Z4), K)

@@ -1,8 +1,8 @@
 """Normal forms, subquotients and the unit test against independent oracles.
 
-Enumeration decides spans, quotients and units over finite rings; sympy
-(skipped when absent) gives reduced row echelon forms over Q and GF(p) and
-Smith forms over Z.
+Enumeration decides spans, quotients, units and minimal generating sets
+over finite rings; sympy (skipped when absent) gives reduced row echelon
+forms over Q and GF(p) and Smith forms over Z.
 """
 
 import random
@@ -14,7 +14,9 @@ import pytest
 
 from koszulkit.errors import BudgetExceeded, CapabilityMissing
 from koszulkit import linalg
-from koszulkit.linalg import howell_form, row_echelon, smith_form, subquotient
+from koszulkit.linalg import (
+    howell_form, minimal_generators, row_echelon, smith_form, subquotient,
+)
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, parse_element, poly_quotient
 
@@ -31,6 +33,8 @@ def span(n, vectors, width):
     """Every Z/n-combination of int vectors, as a set of tuples."""
     out = {(0,) * width}
     for v in vectors:
+        if tuple(v) in out:
+            continue
         out = {tuple((s + k * x) % n for s, x in zip(w, v)) for w in out for k in range(n)}
     return out
 
@@ -99,6 +103,44 @@ def test_zmod_subquotient_matches_enumeration(n):
         for d in divisors:
             torsion = sum(1 for x in span_v if tuple(d * c % n for c in x) in span_w)
             assert torsion // len(span_w) == prod(gcd(d, f) for f in factors)
+
+
+@pytest.mark.parametrize("coeff, variables, ideal", [
+    ("F2", ["x"], ["x^3"]),
+    ("F3", ["x", "y"], ["x^2", "y^2"]),
+    ("F2", ["x", "y"], ["x^2", "x*y", "y^2"]),
+    ("F5", ["x"], ["x^2"]),
+])
+def test_minimal_generators_match_enumeration(coeff, variables, ideal):
+    """The kept columns are columns of M, span the module M spans, and
+    number dim_k(M/mM); spans are enumerated over F_p on the coordinates
+    of the standard monomials."""
+    R = poly_quotient(coeff, variables, ideal)
+    p, std = R.coeff.p, R._std_monomials
+    monomials = [RingElement(R, ((m, 1),)) for m in std]
+    nonconstant = [g for m, g in zip(std, monomials) if sum(m)]
+
+    def coords(vec):
+        return [dict(x.payload).get(m, 0) for x in vec for m in std]
+
+    def fp_span(cols, multipliers):
+        vectors = [coords([g * x for x in c]) for c in cols for g in multipliers]
+        return span(p, vectors, len(cols[0]) * len(std))
+
+    rng = random.Random(len(std) * p)
+    for _ in range(12):
+        M = sparse_matrix(R, rng.randint(1, 2), rng.randint(2, 4), rng)
+        cols = [[r[j] for r in M.data] for j in range(M.cols)]
+        cols = [c for c in cols if any(not x.is_zero() for x in c)]
+        if not cols:
+            continue
+        G = minimal_generators(R, M)
+        kept = [[r[j] for r in G.data] for j in range(G.cols)]
+        assert all(c in cols for c in kept)
+        assert [cols.index(c) for c in kept] == sorted(cols.index(c) for c in kept)
+        whole = fp_span(cols, monomials)
+        assert fp_span(kept, monomials) == whole
+        assert p ** len(kept) == len(whole) // len(fp_span(cols, nonconstant))
 
 
 @pytest.mark.parametrize("coeff, variables, ideal", [

@@ -195,3 +195,9 @@ def test_finite_enumeration():
     assert len(list(Z4.elements())) == 4
     assert len(list(QUAD.elements())) == 8
     assert Z4.cardinality() == 4
+
+
+def test_repr_of_a_polynomial_ring_without_relations():
+    assert repr(make_ring("polyquot coeff=F2 vars=t order=degrevlex ideal=[]")) == "F2[t]"
+    assert repr(poly_quotient("Q", ["x", "y"], [])) == "Q[x, y]"
+    assert repr(QUAD) == "F2[x, y]/(x^2, x*y, y^2)"
