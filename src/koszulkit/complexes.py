@@ -64,9 +64,6 @@ class ChainComplex:
             return Matrix.zeros(self.ring, self.rank(n - 1), self.rank(n))
         return d
 
-    def total_rank(self):
-        return sum(self._ranks.values())
-
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
@@ -416,12 +413,9 @@ def is_minimal(M):
     """True when every differential entry is a non-unit (local rings only)."""
     if not M.ring.local:
         raise NotLocal(f"{M.ring} is not certified local")
-    for d in M._diffs.values():
-        for row in d.data:
-            for x in row:
-                if x.is_unit():
-                    return False
-    return True
+    unit = M.ring.is_unit_payload
+    return not any(unit(v) for d in M._diffs.values() for _, vals in d.sparse_rows
+                   for v in vals)
 
 
 def kernel_resolution(ring, d, steps):

@@ -18,6 +18,7 @@ re-checked certificate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,8 +30,9 @@ from .dgmodules import (
     DGModule, extend, extension_action, is_k_linear,
 )
 from .errors import (
-    CapabilityMissing, IncompleteAssignment, NonCanonicalHarness, RankMismatch,
-    ShapeMismatch, UnverifiedDGModule, VerificationFailed, WindowViolated,
+    CapabilityMissing, IncompleteAssignment, MixedRings, NonCanonicalHarness,
+    RankMismatch, ShapeMismatch, UnverifiedDGModule, VerificationFailed,
+    WindowViolated,
 )
 from .koszul import koszul_base_change
 from .linalg import has_linear_solve
@@ -88,6 +90,9 @@ class VarPoly:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def _coerce(self, other):
         if isinstance(other, VarPoly):
@@ -217,12 +222,29 @@ def format_varpoly(poly):
 
 
 class VarPolyRing:
-    """Scalar adapter so Matrix can hold VarPoly entries."""
+    """VarPolys over `base` as a Matrix scalar ring.
+
+    A VarPoly is its own payload (box and unbox are the identity), so the
+    payload protocol is VarPoly arithmetic; the zero polynomial is falsy.
+    """
+
+    add_payload = staticmethod(operator.add)
+    neg_payload = staticmethod(operator.neg)
+    mul_payload = staticmethod(operator.mul)
 
     def __init__(self, base):
         self.base = base
-        self.zero = VarPoly.zero(base)
+        self.zero = self.zero_payload = VarPoly.zero(base)
         self.one = VarPoly.constant(base, base.one)
+
+    @staticmethod
+    def box(payload):
+        return payload
+
+    def unbox(self, x):
+        if isinstance(x, VarPoly) and x.ring == self.base:
+            return x
+        raise MixedRings(f"{x!r} is not a polynomial over {self.base}")
 
     def __eq__(self, other):
         return isinstance(other, VarPolyRing) and self.base == other.base
@@ -232,9 +254,11 @@ class VarPolyRing:
 
 
 def symbolic_matrix(vring, family, n, rows, cols):
-    return Matrix(vring, rows, cols, tuple(
-        tuple(VarPoly.variable(vring.base, SystemVariable(family, n, i + 1, j + 1))
-              for j in range(cols)) for i in range(rows)))
+    if not rows:
+        return Matrix.zeros(vring, 0, cols)
+    return Matrix.from_rows(vring, [
+        [VarPoly.variable(vring.base, SystemVariable(family, n, i + 1, j + 1))
+         for j in range(cols)] for i in range(rows)])
 
 
 def constant_matrix(vring, M):
@@ -268,10 +292,6 @@ def shape_of(K, P):
     ext = tensor(K.complex, P)
     r = tuple(ext.rank(n) for n in range(m + e + 1))
     return SystemShape(m, e, s, r)
-
-
-# The action of e_H on the extension K (x) P, under its name in this module.
-koszul_side_action = extension_action
 
 
 def build_B_blocks(K, P, x_mats, scalar_ring=None):
@@ -351,11 +371,8 @@ def _basis_list(K):
 
 
 def _matrix_equations(tag, h, n, lhs):
-    eqs = []
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            eqs.append(Equation(tag, h, n, i + 1, j + 1, lhs.data[i][j]))
-    return eqs
+    return [Equation(tag, h, n, i + 1, j + 1, poly)
+            for i, row in enumerate(lhs.data) for j, poly in enumerate(row)]
 
 
 def generate_system(K, P, F=None, check_minimal=True):
@@ -446,16 +463,8 @@ def generate_system(K, P, F=None, check_minimal=True):
         delta = Matrix.identity(vring, size)
         equations.extend(_matrix_equations("S4", None, n, lhs - delta))
 
-    variables = []
-    for n in sorted(xmat):
-        variables.extend(v for row in xmat[n].data for p in row for v in sorted(
-            p.variables(), key=variable_sort_key))
-    for n in sorted(ymat):
-        variables.extend(v for row in ymat[n].data for p in row for v in sorted(
-            p.variables(), key=variable_sort_key))
-    for n in sorted(zmat):
-        variables.extend(v for row in zmat[n].data for p in row for v in sorted(
-            p.variables(), key=variable_sort_key))
+    variables = [v for mats in (xmat, ymat, zmat) for n in sorted(mats)
+                 for _, polys in mats[n].sparse_rows for p in polys for v in p.variables()]
     variables.sort(key=variable_sort_key)
 
     u_mats = {n: F.underlying.diff(n) for n in range(1, m + e + 1)}
@@ -491,10 +500,9 @@ def _canonical_assignment(ring, shape, p_diffs):
     hom = RingHom.identity(ring)
     values = {}
     for n in range(1, shape.m + 1):
-        d = p_diffs[n]
-        for i in range(d.rows):
-            for j in range(d.cols):
-                values[SystemVariable("X", n, i + 1, j + 1)] = d.data[i][j]
+        for i, row in enumerate(p_diffs[n].data):
+            for j, x in enumerate(row):
+                values[SystemVariable("X", n, i + 1, j + 1)] = x
     for n in range(0, shape.m + shape.e + 1):
         r = shape.r_at(n)
         for i in range(r):

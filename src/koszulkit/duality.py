@@ -272,7 +272,7 @@ def _identity_hom_vector(ring, g):
     vec = [ring.zero] * (g * g)
     for k in range(g):
         vec[k * g + k] = ring.one
-    return Matrix(ring, g * g, 1, tuple((v,) for v in vec))
+    return Matrix.from_columns(ring, g * g, [vec])
 
 
 def homothety_check(C, window):

@@ -179,6 +179,20 @@ def save_dg_module(D):
 
 
 def load_dg_module(text):
+    """Parse a DG module and reject one that fails its axioms (FormatError)."""
+    D = parse_dg_module(text)
+    if not D.axioms.ok:
+        first = D.axioms.failures()[0]
+        raise FormatError(
+            f"serialized module fails the {first.name} axiom ({first.counterexample})")
+    return D
+
+
+def parse_dg_module(text):
+    """The DG module in `text` (its text or its JSON form), without checking
+    its axioms."""
+    if text.lstrip().startswith("{"):
+        text = _dg_module_text(json.loads(text))
     lines = _split_lines(text)
     ring = _expect_kind(lines, "dgmodule")
     sequence = None
@@ -218,12 +232,7 @@ def load_dg_module(text):
             elif rows and cols:
                 per[n] = Matrix.zeros(ring, rows, cols)
         full_action[H] = per
-    D = DGModule(K, under, full_action)
-    if not D.axioms.ok:
-        first = D.axioms.failures()[0]
-        raise FormatError(
-            f"serialized module fails the {first.name} axiom ({first.counterexample})")
-    return D
+    return DGModule(K, under, full_action)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +471,22 @@ def to_json(obj):
     raise FormatError(f"no JSON form for {type(obj).__name__}")
 
 
+def _dg_module_text(data):
+    """The text form of a DG module's JSON object."""
+    if data.get("kind") != "dgmodule":
+        raise FormatError(f"expected a dgmodule, got {data.get('kind')!r}")
+    text_lines = [f"ring {data['ring']}", "dgmodule",
+                  "sequence [" + ", ".join(data["sequence"]) + "]"]
+    for n, r in sorted(data["ranks"].items(), key=lambda kv: int(kv[0])):
+        text_lines.append(f"rank {n} = {r}")
+    for n, t in sorted(data["diffs"].items(), key=lambda kv: int(kv[0])):
+        text_lines.append(f"diff {n} = {t}")
+    for H, per in data["action"].items():
+        for n, t in sorted(per.items(), key=lambda kv: int(kv[0])):
+            text_lines.append(f"act {H} {n} = {t}")
+    return "\n".join(text_lines) + "\n"
+
+
 def from_json(text):
     data = json.loads(text)
     kind = data.get("kind")
@@ -473,16 +498,7 @@ def from_json(text):
     if kind == "koszul":
         return koszul(ring, [parse_element(ring, t) for t in data["sequence"]])
     if kind == "dgmodule":
-        text_lines = [f"ring {data['ring']}", "dgmodule",
-                      "sequence [" + ", ".join(data["sequence"]) + "]"]
-        for n, r in sorted(data["ranks"].items(), key=lambda kv: int(kv[0])):
-            text_lines.append(f"rank {n} = {r}")
-        for n, t in sorted(data["diffs"].items(), key=lambda kv: int(kv[0])):
-            text_lines.append(f"diff {n} = {t}")
-        for H, per in data["action"].items():
-            for n, t in sorted(per.items(), key=lambda kv: int(kv[0])):
-                text_lines.append(f"act {H} {n} = {t}")
-        return load_dg_module("\n".join(text_lines) + "\n")
+        return load_dg_module(_dg_module_text(data))
     if kind == "system":
         lines = [f"ring {data['ring']}", "system",
                  f"m={data['m']} e={data['e']} s={data['s']} r={data['r']}"]

@@ -687,19 +687,15 @@ class _FpView:
         """
         if self.std is None:
             if self.p == 2:
-                return [sum(1 << j for j, x in enumerate(r) if x.payload)
-                        for r in A.data], A.cols
-            return [[x.payload for x in r] for r in A.data], A.cols
+                return [sum(1 << j for j in cols) for cols, _ in A.sparse_rows], A.cols
+            return _payload_grid(A), A.cols
         D = self.dim
         nrows, ncols = A.rows * D, A.cols * D
         if self.p == 2:
             rows = [0] * nrows
-            for i in range(A.rows):
+            for i, (js, payloads) in enumerate(A.sparse_rows):
                 base_row = i * D
-                for j in range(A.cols):
-                    payload = A.data[i][j].payload
-                    if not payload:
-                        continue
+                for j, payload in zip(js, payloads):
                     cols = self._mult_columns(payload)
                     base_col = j * D
                     for bcol in range(D):
@@ -710,11 +706,8 @@ class _FpView:
                                 rows[base_row + brow] |= bit
             return rows, ncols
         grid = [[0] * ncols for _ in range(nrows)]
-        for i in range(A.rows):
-            for j in range(A.cols):
-                payload = A.data[i][j].payload
-                if not payload:
-                    continue
+        for i, (js, payloads) in enumerate(A.sparse_rows):
+            for j, payload in zip(js, payloads):
                 cols = self._mult_columns(payload)
                 for bcol in range(D):
                     col = cols[bcol]
@@ -725,15 +718,15 @@ class _FpView:
 
     def column(self, B, j=0):
         """F_p coordinates of column j of B."""
-        return [c for i in range(B.rows) for c in self.coords(B.data[i][j].payload)]
+        zero = self.ring.zero_payload
+        return [c for cols, vals in B.sparse_rows
+                for c in self.coords(vals[cols.index(j)] if j in cols else zero)]
 
     def matrix(self, vecs, nrows):
         """The nrows x len(vecs) matrix whose columns have coordinates `vecs`."""
-        if not vecs:
-            return Matrix.zeros(self.ring, nrows, 0)
         D = self.dim
-        cols = [[self.element(v[i * D:(i + 1) * D]) for i in range(nrows)] for v in vecs]
-        return Matrix(self.ring, nrows, len(vecs), tuple(zip(*cols)))
+        return Matrix.from_columns(self.ring, nrows, [
+            [self.element(v[i * D:(i + 1) * D]) for i in range(nrows)] for v in vecs])
 
     def rank(self, A):
         """Rank of A's expansion: |column span of A| = p ** rank."""
@@ -745,8 +738,19 @@ class _FpView:
 # public operations
 
 
+def _payload_grid(A):
+    """A's payloads as dense lists of rows, zeros included."""
+    zero = A.ring.zero_payload
+    grid = [[zero] * A.cols for _ in range(A.rows)]
+    for row, (cols, vals) in zip(grid, A.sparse_rows):
+        for j, v in zip(cols, vals):
+            row[j] = v
+    return grid
+
+
 def _matrix_to_grid(ctx, A):
-    return [[ctx.to_payload(A.data[i][j]) for j in range(A.cols)] for i in range(A.rows)]
+    box, to = A.ring.box, ctx.to_payload
+    return [[to(box(v)) for v in row] for row in _payload_grid(A)]
 
 
 def kernel_basis(ring, A):
@@ -777,10 +781,7 @@ def kernel_basis(ring, A):
         if all(ed.is_zero(x) for x in col):
             continue
         gens.append([ctx.from_payload(x) for x in col])
-    if not gens:
-        return Matrix.zeros(ring, A.cols, 0)
-    return Matrix(ring, A.cols, len(gens),
-                  tuple(tuple(g[i] for g in gens) for i in range(A.cols)))
+    return Matrix.from_columns(ring, A.cols, gens)
 
 
 def solve(ring, A, B):
@@ -796,8 +797,9 @@ def solve(ring, A, B):
     sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
     f = ctx.modulus
     out_cols = []
-    for b in B.columns():
-        bp = [ctx.to_payload(b.data[i][0]) for i in range(b.rows)]
+    rhs = _matrix_to_grid(ctx, B)
+    for j in range(B.cols):
+        bp = [r[j] for r in rhs]
         c = [None] * A.rows
         for i in range(A.rows):
             acc = ed.zero
@@ -847,10 +849,7 @@ def solve(ring, A, B):
                 acc = ed.add(acc, ed.mul(sd.T[i][k], y[k]))
             x.append(ctx.from_payload(acc if f is None else ed.mod(acc, f)))
         out_cols.append(x)
-    if not out_cols:
-        return Matrix.zeros(ring, A.cols, 0)
-    return Matrix(ring, A.cols, len(out_cols),
-                  tuple(tuple(col[i] for col in out_cols) for i in range(A.cols)))
+    return Matrix.from_columns(ring, A.cols, out_cols)
 
 
 def invert(ring, A):
@@ -921,8 +920,8 @@ class NormalFormResult:
                 and (self.right * self.right_inv) == n_r)
 
     def diagonal(self):
-        return [self.matrix.data[i][i]
-                for i in range(min(self.matrix.rows, self.matrix.cols))]
+        data = self.matrix.data
+        return [data[i][i] for i in range(min(self.matrix.rows, self.matrix.cols))]
 
 
 def _grid_to_matrix(ring, ctx, grid):
@@ -931,8 +930,7 @@ def _grid_to_matrix(ring, ctx, grid):
     conv = (lambda p: ctx.from_payload(ed.mod(p, f))) if f is not None else ctx.from_payload
     if not grid:
         return Matrix.zeros(ring, 0, 0)
-    return Matrix(ring, len(grid), len(grid[0]),
-                  tuple(tuple(conv(x) for x in row) for row in grid))
+    return Matrix.from_rows(ring, [[conv(x) for x in row] for row in grid])
 
 
 def smith_form(ring, A):
@@ -1003,9 +1001,9 @@ def row_echelon(ring, A):
     """Reduced row echelon over a field, with recorded row transform."""
     if ring.kind not in (RATIONALS, PRIMEFIELD):
         raise CapabilityMissing(f"row echelon requires a field, got {ring}")
-    m = [list(r) for r in A.data]
+    m = _matrix_to_grid(lift_context(ring), A)
     L, Li = _hermite(FieldED(ring), m, A.cols)
-    to_m = lambda g, rows, cols: Matrix(ring, rows, cols, tuple(tuple(r) for r in g)) \
+    to_m = lambda g, rows, cols: Matrix.from_rows(ring, g) \
         if rows else Matrix.zeros(ring, 0, cols)
     return NormalFormResult(
         "echelon", ring, to_m(m, A.rows, A.cols),
@@ -1024,15 +1022,14 @@ def howell_form(ring, A):
         raise CapabilityMissing(f"howell form is for Z/n, got {ring}")
     n = ring.modulus
     cols = A.cols
-    grid = [[x.payload for x in r] for r in A.data]
+    grid = _payload_grid(A)
     grid += [[n if i == j else 0 for j in range(cols)] for i in range(cols)]
     U, Ui = _hermite(IntED, grid, cols)
 
     def conv(g, width):
         if not g:
             return Matrix.zeros(ring, 0, width)
-        return Matrix(ring, len(g), width,
-                      tuple(tuple(RingElement(ring, x % n) for x in row) for row in g))
+        return Matrix.from_rows(ring, [[RingElement(ring, x % n) for x in row] for row in g])
 
     padded = A.vstack(Matrix.zeros(ring, cols, cols))
     return NormalFormResult(
@@ -1116,9 +1113,8 @@ def _domain_subquotient(ring, V, W):
     k = len(basis_cols)
     if k == 0:
         return HomologySummary(ring, True, free_rank=0, invariant_factors=())
-    B = Matrix(ring, V.rows, k,
-               tuple(tuple(ctx.from_payload(basis_cols[j][i]) for j in range(k))
-                     for i in range(V.rows)))
+    B = Matrix.from_columns(ring, V.rows,
+                            [[ctx.from_payload(x) for x in col] for col in basis_cols])
     coords = solve(ring, B, W) if W.cols else Matrix.zeros(ring, k, 0)
     if coords is None:
         raise ArithmeticError("image generators not inside the kernel span")

@@ -1,47 +1,94 @@
-"""Matrices over a ring, with 0xk and kx0 shapes as first-class citizens.
+"""Sparse matrices over a ring, with 0xk and kx0 shapes as first-class citizens.
 
-Entries only need +, -, *, unary minus and equality, so the same class
-carries ring elements and the symbolic polynomials of the descent systems.
-The `ring` slot is any object exposing `zero` and `one` attributes.
+A matrix stores each row as its nonzero entries: a pair of tuples, the
+columns in increasing order and the payloads in the same order.  A zero
+payload is never stored.  Every kernel below (product, sum, negation,
+scaling, Kronecker product, transpose, block assembly, equality) runs on
+the stored entries in time proportional to their number; the product is
+Gustavson's row-by-row sparse product ("Two fast algorithms for sparse
+matrices", ACM TOMS 1978).
+
+Kernels compute on payloads, never on boxed entries, through the payload
+protocol of the `ring` slot:
+
+  zero_payload                    the payload of zero, the only falsy payload
+  add_payload(a, b), neg_payload(a), mul_payload(a, b)
+  box(payload) -> entry           unbox(entry) -> payload
+  zero, one                       the boxed zero and one
+
+`rings.Ring` (entries are RingElements) and `descent.VarPolyRing` (entries
+are the symbolic polynomials of the descent systems) both provide it, so
+both run through the same code.  `data` is the dense view, a tuple of row
+tuples of boxed entries, built on first use and kept.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import itemgetter
 
 from .errors import DimensionMismatch, MixedRings
 
+_EMPTY = ((), ())  # the stored form of a zero row
+
+
+def _row(cols, vals):
+    """The stored form of a row with entries vals at cols (zeros dropped)."""
+    if all(vals):
+        return tuple(cols), tuple(vals)
+    kept = [(j, v) for j, v in zip(cols, vals) if v]
+    return tuple(j for j, _ in kept), tuple(v for _, v in kept)
+
+
+def _row_of_pairs(pairs):
+    """The stored form of a row given as (column, payload) pairs by column."""
+    return _row([j for j, _ in pairs], [v for _, v in pairs])
+
 
 class Matrix:
-    __slots__ = ("ring", "rows", "cols", "data")
+    __slots__ = ("ring", "rows", "cols", "sparse_rows", "_data")
 
-    def __init__(self, ring, rows, cols, data):
+    def __init__(self, ring, rows, cols, sparse_rows):
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.data = data  # tuple of row tuples
+        # one (columns, payloads) pair of tuples per row: its nonzero entries
+        self.sparse_rows = sparse_rows
+        self._data = None
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rows(cls, ring, rows_list):
+        """The matrix with these rows of boxed entries."""
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
+        unbox = ring.unbox
+        every_col = tuple(range(cols))  # shared by the rows with no zero entry
+        out = []
         for r in rows_list:
             if len(r) != cols:
                 raise DimensionMismatch("ragged rows")
-        return cls(ring, rows, cols, tuple(tuple(r) for r in rows_list))
+            out.append(_row(every_col, [unbox(x) for x in r]))
+        return cls(ring, rows, cols, tuple(out))
+
+    @classmethod
+    def from_columns(cls, ring, height, columns):
+        """The height x len(columns) matrix with these columns of boxed entries."""
+        if not columns:
+            return cls.zeros(ring, height, 0)
+        if len(columns[0]) != height:
+            raise DimensionMismatch(f"column of length {len(columns[0])}, expected {height}")
+        return cls.from_rows(ring, columns).transpose()
 
     @classmethod
     def zeros(cls, ring, rows, cols):
-        z = ring.zero
-        return cls(ring, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls(ring, rows, cols, (_EMPTY,) * rows)
 
     @classmethod
     def identity(cls, ring, n):
-        z, o = ring.zero, ring.one
-        return cls(ring, n, n, tuple(tuple(o if i == j else z for j in range(n))
-                                     for i in range(n)))
+        one = (ring.unbox(ring.one),)
+        return cls(ring, n, n, tuple(((i,), one) for i in range(n)))
 
     @classmethod
     def from_blocks(cls, ring, heights, widths, blocks):
@@ -53,9 +100,10 @@ class Matrix:
         """
         row_at = [0, *accumulate(heights)]
         col_at = [0, *accumulate(widths)]
-        z = ring.zero
-        data = [[z] * col_at[-1] for _ in range(row_at[-1])]
-        for (i, j), m in blocks.items():
+        out_cols = [[] for _ in range(row_at[-1])]
+        out_vals = [[] for _ in range(row_at[-1])]
+        # block columns in increasing order keep every assembled row sorted
+        for (i, j), m in sorted(blocks.items(), key=itemgetter(0)):
             if not (0 <= i < len(heights) and 0 <= j < len(widths)):
                 raise DimensionMismatch(
                     f"block ({i},{j}) outside a {len(heights)}x{len(widths)} grid")
@@ -65,10 +113,12 @@ class Matrix:
                 raise DimensionMismatch(
                     f"block ({i},{j}) is {m.rows}x{m.cols}, expected "
                     f"{heights[i]}x{widths[j]}")
-            r0, c0, c1 = row_at[i], col_at[j], col_at[j + 1]
-            for r, line in enumerate(m.data, start=r0):
-                data[r][c0:c1] = line
-        return cls(ring, row_at[-1], col_at[-1], tuple(map(tuple, data)))
+            c0 = col_at[j]
+            for r, (cols, vals) in enumerate(m.sparse_rows, start=row_at[i]):
+                out_cols[r].extend(c + c0 for c in cols)
+                out_vals[r].extend(vals)
+        return cls(ring, row_at[-1], col_at[-1],
+                   tuple((tuple(c), tuple(v)) for c, v in zip(out_cols, out_vals)))
 
     @classmethod
     def block(cls, grid):
@@ -88,29 +138,50 @@ class Matrix:
 
     @classmethod
     def diag(cls, ring, entries):
-        n = len(entries)
-        z = ring.zero
-        return cls(ring, n, n, tuple(tuple(entries[i] if i == j else z
-                                           for j in range(n)) for i in range(n)))
+        unbox = ring.unbox
+        return cls(ring, len(entries), len(entries),
+                   tuple(_row((i,), (unbox(x),)) for i, x in enumerate(entries)))
 
     # -- access ----------------------------------------------------------------
+
+    @property
+    def data(self):
+        """The dense view: a tuple of row tuples of boxed entries."""
+        if self._data is None:
+            box, zero = self.ring.box, self.ring.zero
+            out = []
+            for cols, vals in self.sparse_rows:
+                row = [zero] * self.cols
+                for j, v in zip(cols, vals):
+                    row[j] = box(v)
+                out.append(tuple(row))
+            self._data = tuple(out)
+        return self._data
 
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
-    def col(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
-
     def submatrix(self, row_range, col_range):
-        return Matrix(self.ring, len(row_range), len(col_range),
-                      tuple(tuple(self.data[i][j] for j in col_range) for i in row_range))
+        col_range = list(col_range)
+        if any(not 0 <= j < self.cols for j in col_range):
+            raise IndexError(f"column outside a {self.rows}x{self.cols} matrix")
+        out = []
+        for i in row_range:
+            line = dict(zip(*self.sparse_rows[i]))
+            out.append(_row_of_pairs([(t, line[j]) for t, j in enumerate(col_range)
+                                      if j in line]))
+        return Matrix(self.ring, len(out), len(col_range), tuple(out))
 
     def columns(self):
-        return [self.submatrix(range(self.rows), [j]) for j in range(self.cols)]
+        """The columns as rows x 1 matrices."""
+        out = []
+        for cols, vals in self.transpose().sparse_rows:
+            rows = [_EMPTY] * self.rows
+            for i, v in zip(cols, vals):
+                rows[i] = ((0,), (v,))
+            out.append(Matrix(self.ring, self.rows, 1, tuple(rows)))
+        return out
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -125,99 +196,135 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.data, other.data)))
+        add = self.ring.add_payload
+        out = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            if not ra[0] or not rb[0]:
+                out.append(ra if ra[0] else rb)
+                continue
+            acc = dict(zip(*ra))
+            for j, b in zip(*rb):
+                acc[j] = add(acc[j], b) if j in acc else b
+            out.append(_row_of_pairs(sorted(acc.items())))
+        return Matrix(self.ring, self.rows, self.cols, tuple(out))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
+        neg = self.ring.neg_payload
         return Matrix(self.ring, self.rows, self.cols,
-                      tuple(tuple(-a for a in r) for r in self.data))
+                      tuple((cols, tuple(map(neg, vals))) for cols, vals in self.sparse_rows))
 
     def __mul__(self, other):
+        """Gustavson's product: row i of the result accumulates a_ik * b_kj
+        over the stored entries a_ik of row i and b_kj of row k."""
         self._check_same(other)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        if self.rows == 0 or other.cols == 0 or other.rows == 0:
-            return Matrix.zeros(self.ring, self.rows, other.cols)
-        z = self.ring.zero
-        rows_b = other.data
+        add, mul = self.ring.add_payload, self.ring.mul_payload
+        rows_b = other.sparse_rows
         out = []
-        for ra in self.data:
-            line = [z] * other.cols
-            for k, a in enumerate(ra):
-                if a.is_zero():
-                    continue
-                rb = rows_b[k]
-                for j, b in enumerate(rb):
-                    if not b.is_zero():
-                        line[j] = line[j] + a * b
-            out.append(tuple(line))
+        for ks, avals in self.sparse_rows:
+            if len(ks) == 1:
+                # most rows of the signed-permutation structure matrices hold
+                # one entry: it scales one row of B, already in column order,
+                # with no accumulator and no sort
+                a = avals[0]
+                cols, vals = rows_b[ks[0]]
+                out.append(_row(cols, [mul(a, b) for b in vals]))
+                continue
+            acc = {}
+            for k, a in zip(ks, avals):
+                for j, b in zip(*rows_b[k]):
+                    acc[j] = add(acc[j], mul(a, b)) if j in acc else mul(a, b)
+            out.append(_row_of_pairs(sorted(acc.items())))
         return Matrix(self.ring, self.rows, other.cols, tuple(out))
 
     def scale(self, c):
-        return Matrix(self.ring, self.rows, self.cols,
-                      tuple(tuple(c * a for a in r) for r in self.data))
+        """c times this matrix; c is an entry of the ring."""
+        ring = self.ring
+        p = ring.unbox(c)
+        if not p:
+            return Matrix.zeros(ring, self.rows, self.cols)
+        one = ring.unbox(ring.one)
+        if p == one:
+            return self
+        if p == ring.neg_payload(one):
+            return -self
+        mul = ring.mul_payload
+        return Matrix(ring, self.rows, self.cols,
+                      tuple(_row(cols, [mul(p, v) for v in vals])
+                            for cols, vals in self.sparse_rows))
 
     def transpose(self):
-        if self.rows == 0:
-            return Matrix(self.ring, self.cols, 0, tuple(() for _ in range(self.cols)))
-        return Matrix(self.ring, self.cols, self.rows, tuple(zip(*self.data)))
+        out_cols = [[] for _ in range(self.cols)]
+        out_vals = [[] for _ in range(self.cols)]
+        for i, (cols, vals) in enumerate(self.sparse_rows):
+            for j, v in zip(cols, vals):
+                out_cols[j].append(i)
+                out_vals[j].append(v)
+        return Matrix(self.ring, self.cols, self.rows,
+                      tuple((tuple(c), tuple(v)) for c, v in zip(out_cols, out_vals)))
 
     def hstack(self, other):
         self._check_same(other)
         if self.rows != other.rows:
             raise DimensionMismatch("hstack with different row counts")
+        w = self.cols
         return Matrix(self.ring, self.rows, self.cols + other.cols,
-                      tuple(ra + rb for ra, rb in zip(self.data, other.data)))
+                      tuple((ca + tuple(j + w for j in cb), va + vb)
+                            for (ca, va), (cb, vb) in zip(self.sparse_rows,
+                                                          other.sparse_rows)))
 
     def vstack(self, other):
         self._check_same(other)
         if self.cols != other.cols:
             raise DimensionMismatch("vstack with different column counts")
         return Matrix(self.ring, self.rows + other.rows, self.cols,
-                      self.data + other.data)
+                      self.sparse_rows + other.sparse_rows)
 
     def kron(self, other):
         """Kronecker product in row-major tensor-basis convention."""
         self._check_same(other)
-        data = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                line = []
-                for j in range(self.cols):
-                    a = self.data[i][j]
-                    line.extend(a * b for b in other.data[k])
-                data.append(tuple(line))
+        mul = self.ring.mul_payload
+        w = other.cols
+        out = []
+        for ca, va in self.sparse_rows:
+            for cb, vb in other.sparse_rows:
+                out.append(_row([ja * w + jb for ja in ca for jb in cb],
+                                [mul(a, b) for a in va for b in vb]))
         return Matrix(self.ring, self.rows * other.rows, self.cols * other.cols,
-                      tuple(data))
+                      tuple(out))
 
     def map_entries(self, fn, ring=None):
+        """Apply fn to every entry; fn must send zero to zero (a ring map,
+        an embedding), so it is applied to the stored entries only."""
         ring = ring if ring is not None else self.ring
+        box, unbox = self.ring.box, ring.unbox
+        if unbox(fn(self.ring.zero)):
+            raise ValueError("map_entries needs a map that sends zero to zero")
         return Matrix(ring, self.rows, self.cols,
-                      tuple(tuple(fn(a) for a in r) for r in self.data))
+                      tuple(_row(cols, [unbox(fn(box(v))) for v in vals])
+                            for cols, vals in self.sparse_rows))
 
     # -- predicates -----------------------------------------------------------------
 
     def is_zero(self):
-        z = self.ring.zero
-        return all(a == z for r in self.data for a in r)
+        return not any(cols for cols, _ in self.sparse_rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.ring == other.ring and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.sparse_rows))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"Matrix({self.rows}x{self.cols})"
         body = "; ".join(", ".join(repr(a) for a in r) for r in self.data)
         return f"[{body}]"
-

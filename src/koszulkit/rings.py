@@ -8,6 +8,7 @@ Elements are stored canonically, so structural equality is ring equality.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 
@@ -291,6 +292,7 @@ class Ring:
         self.groebner = groebner
         self._key = monomial_key(order) if kind == POLYQUOT else None
         self._budget = budget
+        self._bind_payload_ops()
         self._derive_capabilities()
         self.zero_payload = self._zero_payload()
         self.zero = RingElement(self, self.zero_payload)
@@ -394,32 +396,53 @@ class Ring:
         zero_exp = tuple(0 for _ in self.variables)
         return ((zero_exp, self.coeff.one()),)
 
-    def add_payload(self, a, b):
+    def _bind_payload_ops(self):
+        """Bind add_payload, neg_payload and mul_payload for this ring's kind.
+
+        They are chosen once here, so a call is one function call with no
+        dispatch on the kind.
+        """
         if self.kind in (INTEGERS, RATIONALS):
-            return a + b
-        if self.kind in (ZMOD, PRIMEFIELD):
-            return (a + b) % self.modulus
+            self.add_payload = operator.add
+            self.neg_payload = operator.neg
+            self.mul_payload = operator.mul
+        elif self.kind in (ZMOD, PRIMEFIELD):
+            n = self.modulus
+            self.add_payload = lambda a, b: (a + b) % n
+            self.neg_payload = lambda a: -a % n
+            self.mul_payload = lambda a, b: a * b % n
+        else:
+            self.add_payload = self._poly_add_payload
+            self.neg_payload = lambda a: _poly_neg(a, self.coeff, self._key)
+            self.mul_payload = self._poly_mul_payload
+
+    def _poly_add_payload(self, a, b):
         if not a:
             return b
         if not b:
             return a
         return _poly_add(a, b, self.coeff, self._key)
 
-    def neg_payload(self, a):
-        if self.kind in (INTEGERS, RATIONALS):
-            return -a
-        if self.kind in (ZMOD, PRIMEFIELD):
-            return (-a) % self.modulus
-        return _poly_neg(a, self.coeff, self._key)
-
-    def mul_payload(self, a, b):
-        if self.kind in (INTEGERS, RATIONALS):
-            return a * b
-        if self.kind in (ZMOD, PRIMEFIELD):
-            return (a * b) % self.modulus
+    def _poly_mul_payload(self, a, b):
         if not a or not b:
             return ()
+        # a nonzero constant factor scales the other normal form, which
+        # stays a normal form, so neither product nor reduction is needed
+        if len(a) == 1 and not any(a[0][0]):
+            return b if a[0][1] == 1 else _poly_scale(b, a[0][1], self.coeff, self._key)
+        if len(b) == 1 and not any(b[0][0]):
+            return a if b[0][1] == 1 else _poly_scale(a, b[0][1], self.coeff, self._key)
         return self.normal_form_payload(_poly_mul(a, b, self.coeff, self._key))
+
+    def box(self, payload):
+        """The element with this payload (the inverse of `unbox`)."""
+        return RingElement(self, payload)
+
+    def unbox(self, x):
+        """The payload of x, which must be an element of this ring."""
+        if isinstance(x, RingElement) and (x.ring is self or x.ring == self):
+            return x.payload
+        raise MixedRings(f"{x!r} is not an element of {self}")
 
     def normal_form_payload(self, a):
         if self.kind != POLYQUOT or not self.groebner:
@@ -477,7 +500,7 @@ class Ring:
         from .matrices import Matrix
         std = self._std_monomials
         if self.coeff.kind == "Fp":
-            mult_by_a = Matrix(self, 1, 1, ((RingElement(self, a),),))
+            mult_by_a = Matrix(self, 1, 1, (((0,), (a,)),))
             return _fp_view_of(self).rank(mult_by_a) == len(std)
         Q = QQ()
         index = {m: i for i, m in enumerate(std)}

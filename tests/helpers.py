@@ -90,7 +90,7 @@ def brute_force_kernel(ring, A):
     pool = list(ring.elements())
     out = set()
     for combo in itertools.product(pool, repeat=A.cols):
-        col = Matrix(ring, A.cols, 1, tuple((x,) for x in combo))
+        col = Matrix.from_rows(ring, [[x] for x in combo])
         if (A * col).is_zero():
             out.add(tuple(x.payload for x in combo))
     return out
@@ -181,3 +181,47 @@ def count_calls(monkeypatch, func):
         if name.startswith("koszulkit") and getattr(module, func.__name__, None) is func:
             monkeypatch.setattr(module, func.__name__, counting)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# a naive dense reference for the Matrix kernels, on boxed entries
+
+
+def dense_mul(A, B):
+    a, b = A.data, B.data
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(A.cols)), A.ring.zero)
+                       for j in range(B.cols)) for i in range(A.rows))
+
+
+def dense_add(A, B):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A.data, B.data))
+
+
+def dense_neg(A):
+    return tuple(tuple(-x for x in r) for r in A.data)
+
+
+def dense_scale(c, A):
+    return tuple(tuple(c * x for x in r) for r in A.data)
+
+
+def dense_transpose(A):
+    return tuple(tuple(A.data[i][j] for i in range(A.rows)) for j in range(A.cols))
+
+
+def dense_kron(A, B):
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in A.data for rb in B.data)
+
+
+def dense_from_blocks(ring, heights, widths, blocks):
+    grid = [[ring.zero] * sum(widths) for _ in range(sum(heights))]
+    for (i, j), m in blocks.items():
+        r0, c0 = sum(heights[:i]), sum(widths[:j])
+        for r, row in enumerate(m.data):
+            for c, x in enumerate(row):
+                grid[r0 + r][c0 + c] = x
+    return tuple(map(tuple, grid))
+
+
+def dense_is_zero(A):
+    return all(x == A.ring.zero for r in A.data for x in r)

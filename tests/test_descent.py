@@ -4,7 +4,7 @@ import pytest
 
 from koszulkit import complexes as cx
 from koszulkit import descent as ds
-from koszulkit.dgmodules import DGModule, extend, verify_dg_module
+from koszulkit.dgmodules import DGModule, extend, extension_action, verify_dg_module
 from koszulkit.errors import (
     NonCanonicalHarness, NotMinimal, RankMismatch, ShapeMismatch,
     UnverifiedDGModule, VerificationFailed, WindowViolated,
@@ -101,7 +101,7 @@ def test_canonical_harness_structure_matrices():
             assert u == B[n]
     for H, per in system.v_mats.items():
         for n, v in per.items():
-            assert v == ds.koszul_side_action(K, P, H, n)
+            assert v == extension_action(K, P, H, n)
 
 
 def test_module_case_no_x_variables():

@@ -13,6 +13,7 @@ from koszulkit import koszul as kk
 from koszulkit.cli import main
 from koszulkit.dgmodules import AxiomReport, AxiomResult, extend, verify_dg_module
 from koszulkit.duality import ModulePresentation
+from koszulkit.errors import FormatError
 from koszulkit.koszul import koszul, verify_dga
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod, poly_quotient
@@ -219,6 +220,26 @@ def test_cli_dg_verify_checks_algebra_and_module_once_each(tmp_path, monkeypatch
     assert code == 0 and out.endswith("leibniz: ok\n")
     assert len(algebras) == 1
     assert len(modules) == 2 and modules[0].underlying is algebras[0].complex
+
+
+def test_cli_dg_verify_reports_a_failing_module_with_exit_1(tmp_path):
+    dgf = tmp_path / "F.dg"
+    assert run_cli(["dg", "extend", str(GOLDEN / "K4_on_2.kz"), str(GOLDEN / "P.cx"),
+                    "-o", str(dgf)])[0] == 0
+    lines = dgf.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("act {1} 0 = "))
+    assert lines[i] == "act {1} 0 = 3x2 [[1, 0], [0, 1], [0, 0]]"
+    lines[i] = "act {1} 0 = 3x2 [[0, 0], [0, 1], [0, 0]]"
+    dgf.write_text("\n".join(lines) + "\n")
+    jsonf = tmp_path / "F.json"
+    jsonf.write_text(kio.to_json(kio.parse_dg_module(dgf.read_text())))
+    for path in (dgf, jsonf):
+        code, out, _ = run_cli(["dg", "verify", str(path)])
+        assert code == 1
+        assert "leibniz: FAIL e_(1,) at degree 0" in out.splitlines()
+        # every other loader still rejects the module as malformed
+        with pytest.raises(FormatError, match="fails the leibniz axiom"):
+            kio.load(str(path))
 
 
 def test_cli_zero_ring_exit_2(tmp_path):

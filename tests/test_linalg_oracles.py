@@ -24,9 +24,15 @@ from helpers import random_matrix
 
 
 def sparse_matrix(ring, rows, cols, rng):
-    """Random entries, about a third of them zero, so ranks drop often."""
+    """Random entries, about a third of them zero, so ranks drop often.
+
+    One draw per position, in row-major order, decides which entries are
+    zeroed, so the inputs do not depend on how Matrix visits its entries."""
     M = random_matrix(ring, rows, cols, rng)
-    return M.map_entries(lambda x: x if rng.random() < 0.65 else ring.zero)
+    if not rows:
+        return M
+    return Matrix.from_rows(
+        ring, [[x if rng.random() < 0.65 else ring.zero for x in row] for row in M.data])
 
 
 def span(n, vectors, width):
