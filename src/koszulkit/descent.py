@@ -235,7 +235,7 @@ class VarPolyRing:
     def __init__(self, base):
         self.base = base
         self.zero = self.zero_payload = VarPoly.zero(base)
-        self.one = VarPoly.constant(base, base.one)
+        self.one = self.one_payload = VarPoly.constant(base, base.one)
 
     @staticmethod
     def box(payload):

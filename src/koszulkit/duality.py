@@ -23,7 +23,7 @@ from .linalg import (
     kernel_cardinality, minimal_generators, span_cardinality, subquotient,
 )
 from .matrices import Matrix
-from .rings import INTEGERS, POLYQUOT, RingHom, Zmod, poly_quotient
+from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RingHom, Zmod, poly_quotient
 
 
 @dataclass
@@ -269,9 +269,9 @@ class SdcVerdict:
 
 def _identity_hom_vector(ring, g):
     """vec of the identity endomorphism; the diagonal slots are layout-safe."""
-    vec = [ring.zero] * (g * g)
+    vec = [ring.zero_payload] * (g * g)
     for k in range(g):
-        vec[k * g + k] = ring.one
+        vec[k * g + k] = ring.one_payload
     return Matrix.from_columns(ring, g * g, [vec])
 
 
@@ -476,9 +476,9 @@ def quotient_by_element(ring, x):
         S = Zmod(n)
         return S, RingHom(ring, S)
     if ring.kind == POLYQUOT and not ring.ideal and len(ring.variables) == 1 \
-            and ring.coeff.kind == "Fp":
+            and ring.coeff.kind == PRIMEFIELD:
         from .rings import format_element
-        S = poly_quotient(f"F{ring.coeff.p}", list(ring.variables),
+        S = poly_quotient(ring.coeff, list(ring.variables),
                           [format_element(x)], order=ring.order)
         images = {v: S.variable(v) for v in ring.variables}
         return S, RingHom(ring, S, images)
@@ -492,26 +492,22 @@ def _chain_ring_iso(S, M1, M2):
     sums of cyclic modules; matching factor multisets are aligned by a
     permutation and conjugated back.  Returns (phi, psi) or None.
     """
-    from .linalg import lift_context, smith_data, _matrix_to_grid, _grid_to_matrix
+    from .linalg import lift_context, smith_data, _grid_to_matrix, _is_unit, _matrix_to_grid
     ctx = lift_context(S)
     ed, f = ctx.ed, ctx.modulus
 
     def decomposition(pres):
         sd = smith_data(ed, _matrix_to_grid(ctx, pres.relations),
                         pres.gens, pres.relations.cols)
-        factors = []
-        for j in range(pres.gens):
-            d = sd.diag(j) if j < min(pres.gens, pres.relations.cols) else ed.zero
-            g, _, _ = ed.gcdex(d, f)
-            factors.append(g)
-        lam = _grid_to_matrix(S, ctx, sd.S)
-        lam_inv = _grid_to_matrix(S, ctx, sd.Si)
+        factors = [ed.gcdex_payload(sd.diag(j), f)[0] for j in range(pres.gens)]
+        lam = _grid_to_matrix(S, ctx, sd.S, pres.gens)
+        lam_inv = _grid_to_matrix(S, ctx, sd.Si, pres.gens)
         return factors, lam, lam_inv
 
     f1, lam1, lam1i = decomposition(M1)
     f2, lam2, lam2i = decomposition(M2)
-    nontrivial1 = sorted((g, j) for j, g in enumerate(f1) if not ed.is_unit(g))
-    nontrivial2 = sorted((g, j) for j, g in enumerate(f2) if not ed.is_unit(g))
+    nontrivial1 = sorted((g, j) for j, g in enumerate(f1) if not _is_unit(ed, g))
+    nontrivial2 = sorted((g, j) for j, g in enumerate(f2) if not _is_unit(ed, g))
     if [g for g, _ in nontrivial1] != [g for g, _ in nontrivial2]:
         return None
     P = Matrix.zeros(S, M2.gens, M1.gens)

@@ -78,33 +78,29 @@ class KoszulAlgebra:
         ranks = {n: len(self.basis[n]) for n in range(self.e + 1)}
         diffs = {}
         for n in range(1, self.e + 1):
-            rows = len(self.basis[n - 1])
-            cols = len(self.basis[n])
-            grid = [[ring.zero] * cols for _ in range(rows)]
-            for j, S in enumerate(self.basis[n]):
-                for coeff, S2 in self.diff_of_basis(S):
-                    grid[self.index[S2]][j] = coeff
-            diffs[n] = Matrix.from_rows(ring, grid)
+            entries = [(self.index[S2], j, coeff.payload)
+                       for j, S in enumerate(self.basis[n])
+                       for coeff, S2 in self.diff_of_basis(S)]
+            diffs[n] = Matrix.from_entries(ring, ranks[n - 1], ranks[n], entries)
         return ChainComplex(ring, ranks, diffs)
 
     def _build_mult(self):
         """mult[h][n]: the matrix of e_h * (-) from degree n to n + |h|."""
         ring = self.ring
+        signed_one = {1: ring.one_payload, -1: ring.neg_payload(ring.one_payload)}
         mult = {}
         for h_deg in range(self.e + 1):
             for H in self.basis[h_deg]:
                 per_degree = {}
                 for n in range(0, self.e - h_deg + 1):
-                    rows = len(self.basis[n + h_deg])
-                    cols = len(self.basis[n])
-                    grid = [[ring.zero] * cols for _ in range(rows)]
+                    entries = []
                     for j, S in enumerate(self.basis[n]):
                         prod = self.product_of_basis(H, S)
                         if prod is not None:
                             sign, U = prod
-                            grid[self.index[U]][j] = \
-                                ring.one if sign == 1 else -ring.one
-                    per_degree[n] = Matrix.from_rows(ring, grid)
+                            entries.append((self.index[U], j, signed_one[sign]))
+                    per_degree[n] = Matrix.from_entries(
+                        ring, len(self.basis[n + h_deg]), len(self.basis[n]), entries)
                 mult[H] = per_degree
         return mult
 

@@ -15,18 +15,26 @@ lifts enlarged by n Z^u.
 The certified normal forms other than Smith come from one Hermite row
 reducer (_hermite) over a Euclidean domain: row_echelon runs it over the
 field, howell_form over Z on the lift stacked on n*I.
+
+Both reducers compute on payloads through the one payload protocol of
+`rings.Ring`: the Euclidean domain is the ring itself for Z, Q and F_p,
+and PolyED, the same protocol on dense payloads, for F_p[x].  Quotients,
+remainders, the unit test and inverses modulo f are derived from it below.
+The lift context converts payloads in both directions (the identity but
+for reduction mod n and the dense form of F_p[x]), and results go to
+`Matrix.from_payload_rows` or `Matrix.from_columns`, so no entry is boxed
+into a RingElement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .errors import BudgetExceeded, CapabilityMissing, DimensionMismatch, NotAComplex
 from .matrices import Matrix
 from .rings import (
-    INTEGERS, POLYQUOT, PRIMEFIELD, RATIONALS, ZMOD, ZZ, RingElement,
+    INTEGERS, POLYQUOT, PRIMEFIELD, RATIONALS, ZMOD, ZZ,
 )
 
 _SMITH_SWEEP_CAP = 10_000
@@ -34,83 +42,41 @@ _SMITH_SWEEP_CAP = 10_000
 
 # ---------------------------------------------------------------------------
 # Euclidean payload domains
+#
+# Z, Q and F_p are their own Euclidean domains: rings.Ring binds their
+# divmod_payload, gcdex_payload, canon_payload and size_payload.  PolyED
+# provides the same protocol for F_p[x].  What elimination needs beyond it
+# is derived once, here, for every domain.
 
 
-class IntED:
-    """Integers as a Euclidean domain on raw int payloads."""
+def _quo(ed, a, b):
+    """The exact quotient a / b."""
+    q, r = ed.divmod_payload(a, b)
+    if r:
+        raise ArithmeticError("inexact division")
+    return q
 
-    zero = 0
-    one = 1
 
-    @staticmethod
-    def is_zero(a):
-        return a == 0
+def _mod(ed, a, f):
+    return ed.divmod_payload(a, f)[1]
 
-    @staticmethod
-    def add(a, b):
-        return a + b
 
-    @staticmethod
-    def neg(a):
-        return -a
+def _is_unit(ed, a):
+    # the units are the nonzero elements of least Euclidean size, that of one
+    return bool(a) and ed.size_payload(a) == ed.size_payload(ed.one_payload)
 
-    @staticmethod
-    def mul(a, b):
-        return a * b
 
-    @staticmethod
-    def quo(a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact division")
-        return q
+def _unit_inv(ed, u):
+    return ed.divmod_payload(ed.one_payload, u)[0]
 
-    @staticmethod
-    def divmod_(a, b):
-        q = a // b
-        return q, a - q * b
 
-    @staticmethod
-    def gcdex(a, b):
-        x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-        while ng:
-            q = g // ng
-            x, nx = nx, x - q * nx
-            y, ny = ny, y - q * ny
-            g, ng = ng, g - q * ng
-        if g < 0:
-            x, y, g = -x, -y, -g
-        return g, x, y
-
-    @staticmethod
-    def canon(a):
-        """a = unit * canonical; canonical is nonnegative."""
-        return (-1, -a) if a < 0 else (1, a)
-
-    @staticmethod
-    def unit_inv(u):
-        return u
-
-    @staticmethod
-    def size(a):
-        return abs(a)
-
-    @staticmethod
-    def is_unit(a):
-        return a in (1, -1)
-
-    @staticmethod
-    def mod(a, f):
-        return a % f
-
-    @staticmethod
-    def inv_mod(a, f):
-        return pow(a, -1, f)
-
-    @staticmethod
-    def quotient_card(g):
-        """|Z/(g)| for g != 0."""
-        return abs(g)
+def _inv_mod(ed, a, f):
+    """The inverse of a modulo f.  gcdex returns the canonical gcd, which
+    is one exactly when a is invertible modulo f."""
+    g, s, _ = ed.gcdex_payload(a, f)
+    if g != ed.one_payload:
+        raise ArithmeticError("not invertible")
+    return _mod(ed, s, f)
 
 
 class PolyED:
@@ -118,28 +84,24 @@ class PolyED:
 
     def __init__(self, p):
         self.p = p
-        self.zero = ()
-        self.one = (1 % p,)
-
-    @staticmethod
-    def is_zero(a):
-        return not a
+        self.zero_payload = ()
+        self.one_payload = (1 % p,)
 
     def _trim(self, coeffs):
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return tuple(coeffs)
 
-    def add(self, a, b):
+    def add_payload(self, a, b):
         n = max(len(a), len(b))
         out = [( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) ) % self.p
                for i in range(n)]
         return self._trim(out)
 
-    def neg(self, a):
+    def neg_payload(self, a):
         return tuple((-c) % self.p for c in a)
 
-    def mul(self, a, b):
+    def mul_payload(self, a, b):
         if not a or not b:
             return ()
         out = [0] * (len(a) + len(b) - 1)
@@ -149,7 +111,7 @@ class PolyED:
                     out[i + j] = (out[i + j] + ca * cb) % self.p
         return self._trim(out)
 
-    def divmod_(self, a, b):
+    def divmod_payload(self, a, b):
         if not b:
             raise ZeroDivisionError
         a = list(a)
@@ -163,116 +125,27 @@ class PolyED:
                     a[i + j] = (a[i + j] - c * cb) % self.p
         return self._trim(q), self._trim(a)
 
-    def quo(self, a, b):
-        q, r = self.divmod_(a, b)
-        if r:
-            raise ArithmeticError("inexact division")
-        return q
-
-    def gcdex(self, a, b):
-        x, nx, y, ny, g, ng = self.one, self.zero, self.zero, self.one, a, b
+    def gcdex_payload(self, a, b):
+        add, neg, mul = self.add_payload, self.neg_payload, self.mul_payload
+        x, nx, y, ny, g, ng = self.one_payload, (), (), self.one_payload, a, b
         while ng:
-            q, r = self.divmod_(g, ng)
-            x, nx = nx, self.add(x, self.neg(self.mul(q, nx)))
-            y, ny = ny, self.add(y, self.neg(self.mul(q, ny)))
+            q, r = self.divmod_payload(g, ng)
+            x, nx = nx, add(x, neg(mul(q, nx)))
+            y, ny = ny, add(y, neg(mul(q, ny)))
             g, ng = ng, r
         if g:
-            u = pow(g[-1], -1, self.p)
-            scale = (u,)
-            g, x, y = self.mul(scale, g), self.mul(scale, x), self.mul(scale, y)
+            scale = (pow(g[-1], -1, self.p),)
+            g, x, y = mul(scale, g), mul(scale, x), mul(scale, y)
         return g, x, y
 
-    def canon(self, a):
+    def canon_payload(self, a):
         if not a:
-            return self.one, a
-        u = (a[-1],)
-        return u, self.mul((pow(a[-1], -1, self.p),), a)
-
-    def unit_inv(self, u):
-        return (pow(u[0], -1, self.p),)
+            return self.one_payload, a
+        return (a[-1],), self.mul_payload((pow(a[-1], -1, self.p),), a)
 
     @staticmethod
-    def size(a):
+    def size_payload(a):
         return len(a)
-
-    @staticmethod
-    def is_unit(a):
-        return len(a) == 1
-
-    def mod(self, a, f):
-        return self.divmod_(a, f)[1]
-
-    def inv_mod(self, a, f):
-        g, s, _ = self.gcdex(a, f)
-        if not self.is_unit(g):
-            raise ArithmeticError("not invertible")
-        return self.mod(self.mul(self.quo(self.one, g), s), f) if g != self.one \
-            else self.mod(s, f)
-
-    def quotient_card(self, g):
-        return self.p ** (len(g) - 1)
-
-
-class FieldED:
-    """Any field ring as a trivial Euclidean domain on RingElement payloads."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.zero = ring.zero
-        self.one = ring.one
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    def inv(self, a):
-        r = self.ring
-        if r.kind == RATIONALS:
-            return RingElement(r, Fraction(1) / a.payload)
-        if r.kind == PRIMEFIELD:
-            return RingElement(r, pow(a.payload, -1, r.modulus))
-        raise CapabilityMissing(f"no field inverse over {r}")
-
-    def quo(self, a, b):
-        return a * self.inv(b)
-
-    def divmod_(self, a, b):
-        return self.quo(a, b), self.zero
-
-    def gcdex(self, a, b):
-        if not a.is_zero():
-            return self.one, self.inv(a), self.zero
-        if not b.is_zero():
-            return self.one, self.zero, self.inv(b)
-        return self.zero, self.one, self.zero
-
-    def canon(self, a):
-        if a.is_zero():
-            return self.one, a
-        return a, self.one
-
-    def unit_inv(self, u):
-        return self.inv(u)
-
-    @staticmethod
-    def size(a):
-        return 1
-
-    @staticmethod
-    def is_unit(a):
-        return not a.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +154,19 @@ class FieldED:
 
 @dataclass
 class _LiftContext:
-    ed: object
+    ed: object               # the Euclidean domain: Z, Q or F_p itself, or a PolyED
     modulus: object          # ED payload, or None when the ring is the domain itself
-    to_payload: callable     # RingElement -> ED payload
-    from_payload: callable   # ED payload -> RingElement
+    to_payload: callable     # ring payload -> ED payload
+    from_payload: callable   # ED payload -> ring payload, reduced mod the modulus
     finite_card: int | None  # |ring| when finite
+    quotient_card: callable | None  # g dividing the modulus -> |ED/(g)|
 
 
-def _poly_payload_to_dense(ring, payload):
+def _identity(x):
+    return x
+
+
+def _poly_payload_to_dense(payload):
     out = []
     for (e,), c in payload:
         while len(out) <= e:
@@ -307,30 +185,20 @@ def _dense_to_poly_payload(ring, dense):
 
 def lift_context(ring):
     """The Euclidean lift behind a linear_solve ring, or None."""
-    if ring.kind == INTEGERS:
-        return _LiftContext(IntED, None, lambda x: x.payload,
-                            lambda p: RingElement(ring, p), None)
+    if ring.kind in (INTEGERS, RATIONALS, PRIMEFIELD):
+        return _LiftContext(ring, None, _identity, _identity, ring.modulus, None)
     if ring.kind == ZMOD:
         n = ring.modulus
-        return _LiftContext(IntED, n, lambda x: x.payload,
-                            lambda p: RingElement(ring, p % n), n)
-    if ring.kind == PRIMEFIELD:
-        ed = FieldED(ring)
-        return _LiftContext(ed, None, lambda x: x, lambda p: p, ring.modulus)
-    if ring.kind == RATIONALS:
-        ed = FieldED(ring)
-        return _LiftContext(ed, None, lambda x: x, lambda p: p, None)
-    if ring.kind == POLYQUOT and len(ring.variables) == 1 and ring.coeff.kind == "Fp":
+        return _LiftContext(ZZ(), n, _identity, lambda p: p % n, n, abs)
+    if ring.kind == POLYQUOT and len(ring.variables) == 1 and ring.coeff.kind == PRIMEFIELD:
         ed = PolyED(ring.coeff.p)
         gb = ring.groebner
-        modulus = _poly_payload_to_dense(ring, gb[0]) if gb else None
-        card = ring.cardinality()
+        modulus = _poly_payload_to_dense(gb[0]) if gb else None
         return _LiftContext(
-            ed, modulus,
-            lambda x: _poly_payload_to_dense(ring, x.payload),
-            lambda p: RingElement(ring, _dense_to_poly_payload(
-                ring, p if modulus is None else ed.mod(p, modulus))),
-            card)
+            ed, modulus, _poly_payload_to_dense,
+            lambda p: _dense_to_poly_payload(
+                ring, p if modulus is None else _mod(ed, p, modulus)),
+            ring.cardinality(), lambda g: ed.p ** (len(g) - 1))
     return None
 
 
@@ -342,7 +210,7 @@ def _fp_view_of(ring):
     """
     view = getattr(ring, "_fp_view", None)
     if view is None and (ring.kind == PRIMEFIELD or (
-            ring.kind == POLYQUOT and ring.coeff.kind == "Fp"
+            ring.kind == POLYQUOT and ring.coeff.kind == PRIMEFIELD
             and ring._finite_dimensional())):
         view = ring._fp_view = _FpView(ring)
     return view
@@ -384,11 +252,12 @@ class _SmithData:
     def diag(self, i):
         if i < min(self.rows, self.cols):
             return self.m[i][i]
-        return self.ed.zero
+        return self.ed.zero_payload
 
 
 def _identity_grid(ed, n):
-    return [[ed.one if i == j else ed.zero for j in range(n)] for i in range(n)]
+    one, zero = ed.one_payload, ed.zero_payload
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def smith_data(ed, grid, rows, cols):
@@ -397,6 +266,9 @@ def smith_data(ed, grid, rows, cols):
     sd = _SmithData(ed, rows, cols)
     S, Si = _identity_grid(ed, rows), _identity_grid(ed, rows)
     T, Ti = _identity_grid(ed, cols), _identity_grid(ed, cols)
+    add, neg, mul = ed.add_payload, ed.neg_payload, ed.mul_payload
+    divmod_, gcdex, size = ed.divmod_payload, ed.gcdex_payload, ed.size_payload
+    zero, one = ed.zero_payload, ed.one_payload
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
@@ -415,58 +287,58 @@ def smith_data(ed, grid, rows, cols):
         # rows (i,j) <- (a ri + b rj, c ri + d rj); requires det = ad - bc = 1
         for mat in (m, S):
             ri, rj = mat[i], mat[j]
-            mat[i] = [ed.add(ed.mul(a, x), ed.mul(b, y)) for x, y in zip(ri, rj)]
-            mat[j] = [ed.add(ed.mul(c, x), ed.mul(d, y)) for x, y in zip(ri, rj)]
+            mat[i] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rj)]
+            mat[j] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rj)]
         # Si <- Si * inverse([[a,b],[c,d]]) acting on columns i, j
         for r in Si:
             x, y = r[i], r[j]
-            r[i] = ed.add(ed.mul(d, x), ed.neg(ed.mul(c, y)))
-            r[j] = ed.add(ed.mul(a, y), ed.neg(ed.mul(b, x)))
+            r[i] = add(mul(d, x), neg(mul(c, y)))
+            r[j] = add(mul(a, y), neg(mul(b, x)))
 
     def col_combine(i, j, a, b, c, d):
         # cols (i,j) <- (a ci + b cj, c ci + d cj); requires det = ad - bc = 1
         for mat in (m, T):
             for r in mat:
                 x, y = r[i], r[j]
-                r[i] = ed.add(ed.mul(a, x), ed.mul(b, y))
-                r[j] = ed.add(ed.mul(c, x), ed.mul(d, y))
+                r[i] = add(mul(a, x), mul(b, y))
+                r[j] = add(mul(c, x), mul(d, y))
         ri, rj = Ti[i], Ti[j]
-        Ti[i] = [ed.add(ed.mul(d, x), ed.neg(ed.mul(c, y))) for x, y in zip(ri, rj)]
-        Ti[j] = [ed.add(ed.mul(a, y), ed.neg(ed.mul(b, x))) for x, y in zip(ri, rj)]
+        Ti[i] = [add(mul(d, x), neg(mul(c, y))) for x, y in zip(ri, rj)]
+        Ti[j] = [add(mul(a, y), neg(mul(b, x))) for x, y in zip(ri, rj)]
 
     def eliminate_row(k, i):
         # kill m[i][k] against the pivot m[k][k]; leave the pivot row alone
         # whenever the pivot divides the entry (prevents swap oscillation)
         a, b = m[k][k], m[i][k]
-        if not ed.is_zero(a):
-            q, r = ed.divmod_(b, a)
-            if ed.is_zero(r):
-                row_combine(k, i, ed.one, ed.zero, ed.neg(q), ed.one)
+        if a:
+            q, r = divmod_(b, a)
+            if not r:
+                row_combine(k, i, one, zero, neg(q), one)
                 return
-        g, s, t = ed.gcdex(a, b)
-        row_combine(k, i, s, t, ed.neg(ed.quo(b, g)), ed.quo(a, g))
+        g, s, t = gcdex(a, b)
+        row_combine(k, i, s, t, neg(_quo(ed, b, g)), _quo(ed, a, g))
 
     def eliminate_col(k, j):
         a, b = m[k][k], m[k][j]
-        if not ed.is_zero(a):
-            q, r = ed.divmod_(b, a)
-            if ed.is_zero(r):
-                col_combine(k, j, ed.one, ed.zero, ed.neg(q), ed.one)
+        if a:
+            q, r = divmod_(b, a)
+            if not r:
+                col_combine(k, j, one, zero, neg(q), one)
                 return
-        g, s, t = ed.gcdex(a, b)
-        col_combine(k, j, s, t, ed.neg(ed.quo(b, g)), ed.quo(a, g))
+        g, s, t = gcdex(a, b)
+        col_combine(k, j, s, t, neg(_quo(ed, b, g)), _quo(ed, a, g))
 
     def clear_at(k):
         while True:
             for i in range(k + 1, rows):
-                if not ed.is_zero(m[i][k]):
+                if m[i][k]:
                     eliminate_row(k, i)
-            if all(ed.is_zero(m[k][j]) for j in range(k + 1, cols)):
+            if not any(m[k][j] for j in range(k + 1, cols)):
                 return
             for j in range(k + 1, cols):
-                if not ed.is_zero(m[k][j]):
+                if m[k][j]:
                     eliminate_col(k, j)
-            if all(ed.is_zero(m[i][k]) for i in range(k + 1, rows)):
+            if not any(m[i][k] for i in range(k + 1, rows)):
                 return
 
     limit = min(rows, cols)
@@ -476,8 +348,8 @@ def smith_data(ed, grid, rows, cols):
             best = None
             for i in range(k, rows):
                 for j in range(k, cols):
-                    if not ed.is_zero(m[i][j]):
-                        s = ed.size(m[i][j])
+                    if m[i][j]:
+                        s = size(m[i][j])
                         if best is None or s < best:
                             best, pivot = s, (i, j)
             if pivot is None:
@@ -492,33 +364,31 @@ def smith_data(ed, grid, rows, cols):
         violation = None
         for i in range(limit - 1):
             a, b = m[i][i], m[i + 1][i + 1]
-            if ed.is_zero(a) and not ed.is_zero(b):
+            if not a and b:
                 violation = i
                 break
-            if not ed.is_zero(a) and not ed.is_zero(b):
-                _, r = ed.divmod_(b, a)
-                if not ed.is_zero(r):
-                    violation = i
-                    break
+            if a and b and divmod_(b, a)[1]:
+                violation = i
+                break
         if violation is None:
             break
         i = violation
         # fold the next diagonal entry into row i so the gcd step can run
-        row_combine(i, i + 1, ed.one, ed.one, ed.zero, ed.one)
+        row_combine(i, i + 1, one, one, zero, one)
     else:
         raise BudgetExceeded(f"smith sweep cap {_SMITH_SWEEP_CAP} exceeded")
 
     # canonicalize diagonal units (positive integers / monic polynomials)
     for i in range(limit):
-        u, c = ed.canon(m[i][i])
-        if not ed.is_unit(u) and not ed.is_zero(m[i][i]):
+        u, c = ed.canon_payload(m[i][i])
+        if not _is_unit(ed, u) and m[i][i]:
             raise ArithmeticError("canon returned a non-unit")
         if c != m[i][i]:
-            inv = ed.unit_inv(u)
-            m[i] = [ed.mul(inv, x) for x in m[i]]
-            S[i] = [ed.mul(inv, x) for x in S[i]]
+            inv = _unit_inv(ed, u)
+            m[i] = [mul(inv, x) for x in m[i]]
+            S[i] = [mul(inv, x) for x in S[i]]
             for r in Si:
-                r[i] = ed.mul(u, r[i])
+                r[i] = mul(u, r[i])
 
     sd.m, sd.S, sd.Si, sd.T, sd.Ti = m, S, Si, T, Ti
     return sd
@@ -664,12 +534,12 @@ class _FpView:
             out[self.index[e]] = c
         return out
 
-    def element(self, coords):
+    def payload(self, coords):
+        """The ring payload with these coordinates."""
         if self.std is None:
-            return RingElement(self.ring, coords[0] % self.p)
+            return coords[0] % self.p
         d = {self.std[i]: c % self.p for i, c in enumerate(coords) if c % self.p}
-        items = sorted(d.items(), key=lambda kv: self.ring._key(kv[0]), reverse=True)
-        return RingElement(self.ring, tuple(items))
+        return tuple(sorted(d.items(), key=lambda kv: self.ring._key(kv[0]), reverse=True))
 
     def _mult_columns(self, payload):
         """Columns of the multiplication-by-payload map on the standard basis."""
@@ -726,7 +596,8 @@ class _FpView:
         """The nrows x len(vecs) matrix whose columns have coordinates `vecs`."""
         D = self.dim
         return Matrix.from_columns(self.ring, nrows, [
-            [self.element(v[i * D:(i + 1) * D]) for i in range(nrows)] for v in vecs])
+            [self.payload(v[i * D:(i + 1) * D]) for i in range(nrows)]
+            for v in vecs])
 
     def rank(self, A):
         """Rank of A's expansion: |column span of A| = p ** rank."""
@@ -749,8 +620,18 @@ def _payload_grid(A):
 
 
 def _matrix_to_grid(ctx, A):
-    box, to = A.ring.box, ctx.to_payload
-    return [[to(box(v)) for v in row] for row in _payload_grid(A)]
+    """A's entries as dense rows of payloads of the lift's domain."""
+    to = ctx.to_payload
+    grid = _payload_grid(A)
+    return grid if to is _identity else [[to(v) for v in row] for row in grid]
+
+
+def _grid_to_matrix(ring, ctx, grid, cols):
+    """The matrix over `ring` of dense rows of the lift's payloads."""
+    conv = ctx.from_payload
+    if conv is not _identity:
+        grid = [[conv(x) for x in row] for row in grid]
+    return Matrix.from_payload_rows(ring, len(grid), cols, grid)
 
 
 def kernel_basis(ring, A):
@@ -766,21 +647,17 @@ def kernel_basis(ring, A):
     for j in range(A.cols):
         d = sd.diag(j)
         if f is None:
-            if not ed.is_zero(d):
+            if d:
                 continue
-            scale = ed.one
+            scale = ed.one_payload
         else:
-            g, _, _ = ed.gcdex(d, f)
-            scale = ed.quo(f, g)
-            _, r = ed.divmod_(scale, f)
-            if ed.is_zero(r):
+            g, _, _ = ed.gcdex_payload(d, f)
+            scale = _quo(ed, f, g)
+            if not _mod(ed, scale, f):
                 continue  # annihilator is zero: this column contributes nothing
-        col = [ed.mul(sd.T[i][j], scale) for i in range(A.cols)]
-        if f is not None:
-            col = [ed.mod(x, f) for x in col]
-        if all(ed.is_zero(x) for x in col):
-            continue
-        gens.append([ctx.from_payload(x) for x in col])
+        col = [ctx.from_payload(ed.mul_payload(sd.T[i][j], scale)) for i in range(A.cols)]
+        if any(col):
+            gens.append(col)
     return Matrix.from_columns(ring, A.cols, gens)
 
 
@@ -794,6 +671,7 @@ def solve(ring, A, B):
         sols = _fp_solve(view.p, rows, ncols, [view.column(B, j) for j in range(B.cols)])
         return None if sols is None else view.matrix(sols, A.cols)
     ed = ctx.ed
+    add, mul, zero = ed.add_payload, ed.mul_payload, ed.zero_payload
     sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
     f = ctx.modulus
     out_cols = []
@@ -802,52 +680,46 @@ def solve(ring, A, B):
         bp = [r[j] for r in rhs]
         c = [None] * A.rows
         for i in range(A.rows):
-            acc = ed.zero
+            acc = zero
             for k in range(A.rows):
-                acc = ed.add(acc, ed.mul(sd.S[i][k], bp[k]))
-            c[i] = acc if f is None else ed.mod(acc, f)
-        y = [ed.zero] * A.cols
+                acc = add(acc, mul(sd.S[i][k], bp[k]))
+            c[i] = acc if f is None else _mod(ed, acc, f)
+        y = [zero] * A.cols
         ok = True
         for i in range(A.rows):
-            d = sd.diag(i) if i < A.cols else ed.zero
+            d = sd.diag(i)
             ci = c[i]
             if f is None:
-                if ed.is_zero(d):
-                    if not ed.is_zero(ci):
+                if not d:
+                    if ci:
                         ok = False
                         break
                 else:
-                    q, r = ed.divmod_(ci, d)
-                    if not ed.is_zero(r):
+                    q, r = ed.divmod_payload(ci, d)
+                    if r:
                         ok = False
                         break
                     if i < A.cols:
                         y[i] = q
             else:
-                g, _, _ = ed.gcdex(d, f) if not ed.is_zero(d) else (f, None, None)
-                if ed.is_zero(g):
-                    # f itself is zero cannot happen here (finite quotient)
-                    g = f
-                _, rem = ed.divmod_(ci, g)
-                if not ed.is_zero(rem):
+                g = ed.gcdex_payload(d, f)[0] if d else f
+                if _mod(ed, ci, g):
                     ok = False
                     break
-                fg = ed.quo(f, g)
-                if i < A.cols and not ed.is_unit(fg):
-                    dg = ed.quo(d, g) if not ed.is_zero(d) else ed.zero
-                    cg = ed.quo(ci, g)
-                    if ed.is_zero(dg):
-                        y[i] = ed.zero
-                    else:
-                        y[i] = ed.mod(ed.mul(cg, ed.inv_mod(dg, fg)), fg)
+                fg = _quo(ed, f, g)
+                if i < A.cols and not _is_unit(ed, fg):
+                    dg = _quo(ed, d, g) if d else zero
+                    if dg:
+                        cg = _quo(ed, ci, g)
+                        y[i] = _mod(ed, mul(cg, _inv_mod(ed, dg, fg)), fg)
         if not ok:
             return None
         x = []
         for i in range(A.cols):
-            acc = ed.zero
+            acc = zero
             for k in range(A.cols):
-                acc = ed.add(acc, ed.mul(sd.T[i][k], y[k]))
-            x.append(ctx.from_payload(acc if f is None else ed.mod(acc, f)))
+                acc = add(acc, mul(sd.T[i][k], y[k]))
+            x.append(ctx.from_payload(acc))
         out_cols.append(x)
     return Matrix.from_columns(ring, A.cols, out_cols)
 
@@ -873,15 +745,13 @@ def kernel_cardinality(ring, A):
         raise CapabilityMissing(f"{ring} is not finite")
     ed = ctx.ed
     sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
-    f = ctx.modulus
     total = 1
     for j in range(A.cols):
         d = sd.diag(j)
-        if ed.is_zero(d):
-            total *= ctx.finite_card
+        if d:
+            total *= ctx.quotient_card(ed.gcdex_payload(d, ctx.modulus)[0])
         else:
-            g, _, _ = ed.gcdex(d, f)
-            total *= ed.quotient_card(g)
+            total *= ctx.finite_card
     return total
 
 
@@ -924,38 +794,29 @@ class NormalFormResult:
         return [data[i][i] for i in range(min(self.matrix.rows, self.matrix.cols))]
 
 
-def _grid_to_matrix(ring, ctx, grid):
-    f = ctx.modulus
-    ed = ctx.ed
-    conv = (lambda p: ctx.from_payload(ed.mod(p, f))) if f is not None else ctx.from_payload
-    if not grid:
-        return Matrix.zeros(ring, 0, 0)
-    return Matrix.from_rows(ring, [[conv(x) for x in row] for row in grid])
-
-
 def smith_form(ring, A):
     """Smith form over Z or F_p[x] (also valid over fields)."""
     ctx = lift_context(ring)
     if ctx is None or ctx.modulus is not None:
         raise CapabilityMissing(f"smith form needs a domain, not {ring}")
     sd = smith_data(ctx.ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
-    D = _grid_to_matrix(ring, ctx, sd.m) if A.rows else Matrix.zeros(ring, 0, A.cols)
     return NormalFormResult(
-        "smith", ring, D,
-        _grid_to_matrix(ring, ctx, sd.S), _grid_to_matrix(ring, ctx, sd.Si),
-        _grid_to_matrix(ring, ctx, sd.T), _grid_to_matrix(ring, ctx, sd.Ti), A)
+        "smith", ring, _grid_to_matrix(ring, ctx, sd.m, A.cols),
+        _grid_to_matrix(ring, ctx, sd.S, A.rows), _grid_to_matrix(ring, ctx, sd.Si, A.rows),
+        _grid_to_matrix(ring, ctx, sd.T, A.cols), _grid_to_matrix(ring, ctx, sd.Ti, A.cols), A)
 
 
 def _hermite(ed, grid, ncols):
     """Row-reduce `grid` in place to Hermite form over `ed`; return (U, U^-1).
 
     Column by column, gcd row combinations of determinant 1 collect the
-    column's gcd in the pivot row, `ed.canon` normalizes the pivot and
-    `ed.divmod_` reduces the entries above it, so U * input = grid.  Over a
-    field this is the reduced row echelon form.
+    column's gcd in the pivot row, `canon_payload` normalizes the pivot and
+    `divmod_payload` reduces the entries above it, so U * input = grid.
+    Over a field this is the reduced row echelon form.
     """
     total = len(grid)
-    add, mul, neg = ed.add, ed.mul, ed.neg
+    add, mul, neg = ed.add_payload, ed.mul_payload, ed.neg_payload
+    zero, one = ed.zero_payload, ed.one_payload
     U, Ui = _identity_grid(ed, total), _identity_grid(ed, total)
 
     def combine(i, j, a, b, c, d):
@@ -975,24 +836,24 @@ def _hermite(ed, grid, ncols):
             break
         for i in range(pivot_row + 1, total):
             b = grid[i][col]
-            if not ed.is_zero(b):
+            if b:
                 a = grid[pivot_row][col]
-                g, s, t = ed.gcdex(a, b)
-                combine(pivot_row, i, s, t, neg(ed.quo(b, g)), ed.quo(a, g))
+                g, s, t = ed.gcdex_payload(a, b)
+                combine(pivot_row, i, s, t, neg(_quo(ed, b, g)), _quo(ed, a, g))
         piv = grid[pivot_row][col]
-        if ed.is_zero(piv):
+        if not piv:
             continue
-        u, c = ed.canon(piv)
+        u, c = ed.canon_payload(piv)
         if c != piv:
-            inv = ed.unit_inv(u)
+            inv = _unit_inv(ed, u)
             grid[pivot_row] = [mul(inv, x) for x in grid[pivot_row]]
             U[pivot_row] = [mul(inv, x) for x in U[pivot_row]]
             for r in Ui:
                 r[pivot_row] = mul(u, r[pivot_row])
         for i in range(pivot_row):
-            q, _ = ed.divmod_(grid[i][col], c)
-            if not ed.is_zero(q):
-                combine(i, pivot_row, ed.one, neg(q), ed.zero, ed.one)
+            q, _ = ed.divmod_payload(grid[i][col], c)
+            if q:
+                combine(i, pivot_row, one, neg(q), zero, one)
         pivot_row += 1
     return U, Ui
 
@@ -1001,13 +862,12 @@ def row_echelon(ring, A):
     """Reduced row echelon over a field, with recorded row transform."""
     if ring.kind not in (RATIONALS, PRIMEFIELD):
         raise CapabilityMissing(f"row echelon requires a field, got {ring}")
-    m = _matrix_to_grid(lift_context(ring), A)
-    L, Li = _hermite(FieldED(ring), m, A.cols)
-    to_m = lambda g, rows, cols: Matrix.from_rows(ring, g) \
-        if rows else Matrix.zeros(ring, 0, cols)
+    m = _payload_grid(A)
+    L, Li = _hermite(ring, m, A.cols)
     return NormalFormResult(
-        "echelon", ring, to_m(m, A.rows, A.cols),
-        to_m(L, A.rows, A.rows), to_m(Li, A.rows, A.rows),
+        "echelon", ring, Matrix.from_payload_rows(ring, A.rows, A.cols, m),
+        Matrix.from_payload_rows(ring, A.rows, A.rows, L),
+        Matrix.from_payload_rows(ring, A.rows, A.rows, Li),
         Matrix.identity(ring, A.cols), Matrix.identity(ring, A.cols), A)
 
 
@@ -1024,12 +884,11 @@ def howell_form(ring, A):
     cols = A.cols
     grid = _payload_grid(A)
     grid += [[n if i == j else 0 for j in range(cols)] for i in range(cols)]
-    U, Ui = _hermite(IntED, grid, cols)
+    U, Ui = _hermite(ZZ(), grid, cols)
 
     def conv(g, width):
-        if not g:
-            return Matrix.zeros(ring, 0, width)
-        return Matrix.from_rows(ring, [[RingElement(ring, x % n) for x in row] for row in g])
+        return Matrix.from_payload_rows(ring, len(g), width,
+                                        [[x % n for x in row] for row in g])
 
     padded = A.vstack(Matrix.zeros(ring, cols, cols))
     return NormalFormResult(
@@ -1108,13 +967,13 @@ def _domain_subquotient(ring, V, W):
     basis_cols = []
     for i in range(min(V.rows, V.cols)):
         d = sd.diag(i)
-        if not ed.is_zero(d):
-            basis_cols.append([ed.mul(sd.Si[r][i], d) for r in range(V.rows)])
+        if d:
+            basis_cols.append([ctx.from_payload(ed.mul_payload(sd.Si[r][i], d))
+                               for r in range(V.rows)])
     k = len(basis_cols)
     if k == 0:
         return HomologySummary(ring, True, free_rank=0, invariant_factors=())
-    B = Matrix.from_columns(ring, V.rows,
-                            [[ctx.from_payload(x) for x in col] for col in basis_cols])
+    B = Matrix.from_columns(ring, V.rows, basis_cols)
     coords = solve(ring, B, W) if W.cols else Matrix.zeros(ring, k, 0)
     if coords is None:
         raise ArithmeticError("image generators not inside the kernel span")
@@ -1123,11 +982,11 @@ def _domain_subquotient(ring, V, W):
     rank_rel = 0
     for i in range(min(k, coords.cols)):
         d = csd.diag(i)
-        if ed.is_zero(d):
+        if not d:
             continue
         rank_rel += 1
-        if not ed.is_unit(d):
-            factors.append(ctx.from_payload(d))
+        if not _is_unit(ed, d):
+            factors.append(ring.box(ctx.from_payload(d)))
     free_rank = k - rank_rel
     is_zero = free_rank == 0 and not factors
     return HomologySummary(ring, is_zero, free_rank=free_rank,
@@ -1151,7 +1010,7 @@ def subquotient(ring, V, W):
         # enlarged by n Z^u, so it is finite and its invariants are integers
         Z = ZZ()
         nI = Matrix.identity(Z, V.rows).scale(Z.from_int(ring.modulus))
-        lift = lambda M: M.map_entries(lambda x: RingElement(Z, x.payload), Z).hstack(nI)
+        lift = lambda M: Matrix(Z, M.rows, M.cols, M.sparse_rows).hstack(nI)
         factors = tuple(f.payload for f in
                         _domain_subquotient(Z, lift(V), lift(W)).invariant_factors)
         card = prod(factors)
@@ -1211,7 +1070,7 @@ def _expansion_minimal_generators(ring, view, M):
     c_1 ... c_{j-1}: the pivot columns among c_1 ... c_k of one _fp_rref
     over the vectors c*g (every column c, every nonconstant monomial g),
     then c_1 ... c_k."""
-    nonconstant = [RingElement(ring, ((m, 1),)) for m in view.std if sum(m) > 0]
+    nonconstant = [ring.box(((m, 1),)) for m in view.std if sum(m) > 0]
     cols = M.columns()
     vecs = [view.column(c.scale(g)) for c in cols for g in nonconstant]
     vecs += [view.column(c) for c in cols]

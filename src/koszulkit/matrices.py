@@ -9,17 +9,19 @@ Gustavson's row-by-row sparse product ("Two fast algorithms for sparse
 matrices", ACM TOMS 1978).
 
 Kernels compute on payloads, never on boxed entries, through the payload
-protocol of the `ring` slot:
+protocol of the `ring` slot, the one that `rings.Ring` defines:
 
-  zero_payload                    the payload of zero, the only falsy payload
+  zero_payload, one_payload       the zero payload is the only falsy one
   add_payload(a, b), neg_payload(a), mul_payload(a, b)
   box(payload) -> entry           unbox(entry) -> payload
   zero, one                       the boxed zero and one
 
 `rings.Ring` (entries are RingElements) and `descent.VarPolyRing` (entries
 are the symbolic polynomials of the descent systems) both provide it, so
-both run through the same code.  `data` is the dense view, a tuple of row
-tuples of boxed entries, built on first use and kept.
+both run through the same code.  Code that computes on payloads, such as
+the elimination engines of `linalg`, hands them over with
+`from_payload_rows`, `from_columns` or `from_entries` and never boxes.  `data` is the dense
+view, a tuple of row tuples of boxed entries, built on first use and kept.
 """
 
 from __future__ import annotations
@@ -59,27 +61,43 @@ class Matrix:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, ring, rows_list):
-        """The matrix with these rows of boxed entries."""
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        unbox = ring.unbox
+    def from_payload_rows(cls, ring, rows, cols, grid):
+        """The rows x cols matrix whose rows are the lists of payloads in
+        `grid`, zeros included."""
+        if len(grid) != rows:
+            raise DimensionMismatch(f"{len(grid)} rows, expected {rows}")
         every_col = tuple(range(cols))  # shared by the rows with no zero entry
         out = []
-        for r in rows_list:
+        for r in grid:
             if len(r) != cols:
                 raise DimensionMismatch("ragged rows")
-            out.append(_row(every_col, [unbox(x) for x in r]))
+            out.append(_row(every_col, r))
         return cls(ring, rows, cols, tuple(out))
 
     @classmethod
+    def from_rows(cls, ring, rows_list):
+        """The matrix with these rows of boxed entries."""
+        unbox = ring.unbox
+        return cls.from_payload_rows(
+            ring, len(rows_list), len(rows_list[0]) if rows_list else 0,
+            [[unbox(x) for x in r] for r in rows_list])
+
+    @classmethod
+    def from_entries(cls, ring, rows, cols, entries):
+        """The rows x cols matrix with payload v at (i, j) for every triple
+        (i, j, v) of `entries`; positions are distinct, and every position
+        not given (or given a zero payload) is zero."""
+        out = [[] for _ in range(rows)]
+        for i, j, v in entries:
+            out[i].append((j, v))
+        return cls(ring, rows, cols, tuple(
+            _row_of_pairs(sorted(r, key=itemgetter(0))) if r else _EMPTY for r in out))
+
+    @classmethod
     def from_columns(cls, ring, height, columns):
-        """The height x len(columns) matrix with these columns of boxed entries."""
-        if not columns:
-            return cls.zeros(ring, height, 0)
-        if len(columns[0]) != height:
-            raise DimensionMismatch(f"column of length {len(columns[0])}, expected {height}")
-        return cls.from_rows(ring, columns).transpose()
+        """The height x len(columns) matrix whose columns are the lists of
+        payloads in `columns`, zeros included."""
+        return cls.from_payload_rows(ring, len(columns), height, columns).transpose()
 
     @classmethod
     def zeros(cls, ring, rows, cols):
@@ -87,7 +105,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        one = (ring.unbox(ring.one),)
+        one = (ring.one_payload,)
         return cls(ring, n, n, tuple(((i,), one) for i in range(n)))
 
     @classmethod
@@ -248,7 +266,7 @@ class Matrix:
         p = ring.unbox(c)
         if not p:
             return Matrix.zeros(ring, self.rows, self.cols)
-        one = ring.unbox(ring.one)
+        one = ring.one_payload
         if p == one:
             return self
         if p == ring.neg_payload(one):

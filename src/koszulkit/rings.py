@@ -3,6 +3,14 @@
 Supported kinds: the integers, the rationals, Z/n, prime fields, and
 multivariate polynomial quotients over Q or F_p with Groebner normal forms.
 Elements are stored canonically, so structural equality is ring equality.
+
+All arithmetic is written once, on payloads (int, Fraction, or a tuple of
+(monomial, coefficient) terms), in the payload protocol that each `Ring`
+binds for its kind; see `Ring`.  A polynomial quotient's coefficient field
+is itself a Ring, QQ() or GF(p), and the polynomial helpers and
+`groebner_basis` compute on coefficients through its protocol.
+`RingElement` boxes a payload with its ring for callers that want
+operators.
 """
 
 from __future__ import annotations
@@ -75,6 +83,20 @@ def prime_power_root(n):
     return (n, 1) if is_prime(n) else None
 
 
+def _int_gcdex(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0, by the extended
+    Euclidean algorithm on floor quotients."""
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return g, x, y
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 #
@@ -112,45 +134,9 @@ def monomial_lcm(a, b):
 #
 # Payload: tuple of (exponent tuple, coefficient payload), sorted descending
 # in the ring's monomial order, zero coefficients dropped.  Coefficients
-# live in the coefficient field (Fraction for Q, int residue for F_p).
-
-
-class _CoeffField:
-    """Arithmetic on coefficient payloads of a polynomial quotient ring."""
-
-    def __init__(self, kind, p=None):
-        self.kind = kind  # "Q" or "Fp"
-        self.p = p
-
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
-
-    def add(self, a, b):
-        return a + b if self.kind == "Q" else (a + b) % self.p
-
-    def neg(self, a):
-        return -a if self.kind == "Q" else (-a) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.kind == "Q" else (a * b) % self.p
-
-    def inv(self, a):
-        return Fraction(1) / a if self.kind == "Q" else pow(a, -1, self.p)
-
-    def from_int(self, n):
-        return Fraction(n) if self.kind == "Q" else n % self.p
-
-    def is_zero(self, a):
-        return a == 0
-
-    def __eq__(self, other):
-        return isinstance(other, _CoeffField) and (self.kind, self.p) == (other.kind, other.p)
-
-    def __repr__(self):
-        return "Q" if self.kind == "Q" else f"F{self.p}"
+# are payloads of the coefficient field `cf`, the Ring QQ() or GF(p)
+# (Fraction for Q, int residue for F_p), and are computed on through its
+# payload protocol.
 
 
 def _poly_from_dict(d, key):
@@ -160,62 +146,68 @@ def _poly_from_dict(d, key):
 
 
 def _poly_add(a, b, cf, key):
+    add, zero = cf.add_payload, cf.zero_payload
     d = dict(a)
     for e, c in b:
-        s = cf.add(d.get(e, cf.zero()), c)
-        if cf.is_zero(s):
-            d.pop(e, None)
-        else:
+        s = add(d.get(e, zero), c)
+        if s:
             d[e] = s
+        else:
+            d.pop(e, None)
     return _poly_from_dict(d, key)
 
 
 def _poly_neg(a, cf, key):
-    return tuple((e, cf.neg(c)) for e, c in a)
+    neg = cf.neg_payload
+    return tuple((e, neg(c)) for e, c in a)
 
 
 def _poly_mul(a, b, cf, key):
+    add, mul, zero = cf.add_payload, cf.mul_payload, cf.zero_payload
     d = {}
     for ea, ca in a:
         for eb, cb in b:
             e = monomial_mul(ea, eb)
-            s = cf.add(d.get(e, cf.zero()), cf.mul(ca, cb))
-            if cf.is_zero(s):
-                d.pop(e, None)
-            else:
+            s = add(d.get(e, zero), mul(ca, cb))
+            if s:
                 d[e] = s
+            else:
+                d.pop(e, None)
     return _poly_from_dict(d, key)
 
 
 def _poly_scale(a, c, cf, key):
-    if cf.is_zero(c):
+    if not c:
         return ()
-    return tuple((e, cf.mul(c, x)) for e, x in a)
+    mul = cf.mul_payload
+    return tuple((e, mul(c, x)) for e, x in a)
 
 
 def _poly_reduce(f, basis, cf, key):
     """Full normal form of f modulo a list of polynomials with unit LT."""
     if not basis:
         return f
+    add, neg, mul, inv, zero = (cf.add_payload, cf.neg_payload, cf.mul_payload,
+                                cf.inv_payload, cf.zero_payload)
     result = {}
     work = dict(f)
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        if cf.is_zero(c):
+        if not c:
             continue
         for g in basis:
             ge, gc = g[0]
             if monomial_divides(ge, e):
-                factor = cf.mul(c, cf.inv(gc))
+                factor = mul(c, inv(gc))
                 q = monomial_div(e, ge)
                 for me, mc in g:
                     t = monomial_mul(me, q)
-                    s = cf.add(work.get(t, cf.zero()), cf.neg(cf.mul(factor, mc)))
-                    if cf.is_zero(s):
-                        work.pop(t, None)
-                    else:
+                    s = add(work.get(t, zero), neg(mul(factor, mc)))
+                    if s:
                         work[t] = s
+                    else:
+                        work.pop(t, None)
                 # the leading term of the multiple cancels e exactly
                 work.pop(e, None)
                 break
@@ -228,8 +220,8 @@ def _spoly(f, g, cf, key):
     fe, fc = f[0]
     ge, gc = g[0]
     l = monomial_lcm(fe, ge)
-    mf = _poly_from_dict({monomial_div(l, fe): cf.inv(fc)}, key)
-    mg = _poly_from_dict({monomial_div(l, ge): cf.inv(gc)}, key)
+    mf = _poly_from_dict({monomial_div(l, fe): cf.inv_payload(fc)}, key)
+    mg = _poly_from_dict({monomial_div(l, ge): cf.inv_payload(gc)}, key)
     return _poly_add(_poly_mul(mf, f, cf, key), _poly_neg(_poly_mul(mg, g, cf, key), cf, key), cf, key)
 
 
@@ -240,7 +232,7 @@ def groebner_basis(gens, cf, key, budget=DEFAULT_GROEBNER_BUDGET):
     partial basis.
     """
     basis = [g for g in gens if g]
-    basis = [_poly_scale(g, cf.inv(g[0][1]), cf, key) for g in basis]
+    basis = [_poly_scale(g, cf.inv_payload(g[0][1]), cf, key) for g in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     steps = 0
     while pairs:
@@ -251,7 +243,7 @@ def groebner_basis(gens, cf, key, budget=DEFAULT_GROEBNER_BUDGET):
         s = _spoly(basis[i], basis[j], cf, key)
         r = _poly_reduce(s, basis, cf, key)
         if r:
-            r = _poly_scale(r, cf.inv(r[0][1]), cf, key)
+            r = _poly_scale(r, cf.inv_payload(r[0][1]), cf, key)
             basis.append(r)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     # minimalize first: drop every element whose leading monomial another
@@ -278,6 +270,23 @@ class Ring:
 
     Instances are immutable; construct through the module helpers (ZZ, QQ,
     Zmod, GF, poly_quotient) or `make_ring`.
+
+    A ring is also the one payload domain that matrices, elimination and
+    polynomial arithmetic compute on, so none of them boxes an element.
+    Every ring provides
+
+      zero_payload, one_payload       the zero payload is the only falsy one
+      add_payload(a, b), neg_payload(a), mul_payload(a, b)
+
+    the fields Q and F_p add inv_payload(a), and the Euclidean domains Z, Q
+    and F_p add
+
+      divmod_payload(a, b) -> (q, r)  a = q b + r, r zero or smaller than b
+      gcdex_payload(a, b) -> (g, s, t)  s a + t b = g, g canonical
+      canon_payload(a) -> (u, c)      a = u c, u a unit, c canonical
+      size_payload(a)                 the Euclidean size of a nonzero a
+
+    (linalg.PolyED provides the same for F_p[x] on dense payloads).
     """
 
     def __init__(self, kind, modulus=None, coeff=None, variables=None,
@@ -285,6 +294,7 @@ class Ring:
                  budget=DEFAULT_GROEBNER_BUDGET):
         self.kind = kind
         self.modulus = modulus
+        self.p = modulus if kind == PRIMEFIELD else None  # the prime of a prime field
         self.coeff = coeff
         self.variables = tuple(variables) if variables else None
         self.order = order
@@ -294,9 +304,8 @@ class Ring:
         self._budget = budget
         self._bind_payload_ops()
         self._derive_capabilities()
-        self.zero_payload = self._zero_payload()
         self.zero = RingElement(self, self.zero_payload)
-        self.one = RingElement(self, self._one_payload())
+        self.one = RingElement(self, self.one_payload)
 
     # -- capability derivation ------------------------------------------------
 
@@ -324,9 +333,8 @@ class Ring:
                     self.maximal_ideal = (p,)
         elif self.kind == POLYQUOT:
             self._std_monomials = self._standard_monomials()
-            self.linear_solve = (
-                len(self.variables) == 1 and self.coeff.kind == "Fp"
-            ) or (self._std_monomials is not None and self.coeff.kind == "Fp")
+            self.linear_solve = self.coeff.kind == PRIMEFIELD and (
+                len(self.variables) == 1 or self._std_monomials is not None)
             self._detect_local()
 
     def _detect_local(self):
@@ -340,7 +348,7 @@ class Ring:
         nvars = len(self.variables)
         for i in range(nvars):
             e1 = tuple(1 if j == i else 0 for j in range(nvars))
-            x = self.normal_form_payload(((e1, self.coeff.one()),))
+            x = self.normal_form_payload(((e1, self.coeff.one_payload),))
             power = x
             k = 1
             while power and k <= bound:
@@ -377,44 +385,63 @@ class Ring:
 
     # -- payload-level arithmetic ----------------------------------------------
 
-    def _zero_payload(self):
-        if self.kind == INTEGERS:
-            return 0
-        if self.kind == RATIONALS:
-            return Fraction(0)
-        if self.kind in (ZMOD, PRIMEFIELD):
-            return 0
-        return ()
-
-    def _one_payload(self):
-        if self.kind == INTEGERS:
-            return 1
-        if self.kind == RATIONALS:
-            return Fraction(1)
-        if self.kind in (ZMOD, PRIMEFIELD):
-            return 1 % self.modulus
-        zero_exp = tuple(0 for _ in self.variables)
-        return ((zero_exp, self.coeff.one()),)
-
     def _bind_payload_ops(self):
-        """Bind add_payload, neg_payload and mul_payload for this ring's kind.
+        """Bind this kind's payload protocol (see the class docstring).
 
-        They are chosen once here, so a call is one function call with no
-        dispatch on the kind.
+        The operations are chosen once here, so a call is one function call
+        with no dispatch on the kind.
         """
-        if self.kind in (INTEGERS, RATIONALS):
-            self.add_payload = operator.add
-            self.neg_payload = operator.neg
-            self.mul_payload = operator.mul
+        if self.kind == INTEGERS:
+            self.zero_payload, self.one_payload = 0, 1
+            self.add_payload, self.neg_payload, self.mul_payload = \
+                operator.add, operator.neg, operator.mul
+            self.divmod_payload = divmod
+            self.gcdex_payload = _int_gcdex
+            self.canon_payload = lambda a: (-1, -a) if a < 0 else (1, a)
+            self.size_payload = abs
+        elif self.kind == RATIONALS:
+            self.zero_payload, self.one_payload = Fraction(0), Fraction(1)
+            self.add_payload, self.neg_payload, self.mul_payload = \
+                operator.add, operator.neg, operator.mul
+            self.inv_payload = lambda a: 1 / a
+            self._bind_field_ops()
         elif self.kind in (ZMOD, PRIMEFIELD):
             n = self.modulus
+            self.zero_payload, self.one_payload = 0, 1
             self.add_payload = lambda a, b: (a + b) % n
             self.neg_payload = lambda a: -a % n
             self.mul_payload = lambda a, b: a * b % n
+            if self.kind == PRIMEFIELD:
+                self.inv_payload = lambda a: pow(a, -1, n)
+                self._bind_field_ops()
         else:
+            self.zero_payload = ()
+            self.one_payload = self._constant(self.coeff.one_payload)
             self.add_payload = self._poly_add_payload
             self.neg_payload = lambda a: _poly_neg(a, self.coeff, self._key)
             self.mul_payload = self._poly_mul_payload
+
+    def _bind_field_ops(self):
+        """A field as a Euclidean domain: every division is exact, every
+        nonzero element is a unit and canonical elements are 0 and 1."""
+        zero, one, inv, mul = self.zero_payload, self.one_payload, self.inv_payload, \
+            self.mul_payload
+
+        def gcdex(a, b):
+            if a:
+                return one, inv(a), zero
+            if b:
+                return one, zero, inv(b)
+            return zero, one, zero
+
+        self.divmod_payload = lambda a, b: (mul(a, inv(b)), zero)
+        self.gcdex_payload = gcdex
+        self.canon_payload = lambda a: (a, one) if a else (one, a)
+        self.size_payload = lambda a: 1
+
+    def _constant(self, c):
+        """The polynomial payload of the constant with coefficient payload c."""
+        return ((tuple(0 for _ in self.variables), c),) if c else ()
 
     def _poly_add_payload(self, a, b):
         if not a:
@@ -450,24 +477,18 @@ class Ring:
         return _poly_reduce(a, self.groebner, self.coeff, self._key)
 
     def from_int(self, n):
-        if self.kind == INTEGERS:
-            return RingElement(self, n)
-        if self.kind == RATIONALS:
-            return RingElement(self, Fraction(n))
-        if self.kind in (ZMOD, PRIMEFIELD):
-            return RingElement(self, n % self.modulus)
-        c = self.coeff.from_int(n)
-        if self.coeff.is_zero(c):
-            return self.zero
-        zero_exp = tuple(0 for _ in self.variables)
-        return RingElement(self, ((zero_exp, c),))
+        """The image of the integer n."""
+        if self.kind == POLYQUOT:
+            cf = self.coeff
+            return RingElement(self, self._constant(cf.mul_payload(n, cf.one_payload)))
+        return RingElement(self, self.mul_payload(n, self.one_payload))
 
     def variable(self, name):
         if self.kind != POLYQUOT or name not in self.variables:
             raise UnknownVariable(f"{name!r} is not a variable of {self}")
         i = self.variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(self.variables)))
-        return RingElement(self, self.normal_form_payload(((e, self.coeff.one()),)))
+        return RingElement(self, self.normal_form_payload(((e, self.coeff.one_payload),)))
 
     # -- predicates -------------------------------------------------------------
 
@@ -498,17 +519,17 @@ class Ring:
         # monomials, i.e. has full rank over the coefficient field
         from .linalg import _fp_view_of, kernel_basis
         from .matrices import Matrix
-        std = self._std_monomials
-        if self.coeff.kind == "Fp":
+        std, cf = self._std_monomials, self.coeff
+        if cf.kind == PRIMEFIELD:
             mult_by_a = Matrix(self, 1, 1, (((0,), (a,)),))
             return _fp_view_of(self).rank(mult_by_a) == len(std)
-        Q = QQ()
         index = {m: i for i, m in enumerate(std)}
-        grid = [[Q.zero] * len(std) for _ in std]
+        grid = [[cf.zero_payload] * len(std) for _ in std]
         for j, m in enumerate(std):
-            for e, c in self.mul_payload(a, ((m, Fraction(1)),)):
-                grid[index[e]][j] = RingElement(Q, c)
-        return kernel_basis(Q, Matrix.from_rows(Q, grid)).cols == 0
+            for e, c in self.mul_payload(a, ((m, cf.one_payload),)):
+                grid[index[e]][j] = c
+        n = len(std)
+        return kernel_basis(cf, Matrix.from_payload_rows(cf, n, n, grid)).cols == 0
 
     # -- finite enumeration -------------------------------------------------------
 
@@ -521,7 +542,7 @@ class Ring:
         if self.kind in (ZMOD, PRIMEFIELD):
             return self.modulus
         if self.kind == POLYQUOT and self._finite_dimensional():
-            if self.coeff.kind != "Fp":
+            if self.coeff.kind != PRIMEFIELD:
                 return None
             return self.coeff.p ** len(self._std_monomials)
         return None
@@ -532,7 +553,7 @@ class Ring:
             for a in range(self.modulus):
                 yield RingElement(self, a)
             return
-        if self.kind == POLYQUOT and self._finite_dimensional() and self.coeff.kind == "Fp":
+        if self.kind == POLYQUOT and self._finite_dimensional() and self.coeff.kind == PRIMEFIELD:
             std = self._std_monomials
             for combo in itertools.product(range(self.coeff.p), repeat=len(std)):
                 d = {m: c for m, c in zip(std, combo) if c}
@@ -544,8 +565,7 @@ class Ring:
 
     def _signature(self):
         if self.kind == POLYQUOT:
-            return (self.kind, self.coeff.kind, self.coeff.p, self.variables,
-                    self.order, self.groebner)
+            return (self.kind, self.coeff, self.variables, self.order, self.groebner)
         return (self.kind, self.modulus)
 
     def __eq__(self, other):
@@ -643,7 +663,7 @@ class RingElement:
         return hash((id(self.ring), self.payload))
 
     def is_zero(self):
-        return self.payload == self.ring.zero_payload
+        return not self.payload
 
     def is_unit(self):
         return self.ring.is_unit_payload(self.payload)
@@ -694,29 +714,25 @@ def GF(p):
     return _gf_cache[p]
 
 
-def coeff_field(spec):
-    """'Q' or 'F<p>' to a coefficient-field handle."""
-    if spec == "Q":
-        return _CoeffField("Q")
-    m = re.fullmatch(r"F(\d+)", spec)
-    if m:
-        p = int(m.group(1))
-        if not is_prime(p):
-            raise NonPrimeModulus(f"{p} is not prime")
-        return _CoeffField("Fp", p)
-    raise ValueError(f"unknown coefficient field {spec!r}")
-
-
 def poly_quotient(coeff, variables, ideal_texts=(), order="degrevlex",
                   budget=DEFAULT_GROEBNER_BUDGET):
     """Polynomial quotient ring coeff[variables]/(ideal).
 
-    `coeff` is 'Q' or 'F<p>' (or a _CoeffField); ideal generators are given
-    in the element grammar.  The reduced Groebner basis is computed here and
-    cached on the ring.
+    `coeff` is the coefficient field: QQ(), a prime field GF(p), or its name
+    'Q' or 'F<p>'.  Ideal generators are given in the element grammar.  The
+    reduced Groebner basis is computed here and cached on the ring.
     """
     if isinstance(coeff, str):
-        coeff = coeff_field(coeff)
+        m = re.fullmatch(r"F(\d+)", coeff)
+        if coeff == "Q":
+            coeff = QQ()
+        elif m:
+            coeff = GF(int(m.group(1)))
+        else:
+            raise ValueError(f"unknown coefficient field {coeff!r}")
+    if not isinstance(coeff, Ring) or coeff.kind not in (RATIONALS, PRIMEFIELD):
+        raise CapabilityMissing(
+            f"polynomial coefficients must be Q or a prime field, not {coeff}")
     variables = tuple(variables)
     if not variables:
         raise EmptyVariableList("a polynomial quotient needs at least one variable")
@@ -835,7 +851,7 @@ def format_element(x):
 #
 # Element grammar (whitespace insignificant):
 #   integer:    -?[0-9]+
-#   fraction:   int "/" posint           (rationals only)
+#   fraction:   int "/" posint           (over Q and polynomial rings over Q)
 #   polynomial: terms joined by + or -, term = optional coefficient joined
 #               by "*" with variable powers  var ^ posint
 
@@ -935,9 +951,12 @@ def _parse_factor(ring, toks, hook):
             den = int(dv)
             if den == 0:
                 raise ElementSyntaxError("zero denominator", dpos)
-            if ring.kind != RATIONALS:
-                raise ElementSyntaxError("fractions are only valid over the rationals", pos)
-            return ring.from_int(base) * _invert_int(ring, den)
+            # a fraction is a constant of Q or of a polynomial ring over Q
+            if ring.kind == RATIONALS:
+                return RingElement(ring, Fraction(base, den))
+            if ring.kind == POLYQUOT and ring.coeff.kind == RATIONALS:
+                return RingElement(ring, ring._constant(Fraction(base, den)))
+            raise ElementSyntaxError("fractions are only valid over the rationals", pos)
         value = ring.from_int(base)
     elif kind == "name":
         sym = hook(val) if hook is not None else None
@@ -957,10 +976,6 @@ def _parse_factor(ring, toks, hook):
             raise ElementSyntaxError("expected a positive integer exponent", epos)
         value = _pow(value, int(ev))
     return value
-
-
-def _invert_int(ring, n):
-    return RingElement(ring, Fraction(1, n))
 
 
 # The parser works both on RingElements and on descent-system symbol values;

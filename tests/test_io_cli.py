@@ -363,6 +363,23 @@ def test_cli_shift_trunc_tensor(tmp_path):
     assert kio.load(str(b)).rank(0) == 0
 
 
+def test_cli_reads_back_rational_coefficients_it_writes(tmp_path):
+    # x normalizes to 1/2*y, so the shifted differential holds a fraction
+    a = tmp_path / "a.cx"
+    a.write_text("ring polyquot coeff=Q vars=x,y order=degrevlex ideal=[2*x - y]\n"
+                 "complex\nrank 0 = 1\nrank 1 = 1\ndiff 1 = 1x1 [[x]]\n")
+    b = tmp_path / "b.cx"
+    assert run_cli(["complex", "shift", str(a), "-m", "1", "-o", str(b)])[0] == 0
+    assert "[[-1/2*y]]" in b.read_text()
+    assert run_cli(["complex", "check", str(b)]) == (0, "ok\n", "")
+    # over F_p a fraction is still a format error
+    c = tmp_path / "c.cx"
+    c.write_text("ring primefield 5\ncomplex\nrank 0 = 1\nrank 1 = 1\n"
+                 "diff 1 = 1x1 [[1/2]]\n")
+    code, _, err = run_cli(["complex", "check", str(c)])
+    assert code == 2 and "only valid over the rationals" in err
+
+
 # --- golden files ---
 
 def test_golden_files_reload_and_reports_are_stable():

@@ -14,7 +14,7 @@ from koszulkit.linalg import (
     smith_form, solve, span_cardinality, subquotient,
 )
 from koszulkit.matrices import Matrix
-from koszulkit.rings import GF, ZZ, Zmod, parse_element, poly_quotient
+from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, parse_element, poly_quotient
 
 from helpers import brute_force_kernel, random_matrix, span_of_columns
 
@@ -275,3 +275,36 @@ def test_throwaway_rings_leave_no_module_level_cache_behind():
     gc.collect()
     assert container_sizes() == before
     assert not any(ref() is not None for ref in refs)
+
+
+def test_elimination_builds_no_ring_elements(monkeypatch):
+    """Every engine computes on payloads and hands them to Matrix directly."""
+    rng = random.Random(12)
+    F2x = poly_quotient("F2", ["x"], ["x^3"])
+    calls = []
+    for ring, ops in ((Z, (kernel_basis, solve, smith_form)),
+                      (Zmod(8), (kernel_basis, solve, howell_form)),
+                      (QQ(), (kernel_basis, solve, smith_form, row_echelon)),
+                      (GF(7), (kernel_basis, solve, smith_form, row_echelon, howell_form)),
+                      (F2x, (kernel_basis, solve))):
+        A = random_matrix(ring, 5, 6, rng)
+        B = A * random_matrix(ring, 6, 2, rng)
+        calls += [(op, ring, (A, B) if op is solve else (A,)) for op in ops]
+    built = []
+    init = RingElement.__init__
+
+    def counting(self, ring, payload):
+        built.append(payload)
+        init(self, ring, payload)
+
+    monkeypatch.setattr(RingElement, "__init__", counting)
+    results = [op(ring, *args) for op, ring, args in calls]
+    monkeypatch.undo()
+    assert built == []
+    for (op, ring, args), res in zip(calls, results):
+        if op is kernel_basis:
+            assert (args[0] * res).is_zero()
+        elif op is solve:
+            assert args[0] * res == args[1]
+        else:
+            assert res.verify()

@@ -142,15 +142,27 @@ def test_from_blocks_matches_the_dense_reference(name, seed):
 def test_constructors_store_no_zero(name):
     ring = RINGS[name]
     rng = random.Random(name)
+    # the payload constructors against from_rows; entries come in shuffled order
+    g = grid(ring, 3, 4, rng)
+    payloads = [[ring.unbox(x) for x in r] for r in g]
+    entries = [(i, j, v) for i, r in enumerate(payloads) for j, v in enumerate(r)]
+    rng.shuffle(entries)
+    by_rows = Matrix.from_payload_rows(ring, 3, 4, payloads)
+    assert by_rows == Matrix.from_entries(ring, 3, 4, entries) == Matrix.from_rows(ring, g)
     for M in (Matrix.zeros(ring, 3, 2), Matrix.zeros(ring, 0, 4), Matrix.zeros(ring, 4, 0),
               Matrix.identity(ring, 3), Matrix.identity(ring, 0),
               Matrix.diag(ring, [ring.one, ring.zero, element(ring, rng)]),
               matrix(ring, 3, 3, rng), matrix(ring, 2, 3, rng, zero=True),
-              Matrix.from_columns(ring, 3, [[ring.zero, ring.one, ring.zero]]),
-              Matrix.from_columns(ring, 0, [[], []])):
+              Matrix.from_columns(ring, 3, [[ring.zero_payload, ring.one_payload,
+                                             ring.zero_payload]]),
+              Matrix.from_columns(ring, 0, [[], []]),
+              by_rows, Matrix.from_entries(ring, 3, 4, entries),
+              Matrix.from_payload_rows(ring, 0, 3, []),
+              Matrix.from_entries(ring, 2, 0, [])):
         assert_stored_sparsely(M)
         assert M.is_zero() == dense_is_zero(M)
     assert Matrix.from_columns(ring, 0, [[], []]).cols == 2
+    assert Matrix.from_payload_rows(ring, 0, 3, []).cols == 3
 
 
 def test_bad_entries_shapes_and_maps_are_rejected():
@@ -161,7 +173,9 @@ def test_bad_entries_shapes_and_maps_are_rejected():
     with pytest.raises(MixedRings):
         Matrix.from_rows(VarPolyRing(Zmod(4)), [[Zmod(4).one]])
     with pytest.raises(DimensionMismatch):
-        Matrix.from_columns(Zmod(4), 2, [[Zmod(4).one]])
+        Matrix.from_columns(Zmod(4), 2, [[1]])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_payload_rows(Zmod(4), 2, 1, [[1]])
     # map_entries visits the stored entries only, so it refuses a map that
     # would change the zero entries
     with pytest.raises(ValueError):

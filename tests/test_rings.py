@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszulkit.errors import (
-    ElementSyntaxError, NonPrimeModulus, NotAHomomorphism, UnknownVariable,
-    ZeroRing,
+    ElementSyntaxError, NonPrimeModulus, NotAHomomorphism, ToolkitError,
+    UnknownVariable, ZeroRing,
 )
 from koszulkit.rings import (
     GF, QQ, RingElement, RingHom, ZZ, Zmod, format_element, make_ring, normal_form,
@@ -122,14 +123,35 @@ def test_integer_ring_axioms(x, y, z):
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
-                          st.integers(1, 7)), min_size=0, max_size=6))
+                          st.integers(-7, 7), st.integers(1, 5)), min_size=0, max_size=6))
 @settings(max_examples=150)
 def test_rational_polynomial_print_parse(terms):
     R = poly_quotient("Q", ["x", "y"])
     acc = R.zero
-    for ex, ey, c in terms:
-        acc = acc + R.from_int(c) * R.variable("x") ** ex * R.variable("y") ** ey
+    for ex, ey, c, d in terms:
+        const = RingElement(R, (((0, 0), Fraction(c, d)),)) if c else R.zero
+        acc = acc + const * R.variable("x") ** ex * R.variable("y") ** ey
     assert parse_element(R, format_element(acc)) == acc
+
+
+def test_fractions_parse_over_q_coefficients_only():
+    R = make_ring("polyquot coeff=Q vars=x,y order=degrevlex ideal=[2*x - y]")
+    x = R.variable("x")
+    assert format_element(x) == "1/2*y"
+    assert parse_element(R, "1/2*y") == x
+    assert parse_element(R, "-3/4*x + 1/2") == \
+        parse_element(R, "-3*y") * parse_element(R, "1/8") + parse_element(R, "1/2")
+    for ring in (F5, Z4, Z, QUAD):
+        with pytest.raises(ElementSyntaxError):
+            parse_element(ring, "1/2")
+
+
+@pytest.mark.parametrize("coeff", [Z, Z4, Zmod(5), QUAD], ids=str)
+def test_coefficient_ring_must_be_q_or_a_prime_field(coeff):
+    # anything else would silently become a different ring
+    with pytest.raises(ToolkitError):
+        poly_quotient(coeff, ["t"], ["t^2"])
+    assert poly_quotient(F5, ["t"], ["t^2"]) == poly_quotient("F5", ["t"], ["t^2"])
 
 
 def test_units():
