@@ -19,6 +19,7 @@ re-checked certificate.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,14 +31,14 @@ from .dgmodules import (
     DGModule, extend, extension_action, is_k_linear,
 )
 from .errors import (
-    CapabilityMissing, IncompleteAssignment, MixedRings, NonCanonicalHarness,
-    RankMismatch, ShapeMismatch, UnverifiedDGModule, VerificationFailed,
-    WindowViolated,
+    CapabilityMissing, ElementSyntaxError, FormatError, IncompleteAssignment,
+    MixedRings, NonCanonicalHarness, RankMismatch, ShapeMismatch, UnknownVariable,
+    UnverifiedDGModule, VerificationFailed, WindowViolated,
 )
 from .koszul import koszul_base_change
 from .linalg import has_linear_solve
 from .matrices import Matrix
-from .rings import RingHom
+from .rings import RingHom, _join_signed, _signed_terms, parse_element
 
 
 class SystemVariable(NamedTuple):
@@ -62,10 +63,12 @@ def variable_sort_key(v):
 
 
 class VarPoly:
-    """Fully expanded polynomial in system variables with ring coefficients.
+    """Fully expanded polynomial in system variables over a base ring.
 
-    Monomials are sorted tuples of variables; no simplification happens
-    beyond coefficient normal forms, so serialized systems are byte-stable.
+    `terms` maps each monomial, a sorted tuple of variables, to its nonzero
+    coefficient, a payload of `ring` computed on through the ring's payload
+    protocol.  No simplification happens beyond coefficient normal forms, so
+    serialized systems are byte-stable.
     """
 
     __slots__ = ("ring", "terms")
@@ -75,87 +78,52 @@ class VarPoly:
         self.terms = terms
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
-
-    @classmethod
-    def constant(cls, ring, value):
-        if value.is_zero():
-            return cls(ring, {})
-        return cls(ring, {(): value})
+    def constant(cls, ring, c):
+        """The constant polynomial with coefficient payload c."""
+        return cls(ring, {(): c} if c else {})
 
     @classmethod
     def variable(cls, ring, var):
-        return cls(ring, {(var,): ring.one})
-
-    def is_zero(self):
-        return not self.terms
+        return cls(ring, {(var,): ring.one_payload})
 
     def __bool__(self):
         return bool(self.terms)
 
-    def _coerce(self, other):
-        if isinstance(other, VarPoly):
-            return other
-        from .rings import RingElement
-        if isinstance(other, RingElement):
-            return VarPoly.constant(self.ring, other)
-        if isinstance(other, int):
-            return VarPoly.constant(self.ring, self.ring.from_int(other))
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        add = self.ring.add_payload
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             s = terms.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(mono, None)
-            else:
+            s = c if s is None else add(s, c)
+            if s:
                 terms[mono] = s
+            else:
+                del terms[mono]
         return VarPoly(self.ring, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
-        return VarPoly(self.ring, {m: -c for m, c in self.terms.items()})
+        neg = self.ring.neg_payload
+        return VarPoly(self.ring, {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        add, mul = self.ring.add_payload, self.ring.mul_payload
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
+                c = mul(c1, c2)
+                if not c:
+                    continue
                 mono = tuple(sorted(m1 + m2, key=variable_sort_key))
-                c = c1 * c2
                 s = terms.get(mono)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(mono, None)
-                else:
+                s = c if s is None else add(s, c)
+                if s:
                     terms[mono] = s
+                else:
+                    del terms[mono]
         return VarPoly(self.ring, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = VarPoly.constant(self.ring, self.ring.one)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, VarPoly):
@@ -163,29 +131,13 @@ class VarPoly:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(),
-                                 key=lambda kv: tuple(map(variable_sort_key, kv[0])))))
+        return hash(frozenset(self.terms.items()))
 
     def variables(self):
         out = set()
         for mono in self.terms:
             out.update(mono)
         return out
-
-    def evaluate(self, values, hom):
-        """Plug target-ring values in for variables, mapping coefficients
-        through the completion-pair homomorphism."""
-        target = hom.target
-        acc = target.zero
-        for mono, c in self.terms.items():
-            term = hom(c)
-            for v in mono:
-                term = term * values[v]
-            acc = acc + term
-        return acc
-
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -195,30 +147,88 @@ class VarPoly:
         return format_varpoly(self)
 
 
+# The term grammar of descent polynomials.  A polynomial is 0 or signed
+# terms joined as in the element grammar (`a + b - c`).  A term is a ring
+# term, an element of the base ring with one monomial, times at most two
+# variable tokens X_n_i_j, Y_n_i_j, Z_n_i_j, all joined by "*"; a
+# coefficient 1 is left out.  A coefficient with several monomials prints
+# as one term per monomial, so every term parses on its own.
+
+_VAR_TOKEN = re.compile(r"[XYZ]_\d+_\d+_\d+")
+_SIGN = re.compile(r"\s*([+-])\s*")
+
+
 def format_varpoly(poly):
-    """Canonical text: degree-descending terms, coefficient then variables."""
-    from .rings import format_element
-    if poly.is_zero():
+    """Canonical text in the term grammar: degree-descending terms, one per
+    monomial of each coefficient, joined as `format_element` joins the
+    terms of an element."""
+    if not poly.terms:
         return "0"
     parts = []
-    for mono, coeff in poly.sorted_terms():
-        cs = format_element(coeff)
-        negative = cs.startswith("-")
-        if negative:
-            cs = cs[1:]
-        factors = [v.token() for v in mono]
-        if not factors:
-            body = cs
-        elif cs == "1":
-            body = "*".join(factors)
+    for mono, c in poly.sorted_terms():
+        factors = "*".join(v.token() for v in mono)
+        for sign, body in _signed_terms(poly.ring, c):
+            if not factors:
+                parts.append((sign, body))
+            elif body == "1":
+                parts.append((sign, factors))
+            else:
+                parts.append((sign, f"{body}*{factors}"))
+    return _join_signed(parts)
+
+
+def _ring_term(ring, text):
+    """The payload of a ring term (no variable token may appear in it)."""
+    for factor in text.split("*"):
+        if _VAR_TOKEN.fullmatch(factor):
+            raise FormatError(f"variable {factor} is outside the system's shape "
+                              "or comes before a ring factor")
+    try:
+        return parse_element(ring, text).payload
+    except (ElementSyntaxError, UnknownVariable) as exc:
+        raise FormatError(f"bad ring term {text!r}: {exc}") from None
+
+
+def _varpoly_from_text(ring, text, var_of, ring_terms):
+    """The VarPoly written as `text` in the term grammar; any other text,
+    or a variable token not in `var_of`, is a FormatError.
+
+    `var_of` maps each variable token of the shape to its variable and
+    `ring_terms` memoizes ring-term payloads by their text.
+    """
+    parts = _SIGN.split(text)
+    parts = ["+", *parts] if parts[0] else parts[1:]
+    add, neg = ring.add_payload, ring.neg_payload
+    terms = {}
+    for sign, body in zip(parts[::2], parts[1::2]):
+        factors = body.split("*")
+        k = len(factors)
+        while k and factors[k - 1] in var_of:
+            k -= 1
+        if len(factors) - k > 2:
+            raise FormatError(f"more than two variables in the term {body!r}")
+        if k:
+            key = "*".join(factors[:k])
+            c = ring_terms.get(key)
+            if c is None:
+                c = ring_terms[key] = _ring_term(ring, key)
+            if not c:
+                continue
         else:
-            body = "*".join([cs] + factors)
-        parts.append(("-" if negative else "+", body))
-    sign, body = parts[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            c = ring.one_payload
+        if sign == "-":
+            c = neg(c)
+        mono = tuple(var_of[f] for f in factors[k:])
+        if len(mono) == 2 and variable_sort_key(mono[1]) < variable_sort_key(mono[0]):
+            mono = mono[::-1]
+        s = terms.get(mono)
+        if s is not None:
+            c = add(s, c)
+            if not c:
+                del terms[mono]
+                continue
+        terms[mono] = c
+    return VarPoly(ring, terms)
 
 
 class VarPolyRing:
@@ -234,8 +244,8 @@ class VarPolyRing:
 
     def __init__(self, base):
         self.base = base
-        self.zero = self.zero_payload = VarPoly.zero(base)
-        self.one = self.one_payload = VarPoly.constant(base, base.one)
+        self.zero = self.zero_payload = VarPoly(base, {})
+        self.one = self.one_payload = VarPoly.constant(base, base.one_payload)
 
     @staticmethod
     def box(payload):
@@ -262,7 +272,10 @@ def symbolic_matrix(vring, family, n, rows, cols):
 
 
 def constant_matrix(vring, M):
-    return M.map_entries(lambda x: VarPoly.constant(vring.base, x), vring)
+    base = vring.base
+    return Matrix(vring, M.rows, M.cols, tuple(
+        (cols, tuple(VarPoly(base, {(): c}) for c in vals))
+        for cols, vals in M.sparse_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +581,38 @@ class VerificationReport:
 def verify_assignment(system, assignment):
     """Evaluate every equation under the assignment; report per subsystem.
 
-    Works over any ring tier (pure arithmetic).  Verification runs in
-    canonical equation order and records the first failing position of
-    each subsystem.
+    Works over any ring tier: the equations are evaluated on payloads of
+    the target ring, each coefficient mapped through the assignment's
+    homomorphism (not at all for the identity).  Verification
+    runs in canonical equation order and records the first failing
+    position of each subsystem.
     """
     missing = [v for v in system.variables if v not in assignment.values]
     if missing:
         raise IncompleteAssignment(f"missing values for {missing[:5]}"
                                    + ("..." if len(missing) > 5 else ""))
+    hom = assignment.hom
+    if hom.source != system.ring:
+        raise MixedRings(f"the assignment maps from {hom.source}, "
+                         f"the system is over {system.ring}")
+    target = hom.target
+    add, mul = target.add_payload, target.mul_payload
+    values = {v: target.unbox(assignment.values[v]) for v in system.variables}
+    identity = hom.is_identity()
     status = {tag: SubsystemReport(tag, 0) for tag in ("S1", "S2", "S3", "S4")}
     for eq in system.equations:
         rep = status[eq.tag]
         rep.total += 1
         if rep.first_failure is not None:
             continue
-        value = eq.poly.evaluate(assignment.values, assignment.hom)
-        if not value.is_zero():
+        acc = target.zero_payload
+        for mono, c in eq.poly.terms.items():
+            if not identity:
+                c = target.unbox(hom(hom.source.box(c)))
+            for v in mono:
+                c = mul(c, values[v])
+            acc = add(acc, c)
+        if acc:
             rep.first_failure = (eq.h, eq.n, eq.row, eq.col)
     return VerificationReport([status[t] for t in ("S1", "S2", "S3", "S4")])
 

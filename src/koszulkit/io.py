@@ -14,7 +14,7 @@ import re
 from .complexes import ChainComplex, ChainMap
 from .descent import (
     Assignment, Equation, PolynomialSystem, SystemShape, SystemVariable,
-    VarPoly, format_varpoly, variable_sort_key,
+    _varpoly_from_text, format_varpoly, variable_sort_key,
 )
 from .dgmodules import DGModule
 from .duality import ModulePresentation
@@ -293,10 +293,11 @@ def load_chain_map(text, source, target):
 #
 # Equation lines:  S1|S2|S4  n row col : polynomial
 #                  S3 h=<k> n row col : polynomial
-# Variable tokens X_n_i_j / Y_n_i_j / Z_n_i_j extend the element grammar.
+# The polynomial is in the term grammar of `descent.format_varpoly`.
 
 
-_VAR_TOKEN = re.compile(r"([XYZ])_(\d+)_(\d+)_(\d+)")
+_EQUATION = re.compile(
+    r"(S[1-4])\s+(?:h=(\d+)\s+)?(-?\d+)\s+(\d+)\s+(\d+)\s*:\s*(\S.*)")
 
 
 def save_system(system):
@@ -312,28 +313,18 @@ def save_system(system):
     return "\n".join(lines) + "\n"
 
 
-def parse_varpoly(ring, text):
-    def hook(name):
-        m = _VAR_TOKEN.fullmatch(name)
-        if m is None:
-            return None
-        var = SystemVariable(m.group(1), int(m.group(2)), int(m.group(3)),
-                             int(m.group(4)))
-        return VarPoly.variable(ring, var)
-    parsed = parse_element(ring, text, variable_hook=hook)
-    if isinstance(parsed, VarPoly):
-        return parsed
-    return VarPoly.constant(ring, parsed)
-
-
 def load_system(text):
     """Parse a serialized system (header plus equations).
 
-    The result verifies assignments; reconstruction needs the Koszul and
-    module data, which the CLI re-derives from their own files.
+    Every equation is read in the term grammar; any other line, or a
+    variable outside the header's shape, is a FormatError.  The result
+    verifies assignments; reconstruction needs the Koszul and module data,
+    which the CLI re-derives from their own files.
     """
     lines = _split_lines(text)
     ring = _expect_kind(lines, "system")
+    if len(lines) < 3:
+        raise FormatError("system file needs a header line")
     header = lines[2]
     m = re.fullmatch(
         r"m=(\d+)\s+e=(\d+)\s+s=\[([0-9, ]*)\]\s+r=\[([0-9, ]*)\]", header)
@@ -351,21 +342,19 @@ def load_system(text):
             raise FormatError(
                 f"header ranks are inconsistent at degree {n}: "
                 f"{shape.r_at(n)} vs {expected}")
+    variables = expected_variables(shape)
+    var_of = {v.token(): v for v in variables}
+    ring_terms = {}
     equations = []
-    variables = set()
-    eq_re = re.compile(
-        r"(S[1-4])\s+(?:h=(\d+)\s+)?(-?\d+)\s+(\d+)\s+(\d+)\s*:\s*(.*)")
     for line in lines[3:]:
-        m = eq_re.fullmatch(line)
-        if not m:
+        m = _EQUATION.fullmatch(line)
+        if not m or (m.group(1) == "S3") != (m.group(2) is not None):
             raise FormatError(f"bad equation line: {line!r}")
         tag, h, n, row, col, poly_text = m.groups()
-        poly = parse_varpoly(ring, poly_text)
+        poly = _varpoly_from_text(ring, poly_text, var_of, ring_terms)
         equations.append(Equation(tag, int(h) if h else None, int(n),
                                   int(row), int(col), poly))
-        variables.update(poly.variables())
-    vars_sorted = expected_variables(shape)
-    return PolynomialSystem(ring, shape, vars_sorted, equations, (), {}, {}, None)
+    return PolynomialSystem(ring, shape, variables, equations, (), {}, {}, None)
 
 
 def expected_variables(shape):
@@ -487,7 +476,9 @@ def _dg_module_text(data):
     return "\n".join(text_lines) + "\n"
 
 
-def from_json(text):
+def from_json(text, coefficient_ring=None):
+    """The object in `text`; an assignment maps from `coefficient_ring` as
+    in `load_assignment`."""
     data = json.loads(text)
     kind = data.get("kind")
     ring = make_ring(data["ring"])
@@ -514,7 +505,7 @@ def from_json(text):
         lines = [f"ring {data['ring']}", "assignment"]
         for tok, val in data["values"].items():
             lines.append(f"{tok} = {val}")
-        return load_assignment("\n".join(lines) + "\n")
+        return load_assignment("\n".join(lines) + "\n", coefficient_ring)
     if kind == "module":
         return ModulePresentation(ring, data["gens"],
                                   parse_matrix(ring, data["relations"]))
@@ -562,7 +553,7 @@ def load(path, coefficient_ring=None):
     p = pathlib.Path(path)
     text = p.read_text(encoding="utf-8")
     if p.suffix == ".json":
-        return from_json(text)
+        return from_json(text, coefficient_ring)
     lines = _split_lines(text)
     if len(lines) < 2:
         raise FormatError(f"truncated file {path}")

@@ -85,20 +85,23 @@ class KoszulAlgebra:
         return ChainComplex(ring, ranks, diffs)
 
     def _build_mult(self):
-        """mult[h][n]: the matrix of e_h * (-) from degree n to n + |h|."""
+        """mult[h][n]: the matrix of e_h * (-) from degree n to n + |h|.
+
+        e_H * e_S vanishes unless S avoids H, so only those S are visited;
+        the shuffle sign counts, for each s in S, the elements of H above s.
+        """
         ring = self.ring
-        signed_one = {1: ring.one_payload, -1: ring.neg_payload(ring.one_payload)}
+        signed_one = (ring.one_payload, ring.neg_payload(ring.one_payload))
         mult = {}
         for h_deg in range(self.e + 1):
             for H in self.basis[h_deg]:
+                rest = [s for s in range(1, self.e + 1) if s not in H]
+                above = {s: sum(1 for h in H if h > s) for s in rest}
                 per_degree = {}
                 for n in range(0, self.e - h_deg + 1):
-                    entries = []
-                    for j, S in enumerate(self.basis[n]):
-                        prod = self.product_of_basis(H, S)
-                        if prod is not None:
-                            sign, U = prod
-                            entries.append((self.index[U], j, signed_one[sign]))
+                    entries = [(self.index[tuple(sorted(H + S))], self.index[S],
+                                signed_one[sum(above[s] for s in S) % 2])
+                               for S in itertools.combinations(rest, n)]
                     per_degree[n] = Matrix.from_entries(
                         ring, len(self.basis[n + h_deg]), len(self.basis[n]), entries)
                 mult[H] = per_degree

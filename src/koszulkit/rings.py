@@ -803,47 +803,35 @@ def ring_spec(ring):
 # ---------------------------------------------------------------------------
 # printing
 
-def _format_coeff(cf, c):
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
+def _signed_terms(ring, p):
+    """The nonzero payload p as (sign, body) pairs, one per monomial in
+    payload order: sign is "+" or "-" and body the unsigned term text."""
+    if ring.kind != POLYQUOT:
+        text = str(p)  # an int, or a Fraction printed as n or n/d
+        return [("-", text[1:]) if text[0] == "-" else ("+", text)]
+    parts = []
+    for e, c in p:
+        text = str(c)
+        factors = [name if exp == 1 else f"{name}^{exp}"
+                   for name, exp in zip(ring.variables, e) if exp]
+        if text.lstrip("-") != "1" or not factors:
+            factors.insert(0, text.lstrip("-"))
+        parts.append(("-" if text[0] == "-" else "+", "*".join(factors)))
+    return parts
+
+
+def _join_signed(parts):
+    """Join (sign, body) pairs as `a + b - c`, a leading minus kept."""
+    sign, body = parts[0]
+    out = [body if sign == "+" else f"-{body}"]
+    out.extend(f" {sign} {body}" for sign, body in parts[1:])
+    return "".join(out)
 
 
 def format_element(x):
-    ring = x.ring
-    p = x.payload
-    if ring.kind == INTEGERS:
-        return str(p)
-    if ring.kind == RATIONALS:
-        return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
-    if ring.kind in (ZMOD, PRIMEFIELD):
-        return str(p)
-    if not p:
+    if not x.payload:
         return "0"
-    parts = []
-    for e, c in p:
-        factors = []
-        for name, exp in zip(ring.variables, e):
-            if exp == 1:
-                factors.append(name)
-            elif exp > 1:
-                factors.append(f"{name}^{exp}")
-        coeff_str = _format_coeff(ring.coeff, c)
-        negative = coeff_str.startswith("-")
-        if negative:
-            coeff_str = coeff_str[1:]
-        if not factors:
-            body = coeff_str
-        elif coeff_str == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([coeff_str] + factors)
-        parts.append(("-" if negative else "+", body))
-    sign, body = parts[0]
-    out = body if sign == "+" else f"-{body}"
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _join_signed(_signed_terms(x.ring, x.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -888,22 +876,17 @@ class _Tokens:
         return item
 
 
-def parse_element(ring, text, variable_hook=None):
-    """Parse text in the element grammar into a canonical RingElement.
-
-    `variable_hook(name)` may claim identifier tokens (used by the descent
-    system format for X_/Y_/Z_ variables); it returns an opaque symbol or
-    None to fall through to ring variables.
-    """
+def parse_element(ring, text):
+    """Parse text in the element grammar into a canonical RingElement."""
     toks = _Tokens(text)
-    result = _parse_sum(ring, toks, variable_hook)
+    result = _parse_sum(ring, toks)
     kind, val, pos = toks.peek()
     if kind != "end":
         raise ElementSyntaxError(f"trailing input {val!r}", pos)
     return result
 
 
-def _parse_sum(ring, toks, hook):
+def _parse_sum(ring, toks):
     acc = None
     sign = 1
     kind, val, pos = toks.peek()
@@ -911,10 +894,10 @@ def _parse_sum(ring, toks, hook):
         toks.next()
         sign = -1 if val == "-" else 1
     while True:
-        term = _parse_term(ring, toks, hook)
+        term = _parse_term(ring, toks)
         if sign == -1:
-            term = _negate(term)
-        acc = term if acc is None else _add(acc, term)
+            term = -term
+        acc = term if acc is None else acc + term
         kind, val, pos = toks.peek()
         if kind == "op" and val in "+-":
             toks.next()
@@ -923,22 +906,18 @@ def _parse_sum(ring, toks, hook):
         return acc
 
 
-def _parse_term(ring, toks, hook):
-    factors = [_parse_factor(ring, toks, hook)]
+def _parse_term(ring, toks):
+    acc = _parse_factor(ring, toks)
     while True:
         kind, val, pos = toks.peek()
         if kind == "op" and val == "*":
             toks.next()
-            factors.append(_parse_factor(ring, toks, hook))
+            acc = acc * _parse_factor(ring, toks)
         else:
-            break
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = _mul(acc, f)
-    return acc
+            return acc
 
 
-def _parse_factor(ring, toks, hook):
+def _parse_factor(ring, toks):
     kind, val, pos = toks.next()
     if kind == "num":
         base = int(val)
@@ -959,13 +938,9 @@ def _parse_factor(ring, toks, hook):
             raise ElementSyntaxError("fractions are only valid over the rationals", pos)
         value = ring.from_int(base)
     elif kind == "name":
-        sym = hook(val) if hook is not None else None
-        if sym is not None:
-            value = sym
-        else:
-            if ring.kind != POLYQUOT or val not in (ring.variables or ()):
-                raise UnknownVariable(f"unknown variable {val!r} at position {pos}")
-            value = ring.variable(val)
+        if ring.kind != POLYQUOT or val not in ring.variables:
+            raise UnknownVariable(f"unknown variable {val!r} at position {pos}")
+        value = ring.variable(val)
     else:
         raise ElementSyntaxError(f"expected a number or variable, got {val!r}", pos)
     nk, nv, npos = toks.peek()
@@ -974,27 +949,8 @@ def _parse_factor(ring, toks, hook):
         ek, ev, epos = toks.next()
         if ek != "num":
             raise ElementSyntaxError("expected a positive integer exponent", epos)
-        value = _pow(value, int(ev))
+        value = value ** int(ev)
     return value
-
-
-# The parser works both on RingElements and on descent-system symbol values;
-# these tiny dispatch helpers keep it generic without a class hierarchy.
-
-def _add(a, b):
-    return a + b
-
-
-def _mul(a, b):
-    return a * b
-
-
-def _negate(a):
-    return -a
-
-
-def _pow(a, n):
-    return a ** n
 
 
 # ---------------------------------------------------------------------------
@@ -1020,14 +976,20 @@ class RingHom:
 
     For integer-like sources the map is canonical (1 -> 1); polynomial
     quotient sources additionally need images for each variable.  `check()`
-    verifies that relations die, via normal forms in the target.
+    verifies that relations die, via normal forms in the target.  Whether
+    the map is the identity is decided once here; the identity returns
+    its argument and needs no check.
     """
 
     def __init__(self, source, target, var_images=None):
         self.source = source
         self.target = target
         self.var_images = dict(var_images or {})
-        self.check()
+        self._identity = source == target and all(
+            self.var_images.get(v) == source.variable(v)
+            for v in source.variables or ())
+        if not self._identity:
+            self.check()
 
     def check(self):
         src, tgt = self.source, self.target
@@ -1072,9 +1034,9 @@ class RingHom:
     def __call__(self, x):
         if x.ring != self.source:
             raise MixedRings(f"element of {x.ring} fed to a map from {self.source}")
-        src, tgt = self.source, self.target
-        if src == tgt and not self.var_images:
+        if self._identity:
             return x
+        src, tgt = self.source, self.target
         if src.kind == INTEGERS:
             return tgt.from_int(x.payload)
         if src.kind == RATIONALS:
@@ -1084,12 +1046,7 @@ class RingHom:
         return self._apply_payload(x.payload)
 
     def is_identity(self):
-        if self.source != self.target:
-            return False
-        if self.source.kind != POLYQUOT:
-            return True
-        return all(self.var_images[v] == self.source.variable(v)
-                   for v in self.source.variables)
+        return self._identity
 
     @staticmethod
     def identity(ring):

@@ -1,8 +1,11 @@
 """Shared generators and oracles for the test suite."""
 
+import io
 import itertools
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+from koszulkit.cli import main
 from koszulkit.complexes import ChainComplex, tensor_layout
 from koszulkit.descent import Assignment, SystemVariable, _assignment_matrix
 from koszulkit.linalg import invert
@@ -166,6 +169,14 @@ def conjugated_assignment(K, P, system, sol, rng):
             for j in range(Zp.cols):
                 vals[SystemVariable("Z", n, i + 1, j + 1)] = Zp.data[i][j]
     return Assignment(sol.hom, vals)
+
+
+def run_cli(argv):
+    """Run the CLI in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def count_calls(monkeypatch, func):

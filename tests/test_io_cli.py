@@ -1,6 +1,4 @@
-import io as _io
 import random
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -10,7 +8,6 @@ from koszulkit import complexes as cx
 from koszulkit import descent as ds
 from koszulkit import io as kio
 from koszulkit import koszul as kk
-from koszulkit.cli import main
 from koszulkit.dgmodules import AxiomReport, AxiomResult, extend, verify_dg_module
 from koszulkit.duality import ModulePresentation
 from koszulkit.errors import FormatError
@@ -18,7 +15,7 @@ from koszulkit.koszul import koszul, verify_dga
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod, poly_quotient
 
-from helpers import count_calls, random_minimal_complex
+from helpers import count_calls, random_minimal_complex, run_cli
 
 Z = ZZ()
 Z4 = Zmod(4)
@@ -27,13 +24,6 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def mat(ring, rows):
     return Matrix.from_rows(ring, [[ring.from_int(x) for x in r] for r in rows])
-
-
-def run_cli(argv):
-    out, err = _io.StringIO(), _io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 # --- round trips ---

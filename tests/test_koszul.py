@@ -164,3 +164,28 @@ def test_finite_length_shift():
         Kx = koszul(Z9, [Z9.from_int(3)])
         shifted = cx.sup_inf(cx.tensor(Kx.complex, C))
         assert shifted.sup == bounds.sup + 1
+
+
+def all_pairs_mult(K):
+    """The multiplication matrices from `product_of_basis` on every pair of
+    basis subsets, vanishing products included."""
+    signed_one = {1: K.ring.one_payload, -1: K.ring.neg_payload(K.ring.one_payload)}
+    mult = {}
+    for H in (H for d in sorted(K.basis) for H in K.basis[d]):
+        mult[H] = {}
+        for n in range(K.e - len(H) + 1):
+            entries = []
+            for j, S in enumerate(K.basis[n]):
+                prod = K.product_of_basis(H, S)
+                if prod is not None:
+                    entries.append((K.index[prod[1]], j, signed_one[prod[0]]))
+            mult[H][n] = Matrix.from_entries(
+                K.ring, len(K.basis[n + len(H)]), len(K.basis[n]), entries)
+    return mult
+
+
+def test_multiplication_matrices_match_the_all_pairs_products():
+    for ring in (Z4, Z):
+        for e in range(7):
+            K = koszul(ring, [ring.from_int(2)] * e)
+            assert K.mult == all_pairs_mult(K)

@@ -36,9 +36,9 @@ def element(ring, rng):
         return ring.zero
     if isinstance(ring, VarPolyRing):
         base = ring.base
-        poly = VarPoly.constant(base, random_element(base, rng))
+        poly = VarPoly.constant(base, random_element(base, rng).payload)
         for v in rng.sample(VARIABLES, rng.randint(0, 2)):
-            poly = poly + VarPoly.constant(base, random_element(base, rng)) \
+            poly = poly + VarPoly.constant(base, random_element(base, rng).payload) \
                 * VarPoly.variable(base, v)
         return poly
     if ring is Q_EPS:

@@ -223,3 +223,21 @@ def test_repr_of_a_polynomial_ring_without_relations():
     assert repr(make_ring("polyquot coeff=F2 vars=t order=degrevlex ideal=[]")) == "F2[t]"
     assert repr(poly_quotient("Q", ["x", "y"], [])) == "Q[x, y]"
     assert repr(QUAD) == "F2[x, y]/(x^2, x*y, y^2)"
+
+
+@pytest.mark.parametrize("ring, texts", [
+    (poly_quotient("F2", ["x"], ["x^2"]), None),
+    (poly_quotient("Q", ["x", "y"], ["x^2", "x*y", "y^2"]),
+     ["0", "1", "-3", "1/2*x", "x - 1/2*y", "-2/3*y + 5/7", "x + y"]),
+])
+def test_identity_hom_returns_its_argument(ring, texts, monkeypatch):
+    expansions = []
+    apply_payload = RingHom._apply_payload
+    monkeypatch.setattr(RingHom, "_apply_payload",
+                        lambda self, p: expansions.append(p) or apply_payload(self, p))
+    hom = RingHom.identity(ring)
+    assert hom.is_identity()
+    elements = ring.elements() if texts is None else (parse_element(ring, t) for t in texts)
+    for a in elements:
+        assert hom(a) is a
+    assert expansions == []

@@ -1,0 +1,170 @@
+"""The descent system file: its term grammar, its round trips and its
+verification on payloads."""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from koszulkit import complexes as cx
+from koszulkit import descent as ds
+from koszulkit import io as kio
+from koszulkit.errors import FormatError
+from koszulkit.koszul import koszul
+from koszulkit.matrices import Matrix
+from koszulkit.rings import RingElement, RingHom, ZZ, Zmod, make_ring, parse_element
+
+from helpers import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
+QUOTIENTS = {
+    "F2": ("polyquot coeff=F2 vars=x,y order=degrevlex ideal=[x^2, x*y, y^2]", "x + y"),
+    "Q": ("polyquot coeff=Q vars=x,y order=degrevlex ideal=[x^2, x*y, y^2]", "x - 1/2*y"),
+}
+
+
+def quotient_instance(name):
+    """K on x and the complex R --[entry]--> R over (x, y)^2-quotients, whose
+    entry has two monomials."""
+    spec, entry = QUOTIENTS[name]
+    R = make_ring(spec)
+    K = koszul(R, [R.variable("x")])
+    P = cx.make_complex(R, {0: 1, 1: 1}, {1: Matrix.from_rows(R, [[parse_element(R, entry)]])})
+    return K, P
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+def test_polynomial_coefficients_round_trip_and_verify(name):
+    K, P = quotient_instance(name)
+    system = ds.generate_system(K, P)
+    text = kio.save_system(system)
+    # one term per monomial of a coefficient
+    assert {"F2": "x*Y_0_1_1 + y*Y_0_1_1",
+            "Q": "x*Y_0_1_1 - 1/2*y*Y_0_1_1"}[name] in text
+    sol = ds.canonical_solution(K, P)
+    assert ds.verify_assignment(system, sol).passed
+    for loaded in (kio.load_system(text), kio.from_json(kio.to_json(system))):
+        assert kio.save_system(loaded) == text
+        assert [eq.poly for eq in loaded.equations] == [eq.poly for eq in system.equations]
+        assert ds.verify_assignment(loaded, sol).passed
+    assert kio.to_json(kio.from_json(kio.to_json(system))) == kio.to_json(system)
+
+
+def test_cli_descent_pipeline_over_a_polynomial_quotient(tmp_path):
+    K, P = quotient_instance("F2")
+    kz, cxf = tmp_path / "K.kz", tmp_path / "P.cx"
+    kio.save(K, kz)
+    kio.save(P, cxf)
+    sysf, asg, out = tmp_path / "S.sys", tmp_path / "C.asg", tmp_path / "A.cx"
+    inputs = ["--koszul", str(kz), "--complex", str(cxf)]
+    assert run_cli(["system", "gen", *inputs, "-o", str(sysf)])[0] == 0
+    assert run_cli(["system", "canonical", *inputs, "-o", str(asg)])[0] == 0
+    assert run_cli(["system", "verify", str(sysf), str(asg)]) == (
+        0, "S1 ok\nS2 ok\nS3 ok\nS4 ok\n", "")
+    code, _, err = run_cli(["system", "reconstruct", str(sysf), str(asg), *inputs,
+                            "-o", str(out)])
+    assert (code, err) == (0, "")
+    assert kio.load(str(out)) == P
+
+
+def test_verification_builds_no_element_per_term(monkeypatch):
+    K, P = quotient_instance("Q")
+    system = kio.load_system(kio.save_system(ds.generate_system(K, P)))
+    sol = ds.canonical_solution(K, P)
+    built = []
+    init = RingElement.__init__
+    monkeypatch.setattr(RingElement, "__init__",
+                        lambda self, ring, payload: built.append(payload) or
+                        init(self, ring, payload))
+    assert ds.verify_assignment(system, sol).passed
+    assert built == []
+
+
+def test_json_assignment_maps_from_the_coefficient_ring(tmp_path):
+    Z, Z4 = ZZ(), Zmod(4)
+    K = koszul(Z, [Z.from_int(2)])
+    P = cx.make_complex(Z, {0: 1, 1: 1}, {1: Matrix.from_rows(Z, [[Z.from_int(2)]])})
+    sysf = tmp_path / "S.sys"
+    kio.save(ds.generate_system(K, P), sysf)
+    sol = ds.canonical_solution(K, P)
+    values = {v: Z4.from_int(x.payload) for v, x in sol.values.items()}
+    reports = []
+    for name in ("A.asg", "A.json"):
+        kio.save(ds.Assignment(RingHom.identity(Z4), values), tmp_path / name)
+        reports.append(run_cli(["system", "verify", str(sysf), str(tmp_path / name)]))
+    assert reports[0] == reports[1] == (0, "S1 ok\nS2 ok\nS3 ok\nS4 ok\n", "")
+
+
+@pytest.mark.parametrize("line", [
+    "S2 1 1 1 : 3*X_1_1_1*Y_9_9_9 + 2*Y_0_1_1",       # outside the shape
+    "S2 1 1 1 : X_1_1_1*Y_0_1_1*Z_0_1_1",              # three variables
+    "S2 1 1 1 : Y_0_1_1^2",                            # a power of a variable
+    "S2 1 1 1 : Y_0_1_1*3",                            # ring factor after a variable
+    "S2 1 1 1 : 1/2*Y_0_1_1",                          # fraction over Z/4
+    "S2 1 1 1 : x*Y_0_1_1",                            # no ring variables over Z/4
+    "S2 1 1 1 : 2*Y_0_1_1 +",
+    "S2 1 1 1 : - - Y_0_1_1",
+    "S2 1 1 1 : (Y_0_1_1)",
+    "S2 1 1 1 :",
+    "S3 1 1 1 : 0",                                    # S3 needs h=
+    "S2 h=1 1 1 1 : 0",                                # only S3 has h=
+    "S5 1 1 1 : 0",
+])
+def test_lines_outside_the_term_grammar_are_format_errors(line):
+    text = (GOLDEN / "S.sys").read_text()
+    with pytest.raises(FormatError):
+        kio.load_system(text + line + "\n")
+
+
+def test_equal_polynomials_in_other_term_orders_load_equal():
+    header = "\n".join((GOLDEN / "S.sys").read_text().splitlines()[:3])
+    canonical = kio.load_system(header + "\nS2 1 1 1 : 3*X_1_1_1*Y_1_3_1 + 2*Y_0_1_1\n")
+    other = kio.load_system(header + "\nS2 1 1 1 : Y_0_1_1 + 3*Y_1_3_1*X_1_1_1 + Y_0_1_1\n")
+    assert other.equations[0].poly == canonical.equations[0].poly
+    assert kio.save_system(other) == kio.save_system(canonical)
+
+
+def _mutate(line, kind, rng):
+    head, poly = line.split(" : ")
+    if kind == "position":
+        tokens = head.split(" ")
+        i = rng.randrange(len(tokens))
+        tokens[i] = rng.choice(["99", "-1", "h=99", "", tokens[i] * 2])
+        return " ".join(tokens) + " : " + poly
+    terms = poly.split(" ")
+    if kind in ("drop", "duplicate", "reorder"):
+        i = rng.randrange(len(terms))
+        if kind == "drop":
+            del terms[i]
+        elif kind == "duplicate":
+            terms.insert(i, terms[i])
+        else:
+            j = rng.randrange(len(terms))
+            terms[i], terms[j] = terms[j], terms[i]
+        return head + " : " + " ".join(terms)
+    factors = poly.replace(" ", "").split("*")
+    i = rng.randrange(len(factors))
+    if kind == "indices":
+        factors[i] = factors[i][:2] + rng.choice(["9_9_9", "0_0_0", "1_1_99", "00_1_1"])
+    elif kind == "power":
+        factors[i] += "^2"
+    else:  # three variables
+        factors[i] += "*Z_0_1_1*Y_0_1_1"
+    return head + " : " + "*".join(factors)
+
+
+@pytest.mark.parametrize("kind", ["drop", "duplicate", "reorder", "position",
+                                  "indices", "power", "three"])
+def test_mutated_system_lines_never_crash_verify(kind, tmp_path):
+    lines = (GOLDEN / "S.sys").read_text().splitlines()
+    rng = random.Random(kind)
+    for trial in range(20):
+        mutated = list(lines)
+        i = rng.randrange(3, len(lines))
+        mutated[i] = _mutate(lines[i], kind, rng)
+        path = tmp_path / f"{trial}.sys"
+        path.write_text("\n".join(mutated) + "\n")
+        code, _, err = run_cli(["system", "verify", str(path),
+                                str(GOLDEN / "canonical.asg")])
+        assert code in (0, 1, 2), (mutated[i], err)
+        assert "internal" not in err and "Traceback" not in err, (mutated[i], err)
