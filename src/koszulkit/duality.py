@@ -477,9 +477,7 @@ def quotient_by_element(ring, x):
         return S, RingHom(ring, S)
     if ring.kind == POLYQUOT and not ring.ideal and len(ring.variables) == 1 \
             and ring.coeff.kind == PRIMEFIELD:
-        from .rings import format_element
-        S = poly_quotient(ring.coeff, list(ring.variables),
-                          [format_element(x)], order=ring.order)
+        S = poly_quotient(ring.coeff, list(ring.variables), [x.payload], order=ring.order)
         images = {v: S.variable(v) for v in ring.variables}
         return S, RingHom(ring, S, images)
     raise CapabilityMissing(f"no quotient construction for {ring}")
@@ -492,12 +490,12 @@ def _chain_ring_iso(S, M1, M2):
     sums of cyclic modules; matching factor multisets are aligned by a
     permutation and conjugated back.  Returns (phi, psi) or None.
     """
-    from .linalg import lift_context, smith_data, _grid_to_matrix, _is_unit, _matrix_to_grid
+    from .linalg import lift_context, smith_data, _grid_to_matrix, _is_unit, _payload_grid
     ctx = lift_context(S)
     ed, f = ctx.ed, ctx.modulus
 
     def decomposition(pres):
-        sd = smith_data(ed, _matrix_to_grid(ctx, pres.relations),
+        sd = smith_data(ed, _payload_grid(pres.relations),
                         pres.gens, pres.relations.cols)
         factors = [ed.gcdex_payload(sd.diag(j), f)[0] for j in range(pres.gens)]
         lam = _grid_to_matrix(S, ctx, sd.S, pres.gens)
@@ -568,11 +566,9 @@ def lifting_verify(R, x, M, N):
     if not tor1.is_zero:
         return LiftingVerdict(False, (1, tor1), False, "Tor obstruction")
     SM = M.map_through(proj)
-    # find and verify an explicit isomorphism S (x) M = N
-    from .linalg import lift_context
-    ctx = lift_context(S)
-    pair = _chain_ring_iso(S, SM, N) if ctx is not None and \
-        ctx.modulus is not None else None
+    # find and verify an explicit isomorphism S (x) M = N; S is Z/n or
+    # F_p[t]/(x), so it lifts to Z or F_p[t] modulo its generator
+    pair = _chain_ring_iso(S, SM, N)
     if pair is not None and _verify_iso(SM, N, *pair):
         return LiftingVerdict(True, None, True, "")
     return LiftingVerdict(False, None, False,

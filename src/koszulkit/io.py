@@ -3,7 +3,8 @@
 Text files are line-oriented: a ring line, an object-kind line, then the
 object's fields in a fixed order.  Matrices print as `RxC [[a, b], ...]`
 with entries in the element grammar, so every format round-trips byte for
-byte.  JSON files carry the same content keyed by field name.
+byte.  JSON files carry the same content keyed by field name; a JSON
+object is turned into its text form and read by the same loader.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def parse_dg_module(text):
     """The DG module in `text` (its text or its JSON form), without checking
     its axioms."""
     if text.lstrip().startswith("{"):
-        text = _dg_module_text(json.loads(text))
+        text = _json_text(json.loads(text))
     lines = _split_lines(text)
     ring = _expect_kind(lines, "dgmodule")
     sequence = None
@@ -460,56 +461,67 @@ def to_json(obj):
     raise FormatError(f"no JSON form for {type(obj).__name__}")
 
 
-def _dg_module_text(data):
-    """The text form of a DG module's JSON object."""
-    if data.get("kind") != "dgmodule":
-        raise FormatError(f"expected a dgmodule, got {data.get('kind')!r}")
-    text_lines = [f"ring {data['ring']}", "dgmodule",
-                  "sequence [" + ", ".join(data["sequence"]) + "]"]
-    for n, r in sorted(data["ranks"].items(), key=lambda kv: int(kv[0])):
-        text_lines.append(f"rank {n} = {r}")
-    for n, t in sorted(data["diffs"].items(), key=lambda kv: int(kv[0])):
-        text_lines.append(f"diff {n} = {t}")
-    for H, per in data["action"].items():
-        for n, t in sorted(per.items(), key=lambda kv: int(kv[0])):
-            text_lines.append(f"act {H} {n} = {t}")
-    return "\n".join(text_lines) + "\n"
+_JSON_FIELDS = {  # the keys of each kind's JSON object and their value types
+    "complex": {"ranks": dict, "diffs": dict},
+    "koszul": {"sequence": list},
+    "dgmodule": {"sequence": list, "ranks": dict, "diffs": dict, "action": dict},
+    "module": {"gens": object, "relations": object},
+    "system": {"m": object, "e": object, "s": object, "r": object, "equations": list},
+    "assignment": {"values": dict},
+}
+_EQUATION_FIELDS = dict.fromkeys(("tag", "n", "row", "col", "poly"), object)
+
+
+def _json_object(value, what, fields):
+    """`value`, which must be a JSON object holding every key of `fields`
+    with a value of the type given there."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    for key, kind in fields.items():
+        if key not in value:
+            raise FormatError(f"{what} has no {key!r} key")
+        if not isinstance(value[key], kind):
+            raise FormatError(f"{key!r} of {what} must be a JSON {kind.__name__}")
+    return value
+
+
+def _json_text(data):
+    """The text form of a JSON object of any kind, read by that kind's one
+    text loader.  A document that is not an object, an unknown kind, a
+    missing or mistyped key or a value with a line break is a FormatError."""
+    kind = _json_object(data, "a JSON document", {"kind": str})["kind"]
+    if kind not in _JSON_FIELDS:
+        raise FormatError(f"unknown JSON kind {kind!r}")
+    fields = _JSON_FIELDS[kind]
+    _json_object(data, f"a {kind} JSON object", {"ring": str, **fields})
+    lines = [f"ring {data['ring']}", kind]
+    if "sequence" in fields:
+        lines.append("sequence [" + ", ".join(map(str, data["sequence"])) + "]")
+    if "ranks" in fields:
+        lines += [f"rank {n} = {r}" for n, r in data["ranks"].items()]
+        lines += [f"diff {n} = {t}" for n, t in data["diffs"].items()]
+    if kind == "dgmodule":
+        lines += [f"act {H} {n} = {t}" for H, per in data["action"].items()
+                  for n, t in _json_object(per, f"action {H}", {}).items()]
+    if kind == "module":
+        lines += [f"gens {data['gens']}", f"relations {data['relations']}"]
+    if kind == "system":
+        lines.append(f"m={data['m']} e={data['e']} s={data['s']} r={data['r']}")
+        for eq in data["equations"]:
+            eq = _json_object(eq, "an equation", _EQUATION_FIELDS)
+            h = f" h={eq['h']}" if "h" in eq else ""
+            lines.append(f"{eq['tag']}{h} {eq['n']} {eq['row']} {eq['col']} : {eq['poly']}")
+    if kind == "assignment":
+        lines += [f"{tok} = {val}" for tok, val in data["values"].items()]
+    if any(len(line.splitlines()) != 1 for line in lines):
+        raise FormatError(f"a value of the {kind} JSON object spans lines")
+    return "\n".join(lines) + "\n"
 
 
 def from_json(text, coefficient_ring=None):
     """The object in `text`; an assignment maps from `coefficient_ring` as
     in `load_assignment`."""
-    data = json.loads(text)
-    kind = data.get("kind")
-    ring = make_ring(data["ring"])
-    if kind == "complex":
-        ranks = {int(n): r for n, r in data["ranks"].items()}
-        diffs = {int(n): parse_matrix(ring, t) for n, t in data["diffs"].items()}
-        return ChainComplex(ring, ranks, diffs)
-    if kind == "koszul":
-        return koszul(ring, [parse_element(ring, t) for t in data["sequence"]])
-    if kind == "dgmodule":
-        return load_dg_module(_dg_module_text(data))
-    if kind == "system":
-        lines = [f"ring {data['ring']}", "system",
-                 f"m={data['m']} e={data['e']} s={data['s']} r={data['r']}"]
-        for eq in data["equations"]:
-            if "h" in eq:
-                lines.append(f"{eq['tag']} h={eq['h']} {eq['n']} {eq['row']} "
-                             f"{eq['col']} : {eq['poly']}")
-            else:
-                lines.append(f"{eq['tag']} {eq['n']} {eq['row']} {eq['col']} : "
-                             f"{eq['poly']}")
-        return load_system("\n".join(lines) + "\n")
-    if kind == "assignment":
-        lines = [f"ring {data['ring']}", "assignment"]
-        for tok, val in data["values"].items():
-            lines.append(f"{tok} = {val}")
-        return load_assignment("\n".join(lines) + "\n", coefficient_ring)
-    if kind == "module":
-        return ModulePresentation(ring, data["gens"],
-                                  parse_matrix(ring, data["relations"]))
-    raise FormatError(f"unknown JSON kind {kind!r}")
+    return _load_text(_json_text(json.loads(text)), coefficient_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +557,22 @@ _LOADERS = {
     "dgmodule": load_dg_module,
     "module": load_presentation,
     "system": load_system,
+    "assignment": load_assignment,
 }
+
+
+def _load_text(text, coefficient_ring=None, where=""):
+    """The object in the text form `text`, read by its kind's loader;
+    `where` names the source in the error for an unreadable kind line."""
+    lines = _split_lines(text)
+    if len(lines) < 2:
+        raise FormatError(f"truncated file{where}")
+    kind = lines[1].strip()
+    if kind not in _LOADERS:
+        raise FormatError(f"unknown object kind {kind!r}{where}")
+    if kind == "assignment":
+        return load_assignment(text, coefficient_ring)
+    return _LOADERS[kind](text)
 
 
 def load(path, coefficient_ring=None):
@@ -553,14 +580,5 @@ def load(path, coefficient_ring=None):
     p = pathlib.Path(path)
     text = p.read_text(encoding="utf-8")
     if p.suffix == ".json":
-        return from_json(text, coefficient_ring)
-    lines = _split_lines(text)
-    if len(lines) < 2:
-        raise FormatError(f"truncated file {path}")
-    kind = lines[1].strip()
-    if kind == "assignment":
-        return load_assignment(text, coefficient_ring)
-    loader = _LOADERS.get(kind)
-    if loader is None:
-        raise FormatError(f"unknown object kind {kind!r} in {path}")
-    return loader(text)
+        text = _json_text(json.loads(text))
+    return _load_text(text, coefficient_ring, f" in {path}")

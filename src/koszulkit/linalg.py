@@ -17,11 +17,11 @@ reducer (_hermite) over a Euclidean domain: row_echelon runs it over the
 field, howell_form over Z on the lift stacked on n*I.
 
 Both reducers compute on payloads through the one payload protocol of
-`rings.Ring`: the Euclidean domain is the ring itself for Z, Q and F_p,
-and PolyED, the same protocol on dense payloads, for F_p[x].  Quotients,
-remainders, the unit test and inverses modulo f are derived from it below.
-The lift context converts payloads in both directions (the identity but
-for reduction mod n and the dense form of F_p[x]), and results go to
+`rings.Ring`: the Euclidean domain is a ring, the ring itself for Z, Q,
+F_p and F_p[x], Z for Z/n and the ambient F_p[x] for F_p[x]/(f).
+Quotients, remainders, the unit test and inverses modulo f are derived
+from it below.  Every ring's payloads are payloads of its lift, so entries
+go in as they are; results are reduced modulo n or f and go to
 `Matrix.from_payload_rows` or `Matrix.from_columns`, so no entry is boxed
 into a RingElement.
 """
@@ -43,10 +43,10 @@ _SMITH_SWEEP_CAP = 10_000
 # ---------------------------------------------------------------------------
 # Euclidean payload domains
 #
-# Z, Q and F_p are their own Euclidean domains: rings.Ring binds their
-# divmod_payload, gcdex_payload, canon_payload and size_payload.  PolyED
-# provides the same protocol for F_p[x].  What elimination needs beyond it
-# is derived once, here, for every domain.
+# Z, Q, F_p and F_p[x] are their own Euclidean domains: rings.Ring binds
+# their divmod_payload, gcdex_payload, canon_payload and size_payload on
+# the ring's own payloads.  What elimination needs beyond it is derived
+# once, here, for every domain.
 
 
 def _quo(ed, a, b):
@@ -79,86 +79,15 @@ def _inv_mod(ed, a, f):
     return _mod(ed, s, f)
 
 
-class PolyED:
-    """Univariate polynomials over F_p; payloads are little-endian tuples."""
-
-    def __init__(self, p):
-        self.p = p
-        self.zero_payload = ()
-        self.one_payload = (1 % p,)
-
-    def _trim(self, coeffs):
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
-
-    def add_payload(self, a, b):
-        n = max(len(a), len(b))
-        out = [( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) ) % self.p
-               for i in range(n)]
-        return self._trim(out)
-
-    def neg_payload(self, a):
-        return tuple((-c) % self.p for c in a)
-
-    def mul_payload(self, a, b):
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % self.p
-        return self._trim(out)
-
-    def divmod_payload(self, a, b):
-        if not b:
-            raise ZeroDivisionError
-        a = list(a)
-        q = [0] * max(0, len(a) - len(b) + 1)
-        inv_lead = pow(b[-1], -1, self.p)
-        for i in range(len(a) - len(b), -1, -1):
-            c = (a[i + len(b) - 1] * inv_lead) % self.p
-            if c:
-                q[i] = c
-                for j, cb in enumerate(b):
-                    a[i + j] = (a[i + j] - c * cb) % self.p
-        return self._trim(q), self._trim(a)
-
-    def gcdex_payload(self, a, b):
-        add, neg, mul = self.add_payload, self.neg_payload, self.mul_payload
-        x, nx, y, ny, g, ng = self.one_payload, (), (), self.one_payload, a, b
-        while ng:
-            q, r = self.divmod_payload(g, ng)
-            x, nx = nx, add(x, neg(mul(q, nx)))
-            y, ny = ny, add(y, neg(mul(q, ny)))
-            g, ng = ng, r
-        if g:
-            scale = (pow(g[-1], -1, self.p),)
-            g, x, y = mul(scale, g), mul(scale, x), mul(scale, y)
-        return g, x, y
-
-    def canon_payload(self, a):
-        if not a:
-            return self.one_payload, a
-        return (a[-1],), self.mul_payload((pow(a[-1], -1, self.p),), a)
-
-    @staticmethod
-    def size_payload(a):
-        return len(a)
-
-
 # ---------------------------------------------------------------------------
 # ring -> lift context
 
 
 @dataclass
 class _LiftContext:
-    ed: object               # the Euclidean domain: Z, Q or F_p itself, or a PolyED
+    ed: object               # the Euclidean domain: Z, Q, F_p or F_p[x] (a Ring)
     modulus: object          # ED payload, or None when the ring is the domain itself
-    to_payload: callable     # ring payload -> ED payload
     from_payload: callable   # ED payload -> ring payload, reduced mod the modulus
-    finite_card: int | None  # |ring| when finite
     quotient_card: callable | None  # g dividing the modulus -> |ED/(g)|
 
 
@@ -166,40 +95,24 @@ def _identity(x):
     return x
 
 
-def _poly_payload_to_dense(payload):
-    out = []
-    for (e,), c in payload:
-        while len(out) <= e:
-            out.append(0)
-        out[e] = c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _dense_to_poly_payload(ring, dense):
-    items = [(((i,), c)) for i, c in enumerate(dense) if c]
-    items.sort(key=lambda item: ring._key(item[0]), reverse=True)
-    return tuple(items)
-
-
 def lift_context(ring):
-    """The Euclidean lift behind a linear_solve ring, or None."""
-    if ring.kind in (INTEGERS, RATIONALS, PRIMEFIELD):
-        return _LiftContext(ring, None, _identity, _identity, ring.modulus, None)
+    """The Euclidean lift behind a linear_solve ring, or None.
+
+    Z, Q, F_p and F_p[x] are their own lift; Z/n lifts to Z and F_p[x]/(f)
+    to its ambient F_p[x].  A ring's payloads are payloads of its lift, so
+    only results are converted, by reduction modulo the generator.
+    """
     if ring.kind == ZMOD:
         n = ring.modulus
-        return _LiftContext(ZZ(), n, _identity, lambda p: p % n, n, abs)
-    if ring.kind == POLYQUOT and len(ring.variables) == 1 and ring.coeff.kind == PRIMEFIELD:
-        ed = PolyED(ring.coeff.p)
-        gb = ring.groebner
-        modulus = _poly_payload_to_dense(gb[0]) if gb else None
-        return _LiftContext(
-            ed, modulus, _poly_payload_to_dense,
-            lambda p: _dense_to_poly_payload(
-                ring, p if modulus is None else _mod(ed, p, modulus)),
-            ring.cardinality(), lambda g: ed.p ** (len(g) - 1))
-    return None
+        return _LiftContext(ZZ(), n, lambda a: a % n, abs)
+    if ring.kind == POLYQUOT:
+        if len(ring.variables) != 1 or ring.coeff.kind != PRIMEFIELD:
+            return None
+        if ring.groebner:
+            p = ring.coeff.p
+            return _LiftContext(ring.ambient, ring.groebner[0], ring.normal_form_payload,
+                                lambda g: p ** g[0][0][0])
+    return _LiftContext(ring, None, _identity, None)
 
 
 def _fp_view_of(ring):
@@ -619,13 +532,6 @@ def _payload_grid(A):
     return grid
 
 
-def _matrix_to_grid(ctx, A):
-    """A's entries as dense rows of payloads of the lift's domain."""
-    to = ctx.to_payload
-    grid = _payload_grid(A)
-    return grid if to is _identity else [[to(v) for v in row] for row in grid]
-
-
 def _grid_to_matrix(ring, ctx, grid, cols):
     """The matrix over `ring` of dense rows of the lift's payloads."""
     conv = ctx.from_payload
@@ -641,7 +547,7 @@ def kernel_basis(ring, A):
         rows, ncols = view.rows(A)
         return view.matrix(_fp_kernel(view.p, rows, ncols), A.cols)
     ed = ctx.ed
-    sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
+    sd = smith_data(ed, _payload_grid(A), A.rows, A.cols)
     f = ctx.modulus
     gens = []
     for j in range(A.cols):
@@ -672,10 +578,10 @@ def solve(ring, A, B):
         return None if sols is None else view.matrix(sols, A.cols)
     ed = ctx.ed
     add, mul, zero = ed.add_payload, ed.mul_payload, ed.zero_payload
-    sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
+    sd = smith_data(ed, _payload_grid(A), A.rows, A.cols)
     f = ctx.modulus
     out_cols = []
-    rhs = _matrix_to_grid(ctx, B)
+    rhs = _payload_grid(B)
     for j in range(B.cols):
         bp = [r[j] for r in rhs]
         c = [None] * A.rows
@@ -741,18 +647,12 @@ def kernel_cardinality(ring, A):
     view, ctx = _engine(ring)
     if view is not None:
         return view.p ** (A.cols * view.dim - view.rank(A))
-    if ctx.finite_card is None:
+    if ctx.modulus is None:
         raise CapabilityMissing(f"{ring} is not finite")
-    ed = ctx.ed
-    sd = smith_data(ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
-    total = 1
-    for j in range(A.cols):
-        d = sd.diag(j)
-        if d:
-            total *= ctx.quotient_card(ed.gcdex_payload(d, ctx.modulus)[0])
-        else:
-            total *= ctx.finite_card
-    return total
+    # column j contributes |ann(d_j)| = |ED/(gcd(d_j, f))|, all of R when d_j = 0
+    sd = smith_data(ctx.ed, _payload_grid(A), A.rows, A.cols)
+    return prod(ctx.quotient_card(ctx.ed.gcdex_payload(sd.diag(j), ctx.modulus)[0])
+                for j in range(A.cols))
 
 
 def span_cardinality(ring, A):
@@ -762,9 +662,8 @@ def span_cardinality(ring, A):
     view, ctx = _engine(ring)
     if view is not None:
         return view.p ** view.rank(A)
-    if ctx.finite_card is None:
-        raise CapabilityMissing(f"{ring} is not finite")
-    return ctx.finite_card ** A.cols // kernel_cardinality(ring, A)
+    kernel = kernel_cardinality(ring, A)  # CapabilityMissing over infinite rings
+    return ring.cardinality() ** A.cols // kernel
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +698,7 @@ def smith_form(ring, A):
     ctx = lift_context(ring)
     if ctx is None or ctx.modulus is not None:
         raise CapabilityMissing(f"smith form needs a domain, not {ring}")
-    sd = smith_data(ctx.ed, _matrix_to_grid(ctx, A), A.rows, A.cols)
+    sd = smith_data(ctx.ed, _payload_grid(A), A.rows, A.cols)
     return NormalFormResult(
         "smith", ring, _grid_to_matrix(ring, ctx, sd.m, A.cols),
         _grid_to_matrix(ring, ctx, sd.S, A.rows), _grid_to_matrix(ring, ctx, sd.Si, A.rows),
@@ -902,8 +801,6 @@ def matrix_normal_form(ring, A):
         return row_echelon(ring, A)
     if ring.kind == ZMOD:
         return howell_form(ring, A)
-    if ring.kind == INTEGERS:
-        return smith_form(ring, A)
     ctx = lift_context(ring)
     if ctx is not None and ctx.modulus is None:
         return smith_form(ring, A)
@@ -962,7 +859,7 @@ def _domain_subquotient(ring, V, W):
     """span(V)/span(W) over Z, Q or F_p[x]: free rank plus invariant factors."""
     ctx = lift_context(ring)
     ed = ctx.ed
-    sd = smith_data(ed, _matrix_to_grid(ctx, V), V.rows, V.cols)
+    sd = smith_data(ed, _payload_grid(V), V.rows, V.cols)
     # basis of span(V): nonzero d_i times column i of S^{-1}
     basis_cols = []
     for i in range(min(V.rows, V.cols)):
@@ -977,7 +874,7 @@ def _domain_subquotient(ring, V, W):
     coords = solve(ring, B, W) if W.cols else Matrix.zeros(ring, k, 0)
     if coords is None:
         raise ArithmeticError("image generators not inside the kernel span")
-    csd = smith_data(ed, _matrix_to_grid(ctx, coords), k, coords.cols)
+    csd = smith_data(ed, _payload_grid(coords), k, coords.cols)
     factors = []
     rank_rel = 0
     for i in range(min(k, coords.cols)):

@@ -278,21 +278,24 @@ class Ring:
       zero_payload, one_payload       the zero payload is the only falsy one
       add_payload(a, b), neg_payload(a), mul_payload(a, b)
 
-    the fields Q and F_p add inv_payload(a), and the Euclidean domains Z, Q
-    and F_p add
+    the fields Q and F_p add inv_payload(a), and the Euclidean domains Z, Q,
+    F_p and k[x] (one variable, no relations) add
 
       divmod_payload(a, b) -> (q, r)  a = q b + r, r zero or smaller than b
       gcdex_payload(a, b) -> (g, s, t)  s a + t b = g, g canonical
-      canon_payload(a) -> (u, c)      a = u c, u a unit, c canonical
-      size_payload(a)                 the Euclidean size of a nonzero a
+      canon_payload(a) -> (u, c)      a = u c, u a unit, c canonical: c >= 0
+                                      in Z, 0 or 1 in a field, monic in k[x]
+      size_payload(a)                 |a| in Z, 1 in a field, deg a + 1 in k[x]
 
-    (linalg.PolyED provides the same for F_p[x] on dense payloads).
+    A polynomial quotient made by `poly_quotient` keeps its relation-free
+    ring, whose payloads are its own, as `ambient`.
     """
 
     def __init__(self, kind, modulus=None, coeff=None, variables=None,
                  ideal=None, order="degrevlex", groebner=None,
-                 budget=DEFAULT_GROEBNER_BUDGET):
+                 budget=DEFAULT_GROEBNER_BUDGET, ambient=None):
         self.kind = kind
+        self.ambient = ambient
         self.modulus = modulus
         self.p = modulus if kind == PRIMEFIELD else None  # the prime of a prime field
         self.coeff = coeff
@@ -420,6 +423,12 @@ class Ring:
             self.add_payload = self._poly_add_payload
             self.neg_payload = lambda a: _poly_neg(a, self.coeff, self._key)
             self.mul_payload = self._poly_mul_payload
+            if len(self.variables) == 1 and not self.groebner:
+                self._bind_univariate_ops()
+            elif len(self.variables) == 1 and self.ambient is not None:
+                # one relation f: the normal form is the remainder mod f
+                f, divmod_ = self.groebner[0], self.ambient.divmod_payload
+                self.normal_form_payload = lambda a: divmod_(a, f)[1]
 
     def _bind_field_ops(self):
         """A field as a Euclidean domain: every division is exact, every
@@ -438,6 +447,77 @@ class Ring:
         self.gcdex_payload = gcdex
         self.canon_payload = lambda a: (a, one) if a else (one, a)
         self.size_payload = lambda a: 1
+
+    def _bind_univariate_ops(self):
+        """k[x] as a Euclidean domain on its own payloads (see the class
+        docstring).  Sums, products and remainders key terms by the exponent,
+        which orders one variable in every order, and add up plain int or
+        Fraction coefficients, reduced mod p once."""
+        cf, one, p, neg_ = self.coeff, self.one_payload, self.coeff.p, self.neg_payload
+        mul, inv = cf.mul_payload, cf.inv_payload
+
+        def terms(d):
+            items = sorted(d.items(), reverse=True)
+            if p is None:
+                return tuple(((e,), c) for e, c in items if c)
+            return tuple(((e,), c % p) for e, c in items if c % p)
+
+        def padd(a, b):
+            if not a or not b:
+                return a or b
+            d = {e: c for (e,), c in a}
+            for (e,), c in b:
+                d[e] = d.get(e, 0) + c
+            return terms(d)
+
+        def pmul(a, b):
+            if not a or not b:
+                return ()
+            if len(a) > len(b):
+                a, b = b, a
+            if len(a) == 1 and not a[0][0][0]:  # a constant scales b
+                c = a[0][1]
+                return b if c == 1 else tuple((e, mul(c, x)) for e, x in b)
+            d = {}
+            for (ea,), ca in a:
+                for (eb,), cb in b:
+                    d[ea + eb] = d.get(ea + eb, 0) + ca * cb
+            return terms(d)
+
+        def divmod_(a, b):
+            if not b:
+                raise ZeroDivisionError("polynomial division by zero")
+            ((db,), lead), tail = b[0], b[1:]
+            if not a or a[0][0][0] < db:
+                return (), a
+            inv_lead, q, r = inv(lead), {}, {e: c for (e,), c in a}
+            for d in range(a[0][0][0], db - 1, -1):  # cancel the term of degree d
+                c = q[d - db] = mul(r.pop(d, 0), inv_lead)
+                for (e,), cb in tail:
+                    r[e + d - db] = r.get(e + d - db, 0) - c * cb
+            return terms(q), terms(r)
+
+        def gcdex(a, b):
+            x, nx, y, ny, g, ng = one, (), (), one, a, b
+            while ng:
+                q, r = divmod_(g, ng)
+                x, nx = nx, padd(x, neg_(pmul(q, nx)))
+                y, ny = ny, padd(y, neg_(pmul(q, ny)))
+                g, ng = ng, r
+            if g:
+                scale = self._constant(inv(g[0][1]))
+                g, x, y = pmul(scale, g), pmul(scale, x), pmul(scale, y)
+            return g, x, y
+
+        def canon(a):
+            if not a:
+                return one, a
+            return self._constant(a[0][1]), pmul(self._constant(inv(a[0][1])), a)
+
+        self.add_payload, self.mul_payload, self.divmod_payload = padd, pmul, divmod_
+        self.gcdex_payload = gcdex
+        self.canon_payload = canon
+        self.size_payload = lambda a: a[0][0][0] + 1 if a else 0
 
     def _constant(self, c):
         """The polynomial payload of the constant with coefficient payload c."""
@@ -741,7 +821,8 @@ def poly_quotient(coeff, variables, ideal_texts=(), order="degrevlex",
     if order not in MONOMIAL_ORDERS:
         raise ValueError(f"unknown monomial order {order!r}")
     key = monomial_key(order)
-    # parse generators in a relation-free scratch ring with the same variables
+    # parse generators in the relation-free ring with the same variables,
+    # which the quotient keeps as its ambient ring
     scratch = Ring(POLYQUOT, coeff=coeff, variables=variables, ideal=(),
                    order=order, groebner=())
     gens = []
@@ -754,7 +835,8 @@ def poly_quotient(coeff, variables, ideal_texts=(), order="degrevlex",
     if any(not any(g[0][0]) for g in gb):
         raise ZeroRing(f"the ideal of {coeff}[{', '.join(variables)}] contains 1")
     return Ring(POLYQUOT, coeff=coeff, variables=variables,
-                ideal=tuple(gens), order=order, groebner=gb, budget=budget)
+                ideal=tuple(gens), order=order, groebner=gb, budget=budget,
+                ambient=scratch)
 
 
 def make_ring(spec, budget=DEFAULT_GROEBNER_BUDGET):
@@ -1004,7 +1086,15 @@ class RingHom:
                 raise NotAHomomorphism(
                     f"{src.modulus} is not zero in {tgt}; Z/{src.modulus} does not map")
             return
-        # polynomial quotient: need variable images killing the ideal
+        # polynomial quotient: the coefficient field must map, and the
+        # variable images must kill the ideal
+        if src.coeff.kind == RATIONALS:
+            if not (tgt.kind == RATIONALS
+                    or tgt.kind == POLYQUOT and tgt.coeff.kind == RATIONALS):
+                raise NotAHomomorphism(f"{tgt} is not a Q-algebra; {src} does not map")
+        elif not tgt.from_int(src.coeff.p).is_zero():
+            raise NotAHomomorphism(
+                f"{src.coeff.p} is not zero in {tgt}; {src} does not map")
         for v in src.variables:
             if v not in self.var_images:
                 raise NotAHomomorphism(f"no image supplied for variable {v!r}")
@@ -1019,10 +1109,8 @@ class RingHom:
         src, tgt = self.source, self.target
         acc = tgt.zero
         for e, c in payload:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise NotAHomomorphism("cannot map non-integral coefficients")
-                term = tgt.from_int(c.numerator)
+            if isinstance(c, Fraction):  # check() made the target a Q-algebra
+                term = RingElement(tgt, tgt._constant(c) if tgt.kind == POLYQUOT else c)
             else:
                 term = tgt.from_int(c)
             for name, exp in zip(src.variables, e):

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -97,6 +98,46 @@ def test_system_and_assignment_round_trip():
     # json mirror of both
     assert kio.save_system(kio.from_json(kio.to_json(system))) == text
     assert kio.save_assignment(kio.from_json(kio.to_json(sol))) == atext
+
+
+def json_objects():
+    """One object of every kind that has a JSON form."""
+    K = koszul(Z4, [Z4.from_int(2)])
+    P = cx.make_complex(Z4, {0: 1, 1: 1}, {1: mat(Z4, [[2]])})
+    return [P, K, extend(K, P), ModulePresentation(Z4, 2, mat(Z4, [[2], [0]])),
+            ds.generate_system(K, P), ds.canonical_solution(K, P)]
+
+
+@pytest.mark.parametrize("index", range(6),
+                         ids=["complex", "koszul", "dgmodule", "module", "system", "assignment"])
+def test_json_without_one_of_its_keys_is_a_format_error(index):
+    data = json.loads(kio.to_json(json_objects()[index]))
+    kio.from_json(json.dumps(data))
+    for key in data:
+        with pytest.raises(FormatError):
+            kio.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
+
+
+@pytest.mark.parametrize("document", ["[1]", "3", "null", '"complex"',
+                                      '{"kind": "ring", "ring": "zmod 4"}',
+                                      '{"kind": ["complex"], "ring": "zmod 4"}',
+                                      '{"kind": "complex", "ring": "zmod 4", "diffs": {},'
+                                      ' "ranks": {"0": "1\\nrank 1 = 1"}}'])
+def test_json_that_is_not_an_object_of_a_known_kind_is_a_format_error(document):
+    with pytest.raises(FormatError):
+        kio.from_json(document)
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["complex", "homology"], {"kind": "complex", "ring": "zmod 4", "ranks": {"0": 1}}),
+    (["system", "verify"], {"kind": "system", "ring": "zmod 4"}),
+    (["complex", "homology"], [1]),
+], ids=["complex-without-diffs", "system-without-fields", "top-level-list"])
+def test_cli_rejects_incomplete_json_with_exit_2(tmp_path, argv, document):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run_cli(argv + [str(path)] * (2 if argv[0] == "system" else 1))
+    assert code == 2 and err.startswith("error:") and "internal" not in err
 
 
 def test_polynomial_ring_elements_in_files():

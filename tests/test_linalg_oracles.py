@@ -1,8 +1,9 @@
 """Normal forms, subquotients and the unit test against independent oracles.
 
-Enumeration decides spans, quotients, units and minimal generating sets
-over finite rings; sympy (skipped when absent) gives reduced row echelon
-forms over Q and GF(p) and Smith forms over Z.
+Enumeration decides spans, quotients, kernels, solvability, units and
+minimal generating sets over finite rings; sympy (skipped when absent)
+gives reduced row echelon forms over Q and GF(p) and Smith forms over Z
+and F_p[x].
 """
 
 import random
@@ -15,7 +16,8 @@ import pytest
 from koszulkit.errors import BudgetExceeded, CapabilityMissing
 from koszulkit import linalg
 from koszulkit.linalg import (
-    howell_form, minimal_generators, row_echelon, smith_form, subquotient,
+    howell_form, kernel_cardinality, minimal_generators, row_echelon, smith_form, solve,
+    subquotient,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, parse_element, poly_quotient
@@ -199,3 +201,77 @@ def test_smith_diagonal_matches_sympy():
         ref = smith_normal_form(sympy.Matrix(rows_of(A)), domain=sympy.ZZ)
         expected = [abs(int(ref[i, i])) for i in range(min(rows, cols))]
         assert [d.payload for d in smith_form(Z, A).diagonal()] == expected
+
+
+def random_poly(R, rng, degree):
+    """A random element of F_p[x] or F_p[x]/(f) of degree at most `degree`,
+    zero about a third of the time."""
+    if rng.random() < 0.35:
+        return R.zero
+    p = R.coeff.p
+    terms = [((e,), c) for e in range(degree, -1, -1) if (c := rng.randrange(p))]
+    return RingElement(R, R.normal_form_payload(tuple(terms)))
+
+
+def random_poly_matrix(R, rows, cols, rng, degree=2):
+    if rows == 0 or cols == 0:
+        return Matrix.zeros(R, rows, cols)
+    return Matrix.from_rows(R, [[random_poly(R, rng, degree) for _ in range(cols)]
+                                for _ in range(rows)])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_smith_diagonal_over_fp_x_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    t = sympy.Symbol("x")
+    K = sympy.GF(p)[t]
+    R = poly_quotient(f"F{p}", ["x"])
+    rng = random.Random(60 + p)
+
+    def coefficients(expr):  # {degree: coefficient mod p} of a monic polynomial
+        poly = sympy.Poly(expr, t, modulus=p).monic()
+        return {e: int(c) % p for (e,), c in poly.terms() if int(c) % p}
+
+    for _ in range(25):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        A = random_poly_matrix(R, rows, cols, rng)
+        ours = [{e: c for (e,), c in d.payload} for d in smith_form(R, A).diagonal() if d.payload]
+        entries = [[sum(c * t ** e for (e,), c in x.payload) for x in r] for r in A.data]
+        ref = invariant_factors(sympy.Matrix(entries), domain=K)
+        assert ours == [coefficients(f) for f in ref if f != 0]
+
+
+def all_images(R, A):
+    """A v for every v in R^cols, as tuples of payloads, with repeats."""
+    elements = [a.payload for a in R.elements()]
+    data = [[x.payload for x in r] for r in A.data]
+    out = []
+    for v in product(elements, repeat=A.cols):
+        acc = [R.zero_payload] * A.rows
+        for j, c in enumerate(v):
+            acc = [R.add_payload(s, R.mul_payload(row[j], c)) for s, row in zip(acc, data)]
+        out.append(tuple(acc))
+    return out
+
+
+@pytest.mark.parametrize("coeff, ideal", [("F2", "x^3"), ("F3", "x^2 + 1"), ("F2", "x^2 + x")])
+def test_chain_ring_lift_matches_enumeration(coeff, ideal):
+    """Kernel cardinality, solvability and subquotient cardinality over
+    F_p[x]/(f), computed on the F_p[x] lift, against enumeration of R^n."""
+    R = poly_quotient(coeff, ["x"], [ideal])
+    rng = random.Random(R.cardinality() + len(ideal))
+    for _ in range(15):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        A = random_poly_matrix(R, rows, cols, rng)
+        images = all_images(R, A)
+        assert kernel_cardinality(R, A) == images.count((R.zero_payload,) * rows)
+        in_span = rng.random() < 0.5
+        b = A * random_poly_matrix(R, cols, 1, rng) if in_span \
+            else random_poly_matrix(R, rows, 1, rng)
+        X = solve(R, A, b)
+        assert (X is not None) == (tuple(row[0].payload for row in b.data) in images)
+        assert X is None or A * X == b
+        W = A * random_poly_matrix(R, cols, rng.randint(0, 2), rng)
+        assert subquotient(R, A, W).cardinality == \
+            len(set(images)) // len(set(all_images(R, W)))

@@ -1,6 +1,7 @@
-"""The payload protocol: the Euclidean laws of Z, Q, F_p and the F_p[x]
-lift, and agreement of every ring tier's payload operations with
-RingElement arithmetic.  One parametrized test per law."""
+"""The payload protocol: the Euclidean laws of Z, Q, F_p and the
+univariate rings F_p[x] and Q[x], and agreement of every ring tier's
+payload operations with RingElement arithmetic.  One parametrized test
+per law."""
 
 from fractions import Fraction
 
@@ -8,19 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulkit.linalg import PolyED, _is_unit, _unit_inv
+from koszulkit.linalg import _is_unit, _unit_inv
 from koszulkit.rings import (
-    GF, QQ, ZZ, Ring, RingElement, Zmod, parse_element, poly_quotient,
+    GF, QQ, ZZ, RingElement, Zmod, parse_element, poly_quotient,
 )
 
 
-def dense_poly(p):
-    """Payloads of F_p[x]: little-endian coefficient tuples, no trailing zero."""
-    def trim(coeffs):
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
-    return st.lists(st.integers(0, p - 1), max_size=6).map(trim)
+def univariate(coefficients):
+    """Sparse payloads of k[x] of degree below 6: ((exponent,), coefficient)
+    terms in decreasing degree, zero coefficients dropped."""
+    return st.lists(coefficients, max_size=6).map(
+        lambda cs: tuple(((e,), c) for e, c in reversed(list(enumerate(cs))) if c))
 
 
 EUCLIDEAN = {
@@ -28,8 +27,10 @@ EUCLIDEAN = {
     "Q": (QQ(), st.fractions(-100, 100, max_denominator=60)),
     "F2": (GF(2), st.integers(0, 1)),
     "F7": (GF(7), st.integers(0, 6)),
-    "F2[x]": (PolyED(2), dense_poly(2)),
-    "F5[x]": (PolyED(5), dense_poly(5)),
+    "F2[x]": (poly_quotient("F2", ["x"]), univariate(st.integers(0, 1))),
+    "F5[x]": (poly_quotient("F5", ["x"]), univariate(st.integers(0, 4))),
+    "Q[x]": (poly_quotient("Q", ["x"]),
+             univariate(st.fractions(-20, 20, max_denominator=9))),
 }
 
 
@@ -74,8 +75,7 @@ def test_canon_splits_off_a_unit(name, data):
     assert _is_unit(ed, u)
     assert ed.mul_payload(u, _unit_inv(ed, u)) == ed.one_payload
     assert ed.canon_payload(c) == (ed.one_payload, c)
-    if isinstance(ed, Ring):  # the derived unit test agrees with the ring's
-        assert _is_unit(ed, a) == ed.box(a).is_unit()
+    assert _is_unit(ed, a) == ed.box(a).is_unit()  # agrees with the ring's
 
 
 Q_QUOTIENT = poly_quotient("Q", ["x", "y"], ["x^2 - y", "y^2"])

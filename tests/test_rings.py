@@ -213,6 +213,28 @@ def test_hom_checks_relations():
         RingHom(S, R4, {"t": R4.variable("t")})
 
 
+def test_hom_from_an_fp_algebra_needs_p_zero_in_the_target():
+    S = poly_quotient("F2", ["x"], ["x^2"])
+    T = poly_quotient("Q", ["t"], ["t^2"])
+    with pytest.raises(NotAHomomorphism):
+        RingHom(S, T, {"x": T.variable("t")})
+    T2 = poly_quotient("F2", ["t"], ["t^2"])
+    h = RingHom(S, T2, {"x": T2.variable("t")})
+    assert h(parse_element(S, "1 + x")) == parse_element(T2, "1 + t")
+
+
+def test_hom_from_a_q_algebra_maps_fractions_and_needs_a_q_algebra_target():
+    S = poly_quotient("Q", ["x", "y"], ["x^2", "x*y", "y^2"])
+    T = poly_quotient("Q", ["t"], ["t^2"])
+    h = RingHom(S, T, {"x": T.variable("t"), "y": T.zero})
+    assert h(parse_element(S, "1/2*x - 2/3*y + 5/7")) == parse_element(T, "1/2*t + 5/7")
+    assert RingHom(S, QQ(), {"x": QQ().zero, "y": QQ().zero})(
+        parse_element(S, "3/4 + x")) == RingElement(QQ(), Fraction(3, 4))
+    F2 = poly_quotient("F2", ["t"], ["t^2"])
+    with pytest.raises(NotAHomomorphism):
+        RingHom(S, F2, {"x": F2.variable("t"), "y": F2.zero})
+
+
 def test_finite_enumeration():
     assert len(list(Z4.elements())) == 4
     assert len(list(QUAD.elements())) == 8
