@@ -135,9 +135,7 @@ def cmd_complex_trunc(args):
 
 def cmd_koszul_build(args):
     ring = make_ring(args.ring)
-    seq = [parse_element(ring, t.strip()) for t in args.sequence.split(",")
-           if t.strip()]
-    K = koszul(ring, seq)
+    K = koszul(ring, kio._parse_sequence(ring, f"[{args.sequence}]"))
     _save(K, args.output)
     return 0
 

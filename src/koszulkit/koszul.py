@@ -145,10 +145,13 @@ def verify_dga(K, mult_override=None):
     """Check the DG algebra axioms on the finite basis.
 
     Unitality, associativity and Leibniz are the DG module axioms of K
-    acting on itself (verify_dg_module); the other three belong to the
-    algebra.  Every call checks afresh; K.axioms keeps one report per
-    algebra.  `mult_override` substitutes the multiplication matrices (used
-    by tests to plant sign errors); everything else reads from K.
+    acting on itself (verify_dg_module): associativity for e_G e_H with
+    |G| <= 1 and Leibniz for |H| <= 1, which imply the identities of every
+    product and give the report a check of all of them would.  The other
+    three belong to the algebra and are read off the structure constants.
+    Every call checks afresh; K.axioms keeps one report per algebra.
+    `mult_override` substitutes the multiplication matrices (used by tests
+    to plant sign errors); everything else reads from K.
     """
     mult = mult_override if mult_override is not None else K.mult
     unitality, associativity, leibniz = \

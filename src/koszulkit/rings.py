@@ -336,6 +336,8 @@ class Ring:
                     self.maximal_ideal = (p,)
         elif self.kind == POLYQUOT:
             self._std_monomials = self._standard_monomials()
+            if self._std_monomials is not None:
+                self._bind_table_product()
             self.linear_solve = self.coeff.kind == PRIMEFIELD and (
                 len(self.variables) == 1 or self._std_monomials is not None)
             self._detect_local()
@@ -518,6 +520,50 @@ class Ring:
         self.gcdex_payload = gcdex
         self.canon_payload = canon
         self.size_payload = lambda a: a[0][0][0] + 1 if a else 0
+
+    def _bind_table_product(self):
+        """Multiply a finite-dimensional quotient's payloads through a table
+        of standard-monomial products.
+
+        `_mul_table[m1, m2]` is the normal form of m1 m2 for standard
+        monomials m1, m2, as (rank, coefficient) pairs, where the rank of a
+        standard monomial is its place in `_std_monomials` (ascending in the
+        monomial order).  Entries are made on first use and kept, so the
+        table holds at most dim^2 of them.  A product adds up the entries of
+        its term pairs by rank and lists the sums by descending rank.
+        """
+        std, cf = self._std_monomials, self.coeff
+        add, mul, zero, one = cf.add_payload, cf.mul_payload, cf.zero_payload, cf.one_payload
+        rank = {m: i for i, m in enumerate(std)}
+        unit = std[0]  # the constant monomial, least in every order
+        table = self._mul_table = {}
+
+        def entry(m1, m2):
+            nf = self.normal_form_payload(((monomial_mul(m1, m2), one),))
+            table[m1, m2] = pairs = tuple((rank[m], c) for m, c in nf)
+            return pairs
+
+        def product(a, b):
+            if not a or not b:
+                return ()
+            # a constant factor scales the other normal form
+            if len(b) == 1 and b[0][0] == unit:
+                a, b = b, a
+            if len(a) == 1 and a[0][0] == unit:
+                c = a[0][1]
+                return b if c == one else tuple((m, mul(c, x)) for m, x in b)
+            acc = {}
+            for m1, c1 in a:
+                for m2, c2 in b:
+                    pairs = table.get((m1, m2))
+                    if pairs is None:
+                        pairs = entry(m1, m2)
+                    c = mul(c1, c2)
+                    for i, ct in pairs:
+                        acc[i] = add(acc.get(i, zero), mul(c, ct))
+            return tuple((std[i], acc[i]) for i in sorted(acc, reverse=True) if acc[i])
+
+        self.mul_payload = product
 
     def _constant(self, c):
         """The polynomial payload of the constant with coefficient payload c."""

@@ -379,6 +379,25 @@ def test_cli_koszul_verify(tmp_path):
     assert "leibniz: ok" in out
 
 
+@pytest.mark.parametrize("sequence", ["2,,2", ",", "2,", " , 2"])
+def test_cli_koszul_build_rejects_an_empty_sequence_entry(sequence, tmp_path):
+    code, out, err = run_cli(["koszul", "build", "--ring", "zmod 4",
+                              "--sequence", sequence])
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    # the flag and the .kz sequence line read one grammar
+    kz = tmp_path / "K.kz"
+    kz.write_text(f"ring zmod 4\nkoszul\nsequence [{sequence}]\n")
+    assert run_cli(["koszul", "verify", str(kz)])[:2] == (2, "")
+
+
+@pytest.mark.parametrize("sequence, e", [("", 0), (" 2 ", 1), ("2, 2", 2)])
+def test_cli_koszul_build_reads_the_sequence_flag(sequence, e, tmp_path):
+    kz = tmp_path / "K.kz"
+    code, _, _ = run_cli(["koszul", "build", "--ring", "zmod 4",
+                          "--sequence", sequence, "-o", str(kz)])
+    assert code == 0 and kio.load(str(kz)).e == e
+
+
 def test_cli_shift_trunc_tensor(tmp_path):
     a = tmp_path / "a.cx"
     a.write_text("ring integers\ncomplex\nrank 0 = 1\nrank 1 = 1\n"

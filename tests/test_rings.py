@@ -10,8 +10,8 @@ from koszulkit.errors import (
     UnknownVariable, ZeroRing,
 )
 from koszulkit.rings import (
-    GF, QQ, RingElement, RingHom, ZZ, Zmod, format_element, make_ring, normal_form,
-    parse_element, poly_quotient, ring_spec,
+    GF, QQ, RingElement, RingHom, ZZ, Zmod, _poly_from_dict, _poly_mul, format_element,
+    make_ring, normal_form, parse_element, poly_quotient, ring_spec,
 )
 
 from helpers import random_element
@@ -263,3 +263,60 @@ def test_identity_hom_returns_its_argument(ring, texts, monkeypatch):
     for a in elements:
         assert hom(a) is a
     assert expansions == []
+
+
+# ---------------------------------------------------------------------------
+# finite-dimensional quotients multiply through a standard-monomial table
+
+
+def _reference_product(R, a, b):
+    return R.normal_form_payload(_poly_mul(a, b, R.coeff, R._key))
+
+
+@pytest.mark.parametrize("coeff, variables, ideal", [
+    ("F2", ["x", "y"], ["x^2", "x*y", "y^2"]),
+    ("F3", ["x", "y"], ["x^2", "y^2"]),
+    ("F2", ["x"], ["x^4"]),
+    ("F5", ["x"], ["x^2"]),
+])
+def test_table_product_on_every_pair(coeff, variables, ideal):
+    R = poly_quotient(coeff, variables, ideal)
+    assert R._mul_table == {}  # built lazily, not with the ring
+    elements = [a.payload for a in R.elements()]
+    for a in elements:
+        for b in elements:
+            assert R.mul_payload(a, b) == _reference_product(R, a, b)
+    # the table is the ring's, and every pair of standard monomials is in it
+    assert len(R._mul_table) == len(R._std_monomials) ** 2
+
+
+@pytest.mark.parametrize("coeff, variables, ideal", [
+    ("F2", ["x", "y"], ["x^4", "y^3"]),
+    ("Q", ["x", "y"], ["x^2", "y^3", "x*y^2"]),
+])
+def test_table_product_on_seeded_pairs(coeff, variables, ideal):
+    R = poly_quotient(coeff, variables, ideal)
+    cf, std = R.coeff, R._std_monomials
+    rng = random.Random(f"table:{ideal}")
+
+    def draw():
+        d = {}
+        for m in rng.sample(std, rng.randint(0, len(std))):
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if cf.p is None \
+                else rng.randrange(cf.p)
+            if c:
+                d[m] = c
+        return _poly_from_dict(d, R._key)
+
+    for _ in range(500):
+        a, b = draw(), draw()
+        product = R.mul_payload(a, b)
+        assert product == _reference_product(R, a, b)
+        # coefficients stay payloads of the coefficient field
+        assert all(type(c) is type(cf.one_payload) and c for _, c in product)
+        assert len(R._mul_table) <= len(std) ** 2
+
+
+def test_infinite_quotients_have_no_table():
+    for R in (poly_quotient("F2", ["x", "y"], ["x^2"]), poly_quotient("F3", ["t"], [])):
+        assert R._std_monomials is None and not hasattr(R, "_mul_table")
