@@ -1,29 +1,22 @@
 """Exact linear algebra over rings with the linear_solve capability.
 
-Three elimination engines.  Prime fields F_p and
-finite-dimensional F_p-algebras run on int rows over F_p (_fp_rref): an
-algebra element expands to its multiplication matrix on the standard
-monomials, a prime-field entry is its own coordinate, and rows are packed
-into bitmask ints when p = 2.  Reduced row echelon form on those rows gives
-kernels, solutions and ranks (hence cardinalities, the unit test of those
-algebras and their minimal generating sets) without any transform matrices.
-Z, Z/n, Q and F_p[x] with its quotients are lifted to a Euclidean domain,
-where smith_data diagonalizes with recorded transforms; kernels,
-solvability, module cardinalities and subquotient presentations read off
-that decomposition, and a subquotient over Z/n is the one over Z of the
-lifts enlarged by n Z^u.
-The certified normal forms other than Smith come from one Hermite row
-reducer (_hermite) over a Euclidean domain: row_echelon runs it over the
-field, howell_form over Z on the lift stacked on n*I.
+Three elimination engines, all on payloads through the one payload
+protocol of `rings.Ring`, so no entry is boxed into a RingElement:
 
-Both reducers compute on payloads through the one payload protocol of
-`rings.Ring`: the Euclidean domain is a ring, the ring itself for Z, Q,
-F_p and F_p[x], Z for Z/n and the ambient F_p[x] for F_p[x]/(f).
-Quotients, remainders, the unit test and inverses modulo f are derived
-from it below.  Every ring's payloads are payloads of its lift, so entries
-go in as they are; results are reduced modulo n or f and go to
-`Matrix.from_payload_rows` or `Matrix.from_columns`, so no entry is boxed
-into a RingElement.
+- F_p and finite-dimensional F_p-algebras run reduced row echelon form on
+  int rows over F_p (_fp_rref), an algebra element expanded to its
+  multiplication matrix on the standard monomials, rows packed into
+  bitmask ints when p = 2.  It gives kernels, solutions and ranks, hence
+  cardinalities, the unit test and minimal generating sets.
+- Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
+  1986, Storjohann & Mulders 1998) with the ring's own row operations, so
+  every entry, transforms included, stays reduced; only pivot arithmetic
+  runs in the Euclidean lift, Z or the ambient F_p[x].  It gives
+  howell_form, kernels (from the Howell form of [A^T | I]), solutions and
+  cardinalities.  Over a field it gives row_echelon, the Hermite form.
+- The domains Z, Q and F_p[x] run smith_data with recorded transforms for
+  kernels, solutions and subquotients.  A subquotient over Z/n is the one
+  over Z of the lifts enlarged by n Z^u.
 """
 
 from __future__ import annotations
@@ -57,10 +50,6 @@ def _quo(ed, a, b):
     return q
 
 
-def _mod(ed, a, f):
-    return ed.divmod_payload(a, f)[1]
-
-
 def _is_unit(ed, a):
     # the units are the nonzero elements of least Euclidean size, that of one
     return bool(a) and ed.size_payload(a) == ed.size_payload(ed.one_payload)
@@ -68,15 +57,6 @@ def _is_unit(ed, a):
 
 def _unit_inv(ed, u):
     return ed.divmod_payload(ed.one_payload, u)[0]
-
-
-def _inv_mod(ed, a, f):
-    """The inverse of a modulo f.  gcdex returns the canonical gcd, which
-    is one exactly when a is invertible modulo f."""
-    g, s, _ = ed.gcdex_payload(a, f)
-    if g != ed.one_payload:
-        raise ArithmeticError("not invertible")
-    return _mod(ed, s, f)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +68,6 @@ class _LiftContext:
     ed: object               # the Euclidean domain: Z, Q, F_p or F_p[x] (a Ring)
     modulus: object          # ED payload, or None when the ring is the domain itself
     from_payload: callable   # ED payload -> ring payload, reduced mod the modulus
-    quotient_card: callable | None  # g dividing the modulus -> |ED/(g)|
 
 
 def _identity(x):
@@ -104,15 +83,13 @@ def lift_context(ring):
     """
     if ring.kind == ZMOD:
         n = ring.modulus
-        return _LiftContext(ZZ(), n, lambda a: a % n, abs)
+        return _LiftContext(ZZ(), n, lambda a: a % n)
     if ring.kind == POLYQUOT:
         if len(ring.variables) != 1 or ring.coeff.kind != PRIMEFIELD:
             return None
         if ring.groebner:
-            p = ring.coeff.p
-            return _LiftContext(ring.ambient, ring.groebner[0], ring.normal_form_payload,
-                                lambda g: p ** g[0][0][0])
-    return _LiftContext(ring, None, _identity, None)
+            return _LiftContext(ring.ambient, ring.groebner[0], ring.normal_form_payload)
+    return _LiftContext(ring, None, _identity)
 
 
 def _fp_view_of(ring):
@@ -137,8 +114,9 @@ def _engine(ring):
     """(F_p view, None) or (None, lift context): how kernels, solutions and
     cardinalities over `ring` are computed.
 
-    Prime fields, and the F_p-algebras that have no Euclidean lift, run on
-    F_p rows; everything else runs smith_data on its lift.
+    Prime fields and the F_p-algebras with no Euclidean lift run on F_p
+    rows, Z/n and F_p[x]/(f) (a lift with a modulus) on _howell, the domains
+    Z, Q and F_p[x] on smith_data.
     """
     ctx = None if ring.kind == PRIMEFIELD else lift_context(ring)
     view = None if ctx is not None else _fp_view_of(ring)
@@ -151,21 +129,17 @@ def _engine(ring):
 # Smith decomposition over a Euclidean domain, with recorded transforms
 
 
+@dataclass
 class _SmithData:
-    def __init__(self, ed, rows, cols):
-        self.ed = ed
-        self.rows = rows
-        self.cols = cols
-        self.m = None      # diagonalized grid
-        self.S = None      # left transform and its inverse
-        self.Si = None
-        self.T = None      # right transform and its inverse
-        self.Ti = None
+    ed: object
+    m: list    # the diagonalized grid
+    S: list    # the left transform and its inverse
+    Si: list
+    T: list    # the right transform and its inverse
+    Ti: list
 
     def diag(self, i):
-        if i < min(self.rows, self.cols):
-            return self.m[i][i]
-        return self.ed.zero_payload
+        return self.m[i][i] if i < min(len(self.m), len(self.T)) else self.ed.zero_payload
 
 
 def _identity_grid(ed, n):
@@ -176,7 +150,6 @@ def _identity_grid(ed, n):
 def smith_data(ed, grid, rows, cols):
     """S * grid * T = D diagonal with divisibility chain; all over `ed`."""
     m = [list(r) for r in grid]
-    sd = _SmithData(ed, rows, cols)
     S, Si = _identity_grid(ed, rows), _identity_grid(ed, rows)
     T, Ti = _identity_grid(ed, cols), _identity_grid(ed, cols)
     add, neg, mul = ed.add_payload, ed.neg_payload, ed.mul_payload
@@ -219,73 +192,49 @@ def smith_data(ed, grid, rows, cols):
         Ti[i] = [add(mul(d, x), neg(mul(c, y))) for x, y in zip(ri, rj)]
         Ti[j] = [add(mul(a, y), neg(mul(b, x))) for x, y in zip(ri, rj)]
 
-    def eliminate_row(k, i):
-        # kill m[i][k] against the pivot m[k][k]; leave the pivot row alone
-        # whenever the pivot divides the entry (prevents swap oscillation)
-        a, b = m[k][k], m[i][k]
+    def eliminate(combine, k, i, b):
+        # kill the entry b of row or column i against the pivot m[k][k];
+        # leave the pivot alone whenever it divides b (no swap oscillation)
+        a = m[k][k]
         if a:
             q, r = divmod_(b, a)
             if not r:
-                row_combine(k, i, one, zero, neg(q), one)
+                combine(k, i, one, zero, neg(q), one)
                 return
         g, s, t = gcdex(a, b)
-        row_combine(k, i, s, t, neg(_quo(ed, b, g)), _quo(ed, a, g))
-
-    def eliminate_col(k, j):
-        a, b = m[k][k], m[k][j]
-        if a:
-            q, r = divmod_(b, a)
-            if not r:
-                col_combine(k, j, one, zero, neg(q), one)
-                return
-        g, s, t = gcdex(a, b)
-        col_combine(k, j, s, t, neg(_quo(ed, b, g)), _quo(ed, a, g))
+        combine(k, i, s, t, neg(_quo(ed, b, g)), _quo(ed, a, g))
 
     def clear_at(k):
         while True:
             for i in range(k + 1, rows):
                 if m[i][k]:
-                    eliminate_row(k, i)
+                    eliminate(row_combine, k, i, m[i][k])
             if not any(m[k][j] for j in range(k + 1, cols)):
                 return
             for j in range(k + 1, cols):
                 if m[k][j]:
-                    eliminate_col(k, j)
+                    eliminate(col_combine, k, j, m[k][j])
             if not any(m[i][k] for i in range(k + 1, rows)):
                 return
 
     limit = min(rows, cols)
     for sweep in range(_SMITH_SWEEP_CAP):
         for k in range(limit):
-            pivot = None
-            best = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    if m[i][j]:
-                        s = size(m[i][j])
-                        if best is None or s < best:
-                            best, pivot = s, (i, j)
+            # the first entry of least size, in row-major order
+            pivot = min(((size(m[i][j]), i, j) for i in range(k, rows)
+                         for j in range(k, cols) if m[i][j]), default=None)
             if pivot is None:
                 break
-            if pivot != (k, k):
-                if pivot[0] != k:
-                    row_swap(k, pivot[0])
-                if pivot[1] != k:
-                    col_swap(k, pivot[1])
+            if pivot[1] != k:
+                row_swap(k, pivot[1])
+            if pivot[2] != k:
+                col_swap(k, pivot[2])
             clear_at(k)
         # enforce the divisibility chain d1 | d2 | ...
-        violation = None
-        for i in range(limit - 1):
-            a, b = m[i][i], m[i + 1][i + 1]
-            if not a and b:
-                violation = i
-                break
-            if a and b and divmod_(b, a)[1]:
-                violation = i
-                break
-        if violation is None:
+        i = next((i for i in range(limit - 1) if m[i + 1][i + 1] and (
+            not m[i][i] or divmod_(m[i + 1][i + 1], m[i][i])[1])), None)
+        if i is None:
             break
-        i = violation
         # fold the next diagonal entry into row i so the gcd step can run
         row_combine(i, i + 1, one, one, zero, one)
     else:
@@ -303,8 +252,7 @@ def smith_data(ed, grid, rows, cols):
             for r in Si:
                 r[i] = mul(u, r[i])
 
-    sd.m, sd.S, sd.Si, sd.T, sd.Ti = m, S, Si, T, Ti
-    return sd
+    return _SmithData(ed, m, S, Si, T, Ti)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +467,169 @@ class _FpView:
 
 
 # ---------------------------------------------------------------------------
+# Howell row reduction over ED/(f)
+
+
+def _howell(ring, ctx, W, ncols, reduce_from=None, transforms=False):
+    """Row-reduce W in place to Howell form in its first `ncols` columns.
+
+    W holds dense rows of payloads of `ring` = ED/(f), ctx being the lift:
+    Z/n over Z and F_p[x]/(f) over the ambient F_p[x], or f = 0 for a
+    domain, whose Howell form is its Hermite form.  Entries past `ncols`
+    ride along.  Row operations are the ring's own, which reduce mod f, so
+    no entry, transforms included, leaves the ring; only pivot arithmetic
+    (gcdex, exact division) runs in ED.  Returns the pivots as (column,
+    row) pairs, and with `transforms` also U and U^-1 transposed (so its
+    column operations are row operations too), where U * W_in = W_out.
+    Column by column:
+
+    - gather: the entry of least size at or below the pivot row moves up;
+      an entry the pivot divides is cleared by a subtraction, any other by
+      a gcd combination of determinant 1;
+    - normalize and complete: let (g, s, t) = gcdex(a, f) for the pivot a,
+      u = a/g and v = f/g.  When v = 0 in the ring, s is a unit with
+      inverse u, and scaling the pivot row R by it makes the pivot g.
+      Otherwise the combination [[s, -t], [v, u]] (determinant su + tv = 1)
+      of R and a zero row gives s R, with pivot g, and v R, which vanishes
+      in this column and stays below.  As v (s R) = s (v R), the rows below
+      then span every multiple of the pivot row that vanishes there: the
+      Howell property.  Without transforms v R is appended instead;
+    - reduce: from column `reduce_from` on (never by default), the entries
+      above the pivot are reduced modulo g.
+
+    With transforms, W padded with `ncols` zero rows has the zero rows
+    needed: each pivot fills at most one.
+    """
+    add, mul, neg = ring.add_payload, ring.mul_payload, ring.neg_payload
+    zero, one = ring.zero_payload, ring.one_payload
+    ed, reduce_ = ctx.ed, ctx.from_payload
+    f = ed.zero_payload if ctx.modulus is None else ctx.modulus
+    divmod_, gcdex, size = ed.divmod_payload, ed.gcdex_payload, ed.size_payload
+    if transforms:
+        U, UiT = _identity_grid(ring, len(W)), _identity_grid(ring, len(W))
+
+    def swap(i, k):
+        for mat in (W, U, UiT) if transforms else (W,):
+            mat[i], mat[k] = mat[k], mat[i]
+
+    def scale(r, c, c_inv, j):
+        W[r][j:] = [mul(c, x) for x in W[r][j:]]
+        if transforms:
+            U[r] = [mul(c, x) for x in U[r]]
+            UiT[r] = [mul(c_inv, x) for x in UiT[r]]
+
+    def axpy(i, c, r, j):
+        # row i += c * row r, where row r vanishes left of column j
+        W[i][j:] = [add(x, mul(c, y)) for x, y in zip(W[i][j:], W[r][j:])]
+        if transforms:
+            U[i] = [add(x, mul(c, y)) for x, y in zip(U[i], U[r])]
+            nc = neg(c)  # column r of U^-1 -= c * column i
+            UiT[r] = [add(x, mul(nc, y)) for x, y in zip(UiT[r], UiT[i])]
+
+    def combine(i, k, a, b, c, d, j):
+        # rows (i, k) <- (a ri + b rk, c ri + d rk), both vanishing left of j
+        for mat, start in ((W, j), (U, 0)) if transforms else ((W, j),):
+            ri, rk = mat[i][start:], mat[k][start:]
+            mat[i][start:] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rk)]
+            mat[k][start:] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rk)]
+        if transforms:  # columns i, k of U^-1 times the inverse [[d, -b], [-c, a]]
+            ti, tk = UiT[i], UiT[k]
+            UiT[i] = [add(mul(d, x), neg(mul(c, y))) for x, y in zip(ti, tk)]
+            UiT[k] = [add(mul(a, y), neg(mul(b, x))) for x, y in zip(ti, tk)]
+
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        least = min(((size(W[i][j]), i) for i in range(r, len(W)) if W[i][j]), default=None)
+        if least is None:
+            continue
+        if least[1] != r:
+            swap(r, least[1])
+        for i in range(r + 1, len(W)):
+            b = W[i][j]
+            if b:
+                a = W[r][j]
+                q, rem = divmod_(b, a)
+                if not rem:
+                    axpy(i, neg(q), r, j)
+                else:
+                    g, s, t = gcdex(a, b)
+                    combine(r, i, reduce_(s), reduce_(t),
+                            neg(_quo(ed, b, g)), _quo(ed, a, g), j)
+        a = W[r][j]
+        g, s, t = gcdex(a, f)
+        s, u, v = reduce_(s), _quo(ed, a, g), reduce_(_quo(ed, f, g))
+        if not v:
+            if s != one:
+                scale(r, s, u, j)
+        elif transforms:
+            z = next(k for k in range(len(W) - 1, r, -1) if not any(W[k]))
+            combine(r, z, s, neg(reduce_(t)), v, u, j)
+        else:
+            tail = [mul(v, x) for x in W[r][j + 1:]]
+            if any(tail):
+                W.append([zero] * (j + 1) + tail)
+            scale(r, s, None, j)
+        if reduce_from is not None and j >= reduce_from:
+            for i in range(r):
+                q = divmod_(W[i][j], g)[0]
+                if q:
+                    axpy(i, neg(q), r, j)
+        pivots.append((j, r))
+        r += 1
+    return (pivots, U, UiT) if transforms else pivots
+
+
+def _transpose(grid):
+    return [list(col) for col in zip(*grid)]
+
+
+def _augmented_transpose(A):
+    """The dense payload rows of [A^T | I]: row j pairs column j of A with e_j."""
+    return _payload_grid(A.transpose().hstack(Matrix.identity(A.ring, A.cols)))
+
+
+def _howell_span_size(ring, ctx, A):
+    """|column span of A| over ED/(f): the product of the sizes of the
+    ideals (d), d a pivot of the Howell form of A^T, where |(d)| is
+    |ED/(f/d)|: n/d over Z, p^(deg f - deg d) over F_p[x]."""
+    W, f = _payload_grid(A.transpose()), ctx.modulus
+    if ring.kind == POLYQUOT:
+        return prod(ring.coeff.p ** (f[0][0][0] - W[i][j][0][0][0])
+                    for j, i in _howell(ring, ctx, W, A.rows))
+    return prod(f // W[i][j] for j, i in _howell(ring, ctx, W, A.rows))
+
+
+def _howell_solve(ring, ctx, A, B):
+    """X with A X = B over ED/(f), or None.  The rows of [A^T | I] pair A x
+    with x; each column b of B, as the row (b^T | 0), is reduced against the
+    left pivots of their Howell form, which decide membership, to (0 | -x^T).
+    """
+    W = _augmented_transpose(A)
+    left = A.rows
+    pivot_row = dict(_howell(ring, ctx, W, left))
+    add, mul, neg = ring.add_payload, ring.mul_payload, ring.neg_payload
+    divmod_ = ctx.ed.divmod_payload
+    pad = [ring.zero_payload] * A.cols
+    out = []
+    for b in _payload_grid(B.transpose()):
+        y = b + pad
+        for j in range(left):
+            if not y[j]:
+                continue
+            if j not in pivot_row:
+                return None
+            row = W[pivot_row[j]]
+            q, rem = divmod_(y[j], row[j])
+            if rem:
+                return None
+            nq = neg(q)
+            y[j:] = [add(x, mul(nq, w)) for x, w in zip(y[j:], row[j:])]
+        out.append([neg(x) for x in y[left:]])
+    return Matrix.from_columns(ring, A.cols, out)
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -541,30 +652,23 @@ def _grid_to_matrix(ring, ctx, grid, cols):
 
 
 def kernel_basis(ring, A):
-    """Columns generating ker(A) as a module (a basis over fields, Z, F_p[x])."""
+    """Columns generating ker(A) as a module (a basis over fields, Z, F_p[x]).
+
+    Over Z/n and F_p[x]/(f) these are the rows of the Howell form of
+    [A^T | I] whose left part is zero, read from their right part.
+    """
     view, ctx = _engine(ring)
     if view is not None:
         rows, ncols = view.rows(A)
         return view.matrix(_fp_kernel(view.p, rows, ncols), A.cols)
-    ed = ctx.ed
-    sd = smith_data(ed, _payload_grid(A), A.rows, A.cols)
-    f = ctx.modulus
-    gens = []
-    for j in range(A.cols):
-        d = sd.diag(j)
-        if f is None:
-            if d:
-                continue
-            scale = ed.one_payload
-        else:
-            g, _, _ = ed.gcdex_payload(d, f)
-            scale = _quo(ed, f, g)
-            if not _mod(ed, scale, f):
-                continue  # annihilator is zero: this column contributes nothing
-        col = [ctx.from_payload(ed.mul_payload(sd.T[i][j], scale)) for i in range(A.cols)]
-        if any(col):
-            gens.append(col)
-    return Matrix.from_columns(ring, A.cols, gens)
+    if ctx.modulus is not None:
+        W = _augmented_transpose(A)
+        pivots = _howell(ring, ctx, W, A.rows + A.cols, reduce_from=A.rows)
+        return Matrix.from_columns(ring, A.cols,
+                                   [W[i][A.rows:] for j, i in pivots if j >= A.rows])
+    sd = smith_data(ctx.ed, _payload_grid(A), A.rows, A.cols)
+    return Matrix.from_columns(ring, A.cols, [[row[j] for row in sd.T]
+                                              for j in range(A.cols) if not sd.diag(j)])
 
 
 def solve(ring, A, B):
@@ -576,83 +680,41 @@ def solve(ring, A, B):
         rows, ncols = view.rows(A)
         sols = _fp_solve(view.p, rows, ncols, [view.column(B, j) for j in range(B.cols)])
         return None if sols is None else view.matrix(sols, A.cols)
-    ed = ctx.ed
-    add, mul, zero = ed.add_payload, ed.mul_payload, ed.zero_payload
+    if ctx.modulus is not None:
+        return _howell_solve(ring, ctx, A, B)
+    # S A T = D: solve D y = S b entry by entry, then x = T y
+    ed, zero = ctx.ed, ctx.ed.zero_payload
     sd = smith_data(ed, _payload_grid(A), A.rows, A.cols)
-    f = ctx.modulus
-    out_cols = []
-    rhs = _payload_grid(B)
-    for j in range(B.cols):
-        bp = [r[j] for r in rhs]
-        c = [None] * A.rows
-        for i in range(A.rows):
-            acc = zero
-            for k in range(A.rows):
-                acc = add(acc, mul(sd.S[i][k], bp[k]))
-            c[i] = acc if f is None else _mod(ed, acc, f)
+    Y = []
+    for c in _payload_grid((Matrix.from_payload_rows(ring, A.rows, A.rows, sd.S) * B).transpose()):
         y = [zero] * A.cols
-        ok = True
-        for i in range(A.rows):
+        for i, ci in enumerate(c):
             d = sd.diag(i)
-            ci = c[i]
-            if f is None:
-                if not d:
-                    if ci:
-                        ok = False
-                        break
-                else:
-                    q, r = ed.divmod_payload(ci, d)
-                    if r:
-                        ok = False
-                        break
-                    if i < A.cols:
-                        y[i] = q
-            else:
-                g = ed.gcdex_payload(d, f)[0] if d else f
-                if _mod(ed, ci, g):
-                    ok = False
-                    break
-                fg = _quo(ed, f, g)
-                if i < A.cols and not _is_unit(ed, fg):
-                    dg = _quo(ed, d, g) if d else zero
-                    if dg:
-                        cg = _quo(ed, ci, g)
-                        y[i] = _mod(ed, mul(cg, _inv_mod(ed, dg, fg)), fg)
-        if not ok:
-            return None
-        x = []
-        for i in range(A.cols):
-            acc = zero
-            for k in range(A.cols):
-                acc = add(acc, mul(sd.T[i][k], y[k]))
-            x.append(ctx.from_payload(acc))
-        out_cols.append(x)
-    return Matrix.from_columns(ring, A.cols, out_cols)
+            q, r = ed.divmod_payload(ci, d) if d else (zero, ci)
+            if r:
+                return None
+            if i < A.cols:
+                y[i] = q
+        Y.append(y)
+    return Matrix.from_payload_rows(ring, A.cols, A.cols, sd.T) * \
+        Matrix.from_columns(ring, A.cols, Y)
 
 
 def invert(ring, A):
     """Two-sided inverse of a square matrix, or None."""
     if A.rows != A.cols:
         return None
-    X = solve(ring, A, Matrix.identity(ring, A.rows))
-    if X is None:
-        return None
-    if not (X * A - Matrix.identity(ring, A.rows)).is_zero():
-        return None
-    return X
+    identity = Matrix.identity(ring, A.rows)
+    X = solve(ring, A, identity)
+    return X if X is not None and X * A == identity else None
 
 
 def kernel_cardinality(ring, A):
-    """|ker A| over a finite ring."""
-    view, ctx = _engine(ring)
-    if view is not None:
-        return view.p ** (A.cols * view.dim - view.rank(A))
-    if ctx.modulus is None:
+    """|ker A| over a finite ring: |R|^cols / |column span of A|."""
+    size = ring.cardinality()
+    if size is None:
         raise CapabilityMissing(f"{ring} is not finite")
-    # column j contributes |ann(d_j)| = |ED/(gcd(d_j, f))|, all of R when d_j = 0
-    sd = smith_data(ctx.ed, _payload_grid(A), A.rows, A.cols)
-    return prod(ctx.quotient_card(ctx.ed.gcdex_payload(sd.diag(j), ctx.modulus)[0])
-                for j in range(A.cols))
+    return size ** A.cols // span_cardinality(ring, A)
 
 
 def span_cardinality(ring, A):
@@ -662,8 +724,9 @@ def span_cardinality(ring, A):
     view, ctx = _engine(ring)
     if view is not None:
         return view.p ** view.rank(A)
-    kernel = kernel_cardinality(ring, A)  # CapabilityMissing over infinite rings
-    return ring.cardinality() ** A.cols // kernel
+    if ctx.modulus is None:
+        raise CapabilityMissing(f"{ring} is not finite")
+    return _howell_span_size(ring, ctx, A)
 
 
 # ---------------------------------------------------------------------------
@@ -705,93 +768,44 @@ def smith_form(ring, A):
         _grid_to_matrix(ring, ctx, sd.T, A.cols), _grid_to_matrix(ring, ctx, sd.Ti, A.cols), A)
 
 
-def _hermite(ed, grid, ncols):
-    """Row-reduce `grid` in place to Hermite form over `ed`; return (U, U^-1).
-
-    Column by column, gcd row combinations of determinant 1 collect the
-    column's gcd in the pivot row, `canon_payload` normalizes the pivot and
-    `divmod_payload` reduces the entries above it, so U * input = grid.
-    Over a field this is the reduced row echelon form.
-    """
-    total = len(grid)
-    add, mul, neg = ed.add_payload, ed.mul_payload, ed.neg_payload
-    zero, one = ed.zero_payload, ed.one_payload
-    U, Ui = _identity_grid(ed, total), _identity_grid(ed, total)
-
-    def combine(i, j, a, b, c, d):
-        # rows (i,j) <- (a ri + b rj, c ri + d rj), det = ad - bc = 1
-        for mat in (grid, U):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rj)]
-            mat[j] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rj)]
-        for r in Ui:
-            x, y = r[i], r[j]
-            r[i] = add(mul(d, x), neg(mul(c, y)))
-            r[j] = add(mul(a, y), neg(mul(b, x)))
-
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == total:
-            break
-        for i in range(pivot_row + 1, total):
-            b = grid[i][col]
-            if b:
-                a = grid[pivot_row][col]
-                g, s, t = ed.gcdex_payload(a, b)
-                combine(pivot_row, i, s, t, neg(_quo(ed, b, g)), _quo(ed, a, g))
-        piv = grid[pivot_row][col]
-        if not piv:
-            continue
-        u, c = ed.canon_payload(piv)
-        if c != piv:
-            inv = _unit_inv(ed, u)
-            grid[pivot_row] = [mul(inv, x) for x in grid[pivot_row]]
-            U[pivot_row] = [mul(inv, x) for x in U[pivot_row]]
-            for r in Ui:
-                r[pivot_row] = mul(u, r[pivot_row])
-        for i in range(pivot_row):
-            q, _ = ed.divmod_payload(grid[i][col], c)
-            if q:
-                combine(i, pivot_row, one, neg(q), zero, one)
-        pivot_row += 1
-    return U, Ui
-
-
 def row_echelon(ring, A):
     """Reduced row echelon over a field, with recorded row transform."""
     if ring.kind not in (RATIONALS, PRIMEFIELD):
         raise CapabilityMissing(f"row echelon requires a field, got {ring}")
-    m = _payload_grid(A)
-    L, Li = _hermite(ring, m, A.cols)
+    W = _payload_grid(A)
+    _, L, LiT = _howell(ring, lift_context(ring), W, A.cols, reduce_from=0, transforms=True)
     return NormalFormResult(
-        "echelon", ring, Matrix.from_payload_rows(ring, A.rows, A.cols, m),
+        "echelon", ring, Matrix.from_payload_rows(ring, A.rows, A.cols, W),
         Matrix.from_payload_rows(ring, A.rows, A.rows, L),
-        Matrix.from_payload_rows(ring, A.rows, A.rows, Li),
+        Matrix.from_payload_rows(ring, A.rows, A.rows, _transpose(LiT)),
         Matrix.identity(ring, A.cols), Matrix.identity(ring, A.cols), A)
 
 
 def howell_form(ring, A):
-    """Howell form over Z/n, canonical for the row span.
+    """Howell form over Z/n or F_p[x]/(f), canonical for the row span.
 
-    Computed as the Hermite form over Z of the lift stacked on n*I; the
-    recorded transforms act on that padded matrix (the `original` field),
-    which is A with `cols` extra zero rows appended.
+    Row j is the row whose pivot, a divisor of n (or f), sits in column j,
+    with the entries above each pivot reduced modulo it, or zero when no
+    row has that pivot; the rows past A.cols are zero.  The recorded
+    transforms act on the padded matrix (the `original` field), which is A
+    with `cols` extra zero rows appended.
     """
-    if ring.kind not in (ZMOD, PRIMEFIELD):
-        raise CapabilityMissing(f"howell form is for Z/n, got {ring}")
-    n = ring.modulus
+    ctx = lift_context(ring)
+    if ring.kind != PRIMEFIELD and (ctx is None or ctx.modulus is None):
+        raise CapabilityMissing(f"howell form is for Z/n and F_p[x]/(f), got {ring}")
     cols = A.cols
-    grid = _payload_grid(A)
-    grid += [[n if i == j else 0 for j in range(cols)] for i in range(cols)]
-    U, Ui = _hermite(ZZ(), grid, cols)
-
-    def conv(g, width):
-        return Matrix.from_payload_rows(ring, len(g), width,
-                                        [[x % n for x in row] for row in g])
-
     padded = A.vstack(Matrix.zeros(ring, cols, cols))
+    W = _payload_grid(padded)
+    pivots, U, UiT = _howell(ring, ctx, W, cols, reduce_from=0, transforms=True)
+    # the pivot rows come first, in column order, and the others are zero:
+    # the pivot row of column j moves to row j
+    n, at = len(W), dict(pivots)
+    zero_rows = iter(range(len(pivots), n))
+    order = [at[j] if j in at else next(zero_rows) for j in range(n)]
     return NormalFormResult(
-        "howell", ring, conv(grid, cols), conv(U, len(grid)), conv(Ui, len(grid)),
+        "howell", ring, Matrix.from_payload_rows(ring, n, cols, [W[i] for i in order]),
+        Matrix.from_payload_rows(ring, n, n, [U[i] for i in order]),
+        Matrix.from_payload_rows(ring, n, n, _transpose([UiT[i] for i in order])),
         Matrix.identity(ring, cols), Matrix.identity(ring, cols), padded)
 
 
@@ -799,12 +813,10 @@ def matrix_normal_form(ring, A):
     """The ring-appropriate normal form: echelon, smith, or howell."""
     if ring.kind in (RATIONALS, PRIMEFIELD):
         return row_echelon(ring, A)
-    if ring.kind == ZMOD:
-        return howell_form(ring, A)
     ctx = lift_context(ring)
-    if ctx is not None and ctx.modulus is None:
-        return smith_form(ring, A)
-    raise CapabilityMissing(f"no matrix normal form over {ring}")
+    if ctx is None:
+        raise CapabilityMissing(f"no matrix normal form over {ring}")
+    return smith_form(ring, A) if ctx.modulus is None else howell_form(ring, A)
 
 
 # ---------------------------------------------------------------------------
@@ -875,19 +887,11 @@ def _domain_subquotient(ring, V, W):
     if coords is None:
         raise ArithmeticError("image generators not inside the kernel span")
     csd = smith_data(ed, _payload_grid(coords), k, coords.cols)
-    factors = []
-    rank_rel = 0
-    for i in range(min(k, coords.cols)):
-        d = csd.diag(i)
-        if not d:
-            continue
-        rank_rel += 1
-        if not _is_unit(ed, d):
-            factors.append(ring.box(ctx.from_payload(d)))
-    free_rank = k - rank_rel
-    is_zero = free_rank == 0 and not factors
-    return HomologySummary(ring, is_zero, free_rank=free_rank,
-                           invariant_factors=tuple(factors))
+    ds = [d for d in map(csd.diag, range(min(k, coords.cols))) if d]
+    factors = tuple(ring.box(ctx.from_payload(d)) for d in ds if not _is_unit(ed, d))
+    free_rank = k - len(ds)
+    return HomologySummary(ring, free_rank == 0 and not factors, free_rank=free_rank,
+                           invariant_factors=factors)
 
 
 def subquotient(ring, V, W):
@@ -948,13 +952,8 @@ def image_membership(ring, V, W):
 
 
 def _maximal_ideal_elements(ring):
-    out = []
-    for g in ring.maximal_ideal:
-        if isinstance(g, int):
-            out.append(ring.from_int(g))
-        else:
-            out.append(ring.variable(g))
-    return out
+    return [ring.from_int(g) if isinstance(g, int) else ring.variable(g)
+            for g in ring.maximal_ideal]
 
 
 def _hstack_all(cols, ring, rows):

@@ -81,13 +81,47 @@ def reference_module_axioms(D):
     return AxiomReport(results)
 
 
+def reference_algebra_identities(K, mult):
+    """graded_commutativity and odd_squares_zero on every basis pair, as
+    maps rho(e_G) rho(e_H) from each degree, in the order of verify_dga."""
+    D = DGModule(K, K.complex, mult)
+    basis = [S for d in K.basis.values() for S in d]
+
+    def rho2(G, H, n):
+        return D.action_matrix(G, n + len(H)) * D.action_matrix(H, n)
+
+    ce = next((f"e_{G}, e_{H} at degree {n}" for G in basis for H in basis
+               for n in range(K.e + 1 - len(G) - len(H))
+               if rho2(G, H, n) != rho2(H, G, n).scale(K.ring.from_int(
+                   (-1) ** (len(G) * len(H))))), "")
+    commutativity = AxiomResult("graded_commutativity", not ce, ce)
+    ce = next((f"e_{S} at degree {n}" for S in basis if len(S) % 2
+               for n in range(K.e + 1 - 2 * len(S)) if not rho2(S, S, n).is_zero()), "")
+    return commutativity, AxiomResult("odd_squares_zero", not ce, ce)
+
+
 def reference_dga_axioms(K, mult):
-    """verify_dga's report with the module part computed by the reference;
-    the algebra-only axioms are copied from verify_dga itself."""
+    """verify_dga's report with every identity checked by the references;
+    d^2 = 0, which no multiplication changes, is copied from verify_dga."""
     unitality, associativity, leibniz = \
         reference_module_axioms(DGModule(K, K.complex, mult)).results
     own = verify_dga(K, mult_override=mult).results
-    return AxiomReport([own[0], unitality, associativity, own[3], own[4], leibniz])
+    return AxiomReport([own[0], unitality, associativity,
+                        *reference_algebra_identities(K, mult), leibniz])
+
+
+def assert_dga_report_matches(got, want):
+    """verify_dga checks commutativity and odd squares on the generators,
+    which imply every pair only together with unitality and associativity.
+    Then the reports agree line for line; otherwise a reported failure is
+    still a failing identity, the first one when unitality holds."""
+    unit_ok, assoc_ok = got.results[1].ok, got.results[2].ok
+    for g, w in zip(got.results, want.results):
+        if g.name not in ("graded_commutativity", "odd_squares_zero") \
+                or (unit_ok and assoc_ok):
+            assert g == w
+        elif not g.ok:
+            assert not w.ok and (g == w or not unit_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +194,9 @@ def test_reduced_pass_reports_what_every_identity_reports(rname):
         K, D = structures[trial % len(structures)]
         if trial % 3 == 2:
             mult = _mutate(K.mult, ring, rng)
-            got = verify_dga(K, mult_override=mult).lines()
-            want = reference_dga_axioms(K, mult).lines()
+            report = verify_dga(K, mult_override=mult)
+            assert_dga_report_matches(report, reference_dga_axioms(K, mult))
+            got = want = report.lines()
         elif trial % 3 == 1 and trial % 2:
             M = DGModule(K, _mutate_differential(D.underlying, ring, rng), D.action)
             got = verify_dg_module(M).lines()
@@ -192,3 +227,48 @@ def test_module_pass_makes_e_times_2_to_the_e_products(monkeypatch):
     assert verify_dg_module(D).ok
     # a check of all 4^e pairs makes 3,496 products here
     assert len(calls) <= 1100
+
+
+def _generator_mutation(K, ring, rng):
+    """A copy of K.mult with the action of one generator e_i changed in one
+    degree n <= e - 2, where rho(e_i) rho(e_j) is checked."""
+    mult = {H: dict(per) for H, per in K.mult.items()}
+    i, n = rng.randrange(1, K.e + 1), rng.randrange(K.e - 1)
+    mult[(i,)][n] = _mutated_matrix(mult[(i,)][n], ring, rng)
+    return mult
+
+
+@pytest.mark.parametrize("rname", sorted(RINGS))
+def test_generator_mutations_fail_the_algebra_identities(rname):
+    """graded_commutativity and odd_squares_zero read the stored
+    multiplication matrices, so a planted generator action fails them."""
+    ring = RINGS[rname]()
+    rng = random.Random(f"generator-mutations:{rname}")
+    pool = maximal_ideal_pool(ring)
+    failed = {"graded_commutativity": 0, "odd_squares_zero": 0}
+    for trial in range(60):
+        K = koszul(ring, [rng.choice(pool) for _ in range(2 + trial % 3)])
+        mult = _generator_mutation(K, ring, rng)
+        report = verify_dga(K, mult_override=mult)
+        assert_dga_report_matches(report, reference_dga_axioms(K, mult))
+        for r in report.results[3:5]:
+            failed[r.name] += not r.ok
+    assert min(failed.values()) >= 5, failed
+
+
+@pytest.mark.parametrize("rname", sorted(RINGS))
+def test_planted_generator_products(rname):
+    ring = RINGS[rname]()
+    K = koszul(ring, [maximal_ideal_pool(ring)[0]] * 3)
+    # e_1 e_2 = 0 while e_2 e_1 = -e_(1,2): e_1 no longer anticommutes with e_2
+    mult = {H: dict(per) for H, per in K.mult.items()}
+    mult[(1,)][1] = Matrix.zeros(ring, 3, 3)
+    lines = verify_dga(K, mult_override=mult).lines()
+    assert "graded_commutativity: FAIL e_(1,), e_(2,) at degree 0" in lines
+    assert "odd_squares_zero: ok" in lines
+    # e_1 e_1 = e_(1,2): e_1 no longer squares to zero
+    rows = [list(r) for r in K.mult[(1,)][1].data]
+    rows[0][0] = ring.one
+    mult[(1,)][1] = Matrix.from_rows(ring, rows)
+    lines = verify_dga(K, mult_override=mult).lines()
+    assert "odd_squares_zero: FAIL e_(1,) at degree 0" in lines
