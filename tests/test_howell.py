@@ -222,16 +222,17 @@ def test_zmod_elimination_stays_reduced(monkeypatch):
             for name in ("add_payload", "mul_payload", "neg_payload"):
                 m.setattr(R, name, recorded(getattr(R, name)))
                 m.setattr(ZZ(), name, lift_row_operation)
-            results = []
+            forms, results = [], []
             for A in inputs:
-                nf = howell_form(R, A)
-                results += [nf.matrix, nf.left, nf.left_inv, kernel_basis(R, A)]
-                results.append(solve(R, A, A * random_matrix(R, A.cols, 2, rng)))
+                forms.append(howell_form(R, A))
+                results += [kernel_basis(R, A),
+                            solve(R, A, A * random_matrix(R, A.cols, 2, rng))]
                 kernel_cardinality(R, A)
         assert len(seen) > 10_000
         assert all(0 <= x < n for call in seen for x in call)
+        results += [M for nf in forms for M in (nf.matrix, nf.left, nf.left_inv)]
         assert all(0 <= x.payload < n for M in results for r in M.data for x in r)
-        assert all(nf.verify() for nf in map(lambda A: howell_form(R, A), inputs))
+        assert all(nf.verify() for nf in forms)
 
 
 # ---------------------------------------------------------------------------
