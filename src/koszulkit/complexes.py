@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotAComplex, NotLocal,
 )
-from .linalg import homology_module, kernel_basis, minimal_generators
+from .linalg import homology_module, syzygies
 from .matrices import Matrix
 
 
@@ -420,13 +420,14 @@ def is_minimal(M):
 
 def kernel_resolution(ring, d, steps):
     """Up to `steps` further resolution differentials below d: each one is a
-    minimal generating set of the kernel of the one before.  The list stops
-    with the first kernel that vanishes, a matrix with no columns."""
+    minimal generating set of the kernel of the one before (`syzygies`).
+    The list stops with the first kernel that vanishes, a matrix with no
+    columns."""
     out = []
     for _ in range(steps):
         if d.cols == 0:
             break
-        d = minimal_generators(ring, kernel_basis(ring, d))
+        d = syzygies(ring, d)
         out.append(d)
     return out
 

@@ -182,9 +182,9 @@ def verify_dg_module(D):
             for n in degrees:
                 if not under.rank(n + h - 1):
                     continue
-                lhs = under.diff(n + h) * D.action_matrix(H, n) \
-                    - D.action_matrix(H, n - 1).scale(sign) * under.diff(n)
-                rhs = Matrix.zeros(ring, under.rank(n + h - 1), under.rank(n))
+                # d rho(e_H) = sign rho(e_H) d + rho(d e_H), with no subtraction
+                lhs = under.diff(n + h) * D.action_matrix(H, n)
+                rhs = D.action_matrix(H, n - 1).scale(sign) * under.diff(n)
                 for coeff, H2 in K.diff_of_basis(H):
                     rhs = rhs + D.action_matrix(H2, n).scale(coeff)
                 if lhs != rhs:

@@ -3,23 +3,31 @@
 Modules enter as free presentations (cokernels of explicit matrices).
 Resolutions are built by repeated kernels, minimalized over local rings,
 and every infinite-resolution statement is windowed: verdicts carry the
-depth they were checked to.  Over finite rings homology cardinalities are
-computed by span-counting, never by enumeration of module elements.
+depth they were checked to.  No module is ever enumerated:
+
+- over a prime field or a finite-dimensional F_p-algebra, Ext^i(M, N) is
+  computed in F_p coordinates: Hom(F_i, N) = N^{b_i}, so its dimension is
+  b_i dim N minus the ranks of the two dual differentials, F_p matrices
+  built from the action of the differentials' entries on N;
+- elsewhere, and for the homology of Koszul-extension targets, homology
+  cardinalities are ratios of span cardinalities (finite rings) or come
+  from explicit subquotients (Z, Q, F_p[x]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .complexes import (
     ChainComplex, free_module_complex, hom_complex, hom_layout, homology,
     kernel_resolution, tensor,
 )
 from .errors import (
-    CapabilityMissing, DimensionMismatch, NotLocal, NotRegular, ToolkitError,
+    CapabilityMissing, DimensionMismatch, MixedRings, NotLocal, NotRegular, ToolkitError,
 )
 from .linalg import (
-    HomologySummary, has_linear_solve, image_membership, kernel_basis,
+    HomologySummary, fp_module, has_linear_solve, image_membership, kernel_basis,
     kernel_cardinality, minimal_generators, span_cardinality, subquotient,
 )
 from .matrices import Matrix
@@ -68,6 +76,12 @@ class ModulePresentation:
             return None
         total = self.ring.cardinality() ** self.gens
         return total // span_cardinality(self.ring, self.relations)
+
+    @cached_property
+    def fp_data(self):
+        """The module as an F_p-space (linalg.FpModule), made on first use
+        and kept, or None over a ring with no F_p view."""
+        return fp_module(self.ring, self.gens, self.relations)
 
     def map_through(self, hom):
         return ModulePresentation(
@@ -133,13 +147,18 @@ class PresentedComplex:
         return self._cache[key]
 
 
+def _zero_ambient_summary(ring):
+    """The homology in a degree where the ambient has rank 0."""
+    return HomologySummary(ring, True, cardinality=1 if ring.is_finite() else None,
+                           dimension=0 if ring.kind in ("rationals", "primefield") else None,
+                           free_rank=0, invariant_factors=())
+
+
 def presented_homology(pc, t):
     ring = pc.ambient.ring
     amb_rank = pc.ambient.rank(t)
     if amb_rank == 0:
-        return HomologySummary(ring, True, cardinality=1 if ring.is_finite() else None,
-                               dimension=0 if ring.kind in ("rationals", "primefield") else None,
-                               free_rank=0, invariant_factors=())
+        return _zero_ambient_summary(ring)
     d_t = pc.ambient.diff(t)
     d_next = pc.ambient.diff(t + 1)
     rel_prev = pc.relation(t - 1)
@@ -218,14 +237,38 @@ def ext_table(M, N, window):
 
     M and N are presentations over a linear_solve ring; the resolution of M
     is taken to depth window + 1, so every listed value is exact.  Window 0
-    lists Hom(M, N) alone; a negative window is rejected.
+    lists Hom(M, N) alone; a negative window is rejected.  Over a ring with
+    an F_p view the values come from N in F_p coordinates, elsewhere from
+    the homology of the presented complex Hom(F, N).
     """
     _check_window(window)
     res = resolution_complex(M, window + 1)
+    fp = N.fp_data
+    if fp is not None:
+        if M.ring != N.ring:
+            raise MixedRings("hom over different rings")
+        return _fp_ext_table(res, N, fp, window)
     target = module_as_presented_complex(N)
     G = hom_into_presented(res, target)
     # Hom(F_i, N) sits in homological degree -i
     return [presented_homology(G, -i) for i in range(window + 1)]
+
+
+def _fp_ext_table(res, N, fp, window):
+    """Ext^i(M, N) for i = 0..window from Hom(F_i, N) = N^{b_i}:
+    dim Ext^i = b_i dim N - rank d*_{i+1} - rank d*_i, d*_i = Hom(d_i, N).
+
+    The summaries are the ones presented_homology gives for Hom(F, N)."""
+    dual = [0] + [fp.dual_rank(res.diff(i)) for i in range(1, window + 2)]
+    out = []
+    for i in range(window + 1):
+        b = res.rank(i)
+        if b * N.gens == 0:
+            out.append(_zero_ambient_summary(N.ring))
+            continue
+        card = fp.p ** (b * fp.dim - dual[i + 1] - dual[i])
+        out.append(HomologySummary(N.ring, card == 1, cardinality=card))
+    return out
 
 
 def ext_sup(M, N, window):

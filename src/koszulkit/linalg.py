@@ -7,7 +7,10 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   int rows over F_p (_fp_rref), an algebra element expanded to its
   multiplication matrix on the standard monomials, rows packed into
   bitmask ints when p = 2.  It gives kernels, solutions and ranks, hence
-  cardinalities, the unit test and minimal generating sets.
+  cardinalities, the unit test and minimal generating sets.  A resolution
+  step (`syzygies`) stays in these coordinates from the kernel to the kept
+  generators, and `FpModule` holds a finitely presented module as an
+  F_p-space, with the action of the ring on it.
 - Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
   1986, Storjohann & Mulders 1998) with the ring's own row operations, so
   every entry, transforms included, stays reduced; only pivot arithmetic
@@ -311,46 +314,52 @@ def _fp_rref(p, rows, ncols):
 
 
 def _fp_kernel(p, rows, ncols):
-    """Kernel basis vectors (lists of ints) of the matrix given by rows."""
+    """Kernel basis vectors of the matrix given by rows, one for each
+    non-pivot column in increasing order: ints when p = 2, lists of ints
+    otherwise."""
     work = list(rows)
     pivots = _fp_rref(p, work, ncols)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
+    free = [f for f in range(ncols) if f not in pivot_set]
+    if p == 2:
+        # a reduced pivot row has bits only at its pivot and at free columns
+        vecs = {f: 1 << f for f in free}
         for r, pc in enumerate(pivots):
-            if p == 2:
-                if work[r] & (1 << free):
-                    vec[pc] = 1
-            else:
-                if work[r][free] % p:
-                    vec[pc] = (-work[r][free]) % p
+            bit, row = 1 << pc, work[r] ^ (1 << pc)
+            while row:
+                low = row & -row
+                vecs[low.bit_length() - 1] |= bit
+                row ^= low
+        return [vecs[f] for f in free]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, pc in enumerate(pivots):
+            if work[r][f] % p:
+                vec[pc] = (-work[r][f]) % p
         basis.append(vec)
     return basis
 
 
 def _fp_solve(p, rows, ncols, rhs):
-    """One solution x of rows * x = b for every vector b in `rhs`, or None
-    when some b lies outside the column span.
+    """One solution x of rows * x = b for every vector b in `rhs` (ints when
+    p = 2, lists otherwise), or None when some b lies outside the column
+    span.
 
     The right-hand sides ride along as extra columns of a single elimination.
     """
-    if any(len(b) != len(rows) for b in rhs):
-        raise DimensionMismatch("rhs length does not match row count")
-    sols = [[0] * ncols for _ in rhs]
     if p == 2:
-        work = [r | sum((b[i] & 1) << (ncols + k) for k, b in enumerate(rhs))
+        work = [r | sum(((b >> i) & 1) << (ncols + k) for k, b in enumerate(rhs))
                 for i, r in enumerate(rows)]
         pivots = _fp_rref(2, work, ncols)
         if any(work[r] >> ncols for r in range(len(pivots), len(work))):
             return None
-        for r, pc in enumerate(pivots):
-            for k, x in enumerate(sols):
-                x[pc] = (work[r] >> (ncols + k)) & 1
-        return sols
+        return [sum(((work[r] >> (ncols + k)) & 1) << pc for r, pc in enumerate(pivots))
+                for k in range(len(rhs))]
+    if any(len(b) != len(rows) for b in rhs):
+        raise DimensionMismatch("rhs length does not match row count")
+    sols = [[0] * ncols for _ in rhs]
     work = [list(r) + [b[i] % p for b in rhs] for i, r in enumerate(rows)]
     pivots = _fp_rref(p, work, ncols)
     if any(x % p for r in range(len(pivots), len(work)) for x in work[r][ncols:]):
@@ -366,14 +375,72 @@ def _fp_rank(p, rows, ncols):
     return len(_fp_rref(p, work, ncols))
 
 
+class _Echelon:
+    """An F_p-subspace grown one vector at a time.
+
+    It keeps one echelon row per pivot: for p = 2 int rows keyed by their
+    highest bit, otherwise lists keyed by their first nonzero slot, scaled
+    to 1 there.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}
+
+    def add(self, v):
+        """Add v to the span; True when it was outside."""
+        rows = self.rows
+        if self.p == 2:
+            while v:
+                h = v.bit_length() - 1
+                r = rows.get(h)
+                if r is None:
+                    rows[h] = v
+                    return True
+                v ^= r
+            return False
+        p, i = self.p, 0
+        if not any(v):
+            return False
+        while True:  # v is reduced mod p and zero before slot i
+            i = next((j for j in range(i, len(v)) if v[j]), None)
+            if i is None:
+                return False
+            x, r = v[i], rows.get(i)
+            if r is None:
+                inv = pow(x, -1, p)
+                rows[i] = [0] * i + [(inv * y) % p for y in v[i:]]
+                return True
+            v = [0] * i + [(y - x * z) % p for y, z in zip(v[i:], r[i:])]
+
+
+def _table_sum(p, n, terms):
+    """The sum of c * T over the pairs (T, c) of `terms`, with c nonzero and
+    T a table of n F_p vectors of length n: ints when p = 2, sequences of
+    ints otherwise."""
+    if p == 2:
+        out = [0] * n
+        for table, _ in terms:
+            out = [x ^ y for x, y in zip(out, table)]
+        return out
+    out = [[0] * n for _ in range(n)]
+    for table, c in terms:
+        for vec, tvec in zip(out, table):
+            for j, x in enumerate(tvec):
+                if x:
+                    vec[j] = (vec[j] + c * x) % p
+    return out
+
+
 class _FpView:
     """F_p coordinates for a prime field or a finite-dimensional F_p-algebra.
 
     An element has `dim` coordinates: its own value over F_p, or its
-    coefficients on the standard monomials of an algebra.  A matrix becomes
-    the int rows of its expansion over F_p, where each entry a stands for
-    the dim x dim matrix of multiplication by a; rows are bitmask ints when
-    p = 2 and lists of ints otherwise.
+    coefficients on the standard monomials of an algebra.  A vector of n
+    entries has n * dim coordinates, entry i's from i * dim on; it is one
+    int (bit j = coordinate j) when p = 2 and a list of ints otherwise.  A
+    matrix becomes the rows of its expansion over F_p, in which each entry a
+    stands for the dim x dim matrix of multiplication by a.
     """
 
     def __init__(self, ring):
@@ -384,34 +451,35 @@ class _FpView:
             self.p, self.std = ring.coeff.p, ring._std_monomials
             self.index = {m: i for i, m in enumerate(self.std)}
             self.dim = len(self.std)
-        # multiplication matrices by payload: at most |ring| entries
-        self._mult_cache = {}
+        # the multiplication rows of each standard monomial, made on first
+        # use: at most dim entries, and every element's rows are their sum
+        self._monomial_rows = {}
 
-    def coords(self, payload):
+    def _monomial(self, m):
+        rows = self._monomial_rows.get(m)
+        if rows is None:
+            D, index = self.dim, self.index
+            grid = [[0] * D for _ in range(D)]
+            for j, t in enumerate(self.std):
+                for e, c in self.ring.mul_payload(((m, 1),), ((t, 1),)):
+                    grid[index[e]][j] = c
+            rows = self._monomial_rows[m] = tuple(
+                sum(1 << j for j, c in enumerate(r) if c) for r in grid) \
+                if self.p == 2 else tuple(map(tuple, grid))
+        return rows
+
+    def mult_rows(self, payload):
+        """The rows of the dim x dim matrix of multiplication by payload:
+        ints (bit j = column j) when p = 2, sequences of ints otherwise."""
+        p = self.p
         if self.std is None:
-            return [payload]
-        out = [0] * self.dim
-        for e, c in payload:
-            out[self.index[e]] = c
-        return out
-
-    def payload(self, coords):
-        """The ring payload with these coordinates."""
-        if self.std is None:
-            return coords[0] % self.p
-        d = {self.std[i]: c % self.p for i, c in enumerate(coords) if c % self.p}
-        return tuple(sorted(d.items(), key=lambda kv: self.ring._key(kv[0]), reverse=True))
-
-    def _mult_columns(self, payload):
-        """Columns of the multiplication-by-payload map on the standard basis."""
-        if payload not in self._mult_cache:
-            self._mult_cache[payload] = [
-                self.coords(self.ring.mul_payload(payload, ((mono, 1),)))
-                for mono in self.std]
-        return self._mult_cache[payload]
+            return (payload,) if p == 2 else ((payload,),)
+        if len(payload) == 1 and payload[0][1] == 1:
+            return self._monomial(payload[0][0])
+        return _table_sum(p, self.dim, [(self._monomial(m), c) for m, c in payload])
 
     def rows(self, A):
-        """(int rows, column count) of A expanded over F_p.
+        """(rows, column count) of A expanded over F_p.
 
         Zero entries are skipped entirely, which matters for the sparse
         block matrices of hom complexes.
@@ -423,47 +491,129 @@ class _FpView:
         D = self.dim
         nrows, ncols = A.rows * D, A.cols * D
         if self.p == 2:
-            rows = [0] * nrows
+            out = [0] * nrows
             for i, (js, payloads) in enumerate(A.sparse_rows):
-                base_row = i * D
                 for j, payload in zip(js, payloads):
-                    cols = self._mult_columns(payload)
-                    base_col = j * D
-                    for bcol in range(D):
-                        col = cols[bcol]
-                        bit = 1 << (base_col + bcol)
-                        for brow in range(D):
-                            if col[brow]:
-                                rows[base_row + brow] |= bit
-            return rows, ncols
+                    shift = j * D
+                    for b, row in enumerate(self.mult_rows(payload), start=i * D):
+                        if row:
+                            out[b] |= row << shift
+            return out, ncols
         grid = [[0] * ncols for _ in range(nrows)]
         for i, (js, payloads) in enumerate(A.sparse_rows):
             for j, payload in zip(js, payloads):
-                cols = self._mult_columns(payload)
-                for bcol in range(D):
-                    col = cols[bcol]
-                    for brow in range(D):
-                        if col[brow]:
-                            grid[i * D + brow][j * D + bcol] = col[brow]
+                for b, row in enumerate(self.mult_rows(payload), start=i * D):
+                    grid[b][j * D:(j + 1) * D] = row
         return grid, ncols
 
-    def column(self, B, j=0):
-        """F_p coordinates of column j of B."""
-        zero = self.ring.zero_payload
-        return [c for cols, vals in B.sparse_rows
-                for c in self.coords(vals[cols.index(j)] if j in cols else zero)]
+    def columns(self, A):
+        """The coordinate vectors of A's columns."""
+        D, p, std = self.dim, self.p, self.std
+        out = []
+        for positions, payloads in A.transpose().sparse_rows:
+            if p == 2:
+                v = 0
+                for i, a in zip(positions, payloads):
+                    if std is None:
+                        v |= 1 << i
+                    else:
+                        for e, _ in a:
+                            v |= 1 << (i * D + self.index[e])
+            else:
+                v = [0] * (A.rows * D)
+                for i, a in zip(positions, payloads):
+                    if std is None:
+                        v[i] = a
+                    else:
+                        for e, c in a:
+                            v[i * D + self.index[e]] = c
+            out.append(v)
+        return out
+
+    def sparse(self, v):
+        """The stored form (positions, payloads) of the entries with
+        coordinates v: the nonzero ones, by position."""
+        D, p, std = self.dim, self.p, self.std
+        if p == 2:
+            # one pass over the set bits, read off the binary digits
+            digits = bin(v)[:1:-1]
+            blocks = {}
+            j = digits.find("1")
+            while j >= 0:
+                blocks.setdefault(j // D, []).append(j % D)
+                j = digits.find("1", j + 1)
+            if std is None:
+                return tuple(blocks), (1,) * len(blocks)
+            # payload terms run by descending monomial, std is ascending
+            return tuple(blocks), tuple(tuple((std[a], 1) for a in reversed(slots))
+                                        for slots in blocks.values())
+        blocks = {}
+        for j in [j for j, x in enumerate(v) if x % p]:
+            blocks.setdefault(j // D, []).append(j % D)
+        if std is None:
+            return tuple(blocks), tuple(v[i] % p for i in blocks)
+        return tuple(blocks), tuple(
+            tuple((std[a], v[i * D + a] % p) for a in reversed(slots))
+            for i, slots in blocks.items())
 
     def matrix(self, vecs, nrows):
         """The nrows x len(vecs) matrix whose columns have coordinates `vecs`."""
-        D = self.dim
-        return Matrix.from_columns(self.ring, nrows, [
-            [self.payload(v[i * D:(i + 1) * D]) for i in range(nrows)]
-            for v in vecs])
+        return Matrix(self.ring, len(vecs), nrows,
+                      tuple(self.sparse(v) for v in vecs)).transpose()
+
+    def action(self, payload, n):
+        """v -> payload * v on vectors of n entries, entry by entry."""
+        D, p = self.dim, self.p
+        rows = self.mult_rows(payload)
+        if p == 2:
+            # coordinate a of every entry moves to coordinate b at once:
+            # mask out slot a of each block and shift it by b - a
+            slots = ((1 << (n * D)) - 1) // ((1 << D) - 1)
+            moves = [(slots << a, b - a) for b, row in enumerate(rows)
+                     for a in range(D) if row >> a & 1]
+
+            def act(v):
+                out = 0
+                for mask, s in moves:
+                    t = v & mask
+                    if t:
+                        out ^= t << s if s >= 0 else t >> -s
+                return out
+            return act
+
+        # slot a of an entry adds c times itself to slot a + s of the entry
+        moves = [[(b - a, row[a]) for b, row in enumerate(rows) if row[a]]
+                 for a in range(D)]
+
+        def act(v):
+            out = [0] * len(v)
+            for i in [i for i, x in enumerate(v) if x]:
+                for s, c in moves[i % D]:
+                    out[i + s] += c * v[i]
+            return [x % p for x in out] if any(out) else out
+        return act
 
     def rank(self, A):
         """Rank of A's expansion: |column span of A| = p ** rank."""
         rows, ncols = self.rows(A)
         return _fp_rank(self.p, rows, ncols)
+
+
+def _nakayama_keep(view, vecs, n, multipliers):
+    """The indices j, in order, of the vectors v_j (of n entries) outside
+    the F_p-span of every product m * v, m in `multipliers`, v in `vecs`,
+    and of v_0 ... v_{j-1}.
+
+    With the products spanning m V, these are the columns that a minimal
+    generating set keeps: the pivot columns among v_0 ... v_k of one
+    reduction of [m V | v_0 ... v_k].
+    """
+    span = _Echelon(view.p)
+    for m in multipliers:
+        act = view.action(m, n)
+        for v in vecs:
+            span.add(act(v))
+    return [j for j, v in enumerate(vecs) if span.add(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +828,7 @@ def solve(ring, A, B):
         raise DimensionMismatch(f"A is {A.rows}x{A.cols}, rhs has {B.rows} rows")
     if view is not None:
         rows, ncols = view.rows(A)
-        sols = _fp_solve(view.p, rows, ncols, [view.column(B, j) for j in range(B.cols)])
+        sols = _fp_solve(view.p, rows, ncols, view.columns(B))
         return None if sols is None else view.matrix(sols, A.cols)
     if ctx.modulus is not None:
         return _howell_solve(ring, ctx, A, B)
@@ -727,6 +877,102 @@ def span_cardinality(ring, A):
     if ctx.modulus is None:
         raise CapabilityMissing(f"{ring} is not finite")
     return _howell_span_size(ring, ctx, A)
+
+
+# ---------------------------------------------------------------------------
+# finitely presented modules in F_p coordinates
+
+
+class FpModule:
+    """N = coker(relations : R^gens <- R^c) as an F_p-space, R a ring with an
+    F_p view.
+
+    The relation span is the F_p-span of the relation columns times a basis
+    of R over F_p.  Its reduced echelon rows over the gens * dim coordinates
+    of R^gens give a complement, the coordinates that are not pivots, and
+    the projection onto it, reduction by those rows; `dim` is dim_{F_p} N.
+    The action on N of each standard monomial is made on first use and kept,
+    at most view.dim of them, and an element acts by their sum.
+    """
+
+    def __init__(self, view, gens, relations):
+        self.view, self.p, self.gens = view, view.p, gens
+        self._ncoords = gens * view.dim
+        # R over F_p: the standard monomials, or 1 in a prime field
+        basis = [1] if view.std is None else [((m, 1),) for m in view.std]
+        cols = view.columns(relations)
+        rows = [view.action(b, gens)(c) for b in basis for c in cols]
+        self._pivots = _fp_rref(self.p, rows, self._ncoords)
+        self._rows = rows[:len(self._pivots)]
+        pivot_set = set(self._pivots)
+        self._free = [t for t in range(self._ncoords) if t not in pivot_set]
+        self.dim = len(self._free)
+        self._monomial_action = {}
+
+    def project(self, v):
+        """N's coordinates of the class of v, a vector of R^gens."""
+        p = self.p
+        if p == 2:
+            for row, pc in zip(self._rows, self._pivots):
+                if v >> pc & 1:
+                    v ^= row
+            return sum(((v >> t) & 1) << i for i, t in enumerate(self._free))
+        for row, pc in zip(self._rows, self._pivots):
+            x = v[pc] % p
+            if x:
+                v = [(a - x * b) % p for a, b in zip(v, row)]
+        return [v[t] % p for t in self._free]
+
+    def _monomial(self, b):
+        cols = self._monomial_action.get(b)
+        if cols is None:
+            act, width = self.view.action(b, self.gens), self._ncoords
+            unit = (lambda t: 1 << t) if self.p == 2 else \
+                (lambda t: [int(i == t) for i in range(width)])
+            cols = self._monomial_action[b] = tuple(
+                self.project(act(unit(t))) for t in self._free)
+        return cols
+
+    def action(self, payload):
+        """The columns of the dim x dim matrix of payload acting on N."""
+        if self.view.std is None:
+            terms = [(1, payload)] if payload else []
+        else:
+            terms = [(((m, 1),), c) for m, c in payload]
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self._monomial(terms[0][0])
+        return _table_sum(self.p, self.dim, [(self._monomial(b), c) for b, c in terms])
+
+    def dual_rank(self, d):
+        """The F_p rank of Hom(d, N) : N^{d.rows} -> N^{d.cols}, phi -> phi d,
+        whose (l, k) block is the action of d[k][l].  Its transpose, of the
+        same rank, is built here row by row from the rows of d."""
+        n, p = self.dim, self.p
+        if not n:
+            return 0
+        width = d.cols * n
+        rows = []
+        for js, payloads in d.sparse_rows:
+            if p == 2:
+                block = [0] * n
+                for l, a in zip(js, payloads):
+                    for c, col in enumerate(self.action(a)):
+                        if col:
+                            block[c] |= col << (l * n)
+                rows.extend(r for r in block if r)
+            else:
+                block = [[0] * width for _ in range(n)]
+                for l, a in zip(js, payloads):
+                    for c, col in enumerate(self.action(a)):
+                        block[c][l * n:(l + 1) * n] = col
+                rows.extend(r for r in block if any(r))
+        return len(_fp_rref(p, rows, width))
+
+
+def fp_module(ring, gens, relations):
+    """coker(relations) as an FpModule, or None over a ring with no F_p view."""
+    view = _fp_view_of(ring)
+    return None if view is None else FpModule(view, gens, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -961,29 +1207,13 @@ def _hstack_all(cols, ring, rows):
                               {(0, j): c for j, c in enumerate(cols)})
 
 
-def _expansion_minimal_generators(ring, view, M):
-    """Keep column c_j exactly when it is outside the F_p-span of mM and
-    c_1 ... c_{j-1}: the pivot columns among c_1 ... c_k of one _fp_rref
-    over the vectors c*g (every column c, every nonconstant monomial g),
-    then c_1 ... c_k."""
-    nonconstant = [ring.box(((m, 1),)) for m in view.std if sum(m) > 0]
-    cols = M.columns()
-    vecs = [view.column(c.scale(g)) for c in cols for g in nonconstant]
-    vecs += [view.column(c) for c in cols]
-    if view.p == 2:
-        rows = [sum(1 << j for j, x in enumerate(r) if x) for r in zip(*vecs)]
-    else:
-        rows = [list(r) for r in zip(*vecs)]
-    first = len(vecs) - len(cols)
-    pivots = _fp_rref(view.p, rows, len(vecs))
-    return _hstack_all([cols[j - first] for j in pivots if j >= first], ring, M.rows)
-
-
 def minimal_generators(ring, M):
     """Reduce the columns of M to a minimal generating set of their span.
 
     Nakayama over certified-local rings; elsewhere only zero columns are
-    dropped (kernel bases over Z and F_p[x] are already minimal).
+    dropped (kernel bases over Z and F_p[x] are already minimal).  Over an
+    F_p-algebra column c_j is kept exactly when it lies outside the F_p-span
+    of mM and c_1 ... c_{j-1}.
     """
     cols = [c for c in M.columns() if not c.is_zero()]
     if len(cols) != M.cols:
@@ -993,7 +1223,10 @@ def minimal_generators(ring, M):
     # prime fields keep the solve loop below, which decides the kept columns
     view = _fp_view_of(ring) if ring.kind == POLYQUOT else None
     if view is not None:
-        return _expansion_minimal_generators(ring, view, M)
+        # mM is spanned by the columns times the nonconstant monomials
+        nonconstant = [((m, 1),) for m in view.std if sum(m) > 0]
+        keep = _nakayama_keep(view, view.columns(M), M.rows, nonconstant)
+        return _hstack_all([cols[j] for j in keep], ring, M.rows)
     mgens = _maximal_ideal_elements(ring)
     cols = M.columns()
     changed = True
@@ -1008,3 +1241,22 @@ def minimal_generators(ring, M):
                 changed = True
                 break
     return _hstack_all(cols, ring, M.rows)
+
+
+def syzygies(ring, A):
+    """A minimal generating set of ker A: minimal_generators(kernel_basis(A)).
+
+    Over the rings whose kernels are computed in F_p coordinates, both steps
+    run on the coordinate vectors, and only the kept ones become a matrix.
+    The kernel basis K spans ker A over F_p, so mK is spanned by K times the
+    generators of m.
+    """
+    view, _ = _engine(ring)
+    if view is None:
+        return minimal_generators(ring, kernel_basis(ring, A))
+    rows, ncols = view.rows(A)
+    vecs = _fp_kernel(view.p, rows, ncols)
+    if len(vecs) > 1 and ring.local and ring.kind == POLYQUOT:
+        mgens = [g.payload for g in _maximal_ideal_elements(ring)]
+        vecs = [vecs[j] for j in _nakayama_keep(view, vecs, A.cols, mgens)]
+    return view.matrix(vecs, A.cols)

@@ -428,9 +428,13 @@ class Ring:
             if len(self.variables) == 1 and not self.groebner:
                 self._bind_univariate_ops()
             elif len(self.variables) == 1 and self.ambient is not None:
-                # one relation f: the normal form is the remainder mod f
+                # one relation f: the normal form is the remainder mod f, and
+                # normal forms are closed under sums and negation, so those
+                # are the ambient's exponent-keyed ones
                 f, divmod_ = self.groebner[0], self.ambient.divmod_payload
                 self.normal_form_payload = lambda a: divmod_(a, f)[1]
+                self.add_payload = self.ambient.add_payload
+                self.neg_payload = self.ambient.neg_payload
 
     def _bind_field_ops(self):
         """A field as a Euclidean domain: every division is exact, every

@@ -1,0 +1,216 @@
+"""Ext over prime fields and finite F_p-algebras, computed in F_p coordinates.
+
+- The coordinate resolution step `syzygies` against
+  minimal_generators(kernel_basis(.)) and against the Nakayama rule
+  checked by `solve`.
+- The F_p Hom route of `ext_table` (Hom(F_i, N) = N^{b_i}) against
+  presented_homology on the presented complex Hom(F, N), summary for
+  summary, edge cases included.
+- Betti numbers of the residue field against closed forms: b_n = d^n over
+  k[x_1..x_d]/(x)^2, and the Poincare series (1+t)^d / (1-t^2)^d over
+  k[x_1..x_d]/(x_1^{a_1}, ..., x_d^{a_d}) (Tate, Illinois J. Math. 1957).
+- The caches of the F_p view and of a module's F_p data stay bounded.
+"""
+
+import random
+from math import comb
+
+import pytest
+
+from koszulkit import duality as du
+from koszulkit.linalg import (
+    _fp_view_of, _maximal_ideal_elements, kernel_basis, minimal_generators, solve,
+    syzygies,
+)
+from koszulkit.matrices import Matrix
+from koszulkit.rings import GF, Zmod, poly_quotient
+
+RINGS = {
+    "F2[x]/(x^4)": poly_quotient("F2", ["x"], ["x^4"]),
+    "F5[x]/(x^2)": poly_quotient("F5", ["x"], ["x^2"]),
+    "F7": GF(7),
+    "F2": GF(2),
+    "F2[x,y]/(x,y)^2": poly_quotient("F2", ["x", "y"], ["x^2", "x*y", "y^2"]),
+    "F3[x,y]/(x^2,y^2)": poly_quotient("F3", ["x", "y"], ["x^2", "y^2"]),
+    "F3[x,y]/(x^2,y^2-x*y)": poly_quotient("F3", ["x", "y"], ["x^2", "y^2 - x*y"]),
+    "F2[x,y]/(x^2+x,y^2)": poly_quotient("F2", ["x", "y"], ["x^2 + x", "y^2"]),
+}
+POOLS = {name: list(R.elements()) for name, R in RINGS.items()}
+
+
+def random_matrix(name, rows, cols, rng):
+    pool = POOLS[name]
+    return Matrix.from_rows(RINGS[name], [[rng.choice(pool) for _ in range(cols)]
+                                          for _ in range(rows)]) \
+        if rows and cols else Matrix.zeros(RINGS[name], rows, cols)
+
+
+def random_presentation(name, rng):
+    gens = rng.randint(1, 3)
+    return du.ModulePresentation(RINGS[name], gens,
+                                 random_matrix(name, gens, rng.randint(0, 3), rng))
+
+
+# ---------------------------------------------------------------------------
+# the coordinate resolution step
+
+
+def nakayama_oracle(R, M):
+    """The columns c_j of M outside m M + R c_1 + ... + R c_{j-1}, by solve.
+
+    That span equals m M + F_p c_1 + ... + F_p c_{j-1}, so these are the
+    columns a minimal generating set keeps."""
+    cols = [c for c in M.columns() if not c.is_zero()]
+    if len(cols) <= 1 or not R.local or R.kind != "polyquot":
+        return cols
+    mM = [c.scale(g) for g in _maximal_ideal_elements(R) for c in cols]
+    kept = []
+    for j, c in enumerate(cols):
+        W = mM + cols[:j]
+        W = Matrix.from_blocks(R, [M.rows], [w.cols for w in W],
+                               {(0, i): w for i, w in enumerate(W)})
+        if solve(R, W, c) is None:
+            kept.append(c)
+    return kept
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_coordinate_step_keeps_the_columns_of_kernel_then_minimal_generators(name):
+    R = RINGS[name]
+    rng = random.Random(f"syzygies:{name}")
+    for rows, cols in [(1, 1), (1, 3), (2, 4), (3, 3), (4, 2), (2, 5), (0, 3), (3, 0)]:
+        A = random_matrix(name, rows, cols, rng)
+        step = syzygies(R, A)
+        K = kernel_basis(R, A)
+        assert step == minimal_generators(R, K)
+        kept = nakayama_oracle(R, K)
+        assert step.columns() == kept
+        assert (A * step).is_zero()
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_minimal_generators_follow_the_nakayama_rule(name):
+    R = RINGS[name]
+    rng = random.Random(f"mingens:{name}")
+    for rows, cols in [(1, 4), (2, 3), (3, 5)]:
+        M = random_matrix(name, rows, cols, rng)
+        if R.kind == "polyquot":
+            assert minimal_generators(R, M).columns() == nakayama_oracle(R, M)
+
+
+def test_resolution_over_a_view_ring_is_built_by_the_coordinate_step():
+    R = RINGS["F2[x,y]/(x,y)^2"]
+    k = du.ModulePresentation.residue_field(R)
+    diffs = du.resolve(k, 6)
+    for d, e in zip(diffs, diffs[1:]):
+        assert e == minimal_generators(R, kernel_basis(R, d))
+
+
+# ---------------------------------------------------------------------------
+# the F_p Hom route against presented_homology
+
+
+def presented_route(M, N, window):
+    res = du.resolution_complex(M, window + 1)
+    G = du.hom_into_presented(res, du.module_as_presented_complex(N))
+    return [du.presented_homology(G, -i) for i in range(window + 1)]
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_fp_hom_route_gives_the_summaries_of_presented_homology(name):
+    rng = random.Random(f"ext-fp:{name}")
+    for _ in range(5):
+        M, N = random_presentation(name, rng), random_presentation(name, rng)
+        assert N.fp_data is not None
+        assert du.ext_table(M, N, 3) == presented_route(M, N, 3)
+
+
+@pytest.mark.parametrize("name", ["F2[x]/(x^4)", "F5[x]/(x^2)", "F7", "F2[x,y]/(x,y)^2",
+                                  "F2[x,y]/(x^2+x,y^2)"])
+def test_fp_hom_route_edge_cases(name):
+    R = RINGS[name]
+    zero = du.ModulePresentation(R, 0, Matrix.zeros(R, 0, 0))
+    unit_quotient = du.ModulePresentation(R, 1, Matrix.from_rows(R, [[R.one]]))
+    free = du.ModulePresentation.free(R, 2)
+    modules = [zero, unit_quotient, free]
+    if R.local:
+        modules.append(du.ModulePresentation.residue_field(R))
+    for M in modules:
+        for N in modules:
+            for window in (0, 1, 3):
+                assert du.ext_table(M, N, window) == presented_route(M, N, window)
+    # Hom(R^2, 0): the ambient of Hom(F_0, N) has rank 0
+    h = du.ext_table(free, zero, 0)[0]
+    assert h.is_zero and h.cardinality == 1
+    assert h.free_rank == 0 and h.invariant_factors == ()
+    # Ext^i(R^2, -) = 0 for i > 0: b_i = 0
+    assert all(h.free_rank == 0 for h in du.ext_table(free, free, 2)[1:])
+    # Hom(R^2, R^2) = R^4
+    assert du.ext_table(free, free, 0)[0].cardinality == R.cardinality() ** 4
+
+
+def test_module_fp_data_is_kept_on_the_presentation():
+    R = RINGS["F3[x,y]/(x^2,y^2)"]
+    k = du.ModulePresentation.residue_field(R)
+    fp = k.fp_data
+    assert fp is k.fp_data and fp.dim == 1
+    assert du.ModulePresentation.free(R, 2).fp_data.dim == 8
+    assert du.ModulePresentation.free(RINGS["F7"], 1).fp_data.dim == 1
+    assert du.ModulePresentation.residue_field(Zmod(9)).fp_data is None
+
+
+# ---------------------------------------------------------------------------
+# Poincare series of the residue field
+
+
+POINCARE = [
+    ("F2[x,y]/(x,y)^2", RINGS["F2[x,y]/(x,y)^2"], lambda n: 2 ** n),
+    ("F3[x,y]/(x,y)^2", poly_quotient("F3", ["x", "y"], ["x^2", "x*y", "y^2"]),
+     lambda n: 2 ** n),
+    ("F2[x,y,z]/(x,y,z)^2",
+     poly_quotient("F2", ["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]),
+     lambda n: 3 ** n),
+    # (1+t)^d / (1-t^2)^d = 1 / (1-t)^d
+    ("F3[x,y,z]/(x^2,y^2,z^2)", poly_quotient("F3", ["x", "y", "z"], ["x^2", "y^2", "z^2"]),
+     lambda n: comb(n + 2, 2)),
+    ("F2[x,y]/(x^4,y^3)", poly_quotient("F2", ["x", "y"], ["x^4", "y^3"]),
+     lambda n: n + 1),
+]
+
+
+@pytest.mark.parametrize("name,R,betti", POINCARE, ids=[c[0] for c in POINCARE])
+def test_betti_numbers_and_ext_of_the_residue_field_follow_the_poincare_series(
+        name, R, betti):
+    k = du.ModulePresentation.residue_field(R)
+    rc = du.resolution_complex(k, 7)
+    assert [rc.rank(n) for n in range(8)] == [betti(n) for n in range(8)]
+    # minimal: Hom(F, k) has zero differentials, so Ext^n(k, k) = k^{b_n}
+    p = R.coeff.p
+    assert [h.cardinality for h in du.ext_table(k, k, 6)] == [p ** betti(n) for n in range(7)]
+
+
+# ---------------------------------------------------------------------------
+# bounded caches
+
+
+def test_fp_view_caches_stay_bounded_by_the_standard_monomials():
+    R = RINGS["F3[x,y]/(x^2,y^2)"]
+    view = _fp_view_of(R)
+    elements = POOLS["F3[x,y]/(x^2,y^2)"]
+    assert len(elements) > view.dim ** 2
+    one = Matrix.from_rows(R, [[R.one]])
+    k = du.ModulePresentation.residue_field(R)
+    fp = k.fp_data
+    for a in elements:
+        # the expansion of [a] maps the coordinates of b to those of a b
+        rows, _ = view.rows(Matrix.from_rows(R, [[a]]))
+        for b in elements[:9]:
+            (vb,) = view.columns(one.scale(b))
+            (vab,) = view.columns(one.scale(a * b))
+            assert [sum(x * y for x, y in zip(r, vb)) % 3 for r in rows] == vab
+        # a acts on k = R/m as its constant term
+        assert [list(c) for c in fp.action(a.payload)] == [[a.payload[-1][1] if a.payload
+                                         and not any(a.payload[-1][0]) else 0]]
+    assert len(view._monomial_rows) <= view.dim
+    assert len(R._mul_table) <= view.dim ** 2
+    assert len(fp._monomial_action) <= view.dim

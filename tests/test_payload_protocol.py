@@ -80,7 +80,9 @@ def test_canon_splits_off_a_unit(name, data):
 
 Q_QUOTIENT = poly_quotient("Q", ["x", "y"], ["x^2 - y", "y^2"])
 TIERS = [ZZ(), QQ(), Zmod(12), Zmod(8), GF(7),
-         poly_quotient("F3", ["x", "y"], ["x^2", "y^2"]), Q_QUOTIENT]
+         poly_quotient("F3", ["x", "y"], ["x^2", "y^2"]), Q_QUOTIENT,
+         # univariate quotients add and negate with their ambient's operations
+         poly_quotient("F2", ["x"], ["x^4"]), poly_quotient("F3", ["x"], ["x^2 + 1"])]
 
 
 def elements(ring):
@@ -92,7 +94,8 @@ def elements(ring):
         return st.integers(-10**4, 10**4).map(ring.from_int)
     coeff = st.fractions(-9, 9, max_denominator=5) if ring.coeff.kind == "rationals" \
         else st.integers(0, ring.coeff.p - 1).map(Fraction)
-    monomial = st.sampled_from(["1", "x", "y", "x*y", "x^2*y"])
+    monomial = st.sampled_from(["1", "x", "y", "x*y", "x^2*y"] if len(ring.variables) > 1
+                               else ["1", "x", "x^2", "x^3", "x^5"])
 
     def build(terms):
         acc = ring.zero
