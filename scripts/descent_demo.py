@@ -5,12 +5,16 @@ Builds a Koszul algebra over Z/4, compiles the four equation subsystems
 for a minimal two-step complex, verifies the canonical solution, perturbs
 it to show sensitivity, and reconstructs the descended complex with its
 certificate.  Then it writes and reads back the system of a complex over
-F2[x,y]/(x,y)^2 whose differential is x + y, and exits 1 unless the file
-reads back byte for byte and the reloaded system accepts the canonical
-solution.  Run with no arguments.
+F2[x,y]/(x,y)^2 whose differential is x + y.  Last it times each phase of
+the e = 4 round trip of the same complex over Z/4 (generate, save, load,
+verify, reconstruct) and prints the system's term count.  It exits 1
+unless both files read back byte for byte, the reloaded systems accept
+the canonical solution and the e = 4 reconstruction gives back the
+complex.  Run with no arguments.
 """
 
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -23,13 +27,18 @@ from koszulkit.matrices import Matrix
 from koszulkit.rings import Zmod, parse_element, poly_quotient
 
 
-def main():
-    Z4 = Zmod(4)
-    K = koszul(Z4, [Z4.from_int(2)])
-    P = cx.make_complex(Z4, {0: 2, 1: 1, 2: 1}, {
+def p_complex(Z4):
+    """The complex of tests/golden/P.cx."""
+    return cx.make_complex(Z4, {0: 2, 1: 1, 2: 1}, {
         1: Matrix.from_rows(Z4, [[Z4.from_int(2)], [Z4.from_int(0)]]),
         2: Matrix.from_rows(Z4, [[Z4.from_int(2)]]),
     })
+
+
+def main():
+    Z4 = Zmod(4)
+    K = koszul(Z4, [Z4.from_int(2)])
+    P = p_complex(Z4)
     print(f"algebra: {K}")
     print(f"complex ranks: {[P.rank(n) for n in P.degrees()]}")
 
@@ -59,7 +68,8 @@ def main():
     ext = cx.tensor(K.complex, cert.complex)
     print("extension homology:",
           {n: cx.homology(ext, n).describe() for n in ext.degrees()})
-    return polynomial_round_trip()
+    round_trips_ok = polynomial_round_trip()
+    return 0 if timed_round_trip() and round_trips_ok else 1
 
 
 def polynomial_round_trip():
@@ -75,7 +85,41 @@ def polynomial_round_trip():
     print(f"--- {R}, d = x + y ---")
     print("file reads back byte for byte:", same)
     print("reloaded system, canonical solution:", " ".join(report.lines()))
-    return 0 if same and report.passed else 1
+    return same and report.passed
+
+
+def timed_round_trip(e=4):
+    """Time each phase of the round trip of the P.cx system for e = 4;
+    true when every answer is right."""
+    Z4 = Zmod(4)
+    K = koszul(Z4, [Z4.from_int(2)] * e)
+    P = p_complex(Z4)
+    times = {}
+
+    def timed(phase, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        times[phase] = time.perf_counter() - start
+        return out
+
+    system = timed("generate", ds.generate_system, K, P)
+    text = timed("save", save_system, system)
+    loaded = timed("load", load_system, text)
+    sol = ds.canonical_solution(K, P)
+    report = timed("verify", ds.verify_assignment, loaded, sol)
+    cert = timed("reconstruct", ds.reconstruct, K, system, sol)
+    terms = sum(len(eq.poly.terms) for eq in system.equations)
+    print(f"--- {Z4}, e = {e}: {len(system.variables)} variables, "
+          f"{len(system.equations)} equations, {terms} terms, "
+          f"{len(text.encode()) / 1e6:.1f} MB ---")
+    print("  ".join(f"{phase} {t:.3f} s" for phase, t in times.items())
+          + f"  total {sum(times.values()):.3f} s")
+    same = save_system(loaded) == text
+    right = cert.complex == P and all(cert.rechecks.values())
+    print("file reads back byte for byte:", same)
+    print("reloaded system, canonical solution:", " ".join(report.lines()))
+    print("reconstructed complex equals input:", right)
+    return same and report.passed and right
 
 
 if __name__ == "__main__":

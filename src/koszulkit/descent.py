@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 from .complexes import (
@@ -42,6 +43,10 @@ from .rings import RingHom, _join_signed, _signed_terms, parse_element
 
 
 class SystemVariable(NamedTuple):
+    """A system variable.  Its tuple order (family "X" < "Y" < "Z", then
+    n, i, j as integers) is the canonical order of variables in monomials,
+    variable lists and files."""
+
     family: str   # "X" | "Y" | "Z"
     n: int
     i: int        # 1-based row index
@@ -49,13 +54,6 @@ class SystemVariable(NamedTuple):
 
     def token(self):
         return f"{self.family}_{self.n}_{self.i}_{self.j}"
-
-
-_FAMILY_ORDER = {"X": 0, "Y": 1, "Z": 2}
-
-
-def variable_sort_key(v):
-    return (_FAMILY_ORDER[v.family], v.n, v.i, v.j)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +114,7 @@ class VarPoly:
                 c = mul(c1, c2)
                 if not c:
                     continue
-                mono = tuple(sorted(m1 + m2, key=variable_sort_key))
+                mono = tuple(sorted(m1 + m2))
                 s = terms.get(mono)
                 s = c if s is None else add(s, c)
                 if s:
@@ -140,8 +138,7 @@ class VarPoly:
         return out
 
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (-len(kv[0]), tuple(map(variable_sort_key, kv[0]))))
+        return sorted(self.terms.items(), key=_term_order)
 
     def __repr__(self):
         return format_varpoly(self)
@@ -158,23 +155,51 @@ _VAR_TOKEN = re.compile(r"[XYZ]_\d+_\d+_\d+")
 _SIGN = re.compile(r"\s*([+-])\s*")
 
 
+def _term_order(term):
+    """Degree-descending, then the variables' order: the order of terms in
+    the text of a polynomial."""
+    return -len(term[0]), term[0]
+
+
 def format_varpoly(poly):
     """Canonical text in the term grammar: degree-descending terms, one per
     monomial of each coefficient, joined as `format_element` joins the
     terms of an element."""
-    if not poly.terms:
-        return "0"
-    parts = []
-    for mono, c in poly.sorted_terms():
-        factors = "*".join(v.token() for v in mono)
-        for sign, body in _signed_terms(poly.ring, c):
-            if not factors:
-                parts.append((sign, body))
-            elif body == "1":
-                parts.append((sign, factors))
-            else:
-                parts.append((sign, f"{body}*{factors}"))
-    return _join_signed(parts)
+    return _varpoly_printer(poly.ring)(poly)
+
+
+class _Tokens(dict):
+    """Variable -> token text, each token formatted on first use."""
+
+    def __missing__(self, v):
+        text = self[v] = v.token()
+        return text
+
+
+def _varpoly_printer(ring):
+    """`format_varpoly` for polynomials over `ring`.  The printer formats
+    each distinct coefficient payload and each variable token once; its
+    caches live as long as the printer, say one `save_system` call."""
+    coeff_parts, tokens = {}, _Tokens()
+
+    def fmt(poly):
+        terms = poly.terms
+        if not terms:
+            return "0"
+        parts = []
+        for mono, c in poly.sorted_terms() if len(terms) > 1 else terms.items():
+            factors = "*".join(map(tokens.__getitem__, mono))
+            signed = coeff_parts.get(c)
+            if signed is None:
+                # (sign, the term without variables, the prefix before them)
+                signed = coeff_parts[c] = [
+                    (sign, body, "" if body == "1" else f"{body}*")
+                    for sign, body in _signed_terms(ring, c)]
+            for sign, body, prefix in signed:
+                parts.append((sign, prefix + factors if factors else body))
+        return _join_signed(parts)
+
+    return fmt
 
 
 def _ring_term(ring, text):
@@ -219,7 +244,7 @@ def _varpoly_from_text(ring, text, var_of, ring_terms):
         if sign == "-":
             c = neg(c)
         mono = tuple(var_of[f] for f in factors[k:])
-        if len(mono) == 2 and variable_sort_key(mono[1]) < variable_sort_key(mono[0]):
+        if len(mono) == 2 and mono[1] < mono[0]:
             mono = mono[::-1]
         s = terms.get(mono)
         if s is not None:
@@ -296,24 +321,29 @@ class SystemShape:
         return self.r[n] if 0 <= n <= self.m + self.e else 0
 
 
+def _extension_ranks(e, s):
+    """The ranks r_0 .. r_{m+e} of K (x) P for K on e elements and P of
+    ranks s = (s_0 .. s_m): r_n = sum over p of C(e, n - p) s_p."""
+    return tuple(sum(comb(e, n - p) * sp for p, sp in enumerate(s) if p <= n)
+                 for n in range(len(s) + e))
+
+
 def shape_of(K, P):
     if P.support and min(P.support) < 0:
         raise ShapeMismatch("P must be supported in nonnegative degrees")
     m = max(P.support) if P.support else 0
-    e = K.e
     s = tuple(P.rank(n) for n in range(m + 1))
-    ext = tensor(K.complex, P)
-    r = tuple(ext.rank(n) for n in range(m + e + 1))
-    return SystemShape(m, e, s, r)
+    return SystemShape(m, K.e, s, _extension_ranks(K.e, s))
 
 
-def build_B_blocks(K, P, x_mats, scalar_ring=None):
+def build_B_blocks(K, shape, x_mats, scalar_ring=None):
     """The block differentials of the extension with prescribed degree maps.
 
-    `x_mats[n]` is the degree-n map of P (concrete ring entries or symbolic
-    VarPoly entries); returns {n: matrix} for n = 1 .. m+e+1 in the same
-    scalar domain.  With the actual differentials of P this is exactly the
-    differential of tensor(K, P).
+    `shape` is the system shape of (K, P) and `x_mats[n]` the degree-n map
+    of P (concrete ring entries or symbolic VarPoly entries); returns
+    {n: matrix} for n = 1 .. m+e+1 in the same scalar domain.  With the
+    actual differentials of P this is exactly the differential of
+    tensor(K, P).
     """
     sample = next((mat for mat in x_mats.values() if mat.rows and mat.cols), None)
     if scalar_ring is not None:
@@ -325,7 +355,6 @@ def build_B_blocks(K, P, x_mats, scalar_ring=None):
         kc = ChainComplex(ring, {n: kc.rank(n) for n in kc.support},
                           {n: constant_matrix(ring, kc.diff(n)) for n in kc.support},
                           _validated=True)
-    shape = shape_of(K, P)
     X = ChainComplex(ring, {n: shape.s_at(n) for n in range(shape.m + 1)},
                      x_mats, _validated=True)
     return {n: tensor_differential(kc, X, n)
@@ -383,9 +412,62 @@ def _basis_list(K):
     return [S for d in sorted(K.basis) for S in K.basis[d]]
 
 
-def _matrix_equations(tag, h, n, lhs):
-    return [Equation(tag, h, n, i + 1, j + 1, poly)
-            for i, row in enumerate(lhs.data) for j, poly in enumerate(row)]
+def _fused_entries(ring, rows, cols, products, delta=False):
+    """The entries, row by row, of the rows x cols sum of the products L R
+    over the pairs (L, R) in `products`, minus the identity when `delta`:
+    one term dict per entry, as `VarPoly.terms` holds it.
+
+    An operand is a list of sparse rows.  A row lists (column, terms)
+    pairs, and terms are the (monomial, coefficient payload) pairs of that
+    entry.  Row i of every product accumulates, Gustavson-style, straight
+    into the term dicts of row i of the result, so no product, difference
+    or identity is built as a matrix of its own.
+    """
+    add, mul = ring.add_payload, ring.mul_payload
+    minus_one = ring.neg_payload(ring.one_payload)
+    out = []
+    for i in range(rows):
+        acc = [{} for _ in range(cols)]
+        for L, R in products:
+            for k, a in L[i]:
+                for j, b in R[k]:
+                    terms = acc[j]
+                    for m1, c1 in a:
+                        for m2, c2 in b:
+                            c = mul(c1, c2)
+                            if not c:
+                                continue
+                            mono = m2 if not m1 else m1 if not m2 else tuple(sorted(m1 + m2))
+                            s = terms.get(mono)
+                            if s is not None:
+                                c = add(s, c)
+                                if not c:
+                                    del terms[mono]
+                                    continue
+                            terms[mono] = c
+        if delta:
+            c = add(acc[i].get((), ring.zero_payload), minus_one)
+            if c:
+                acc[i][()] = c
+            else:
+                del acc[i][()]
+        out.append(acc)
+    return out
+
+
+def _constant_rows(M, negate=False):
+    """The operand of the ring matrix M, or of -M."""
+    if negate:
+        M = -M
+    return [[(j, (((), c),)) for j, c in zip(cols, vals)] for cols, vals in M.sparse_rows]
+
+
+def _polynomial_rows(M, negate=False):
+    """The operand of the VarPoly matrix M, or of -M."""
+    if negate:
+        M = -M
+    return [[(j, tuple(p.terms.items())) for j, p in zip(cols, vals)]
+            for cols, vals in M.sparse_rows]
 
 
 def generate_system(K, P, F=None, check_minimal=True):
@@ -395,90 +477,97 @@ def generate_system(K, P, F=None, check_minimal=True):
     of the extension (RankMismatch otherwise) and pass the DG module
     axioms (UnverifiedDGModule).  P must be minimal when the ring has a
     certified maximal ideal.
+
+    Every equation is an entry of a signed sum of matrix products, minus
+    the identity for S4: x x (S1), y u - B y (S2), y v - w y (S3) and
+    z C + C z - I (S4).  `_fused_entries` builds each block of equations
+    in one pass; only the block differentials B go through VarPoly
+    matrices, by `build_B_blocks`.
     """
     ring = K.ring
     if check_minimal and ring.local and not is_minimal(P):
         from .errors import NotMinimal
         raise NotMinimal("P has a unit entry in some differential")
     shape = shape_of(K, P)
-    m, e = shape.m, shape.e
+    m, e, r = shape.m, shape.e, shape.r_at
     canonical = F is None
     if F is None:
         F = extend(K, P)
     for n in range(m + e + 1):
-        if F.underlying.rank(n) != shape.r_at(n):
+        if F.underlying.rank(n) != r(n):
             raise RankMismatch(
                 f"module rank {F.underlying.rank(n)} at degree {n}, "
-                f"expected {shape.r_at(n)}")
+                f"expected {r(n)}")
     if not F.axioms.ok:
         raise UnverifiedDGModule("the supplied DG module fails its axioms")
 
+    one = ring.one_payload
+    variables = []
+
+    def variable_rows(family, n, rows, cols):
+        grid = [[SystemVariable(family, n, i + 1, j + 1) for j in range(cols)]
+                for i in range(rows)]
+        variables.extend(v for row in grid for v in row)
+        return [[(j, (((v,), one),)) for j, v in enumerate(row)] for row in grid]
+
+    x = {n: variable_rows("X", n, shape.s_at(n - 1), shape.s_at(n))
+         for n in range(1, m + 1)}
+    y = {n: variable_rows("Y", n, r(n), r(n)) for n in range(0, m + e + 1)}
+    z = {n: variable_rows("Z", n, r(n + 1) + r(n), r(n) + r(n - 1))
+         for n in range(0, m + e + 1)}
+    variables.sort()
     vring = VarPolyRing(ring)
-    xmat = {n: symbolic_matrix(vring, "X", n, shape.s_at(n - 1), shape.s_at(n))
-            for n in range(1, m + 1)}
-    ymat = {n: symbolic_matrix(vring, "Y", n, shape.r_at(n), shape.r_at(n))
-            for n in range(0, m + e + 1)}
-    zmat = {n: symbolic_matrix(vring, "Z", n,
-                               shape.r_at(n + 1) + shape.r_at(n),
-                               shape.r_at(n) + shape.r_at(n - 1))
-            for n in range(0, m + e + 1)}
-    B = build_B_blocks(K, P, xmat, scalar_ring=vring)
-
-    def y_at(n):
-        if n in ymat:
-            return ymat[n]
-        return Matrix.zeros(vring, shape.r_at(n), shape.r_at(n))
-
-    def z_at(n):
-        if n in zmat:
-            return zmat[n]
-        return Matrix.zeros(vring, shape.r_at(n + 1) + shape.r_at(n),
-                            shape.r_at(n) + shape.r_at(n - 1))
-
-    def u_at(n):
-        d = F.underlying.diff(n)
-        return constant_matrix(vring, d)
+    B = build_B_blocks(K, shape, {
+        n: symbolic_matrix(vring, "X", n, shape.s_at(n - 1), shape.s_at(n))
+        for n in range(1, m + 1)}, scalar_ring=vring)
 
     equations = []
+
+    def add_equations(tag, h, n, rows, cols, products, delta=False):
+        for i, row in enumerate(_fused_entries(ring, rows, cols, products, delta), 1):
+            equations.extend(Equation(tag, h, n, i, j, VarPoly(ring, terms))
+                             for j, terms in enumerate(row, 1))
+
     # S1: the candidate differential squares to zero
     for n in range(1, m):
-        equations.extend(_matrix_equations("S1", None, n, xmat[n] * xmat[n + 1]))
+        add_equations("S1", None, n, shape.s_at(n - 1), shape.s_at(n + 1),
+                      [(x[n], x[n + 1])])
     # S2: chain-map equations against the block differentials
     for n in range(1, m + e + 1):
-        lhs = y_at(n - 1) * u_at(n) - B[n] * y_at(n)
-        equations.extend(_matrix_equations("S2", None, n, lhs))
+        add_equations("S2", None, n, r(n - 1), r(n), [
+            (y[n - 1], _constant_rows(F.underlying.diff(n))),
+            (_polynomial_rows(B[n], negate=True), y[n])])
     # S3: K-linearity for every basis element
     basis = _basis_list(K)
     for h_index, H in enumerate(basis, start=1):
         hdeg = len(H)
         for n in range(0, m + e - hdeg + 1):
-            v = constant_matrix(vring, F.action_matrix(H, n))
-            w = constant_matrix(vring, extension_action(K, P, H, n))
-            lhs = y_at(n + hdeg) * v - w * y_at(n)
-            equations.extend(_matrix_equations("S3", h_index, n, lhs))
+            add_equations("S3", h_index, n, r(n + hdeg), r(n), [
+                (y[n + hdeg], _constant_rows(F.action_matrix(H, n))),
+                (_constant_rows(extension_action(K, P, H, n), negate=True), y[n])])
+
     # S4: contraction of the mapping cone, Kronecker delta constant term
-    def cone_diff(n):
-        blocks = {}
-        if n in B:
-            blocks[0, 0] = B[n]
-        if n - 1 in ymat:
-            blocks[0, 1] = ymat[n - 1]
+    def cone_rows(n):
+        """The cone differential [[B, y], [0, -u]] in degree n."""
+        rows = _polynomial_rows(B[n]) if n in B else [[] for _ in range(r(n - 1))]
+        if n - 1 in y:
+            for row, y_row in zip(rows, y[n - 1]):
+                row.extend((j + r(n), t) for j, t in y_row)
         u = F.underlying.diff(n - 1)
         if u.rows and u.cols:
-            blocks[1, 1] = constant_matrix(vring, u.scale(-ring.one))
-        return Matrix.from_blocks(vring, [shape.r_at(n - 1), shape.r_at(n - 2)],
-                                  [shape.r_at(n), shape.r_at(n - 1)], blocks)
+            rows += [[(j + r(n), t) for j, t in row] for row in _constant_rows(u, negate=True)]
+        else:
+            rows += [[] for _ in range(r(n - 2))]
+        return rows
 
-    cone_diffs = {n: cone_diff(n) for n in range(0, m + e + 3)}
+    def z_at(n):
+        return z[n] if n in z else [[] for _ in range(r(n + 1) + r(n))]
+
+    cone = {n: cone_rows(n) for n in range(0, m + e + 3)}
     for n in range(0, m + e + 2):
-        size = shape.r_at(n) + shape.r_at(n - 1)
-        lhs = z_at(n - 1) * cone_diffs[n] + cone_diffs[n + 1] * z_at(n)
-        delta = Matrix.identity(vring, size)
-        equations.extend(_matrix_equations("S4", None, n, lhs - delta))
-
-    variables = [v for mats in (xmat, ymat, zmat) for n in sorted(mats)
-                 for _, polys in mats[n].sparse_rows for p in polys for v in p.variables()]
-    variables.sort(key=variable_sort_key)
+        size = r(n) + r(n - 1)
+        add_equations("S4", None, n, size, size,
+                      [(z_at(n - 1), cone[n]), (cone[n + 1], z_at(n))], delta=True)
 
     u_mats = {n: F.underlying.diff(n) for n in range(1, m + e + 1)}
     v_mats = {H: {n: F.action_matrix(H, n) for n in range(0, m + e - len(H) + 1)}
@@ -583,9 +672,11 @@ def verify_assignment(system, assignment):
 
     Works over any ring tier: the equations are evaluated on payloads of
     the target ring, each coefficient mapped through the assignment's
-    homomorphism (not at all for the identity).  Verification
-    runs in canonical equation order and records the first failing
-    position of each subsystem.
+    homomorphism (not at all for the identity).  A non-identity hom maps
+    each distinct coefficient once; the images are kept for this call
+    only, and there are at most as many as the system has coefficients.
+    Verification runs in canonical equation order and records the first
+    failing position of each subsystem.
     """
     missing = [v for v in system.variables if v not in assignment.values]
     if missing:
@@ -599,6 +690,7 @@ def verify_assignment(system, assignment):
     add, mul = target.add_payload, target.mul_payload
     values = {v: target.unbox(assignment.values[v]) for v in system.variables}
     identity = hom.is_identity()
+    images = {}
     status = {tag: SubsystemReport(tag, 0) for tag in ("S1", "S2", "S3", "S4")}
     for eq in system.equations:
         rep = status[eq.tag]
@@ -608,7 +700,10 @@ def verify_assignment(system, assignment):
         acc = target.zero_payload
         for mono, c in eq.poly.terms.items():
             if not identity:
-                c = target.unbox(hom(hom.source.box(c)))
+                image = images.get(c)
+                if image is None:
+                    image = images[c] = target.unbox(hom(hom.source.box(c)))
+                c = image
             for v in mono:
                 c = mul(c, values[v])
             acc = add(acc, c)

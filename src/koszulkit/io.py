@@ -15,7 +15,7 @@ import re
 from .complexes import ChainComplex, ChainMap
 from .descent import (
     Assignment, Equation, PolynomialSystem, SystemShape, SystemVariable,
-    _varpoly_from_text, format_varpoly, variable_sort_key,
+    _extension_ranks, _varpoly_from_text, _varpoly_printer,
 )
 from .dgmodules import DGModule
 from .duality import ModulePresentation
@@ -305,8 +305,9 @@ def save_system(system):
     shape = system.shape
     lines = [f"ring {ring_spec(system.ring)}", "system",
              f"m={shape.m} e={shape.e} s={list(shape.s)} r={list(shape.r)}"]
+    fmt = _varpoly_printer(system.ring)
     for eq in system.equations:
-        poly = format_varpoly(eq.poly)
+        poly = fmt(eq.poly)
         if eq.tag == "S3":
             lines.append(f"{eq.tag} h={eq.h} {eq.n} {eq.row} {eq.col} : {poly}")
         else:
@@ -334,15 +335,13 @@ def load_system(text):
     mm, ee = int(m.group(1)), int(m.group(2))
     s = tuple(int(t) for t in m.group(3).split(",")) if m.group(3).strip() else ()
     r = tuple(int(t) for t in m.group(4).split(",")) if m.group(4).strip() else ()
+    if len(s) != mm + 1:
+        raise FormatError(f"header lists {len(s)} ranks of P, expected m + 1 = {mm + 1}")
+    expected = _extension_ranks(ee, s)
+    if r != expected:
+        raise FormatError(f"header ranks r={list(r)} are inconsistent with m, e "
+                          f"and s: expected {list(expected)}")
     shape = SystemShape(mm, ee, s, r)
-    from math import comb
-    for n in range(mm + ee + 1):
-        expected = sum(comb(ee, n - p) * shape.s_at(p)
-                       for p in range(mm + 1) if 0 <= n - p <= ee)
-        if shape.r_at(n) != expected:
-            raise FormatError(
-                f"header ranks are inconsistent at degree {n}: "
-                f"{shape.r_at(n)} vs {expected}")
     variables = expected_variables(shape)
     var_of = {v.token(): v for v in variables}
     ring_terms = {}
@@ -372,13 +371,13 @@ def expected_variables(shape):
         for i in range(shape.r_at(n + 1) + shape.r_at(n)):
             for j in range(shape.r_at(n) + shape.r_at(n - 1)):
                 out.append(SystemVariable("Z", n, i + 1, j + 1))
-    out.sort(key=variable_sort_key)
+    out.sort()
     return out
 
 
 def save_assignment(assignment):
     lines = [f"ring {ring_spec(assignment.target)}", "assignment"]
-    for var in sorted(assignment.values, key=variable_sort_key):
+    for var in sorted(assignment.values):
         lines.append(f"{var.token()} = {format_element(assignment.values[var])}")
     return "\n".join(lines) + "\n"
 
@@ -443,15 +442,14 @@ def to_json(obj):
             "equations": [
                 {"tag": eq.tag, **({"h": eq.h} if eq.h is not None else {}),
                  "n": eq.n, "row": eq.row, "col": eq.col,
-                 "poly": format_varpoly(eq.poly)}
-                for eq in obj.equations],
+                 "poly": fmt(eq.poly)}
+                for fmt in [_varpoly_printer(obj.ring)] for eq in obj.equations],
         }, indent=1, sort_keys=True) + "\n"
     if isinstance(obj, Assignment):
         return json.dumps({
             "kind": "assignment", "ring": ring_spec(obj.target),
             "values": {v.token(): format_element(x)
-                       for v, x in sorted(obj.values.items(),
-                                          key=lambda kv: variable_sort_key(kv[0]))},
+                       for v, x in sorted(obj.values.items())},
         }, indent=1, sort_keys=True) + "\n"
     if isinstance(obj, ModulePresentation):
         return json.dumps({

@@ -64,17 +64,30 @@ def test_shape_and_counts_spec_example():
 
 
 def test_rank_formula_invariant():
+    # the binomial ranks of shape_of are the ranks of the tensor product
     rng = random.Random(3)
-    from math import comb
-    for _ in range(10):
-        P = random_minimal_complex(Z4, rng)
-        e = rng.randint(0, 2)
+    for e in range(4):
         K = koszul(Z4, [Z4.from_int(2)] * e)
-        shape = ds.shape_of(K, P)
-        for n in range(shape.m + shape.e + 1):
-            expected = sum(comb(e, n - p) * shape.s_at(p)
-                           for p in range(shape.m + 1) if 0 <= n - p <= e)
-            assert shape.r_at(n) == expected
+        for _ in range(5):
+            P = random_minimal_complex(Z4, rng)
+            shape = ds.shape_of(K, P)
+            T = cx.tensor(K.complex, P)
+            assert shape.s == tuple(P.rank(n) for n in range(shape.m + 1))
+            assert shape.r == tuple(T.rank(n) for n in range(shape.m + e + 1))
+            assert T.rank(shape.m + e + 1) == 0
+        for P in (cx.zero_complex(Z4), cx.make_complex(Z4, {2: 1}, {})):
+            T = cx.tensor(K.complex, P)
+            shape = ds.shape_of(K, P)
+            assert shape.r == tuple(T.rank(n) for n in range(shape.m + e + 1))
+
+
+def test_shape_of_rejects_negative_degrees():
+    K = koszul(Z4, [Z4.from_int(2)])
+    P = cx.make_complex(Z4, {-1: 1, 0: 1}, {0: mat(Z4, [[2]])})
+    with pytest.raises(ShapeMismatch):
+        ds.shape_of(K, P)
+    with pytest.raises(ShapeMismatch):
+        ds.generate_system(K, P)
 
 
 def test_block_differentials_match_tensor():
@@ -84,7 +97,7 @@ def test_block_differentials_match_tensor():
         e = rng.randint(0, 2)
         K = koszul(Z4, [Z4.from_int(2)] * e)
         x_mats = {n: P.diff(n) for n in range(1, max(P.support, default=0) + 1)}
-        B = ds.build_B_blocks(K, P, x_mats)
+        B = ds.build_B_blocks(K, ds.shape_of(K, P), x_mats)
         T = cx.tensor(K.complex, P)
         for n in B:
             assert B[n] == T.diff(n)
@@ -95,7 +108,7 @@ def test_canonical_harness_structure_matrices():
     # actual maps of P, and its actions equal the extension-side actions
     K, P = small_instance()
     system = ds.generate_system(K, P)
-    B = ds.build_B_blocks(K, P, {n: P.diff(n) for n in (1,)})
+    B = ds.build_B_blocks(K, ds.shape_of(K, P), {n: P.diff(n) for n in (1,)})
     for n, u in system.u_mats.items():
         if u.rows and u.cols:
             assert u == B[n]

@@ -168,3 +168,20 @@ def test_mutated_system_lines_never_crash_verify(kind, tmp_path):
                                 str(GOLDEN / "canonical.asg")])
         assert code in (0, 1, 2), (mutated[i], err)
         assert "internal" not in err and "Traceback" not in err, (mutated[i], err)
+
+
+@pytest.mark.parametrize("header", [
+    "m=3 e=0 s=[1] r=[1]",              # fewer ranks of P than m + 1
+    "m=0 e=0 s=[1, 1] r=[1]",           # more ranks of P than m + 1
+    "m=1 e=0 s=[1, 1] r=[1, 1, 5]",     # a rank beyond degree m + e
+    "m=1 e=1 s=[1, 1] r=[1, 2]",        # a missing rank
+    "m=0 e=1 s=[1] r=[1, 2]",           # a wrong rank
+])
+def test_inconsistent_headers_are_format_errors(header, tmp_path):
+    text = f"ring zmod 4\nsystem\n{header}\n"
+    with pytest.raises(FormatError):
+        kio.load_system(text)
+    path = tmp_path / "S.sys"
+    path.write_text(text)
+    code, _, err = run_cli(["system", "verify", str(path), str(GOLDEN / "canonical.asg")])
+    assert code == 2 and "internal" not in err
