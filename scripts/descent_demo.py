@@ -88,10 +88,10 @@ def polynomial_round_trip():
     return same and report.passed
 
 
-def timed_round_trip(e=4):
+def timed_round_trip():
     """Time each phase of the round trip of the P.cx system for e = 4;
     true when every answer is right."""
-    Z4 = Zmod(4)
+    Z4, e = Zmod(4), 4
     K = koszul(Z4, [Z4.from_int(2)] * e)
     P = p_complex(Z4)
     times = {}

@@ -435,6 +435,7 @@ def to_json(obj):
                                             key=lambda kv: (len(kv[0]), kv[0]))},
         }, indent=1, sort_keys=True) + "\n"
     if isinstance(obj, PolynomialSystem):
+        fmt = _varpoly_printer(obj.ring)
         return json.dumps({
             "kind": "system", "ring": ring_spec(obj.ring),
             "m": obj.shape.m, "e": obj.shape.e,
@@ -443,7 +444,7 @@ def to_json(obj):
                 {"tag": eq.tag, **({"h": eq.h} if eq.h is not None else {}),
                  "n": eq.n, "row": eq.row, "col": eq.col,
                  "poly": fmt(eq.poly)}
-                for fmt in [_varpoly_printer(obj.ring)] for eq in obj.equations],
+                for eq in obj.equations],
         }, indent=1, sort_keys=True) + "\n"
     if isinstance(obj, Assignment):
         return json.dumps({
