@@ -7,10 +7,14 @@ it to show sensitivity, and reconstructs the descended complex with its
 certificate.  Then it writes and reads back the system of a complex over
 F2[x,y]/(x,y)^2 whose differential is x + y.  Last it times each phase of
 the e = 4 round trip of the same complex over Z/4 (generate, save, load,
-verify, reconstruct) and prints the system's term count.  It exits 1
-unless both files read back byte for byte, the reloaded systems accept
-the canonical solution and the e = 4 reconstruction gives back the
-complex.  Run with no arguments.
+verify, reconstruct) and prints the system's term count.  Then it times
+`verify_assignment` on a system over Z with an assignment over Z/4, as
+`system verify` reads one, against the same evaluation with every
+coefficient mapped on its own, to show what the per-call coefficient
+image cache saves.  It exits 1 unless both files read back byte for
+byte, the reloaded systems accept the canonical solution, the e = 4
+reconstruction gives back the complex and both evaluations of the Z/4
+assignment give the same report.  Run with no arguments.
 """
 
 import sys
@@ -21,10 +25,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from koszulkit import complexes as cx
 from koszulkit import descent as ds
-from koszulkit.io import load_system, save_system
+from koszulkit.io import load_assignment, load_system, save_assignment, save_system
 from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
-from koszulkit.rings import Zmod, parse_element, poly_quotient
+from koszulkit.rings import RingHom, ZZ, Zmod, parse_element, poly_quotient
 
 
 def p_complex(Z4):
@@ -69,7 +73,8 @@ def main():
     print("extension homology:",
           {n: cx.homology(ext, n).describe() for n in ext.degrees()})
     round_trips_ok = polynomial_round_trip()
-    return 0 if timed_round_trip() and round_trips_ok else 1
+    timed_ok = timed_round_trip()
+    return 0 if round_trips_ok and timed_ok and timed_hom_verify() else 1
 
 
 def polynomial_round_trip():
@@ -120,6 +125,66 @@ def timed_round_trip():
     print("reloaded system, canonical solution:", " ".join(report.lines()))
     print("reconstructed complex equals input:", right)
     return same and report.passed and right
+
+
+def verify_uncached(system, assignment):
+    """`verify_assignment`'s evaluation with each coefficient mapped
+    through the hom on its own, term by term; the report lines."""
+    hom = assignment.hom
+    target = hom.target
+    add, mul = target.add_payload, target.mul_payload
+    values = {v: target.unbox(assignment.values[v]) for v in system.variables}
+    first = {}
+    for eq in system.equations:
+        if eq.tag in first:
+            continue
+        acc = target.zero_payload
+        for mono, c in eq.poly.terms.items():
+            c = target.unbox(hom(hom.source.box(c)))
+            for v in mono:
+                c = mul(c, values[v])
+            acc = add(acc, c)
+        if acc:
+            first[eq.tag] = (eq.h, eq.n, eq.row, eq.col)
+    return [ds.SubsystemReport(tag, 0, first.get(tag)).line()
+            for tag in ("S1", "S2", "S3", "S4")]
+
+
+def timed_hom_verify(e=4, repeats=5):
+    """Time verification of the e = 4 system of Z <- Z^2 <- Z over Z
+    under its canonical solution read as an assignment over Z/4, with
+    and without the per-call cache of coefficient images (best of
+    `repeats`); true when both give the same passing report."""
+    Z, Z4 = ZZ(), Zmod(4)
+    K = koszul(Z, [Z.from_int(2)] * e)
+    P = cx.make_complex(Z, {0: 1, 1: 2, 2: 1}, {
+        1: Matrix.from_rows(Z, [[Z.from_int(2), Z.from_int(4)]]),
+        2: Matrix.from_rows(Z, [[Z.from_int(2)], [Z.from_int(-1)]])})
+    system = ds.generate_system(K, P, check_minimal=False)
+    sol = ds.canonical_solution(K, P)
+    assignment = load_assignment(save_assignment(ds.Assignment(
+        RingHom.identity(Z4),
+        {v: Z4.from_int(x.payload) for v, x in sol.values.items()})),
+        coefficient_ring=Z)
+    terms = sum(len(eq.poly.terms) for eq in system.equations)
+    distinct = len({c for eq in system.equations for c in eq.poly.terms.values()})
+
+    def best(fn):
+        out, times = None, []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            out = fn(system, assignment)
+            times.append(time.perf_counter() - start)
+        return out, min(times)
+
+    report, cached = best(ds.verify_assignment)
+    lines, uncached = best(verify_uncached)
+    print(f"--- {Z} -> {Z4}, e = {e}: {terms} terms, "
+          f"{distinct} distinct coefficients ---")
+    print(f"verify cached {cached:.3f} s  uncached {uncached:.3f} s  "
+          f"(best of {repeats})")
+    print("canonical solution over Z/4:", " ".join(report.lines()))
+    return report.passed and report.lines() == lines
 
 
 if __name__ == "__main__":

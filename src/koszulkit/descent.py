@@ -321,11 +321,15 @@ class SystemShape:
         return self.r[n] if 0 <= n <= self.m + self.e else 0
 
 
+def _extension_rank(e, s, n):
+    """The rank r_n of K (x) P for K on e elements and P of ranks
+    s = (s_0 .. s_m): r_n = sum over p of C(e, n - p) s_p."""
+    return sum(comb(e, n - p) * sp for p, sp in enumerate(s) if p <= n)
+
+
 def _extension_ranks(e, s):
-    """The ranks r_0 .. r_{m+e} of K (x) P for K on e elements and P of
-    ranks s = (s_0 .. s_m): r_n = sum over p of C(e, n - p) s_p."""
-    return tuple(sum(comb(e, n - p) * sp for p, sp in enumerate(s) if p <= n)
-                 for n in range(len(s) + e))
+    """The ranks r_0 .. r_{m+e} of K (x) P."""
+    return tuple(_extension_rank(e, s, n) for n in range(len(s) + e))
 
 
 def shape_of(K, P):

@@ -15,7 +15,7 @@ import re
 from .complexes import ChainComplex, ChainMap
 from .descent import (
     Assignment, Equation, PolynomialSystem, SystemShape, SystemVariable,
-    _extension_ranks, _varpoly_from_text, _varpoly_printer,
+    _extension_rank, _varpoly_from_text, _varpoly_printer,
 )
 from .dgmodules import DGModule
 from .duality import ModulePresentation
@@ -337,10 +337,14 @@ def load_system(text):
     r = tuple(int(t) for t in m.group(4).split(",")) if m.group(4).strip() else ()
     if len(s) != mm + 1:
         raise FormatError(f"header lists {len(s)} ranks of P, expected m + 1 = {mm + 1}")
-    expected = _extension_ranks(ee, s)
-    if r != expected:
-        raise FormatError(f"header ranks r={list(r)} are inconsistent with m, e "
-                          f"and s: expected {list(expected)}")
+    if len(r) != mm + ee + 1:
+        raise FormatError(f"header lists {len(r)} ranks of the extension, "
+                          f"expected m + e + 1 = {mm + ee + 1}")
+    for n, rn in enumerate(r):
+        expected = _extension_rank(ee, s, n)
+        if rn != expected:
+            raise FormatError(f"header rank r_{n} = {rn} is inconsistent with "
+                              f"m, e and s: expected {expected}")
     shape = SystemShape(mm, ee, s, r)
     variables = expected_variables(shape)
     var_of = {v.token(): v for v in variables}

@@ -176,6 +176,8 @@ def test_mutated_system_lines_never_crash_verify(kind, tmp_path):
     "m=1 e=0 s=[1, 1] r=[1, 1, 5]",     # a rank beyond degree m + e
     "m=1 e=1 s=[1, 1] r=[1, 2]",        # a missing rank
     "m=0 e=1 s=[1] r=[1, 2]",           # a wrong rank
+    "m=0 e=1000000 s=[1] r=[1]",        # too few ranks for a huge e
+    "m=0 e=3 s=[1] r=[1, 4, 3, 1]",     # a wrong rank before right ones
 ])
 def test_inconsistent_headers_are_format_errors(header, tmp_path):
     text = f"ring zmod 4\nsystem\n{header}\n"
