@@ -541,14 +541,17 @@ def generate_system(K, P, F=None, check_minimal=True):
         add_equations("S2", None, n, r(n - 1), r(n), [
             (y[n - 1], _constant_rows(F.underlying.diff(n))),
             (_polynomial_rows(B[n], negate=True), y[n])])
-    # S3: K-linearity for every basis element
+    # S3: K-linearity for every basis element; the canonical F's action is
+    # the extension action w itself, so then y v - v y
     basis = _basis_list(K)
     for h_index, H in enumerate(basis, start=1):
         hdeg = len(H)
         for n in range(0, m + e - hdeg + 1):
+            v = F.action_matrix(H, n)
+            w = v if canonical else extension_action(K, P, H, n)
             add_equations("S3", h_index, n, r(n + hdeg), r(n), [
-                (y[n + hdeg], _constant_rows(F.action_matrix(H, n))),
-                (_constant_rows(extension_action(K, P, H, n), negate=True), y[n])])
+                (y[n + hdeg], _constant_rows(v)),
+                (_constant_rows(w, negate=True), y[n])])
 
     # S4: contraction of the mapping cone, Kronecker delta constant term
     def cone_rows(n):

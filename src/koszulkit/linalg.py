@@ -157,7 +157,7 @@ def smith_data(ed, grid, rows, cols):
     T, Ti = _identity_grid(ed, cols), _identity_grid(ed, cols)
     add, neg, mul = ed.add_payload, ed.neg_payload, ed.mul_payload
     divmod_, gcdex, size = ed.divmod_payload, ed.gcdex_payload, ed.size_payload
-    zero, one = ed.zero_payload, ed.one_payload
+    minus_one = neg(ed.one_payload)
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
@@ -195,14 +195,34 @@ def smith_data(ed, grid, rows, cols):
         Ti[i] = [add(mul(d, x), neg(mul(c, y))) for x, y in zip(ri, rj)]
         Ti[j] = [add(mul(a, y), neg(mul(b, x))) for x, y in zip(ri, rj)]
 
-    def eliminate(combine, k, i, b):
+    # the combinations (1, 0, -q, 1) as _howell's axpy: the same integers,
+    # with the unchanged row (column) and the zero multiplicands skipped
+    def row_sub(i, j, q):
+        # row j -= q row i; column i of Si += q column j
+        nq = neg(q)
+        for mat in (m, S):
+            mat[j] = [add(x, mul(nq, y)) if y else x for x, y in zip(mat[j], mat[i])]
+        for r in Si:
+            if r[j]:
+                r[i] = add(r[i], mul(q, r[j]))
+
+    def col_sub(i, j, q):
+        # column j -= q column i; row i of Ti += q row j
+        nq = neg(q)
+        for mat in (m, T):
+            for r in mat:
+                if r[i]:
+                    r[j] = add(r[j], mul(nq, r[i]))
+        Ti[i] = [add(x, mul(q, y)) if y else x for x, y in zip(Ti[i], Ti[j])]
+
+    def eliminate(combine, sub, k, i, b):
         # kill the entry b of row or column i against the pivot m[k][k];
         # leave the pivot alone whenever it divides b (no swap oscillation)
         a = m[k][k]
         if a:
             q, r = divmod_(b, a)
             if not r:
-                combine(k, i, one, zero, neg(q), one)
+                sub(k, i, q)
                 return
         g, s, t = gcdex(a, b)
         combine(k, i, s, t, neg(_quo(ed, b, g)), _quo(ed, a, g))
@@ -211,12 +231,12 @@ def smith_data(ed, grid, rows, cols):
         while True:
             for i in range(k + 1, rows):
                 if m[i][k]:
-                    eliminate(row_combine, k, i, m[i][k])
+                    eliminate(row_combine, row_sub, k, i, m[i][k])
             if not any(m[k][j] for j in range(k + 1, cols)):
                 return
             for j in range(k + 1, cols):
                 if m[k][j]:
-                    eliminate(col_combine, k, j, m[k][j])
+                    eliminate(col_combine, col_sub, k, j, m[k][j])
             if not any(m[i][k] for i in range(k + 1, rows)):
                 return
 
@@ -239,7 +259,7 @@ def smith_data(ed, grid, rows, cols):
         if i is None:
             break
         # fold the next diagonal entry into row i so the gcd step can run
-        row_combine(i, i + 1, one, one, zero, one)
+        row_sub(i + 1, i, minus_one)
     else:
         raise BudgetExceeded(f"smith sweep cap {_SMITH_SWEEP_CAP} exceeded")
 

@@ -186,6 +186,23 @@ def test_fused_generator_matches_reference_for_a_non_canonical_module():
         assert system.canonical_p_diffs is None
 
 
+def test_s3_takes_the_canonical_action_once(monkeypatch):
+    # with F = None the module's action is the extension action, so S3 is
+    # y v - v y and extension_action runs only for a supplied F, once per block
+    K = koszul(Z4, [Z4.from_int(2)] * 2)
+    P = random_minimal_complex(Z4, random.Random(29), max_top=2)
+    calls = []
+    monkeypatch.setattr(ds, "extension_action",
+                        lambda *args: calls.append(args[2:]) or extension_action(*args))
+    canonical = ds.generate_system(K, P)
+    assert calls == []
+    supplied = ds.generate_system(K, P, extend(K, P))
+    shape = ds.shape_of(K, P)
+    assert sorted(calls) == sorted((H, n) for H in ds._basis_list(K)
+                                   for n in range(shape.m + shape.e - len(H) + 1))
+    assert kio.save_system(supplied) == kio.save_system(canonical)
+
+
 # ---------------------------------------------------------------------------
 # the canonical variable order
 
