@@ -3,10 +3,15 @@
 A DG module stores one action matrix per algebra basis element per degree,
 although the actions of the generators e_1, ..., e_e determine the rest.
 Every structure matrix is a stored artifact, and verification compares each
-one of degree >= 2 with a product of generator actions.  It checks the
-identities of the generators only, which over an exterior algebra imply
-every product identity (see `verify_dg_module`), so a pass makes about
-e * 2^e matrix products instead of 4^e.
+one of degree >= 2 with a product of generator actions.  The Koszul
+algebra's multiplication is the exterior algebra on e_1, ..., e_e, which is
+presented by generators that anticommute and square to zero.  So
+associativity is decided on that presentation (see `verify_dg_module`):
+rho(e_g) rho(e_h) for every pair of generators, and one factorisation
+rho(e_U) = rho(e_min U) rho(e_(U - min U)) of each stored rho(e_U) with
+|U| >= 3.  A pass then compares 2^e - 1 + e(e - 1)/2 pairs of basis
+elements, one matrix product per pair and degree, instead of the e * 2^e
+pairs with |G| = 1 that also suffice, or the 4^e of every identity.
 """
 
 from __future__ import annotations
@@ -113,38 +118,66 @@ def extend(K, M):
 
 
 def verify_dg_module(D):
-    """Unitality, associativity and Leibniz, checked on the identities that
+    """Unitality, associativity and Leibniz, checked on identities that
     imply all the others.
 
-    Write rho(a) for the action of a.  The axioms are rho(e_()) = 1; the
-    identity rho(e_G) rho(e_H) = rho(e_G e_H) for every basis pair (G, H);
-    and d rho(e_H) - (-1)^|H| rho(e_H) d = rho(d e_H) for every H.  Each is
-    an equality of graded maps, one matrix per degree.  Checked are:
+    Write rho(a) for the action of a and rho_n(a) for its matrix from
+    degree n.  The axioms are rho(e_()) = 1; the identity
+    rho(e_G) rho(e_H) = rho(e_G e_H) for every basis pair (G, H); and
+    d rho(e_H) - (-1)^|H| rho(e_H) d = rho(d e_H) for every H.  Each is an
+    equality of graded maps, one matrix per degree.  When unitality holds,
+    associativity is checked on the presentation of the exterior algebra:
 
-    - associativity for |G| <= 1, against every H;
-    - Leibniz for |H| <= 1 when associativity held, for every H when not;
-    - neither for G = () or H = () when unitality held: with rho(e_()) = 1
-      those identities hold by themselves.
+    (P1) rho(e_g) rho(e_h) = rho(e_g e_h) for all generators g and h, that
+         is rho(e_(g,h)) for g < h, -rho(e_(h,g)) for g > h and 0 for g = h;
+    (P2) rho(e_u) rho(e_U') = rho(e_U) for each U with |U| >= 3, where
+         u = min U and U' = U - u.
 
-    These suffice.  For |G| >= 2 let g = min G and G' = G - g: the product
-    e_G = e_g e_G' has shuffle sign +1, so rho(e_G) = rho(e_g) rho(e_G') is
-    a checked identity, and by induction on |G|
-    rho(e_G) rho(e_H) = rho(e_g) rho(e_G' e_H) = rho(e_G e_H).  Given
-    associativity, both sides of Leibniz are derivations, so Leibniz for
-    e_g and e_H' gives it for e_g e_H'; that step uses the G = () identity
-    rho(e_()) rho = rho on rho(d e_g) rho(e_H') = a_g rho(e_H').  A degree
-    of rank 0 in between changes nothing, since the maps are graded.  Every
-    stored rho(e_G) with |G| >= 2 is still compared with a product.
+    These imply every pair, degree by degree.  For a word w = w_1 ... w_k of
+    generators let P_n(w) = rho_{n+k-1}(e_w1) ... rho_n(e_wk), and P_n() = 1.
+
+    1. rho_n(e_U) = P_n(u_1 ... u_k) for U = {u_1 < ... < u_k} and every n,
+       by induction on k.  For k = 0 it is unitality, k = 1 is the
+       definition, k = 2 is (P1) with g < h at degree n, and for k >= 3
+       (P2) at degree n gives rho_n(e_U) = rho_{n+k-1}(e_u1) rho_n(e_U'),
+       where rho_n(e_U') = P_n(u_2 ... u_k) by induction.
+    2. Swapping two adjacent distinct letters a, b of a word negates P_n:
+       at the degree m where they act, (P1) for (a, b) and for (b, a) gives
+       rho_{m+1}(e_a) rho_m(e_b) = -rho_{m+1}(e_b) rho_m(e_a), both being
+       plus or minus rho_m(e_(a,b)) with opposite signs.  A word with a
+       repeated letter has P_n = 0: swaps bring the two copies together,
+       and rho_{m+1}(e_a) rho_m(e_a) = 0 by (P1) for (a, a).
+    3. By step 1 at degrees n + |H| and n, rho_{n+|H|}(e_G) rho_n(e_H) is
+       P_n of the word G followed by H.  If G and H meet it is 0, and
+       e_G e_H = 0.  Otherwise sorting the word takes one adjacent swap per
+       pair (g, h) in G x H with g > h, so by step 2 it is the shuffle sign
+       times P_n of the sorted word, which is rho_n(e_(G u H)) by step 1:
+       the structure constant of e_G e_H.
+
+    A degree of rank 0 changes nothing: an identity whose matrices have no
+    rows or no columns holds vacuously and is skipped.  The presentation
+    has 2^e - 1 + e(e - 1)/2 pairs, against e 2^e pairs (G, H) with |G| = 1.
 
     The report is the one a check of every identity gives, counterexamples
-    included.  The basis runs by degree, so past the identities that hold
-    by unitality the checked ones are a prefix of the loop over all of
-    them, and a failing identity implies a failing one in that prefix: the
-    first failure is the same.
+    included.  When the presentation holds, every identity holds.  When it
+    fails, or unitality fails, associativity runs over the pairs (G, H)
+    with |G| = 1 (|G| <= 1 when unitality fails) and every H, to name the
+    first failure.  Those pairs imply the rest: for |G| >= 2 let g = min G
+    and G' = G - g; e_G = e_g e_G' has shuffle sign +1, so
+    rho(e_G) = rho(e_g) rho(e_G') is a checked identity, and by induction
+    on |G| rho(e_G) rho(e_H) = rho(e_g) rho(e_G' e_H) = rho(e_G e_H).  The
+    basis runs by degree, so past the identities that hold by unitality
+    the checked pairs are a prefix of the loop over all of them, and a
+    failing identity implies a failing one in that prefix: the first
+    failure is the same.
 
-    Every call checks afresh; D.axioms keeps one report per module.  An
-    identity whose matrices have no rows or no columns holds vacuously and
-    is skipped.
+    Leibniz is checked for |H| <= 1 when associativity held, for every H
+    when not; with rho(e_()) = 1 the H = () identity holds by itself.
+    Given associativity, both sides of Leibniz are derivations, so Leibniz
+    for e_g and e_H' gives it for e_g e_H'; that step uses the G = ()
+    identity rho(e_()) rho = rho on rho(d e_g) rho(e_H') = a_g rho(e_H').
+
+    Every call checks afresh; D.axioms keeps one report per module.
     """
     K = D.algebra
     under = D.underlying
@@ -158,22 +191,21 @@ def verify_dg_module(D):
             if D.action_matrix((), n) != Matrix.identity(ring, under.rank(n)):
                 yield f"degree {n}"
 
-    def associativity(elements):
-        for G in elements:
-            for H in basis:
-                prod = K.product_of_basis(G, H)
-                for n in degrees:
-                    if not under.rank(n + len(G) + len(H)):
-                        continue
-                    lhs = D.action_matrix(G, n + len(H)) * D.action_matrix(H, n)
-                    if prod is None:
-                        ok = lhs.is_zero()
-                    else:
-                        sign, U = prod
-                        rhs = D.action_matrix(U, n)
-                        ok = lhs == (rhs if sign == 1 else -rhs)
-                    if not ok:
-                        yield f"e_{G} . e_{H} at degree {n}"
+    def associativity(pairs):
+        for G, H in pairs:
+            prod = K.product_of_basis(G, H)
+            for n in degrees:
+                if not under.rank(n + len(G) + len(H)):
+                    continue
+                lhs = D.action_matrix(G, n + len(H)) * D.action_matrix(H, n)
+                if prod is None:
+                    ok = lhs.is_zero()
+                else:
+                    sign, U = prod
+                    rhs = D.action_matrix(U, n)
+                    ok = lhs == (rhs if sign == 1 else -rhs)
+                if not ok:
+                    yield f"e_{G} . e_{H} at degree {n}"
 
     def leibniz(elements):
         for H in elements:
@@ -191,9 +223,15 @@ def verify_dg_module(D):
                     yield f"e_{H} at degree {n}"
 
     unit = _first_failure("unitality", unitality())
+    presented = False
     if unit.ok:
         generators = generators[1:]
-    assoc = _first_failure("associativity", associativity(generators))
+        presentation = [(g, h) for g in generators for h in generators]
+        presentation += [(U[:1], U[1:]) for U in basis if len(U) >= 3]
+        presented = next(associativity(presentation), None) is None
+    # past a failed presentation, the pairs with |G| <= 1 name the first failure
+    pairs = [] if presented else [(G, H) for G in generators for H in basis]
+    assoc = _first_failure("associativity", associativity(pairs))
     return AxiomReport([unit, assoc, _first_failure(
         "leibniz", leibniz(generators if assoc.ok else basis))])
 

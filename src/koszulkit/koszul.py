@@ -145,10 +145,12 @@ def verify_dga(K, mult_override=None):
     """Check the DG algebra axioms on the finite basis.
 
     Unitality, associativity and Leibniz are the DG module axioms of K
-    acting on itself (verify_dg_module): associativity for e_G e_H with
-    |G| <= 1 and Leibniz for |H| <= 1, which imply the identities of every
-    product and give the report a check of all of them would.  d^2 = 0 is
-    read off the differentials.
+    acting on itself (verify_dg_module).  Associativity is decided on the
+    presentation of the exterior algebra: rho(e_i) rho(e_j) = rho(e_i e_j)
+    for every pair of generators, and rho(e_U) = rho(e_min U) rho(e_U') for
+    |U| >= 3.  Those identities imply every product identity and give the
+    report a check of all of them would; Leibniz is checked for |H| <= 1.
+    d^2 = 0 is read off the differentials.
 
     Write rho(e_G) for the stored multiplication by e_G.  Graded
     commutativity, rho(e_G) rho(e_H) = (-1)^(|G||H|) rho(e_H) rho(e_G), and
@@ -156,8 +158,8 @@ def verify_dga(K, mult_override=None):
     generators only: rho(e_i) rho(e_j) = -rho(e_j) rho(e_i) for i <= j, and
     rho(e_i) rho(e_i) = 0, as maps from each degree n to n + 2.
     With associativity these imply the rest.  Associativity gives
-    rho(e_G) = rho(e_g1) ... rho(e_gk) for G = {g1 < ... < gk}, by the
-    induction in verify_dg_module, so rho(e_G) rho(e_H) becomes
+    rho(e_G) = rho(e_g1) ... rho(e_gk) for G = {g1 < ... < gk} (step 1 of
+    the proof in verify_dg_module), so rho(e_G) rho(e_H) becomes
     rho(e_H) rho(e_G) after |G||H| swaps of adjacent generator factors, each
     a sign -1.  And rho(e_S) rho(e_S) holds every s in S twice: moving the
     second rho(e_s) next to the first costs only signs and leaves the factor
@@ -165,9 +167,11 @@ def verify_dga(K, mult_override=None):
     H = () hold by unitality, so when unitality and associativity hold the
     generator identities are the first ones a check of every pair reaches,
     and its first failure is the same; the pair (e_j, e_i) with j > i comes
-    after (e_i, e_j), whose identity it is.  Associativity itself compares
-    rho(e_i) rho(e_j) with the stored rho(e_i e_j), and e_i e_j = -e_j e_i
-    and e_i e_i = 0 in the structure constants it compares with, so the
+    after (e_i, e_j), whose identity it is.  Whenever associativity holds
+    it has compared rho(e_i) rho(e_j) with the stored rho(e_i e_j) for
+    every pair of generators, in the presentation or, when unitality
+    fails, among the pairs with |G| <= 1; e_i e_j = -e_j e_i and
+    e_i e_i = 0 in the structure constants it compares with, so the
     generator identities are computed only when associativity fails.
 
     Every call checks afresh; K.axioms keeps one report per algebra.

@@ -6,7 +6,11 @@ payload is never stored.  Every kernel below (product, sum, negation,
 scaling, Kronecker product, transpose, block assembly, equality) runs on
 the stored entries in time proportional to their number; the product is
 Gustavson's row-by-row sparse product ("Two fast algorithms for sparse
-matrices", ACM TOMS 1978).
+matrices", ACM TOMS 1978).  A row of the left factor with one stored entry
+scales one row of the right factor: when that entry is one the product
+reuses the stored row object itself, and when it is minus one it negates
+the row, so a product by a signed permutation matrix makes no
+multiplication.
 
 Kernels compute on payloads, never on boxed entries, through the payload
 protocol of the `ring` slot, the one that `rings.Ring` defines:
@@ -241,17 +245,26 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        add, mul = self.ring.add_payload, self.ring.mul_payload
+        ring = self.ring
+        add, mul, neg = ring.add_payload, ring.mul_payload, ring.neg_payload
+        one = ring.one_payload
+        minus_one = neg(one)
         rows_b = other.sparse_rows
         out = []
         for ks, avals in self.sparse_rows:
             if len(ks) == 1:
                 # most rows of the signed-permutation structure matrices hold
                 # one entry: it scales one row of B, already in column order,
-                # with no accumulator and no sort
+                # with no accumulator and no sort; an entry 1 keeps B's row
+                # object, and -1 negates it with no zero to drop
                 a = avals[0]
-                cols, vals = rows_b[ks[0]]
-                out.append(_row(cols, [mul(a, b) for b in vals]))
+                row = rows_b[ks[0]]
+                if a == one:
+                    out.append(row)
+                elif a == minus_one:
+                    out.append((row[0], tuple(map(neg, row[1]))))
+                else:
+                    out.append(_row(row[0], [mul(a, b) for b in row[1]]))
                 continue
             acc = {}
             for k, a in zip(ks, avals):

@@ -1,11 +1,13 @@
 """The reduced axiom pass against a check of every identity.
 
-`verify_dg_module` checks associativity only for |G| <= 1 and Leibniz only
-for |H| <= 1 once associativity holds; its docstring shows that those
-identities imply the rest and that the first failure is the same.  The
-reference below checks every (G, H, n) and every H, in the same order, and
-must give the same report lines on planted mutations of module actions,
-module differentials and algebra multiplications.
+`verify_dg_module` decides associativity on the presentation of the
+exterior algebra (every pair of generators, and one factorisation of each
+rho(e_U) with |U| >= 3), names a failure from the pairs with |G| <= 1, and
+checks Leibniz only for |H| <= 1 once associativity holds; its docstring
+shows that those identities imply the rest and that the first failure is
+the same.  The reference below checks every (G, H, n) and every H, in the
+same order, and must give the same report lines on planted mutations of
+module actions, module differentials and algebra multiplications.
 """
 
 import random
@@ -156,6 +158,11 @@ def _mutated_matrix(M, ring, rng):
         return -M
     if kind == 1:
         return Matrix.zeros(ring, M.rows, M.cols)
+    return _rewritten_entry(M, ring, rng)
+
+
+def _rewritten_entry(M, ring, rng):
+    """M with one seeded entry rewritten to another element."""
     rows = [list(r) for r in M.data]
     i, j = rng.randrange(M.rows), rng.randrange(M.cols)
     rows[i][j] = rng.choice([x for x in ring.elements() if x != rows[i][j]])
@@ -229,6 +236,28 @@ def test_module_pass_makes_e_times_2_to_the_e_products(monkeypatch):
     assert len(calls) <= 1100
 
 
+def test_presentation_pass_product_counts(monkeypatch):
+    """Associativity on the presentation: e^2 generator pairs and one
+    factorisation of each rho(e_U) with |U| >= 3."""
+    Z4 = Zmod(4)
+    D = extend(koszul(Z4, [2] * 5), load(GOLDEN / "P.cx"))
+    K6 = koszul(Z4, [2] * 6)
+    calls = []
+    product = Matrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    assert verify_dg_module(D).ok
+    # associativity over the pairs with |G| = 1 makes 800 products here
+    assert len(calls) <= 320
+    calls.clear()
+    assert verify_dga(K6).ok
+    # and 1,242 here
+    assert len(calls) <= 430
+
 def _generator_mutation(K, ring, rng):
     """A copy of K.mult with the action of one generator e_i changed in one
     degree n <= e - 2, where rho(e_i) rho(e_j) is checked."""
@@ -272,3 +301,99 @@ def test_planted_generator_products(rname):
     mult[(1,)][1] = Matrix.from_rows(ring, rows)
     lines = verify_dga(K, mult_override=mult).lines()
     assert "odd_squares_zero: FAIL e_(1,) at degree 0" in lines
+
+
+# ---------------------------------------------------------------------------
+# targeted mutations against the presentation (P1), (P2) of verify_dg_module
+
+
+def _targeted_structures(ring, e):
+    """K on itself and the extension of a one-step complex, for this e."""
+    a = maximal_ideal_pool(ring)[-1]
+    K = koszul(ring, [a] * e)
+    P = cx.make_complex(ring, {0: 1, 1: 1}, {1: Matrix.from_rows(ring, [[a]])})
+    return K, [DGModule(K, K.complex, K.mult), extend(K, P)]
+
+
+def _replaced(action, H, n, M):
+    action = {G: dict(per) for G, per in action.items()}
+    action[H][n] = M
+    return action
+
+
+def _presentation_failures(D):
+    """The failing pairs of (P1) and (P2), computed on their own."""
+    K, under = D.algebra, D.underlying
+    basis = [S for d in K.basis.values() for S in d]
+    gens = [S for S in basis if len(S) == 1]
+    pairs = [(g, h) for g in gens for h in gens]
+    pairs += [(U[:1], U[1:]) for U in basis if len(U) >= 3]
+    failing = set()
+    for G, H in pairs:
+        prod = K.product_of_basis(G, H)
+        for n in under.degrees():
+            lhs = D.action_matrix(G, n + len(H)) * D.action_matrix(H, n)
+            rhs = Matrix.zeros(under.ring, lhs.rows, lhs.cols) if prod is None else \
+                D.action_matrix(prod[1], n).scale(under.ring.from_int(prod[0]))
+            if lhs != rhs:
+                failing.add((G, H))
+    return failing
+
+
+TARGETED = [(rname, e) for rname in sorted(RINGS) for e in (3, 4)]
+
+
+@pytest.mark.parametrize("rname,e", TARGETED)
+def test_every_stored_product_action_is_checked(rname, e):
+    """Zeroing or rewriting one entry of any stored rho(e_U) with |U| >= 2,
+    in any degree, fails associativity with the reference's report, in the
+    module pass and in the algebra pass."""
+    ring = RINGS[rname]()
+    rng = random.Random(f"stored-products:{rname}:{e}")
+    K, modules = _targeted_structures(ring, e)
+    sites = [(D, H, n) for D in modules for H, per in D.action.items()
+             for n, M in per.items() if len(H) >= 2 and M.rows and M.cols]
+    assert {len(H) for _, H, _ in sites} == set(range(2, e + 1))
+    for D, H, n in sites:
+        M = D.action[H][n]
+        for bad in (Matrix.zeros(ring, M.rows, M.cols), _rewritten_entry(M, ring, rng)):
+            action = _replaced(D.action, H, n, bad)
+            mutant = DGModule(K, D.underlying, action)
+            lines = verify_dg_module(mutant).lines()
+            assert lines == reference_module_axioms(mutant).lines(), (H, n)
+            assert lines[1].startswith("associativity: FAIL"), (H, n)
+            if D.underlying is K.complex:
+                # associativity fails, so commutativity and odd squares,
+                # read on the generators, may miss a failing pair
+                assert_dga_report_matches(verify_dga(K, mult_override=action),
+                                          reference_dga_axioms(K, action))
+
+
+@pytest.mark.parametrize("rname,e", TARGETED)
+def test_generator_edits_seen_only_by_descending_pairs(rname, e):
+    """Zeroing one entry of a generator action so that every (P1) pair with
+    g <= h and every (P2) pair still holds, while some rho(e_g) rho(e_h)
+    with g > h fails: the pass must still report the reference's lines."""
+    ring = RINGS[rname]()
+    K, modules = _targeted_structures(ring, e)
+    found = [0] * len(modules)
+    for k, D in enumerate(modules):
+        for (g,), per in ((H, per) for H, per in D.action.items() if len(H) == 1):
+            for n, M in per.items():
+                for i, (cols, _) in enumerate(M.sparse_rows):
+                    for j in cols:
+                        rows = [list(r) for r in M.data]
+                        rows[i][j] = ring.zero
+                        action = _replaced(D.action, (g,), n, Matrix.from_rows(ring, rows))
+                        mutant = DGModule(K, D.underlying, action)
+                        failing = _presentation_failures(mutant)
+                        if not failing or any(G <= H for G, H in failing):
+                            continue
+                        lines = verify_dg_module(mutant).lines()
+                        assert lines == reference_module_axioms(mutant).lines()
+                        assert lines[1].startswith("associativity: FAIL")
+                        if D.underlying is K.complex:
+                            assert verify_dga(K, mult_override=action).lines() \
+                                == reference_dga_axioms(K, action).lines()
+                        found[k] += 1
+    assert min(found) >= 2, found

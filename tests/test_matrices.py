@@ -212,3 +212,46 @@ def test_scale_by_one_is_the_matrix_and_by_minus_one_its_negative():
     assert A.scale(ring.one) is A
     assert A.scale(-ring.one) == -A
     assert A.scale(ring.zero) == Matrix.zeros(ring, 4, 4)
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_unit_rows_of_a_product_reuse_or_negate_the_stored_row(name):
+    """A row of A with one stored entry 1 is B's stored row object, and one
+    with entry -1 its negation; signed-permutation rows, rows with one other
+    entry, rows with several entries and zero rows all match the dense
+    product."""
+    ring = RINGS[name]
+    rng = random.Random(f"unit-rows:{name}")
+    one, minus_one = ring.one, -ring.one
+    n = 9
+    reused = negated = 0
+    for trial in range(6):
+        B = matrix(ring, n, 5, rng)
+        for P in (signed_permutation(ring, n, rng), None):
+            if P is None:
+                # mixed rows: 1, -1, another entry, several entries, zero
+                rows = []
+                for i in range(n):
+                    kind, k = i % 5, rng.randrange(n)
+                    row = [ring.zero] * n
+                    if kind < 3:
+                        row[k] = (one, minus_one, element(ring, rng))[kind]
+                    elif kind == 3:
+                        row = [element(ring, rng) for _ in range(n)]
+                    rows.append(row)
+                P = Matrix.from_rows(ring, rows)
+            prod = P * B
+            assert prod.data == dense_mul(P, B)
+            assert_stored_sparsely(prod)
+            for (ks, vals), row in zip(P.sparse_rows, prod.sparse_rows):
+                if len(ks) != 1:
+                    continue
+                stored = B.sparse_rows[ks[0]]
+                if vals[0] == ring.one_payload:
+                    assert row is stored
+                    reused += 1
+                elif vals[0] == ring.neg_payload(ring.one_payload):
+                    assert row == (stored[0], tuple(map(ring.neg_payload, stored[1])))
+                    assert row == (-B).sparse_rows[ks[0]]
+                    negated += 1
+    assert reused and (negated or one == minus_one)
