@@ -46,14 +46,20 @@ def parse_matrix(ring, text):
     if len(row_texts) != rows:
         raise FormatError(f"expected {rows} rows, found {len(row_texts)}")
     data = []
+    payloads = {}  # entry text -> payload: each distinct text is parsed once
     for rt in row_texts:
         entries = [e.strip() for e in rt.split(",")] if rt.strip() else []
         if len(entries) != cols:
             raise FormatError(f"expected {cols} entries per row, got {len(entries)}")
-        data.append([parse_element(ring, e) for e in entries])
+        row = []
+        for e in entries:
+            if e not in payloads:
+                payloads[e] = parse_element(ring, e).payload
+            row.append(payloads[e])
+        data.append(row)
     if cols == 0:
         return Matrix.zeros(ring, rows, 0)
-    return Matrix.from_rows(ring, data)
+    return Matrix.from_payload_rows(ring, rows, cols, data)
 
 
 def _sequence_text(elements):

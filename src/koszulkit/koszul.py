@@ -154,25 +154,16 @@ def verify_dga(K, mult_override=None):
 
     Write rho(e_G) for the stored multiplication by e_G.  Graded
     commutativity, rho(e_G) rho(e_H) = (-1)^(|G||H|) rho(e_H) rho(e_G), and
-    odd squares, rho(e_S) rho(e_S) = 0 for |S| odd, are checked on the
-    generators only: rho(e_i) rho(e_j) = -rho(e_j) rho(e_i) for i <= j, and
-    rho(e_i) rho(e_i) = 0, as maps from each degree n to n + 2.
-    With associativity these imply the rest.  Associativity gives
-    rho(e_G) = rho(e_g1) ... rho(e_gk) for G = {g1 < ... < gk} (step 1 of
-    the proof in verify_dg_module), so rho(e_G) rho(e_H) becomes
-    rho(e_H) rho(e_G) after |G||H| swaps of adjacent generator factors, each
-    a sign -1.  And rho(e_S) rho(e_S) holds every s in S twice: moving the
-    second rho(e_s) next to the first costs only signs and leaves the factor
-    rho(e_s)^2 = 0.  The basis runs by degree and the pairs with G = () or
-    H = () hold by unitality, so when unitality and associativity hold the
-    generator identities are the first ones a check of every pair reaches,
-    and its first failure is the same; the pair (e_j, e_i) with j > i comes
-    after (e_i, e_j), whose identity it is.  Whenever associativity holds
-    it has compared rho(e_i) rho(e_j) with the stored rho(e_i e_j) for
-    every pair of generators, in the presentation or, when unitality
-    fails, among the pairs with |G| <= 1; e_i e_j = -e_j e_i and
-    e_i e_i = 0 in the structure constants it compares with, so the
-    generator identities are computed only when associativity fails.
+    odd squares, rho(e_S) rho(e_S) = 0 for |S| odd, are maps from each
+    degree n.  When associativity holds they need no product: then
+    rho(e_G) rho(e_H) = rho(e_G e_H) for every pair, as verify_dg_module
+    shows from the pairs it checked, with unitality or without, and
+    e_G e_H = (-1)^(|G||H|) e_H e_G and e_S e_S = 0 in the structure
+    constants.  When associativity fails, both are checked on every pair of
+    basis elements, in basis order, as a check of every identity would.
+    The pair (e_H, e_G) with H after G is the identity of (e_G, e_H), which
+    comes first, so only the pairs with G not after H are formed and the
+    first failure is the same.
 
     Every call checks afresh; K.axioms keeps one report per algebra.
     `mult_override` substitutes the multiplication matrices (used by tests
@@ -189,32 +180,32 @@ def verify_dga(K, mult_override=None):
             break
     d_squared = AxiomResult("d_squared_zero", ok, ce)
 
-    # associativity compared rho(e_i) rho(e_j) with the stored rho(e_i e_j)
-    # for every pair, so when it holds the generator identities hold too
-    generators = [] if associativity.ok else [(i,) for i in range(1, K.e + 1)]
-    degrees = range(K.e - 1)  # e_i e_j maps degree n to n + 2 <= e
+    # when associativity holds, every product is the stored rho of its
+    # structure constant, and those commute and square as the identities say
+    basis = [] if associativity.ok else [S for d in K.basis.values() for S in d]
     products = {}
 
     def rho2(G, H, n):
         """rho(e_G) rho(e_H) from degree n."""
         if (G, H, n) not in products:
-            products[G, H, n] = action.action_matrix(G, n + 1) * action.action_matrix(H, n)
+            products[G, H, n] = action.action_matrix(G, n + len(H)) * action.action_matrix(H, n)
         return products[G, H, n]
 
-    def anticommuting():
-        for k, G in enumerate(generators):
-            for H in generators[k:]:  # (e_j, e_i) is the identity of (e_i, e_j)
-                for n in degrees:
-                    if rho2(G, H, n) != -rho2(H, G, n):
+    def commuting():
+        for k, G in enumerate(basis):
+            for H in basis[k:]:  # (e_H, e_G) is the identity of (e_G, e_H)
+                for n in range(K.e + 1 - len(G) - len(H)):
+                    swapped = rho2(H, G, n)
+                    if rho2(G, H, n) != (-swapped if len(G) * len(H) % 2 else swapped):
                         yield f"e_{G}, e_{H} at degree {n}"
 
     def squares_zero():
-        for S in generators:
-            for n in degrees:
+        for S in [S for S in basis if len(S) % 2]:
+            for n in range(K.e + 1 - 2 * len(S)):
                 if not rho2(S, S, n).is_zero():
                     yield f"e_{S} at degree {n}"
 
-    commutativity = _first_failure("graded_commutativity", anticommuting())
+    commutativity = _first_failure("graded_commutativity", commuting())
     odd_squares = _first_failure("odd_squares_zero", squares_zero())
     return AxiomReport([d_squared, unitality, associativity, commutativity,
                         odd_squares, leibniz])

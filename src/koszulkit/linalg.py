@@ -3,14 +3,17 @@
 Three elimination engines, all on payloads through the one payload
 protocol of `rings.Ring`, so no entry is boxed into a RingElement:
 
-- F_p and finite-dimensional F_p-algebras run reduced row echelon form on
-  int rows over F_p (_fp_rref), an algebra element expanded to its
-  multiplication matrix on the standard monomials, rows packed into
-  bitmask ints when p = 2.  It gives kernels, solutions and ranks, hence
-  cardinalities, the unit test and minimal generating sets.  A resolution
-  step (`syzygies`) stays in these coordinates from the kernel to the kept
-  generators, and `FpModule` holds a finitely presented module as an
-  F_p-space, with the action of the ring on it.
+- F_p and finite-dimensional F_p-algebras run reduced row echelon form
+  over F_p (_fp_rref), an algebra element expanded to its multiplication
+  matrix on the standard monomials.  Every F_p vector, for every p, is one
+  int with each coordinate in a fixed-width field (_Codec: one bit and XOR
+  for p = 2, one byte and a byte-translate reduction up to p = 13, wider
+  fields above), so one code path serves every p.  It gives kernels,
+  solutions and ranks, hence cardinalities, the unit test and minimal
+  generating sets.  A resolution step (`syzygies`) stays in these
+  coordinates from the kernel to the kept generators, and `FpModule` holds
+  a finitely presented module as an F_p-space, with the action of the ring
+  on it.
 - Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
   1986, Storjohann & Mulders 1998) with the ring's own row operations, so
   every entry, transforms included, stays reduced; only pivot arithmetic
@@ -25,6 +28,7 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import prod
 
 from .errors import BudgetExceeded, CapabilityMissing, DimensionMismatch, NotAComplex
@@ -279,177 +283,225 @@ def smith_data(ed, grid, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# F_p elimination on int rows
+# F_p vectors packed into ints
 
 
-def _fp_rref(p, rows, ncols):
-    """In-place reduced row echelon over the first `ncols` columns; returns
-    the pivot columns.  Entries beyond `ncols` (right-hand sides) are carried
-    along by the row operations but never chosen as pivots.
+class _Codec:
+    """An F_p vector as one int, `width` bits per coordinate: coordinate j
+    of v is v >> j * width & mask (bit-packing after Boothby & Bradshaw,
+    arXiv:0901.1413).  The width follows from p:
 
-    For p = 2 rows are ints (bit j = column j); otherwise lists of ints.
-    """
-    pivots = []
-    rank = 0
-    if p == 2:
-        for col in range(ncols):
-            bit = 1 << col
-            sel = None
-            for r in range(rank, len(rows)):
-                if rows[r] & bit:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            pivot_row = rows[rank]
-            for r in range(len(rows)):
-                if r != rank and rows[r] & bit:
-                    rows[r] ^= pivot_row
-            pivots.append(col)
-            rank += 1
-        return pivots
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        # the pivot row is zero left of col, so only the tails change
-        pivot = rows[rank]
-        inv = pow(pivot[col], -1, p)
-        tail = [(inv * x) % p for x in pivot[col:]]
-        rows[rank] = pivot[:col] + tail
-        for r in range(len(rows)):
-            row = rows[r]
-            f = row[col] % p
-            if f and r != rank:
-                rows[r] = row[:col] + [(x - f * y) % p for x, y in zip(row[col:], tail)]
-        pivots.append(col)
-        rank += 1
-    return pivots
+    - p = 2: one bit; addition is XOR and never needs reducing.
+    - 3 <= p <= 13: one byte.  x + c y of reduced vectors stays below 256 in
+      every byte (12 + 12 * 12 < 256), so it runs on the whole int without
+      carries and one translation of its bytes mod p reduces it.
+    - p > 13: k bytes, k the least with p (p - 1) < 256^k, reduced by
+      unpacking the fields and taking each mod p.
 
-
-def _fp_kernel(p, rows, ncols):
-    """Kernel basis vectors of the matrix given by rows, one for each
-    non-pivot column in increasing order: ints when p = 2, lists of ints
-    otherwise."""
-    work = list(rows)
-    pivots = _fp_rref(p, work, ncols)
-    pivot_set = set(pivots)
-    free = [f for f in range(ncols) if f not in pivot_set]
-    if p == 2:
-        # a reduced pivot row has bits only at its pivot and at free columns
-        vecs = {f: 1 << f for f in free}
-        for r, pc in enumerate(pivots):
-            bit, row = 1 << pc, work[r] ^ (1 << pc)
-            while row:
-                low = row & -row
-                vecs[low.bit_length() - 1] |= bit
-                row ^= low
-        return [vecs[f] for f in free]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, pc in enumerate(pivots):
-            if work[r][f] % p:
-                vec[pc] = (-work[r][f]) % p
-        basis.append(vec)
-    return basis
-
-
-def _fp_solve(p, rows, ncols, rhs):
-    """One solution x of rows * x = b for every vector b in `rhs` (ints when
-    p = 2, lists otherwise), or None when some b lies outside the column
-    span.
-
-    The right-hand sides ride along as extra columns of a single elimination.
-    """
-    if p == 2:
-        work = [r | sum(((b >> i) & 1) << (ncols + k) for k, b in enumerate(rhs))
-                for i, r in enumerate(rows)]
-        pivots = _fp_rref(2, work, ncols)
-        if any(work[r] >> ncols for r in range(len(pivots), len(work))):
-            return None
-        return [sum(((work[r] >> (ncols + k)) & 1) << pc for r, pc in enumerate(pivots))
-                for k in range(len(rhs))]
-    if any(len(b) != len(rows) for b in rhs):
-        raise DimensionMismatch("rhs length does not match row count")
-    sols = [[0] * ncols for _ in rhs]
-    work = [list(r) + [b[i] % p for b in rhs] for i, r in enumerate(rows)]
-    pivots = _fp_rref(p, work, ncols)
-    if any(x % p for r in range(len(pivots), len(work)) for x in work[r][ncols:]):
-        return None
-    for r, pc in enumerate(pivots):
-        for k, x in enumerate(sols):
-            x[pc] = work[r][ncols + k]
-    return sols
-
-
-def _fp_rank(p, rows, ncols):
-    work = list(rows) if p == 2 else [list(r) for r in rows]
-    return len(_fp_rref(p, work, ncols))
-
-
-class _Echelon:
-    """An F_p-subspace grown one vector at a time.
-
-    It keeps one echelon row per pivot: for p = 2 int rows keyed by their
-    highest bit, otherwise lists keyed by their first nonzero slot, scaled
-    to 1 there.
+    `axpy(x, c, y)` is x + c y reduced, for 0 < c < p, and `lincomb(v,
+    pairs)` is v plus the sum of c y over the pairs (c, y), reduced.  In
+    byte fields `room` such products fit on top of a reduced vector, so a
+    long sum is reduced once per `room` terms (delayed reduction, Dumas,
+    Giorgi & Pernet, ACM TOMS 2008).  `nonzero(v)` lists the pairs
+    (j, coordinate j) of v's nonzero coordinates, by increasing j.
     """
 
     def __init__(self, p):
         self.p = p
+        if p == 2:
+            self.width, self.nonzero = 1, _set_bits
+            self.axpy = lambda x, _, y: x ^ y
+            self.lincomb = _xor_sum
+        else:
+            k = next(k for k in count(1) if p * (p - 1) < 256 ** k)
+            self.width, self.room = 8 * k, (256 ** k - p) // (p - 1) ** 2
+            reduce = _field_reduce(p, k)
+            self.axpy = lambda x, c, y: reduce(x + c * y)
+            self.lincomb = _delayed_sum(reduce, self.room)
+            self.nonzero = lambda v: _nonzero_fields(v, k)
+        self.mask = (1 << self.width) - 1
+
+
+def _xor_sum(v, pairs):
+    for _, y in pairs:
+        v ^= y
+    return v
+
+
+def _delayed_sum(reduce, room):
+    def lincomb(v, pairs):
+        fresh = room
+        for c, y in pairs:
+            if not fresh:
+                v, fresh = reduce(v), room
+            v += c * y
+            fresh -= 1
+        return reduce(v)
+    return lincomb
+
+
+def _set_bits(v):
+    digits, out = bin(v)[:1:-1], []
+    j = digits.find("1")
+    while j >= 0:
+        out.append((j, 1))
+        j = digits.find("1", j + 1)
+    return out
+
+
+def _fields(v, k):
+    """v's little-endian bytes, in whole fields of k bytes."""
+    return v.to_bytes(-(-v.bit_length() // (8 * k)) * k, "little")
+
+
+def _field_reduce(p, k):
+    """v -> v with every field of k bytes taken mod p."""
+    if k == 1:
+        table = bytes(b % p for b in range(256))
+        return lambda v: int.from_bytes(_fields(v, 1).translate(table), "little")
+
+    def reduce(v):
+        b = _fields(v, k)
+        return int.from_bytes(b"".join(
+            (int.from_bytes(b[i:i + k], "little") % p).to_bytes(k, "little")
+            for i in range(0, len(b), k)), "little")
+    return reduce
+
+
+_NONZERO_BYTES = bytes([0] + [1] * 255)
+
+
+def _nonzero_fields(v, k):
+    b = _fields(v, k)
+    flags, out = b.translate(_NONZERO_BYTES), []
+    j = flags.find(1)
+    while j >= 0:
+        i = j // k
+        out.append((i, int.from_bytes(b[i * k:i * k + k], "little")))
+        j = flags.find(1, i * k + k)
+    return out
+
+
+def _fp_rref(codec, rows, ncols):
+    """In-place reduced row echelon over the first `ncols` columns; returns
+    the pivot columns.  Entries beyond `ncols` (right-hand sides) are carried
+    along by the row operations but never chosen as pivots.
+
+    `rows` holds packed vectors of `codec` (a _Codec or the prime p).
+    Forward elimination groups the rows by their lowest nonzero column; at
+    each column that starts a row, the first such row is scaled to 1 there
+    and clears the column from the others with one axpy each.  Back
+    substitution then clears each pivot row's later pivot columns at once
+    with `lincomb`, from the last pivot up.  Pivot rows come first, in
+    pivot order.  Reduced echelon rows are unique, so they are those of
+    Gauss-Jordan elimination column by column.
+    """
+    if isinstance(codec, int):
+        codec = _Codec(codec)
+    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
+    starts = {}  # column -> the rows whose lowest nonzero coordinate is there
+    for r, v in enumerate(rows):
+        if v:
+            starts.setdefault(((v & -v).bit_length() - 1) // w, []).append(r)
+    pivot_row = {}  # pivot column -> the index of its row
+    for col in range(ncols):
+        if not starts:
+            break
+        rest = starts.pop(col, None)
+        if rest is None:
+            continue
+        shift = col * w
+        r = pivot_row[col] = rest.pop(0)
+        x = rows[r] >> shift & mask
+        if x != 1:
+            rows[r] = axpy(0, pow(x, -1, p), rows[r])
+        for i in rest:
+            v = rows[i] = axpy(rows[i], p - (rows[i] >> shift & mask), rows[r])
+            if v:
+                starts.setdefault(((v & -v).bit_length() - 1) // w, []).append(i)
+    below, reduced = 0, []  # below: the fields of the pivot columns right of col
+    for col, r in reversed(pivot_row.items()):
+        if rows[r] & below:
+            rows[r] = codec.lincomb(rows[r], [(p - x, rows[pivot_row[j]]) for j, x in
+                                              codec.nonzero(rows[r] & below)])
+        reduced.append(rows[r])
+        below |= mask << col * w
+    reduced.reverse()
+    if len(reduced) < len(rows):
+        kept = set(pivot_row.values())
+        reduced += [v for r, v in enumerate(rows) if r not in kept]
+    rows[:] = reduced
+    return list(pivot_row)
+
+
+def _fp_kernel(codec, rows, ncols):
+    """Kernel basis vectors of the matrix given by packed rows, one for each
+    non-pivot column in increasing order."""
+    work = list(rows)
+    pivots = _fp_rref(codec, work, ncols)
+    p, w = codec.p, codec.width
+    pivot_set = set(pivots)
+    free = [f for f in range(ncols) if f not in pivot_set]
+    # a reduced pivot row is nonzero only at its pivot and at free columns
+    vecs = {f: 1 << f * w for f in free}
+    for row, pc in zip(work, pivots):
+        for f, x in codec.nonzero(row):
+            if f != pc:
+                vecs[f] |= (p - x) << pc * w
+    return [vecs[f] for f in free]
+
+
+def _fp_solve(codec, rows, ncols, rhs):
+    """One solution x of rows * x = b for every packed vector b in `rhs`, or
+    None when some b lies outside the column span.
+
+    The right-hand sides ride along as extra columns of a single elimination.
+    """
+    w = codec.width
+    work = list(rows)
+    for k, b in enumerate(rhs):
+        for i, x in codec.nonzero(b):
+            work[i] |= x << (ncols + k) * w
+    pivots = _fp_rref(codec, work, ncols)
+    if any(work[r] >> ncols * w for r in range(len(pivots), len(work))):
+        return None
+    sols = [0] * len(rhs)
+    for row, pc in zip(work, pivots):
+        for k, x in codec.nonzero(row >> ncols * w):
+            sols[k] |= x << pc * w
+    return sols
+
+
+class _Echelon:
+    """An F_p-subspace of packed vectors grown one vector at a time.
+
+    It keeps one echelon row per pivot, keyed by its highest nonzero
+    coordinate and scaled to 1 there.
+    """
+
+    def __init__(self, codec):
+        self.codec = codec
         self.rows = {}
 
     def add(self, v):
         """Add v to the span; True when it was outside."""
-        rows = self.rows
-        if self.p == 2:
-            while v:
-                h = v.bit_length() - 1
-                r = rows.get(h)
-                if r is None:
-                    rows[h] = v
-                    return True
-                v ^= r
-            return False
-        p, i = self.p, 0
-        if not any(v):
-            return False
-        while True:  # v is reduced mod p and zero before slot i
-            i = next((j for j in range(i, len(v)) if v[j]), None)
-            if i is None:
-                return False
-            x, r = v[i], rows.get(i)
+        rows, codec = self.rows, self.codec
+        p, w = codec.p, codec.width
+        while v:
+            h = (v.bit_length() - 1) // w
+            r = rows.get(h)
+            x = v >> h * w
             if r is None:
-                inv = pow(x, -1, p)
-                rows[i] = [0] * i + [(inv * y) % p for y in v[i:]]
+                rows[h] = v if x == 1 else codec.axpy(0, pow(x, -1, p), v)
                 return True
-            v = [0] * i + [(y - x * z) % p for y, z in zip(v[i:], r[i:])]
+            v = codec.axpy(v, p - x, r)
+        return False
 
 
-def _table_sum(p, n, terms):
-    """The sum of c * T over the pairs (T, c) of `terms`, with c nonzero and
-    T a table of n F_p vectors of length n: ints when p = 2, sequences of
-    ints otherwise."""
-    if p == 2:
-        out = [0] * n
-        for table, _ in terms:
-            out = [x ^ y for x, y in zip(out, table)]
-        return out
-    out = [[0] * n for _ in range(n)]
-    for table, c in terms:
-        for vec, tvec in zip(out, table):
-            for j, x in enumerate(tvec):
-                if x:
-                    vec[j] = (vec[j] + c * x) % p
-    return out
+def _table_sum(codec, n, terms):
+    """The sum of c * T over the pairs (T, c) of `terms`, with 0 < c < p
+    and T a table of n packed vectors."""
+    return [codec.lincomb(0, [(c, table[i]) for table, c in terms]) for i in range(n)]
 
 
 class _FpView:
@@ -457,10 +509,10 @@ class _FpView:
 
     An element has `dim` coordinates: its own value over F_p, or its
     coefficients on the standard monomials of an algebra.  A vector of n
-    entries has n * dim coordinates, entry i's from i * dim on; it is one
-    int (bit j = coordinate j) when p = 2 and a list of ints otherwise.  A
-    matrix becomes the rows of its expansion over F_p, in which each entry a
-    stands for the dim x dim matrix of multiplication by a.
+    entries has n * dim coordinates, entry i's from i * dim on, packed into
+    one int by the view's codec (_Codec, chosen once from p).  A matrix
+    becomes the packed rows of its expansion over F_p, in which each entry
+    a stands for the dim x dim matrix of multiplication by a.
     """
 
     def __init__(self, ring):
@@ -471,6 +523,7 @@ class _FpView:
             self.p, self.std = ring.coeff.p, ring._std_monomials
             self.index = {m: i for i, m in enumerate(self.std)}
             self.dim = len(self.std)
+        self.codec = _Codec(self.p)
         # the multiplication rows of each standard monomial, made on first
         # use: at most dim entries, and every element's rows are their sum
         self._monomial_rows = {}
@@ -478,25 +531,22 @@ class _FpView:
     def _monomial(self, m):
         rows = self._monomial_rows.get(m)
         if rows is None:
-            D, index = self.dim, self.index
-            grid = [[0] * D for _ in range(D)]
+            index, w = self.index, self.codec.width
+            grid = [0] * self.dim
             for j, t in enumerate(self.std):
                 for e, c in self.ring.mul_payload(((m, 1),), ((t, 1),)):
-                    grid[index[e]][j] = c
-            rows = self._monomial_rows[m] = tuple(
-                sum(1 << j for j, c in enumerate(r) if c) for r in grid) \
-                if self.p == 2 else tuple(map(tuple, grid))
+                    grid[index[e]] |= c << j * w
+            rows = self._monomial_rows[m] = tuple(grid)
         return rows
 
     def mult_rows(self, payload):
-        """The rows of the dim x dim matrix of multiplication by payload:
-        ints (bit j = column j) when p = 2, sequences of ints otherwise."""
-        p = self.p
+        """The packed rows of the dim x dim matrix of multiplication by
+        payload."""
         if self.std is None:
-            return (payload,) if p == 2 else ((payload,),)
+            return (payload,)
         if len(payload) == 1 and payload[0][1] == 1:
             return self._monomial(payload[0][0])
-        return _table_sum(p, self.dim, [(self._monomial(m), c) for m, c in payload])
+        return _table_sum(self.codec, self.dim, [(self._monomial(m), c) for m, c in payload])
 
     def rows(self, A):
         """(rows, column count) of A expanded over F_p.
@@ -504,77 +554,46 @@ class _FpView:
         Zero entries are skipped entirely, which matters for the sparse
         block matrices of hom complexes.
         """
+        D, w = self.dim, self.codec.width
         if self.std is None:
-            if self.p == 2:
-                return [sum(1 << j for j in cols) for cols, _ in A.sparse_rows], A.cols
-            return _payload_grid(A), A.cols
-        D = self.dim
-        nrows, ncols = A.rows * D, A.cols * D
-        if self.p == 2:
-            out = [0] * nrows
-            for i, (js, payloads) in enumerate(A.sparse_rows):
-                for j, payload in zip(js, payloads):
-                    shift = j * D
-                    for b, row in enumerate(self.mult_rows(payload), start=i * D):
-                        if row:
-                            out[b] |= row << shift
-            return out, ncols
-        grid = [[0] * ncols for _ in range(nrows)]
+            return [sum(a << j * w for j, a in zip(js, payloads))
+                    for js, payloads in A.sparse_rows], A.cols
+        out = [0] * (A.rows * D)
         for i, (js, payloads) in enumerate(A.sparse_rows):
             for j, payload in zip(js, payloads):
+                shift = j * D * w
                 for b, row in enumerate(self.mult_rows(payload), start=i * D):
-                    grid[b][j * D:(j + 1) * D] = row
-        return grid, ncols
+                    if row:
+                        out[b] |= row << shift
+        return out, A.cols * D
 
     def columns(self, A):
         """The coordinate vectors of A's columns."""
-        D, p, std = self.dim, self.p, self.std
+        D, w = self.dim, self.codec.width
         out = []
         for positions, payloads in A.transpose().sparse_rows:
-            if p == 2:
-                v = 0
-                for i, a in zip(positions, payloads):
-                    if std is None:
-                        v |= 1 << i
-                    else:
-                        for e, _ in a:
-                            v |= 1 << (i * D + self.index[e])
-            else:
-                v = [0] * (A.rows * D)
-                for i, a in zip(positions, payloads):
-                    if std is None:
-                        v[i] = a
-                    else:
-                        for e, c in a:
-                            v[i * D + self.index[e]] = c
+            v = 0
+            for i, a in zip(positions, payloads):
+                if self.std is None:
+                    v |= a << i * w
+                else:
+                    for e, c in a:
+                        v |= c << (i * D + self.index[e]) * w
             out.append(v)
         return out
 
     def sparse(self, v):
         """The stored form (positions, payloads) of the entries with
         coordinates v: the nonzero ones, by position."""
-        D, p, std = self.dim, self.p, self.std
-        if p == 2:
-            # one pass over the set bits, read off the binary digits
-            digits = bin(v)[:1:-1]
-            blocks = {}
-            j = digits.find("1")
-            while j >= 0:
-                blocks.setdefault(j // D, []).append(j % D)
-                j = digits.find("1", j + 1)
-            if std is None:
-                return tuple(blocks), (1,) * len(blocks)
-            # payload terms run by descending monomial, std is ascending
-            return tuple(blocks), tuple(tuple((std[a], 1) for a in reversed(slots))
-                                        for slots in blocks.values())
+        D, std = self.dim, self.std
         blocks = {}
-        for j in [j for j, x in enumerate(v) if x % p]:
-            blocks.setdefault(j // D, []).append(j % D)
+        for j, c in self.codec.nonzero(v):
+            blocks.setdefault(j // D, []).append((j % D, c))
         if std is None:
-            return tuple(blocks), tuple(v[i] % p for i in blocks)
-        return tuple(blocks), tuple(
-            tuple((std[a], v[i * D + a] % p) for a in reversed(slots))
-            for i, slots in blocks.items())
+            return tuple(blocks), tuple(c for (_, c), in blocks.values())
+        # payload terms run by descending monomial, std is ascending
+        return tuple(blocks), tuple(tuple((std[a], c) for a, c in reversed(slots))
+                                    for slots in blocks.values())
 
     def matrix(self, vecs, nrows):
         """The nrows x len(vecs) matrix whose columns have coordinates `vecs`."""
@@ -582,41 +601,25 @@ class _FpView:
                       tuple(self.sparse(v) for v in vecs)).transpose()
 
     def action(self, payload, n):
-        """v -> payload * v on vectors of n entries, entry by entry."""
-        D, p = self.dim, self.p
-        rows = self.mult_rows(payload)
-        if p == 2:
-            # coordinate a of every entry moves to coordinate b at once:
-            # mask out slot a of each block and shift it by b - a
-            slots = ((1 << (n * D)) - 1) // ((1 << D) - 1)
-            moves = [(slots << a, b - a) for b, row in enumerate(rows)
-                     for a in range(D) if row >> a & 1]
+        """v -> payload * v on vectors of n entries, entry by entry.
 
-            def act(v):
-                out = 0
-                for mask, s in moves:
-                    t = v & mask
-                    if t:
-                        out ^= t << s if s >= 0 else t >> -s
-                return out
-            return act
-
-        # slot a of an entry adds c times itself to slot a + s of the entry
-        moves = [[(b - a, row[a]) for b, row in enumerate(rows) if row[a]]
-                 for a in range(D)]
-
-        def act(v):
-            out = [0] * len(v)
-            for i in [i for i, x in enumerate(v) if x]:
-                for s, c in moves[i % D]:
-                    out[i + s] += c * v[i]
-            return [x % p for x in out] if any(out) else out
-        return act
+        Coordinate a of every entry moves to coordinate b at once: mask out
+        field a of each entry, shift it by b - a and add it times the
+        coefficient.
+        """
+        codec = self.codec
+        mask, w, lincomb = codec.mask, codec.width, codec.lincomb
+        Dw = self.dim * w
+        slots = mask * (((1 << (n * Dw)) - 1) // ((1 << Dw) - 1))
+        moves = [(slots << a * w, (b - a) * w, row >> a * w & mask)
+                 for b, row in enumerate(self.mult_rows(payload))
+                 for a in range(self.dim) if row >> a * w & mask]
+        return lambda v: lincomb(0, [(c, t << s if s >= 0 else t >> -s)
+                                     for m, s, c in moves if (t := v & m)])
 
     def rank(self, A):
         """Rank of A's expansion: |column span of A| = p ** rank."""
-        rows, ncols = self.rows(A)
-        return _fp_rank(self.p, rows, ncols)
+        return len(_fp_rref(self.codec, *self.rows(A)))
 
 
 def _nakayama_keep(view, vecs, n, multipliers):
@@ -628,7 +631,7 @@ def _nakayama_keep(view, vecs, n, multipliers):
     generating set keeps: the pivot columns among v_0 ... v_k of one
     reduction of [m V | v_0 ... v_k].
     """
-    span = _Echelon(view.p)
+    span = _Echelon(view.codec)
     for m in multipliers:
         act = view.action(m, n)
         for v in vecs:
@@ -830,7 +833,7 @@ def kernel_basis(ring, A):
     view, ctx = _engine(ring)
     if view is not None:
         rows, ncols = view.rows(A)
-        return view.matrix(_fp_kernel(view.p, rows, ncols), A.cols)
+        return view.matrix(_fp_kernel(view.codec, rows, ncols), A.cols)
     if ctx.modulus is not None:
         W = _augmented_transpose(A)
         pivots = _howell(ring, ctx, W, A.rows + A.cols, reduce_from=A.rows)
@@ -848,7 +851,7 @@ def solve(ring, A, B):
         raise DimensionMismatch(f"A is {A.rows}x{A.cols}, rhs has {B.rows} rows")
     if view is not None:
         rows, ncols = view.rows(A)
-        sols = _fp_solve(view.p, rows, ncols, view.columns(B))
+        sols = _fp_solve(view.codec, rows, ncols, view.columns(B))
         return None if sols is None else view.matrix(sols, A.cols)
     if ctx.modulus is not None:
         return _howell_solve(ring, ctx, A, B)
@@ -911,18 +914,19 @@ class FpModule:
     of R over F_p.  Its reduced echelon rows over the gens * dim coordinates
     of R^gens give a complement, the coordinates that are not pivots, and
     the projection onto it, reduction by those rows; `dim` is dim_{F_p} N.
-    The action on N of each standard monomial is made on first use and kept,
-    at most view.dim of them, and an element acts by their sum.
+    Vectors of R^gens and of N are packed by the view's codec.  The action
+    on N of each standard monomial is made on first use and kept, at most
+    view.dim of them, and an element acts by their sum.
     """
 
     def __init__(self, view, gens, relations):
-        self.view, self.p, self.gens = view, view.p, gens
+        self.view, self.codec, self.p, self.gens = view, view.codec, view.p, gens
         self._ncoords = gens * view.dim
         # R over F_p: the standard monomials, or 1 in a prime field
         basis = [1] if view.std is None else [((m, 1),) for m in view.std]
         cols = view.columns(relations)
         rows = [view.action(b, gens)(c) for b in basis for c in cols]
-        self._pivots = _fp_rref(self.p, rows, self._ncoords)
+        self._pivots = _fp_rref(self.codec, rows, self._ncoords)
         self._rows = rows[:len(self._pivots)]
         pivot_set = set(self._pivots)
         self._free = [t for t in range(self._ncoords) if t not in pivot_set]
@@ -931,62 +935,48 @@ class FpModule:
 
     def project(self, v):
         """N's coordinates of the class of v, a vector of R^gens."""
-        p = self.p
-        if p == 2:
-            for row, pc in zip(self._rows, self._pivots):
-                if v >> pc & 1:
-                    v ^= row
-            return sum(((v >> t) & 1) << i for i, t in enumerate(self._free))
-        for row, pc in zip(self._rows, self._pivots):
-            x = v[pc] % p
-            if x:
-                v = [(a - x * b) % p for a, b in zip(v, row)]
-        return [v[t] % p for t in self._free]
+        codec = self.codec
+        p, w, mask = codec.p, codec.width, codec.mask
+        # the rows are reduced, so each one's coefficient is read off v at once
+        v = codec.lincomb(v, [(p - x, row) for row, pc in zip(self._rows, self._pivots)
+                              if (x := v >> pc * w & mask)])
+        return sum((v >> t * w & mask) << i * w for i, t in enumerate(self._free))
 
     def _monomial(self, b):
         cols = self._monomial_action.get(b)
         if cols is None:
-            act, width = self.view.action(b, self.gens), self._ncoords
-            unit = (lambda t: 1 << t) if self.p == 2 else \
-                (lambda t: [int(i == t) for i in range(width)])
+            act, w = self.view.action(b, self.gens), self.codec.width
             cols = self._monomial_action[b] = tuple(
-                self.project(act(unit(t))) for t in self._free)
+                self.project(act(1 << t * w)) for t in self._free)
         return cols
 
     def action(self, payload):
-        """The columns of the dim x dim matrix of payload acting on N."""
+        """The packed columns of the dim x dim matrix of payload acting on N."""
         if self.view.std is None:
             terms = [(1, payload)] if payload else []
         else:
             terms = [(((m, 1),), c) for m, c in payload]
         if len(terms) == 1 and terms[0][1] == 1:
             return self._monomial(terms[0][0])
-        return _table_sum(self.p, self.dim, [(self._monomial(b), c) for b, c in terms])
+        return _table_sum(self.codec, self.dim, [(self._monomial(b), c) for b, c in terms])
 
     def dual_rank(self, d):
         """The F_p rank of Hom(d, N) : N^{d.rows} -> N^{d.cols}, phi -> phi d,
         whose (l, k) block is the action of d[k][l].  Its transpose, of the
         same rank, is built here row by row from the rows of d."""
-        n, p = self.dim, self.p
+        n = self.dim
         if not n:
             return 0
-        width = d.cols * n
+        shift = n * self.codec.width
         rows = []
         for js, payloads in d.sparse_rows:
-            if p == 2:
-                block = [0] * n
-                for l, a in zip(js, payloads):
-                    for c, col in enumerate(self.action(a)):
-                        if col:
-                            block[c] |= col << (l * n)
-                rows.extend(r for r in block if r)
-            else:
-                block = [[0] * width for _ in range(n)]
-                for l, a in zip(js, payloads):
-                    for c, col in enumerate(self.action(a)):
-                        block[c][l * n:(l + 1) * n] = col
-                rows.extend(r for r in block if any(r))
-        return len(_fp_rref(p, rows, width))
+            block = [0] * n
+            for l, a in zip(js, payloads):
+                for c, col in enumerate(self.action(a)):
+                    if col:
+                        block[c] |= col << l * shift
+            rows.extend(r for r in block if r)
+        return len(_fp_rref(self.codec, rows, d.cols * n))
 
 
 def fp_module(ring, gens, relations):
@@ -1275,7 +1265,7 @@ def syzygies(ring, A):
     if view is None:
         return minimal_generators(ring, kernel_basis(ring, A))
     rows, ncols = view.rows(A)
-    vecs = _fp_kernel(view.p, rows, ncols)
+    vecs = _fp_kernel(view.codec, rows, ncols)
     if len(vecs) > 1 and ring.local and ring.kind == POLYQUOT:
         mgens = [g.payload for g in _maximal_ideal_elements(ring)]
         vecs = [vecs[j] for j in _nakayama_keep(view, vecs, A.cols, mgens)]

@@ -113,17 +113,8 @@ def reference_dga_axioms(K, mult):
 
 
 def assert_dga_report_matches(got, want):
-    """verify_dga checks commutativity and odd squares on the generators,
-    which imply every pair only together with unitality and associativity.
-    Then the reports agree line for line; otherwise a reported failure is
-    still a failing identity, the first one when unitality holds."""
-    unit_ok, assoc_ok = got.results[1].ok, got.results[2].ok
-    for g, w in zip(got.results, want.results):
-        if g.name not in ("graded_commutativity", "odd_squares_zero") \
-                or (unit_ok and assoc_ok):
-            assert g == w
-        elif not g.ok:
-            assert not w.ok and (g == w or not unit_ok)
+    """verify_dga gives the report of a check of every identity."""
+    assert got.results == want.results
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +294,20 @@ def test_planted_generator_products(rname):
     assert "odd_squares_zero: FAIL e_(1,) at degree 0" in lines
 
 
+def test_commutativity_reads_every_pair_when_associativity_fails():
+    """Zeroing rho(e_(1,2)) at degree 0 of K(x, x, x) over F2[x,y]/(x,y)^2
+    breaks associativity, and graded commutativity then first fails at the
+    pair (e_3, e_(1,2)), which no pair of generators reaches."""
+    ring = RINGS["F2[x,y]/(x,y)^2"]()
+    K = koszul(ring, [ring.variable("x")] * 3)
+    M = K.mult[(1, 2)][0]
+    mult = _replaced(K.mult, (1, 2), 0, Matrix.zeros(ring, M.rows, M.cols))
+    lines = verify_dga(K, mult_override=mult).lines()
+    assert lines == reference_dga_axioms(K, mult).lines()
+    assert lines[2].startswith("associativity: FAIL")
+    assert "graded_commutativity: FAIL e_(3,), e_(1, 2) at degree 0" in lines
+
+
 # ---------------------------------------------------------------------------
 # targeted mutations against the presentation (P1), (P2) of verify_dg_module
 
@@ -363,8 +368,6 @@ def test_every_stored_product_action_is_checked(rname, e):
             assert lines == reference_module_axioms(mutant).lines(), (H, n)
             assert lines[1].startswith("associativity: FAIL"), (H, n)
             if D.underlying is K.complex:
-                # associativity fails, so commutativity and odd squares,
-                # read on the generators, may miss a failing pair
                 assert_dga_report_matches(verify_dga(K, mult_override=action),
                                           reference_dga_axioms(K, action))
 

@@ -201,15 +201,25 @@ def test_fp_view_caches_stay_bounded_by_the_standard_monomials():
     one = Matrix.from_rows(R, [[R.one]])
     k = du.ModulePresentation.residue_field(R)
     fp = k.fp_data
+
+    def coords(v, n):
+        # the packed vector v as a list of its n coordinates
+        out = [0] * n
+        for j, c in view.codec.nonzero(v):
+            out[j] = c
+        return out
+
     for a in elements:
         # the expansion of [a] maps the coordinates of b to those of a b
         rows, _ = view.rows(Matrix.from_rows(R, [[a]]))
+        rows = [coords(r, view.dim) for r in rows]
         for b in elements[:9]:
             (vb,) = view.columns(one.scale(b))
             (vab,) = view.columns(one.scale(a * b))
+            vb, vab = coords(vb, view.dim), coords(vab, view.dim)
             assert [sum(x * y for x, y in zip(r, vb)) % 3 for r in rows] == vab
         # a acts on k = R/m as its constant term
-        assert [list(c) for c in fp.action(a.payload)] == [[a.payload[-1][1] if a.payload
+        assert [coords(c, fp.dim) for c in fp.action(a.payload)] == [[a.payload[-1][1] if a.payload
                                          and not any(a.payload[-1][0]) else 0]]
     assert len(view._monomial_rows) <= view.dim
     assert len(R._mul_table) <= view.dim ** 2

@@ -11,10 +11,10 @@ from koszulkit import io as kio
 from koszulkit import koszul as kk
 from koszulkit.dgmodules import AxiomReport, AxiomResult, extend, verify_dg_module
 from koszulkit.duality import ModulePresentation
-from koszulkit.errors import FormatError
+from koszulkit.errors import FormatError, ToolkitError
 from koszulkit.koszul import koszul, verify_dga
 from koszulkit.matrices import Matrix
-from koszulkit.rings import ZZ, Zmod, poly_quotient
+from koszulkit.rings import ZZ, Zmod, parse_element, poly_quotient
 
 from helpers import count_calls, random_minimal_complex, run_cli
 
@@ -156,6 +156,29 @@ def test_format_errors():
         kio.load_complex("ring zmod 4\nkoszul\n")
     with pytest.raises(FormatError):
         kio.parse_matrix(Z4, "garbage")
+
+
+@pytest.mark.parametrize("bad", ["2 +", "y", "1/0", "3 3"])
+def test_bad_matrix_entry_fails_as_the_element_parser_does(tmp_path, bad):
+    """Each distinct entry text is parsed once; a bad entry after good
+    repeats still raises the element parser's own error, and exits 2."""
+    with pytest.raises(ToolkitError) as expected:
+        parse_element(Z4, bad)
+    body = f"3x3 [[0, 1, 0], [1, 0, 1], [0, {bad}, 1]]"
+    with pytest.raises(type(expected.value)) as got:
+        kio.parse_matrix(Z4, body)
+    assert str(got.value) == str(expected.value)
+    cxf = tmp_path / "P.cx"
+    cxf.write_text(f"ring zmod 4\ncomplex\nrank 0 = 3\nrank 1 = 3\ndiff 1 = {body}\n")
+    code, out, err = run_cli(["complex", "homology", str(cxf)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {expected.value}\n"
+
+
+def test_repeated_entry_texts_give_equal_payloads():
+    M = kio.parse_matrix(Z4, "2x3 [[0, 2, 3], [3, 0, 2]]")
+    assert M == mat(Z4, [[0, 2, 3], [3, 0, 2]])
+    assert kio.format_matrix(M) == "2x3 [[0, 2, 3], [3, 0, 2]]"
 
 
 # --- CLI behavior ---

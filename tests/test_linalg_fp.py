@@ -1,7 +1,7 @@
 """The prime-field path of linalg against brute-force enumeration and sympy.
 
-GF(2) runs the bitmask rows, GF(3) and GF(7) the list rows.  Shapes cover
-0 x k, k x 0, rank-deficient, full-rank and rectangular matrices.
+GF(2) packs one bit per coordinate, GF(3) and GF(7) one byte.  Shapes
+cover 0 x k, k x 0, rank-deficient, full-rank and rectangular matrices.
 """
 
 import random
