@@ -18,15 +18,16 @@ re-checked certificate.
 
 from __future__ import annotations
 
-import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from math import comb
 from typing import NamedTuple
 
 from .complexes import (
     ChainComplex, ChainMap, Homotopy, augment_by_resolution, cone, homology,
-    is_chain_map, is_contraction, is_minimal, tensor, tensor_differential,
+    is_chain_map, is_contraction, is_minimal, tensor, tensor_differential, tensor_layout,
 )
 from .dgmodules import (
     DGModule, extend, extension_action, is_k_linear,
@@ -75,67 +76,13 @@ class VarPoly:
         self.ring = ring
         self.terms = terms
 
-    @classmethod
-    def constant(cls, ring, c):
-        """The constant polynomial with coefficient payload c."""
-        return cls(ring, {(): c} if c else {})
-
-    @classmethod
-    def variable(cls, ring, var):
-        return cls(ring, {(var,): ring.one_payload})
-
     def __bool__(self):
         return bool(self.terms)
-
-    def __add__(self, other):
-        add = self.ring.add_payload
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono)
-            s = c if s is None else add(s, c)
-            if s:
-                terms[mono] = s
-            else:
-                del terms[mono]
-        return VarPoly(self.ring, terms)
-
-    def __neg__(self):
-        neg = self.ring.neg_payload
-        return VarPoly(self.ring, {m: neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        add, mul = self.ring.add_payload, self.ring.mul_payload
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = mul(c1, c2)
-                if not c:
-                    continue
-                mono = tuple(sorted(m1 + m2))
-                s = terms.get(mono)
-                s = c if s is None else add(s, c)
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
-        return VarPoly(self.ring, terms)
 
     def __eq__(self, other):
         if not isinstance(other, VarPoly):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def variables(self):
-        out = set()
-        for mono in self.terms:
-            out.update(mono)
-        return out
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=_term_order)
@@ -152,6 +99,9 @@ class VarPoly:
 # as one term per monomial, so every term parses on its own.
 
 _VAR_TOKEN = re.compile(r"[XYZ]_\d+_\d+_\d+")
+# a token as `SystemVariable.token` spells it; an index of more than 18
+# digits lies outside every shape, and `_ring_term` rejects it as text
+_CANONICAL_TOKEN = re.compile(r"([XYZ])_(0|[1-9]\d{0,17})_([1-9]\d{0,17})_([1-9]\d{0,17})")
 _SIGN = re.compile(r"\s*([+-])\s*")
 
 
@@ -206,7 +156,7 @@ def _ring_term(ring, text):
     """The payload of a ring term (no variable token may appear in it)."""
     for factor in text.split("*"):
         if _VAR_TOKEN.fullmatch(factor):
-            raise FormatError(f"variable {factor} is outside the system's shape "
+            raise FormatError(f"{factor} is not a variable of the system's shape "
                               "or comes before a ring factor")
     try:
         return parse_element(ring, text).payload
@@ -214,21 +164,46 @@ def _ring_term(ring, text):
         raise FormatError(f"bad ring term {text!r}: {exc}") from None
 
 
-def _varpoly_from_text(ring, text, var_of, ring_terms):
-    """The VarPoly written as `text` in the term grammar; any other text,
-    or a variable token not in `var_of`, is a FormatError.
+class _ShapeTokens(dict):
+    """Factor text -> its variable of `shape`, or None for any other text;
+    each distinct text is read once.  A token in its canonical spelling
+    (no leading zero, indices from 1) outside its block's `dims` is a
+    FormatError; any other token-like text is no variable, so `_ring_term`
+    rejects it."""
 
-    `var_of` maps each variable token of the shape to its variable and
-    `ring_terms` memoizes ring-term payloads by their text.
+    def __init__(self, shape):
+        super().__init__()
+        self.shape = shape
+
+    def __missing__(self, text):
+        m = _CANONICAL_TOKEN.fullmatch(text)
+        if m is None:
+            self[text] = None
+            return None
+        family, n, i, j = m[1], int(m[2]), int(m[3]), int(m[4])
+        rows, cols = self.shape.dims(family, n)
+        if i > rows or j > cols:
+            raise FormatError(f"{text} is not a variable of the system's shape")
+        v = self[text] = SystemVariable(family, n, i, j)
+        return v
+
+
+def _varpoly_from_text(ring, text, var_of, ring_terms):
+    """The VarPoly written as `text` in the term grammar; any other text is
+    a FormatError.
+
+    `var_of` is the `_ShapeTokens` of the system's shape and `ring_terms`
+    memoizes ring-term payloads by their text.
     """
     parts = _SIGN.split(text)
     parts = ["+", *parts] if parts[0] else parts[1:]
     add, neg = ring.add_payload, ring.neg_payload
+    known = var_of.get  # a hit needs no subscript of the dict subclass
     terms = {}
     for sign, body in zip(parts[::2], parts[1::2]):
         factors = body.split("*")
         k = len(factors)
-        while k and factors[k - 1] in var_of:
+        while k and (known(factors[k - 1]) or var_of[factors[k - 1]]) is not None:
             k -= 1
         if len(factors) - k > 2:
             raise FormatError(f"more than two variables in the term {body!r}")
@@ -243,7 +218,7 @@ def _varpoly_from_text(ring, text, var_of, ring_terms):
             c = ring.one_payload
         if sign == "-":
             c = neg(c)
-        mono = tuple(var_of[f] for f in factors[k:])
+        mono = tuple(map(known, factors[k:]))
         if len(mono) == 2 and mono[1] < mono[0]:
             mono = mono[::-1]
         s = terms.get(mono)
@@ -254,53 +229,6 @@ def _varpoly_from_text(ring, text, var_of, ring_terms):
                 continue
         terms[mono] = c
     return VarPoly(ring, terms)
-
-
-class VarPolyRing:
-    """VarPolys over `base` as a Matrix scalar ring.
-
-    A VarPoly is its own payload (box and unbox are the identity), so the
-    payload protocol is VarPoly arithmetic; the zero polynomial is falsy.
-    """
-
-    add_payload = staticmethod(operator.add)
-    neg_payload = staticmethod(operator.neg)
-    mul_payload = staticmethod(operator.mul)
-
-    def __init__(self, base):
-        self.base = base
-        self.zero = self.zero_payload = VarPoly(base, {})
-        self.one = self.one_payload = VarPoly.constant(base, base.one_payload)
-
-    @staticmethod
-    def box(payload):
-        return payload
-
-    def unbox(self, x):
-        if isinstance(x, VarPoly) and x.ring == self.base:
-            return x
-        raise MixedRings(f"{x!r} is not a polynomial over {self.base}")
-
-    def __eq__(self, other):
-        return isinstance(other, VarPolyRing) and self.base == other.base
-
-    def __repr__(self):
-        return f"VarPoly({self.base})"
-
-
-def symbolic_matrix(vring, family, n, rows, cols):
-    if not rows:
-        return Matrix.zeros(vring, 0, cols)
-    return Matrix.from_rows(vring, [
-        [VarPoly.variable(vring.base, SystemVariable(family, n, i + 1, j + 1))
-         for j in range(cols)] for i in range(rows)])
-
-
-def constant_matrix(vring, M):
-    base = vring.base
-    return Matrix(vring, M.rows, M.cols, tuple(
-        (cols, tuple(VarPoly(base, {(): c}) for c in vals))
-        for cols, vals in M.sparse_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +248,38 @@ class SystemShape:
     def r_at(self, n):
         return self.r[n] if 0 <= n <= self.m + self.e else 0
 
+    def dims(self, family, n):
+        """Rows and columns of the degree-n block of `family` variables:
+        X_n is s(n-1) x s(n), Y_n is r(n) x r(n) and Z_n, a map of the
+        mapping cone, is (r(n+1) + r(n)) x (r(n) + r(n-1))."""
+        if family == "X":
+            return self.s_at(n - 1), self.s_at(n)
+        r = self.r_at
+        if family == "Y":
+            return r(n), r(n)
+        return r(n + 1) + r(n), r(n) + r(n - 1)
+
+    def _degrees(self, family):
+        return range(1, self.m + 1) if family == "X" else range(self.m + self.e + 1)
+
+    def variables(self):
+        """The shape's variables in canonical (tuple) order."""
+        for family in "XYZ":
+            for n in self._degrees(family):
+                rows, cols = self.dims(family, n)
+                for i in range(1, rows + 1):
+                    for j in range(1, cols + 1):
+                        yield SystemVariable(family, n, i, j)
+
+    def count(self, family=None):
+        """The number of variables, of one family or of all."""
+        total = 0
+        for f in family or "XYZ":
+            for n in self._degrees(f):
+                rows, cols = self.dims(f, n)
+                total += rows * cols
+        return total
+
 
 def _extension_rank(e, s, n):
     """The rank r_n of K (x) P for K on e elements and P of ranks
@@ -338,31 +298,6 @@ def shape_of(K, P):
     m = max(P.support) if P.support else 0
     s = tuple(P.rank(n) for n in range(m + 1))
     return SystemShape(m, K.e, s, _extension_ranks(K.e, s))
-
-
-def build_B_blocks(K, shape, x_mats, scalar_ring=None):
-    """The block differentials of the extension with prescribed degree maps.
-
-    `shape` is the system shape of (K, P) and `x_mats[n]` the degree-n map
-    of P (concrete ring entries or symbolic VarPoly entries); returns
-    {n: matrix} for n = 1 .. m+e+1 in the same scalar domain.  With the
-    actual differentials of P this is exactly the differential of
-    tensor(K, P).
-    """
-    sample = next((mat for mat in x_mats.values() if mat.rows and mat.cols), None)
-    if scalar_ring is not None:
-        ring = scalar_ring
-    else:
-        ring = sample.ring if sample is not None else K.ring
-    kc = K.complex
-    if isinstance(ring, VarPolyRing):
-        kc = ChainComplex(ring, {n: kc.rank(n) for n in kc.support},
-                          {n: constant_matrix(ring, kc.diff(n)) for n in kc.support},
-                          _validated=True)
-    X = ChainComplex(ring, {n: shape.s_at(n) for n in range(shape.m + 1)},
-                     x_mats, _validated=True)
-    return {n: tensor_differential(kc, X, n)
-            for n in range(1, shape.m + shape.e + 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +321,25 @@ class Equation:
 class PolynomialSystem:
     ring: object                 # coefficient ring
     shape: SystemShape
-    variables: list
     equations: list
     koszul_elements: tuple       # the sequence defining K (coefficient ring)
     u_mats: dict                 # degree -> Matrix: differentials of the module side
     v_mats: dict                 # basis tuple -> degree -> Matrix: its actions
     canonical_p_diffs: dict | None   # set when built from the canonical harness
+    # variable -> the equal object the equations hold; the variable list
+    # hands out those objects, so evaluation finds them by identity
+    held: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def variables(self):
+        """The shape's variables in canonical order, listed on first use."""
+        held = self.held
+        if len(held) == self.shape.count():
+            return sorted(held)  # every variable occurs: no new objects
+        return [held.get(v, v) for v in self.shape.variables()]
 
     def variable_counts(self):
-        out = {"X": 0, "Y": 0, "Z": 0}
-        for v in self.variables:
-            out[v.family] += 1
-        return out
+        return {family: self.shape.count(family) for family in "XYZ"}
 
     def equation_counts(self):
         out = {}
@@ -466,12 +408,34 @@ def _constant_rows(M, negate=False):
     return [[(j, (((), c),)) for j, c in zip(cols, vals)] for cols, vals in M.sparse_rows]
 
 
-def _polynomial_rows(M, negate=False):
-    """The operand of the VarPoly matrix M, or of -M."""
-    if negate:
-        M = -M
-    return [[(j, tuple(p.terms.items())) for j, p in zip(cols, vals)]
-            for cols, vals in M.sparse_rows]
+def _b_rows(K, X0, xv, n):
+    """The operand of the block differential B_n: the degree-n differential
+    of K (x) P with P's maps replaced by the X variables, whose grids are
+    `xv`.
+
+    `X0` has P's ranks and no maps, so `tensor_differential` of K with it
+    is the constant part d_K (x) 1.  Summand p of the source then maps by
+    (-1)^{n-p} 1 (x) X_p into summand p-1 of the target, at the offsets of
+    `tensor_layout`; each such entry is one signed variable.
+    """
+    one = K.ring.one_payload
+    signs = (one, K.ring.neg_payload(one))
+    rows = _constant_rows(tensor_differential(K.complex, X0, n))
+    row_at, offset = {}, 0
+    for p, kp, sp in tensor_layout(K.complex, X0, n - 1):
+        row_at[p] = offset
+        offset += kp * sp
+    col = 0
+    for p, kp, sp in tensor_layout(K.complex, X0, n):
+        grid = xv.get(p)
+        if kp and grid and sp:
+            c = signs[(n - p) % 2]
+            for a in range(kp):
+                for i, x_row in enumerate(grid):
+                    rows[row_at[p - 1] + a * len(grid) + i].extend(
+                        (col + a * sp + j, (((v,), c),)) for j, v in enumerate(x_row))
+        col += kp * sp
+    return rows
 
 
 def generate_system(K, P, F=None, check_minimal=True):
@@ -485,8 +449,8 @@ def generate_system(K, P, F=None, check_minimal=True):
     Every equation is an entry of a signed sum of matrix products, minus
     the identity for S4: x x (S1), y u - B y (S2), y v - w y (S3) and
     z C + C z - I (S4).  `_fused_entries` builds each block of equations
-    in one pass; only the block differentials B go through VarPoly
-    matrices, by `build_B_blocks`.
+    in one pass, on operand rows of constants and variables; `_b_rows`
+    gives those of the block differentials B.
     """
     ring = K.ring
     if check_minimal and ring.local and not is_minimal(P):
@@ -506,24 +470,28 @@ def generate_system(K, P, F=None, check_minimal=True):
         raise UnverifiedDGModule("the supplied DG module fails its axioms")
 
     one = ring.one_payload
-    variables = []
+    held = {}
 
-    def variable_rows(family, n, rows, cols):
-        grid = [[SystemVariable(family, n, i + 1, j + 1) for j in range(cols)]
-                for i in range(rows)]
-        variables.extend(v for row in grid for v in row)
-        return [[(j, (((v,), one),)) for j, v in enumerate(row)] for row in grid]
+    def variable_grid(family, n):
+        rows, cols = shape.dims(family, n)
+        grid = [[SystemVariable(family, n, i, j) for j in range(1, cols + 1)]
+                for i in range(1, rows + 1)]
+        held.update((v, v) for row in grid for v in row)
+        return grid
 
-    x = {n: variable_rows("X", n, shape.s_at(n - 1), shape.s_at(n))
-         for n in range(1, m + 1)}
-    y = {n: variable_rows("Y", n, r(n), r(n)) for n in range(0, m + e + 1)}
-    z = {n: variable_rows("Z", n, r(n + 1) + r(n), r(n) + r(n - 1))
-         for n in range(0, m + e + 1)}
-    variables.sort()
-    vring = VarPolyRing(ring)
-    B = build_B_blocks(K, shape, {
-        n: symbolic_matrix(vring, "X", n, shape.s_at(n - 1), shape.s_at(n))
-        for n in range(1, m + 1)}, scalar_ring=vring)
+    def variable_rows(grid, c=one):
+        return [[(j, (((v,), c),)) for j, v in enumerate(row)] for row in grid]
+
+    # outside 0..m+e a Y or Z block has no columns or no rows at all
+    xv = {n: variable_grid("X", n) for n in range(1, m + 1)}
+    yv = {n: variable_grid("Y", n) for n in range(-1, m + e + 2)}
+    x = {n: variable_rows(grid) for n, grid in xv.items()}
+    y = {n: variable_rows(grid) for n, grid in yv.items()}
+    z = {n: variable_rows(variable_grid("Z", n)) for n in range(-1, m + e + 2)}
+    X0 = ChainComplex(ring, {n: shape.s_at(n) for n in range(m + 1)}, {}, _validated=True)
+    B = {n: _b_rows(K, X0, xv, n) for n in range(0, m + e + 3)}
+    u_mats = {n: F.underlying.diff(n) for n in range(1, m + e + 1)}
+    minus_one = ring.neg_payload(one)
 
     equations = []
 
@@ -539,8 +507,8 @@ def generate_system(K, P, F=None, check_minimal=True):
     # S2: chain-map equations against the block differentials
     for n in range(1, m + e + 1):
         add_equations("S2", None, n, r(n - 1), r(n), [
-            (y[n - 1], _constant_rows(F.underlying.diff(n))),
-            (_polynomial_rows(B[n], negate=True), y[n])])
+            (y[n - 1], _constant_rows(u_mats[n])),
+            (B[n], variable_rows(yv[n], minus_one))])
     # S3: K-linearity for every basis element; the canonical F's action is
     # the extension action w itself, so then y v - v y
     basis = _basis_list(K)
@@ -555,33 +523,25 @@ def generate_system(K, P, F=None, check_minimal=True):
 
     # S4: contraction of the mapping cone, Kronecker delta constant term
     def cone_rows(n):
-        """The cone differential [[B, y], [0, -u]] in degree n."""
-        rows = _polynomial_rows(B[n]) if n in B else [[] for _ in range(r(n - 1))]
-        if n - 1 in y:
-            for row, y_row in zip(rows, y[n - 1]):
-                row.extend((j + r(n), t) for j, t in y_row)
-        u = F.underlying.diff(n - 1)
-        if u.rows and u.cols:
-            rows += [[(j + r(n), t) for j, t in row] for row in _constant_rows(u, negate=True)]
-        else:
-            rows += [[] for _ in range(r(n - 2))]
-        return rows
-
-    def z_at(n):
-        return z[n] if n in z else [[] for _ in range(r(n + 1) + r(n))]
+        """The cone differential [[B, y], [0, -u]] in degree n; it extends
+        B's rows, which S2 has finished with."""
+        rows = B[n]
+        for row, y_row in zip(rows, y[n - 1]):
+            row.extend((j + r(n), t) for j, t in y_row)
+        u = u_mats[n - 1] if n - 1 in u_mats else Matrix.zeros(ring, r(n - 2), 0)
+        return rows + [[(j + r(n), t) for j, t in row] for row in _constant_rows(u, negate=True)]
 
     cone = {n: cone_rows(n) for n in range(0, m + e + 3)}
     for n in range(0, m + e + 2):
         size = r(n) + r(n - 1)
         add_equations("S4", None, n, size, size,
-                      [(z_at(n - 1), cone[n]), (cone[n + 1], z_at(n))], delta=True)
+                      [(z[n - 1], cone[n]), (cone[n + 1], z[n])], delta=True)
 
-    u_mats = {n: F.underlying.diff(n) for n in range(1, m + e + 1)}
     v_mats = {H: {n: F.action_matrix(H, n) for n in range(0, m + e - len(H) + 1)}
               for H in basis}
     return PolynomialSystem(
-        ring, shape, variables, equations, tuple(K.elements), u_mats, v_mats,
-        {n: P.diff(n) for n in range(1, m + 1)} if canonical else None)
+        ring, shape, equations, tuple(K.elements), u_mats, v_mats,
+        {n: P.diff(n) for n in range(1, m + 1)} if canonical else None, held)
 
 
 # ---------------------------------------------------------------------------
@@ -606,28 +566,18 @@ class Assignment:
 
 
 def _canonical_assignment(ring, shape, p_diffs):
-    hom = RingHom.identity(ring)
-    values = {}
-    for n in range(1, shape.m + 1):
-        for i, row in enumerate(p_diffs[n].data):
-            for j, x in enumerate(row):
-                values[SystemVariable("X", n, i + 1, j + 1)] = x
-    for n in range(0, shape.m + shape.e + 1):
-        r = shape.r_at(n)
-        for i in range(r):
-            for j in range(r):
-                values[SystemVariable("Y", n, i + 1, j + 1)] = \
-                    ring.one if i == j else ring.zero
-    for n in range(0, shape.m + shape.e + 1):
-        rows = shape.r_at(n + 1) + shape.r_at(n)
-        cols = shape.r_at(n) + shape.r_at(n - 1)
-        for i in range(rows):
-            for j in range(cols):
-                lower_left = (i >= shape.r_at(n + 1) and j < shape.r_at(n)
-                              and i - shape.r_at(n + 1) == j)
-                values[SystemVariable("Z", n, i + 1, j + 1)] = \
-                    ring.one if lower_left else ring.zero
-    return Assignment(hom, values)
+    values = dict.fromkeys(shape.variables(), ring.zero)
+    for n, d in p_diffs.items():
+        for i, row in enumerate(d.data, 1):
+            for j, x in enumerate(row, 1):
+                values[SystemVariable("X", n, i, j)] = x
+    for n in range(shape.m + shape.e + 1):
+        # Y_n is the identity, Z_n the identity block below its first r(n+1) rows
+        below = shape.r_at(n + 1)
+        for i in range(1, shape.r_at(n) + 1):
+            values[SystemVariable("Y", n, i, i)] = ring.one
+            values[SystemVariable("Z", n, below + i, i)] = ring.one
+    return Assignment(RingHom.identity(ring), values)
 
 
 def canonical_solution(K, P):
@@ -684,9 +634,18 @@ def verify_assignment(system, assignment):
     only, and there are at most as many as the system has coefficients.
     Verification runs in canonical equation order and records the first
     failing position of each subsystem.
+
+    Completeness is checked first.  An assignment with fewer values than
+    the shape's variable count is incomplete at once, so the variable list
+    is only read for an assignment at least as long: the check costs time
+    in proportion to the assignment, never to the shape.  Only a failing
+    check walks the shape's variables, for the first five missing ones.
     """
-    missing = [v for v in system.variables if v not in assignment.values]
-    if missing:
+    values = assignment.values
+    if len(values) < system.shape.count() or not all(map(values.__contains__,
+                                                         system.variables)):
+        missing = (v for v in system.shape.variables() if v not in values)
+        missing = list(islice(missing, 6))
         raise IncompleteAssignment(f"missing values for {missing[:5]}"
                                    + ("..." if len(missing) > 5 else ""))
     hom = assignment.hom
@@ -695,7 +654,7 @@ def verify_assignment(system, assignment):
                          f"the system is over {system.ring}")
     target = hom.target
     add, mul = target.add_payload, target.mul_payload
-    values = {v: target.unbox(assignment.values[v]) for v in system.variables}
+    values = {v: target.unbox(values[v]) for v in system.variables}
     identity = hom.is_identity()
     images = {}
     status = {tag: SubsystemReport(tag, 0) for tag in ("S1", "S2", "S3", "S4")}
@@ -734,12 +693,14 @@ class DescentCertificate:
     rechecks: dict
 
 
-def _assignment_matrix(assignment, family, n, rows, cols, ring):
-    grid = [[assignment.values[SystemVariable(family, n, i + 1, j + 1)]
-             for j in range(cols)] for i in range(rows)]
+def _assignment_matrix(assignment, shape, family, n):
+    """The values of the degree-n block of `family` variables, as a matrix."""
+    rows, cols = shape.dims(family, n)
     if rows == 0 or cols == 0:
-        return Matrix.zeros(ring, rows, cols)
-    return Matrix.from_rows(ring, grid)
+        return Matrix.zeros(assignment.target, rows, cols)
+    return Matrix.from_rows(assignment.target, [
+        [assignment.values[SystemVariable(family, n, i, j)] for j in range(1, cols + 1)]
+        for i in range(1, rows + 1)])
 
 
 def reconstruct(K, system, assignment):
@@ -760,10 +721,7 @@ def reconstruct(K, system, assignment):
     K_t = K if hom.is_identity() else koszul_base_change(hom, K)
 
     ranks = {n: shape.s_at(n) for n in range(shape.m + 1)}
-    diffs = {}
-    for n in range(1, shape.m + 1):
-        diffs[n] = _assignment_matrix(assignment, "X", n, shape.s_at(n - 1),
-                                      shape.s_at(n), target)
+    diffs = {n: _assignment_matrix(assignment, shape, "X", n) for n in range(1, shape.m + 1)}
     try:
         A = ChainComplex(target, ranks, diffs)
     except Exception as exc:
@@ -781,15 +739,11 @@ def reconstruct(K, system, assignment):
                             for n, mat in per.items()}
     module_side = DGModule(K_t, module_under, module_action)
 
+    degrees = range(shape.m + shape.e + 1)
     phi = ChainMap(module_under, ext.underlying, {
-        n: _assignment_matrix(assignment, "Y", n, shape.r_at(n), shape.r_at(n),
-                              target)
-        for n in range(shape.m + shape.e + 1)})
+        n: _assignment_matrix(assignment, shape, "Y", n) for n in degrees})
     sigma = Homotopy({
-        n: _assignment_matrix(assignment, "Z", n,
-                              shape.r_at(n + 1) + shape.r_at(n),
-                              shape.r_at(n) + shape.r_at(n - 1), target)
-        for n in range(shape.m + shape.e + 1)}, "contraction")
+        n: _assignment_matrix(assignment, shape, "Z", n) for n in degrees}, "contraction")
 
     rechecks = {
         "chain_map": is_chain_map(phi),

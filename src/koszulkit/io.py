@@ -15,7 +15,7 @@ import re
 from .complexes import ChainComplex, ChainMap
 from .descent import (
     Assignment, Equation, PolynomialSystem, SystemShape, SystemVariable,
-    _extension_rank, _varpoly_from_text, _varpoly_printer,
+    _extension_rank, _ShapeTokens, _varpoly_from_text, _varpoly_printer,
 )
 from .dgmodules import DGModule
 from .duality import ModulePresentation
@@ -300,7 +300,10 @@ def load_chain_map(text, source, target):
 #
 # Equation lines:  S1|S2|S4  n row col : polynomial
 #                  S3 h=<k> n row col : polynomial
-# The polynomial is in the term grammar of `descent.format_varpoly`.
+# The polynomial is in the term grammar of `descent.format_varpoly`, with
+# coefficients in the system's one scalar ring (a `rings.Ring`); the header
+# line m= e= s= r= fixes the shape, which owns the variables (their block
+# sizes, `SystemShape.dims`, and their canonical order).
 
 
 _EQUATION = re.compile(
@@ -325,9 +328,12 @@ def load_system(text):
     """Parse a serialized system (header plus equations).
 
     Every equation is read in the term grammar; any other line, or a
-    variable outside the header's shape, is a FormatError.  The result
-    verifies assignments; reconstruction needs the Koszul and module data,
-    which the CLI re-derives from their own files.
+    variable token outside the header's shape or not in its canonical
+    spelling, is a FormatError.  Each distinct token is read once and the
+    shape's variables are not listed, so loading costs time in proportion
+    to the text, whatever the header's ranks.  The result verifies
+    assignments; reconstruction needs the Koszul and module data, which
+    the CLI re-derives from their own files.
     """
     lines = _split_lines(text)
     ring = _expect_kind(lines, "system")
@@ -352,8 +358,7 @@ def load_system(text):
             raise FormatError(f"header rank r_{n} = {rn} is inconsistent with "
                               f"m, e and s: expected {expected}")
     shape = SystemShape(mm, ee, s, r)
-    variables = expected_variables(shape)
-    var_of = {v.token(): v for v in variables}
+    var_of = _ShapeTokens(shape)
     ring_terms = {}
     equations = []
     for line in lines[3:]:
@@ -364,25 +369,8 @@ def load_system(text):
         poly = _varpoly_from_text(ring, poly_text, var_of, ring_terms)
         equations.append(Equation(tag, int(h) if h else None, int(n),
                                   int(row), int(col), poly))
-    return PolynomialSystem(ring, shape, variables, equations, (), {}, {}, None)
-
-
-def expected_variables(shape):
-    out = []
-    for n in range(1, shape.m + 1):
-        for i in range(shape.s_at(n - 1)):
-            for j in range(shape.s_at(n)):
-                out.append(SystemVariable("X", n, i + 1, j + 1))
-    for n in range(0, shape.m + shape.e + 1):
-        for i in range(shape.r_at(n)):
-            for j in range(shape.r_at(n)):
-                out.append(SystemVariable("Y", n, i + 1, j + 1))
-    for n in range(0, shape.m + shape.e + 1):
-        for i in range(shape.r_at(n + 1) + shape.r_at(n)):
-            for j in range(shape.r_at(n) + shape.r_at(n - 1)):
-                out.append(SystemVariable("Z", n, i + 1, j + 1))
-    out.sort()
-    return out
+    return PolynomialSystem(ring, shape, equations, (), {}, {}, None,
+                            {v: v for v in var_of.values() if v is not None})
 
 
 def save_assignment(assignment):

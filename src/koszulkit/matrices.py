@@ -20,12 +20,13 @@ protocol of the `ring` slot, the one that `rings.Ring` defines:
   box(payload) -> entry           unbox(entry) -> payload
   zero, one                       the boxed zero and one
 
-`rings.Ring` (entries are RingElements) and `descent.VarPolyRing` (entries
-are the symbolic polynomials of the descent systems) both provide it, so
-both run through the same code.  Code that computes on payloads, such as
-the elimination engines of `linalg`, hands them over with
-`from_payload_rows`, `from_columns` or `from_entries` and never boxes.  `data` is the dense
-view, a tuple of row tuples of boxed entries, built on first use and kept.
+Every matrix of the library is over a `rings.Ring`, whose entries are
+RingElements; the descent compiler builds its equations on payload rows of
+its own and needs no second scalar ring.  Code that computes on payloads,
+such as the elimination engines of `linalg`, hands them over with
+`from_payload_rows`, `from_columns` or `from_entries` and never boxes.
+`data` is the dense view, a tuple of row tuples of boxed entries, built on
+first use and kept.
 """
 
 from __future__ import annotations

@@ -634,6 +634,10 @@ class Ring:
         if not a:
             return False
         if self._finite_dimensional():
+            if self.local:
+                # every variable is nilpotent, so the maximal ideal is the
+                # variables' and a unit is an element with a constant term
+                return any(not any(e) for e, _ in a)
             return self._unit_by_multiplication_matrix(a)
         # no quotient relations: units are the nonzero constants
         if not self.groebner:

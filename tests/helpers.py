@@ -2,12 +2,14 @@
 
 import io
 import itertools
+import operator
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from koszulkit.cli import main
-from koszulkit.complexes import ChainComplex, tensor_layout
-from koszulkit.descent import Assignment, SystemVariable, _assignment_matrix
+from koszulkit.complexes import ChainComplex, tensor_differential, tensor_layout
+from koszulkit.descent import Assignment, SystemVariable, VarPoly, _assignment_matrix
+from koszulkit.errors import MixedRings
 from koszulkit.linalg import invert
 from koszulkit.matrices import Matrix
 
@@ -150,20 +152,19 @@ def conjugated_assignment(K, P, system, sol, rng):
 
     vals = {}
     for n in range(1, shape.m + 1):
-        Xn = _assignment_matrix(sol, "X", n, shape.s_at(n - 1), shape.s_at(n), ring)
+        Xn = _assignment_matrix(sol, shape, "X", n)
         Xp = ginv[n - 1] * Xn * g[n]
         for i in range(Xp.rows):
             for j in range(Xp.cols):
                 vals[SystemVariable("X", n, i + 1, j + 1)] = Xp.data[i][j]
     for n in range(shape.m + shape.e + 1):
-        Yn = _assignment_matrix(sol, "Y", n, shape.r_at(n), shape.r_at(n), ring)
+        Yn = _assignment_matrix(sol, shape, "Y", n)
         Yp = gaminv[n] * Yn
         for i in range(Yp.rows):
             for j in range(Yp.cols):
                 vals[SystemVariable("Y", n, i + 1, j + 1)] = Yp.data[i][j]
     for n in range(shape.m + shape.e + 1):
-        Zn = _assignment_matrix(sol, "Z", n, shape.r_at(n + 1) + shape.r_at(n),
-                                shape.r_at(n) + shape.r_at(n - 1), ring)
+        Zn = _assignment_matrix(sol, shape, "Z", n)
         Zp = theta(n + 1) * Zn * theta(n, inverse=True)
         for i in range(Zp.rows):
             for j in range(Zp.cols):
@@ -236,3 +237,126 @@ def dense_from_blocks(ring, heights, widths, blocks):
 
 def dense_is_zero(A):
     return all(x == A.ring.zero for r in A.data for x in r)
+
+
+# ---------------------------------------------------------------------------
+# VarPoly matrices: descent polynomials as a Matrix scalar ring, for the
+# references that build equations by matrix arithmetic
+
+
+class SymPoly(VarPoly):
+    """A VarPoly with the arithmetic of polynomials, computed on the base
+    ring's payloads."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        add = self.ring.add_payload
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            s = terms.get(mono)
+            s = c if s is None else add(s, c)
+            if s:
+                terms[mono] = s
+            else:
+                del terms[mono]
+        return SymPoly(self.ring, terms)
+
+    def __neg__(self):
+        neg = self.ring.neg_payload
+        return SymPoly(self.ring, {m: neg(c) for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        add, mul = self.ring.add_payload, self.ring.mul_payload
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                c = mul(c1, c2)
+                if not c:
+                    continue
+                mono = tuple(sorted(m1 + m2))
+                s = terms.get(mono)
+                s = c if s is None else add(s, c)
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
+        return SymPoly(self.ring, terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def variables(self):
+        out = set()
+        for mono in self.terms:
+            out.update(mono)
+        return out
+
+
+class VarPolyRing:
+    """SymPolys over `base` as a Matrix scalar ring.
+
+    A SymPoly is its own payload (box and unbox are the identity), so the
+    payload protocol is SymPoly arithmetic; the zero polynomial is falsy.
+    """
+
+    add_payload = staticmethod(operator.add)
+    neg_payload = staticmethod(operator.neg)
+    mul_payload = staticmethod(operator.mul)
+
+    def __init__(self, base):
+        self.base = base
+        self.zero = self.zero_payload = SymPoly(base, {})
+        self.one = self.one_payload = self.constant(base.one_payload)
+
+    def constant(self, c):
+        """The constant polynomial with coefficient payload c."""
+        return SymPoly(self.base, {(): c} if c else {})
+
+    def variable(self, var):
+        return SymPoly(self.base, {(var,): self.base.one_payload})
+
+    @staticmethod
+    def box(payload):
+        return payload
+
+    def unbox(self, x):
+        if isinstance(x, SymPoly) and x.ring == self.base:
+            return x
+        raise MixedRings(f"{x!r} is not a polynomial over {self.base}")
+
+    def __eq__(self, other):
+        return isinstance(other, VarPolyRing) and self.base == other.base
+
+    def __repr__(self):
+        return f"VarPoly({self.base})"
+
+
+def symbolic_matrix(vring, family, n, rows, cols):
+    if not rows:
+        return Matrix.zeros(vring, 0, cols)
+    return Matrix.from_rows(vring, [
+        [vring.variable(SystemVariable(family, n, i + 1, j + 1)) for j in range(cols)]
+        for i in range(rows)])
+
+
+def constant_matrix(vring, M):
+    return Matrix(vring, M.rows, M.cols, tuple(
+        (cols, tuple(vring.constant(c) for c in vals)) for cols, vals in M.sparse_rows))
+
+
+def build_B_blocks(K, shape, vring):
+    """The block differentials of the extension with P's maps the symbolic
+    X matrices: {n: VarPoly matrix} for n = 1 .. m+e+1, the differentials
+    of tensor(K, X) by `tensor_differential` over `vring`."""
+    kc = K.complex
+    kc = ChainComplex(vring, {n: kc.rank(n) for n in kc.support},
+                      {n: constant_matrix(vring, kc.diff(n)) for n in kc.support},
+                      _validated=True)
+    X = ChainComplex(vring, {n: shape.s_at(n) for n in range(shape.m + 1)}, {
+        n: symbolic_matrix(vring, "X", n, shape.s_at(n - 1), shape.s_at(n))
+        for n in range(1, shape.m + 1)}, _validated=True)
+    return {n: tensor_differential(kc, X, n) for n in range(1, shape.m + shape.e + 2)}

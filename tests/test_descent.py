@@ -90,17 +90,53 @@ def test_shape_of_rejects_negative_degrees():
         ds.generate_system(K, P)
 
 
+def evaluated_b_rows(K, P, n):
+    """The operand rows `_b_rows` gives for B_n, evaluated at X :=
+    the differentials of P, as a matrix over K's ring."""
+    ring, shape = K.ring, ds.shape_of(K, P)
+    X0 = cx.ChainComplex(ring, {p: shape.s_at(p) for p in range(shape.m + 1)}, {},
+                         _validated=True)
+    xv = {p: [[ds.SystemVariable("X", p, i, j) for j in range(1, cols + 1)]
+              for i in range(1, rows + 1)]
+          for p in range(1, shape.m + 1) for rows, cols in [shape.dims("X", p)]}
+    values = ds.canonical_solution(K, P).values
+    rows = ds._b_rows(K, X0, xv, n)
+    entries = {}
+    for i, row in enumerate(rows):
+        for j, terms in row:
+            assert (i, j) not in entries and 0 <= j < shape.r_at(n)
+            x = ring.zero
+            for mono, c in terms:
+                assert len(mono) <= 1 and c
+                term = ring.box(c)
+                for v in mono:
+                    term = term * values[v]
+                x = x + term
+            entries[i, j] = x.payload
+    return Matrix.from_entries(ring, len(rows), shape.r_at(n),
+                               [(i, j, v) for (i, j), v in entries.items()])
+
+
+def assert_b_rows_match_tensor(K, P):
+    T = cx.tensor(K.complex, P)
+    top = ds.shape_of(K, P).m + K.e
+    for n in range(0, top + 3):
+        assert evaluated_b_rows(K, P, n) == T.diff(n), n
+
+
 def test_block_differentials_match_tensor():
     rng = random.Random(5)
-    for _ in range(50):
-        P = random_minimal_complex(Z4, rng)
-        e = rng.randint(0, 2)
+    for e in (0, 1, 2):
         K = koszul(Z4, [Z4.from_int(2)] * e)
-        x_mats = {n: P.diff(n) for n in range(1, max(P.support, default=0) + 1)}
-        B = ds.build_B_blocks(K, ds.shape_of(K, P), x_mats)
-        T = cx.tensor(K.complex, P)
-        for n in B:
-            assert B[n] == T.diff(n)
+        for _ in range(15):
+            assert_b_rows_match_tensor(K, random_minimal_complex(Z4, rng))
+        # a zero rank between nonzero ones, and P's maps that are not in m
+        assert_b_rows_match_tensor(K, cx.make_complex(Z4, {0: 1, 1: 0, 2: 2}, {}))
+        KZ = koszul(Z, [Z.from_int(2)] * e)
+        assert_b_rows_match_tensor(KZ, cx.make_complex(Z, {0: 1, 1: 2, 2: 1}, {
+            1: mat(Z, [[2, 4]]), 2: mat(Z, [[2], [-1]])}))
+        assert_b_rows_match_tensor(KZ, cx.make_complex(Z, {0: 2, 1: 0, 2: 1, 3: 1}, {
+            3: mat(Z, [[3]])}))
 
 
 def test_canonical_harness_structure_matrices():
@@ -108,10 +144,8 @@ def test_canonical_harness_structure_matrices():
     # actual maps of P, and its actions equal the extension-side actions
     K, P = small_instance()
     system = ds.generate_system(K, P)
-    B = ds.build_B_blocks(K, ds.shape_of(K, P), {n: P.diff(n) for n in (1,)})
     for n, u in system.u_mats.items():
-        if u.rows and u.cols:
-            assert u == B[n]
+        assert u == evaluated_b_rows(K, P, n)
     for H, per in system.v_mats.items():
         for n, v in per.items():
             assert v == extension_action(K, P, H, n)

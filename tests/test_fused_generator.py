@@ -14,7 +14,9 @@ from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
 from koszulkit.rings import RingHom, ZZ, Zmod, _join_signed, _signed_terms, poly_quotient
 
-from helpers import random_minimal_complex
+from helpers import (
+    VarPolyRing, build_B_blocks, constant_matrix, random_minimal_complex, symbolic_matrix,
+)
 from test_system_format import QUOTIENTS, quotient_instance
 
 Z = ZZ()
@@ -60,19 +62,19 @@ def reference_equations(K, P, F=None):
     shape = ds.shape_of(K, P)
     m, e, r = shape.m, shape.e, shape.r_at
     F = extend(K, P) if F is None else F
-    vring = ds.VarPolyRing(ring)
-    xmat = {n: ds.symbolic_matrix(vring, "X", n, shape.s_at(n - 1), shape.s_at(n))
+    vring = VarPolyRing(ring)
+    xmat = {n: symbolic_matrix(vring, "X", n, shape.s_at(n - 1), shape.s_at(n))
             for n in range(1, m + 1)}
-    ymat = {n: ds.symbolic_matrix(vring, "Y", n, r(n), r(n)) for n in range(m + e + 1)}
-    zmat = {n: ds.symbolic_matrix(vring, "Z", n, r(n + 1) + r(n), r(n) + r(n - 1))
+    ymat = {n: symbolic_matrix(vring, "Y", n, r(n), r(n)) for n in range(m + e + 1)}
+    zmat = {n: symbolic_matrix(vring, "Z", n, r(n + 1) + r(n), r(n) + r(n - 1))
             for n in range(m + e + 1)}
-    B = ds.build_B_blocks(K, shape, xmat, scalar_ring=vring)
+    B = build_B_blocks(K, shape, vring)
 
     def z_at(n):
         return zmat.get(n) or Matrix.zeros(vring, r(n + 1) + r(n), r(n) + r(n - 1))
 
     def const(M):
-        return ds.constant_matrix(vring, M)
+        return constant_matrix(vring, M)
 
     out = []
 
@@ -211,7 +213,11 @@ def test_tuple_order_is_the_old_variable_order():
     # n, i and j reach 12, so a text or digit-wise order would differ
     s = (1,) * 11 + (12,)
     shape = ds.SystemShape(11, 1, s, ds._extension_ranks(1, s))
-    expected = kio.expected_variables(shape)
+    expected = list(shape.variables())
+    assert len(expected) == len(set(expected)) == shape.count()
+    for v in expected:
+        rows, cols = shape.dims(v.family, v.n)
+        assert 1 <= v.i <= rows and 1 <= v.j <= cols
     assert {v.n for v in expected} >= {10, 11, 12}
     assert max(v.i for v in expected) >= 12 and max(v.j for v in expected) >= 12
     shuffled = list(expected)

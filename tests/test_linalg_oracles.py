@@ -275,3 +275,32 @@ def test_chain_ring_lift_matches_enumeration(coeff, ideal):
         W = A * random_poly_matrix(R, cols, rng.randint(0, 2), rng)
         assert subquotient(R, A, W).cardinality == \
             len(set(images)) // len(set(all_images(R, W)))
+
+
+@pytest.mark.parametrize("coeff, variables, ideal, local", [
+    ("F2", ["x", "y"], ["x^2", "x*y", "y^2"], True),
+    ("F2", ["x"], ["x^4"], True),
+    ("F3", ["x", "y"], ["x^2", "y^2"], True),
+    ("F2", ["x"], ["x^2 + x"], False),
+])
+def test_local_unit_rule_agrees_with_the_multiplication_matrix(
+        monkeypatch, coeff, variables, ideal, local):
+    # on a certified-local ring a unit is exactly an element with a nonzero
+    # constant term, decided without any rank computation
+    R = poly_quotient(coeff, variables, ideal)
+    assert R.local == local
+    elements = list(R.elements())
+    by_rank = {a: R._unit_by_multiplication_matrix(a.payload) for a in elements if a}
+    by_constant = {a: any(not any(e) for e, _ in a.payload) for a in elements if a}
+    ranks = []
+    rank = linalg._FpView.rank
+    monkeypatch.setattr(linalg._FpView, "rank",
+                        lambda self, A: ranks.append(A) or rank(self, A))
+    assert {a: a.is_unit() for a in elements if a} == by_rank
+    if local:
+        assert by_constant == by_rank
+        assert ranks == []
+    else:
+        # x + 1 has a constant term but (x + 1) x = 0
+        assert by_constant != by_rank
+        assert ranks

@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from koszulkit import rings as kr
-from koszulkit.descent import SystemVariable, VarPoly, VarPolyRing
+from koszulkit.descent import SystemVariable
 from koszulkit.errors import DimensionMismatch, MixedRings
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, poly_quotient
 
 from helpers import (
-    count_calls, dense_add, dense_from_blocks, dense_is_zero, dense_kron, dense_mul,
-    dense_neg, dense_scale, dense_transpose, random_element,
+    VarPolyRing, count_calls, dense_add, dense_from_blocks, dense_is_zero, dense_kron,
+    dense_mul, dense_neg, dense_scale, dense_transpose, random_element,
 )
 
 Q_EPS = poly_quotient("Q", ["x"], ["x^2"])
@@ -36,10 +36,9 @@ def element(ring, rng):
         return ring.zero
     if isinstance(ring, VarPolyRing):
         base = ring.base
-        poly = VarPoly.constant(base, random_element(base, rng).payload)
+        poly = ring.constant(random_element(base, rng).payload)
         for v in rng.sample(VARIABLES, rng.randint(0, 2)):
-            poly = poly + VarPoly.constant(base, random_element(base, rng).payload) \
-                * VarPoly.variable(base, v)
+            poly = poly + ring.constant(random_element(base, rng).payload) * ring.variable(v)
         return poly
     if ring is Q_EPS:
         a, b = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2))

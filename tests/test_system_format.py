@@ -2,6 +2,8 @@
 verification on payloads."""
 
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from koszulkit import complexes as cx
 from koszulkit import descent as ds
 from koszulkit import io as kio
-from koszulkit.errors import FormatError
+from koszulkit.errors import FormatError, IncompleteAssignment
 from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
 from koszulkit.rings import RingElement, RingHom, ZZ, Zmod, make_ring, parse_element
@@ -187,3 +189,79 @@ def test_inconsistent_headers_are_format_errors(header, tmp_path):
     path.write_text(text)
     code, _, err = run_cli(["system", "verify", str(path), str(GOLDEN / "canonical.asg")])
     assert code == 2 and "internal" not in err
+
+
+@pytest.mark.parametrize("header, token", [
+    ("m=1 e=0 s=[1, 1] r=[1, 1]", "X_01_1_1"),   # not the canonical spelling
+    ("m=1 e=0 s=[1, 1] r=[1, 1]", "Y_1_0_1"),    # row index 0
+    ("m=1 e=0 s=[1, 1] r=[1, 1]", "Z_1_2_1"),    # Z_1 is 1 x 2 here
+    ("m=0 e=0 s=[1] r=[1]", "X_1_1_1"),          # m = 0 has no X variables
+    ("m=1 e=0 s=[1, 1] r=[1, 1]", "Y_0_1_" + "1" * 5000),  # too long for int()
+])
+def test_non_canonical_or_out_of_shape_tokens_are_format_errors(header, token, tmp_path):
+    head = f"ring zmod 4\nsystem\n{header}\n"
+    assert kio.load_system(head + "S2 1 1 1 : 2*Y_0_1_1\n").equations
+    for poly in (token, f"2*{token}", f"{token}*Y_0_1_1", f"Y_0_1_1*{token}",
+                 f"Y_0_1_1 + {token}*3"):
+        text = head + f"S2 1 1 1 : {poly}\n"
+        with pytest.raises(FormatError):
+            kio.load_system(text)
+        path = tmp_path / "S.sys"
+        path.write_text(text)
+        code, _, err = run_cli(["system", "verify", str(path), str(GOLDEN / "canonical.asg")])
+        assert code == 2 and err.startswith("error:") and "internal" not in err, (poly, err)
+
+
+def test_the_variable_list_hands_out_the_objects_the_equations_hold():
+    text = (GOLDEN / "S.sys").read_text()
+    generated = ds.generate_system(*quotient_instance("F2"))
+    partial = kio.load_system("\n".join(text.splitlines()[:3] + [
+        "S2 1 1 1 : 2*X_1_1_1*Y_1_1_1 + Y_0_1_1"]) + "\n")
+    for system in (kio.load_system(text), generated, partial):
+        assert system.variables == list(system.shape.variables())
+        assert all(v is system.held.get(v, v) for v in system.variables)
+        assert all(v is system.held[v]
+                   for eq in system.equations for mono in eq.poly.terms for v in mono)
+    assert len(partial.held) == 3 < partial.shape.count()
+
+
+def test_an_assignment_that_lacks_variables_is_incomplete():
+    text = (GOLDEN / "S.sys").read_text()
+    system = kio.load_system(text)
+    full = kio.load(str(GOLDEN / "canonical.asg"), coefficient_ring=system.ring)
+    assert ds.verify_assignment(system, full).passed
+    order = list(system.variables)
+    rng = random.Random(31)
+    for drop in (1, 5, 6, 9):
+        dropped = set(rng.sample(order, drop))
+        # a variable outside the shape does not stand in for a dropped one
+        values = {v: x for v, x in full.values.items() if v not in dropped}
+        values[ds.SystemVariable("X", 9, 9, 9)] = system.ring.zero
+        missing = [v for v in order if v in dropped]
+        with pytest.raises(IncompleteAssignment) as exc:
+            ds.verify_assignment(system, ds.Assignment(full.hom, values))
+        assert str(exc.value) == (f"missing values for {missing[:5]}"
+                                  + ("..." if drop > 5 else ""))
+
+
+def test_loading_a_huge_header_costs_nothing_in_its_shape():
+    # 2 * 10^10 variables: load and verify read the file and the assignment,
+    # never the shape's variables
+    text = "ring zmod 4\nsystem\nm=0 e=0 s=[100000] r=[100000]\n"
+    start = time.perf_counter()
+    system = kio.load_system(text)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        kio.load_system(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 50 * 2**20
+    assert system.shape.count() == 2 * 10**10
+    assert system.variable_counts() == {"X": 0, "Y": 10**10, "Z": 10**10}
+    empty = ds.Assignment(RingHom.identity(system.ring), {})
+    with pytest.raises(IncompleteAssignment) as exc:
+        ds.verify_assignment(system, empty)
+    assert str(exc.value) == "missing values for {}...".format(
+        [ds.SystemVariable("Y", 0, 1, j) for j in range(1, 6)])
