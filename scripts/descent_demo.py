@@ -7,14 +7,16 @@ it to show sensitivity, and reconstructs the descended complex with its
 certificate.  Then it writes and reads back the system of a complex over
 F2[x,y]/(x,y)^2 whose differential is x + y.  Last it times each phase of
 the e = 4 round trip of the same complex over Z/4 (generate, save, load,
-verify, reconstruct) and prints the system's term count.  Then it times
-`verify_assignment` on a system over Z with an assignment over Z/4, as
-`system verify` reads one, against the same evaluation with every
-coefficient mapped on its own, to show what the per-call coefficient
-image cache saves.  It exits 1 unless both files read back byte for
-byte, the reloaded systems accept the canonical solution, the e = 4
-reconstruction gives back the complex and both evaluations of the Z/4
-assignment give the same report.  Run with no arguments.
+verify, reconstruct) on the compiled system, whose equations are flat
+terms over one table of distinct coefficients, and prints its term count.
+Then it times `verify_assignment` on a system over Z with an assignment
+over Z/4, as `system verify` reads one, against the same evaluation of
+the readable equations (`system.equations`) with every coefficient mapped
+on its own, to show what mapping each entry of the coefficient table
+once saves.  It exits 1 unless both files read back byte for byte, the
+reloaded systems accept the canonical solution, the e = 4 reconstruction
+gives back the complex and both evaluations of the Z/4 assignment give
+the same report.  Run with no arguments.
 """
 
 import sys
@@ -113,9 +115,9 @@ def timed_round_trip():
     sol = ds.canonical_solution(K, P)
     report = timed("verify", ds.verify_assignment, loaded, sol)
     cert = timed("reconstruct", ds.reconstruct, K, system, sol)
-    terms = sum(len(eq.poly.terms) for eq in system.equations)
-    print(f"--- {Z4}, e = {e}: {len(system.variables)} variables, "
-          f"{len(system.equations)} equations, {terms} terms, "
+    terms = sum(map(len, system.terms))
+    print(f"--- {Z4}, e = {e}: {system.shape.count()} variables, "
+          f"{len(system.positions)} equations, {terms} terms, "
           f"{len(text.encode()) / 1e6:.1f} MB ---")
     print("  ".join(f"{phase} {t:.3f} s" for phase, t in times.items())
           + f"  total {sum(times.values()):.3f} s")
@@ -128,8 +130,9 @@ def timed_round_trip():
 
 
 def verify_uncached(system, assignment):
-    """`verify_assignment`'s evaluation with each coefficient mapped
-    through the hom on its own, term by term; the report lines."""
+    """`verify_assignment`'s evaluation, on the readable equations, with
+    each coefficient mapped through the hom on its own, term by term; the
+    report lines."""
     hom = assignment.hom
     target = hom.target
     add, mul = target.add_payload, target.mul_payload
@@ -166,8 +169,8 @@ def timed_hom_verify(e=4, repeats=5):
         RingHom.identity(Z4),
         {v: Z4.from_int(x.payload) for v, x in sol.values.items()})),
         coefficient_ring=Z)
-    terms = sum(len(eq.poly.terms) for eq in system.equations)
-    distinct = len({c for eq in system.equations for c in eq.poly.terms.values()})
+    terms = sum(map(len, system.terms))
+    distinct = len(system.coefficients)
 
     def best(fn):
         out, times = None, []

@@ -212,7 +212,7 @@ def cmd_system_reconstruct(args):
     F = kio.load(args.dg) if args.dg else None
     system = generate_system(K, P, F)
     serialized = kio.load(args.system)
-    if kio.save_system(system) != kio.save_system(serialized):
+    if system != serialized:  # ring, shape and compiled tables: equal exactly when the texts are
         raise ToolkitError(
             "serialized system disagrees with the one generated from inputs")
     assignment = kio.load(args.assignment, coefficient_ring=system.ring)

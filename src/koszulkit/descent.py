@@ -11,18 +11,26 @@ quasiisomorphism from the given DG module onto K (x) A:
   S4  a contracting homotopy of the mapping cone (Z variables), with the
       Kronecker delta as constant term.
 
-Solutions are verified by pure evaluation over any ring tier; a verified
-solution reconstructs the descended complex with an independently
-re-checked certificate.
+A system is held compiled.  Each variable is an int, its index in the
+shape's canonical order (`SystemShape.index`); each equation is a
+position and flat terms in print order, a term being a coefficient index
+and at most two variable indices; the coefficients are one table of
+distinct payloads.  Generation emits this form, `io` prints and reads it,
+and verification evaluates it against a list of values indexed by
+variable.  Solutions are verified by pure evaluation over any ring tier;
+a verified solution reconstructs the descended complex with an
+independently re-checked certificate.
 """
 
 from __future__ import annotations
 
-import re
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
 from .complexes import (
@@ -33,14 +41,13 @@ from .dgmodules import (
     DGModule, extend, extension_action, is_k_linear,
 )
 from .errors import (
-    CapabilityMissing, ElementSyntaxError, FormatError, IncompleteAssignment,
-    MixedRings, NonCanonicalHarness, RankMismatch, ShapeMismatch, UnknownVariable,
-    UnverifiedDGModule, VerificationFailed, WindowViolated,
+    CapabilityMissing, IncompleteAssignment, MixedRings, NonCanonicalHarness,
+    RankMismatch, ShapeMismatch, UnverifiedDGModule, VerificationFailed, WindowViolated,
 )
 from .koszul import koszul_base_change
 from .linalg import has_linear_solve
 from .matrices import Matrix
-from .rings import RingHom, _join_signed, _signed_terms, parse_element
+from .rings import RingHom
 
 
 class SystemVariable(NamedTuple):
@@ -57,18 +64,11 @@ class SystemVariable(NamedTuple):
         return f"{self.family}_{self.n}_{self.i}_{self.j}"
 
 
-# ---------------------------------------------------------------------------
-# polynomials in system variables
-
-
 class VarPoly:
-    """Fully expanded polynomial in system variables over a base ring.
-
-    `terms` maps each monomial, a sorted tuple of variables, to its nonzero
-    coefficient, a payload of `ring` computed on through the ring's payload
-    protocol.  No simplification happens beyond coefficient normal forms, so
-    serialized systems are byte-stable.
-    """
+    """An equation's polynomial as a dict: `terms` maps each monomial, a
+    sorted tuple of variables, to its nonzero coefficient payload.  It is
+    the readable view of a compiled equation (`PolynomialSystem.equations`)
+    and has no arithmetic of its own."""
 
     __slots__ = ("ring", "terms")
 
@@ -83,152 +83,6 @@ class VarPoly:
         if not isinstance(other, VarPoly):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=_term_order)
-
-    def __repr__(self):
-        return format_varpoly(self)
-
-
-# The term grammar of descent polynomials.  A polynomial is 0 or signed
-# terms joined as in the element grammar (`a + b - c`).  A term is a ring
-# term, an element of the base ring with one monomial, times at most two
-# variable tokens X_n_i_j, Y_n_i_j, Z_n_i_j, all joined by "*"; a
-# coefficient 1 is left out.  A coefficient with several monomials prints
-# as one term per monomial, so every term parses on its own.
-
-_VAR_TOKEN = re.compile(r"[XYZ]_\d+_\d+_\d+")
-# a token as `SystemVariable.token` spells it; an index of more than 18
-# digits lies outside every shape, and `_ring_term` rejects it as text
-_CANONICAL_TOKEN = re.compile(r"([XYZ])_(0|[1-9]\d{0,17})_([1-9]\d{0,17})_([1-9]\d{0,17})")
-_SIGN = re.compile(r"\s*([+-])\s*")
-
-
-def _term_order(term):
-    """Degree-descending, then the variables' order: the order of terms in
-    the text of a polynomial."""
-    return -len(term[0]), term[0]
-
-
-def format_varpoly(poly):
-    """Canonical text in the term grammar: degree-descending terms, one per
-    monomial of each coefficient, joined as `format_element` joins the
-    terms of an element."""
-    return _varpoly_printer(poly.ring)(poly)
-
-
-class _Tokens(dict):
-    """Variable -> token text, each token formatted on first use."""
-
-    def __missing__(self, v):
-        text = self[v] = v.token()
-        return text
-
-
-def _varpoly_printer(ring):
-    """`format_varpoly` for polynomials over `ring`.  The printer formats
-    each distinct coefficient payload and each variable token once; its
-    caches live as long as the printer, say one `save_system` call."""
-    coeff_parts, tokens = {}, _Tokens()
-
-    def fmt(poly):
-        terms = poly.terms
-        if not terms:
-            return "0"
-        parts = []
-        for mono, c in poly.sorted_terms() if len(terms) > 1 else terms.items():
-            factors = "*".join(map(tokens.__getitem__, mono))
-            signed = coeff_parts.get(c)
-            if signed is None:
-                # (sign, the term without variables, the prefix before them)
-                signed = coeff_parts[c] = [
-                    (sign, body, "" if body == "1" else f"{body}*")
-                    for sign, body in _signed_terms(ring, c)]
-            for sign, body, prefix in signed:
-                parts.append((sign, prefix + factors if factors else body))
-        return _join_signed(parts)
-
-    return fmt
-
-
-def _ring_term(ring, text):
-    """The payload of a ring term (no variable token may appear in it)."""
-    for factor in text.split("*"):
-        if _VAR_TOKEN.fullmatch(factor):
-            raise FormatError(f"{factor} is not a variable of the system's shape "
-                              "or comes before a ring factor")
-    try:
-        return parse_element(ring, text).payload
-    except (ElementSyntaxError, UnknownVariable) as exc:
-        raise FormatError(f"bad ring term {text!r}: {exc}") from None
-
-
-class _ShapeTokens(dict):
-    """Factor text -> its variable of `shape`, or None for any other text;
-    each distinct text is read once.  A token in its canonical spelling
-    (no leading zero, indices from 1) outside its block's `dims` is a
-    FormatError; any other token-like text is no variable, so `_ring_term`
-    rejects it."""
-
-    def __init__(self, shape):
-        super().__init__()
-        self.shape = shape
-
-    def __missing__(self, text):
-        m = _CANONICAL_TOKEN.fullmatch(text)
-        if m is None:
-            self[text] = None
-            return None
-        family, n, i, j = m[1], int(m[2]), int(m[3]), int(m[4])
-        rows, cols = self.shape.dims(family, n)
-        if i > rows or j > cols:
-            raise FormatError(f"{text} is not a variable of the system's shape")
-        v = self[text] = SystemVariable(family, n, i, j)
-        return v
-
-
-def _varpoly_from_text(ring, text, var_of, ring_terms):
-    """The VarPoly written as `text` in the term grammar; any other text is
-    a FormatError.
-
-    `var_of` is the `_ShapeTokens` of the system's shape and `ring_terms`
-    memoizes ring-term payloads by their text.
-    """
-    parts = _SIGN.split(text)
-    parts = ["+", *parts] if parts[0] else parts[1:]
-    add, neg = ring.add_payload, ring.neg_payload
-    known = var_of.get  # a hit needs no subscript of the dict subclass
-    terms = {}
-    for sign, body in zip(parts[::2], parts[1::2]):
-        factors = body.split("*")
-        k = len(factors)
-        while k and (known(factors[k - 1]) or var_of[factors[k - 1]]) is not None:
-            k -= 1
-        if len(factors) - k > 2:
-            raise FormatError(f"more than two variables in the term {body!r}")
-        if k:
-            key = "*".join(factors[:k])
-            c = ring_terms.get(key)
-            if c is None:
-                c = ring_terms[key] = _ring_term(ring, key)
-            if not c:
-                continue
-        else:
-            c = ring.one_payload
-        if sign == "-":
-            c = neg(c)
-        mono = tuple(map(known, factors[k:]))
-        if len(mono) == 2 and mono[1] < mono[0]:
-            mono = mono[::-1]
-        s = terms.get(mono)
-        if s is not None:
-            c = add(s, c)
-            if not c:
-                del terms[mono]
-                continue
-        terms[mono] = c
-    return VarPoly(ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +113,53 @@ class SystemShape:
             return r(n), r(n)
         return r(n + 1) + r(n), r(n) + r(n - 1)
 
-    def _degrees(self, family):
-        return range(1, self.m + 1) if family == "X" else range(self.m + self.e + 1)
+    @cached_property
+    def _blocks(self):
+        """(family, n) -> (index of the first variable, rows, columns) for
+        every nonempty block, in canonical order: X_1..X_m, then Y_n and
+        Z_n for n = 0..m+e, each row by row."""
+        blocks, start = {}, 0
+        for family in "XYZ":
+            for n in range(1, self.m + 1) if family == "X" else range(self.m + self.e + 1):
+                rows, cols = self.dims(family, n)
+                if rows and cols:
+                    blocks[family, n] = (start, rows, cols)
+                    start += rows * cols
+        return blocks
+
+    def index(self, family, n, i, j):
+        """The index of the variable (family, n, i, j), or None when it
+        lies outside the shape.  Index order is the canonical order."""
+        block = self._blocks.get((family, n))
+        if block is not None:
+            start, rows, cols = block
+            if 0 < i <= rows and 0 < j <= cols:
+                return start + (i - 1) * cols + j - 1
+        return None
+
+    @cached_property
+    def _starts(self):
+        """(index of the first variable, family, n, columns) of every
+        nonempty block, in canonical order."""
+        return [(start, family, n, cols) for (family, n), (start, _, cols) in self._blocks.items()]
+
+    def variable(self, k):
+        """The variable of index k (0 <= k < count())."""
+        start, family, n, cols = self._starts[bisect_right(self._starts, k, key=itemgetter(0)) - 1]
+        i, j = divmod(k - start, cols)
+        return SystemVariable(family, n, i + 1, j + 1)
 
     def variables(self):
-        """The shape's variables in canonical (tuple) order."""
-        for family in "XYZ":
-            for n in self._degrees(family):
-                rows, cols = self.dims(family, n)
-                for i in range(1, rows + 1):
-                    for j in range(1, cols + 1):
-                        yield SystemVariable(family, n, i, j)
+        """The shape's variables in canonical (index) order."""
+        for (family, n), (_, rows, cols) in self._blocks.items():
+            for i in range(1, rows + 1):
+                for j in range(1, cols + 1):
+                    yield SystemVariable(family, n, i, j)
 
     def count(self, family=None):
         """The number of variables, of one family or of all."""
-        total = 0
-        for f in family or "XYZ":
-            for n in self._degrees(f):
-                rows, cols = self.dims(f, n)
-                total += rows * cols
-        return total
+        return sum(rows * cols for (f, _), (_, rows, cols) in self._blocks.items()
+                   if family in (None, f))
 
 
 def _extension_rank(e, s, n):
@@ -313,39 +194,52 @@ class Equation:
     col: int          # 1-based
     poly: VarPoly
 
-    def position(self):
-        return (self.tag, self.h, self.n, self.row, self.col)
-
 
 @dataclass
 class PolynomialSystem:
+    """A compiled descent system.
+
+    Equation k sits at `positions[k]`, a tuple (tag, h, n, row, col), and
+    its polynomial is `terms[k]`, its flat terms: a tuple of (coefficient
+    index, first variable index, second variable index) triples in print
+    order, -1 standing for an absent variable.  `coefficients` is the table of
+    distinct payloads in order of first appearance, so two systems with
+    the same equations have equal tables; `==` compares only them.
+    """
+
     ring: object                 # coefficient ring
     shape: SystemShape
-    equations: list
-    koszul_elements: tuple       # the sequence defining K (coefficient ring)
-    u_mats: dict                 # degree -> Matrix: differentials of the module side
-    v_mats: dict                 # basis tuple -> degree -> Matrix: its actions
-    canonical_p_diffs: dict | None   # set when built from the canonical harness
-    # variable -> the equal object the equations hold; the variable list
-    # hands out those objects, so evaluation finds them by identity
-    held: dict = field(default_factory=dict, repr=False, compare=False)
+    positions: list
+    terms: list
+    coefficients: list
+    # the harness data, which only generated systems carry
+    u_mats: dict = field(default_factory=dict, compare=False)    # degree -> differential
+    v_mats: dict = field(default_factory=dict, compare=False)    # basis tuple -> degree -> action
+    canonical_p_diffs: dict | None = field(default=None, compare=False)
 
     @cached_property
     def variables(self):
         """The shape's variables in canonical order, listed on first use."""
-        held = self.held
-        if len(held) == self.shape.count():
-            return sorted(held)  # every variable occurs: no new objects
-        return [held.get(v, v) for v in self.shape.variables()]
+        return list(self.shape.variables())
+
+    @cached_property
+    def equations(self):
+        """The equations as `Equation`s with `VarPoly` terms, built on
+        first use; nothing that generates, prints, reads or verifies a
+        system reads them."""
+        var, coefficients = cache(self.shape.variable), self.coefficients
+        out = []
+        for (tag, h, n, row, col), flat in zip(self.positions, self.terms):
+            terms = {tuple(var(v) for v in (a, b) if v >= 0): coefficients[c]
+                     for c, a, b in flat}
+            out.append(Equation(tag, h, n, row, col, VarPoly(self.ring, terms)))
+        return out
 
     def variable_counts(self):
         return {family: self.shape.count(family) for family in "XYZ"}
 
     def equation_counts(self):
-        out = {}
-        for eq in self.equations:
-            out[eq.tag] = out.get(eq.tag, 0) + 1
-        return out
+        return dict(Counter(map(itemgetter(0), self.positions)))
 
     def canonical_solution(self):
         if self.canonical_p_diffs is None:
@@ -354,64 +248,94 @@ class PolynomialSystem:
         return _canonical_assignment(self.ring, self.shape, self.canonical_p_diffs)
 
 
+# Monomial keys, for a shape of `size` variables: a variable index v is
+# the key of the monomial v, `size` is the key of the constant monomial
+# and v*size + w - size^2 (v <= w) that of v w.  Ascending keys are the
+# print order: degree-descending, then the variables' order.
+
+
+def _term_compiler(size, coefficients):
+    """flat(terms): the flat terms of a dict monomial key -> nonzero
+    payload, in print order; a payload not yet in `coefficients` is
+    appended to it."""
+    square, index = size * size, {}
+
+    def flat(terms):
+        out = []
+        for mono, c in sorted(terms.items()):
+            k = index.get(c)
+            if k is None:
+                k = index[c] = len(coefficients)
+                coefficients.append(c)
+            if mono < 0:
+                a, b = divmod(mono + square, size)
+                out.append((k, a, b))
+            else:
+                out.append((k, mono, -1) if mono < size else (k, -1, -1))
+        return tuple(out)
+
+    return flat
+
+
 def _basis_list(K):
     return [S for d in sorted(K.basis) for S in K.basis[d]]
 
 
-def _fused_entries(ring, rows, cols, products, delta=False):
+def _fused_entries(ring, size, rows, cols, products, delta=False):
     """The entries, row by row, of the rows x cols sum of the products L R
     over the pairs (L, R) in `products`, minus the identity when `delta`:
-    one term dict per entry, as `VarPoly.terms` holds it.
+    one dict monomial key -> payload per entry, for a shape of `size`
+    variables.
 
-    An operand is a list of sparse rows.  A row lists (column, terms)
-    pairs, and terms are the (monomial, coefficient payload) pairs of that
-    entry.  Row i of every product accumulates, Gustavson-style, straight
-    into the term dicts of row i of the result, so no product, difference
-    or identity is built as a matrix of its own.
+    An operand is a list of sparse rows.  A row lists (column, key,
+    coefficient payload) triples, the key a variable index or `size` for
+    a constant.  Row i of every product accumulates, Gustavson-style,
+    straight into the term dicts of row i of the result, so no product,
+    difference or identity is built as a matrix of its own.
     """
     add, mul = ring.add_payload, ring.mul_payload
     minus_one = ring.neg_payload(ring.one_payload)
+    square = size * size
     out = []
     for i in range(rows):
         acc = [{} for _ in range(cols)]
         for L, R in products:
-            for k, a in L[i]:
-                for j, b in R[k]:
+            for k, v, a in L[i]:
+                for j, w, b in R[k]:
+                    c = mul(a, b)
+                    if not c:
+                        continue
+                    mono = (w if v == size else v if w == size else
+                            v * size + w - square if v <= w else w * size + v - square)
                     terms = acc[j]
-                    for m1, c1 in a:
-                        for m2, c2 in b:
-                            c = mul(c1, c2)
-                            if not c:
-                                continue
-                            mono = m2 if not m1 else m1 if not m2 else tuple(sorted(m1 + m2))
-                            s = terms.get(mono)
-                            if s is not None:
-                                c = add(s, c)
-                                if not c:
-                                    del terms[mono]
-                                    continue
-                            terms[mono] = c
+                    s = terms.get(mono)
+                    if s is not None:
+                        c = add(s, c)
+                        if not c:
+                            del terms[mono]
+                            continue
+                    terms[mono] = c
         if delta:
-            c = add(acc[i].get((), ring.zero_payload), minus_one)
+            c = add(acc[i].get(size, ring.zero_payload), minus_one)
             if c:
-                acc[i][()] = c
+                acc[i][size] = c
             else:
-                del acc[i][()]
+                del acc[i][size]
         out.append(acc)
     return out
 
 
-def _constant_rows(M, negate=False):
+def _constant_rows(M, size, negate=False):
     """The operand of the ring matrix M, or of -M."""
     if negate:
         M = -M
-    return [[(j, (((), c),)) for j, c in zip(cols, vals)] for cols, vals in M.sparse_rows]
+    return [[(j, size, c) for j, c in zip(cols, vals)] for cols, vals in M.sparse_rows]
 
 
-def _b_rows(K, X0, xv, n):
+def _b_rows(K, X0, xv, n, size):
     """The operand of the block differential B_n: the degree-n differential
-    of K (x) P with P's maps replaced by the X variables, whose grids are
-    `xv`.
+    of K (x) P with P's maps replaced by the X variables, whose index
+    grids are `xv`.
 
     `X0` has P's ranks and no maps, so `tensor_differential` of K with it
     is the constant part d_K (x) 1.  Summand p of the source then maps by
@@ -420,7 +344,7 @@ def _b_rows(K, X0, xv, n):
     """
     one = K.ring.one_payload
     signs = (one, K.ring.neg_payload(one))
-    rows = _constant_rows(tensor_differential(K.complex, X0, n))
+    rows = _constant_rows(tensor_differential(K.complex, X0, n), size)
     row_at, offset = {}, 0
     for p, kp, sp in tensor_layout(K.complex, X0, n - 1):
         row_at[p] = offset
@@ -433,7 +357,7 @@ def _b_rows(K, X0, xv, n):
             for a in range(kp):
                 for i, x_row in enumerate(grid):
                     rows[row_at[p - 1] + a * len(grid) + i].extend(
-                        (col + a * sp + j, (((v,), c),)) for j, v in enumerate(x_row))
+                        (col + a * sp + j, v, c) for j, v in enumerate(x_row))
         col += kp * sp
     return rows
 
@@ -449,8 +373,8 @@ def generate_system(K, P, F=None, check_minimal=True):
     Every equation is an entry of a signed sum of matrix products, minus
     the identity for S4: x x (S1), y u - B y (S2), y v - w y (S3) and
     z C + C z - I (S4).  `_fused_entries` builds each block of equations
-    in one pass, on operand rows of constants and variables; `_b_rows`
-    gives those of the block differentials B.
+    in one pass, on operand rows of constants and variable indices;
+    `_b_rows` gives those of the block differentials B.
     """
     ring = K.ring
     if check_minimal and ring.local and not is_minimal(P):
@@ -470,17 +394,15 @@ def generate_system(K, P, F=None, check_minimal=True):
         raise UnverifiedDGModule("the supplied DG module fails its axioms")
 
     one = ring.one_payload
-    held = {}
+    size = shape.count()
 
     def variable_grid(family, n):
         rows, cols = shape.dims(family, n)
-        grid = [[SystemVariable(family, n, i, j) for j in range(1, cols + 1)]
-                for i in range(1, rows + 1)]
-        held.update((v, v) for row in grid for v in row)
-        return grid
+        start = shape.index(family, n, 1, 1)
+        return [[start + i * cols + j for j in range(cols)] for i in range(rows)]
 
     def variable_rows(grid, c=one):
-        return [[(j, (((v,), c),)) for j, v in enumerate(row)] for row in grid]
+        return [[(j, v, c) for j, v in enumerate(row)] for row in grid]
 
     # outside 0..m+e a Y or Z block has no columns or no rows at all
     xv = {n: variable_grid("X", n) for n in range(1, m + 1)}
@@ -489,16 +411,17 @@ def generate_system(K, P, F=None, check_minimal=True):
     y = {n: variable_rows(grid) for n, grid in yv.items()}
     z = {n: variable_rows(variable_grid("Z", n)) for n in range(-1, m + e + 2)}
     X0 = ChainComplex(ring, {n: shape.s_at(n) for n in range(m + 1)}, {}, _validated=True)
-    B = {n: _b_rows(K, X0, xv, n) for n in range(0, m + e + 3)}
+    B = {n: _b_rows(K, X0, xv, n, size) for n in range(0, m + e + 3)}
     u_mats = {n: F.underlying.diff(n) for n in range(1, m + e + 1)}
     minus_one = ring.neg_payload(one)
 
-    equations = []
+    positions, terms, coefficients = [], [], []
+    flat = _term_compiler(size, coefficients)
 
     def add_equations(tag, h, n, rows, cols, products, delta=False):
-        for i, row in enumerate(_fused_entries(ring, rows, cols, products, delta), 1):
-            equations.extend(Equation(tag, h, n, i, j, VarPoly(ring, terms))
-                             for j, terms in enumerate(row, 1))
+        for i, row in enumerate(_fused_entries(ring, size, rows, cols, products, delta), 1):
+            positions.extend((tag, h, n, i, j) for j in range(1, cols + 1))
+            terms.extend(map(flat, row))
 
     # S1: the candidate differential squares to zero
     for n in range(1, m):
@@ -507,7 +430,7 @@ def generate_system(K, P, F=None, check_minimal=True):
     # S2: chain-map equations against the block differentials
     for n in range(1, m + e + 1):
         add_equations("S2", None, n, r(n - 1), r(n), [
-            (y[n - 1], _constant_rows(u_mats[n])),
+            (y[n - 1], _constant_rows(u_mats[n], size)),
             (B[n], variable_rows(yv[n], minus_one))])
     # S3: K-linearity for every basis element; the canonical F's action is
     # the extension action w itself, so then y v - v y
@@ -518,8 +441,8 @@ def generate_system(K, P, F=None, check_minimal=True):
             v = F.action_matrix(H, n)
             w = v if canonical else extension_action(K, P, H, n)
             add_equations("S3", h_index, n, r(n + hdeg), r(n), [
-                (y[n + hdeg], _constant_rows(v)),
-                (_constant_rows(w, negate=True), y[n])])
+                (y[n + hdeg], _constant_rows(v, size)),
+                (_constant_rows(w, size, negate=True), y[n])])
 
     # S4: contraction of the mapping cone, Kronecker delta constant term
     def cone_rows(n):
@@ -527,21 +450,22 @@ def generate_system(K, P, F=None, check_minimal=True):
         B's rows, which S2 has finished with."""
         rows = B[n]
         for row, y_row in zip(rows, y[n - 1]):
-            row.extend((j + r(n), t) for j, t in y_row)
+            row.extend((j + r(n), v, c) for j, v, c in y_row)
         u = u_mats[n - 1] if n - 1 in u_mats else Matrix.zeros(ring, r(n - 2), 0)
-        return rows + [[(j + r(n), t) for j, t in row] for row in _constant_rows(u, negate=True)]
+        return rows + [[(j + r(n), v, c) for j, v, c in row]
+                       for row in _constant_rows(u, size, negate=True)]
 
     cone = {n: cone_rows(n) for n in range(0, m + e + 3)}
     for n in range(0, m + e + 2):
-        size = r(n) + r(n - 1)
-        add_equations("S4", None, n, size, size,
+        size_n = r(n) + r(n - 1)
+        add_equations("S4", None, n, size_n, size_n,
                       [(z[n - 1], cone[n]), (cone[n + 1], z[n])], delta=True)
 
     v_mats = {H: {n: F.action_matrix(H, n) for n in range(0, m + e - len(H) + 1)}
               for H in basis}
     return PolynomialSystem(
-        ring, shape, equations, tuple(K.elements), u_mats, v_mats,
-        {n: P.diff(n) for n in range(1, m + 1)} if canonical else None, held)
+        ring, shape, positions, terms, coefficients, u_mats, v_mats,
+        {n: P.diff(n) for n in range(1, m + 1)} if canonical else None)
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +484,6 @@ class Assignment:
     @property
     def target(self):
         return self.hom.target
-
-    def value(self, var):
-        return self.values[var]
 
 
 def _canonical_assignment(ring, shape, p_diffs):
@@ -628,24 +549,27 @@ def verify_assignment(system, assignment):
     """Evaluate every equation under the assignment; report per subsystem.
 
     Works over any ring tier: the equations are evaluated on payloads of
-    the target ring, each coefficient mapped through the assignment's
-    homomorphism (not at all for the identity).  A non-identity hom maps
-    each distinct coefficient once; the images are kept for this call
-    only, and there are at most as many as the system has coefficients.
-    Verification runs in canonical equation order and records the first
-    failing position of each subsystem.
+    the target ring, against a list of values indexed by variable.  A
+    non-identity hom maps each entry of the coefficient table once, for
+    this call only.  Verification runs in canonical equation order and
+    records the first failing position of each subsystem.
 
     Completeness is checked first.  An assignment with fewer values than
-    the shape's variable count is incomplete at once, so the variable list
-    is only read for an assignment at least as long: the check costs time
+    the shape's variable count is incomplete at once, so the value list
+    is only built for an assignment at least as long: the check costs time
     in proportion to the assignment, never to the shape.  Only a failing
     check walks the shape's variables, for the first five missing ones.
     """
-    values = assignment.values
-    if len(values) < system.shape.count() or not all(map(values.__contains__,
-                                                         system.variables)):
-        missing = (v for v in system.shape.variables() if v not in values)
-        missing = list(islice(missing, 6))
+    shape, values = system.shape, assignment.values
+    vals = None
+    if len(values) >= shape.count():
+        vals, index = [None] * shape.count(), shape.index
+        for v, x in values.items():
+            k = index(*v)
+            if k is not None:
+                vals[k] = x
+    if vals is None or None in vals:
+        missing = list(islice((v for v in shape.variables() if v not in values), 6))
         raise IncompleteAssignment(f"missing values for {missing[:5]}"
                                    + ("..." if len(missing) > 5 else ""))
     hom = assignment.hom
@@ -653,29 +577,28 @@ def verify_assignment(system, assignment):
         raise MixedRings(f"the assignment maps from {hom.source}, "
                          f"the system is over {system.ring}")
     target = hom.target
-    add, mul = target.add_payload, target.mul_payload
-    values = {v: target.unbox(values[v]) for v in system.variables}
-    identity = hom.is_identity()
-    images = {}
-    status = {tag: SubsystemReport(tag, 0) for tag in ("S1", "S2", "S3", "S4")}
-    for eq in system.equations:
-        rep = status[eq.tag]
-        rep.total += 1
-        if rep.first_failure is not None:
+    add, mul, unbox = target.add_payload, target.mul_payload, target.unbox
+    vals = list(map(unbox, vals))
+    coefficients = system.coefficients
+    if not hom.is_identity():
+        coefficients = [unbox(hom(hom.source.box(c))) for c in coefficients]
+    zero, failed = target.zero_payload, {}  # tag -> (h, n, row, col) of its first failure
+    for (tag, h, n, row, col), flat in zip(system.positions, system.terms):
+        if tag in failed:
             continue
-        acc = target.zero_payload
-        for mono, c in eq.poly.terms.items():
-            if not identity:
-                image = images.get(c)
-                if image is None:
-                    image = images[c] = target.unbox(hom(hom.source.box(c)))
-                c = image
-            for v in mono:
-                c = mul(c, values[v])
+        acc = zero
+        for c, a, b in flat:
+            c = coefficients[c]
+            if a >= 0:
+                c = mul(c, vals[a])
+                if b >= 0:
+                    c = mul(c, vals[b])
             acc = add(acc, c)
         if acc:
-            rep.first_failure = (eq.h, eq.n, eq.row, eq.col)
-    return VerificationReport([status[t] for t in ("S1", "S2", "S3", "S4")])
+            failed[tag] = (h, n, row, col)
+    counts = system.equation_counts()
+    return VerificationReport([SubsystemReport(tag, counts.get(tag, 0), failed.get(tag))
+                               for tag in ("S1", "S2", "S3", "S4")])
 
 
 # ---------------------------------------------------------------------------

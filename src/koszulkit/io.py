@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
 
 from .complexes import ChainComplex, ChainMap
 from .descent import (
-    Assignment, Equation, PolynomialSystem, SystemShape, SystemVariable,
-    _extension_rank, _ShapeTokens, _varpoly_from_text, _varpoly_printer,
+    Assignment, PolynomialSystem, SystemShape, SystemVariable, _extension_rank,
+    _term_compiler,
 )
 from .dgmodules import DGModule
 from .duality import ModulePresentation
-from .errors import FormatError
+from .errors import ElementSyntaxError, FormatError, UnknownVariable
 from .koszul import KoszulAlgebra, koszul
 from .matrices import Matrix
-from .rings import RingHom, format_element, make_ring, parse_element, ring_spec
+from .rings import RingHom, _signed_terms, format_element, make_ring, parse_element, ring_spec
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def parse_dg_module(text):
     """The DG module in `text` (its text or its JSON form), without checking
     its axioms."""
     if text.lstrip().startswith("{"):
-        text = _json_text(json.loads(text))
+        text = _json_text(text)
     lines = _split_lines(text)
     ring = _expect_kind(lines, "dgmodule")
     sequence = None
@@ -300,40 +301,182 @@ def load_chain_map(text, source, target):
 #
 # Equation lines:  S1|S2|S4  n row col : polynomial
 #                  S3 h=<k> n row col : polynomial
-# The polynomial is in the term grammar of `descent.format_varpoly`, with
-# coefficients in the system's one scalar ring (a `rings.Ring`); the header
-# line m= e= s= r= fixes the shape, which owns the variables (their block
-# sizes, `SystemShape.dims`, and their canonical order).
+# A polynomial is 0 or signed terms joined as in the element grammar
+# (`a + b - c`).  A term is a ring term, an element of the system's one
+# scalar ring (a `rings.Ring`) with one monomial, times at most two
+# variable tokens X_n_i_j, Y_n_i_j, Z_n_i_j, all joined by "*"; a
+# coefficient 1 is left out.  A coefficient with several monomials prints
+# as one term per monomial, so every term parses on its own.  Terms come
+# degree-descending, then in the variables' canonical order.  The header
+# line m= e= s= r= fixes the shape, which owns the variables: their block
+# sizes (`SystemShape.dims`) and their indices.  The printer and the
+# reader work on the compiled form of `descent.PolynomialSystem`: the
+# printer formats each coefficient of the table and each token once, the
+# reader parses each distinct token and each distinct ring-term text once.
 
 
 _EQUATION = re.compile(
     r"(S[1-4])\s+(?:h=(\d+)\s+)?(-?\d+)\s+(\d+)\s+(\d+)\s*:\s*(\S.*)")
+_VAR_TOKEN = re.compile(r"[XYZ]_\d+_\d+_\d+")
+# a token as `SystemVariable.token` spells it; an index of more than 18
+# digits lies outside every shape, and the ring-term parser rejects it
+_CANONICAL_TOKEN = re.compile(r"([XYZ])_(0|[1-9]\d{0,17})_([1-9]\d{0,17})_([1-9]\d{0,17})")
+_ASSIGNMENT = re.compile(_CANONICAL_TOKEN.pattern + r"\s*=\s*(.*)")
+
+
+class _Memo(dict):
+    """key -> fn(key), each value computed on first use."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _polynomial_printer(system):
+    """text(flat): the term-grammar text of an equation of `system`, given
+    its flat terms.  Each coefficient of the table and each token is
+    formatted once."""
+    tokens = _Memo(lambda k: system.shape.variable(k).token())
+    # per coefficient: the text of a later constant term, and the pieces
+    # of a later variable term, to be joined by its variables
+    const, var = [], []
+    for c in system.coefficients:
+        parts = _signed_terms(system.ring, c)
+        const.append("".join(f" {sign} {body}" for sign, body in parts))
+        var.append([f" {sign} {'' if body == '1' else body + '*'}" for sign, body in parts]
+                   + [""])
+
+    def text(flat):
+        out = []
+        for c, a, b in flat:
+            if a < 0:
+                out.append(const[c])
+            elif b < 0:
+                out.append(tokens[a].join(var[c]))
+            else:
+                out.append(f"{tokens[a]}*{tokens[b]}".join(var[c]))
+        text = "".join(out)  # " + a - b": the leading term keeps only a minus
+        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+
+    return text
+
+
+def _token_index(shape, text):
+    """The index of the variable of `shape` that the factor `text` names,
+    or None for any other text.  A token in its canonical spelling (no
+    leading zero, indices from 1) outside its block's `dims` is a
+    FormatError; any other token-like text is no variable, so the ring-term
+    parser rejects it."""
+    m = _CANONICAL_TOKEN.fullmatch(text)
+    k = m and shape.index(m[1], int(m[2]), int(m[3]), int(m[4]))
+    if m and k is None:
+        raise FormatError(f"{text} is not a variable of the system's shape")
+    return k
+
+
+def _polynomial_reader(ring, shape, coefficients):
+    """read(text): the flat terms of the polynomial written as `text` in
+    the term grammar, whatever the order of its terms, with equal
+    monomials merged and cancelled; any other text is a FormatError.
+    New coefficient payloads join `coefficients`."""
+    size = shape.count()
+    square, flat = size * size, _term_compiler(size, coefficients)
+    var_of, read_before = _Memo(partial(_token_index, shape)), {}  # text -> flat terms
+    add, neg = ring.add_payload, ring.neg_payload
+    # ring-term text -> payload, for each sign, None standing for no ring
+    # factor at all; each text is parsed once
+    plus, minus = {None: ring.one_payload}, {None: neg(ring.one_payload)}
+
+    def coefficient(signed, key):
+        """The payload of the ring term `key` (no variable token may
+        appear in it), negated for `minus`."""
+        if var_of[key.rpartition("*")[2]] is not None:
+            raise FormatError(f"more than two variables in a term after {key!r}")
+        c = plus.get(key)
+        if c is None:
+            for factor in key.split("*"):
+                if _VAR_TOKEN.fullmatch(factor):
+                    raise FormatError(f"{factor} is not a variable of the system's "
+                                      "shape or comes before a ring factor")
+            try:
+                c = plus[key] = parse_element(ring, key).payload
+            except (ElementSyntaxError, UnknownVariable) as exc:
+                raise FormatError(f"bad ring term {key!r}: {exc}") from None
+        if signed is minus:
+            c = minus[key] = neg(c)
+        return c
+
+    def read(text):
+        done = read_before.get(text)
+        if done is not None:
+            return done
+        # the text split at each sign, as `\s*[+-]\s*` splits it
+        pieces = text.replace("-", "+-").split("+")
+        terms = {}
+        for piece in pieces if pieces[0] else pieces[1:]:
+            if piece.startswith("-"):
+                signed, body = minus, piece[1:].strip()
+            else:
+                signed, body = plus, piece.strip()
+            # body = key*v*w, key*w or w, or a ring term alone
+            head, star, last = body.rpartition("*")
+            w = var_of[last]
+            if w is None:
+                mono, key = size, body
+            elif not star:
+                mono, key = w, None
+            else:
+                rest, star, last = head.rpartition("*")
+                v = var_of[last]
+                if v is None:
+                    mono, key = w, head
+                else:
+                    mono = (v * size + w if v <= w else w * size + v) - square
+                    key = rest if star else None
+            c = signed.get(key)
+            if c is None:
+                c = coefficient(signed, key)
+            if not c:
+                continue
+            s = terms.get(mono)
+            if s is not None:
+                c = add(s, c)
+                if not c:
+                    del terms[mono]
+                    continue
+            terms[mono] = c
+        done = read_before[text] = flat(terms)
+        return done
+
+    return read
 
 
 def save_system(system):
     shape = system.shape
     lines = [f"ring {ring_spec(system.ring)}", "system",
              f"m={shape.m} e={shape.e} s={list(shape.s)} r={list(shape.r)}"]
-    fmt = _varpoly_printer(system.ring)
-    for eq in system.equations:
-        poly = fmt(eq.poly)
-        if eq.tag == "S3":
-            lines.append(f"{eq.tag} h={eq.h} {eq.n} {eq.row} {eq.col} : {poly}")
-        else:
-            lines.append(f"{eq.tag} {eq.n} {eq.row} {eq.col} : {poly}")
+    text = _polynomial_printer(system)
+    for (tag, h, n, row, col), flat in zip(system.positions, system.terms):
+        where = f"{tag} h={h}" if tag == "S3" else tag
+        lines.append(f"{where} {n} {row} {col} : {text(flat)}")
     return "\n".join(lines) + "\n"
 
 
 def load_system(text):
-    """Parse a serialized system (header plus equations).
+    """Parse a serialized system (header plus equations) into its compiled
+    form.
 
     Every equation is read in the term grammar; any other line, or a
     variable token outside the header's shape or not in its canonical
-    spelling, is a FormatError.  Each distinct token is read once and the
-    shape's variables are not listed, so loading costs time in proportion
-    to the text, whatever the header's ranks.  The result verifies
-    assignments; reconstruction needs the Koszul and module data, which
-    the CLI re-derives from their own files.
+    spelling, is a FormatError.  Each distinct token and ring term is read
+    once and the shape's variables are not listed, so loading costs time
+    in proportion to the text, whatever the header's ranks.  The result
+    verifies assignments; reconstruction needs the Koszul and module
+    data, which the CLI re-derives from their own files.
     """
     lines = _split_lines(text)
     ring = _expect_kind(lines, "system")
@@ -358,19 +501,16 @@ def load_system(text):
             raise FormatError(f"header rank r_{n} = {rn} is inconsistent with "
                               f"m, e and s: expected {expected}")
     shape = SystemShape(mm, ee, s, r)
-    var_of = _ShapeTokens(shape)
-    ring_terms = {}
-    equations = []
+    positions, terms, coefficients = [], [], []
+    read = _polynomial_reader(ring, shape, coefficients)
     for line in lines[3:]:
         m = _EQUATION.fullmatch(line)
         if not m or (m.group(1) == "S3") != (m.group(2) is not None):
             raise FormatError(f"bad equation line: {line!r}")
-        tag, h, n, row, col, poly_text = m.groups()
-        poly = _varpoly_from_text(ring, poly_text, var_of, ring_terms)
-        equations.append(Equation(tag, int(h) if h else None, int(n),
-                                  int(row), int(col), poly))
-    return PolynomialSystem(ring, shape, equations, (), {}, {}, None,
-                            {v: v for v in var_of.values() if v is not None})
+        tag, h, n, row, col, poly = m.groups()
+        positions.append((tag, int(h) if h else None, int(n), int(row), int(col)))
+        terms.append(read(poly))
+    return PolynomialSystem(ring, shape, positions, terms, coefficients)
 
 
 def save_assignment(assignment):
@@ -382,17 +522,20 @@ def save_assignment(assignment):
 
 def load_assignment(text, coefficient_ring=None):
     """Parse an assignment; the homomorphism from the coefficient ring is
-    the identity for a matching ring and the canonical map from Z."""
+    the identity for a matching ring and the canonical map from Z.  Each
+    token must be in its canonical spelling, as in a system file, and name
+    a variable no other line names."""
     lines = _split_lines(text)
     ring = _expect_kind(lines, "assignment")
     values = {}
     for line in lines[2:]:
-        m = re.fullmatch(r"([XYZ])_(\d+)_(\d+)_(\d+)\s*=\s*(.*)", line)
+        m = _ASSIGNMENT.fullmatch(line)
         if not m:
             raise FormatError(f"bad assignment line: {line!r}")
-        var = SystemVariable(m.group(1), int(m.group(2)), int(m.group(3)),
-                             int(m.group(4)))
-        values[var] = parse_element(ring, m.group(5))
+        var = SystemVariable(m[1], int(m[2]), int(m[3]), int(m[4]))
+        if var in values:
+            raise FormatError(f"{var.token()} is assigned twice")
+        values[var] = parse_element(ring, m[5])
     src = coefficient_ring if coefficient_ring is not None else ring
     if src == ring:
         hom = RingHom.identity(ring)
@@ -433,16 +576,15 @@ def to_json(obj):
                                             key=lambda kv: (len(kv[0]), kv[0]))},
         }, indent=1, sort_keys=True) + "\n"
     if isinstance(obj, PolynomialSystem):
-        fmt = _varpoly_printer(obj.ring)
+        text = _polynomial_printer(obj)
         return json.dumps({
             "kind": "system", "ring": ring_spec(obj.ring),
             "m": obj.shape.m, "e": obj.shape.e,
             "s": list(obj.shape.s), "r": list(obj.shape.r),
             "equations": [
-                {"tag": eq.tag, **({"h": eq.h} if eq.h is not None else {}),
-                 "n": eq.n, "row": eq.row, "col": eq.col,
-                 "poly": fmt(eq.poly)}
-                for eq in obj.equations],
+                {"tag": tag, **({"h": h} if h is not None else {}),
+                 "n": n, "row": row, "col": col, "poly": text(flat)}
+                for (tag, h, n, row, col), flat in zip(obj.positions, obj.terms)],
         }, indent=1, sort_keys=True) + "\n"
     if isinstance(obj, Assignment):
         return json.dumps({
@@ -482,10 +624,20 @@ def _json_object(value, what, fields):
     return value
 
 
-def _json_text(data):
-    """The text form of a JSON object of any kind, read by that kind's one
-    text loader.  A document that is not an object, an unknown kind, a
-    missing or mistyped key or a value with a line break is a FormatError."""
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key that appears twice is a FormatError."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        raise FormatError("a JSON object repeats a key")
+    return out
+
+
+def _json_text(text):
+    """The text form of the JSON document `text` of any kind, read by that
+    kind's one text loader.  A document that is not an object, an unknown
+    kind, a repeated, missing or mistyped key or a value with a line break
+    is a FormatError."""
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     kind = _json_object(data, "a JSON document", {"kind": str})["kind"]
     if kind not in _JSON_FIELDS:
         raise FormatError(f"unknown JSON kind {kind!r}")
@@ -518,7 +670,7 @@ def _json_text(data):
 def from_json(text, coefficient_ring=None):
     """The object in `text`; an assignment maps from `coefficient_ring` as
     in `load_assignment`."""
-    return _load_text(_json_text(json.loads(text)), coefficient_ring)
+    return _load_text(_json_text(text), coefficient_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -577,5 +729,5 @@ def load(path, coefficient_ring=None):
     p = pathlib.Path(path)
     text = p.read_text(encoding="utf-8")
     if p.suffix == ".json":
-        text = _json_text(json.loads(text))
+        text = _json_text(text)
     return _load_text(text, coefficient_ring, f" in {path}")

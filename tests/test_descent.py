@@ -96,23 +96,23 @@ def evaluated_b_rows(K, P, n):
     ring, shape = K.ring, ds.shape_of(K, P)
     X0 = cx.ChainComplex(ring, {p: shape.s_at(p) for p in range(shape.m + 1)}, {},
                          _validated=True)
-    xv = {p: [[ds.SystemVariable("X", p, i, j) for j in range(1, cols + 1)]
+    xv = {p: [[shape.index("X", p, i, j) for j in range(1, cols + 1)]
               for i in range(1, rows + 1)]
           for p in range(1, shape.m + 1) for rows, cols in [shape.dims("X", p)]}
     values = ds.canonical_solution(K, P).values
-    rows = ds._b_rows(K, X0, xv, n)
+    size = shape.count()
+    rows = ds._b_rows(K, X0, xv, n, size)
     entries = {}
     for i, row in enumerate(rows):
-        for j, terms in row:
-            assert (i, j) not in entries and 0 <= j < shape.r_at(n)
-            x = ring.zero
-            for mono, c in terms:
-                assert len(mono) <= 1 and c
-                term = ring.box(c)
-                for v in mono:
-                    term = term * values[v]
-                x = x + term
-            entries[i, j] = x.payload
+        for j, v, c in row:
+            # one term per entry: a constant or one X variable
+            assert (i, j) not in entries and 0 <= j < shape.r_at(n) and c
+            term = ring.box(c)
+            if v != size:
+                var = shape.variable(v)
+                assert var.family == "X"
+                term = term * values[var]
+            entries[i, j] = term.payload
     return Matrix.from_entries(ring, len(rows), shape.r_at(n),
                                [(i, j, v) for (i, j), v in entries.items()])
 

@@ -119,11 +119,27 @@ def test_lines_outside_the_term_grammar_are_format_errors(line):
 
 
 def test_equal_polynomials_in_other_term_orders_load_equal():
-    header = "\n".join((GOLDEN / "S.sys").read_text().splitlines()[:3])
-    canonical = kio.load_system(header + "\nS2 1 1 1 : 3*X_1_1_1*Y_1_3_1 + 2*Y_0_1_1\n")
-    other = kio.load_system(header + "\nS2 1 1 1 : Y_0_1_1 + 3*Y_1_3_1*X_1_1_1 + Y_0_1_1\n")
-    assert other.equations[0].poly == canonical.equations[0].poly
-    assert kio.save_system(other) == kio.save_system(canonical)
+    golden = "\n".join((GOLDEN / "S.sys").read_text().splitlines()[:3])
+    quotient = f"ring {QUOTIENTS['F2'][0]}\nsystem\nm=1 e=1 s=[1, 1] r=[1, 2, 1]"
+    for header, canonical, other in [
+        (golden, "3*X_1_1_1*Y_1_3_1 + 2*Y_0_1_1",
+         "Y_0_1_1 + 3*Y_1_3_1*X_1_1_1 + Y_0_1_1"),
+        # reversed variable pairs
+        (golden, "3*X_1_1_1*Y_1_3_1 + X_1_2_1*Y_1_1_1 + 2*Y_0_1_1",
+         "3*Y_1_3_1*X_1_1_1 + Y_1_1_1*X_1_2_1 + 2*Y_0_1_1"),
+        # duplicate terms that cancel: 1 + 3 = 0 and 2 + 2 = 0 over Z/4
+        (golden, "3*X_1_1_1*Y_1_3_1 + 2*Y_0_1_1",
+         "Y_2_1_1 + 2*X_1_2_1*Y_1_1_1 + 3*X_1_1_1*Y_1_3_1 + 2*Y_0_1_1 + 3*Y_2_1_1"
+         " + 2*Y_1_1_1*X_1_2_1"),
+        # a two-monomial coefficient split across terms, its parts apart
+        (quotient, "x*X_1_1_1*Y_0_1_1 + y*X_1_1_1*Y_0_1_1 + x*Y_1_1_1",
+         "y*Y_0_1_1*X_1_1_1 + x*Y_1_1_1 + x*X_1_1_1*Y_0_1_1"),
+    ]:
+        canonical = kio.load_system(f"{header}\nS2 1 1 1 : {canonical}\n")
+        other = kio.load_system(f"{header}\nS2 1 1 1 : {other}\n")
+        assert other.equations[0].poly == canonical.equations[0].poly
+        assert kio.save_system(other) == kio.save_system(canonical)
+        assert (other.terms, other.coefficients) == (canonical.terms, canonical.coefficients)
 
 
 def _mutate(line, kind, rng):
@@ -212,17 +228,27 @@ def test_non_canonical_or_out_of_shape_tokens_are_format_errors(header, token, t
         assert code == 2 and err.startswith("error:") and "internal" not in err, (poly, err)
 
 
-def test_the_variable_list_hands_out_the_objects_the_equations_hold():
+def test_variable_indices_agree_with_the_variable_list():
     text = (GOLDEN / "S.sys").read_text()
     generated = ds.generate_system(*quotient_instance("F2"))
     partial = kio.load_system("\n".join(text.splitlines()[:3] + [
         "S2 1 1 1 : 2*X_1_1_1*Y_1_1_1 + Y_0_1_1"]) + "\n")
     for system in (kio.load_system(text), generated, partial):
-        assert system.variables == list(system.shape.variables())
-        assert all(v is system.held.get(v, v) for v in system.variables)
-        assert all(v is system.held[v]
-                   for eq in system.equations for mono in eq.poly.terms for v in mono)
-    assert len(partial.held) == 3 < partial.shape.count()
+        shape = system.shape
+        assert system.variables == list(shape.variables())
+        for k, v in enumerate(system.variables):
+            assert shape.index(*v) == k and shape.variable(k) == v
+        # the flat terms name, by index, the variables of each equation
+        for eq, flat in zip(system.equations, system.terms):
+            monomials = [tuple(system.variables[k] for k in (a, b) if k >= 0)
+                         for _, a, b in flat]
+            assert monomials == sorted(eq.poly.terms, key=lambda m: (-len(m), m))
+    used = {k for flat in partial.terms for _, a, b in flat for k in (a, b) if k >= 0}
+    assert [partial.variables[k] for k in sorted(used)] == [
+        ds.SystemVariable("X", 1, 1, 1), ds.SystemVariable("Y", 0, 1, 1),
+        ds.SystemVariable("Y", 1, 1, 1)]
+    assert partial.shape.index("X", 9, 9, 9) is None
+    assert partial.shape.index("Y", 0, 0, 1) is None
 
 
 def test_an_assignment_that_lacks_variables_is_incomplete():
