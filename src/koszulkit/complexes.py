@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotAComplex, NotLocal,
 )
-from .linalg import homology_module, syzygies
+from .linalg import homology_module, kernel_resolution
 from .matrices import Matrix
 
 
@@ -277,42 +277,45 @@ def tensor(M, N):
     return ChainComplex(ring, ranks, diffs)
 
 
-def hom_layout(M, N, n):
-    """Summands of Hom(M, N)_n = sum over i of Hom(M_i, N_{i+n}).
-
-    Returns [(i, rank N_{i+n}, rank M_i)] for i ascending over M's support;
-    each block uses the row-major (target index, source index) basis.
-    """
-    return [(i, N.rank(i + n), M.rank(i)) for i in M.support]
+def hom_summands(M, N):
+    """The nonzero summands of Hom(M, N)_n = sum over i of Hom(M_i, N_{i+n}),
+    from the pairs (i, j) of degrees of M's and N's supports (n = j - i):
+    {n: [(i, rank N_{i+n}, rank M_i)] for i ascending}, n ascending.  Each
+    block uses the row-major (target index, source index) basis."""
+    out = {}
+    for i in M.support:
+        for j in N.support:
+            out.setdefault(j - i, []).append((i, N.rank(j), M.rank(i)))
+    return dict(sorted(out.items()))
 
 
 def hom_complex(M, N):
-    """Hom complex with d(f) = d_N . f - (-1)^{|f|} f . d_M."""
+    """Hom complex with d(f) = d_N . f - (-1)^{|f|} f . d_M.
+
+    Each degree is the sum of its nonzero summands (`hom_summands`); the
+    blocks of the differential between them are Kronecker products.
+    """
     if M.ring != N.ring:
         raise MixedRings("hom over different rings")
     ring = M.ring
-    if M.is_zero_complex() or N.is_zero_complex():
-        return zero_complex(ring)
-    degrees = range(min(N.support) - max(M.support),
-                    max(N.support) - min(M.support) + 1)
-    ranks = {n: sum(a * b for _, a, b in hom_layout(M, N, n)) for n in degrees}
+    summands = hom_summands(M, N)
+    ranks = {n: sum(a * b for _, a, b in src) for n, src in summands.items()}
     diffs = {}
-    for n in degrees:
-        if not (ranks[n] and ranks.get(n - 1)):
+    for n, src in summands.items():
+        tgt = summands.get(n - 1)
+        if tgt is None:
             continue
-        src = hom_layout(M, N, n)
-        tgt = hom_layout(M, N, n - 1)
         at = {i: k for k, (i, _, _) in enumerate(tgt)}
         sign = ring.one if n % 2 == 0 else -ring.one
         blocks = {}
         for k, (i, a, b) in enumerate(src):
             # postcompose with d_N: vec_row(D F) = (D kron I) vec_row(F)
             d = N._diffs.get(i + n)
-            if d is not None and b:
-                blocks[k, k] = d.kron(Matrix.identity(ring, b))
+            if d is not None:
+                blocks[at[i], k] = d.kron(Matrix.identity(ring, b))
             # precompose with d_M, sign -(-1)^n: (I kron d_M^T)
             d = M._diffs.get(i + 1)
-            if d is not None and a:
+            if d is not None:
                 blocks[at[i + 1], k] = Matrix.identity(ring, a).kron(
                     d.transpose()).scale(-sign)
         diffs[n] = Matrix.from_blocks(ring, [a * b for _, a, b in tgt],
@@ -416,20 +419,6 @@ def is_minimal(M):
     unit = M.ring.is_unit_payload
     return not any(unit(v) for d in M._diffs.values() for _, vals in d.sparse_rows
                    for v in vals)
-
-
-def kernel_resolution(ring, d, steps):
-    """Up to `steps` further resolution differentials below d: each one is a
-    minimal generating set of the kernel of the one before (`syzygies`).
-    The list stops with the first kernel that vanishes, a matrix with no
-    columns."""
-    out = []
-    for _ in range(steps):
-        if d.cols == 0:
-            break
-        d = syzygies(ring, d)
-        out.append(d)
-    return out
 
 
 def augment_by_resolution(A, m, depth_budget=4):

@@ -8,10 +8,13 @@ depth they were checked to.  No module is ever enumerated:
 - over a prime field or a finite-dimensional F_p-algebra, Ext^i(M, N) is
   computed in F_p coordinates: Hom(F_i, N) = N^{b_i}, so its dimension is
   b_i dim N minus the ranks of the two dual differentials, F_p matrices
-  built from the action of the differentials' entries on N;
+  built from the action of the differentials' entries on N.  The
+  resolution stays packed (linalg.packed_resolution), which checks each
+  d_i d_{i+1} = 0 on packed columns apart from the kernel computation;
 - elsewhere, and for the homology of Koszul-extension targets, homology
   cardinalities are ratios of span cardinalities (finite rings) or come
-  from explicit subquotients (Z, Q, F_p[x]).
+  from explicit subquotients (Z, Q, F_p[x]); the matrix products that
+  validate each ChainComplex check d d = 0.
 """
 
 from __future__ import annotations
@@ -20,15 +23,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .complexes import (
-    ChainComplex, free_module_complex, hom_complex, hom_layout, homology,
-    kernel_resolution, tensor,
+    ChainComplex, free_module_complex, hom_complex, hom_summands, homology, tensor,
 )
 from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotLocal, NotRegular, ToolkitError,
 )
 from .linalg import (
     HomologySummary, fp_module, has_linear_solve, image_membership, kernel_basis,
-    kernel_cardinality, minimal_generators, span_cardinality, subquotient,
+    kernel_cardinality, kernel_resolution, minimal_generators, packed_resolution,
+    span_cardinality, subquotient,
 )
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RingHom, Zmod, poly_quotient
@@ -88,14 +91,18 @@ class ModulePresentation:
             hom.target, self.gens, self.relations.map_entries(hom, hom.target))
 
 
+def _first_differential(pres):
+    """d_1 of the resolution: a minimal generating set of the relations."""
+    if not has_linear_solve(pres.ring):
+        raise CapabilityMissing(f"cannot resolve over {pres.ring}")
+    return minimal_generators(pres.ring, pres.relations)
+
+
 def resolve(pres, depth):
     """Free resolution differentials [d_1, ..., d_depth], minimalized where
     the ring is local; the list stops early when a kernel vanishes."""
-    ring = pres.ring
-    if not has_linear_solve(ring):
-        raise CapabilityMissing(f"cannot resolve over {ring}")
-    first = minimal_generators(ring, pres.relations)
-    return [first] + kernel_resolution(ring, first, depth - 1)
+    first = _first_differential(pres)
+    return [first] + kernel_resolution(pres.ring, first, depth - 1)
 
 
 def resolution_complex(pres, depth):
@@ -185,23 +192,21 @@ def hom_into_presented(source_free, target):
 
     `source_free` is a free complex, `target` a PresentedComplex; the
     result's ambient is the hom complex of the ambients.  Relations are
-    block-diagonal over the summands Hom(M_i, N_{i+n}), each block
-    kron(rel_{i+n}, I_{rank M_i}) in the (target, source) row-major layout.
+    block-diagonal over the nonzero summands Hom(M_i, N_{i+n}) of each
+    degree (`hom_summands`), each block kron(rel_{i+n}, I_{rank M_i}) in the
+    (target, source) row-major layout.
     """
     amb = hom_complex(source_free, target.ambient)
     ring = amb.ring
     relations = {}
-    for n in amb.degrees():
-        layout = hom_layout(source_free, target.ambient, n)
-        rels = [target.relation(i + n) for i, _, _ in layout]
-        heights = [a * b for _, a, b in layout]
-        widths = [rel.cols * b for rel, (_, _, b) in zip(rels, layout)]
-        if not (sum(heights) and sum(widths)):
-            continue
+    for n, summands in hom_summands(source_free, target.ambient).items():
+        rels = [target.relation(i + n) for i, _, _ in summands]
         blocks = {(k, k): rel.kron(Matrix.identity(ring, b))
-                  for k, (rel, (_, a, b)) in enumerate(zip(rels, layout))
-                  if a and rel.cols and b}
-        relations[n] = Matrix.from_blocks(ring, heights, widths, blocks)
+                  for k, (rel, (_, _, b)) in enumerate(zip(rels, summands)) if rel.cols}
+        if blocks:
+            relations[n] = Matrix.from_blocks(
+                ring, [a * b for _, a, b in summands],
+                [rel.cols * b for rel, (_, _, b) in zip(rels, summands)], blocks)
     return PresentedComplex(amb, relations)
 
 
@@ -238,35 +243,38 @@ def ext_table(M, N, window):
     M and N are presentations over a linear_solve ring; the resolution of M
     is taken to depth window + 1, so every listed value is exact.  Window 0
     lists Hom(M, N) alone; a negative window is rejected.  Over a ring with
-    an F_p view the values come from N in F_p coordinates, elsewhere from
-    the homology of the presented complex Hom(F, N).
+    an F_p view the resolution and the values stay in F_p coordinates,
+    elsewhere they come from the homology of the presented complex Hom(F, N).
     """
     _check_window(window)
-    res = resolution_complex(M, window + 1)
     fp = N.fp_data
-    if fp is not None:
-        if M.ring != N.ring:
-            raise MixedRings("hom over different rings")
-        return _fp_ext_table(res, N, fp, window)
-    target = module_as_presented_complex(N)
-    G = hom_into_presented(res, target)
-    # Hom(F_i, N) sits in homological degree -i
-    return [presented_homology(G, -i) for i in range(window + 1)]
+    if fp is None:
+        G = hom_into_presented(resolution_complex(M, window + 1),
+                               module_as_presented_complex(N))
+        # Hom(F_i, N) sits in homological degree -i
+        return [presented_homology(G, -i) for i in range(window + 1)]
+    first = _first_differential(M)
+    if M.ring != N.ring:
+        raise MixedRings("hom over different rings")
+    return _fp_ext_table(M.gens, packed_resolution(M.ring, first, window), N, fp, window)
 
 
-def _fp_ext_table(res, N, fp, window):
+def _fp_ext_table(gens, diffs, N, fp, window):
     """Ext^i(M, N) for i = 0..window from Hom(F_i, N) = N^{b_i}:
     dim Ext^i = b_i dim N - rank d*_{i+1} - rank d*_i, d*_i = Hom(d_i, N).
 
+    `diffs` holds the packed columns of d_1, d_2, ... (`packed_resolution`),
+    M has `gens` generators, and the differentials past the list are zero.
     The summaries are the ones presented_homology gives for Hom(F, N)."""
-    dual = [0] + [fp.dual_rank(res.diff(i)) for i in range(1, window + 2)]
+    diffs = diffs + [[]] * (window + 1 - len(diffs))
+    betti = [gens] + [len(cols) for cols in diffs]
+    dual = [0] + [fp.dual_rank(cols) for cols in diffs]
     out = []
     for i in range(window + 1):
-        b = res.rank(i)
-        if b * N.gens == 0:
+        if betti[i] * N.gens == 0:
             out.append(_zero_ambient_summary(N.ring))
             continue
-        card = fp.p ** (b * fp.dim - dual[i + 1] - dual[i])
+        card = fp.p ** (betti[i] * fp.dim - dual[i + 1] - dual[i])
         out.append(HomologySummary(N.ring, card == 1, cardinality=card))
     return out
 

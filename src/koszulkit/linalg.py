@@ -10,10 +10,10 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   for p = 2, one byte and a byte-translate reduction up to p = 13, wider
   fields above), so one code path serves every p.  It gives kernels,
   solutions and ranks, hence cardinalities, the unit test and minimal
-  generating sets.  A resolution step (`syzygies`) stays in these
-  coordinates from the kernel to the kept generators, and `FpModule` holds
-  a finitely presented module as an F_p-space, with the action of the ring
-  on it.
+  generating sets.  A resolution (`packed_resolution`) stays in these
+  coordinates from one step to the next and checks each d_i d_{i+1} = 0
+  there, and `FpModule` holds a finitely presented module as an F_p-space,
+  with the action of the ring on it.
 - Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
   1986, Storjohann & Mulders 1998) with the ring's own row operations, so
   every entry, transforms included, stays reduced; only pivot arithmetic
@@ -28,6 +28,7 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from math import prod
 
@@ -508,25 +509,29 @@ class _FpView:
     """F_p coordinates for a prime field or a finite-dimensional F_p-algebra.
 
     An element has `dim` coordinates: its own value over F_p, or its
-    coefficients on the standard monomials of an algebra.  A vector of n
-    entries has n * dim coordinates, entry i's from i * dim on, packed into
-    one int by the view's codec (_Codec, chosen once from p).  A matrix
-    becomes the packed rows of its expansion over F_p, in which each entry
-    a stands for the dim x dim matrix of multiplication by a.
+    coefficients on the standard monomials of an algebra, the payloads of
+    `basis`.  A vector of n entries has n * dim coordinates, entry i's from
+    i * dim on, packed into one int by the view's codec (_Codec, chosen once
+    from p).  A matrix becomes the packed rows of its expansion over F_p, in
+    which each entry a stands for the dim x dim matrix of multiplication by
+    a.
     """
 
     def __init__(self, ring):
         self.ring = ring
         if ring.kind == PRIMEFIELD:
             self.p, self.std, self.dim = ring.modulus, None, 1
+            self.basis = [1]
         else:
             self.p, self.std = ring.coeff.p, ring._std_monomials
             self.index = {m: i for i, m in enumerate(self.std)}
             self.dim = len(self.std)
+            self.basis = [((m, 1),) for m in self.std]
         self.codec = _Codec(self.p)
         # the multiplication rows of each standard monomial, made on first
         # use: at most dim entries, and every element's rows are their sum
         self._monomial_rows = {}
+        self._moves = {}
 
     def _monomial(self, m):
         rows = self._monomial_rows.get(m)
@@ -567,6 +572,32 @@ class _FpView:
                         out[b] |= row << shift
         return out, A.cols * D
 
+    def expand(self, cols, nrows):
+        """The packed rows of the expansion over F_p of the matrix with
+        nrows rows whose columns have coordinates `cols`: what `rows` gives
+        for that matrix."""
+        codec, D, std = self.codec, self.dim, self.std
+        out = [0] * (nrows * D)
+        made = {}  # an entry's terms -> its nonzero multiplication rows, by index
+        for j, v in enumerate(cols):
+            shift = j * D * codec.width
+            if std is None:
+                for i, c in codec.nonzero(v):
+                    out[i] |= c << shift
+                continue
+            entries = {}  # row -> the entry's terms, which mult_rows reads as a payload
+            for t, c in codec.nonzero(v):
+                entries.setdefault(t // D, []).append((std[t % D], c))
+            for i, payload in entries.items():
+                key = tuple(payload)
+                rows = made.get(key)
+                if rows is None:
+                    rows = made[key] = [(b, row) for b, row in enumerate(self.mult_rows(payload))
+                                        if row]
+                for b, row in rows:
+                    out[i * D + b] |= row << shift
+        return out
+
     def columns(self, A):
         """The coordinate vectors of A's columns."""
         D, w = self.dim, self.codec.width
@@ -582,40 +613,72 @@ class _FpView:
             out.append(v)
         return out
 
-    def sparse(self, v):
-        """The stored form (positions, payloads) of the entries with
-        coordinates v: the nonzero ones, by position."""
-        D, std = self.dim, self.std
-        blocks = {}
-        for j, c in self.codec.nonzero(v):
-            blocks.setdefault(j // D, []).append((j % D, c))
-        if std is None:
-            return tuple(blocks), tuple(c for (_, c), in blocks.values())
-        # payload terms run by descending monomial, std is ascending
-        return tuple(blocks), tuple(tuple((std[a], c) for a, c in reversed(slots))
-                                    for slots in blocks.values())
-
     def matrix(self, vecs, nrows):
-        """The nrows x len(vecs) matrix whose columns have coordinates `vecs`."""
-        return Matrix(self.ring, len(vecs), nrows,
-                      tuple(self.sparse(v) for v in vecs)).transpose()
+        """The nrows x len(vecs) matrix whose columns have coordinates `vecs`,
+        its rows built as the columns are read."""
+        D, std = self.dim, self.std
+        at, payloads = [[] for _ in range(nrows)], [[] for _ in range(nrows)]
+        for j, v in enumerate(vecs):
+            entries = {}
+            for t, c in self.codec.nonzero(v):
+                entries.setdefault(t // D, []).append((t % D, c))
+            for i, slots in entries.items():
+                at[i].append(j)
+                # payload terms run by descending monomial, std is ascending
+                payloads[i].append(slots[0][1] if std is None else
+                                   tuple((std[a], c) for a, c in reversed(slots)))
+        return Matrix(self.ring, nrows, len(vecs),
+                      tuple((tuple(a), tuple(x)) for a, x in zip(at, payloads)))
 
     def action(self, payload, n):
         """v -> payload * v on vectors of n entries, entry by entry.
 
         Coordinate a of every entry moves to coordinate b at once: mask out
         field a of each entry, shift it by b - a and add it times the
-        coefficient.
+        coefficient.  When every coordinate b receives one coordinate, with
+        coefficient 1, the moved fields are disjoint and already reduced.
         """
         codec = self.codec
-        mask, w, lincomb = codec.mask, codec.width, codec.lincomb
-        Dw = self.dim * w
-        slots = mask * (((1 << (n * Dw)) - 1) // ((1 << Dw) - 1))
-        moves = [(slots << a * w, (b - a) * w, row >> a * w & mask)
-                 for b, row in enumerate(self.mult_rows(payload))
-                 for a in range(self.dim) if row >> a * w & mask]
+        w, lincomb = codec.width, codec.lincomb
+        disjoint, moves = self._moves.get(payload) or self._make_moves(payload)
+        slots = self.spread([0], n)
+        moves = [(slots << a * w, s, c) for a, s, c in moves]
+        if disjoint:
+            return lambda v: sum(t << s if s >= 0 else t >> -s
+                                 for m, s, _ in moves if (t := v & m))
         return lambda v: lincomb(0, [(c, t << s if s >= 0 else t >> -s)
                                      for m, s, c in moves if (t := v & m)])
+
+    def _make_moves(self, payload):
+        """(disjoint, [(a, (b - a) * width, c)]) for multiplication by payload,
+        kept for a standard monomial: at most dim of them."""
+        rows = [self.codec.nonzero(row) for row in self.mult_rows(payload)]
+        made = (all(len(row) < 2 and (not row or row[0][1] == 1) for row in rows),
+                [(a, (b - a) * self.codec.width, c) for b, row in enumerate(rows) for a, c in row])
+        if self.std is not None and len(payload) == 1 and payload[0][1] == 1:
+            self._moves[payload] = made
+        return made
+
+    @cached_property
+    def products(self):
+        """products[a][s], the coordinates of b_a b_s for the basis b of R
+        over F_p, made on first use and kept."""
+        w, mask = self.codec.width, self.codec.mask
+        return [[sum((row >> s * w & mask) << b * w for b, row in enumerate(self.mult_rows(ba)))
+                 for s in range(self.dim)] for ba in self.basis]
+
+    def spread(self, coords, n):
+        """The mask of the coordinates `coords` of each of n entries."""
+        w, Dw = self.codec.width, self.dim * self.codec.width
+        return sum(self.codec.mask << s * w for s in coords) * (
+            ((1 << (n * Dw)) - 1) // ((1 << Dw) - 1))
+
+    def coordinates(self, vecs):
+        """The coordinates s nonzero in some entry of some vector of `vecs`."""
+        union = 0
+        for v in vecs:
+            union |= v
+        return {t % self.dim for t, _ in self.codec.nonzero(union)}
 
     def rank(self, A):
         """Rank of A's expansion: |column span of A| = p ** rank."""
@@ -632,10 +695,13 @@ def _nakayama_keep(view, vecs, n, multipliers):
     reduction of [m V | v_0 ... v_k].
     """
     span = _Echelon(view.codec)
+    present = view.coordinates(vecs)
     for m in multipliers:
-        act = view.action(m, n)
-        for v in vecs:
-            span.add(act(v))
+        # m V = 0 when no vector has a coordinate that m reads
+        if any(view.products[view.index[e]][s] for e, _ in m for s in present):
+            act = view.action(m, n)
+            for v in vecs:
+                span.add(act(v))
     return [j for j, v in enumerate(vecs) if span.add(v)]
 
 
@@ -922,10 +988,8 @@ class FpModule:
     def __init__(self, view, gens, relations):
         self.view, self.codec, self.p, self.gens = view, view.codec, view.p, gens
         self._ncoords = gens * view.dim
-        # R over F_p: the standard monomials, or 1 in a prime field
-        basis = [1] if view.std is None else [((m, 1),) for m in view.std]
         cols = view.columns(relations)
-        rows = [view.action(b, gens)(c) for b in basis for c in cols]
+        rows = [view.action(b, gens)(c) for b in view.basis for c in cols]
         self._pivots = _fp_rref(self.codec, rows, self._ncoords)
         self._rows = rows[:len(self._pivots)]
         pivot_set = set(self._pivots)
@@ -960,23 +1024,29 @@ class FpModule:
             return self._monomial(terms[0][0])
         return _table_sum(self.codec, self.dim, [(self._monomial(b), c) for b, c in terms])
 
-    def dual_rank(self, d):
+    def dual_rank(self, cols):
         """The F_p rank of Hom(d, N) : N^{d.rows} -> N^{d.cols}, phi -> phi d,
-        whose (l, k) block is the action of d[k][l].  Its transpose, of the
-        same rank, is built here row by row from the rows of d."""
-        n = self.dim
-        if not n:
+        for d given by the packed coordinates of its columns.  Its (l, k)
+        block is the action of d[k][l], the sum of c times the action of b_s
+        over the coordinates (k dim R + s, c) of column l.  Its transpose, of
+        the same rank, is built here, n rows for each row k of d."""
+        n, codec, view = self.dim, self.codec, self.view
+        D, basis, shift = view.dim, view.basis, n * codec.width
+        # Hom(d, N) = 0 when no entry of d has a coordinate whose basis
+        # element acts on N as nonzero
+        if not (n and any(any(self._monomial(basis[s])) for s in view.coordinates(cols))):
             return 0
-        shift = n * self.codec.width
-        rows = []
-        for js, payloads in d.sparse_rows:
-            block = [0] * n
-            for l, a in zip(js, payloads):
-                for c, col in enumerate(self.action(a)):
+        terms = {}  # row k of d -> the (c, shifted column) pairs of each of its n rows
+        for l, v in enumerate(cols):
+            for t, c in codec.nonzero(v):
+                k, s = divmod(t, D)
+                block = terms.get(k) or terms.setdefault(k, [[] for _ in range(n)])
+                for r, col in enumerate(self._monomial(basis[s])):
                     if col:
-                        block[c] |= col << l * shift
-            rows.extend(r for r in block if r)
-        return len(_fp_rref(self.codec, rows, d.cols * n))
+                        block[r].append((c, col << l * shift))
+        rows = [row for block in terms.values() for pairs in block
+                if pairs and (row := codec.lincomb(0, pairs))]
+        return len(_fp_rref(codec, rows, len(cols) * n))
 
 
 def fp_module(ring, gens, relations):
@@ -1253,20 +1323,102 @@ def minimal_generators(ring, M):
     return _hstack_all(cols, ring, M.rows)
 
 
-def syzygies(ring, A):
-    """A minimal generating set of ker A: minimal_generators(kernel_basis(A)).
+def _products_vanish(view, cols, nrows, kernel):
+    """True when d K = 0 for the matrices d, of nrows rows, and K whose
+    columns have coordinates `cols` and `kernel`.
 
-    Over the rings whose kernels are computed in F_p coordinates, both steps
-    run on the coordinate vectors, and only the kept ones become a matrix.
-    The kernel basis K spans ker A over F_p, so mK is spanned by K times the
-    generators of m.
+    Column k of d K combines the columns of d's expansion with the
+    coordinates of column k of K as coefficients, and the expansion's
+    column (j, a) is b_a times column j of d, b_a the F_p basis of R; by
+    R-linearity that is the product.  Each column k is summed at once from
+    the products b_a b_s (`products`) of the basis, apart from any
+    elimination, over the terms that can be nonzero.
     """
-    view, _ = _engine(ring)
+    codec, D, p, products = view.codec, view.dim, view.p, view.products
+    Dw = D * codec.width
+    # b_a d = 0 when no entry of d has a coordinate s with b_a b_s != 0, and
+    # then K's coordinates at a add nothing
+    present = view.coordinates(cols)
+    live = view.spread([a for a, row in enumerate(products) if any(row[s] for s in present)],
+                       len(cols))
+    entries = {}  # column j of d -> (shift of the entry, s, x) for its coordinates
+    for v in kernel:
+        v &= live
+        if not v:
+            continue
+        terms = []
+        for t, c in codec.nonzero(v):
+            j, a = divmod(t, D)
+            if j not in entries:
+                entries[j] = [(u // D * Dw, u % D, x) for u, x in codec.nonzero(cols[j])]
+            row = products[a]
+            terms += [(c * x % p, row[s] << shift) for shift, s, x in entries[j] if row[s]]
+        if codec.lincomb(0, terms):
+            return False
+    return True
+
+
+def packed_resolution(ring, d, steps):
+    """The resolution below d in the F_p coordinates of the ring's view, or
+    None over a ring with no F_p view: [columns of d, of d_2, ...] as packed
+    vectors, each d_{i+1} over R^{columns of d_i}, with up to `steps`
+    kernels and none after the first that vanishes.
+
+    Each step expands the previous columns into F_p rows (`expand`), takes
+    their kernel (`_fp_kernel`) and keeps a minimal generating set of it
+    (`_nakayama_keep`, over a local algebra); over F_p[x]/(f), whose kernels
+    come from the Howell form, the step is minimal_generators(kernel_basis)
+    on the matrix.  Every step checks d_i d_{i+1} = 0 with
+    `_products_vanish` and raises NotAComplex when it fails.
+    """
+    view = _fp_view_of(ring)
     if view is None:
-        return minimal_generators(ring, kernel_basis(ring, A))
-    rows, ncols = view.rows(A)
-    vecs = _fp_kernel(view.codec, rows, ncols)
-    if len(vecs) > 1 and ring.local and ring.kind == POLYQUOT:
-        mgens = [g.payload for g in _maximal_ideal_elements(ring)]
-        vecs = [vecs[j] for j in _nakayama_keep(view, vecs, A.cols, mgens)]
-    return view.matrix(vecs, A.cols)
+        return None
+    packed = _engine(ring)[0] is not None
+    local, mgens = ring.local and ring.kind == POLYQUOT, None
+    out, nrows = [view.columns(d)], d.rows
+    for _ in range(steps):
+        cols = out[-1]
+        if not cols:
+            break
+        if packed:
+            vecs = _fp_kernel(view.codec, view.expand(cols, nrows), len(cols) * view.dim)
+            if len(vecs) > 1 and local:
+                if mgens is None:
+                    mgens = [g.payload for g in _maximal_ideal_elements(ring)]
+                vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), mgens)]
+        else:
+            d = minimal_generators(ring, kernel_basis(ring, d))
+            vecs = view.columns(d)
+        if not _products_vanish(view, cols, nrows, vecs):
+            raise NotAComplex(len(out))
+        out.append(vecs)
+        nrows = len(cols)
+    return out
+
+
+def kernel_resolution(ring, d, steps):
+    """Up to `steps` further resolution differentials below d: each one is a
+    minimal generating set of the kernel of the one before.  The list stops
+    with the first kernel that vanishes, a matrix with no columns.
+
+    Over a ring with an F_p view the steps run in F_p coordinates
+    (`packed_resolution`) and become matrices once, at the end.
+    """
+    packed = packed_resolution(ring, d, steps)
+    if packed is not None:
+        view = _fp_view_of(ring)
+        return [view.matrix(cols, len(prev)) for prev, cols in zip(packed, packed[1:])]
+    out = []
+    for _ in range(steps):
+        if d.cols == 0:
+            break
+        d = minimal_generators(ring, kernel_basis(ring, d))
+        out.append(d)
+    return out
+
+
+def syzygies(ring, A):
+    """A minimal generating set of ker A: minimal_generators(kernel_basis(A)),
+    one step of `kernel_resolution`."""
+    return (kernel_resolution(ring, A, 1) or [Matrix.zeros(ring, 0, 0)])[0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from collections import deque
 from fractions import Fraction
 
 from .errors import (
@@ -226,17 +227,20 @@ def _spoly(f, g, cf, key):
 
 
 def groebner_basis(gens, cf, key, budget=DEFAULT_GROEBNER_BUDGET):
-    """Reduced Groebner basis via a plain Buchberger loop.
+    """Reduced Groebner basis via a Buchberger loop over a queue of pairs.
 
-    The budget caps processed S-pairs; exceeding it raises, never returns a
-    partial basis.
+    A pair whose leading monomials are coprime is skipped: its S-polynomial
+    reduces to zero (Buchberger's first criterion).  The budget caps the
+    S-pairs reduced; exceeding it raises, never returns a partial basis.
     """
     basis = [g for g in gens if g]
     basis = [_poly_scale(g, cf.inv_payload(g[0][1]), cf, key) for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
     steps = 0
     while pairs:
-        i, j = pairs.pop(0)
+        i, j = pairs.popleft()
+        if not any(x and y for x, y in zip(basis[i][0][0], basis[j][0][0])):
+            continue
         steps += 1
         if steps > budget:
             raise GroebnerBudgetExceeded(f"S-pair budget {budget} exceeded")

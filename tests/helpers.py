@@ -7,10 +7,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from koszulkit.cli import main
-from koszulkit.complexes import ChainComplex, tensor_differential, tensor_layout
+from koszulkit.complexes import ChainComplex, tensor_differential, tensor_layout, zero_complex
 from koszulkit.descent import Assignment, SystemVariable, VarPoly, _assignment_matrix
 from koszulkit.errors import MixedRings
-from koszulkit.linalg import invert
+from koszulkit.linalg import invert, kernel_basis, minimal_generators
 from koszulkit.matrices import Matrix
 
 
@@ -193,6 +193,77 @@ def count_calls(monkeypatch, func):
         if name.startswith("koszulkit") and getattr(module, func.__name__, None) is func:
             monkeypatch.setattr(module, func.__name__, counting)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# references for Hom assembly and resolutions: the per-degree scan over
+# every summand, and the resolution step by step on payload matrices
+
+
+def reference_hom_layout(M, N, n):
+    """[(i, rank N_{i+n}, rank M_i)] for every i of M's support, zero
+    summands included."""
+    return [(i, N.rank(i + n), M.rank(i)) for i in M.support]
+
+
+def reference_hom_complex(M, N):
+    """Hom(M, N) built degree by degree over every degree between the
+    extremes and every summand of each."""
+    ring = M.ring
+    if M.is_zero_complex() or N.is_zero_complex():
+        return zero_complex(ring)
+    degrees = range(min(N.support) - max(M.support), max(N.support) - min(M.support) + 1)
+    ranks = {n: sum(a * b for _, a, b in reference_hom_layout(M, N, n)) for n in degrees}
+    diffs = {}
+    for n in degrees:
+        if not (ranks[n] and ranks.get(n - 1)):
+            continue
+        src, tgt = reference_hom_layout(M, N, n), reference_hom_layout(M, N, n - 1)
+        at = {i: k for k, (i, _, _) in enumerate(tgt)}
+        sign = ring.one if n % 2 == 0 else -ring.one
+        blocks = {}
+        for k, (i, a, b) in enumerate(src):
+            d = N._diffs.get(i + n)
+            if d is not None and b:
+                blocks[k, k] = d.kron(Matrix.identity(ring, b))
+            d = M._diffs.get(i + 1)
+            if d is not None and a:
+                blocks[at[i + 1], k] = Matrix.identity(ring, a).kron(
+                    d.transpose()).scale(-sign)
+        diffs[n] = Matrix.from_blocks(ring, [a * b for _, a, b in tgt],
+                                      [a * b for _, a, b in src], blocks)
+    return ChainComplex(ring, ranks, diffs)
+
+
+def reference_hom_relations(source_free, target):
+    """The relations of Hom(source, target) with every summand scanned."""
+    from koszulkit.duality import PresentedComplex
+    amb = reference_hom_complex(source_free, target.ambient)
+    ring = amb.ring
+    relations = {}
+    for n in amb.degrees():
+        layout = reference_hom_layout(source_free, target.ambient, n)
+        rels = [target.relation(i + n) for i, _, _ in layout]
+        heights = [a * b for _, a, b in layout]
+        widths = [rel.cols * b for rel, (_, _, b) in zip(rels, layout)]
+        if not (sum(heights) and sum(widths)):
+            continue
+        blocks = {(k, k): rel.kron(Matrix.identity(ring, b))
+                  for k, (rel, (_, a, b)) in enumerate(zip(rels, layout))
+                  if a and rel.cols and b}
+        relations[n] = Matrix.from_blocks(ring, heights, widths, blocks)
+    return PresentedComplex(amb, relations)
+
+
+def reference_resolve(pres, depth):
+    """[d_1, ..., d_depth]: the minimal generators of the relations, then
+    minimal_generators(kernel_basis(d)) step by step on payload matrices,
+    stopping after the first kernel that vanishes."""
+    ring = pres.ring
+    diffs = [minimal_generators(ring, pres.relations)]
+    while len(diffs) < depth and diffs[-1].cols:
+        diffs.append(minimal_generators(ring, kernel_basis(ring, diffs[-1])))
+    return diffs
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 - The coordinate resolution step `syzygies` against
   minimal_generators(kernel_basis(.)) and against the Nakayama rule
   checked by `solve`.
+- The packed resolution loop (`packed_resolution`) behind `resolve` and
+  `ext_table`: the same matrices as resolving step by step on payload
+  matrices, and a planted kernel error caught by its d.d = 0 check.
 - The F_p Hom route of `ext_table` (Hom(F_i, N) = N^{b_i}) against
   presented_homology on the presented complex Hom(F, N), summary for
   summary, edge cases included.
@@ -18,12 +21,16 @@ from math import comb
 import pytest
 
 from koszulkit import duality as du
+from koszulkit import linalg
+from koszulkit.errors import NotAComplex
 from koszulkit.linalg import (
     _fp_view_of, _maximal_ideal_elements, kernel_basis, minimal_generators, solve,
     syzygies,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, Zmod, poly_quotient
+
+from helpers import reference_resolve
 
 RINGS = {
     "F2[x]/(x^4)": poly_quotient("F2", ["x"], ["x^4"]),
@@ -35,19 +42,28 @@ RINGS = {
     "F3[x,y]/(x^2,y^2-x*y)": poly_quotient("F3", ["x", "y"], ["x^2", "y^2 - x*y"]),
     "F2[x,y]/(x^2+x,y^2)": poly_quotient("F2", ["x", "y"], ["x^2 + x", "y^2"]),
 }
-POOLS = {name: list(R.elements()) for name, R in RINGS.items()}
+# more odd p for the F_p Hom route
+ODD_P = {
+    "F3[x,y,z]/(x,y,z)^2": poly_quotient("F3", ["x", "y", "z"],
+                                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]),
+    "F5[x]/(x^3)": poly_quotient("F5", ["x"], ["x^3"]),
+    "F5[x,y]/(x,y)^2": poly_quotient("F5", ["x", "y"], ["x^2", "x*y", "y^2"]),
+    "F13[x]/(x^2)": poly_quotient("F13", ["x"], ["x^2"]),
+}
+ALL = {**RINGS, **ODD_P}
+POOLS = {name: list(R.elements()) for name, R in ALL.items()}
 
 
 def random_matrix(name, rows, cols, rng):
     pool = POOLS[name]
-    return Matrix.from_rows(RINGS[name], [[rng.choice(pool) for _ in range(cols)]
-                                          for _ in range(rows)]) \
-        if rows and cols else Matrix.zeros(RINGS[name], rows, cols)
+    return Matrix.from_rows(ALL[name], [[rng.choice(pool) for _ in range(cols)]
+                                        for _ in range(rows)]) \
+        if rows and cols else Matrix.zeros(ALL[name], rows, cols)
 
 
 def random_presentation(name, rng):
     gens = rng.randint(1, 3)
-    return du.ModulePresentation(RINGS[name], gens,
+    return du.ModulePresentation(ALL[name], gens,
                                  random_matrix(name, gens, rng.randint(0, 3), rng))
 
 
@@ -107,6 +123,86 @@ def test_resolution_over_a_view_ring_is_built_by_the_coordinate_step():
 
 
 # ---------------------------------------------------------------------------
+# the packed resolution loop
+
+
+PACKED = {
+    "F2[x,y]/(x,y)^2": RINGS["F2[x,y]/(x,y)^2"],
+    "F3[x,y,z]/(x,y,z)^2": poly_quotient("F3", ["x", "y", "z"],
+                                         ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]),
+    "F5[x]/(x^3)": poly_quotient("F5", ["x"], ["x^3"]),
+    "F7": RINGS["F7"],
+}
+
+
+def stored(diffs):
+    return [(d.rows, d.cols, d.sparse_rows) for d in diffs]
+
+
+@pytest.mark.parametrize("name", list(PACKED))
+def test_resolve_gives_the_matrices_of_the_step_by_step_resolution(name):
+    R = PACKED[name]
+    rng = random.Random(f"packed:{name}")
+    pool = list(R.elements())
+    modules = [du.ModulePresentation.free(R, 2)]
+    if R.kind == "polyquot":
+        modules.append(du.ModulePresentation.residue_field(R))
+    for _ in range(4):
+        gens, c = rng.randint(1, 3), rng.randint(1, 3)
+        modules.append(du.ModulePresentation(R, gens, Matrix.from_rows(
+            R, [[rng.choice(pool) for _ in range(c)] for _ in range(gens)])))
+    for M in modules:
+        for depth in (1, 2, 5):
+            assert stored(du.resolve(M, depth)) == stored(reference_resolve(M, depth))
+        # window 0 reads d_1 alone
+        assert du.ext_table(M, M, 0) == presented_route(M, M, 0)
+
+
+def test_a_free_module_resolution_stops_at_once():
+    for R in PACKED.values():
+        F = du.ModulePresentation.free(R, 3)
+        (d,) = du.resolve(F, 6)
+        assert (d.rows, d.cols) == (3, 0)
+        assert linalg.packed_resolution(R, d, 6) == [[]]
+        table = du.ext_table(F, F, 2)
+        assert table[0].cardinality == R.cardinality() ** 9
+        assert all(h.is_zero for h in table[1:])
+
+
+@pytest.mark.parametrize("name", ["F2[x,y]/(x,y)^2", "F3[x,y,z]/(x,y,z)^2"])
+def test_a_planted_kernel_error_raises_not_a_complex(name, monkeypatch):
+    # one kernel vector gets 1 added at its first coordinate, the unit of
+    # entry 0, so Nakayama keeps it and d_1 times it is column 0 of d_1
+    R = PACKED[name]
+    k = du.ModulePresentation.residue_field(R)
+    codec = _fp_view_of(R).codec
+    kernel = linalg._fp_kernel
+
+    def corrupted(*args):
+        vecs = kernel(*args)
+        return [codec.axpy(vecs[0], 1, 1)] + vecs[1:] if vecs else vecs
+
+    assert du.ext_table(k, k, 2) == presented_route(k, k, 2)
+    monkeypatch.setattr(linalg, "_fp_kernel", corrupted)
+    for run in (lambda: du.ext_table(k, k, 2), lambda: du.resolve(k, 3)):
+        with pytest.raises(NotAComplex) as err:
+            run()
+        assert err.value.degree == 1
+
+
+def test_a_planted_kernel_error_over_a_prime_field(monkeypatch):
+    R = RINGS["F7"]
+    A = Matrix.from_rows(R, [[R.from_int(1), R.from_int(2), R.from_int(3)]])
+    assert syzygies(R, A).cols == 2
+    codec = _fp_view_of(R).codec
+    kernel = linalg._fp_kernel
+    monkeypatch.setattr(linalg, "_fp_kernel",
+                        lambda *args: [codec.axpy(v, 1, 1) for v in kernel(*args)])
+    with pytest.raises(NotAComplex):
+        syzygies(R, A)
+
+
+# ---------------------------------------------------------------------------
 # the F_p Hom route against presented_homology
 
 
@@ -116,7 +212,7 @@ def presented_route(M, N, window):
     return [du.presented_homology(G, -i) for i in range(window + 1)]
 
 
-@pytest.mark.parametrize("name", list(RINGS))
+@pytest.mark.parametrize("name", list(ALL))
 def test_fp_hom_route_gives_the_summaries_of_presented_homology(name):
     rng = random.Random(f"ext-fp:{name}")
     for _ in range(5):
@@ -221,6 +317,9 @@ def test_fp_view_caches_stay_bounded_by_the_standard_monomials():
         # a acts on k = R/m as its constant term
         assert [coords(c, fp.dim) for c in fp.action(a.payload)] == [[a.payload[-1][1] if a.payload
                                          and not any(a.payload[-1][0]) else 0]]
+        view.action(a.payload, 2)
+    du.resolve(k, 4)
     assert len(view._monomial_rows) <= view.dim
+    assert len(view._moves) <= view.dim
     assert len(R._mul_table) <= view.dim ** 2
     assert len(fp._monomial_action) <= view.dim

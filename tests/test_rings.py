@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -320,3 +321,57 @@ def test_table_product_on_seeded_pairs(coeff, variables, ideal):
 def test_infinite_quotients_have_no_table():
     for R in (poly_quotient("F2", ["x", "y"], ["x^2"]), poly_quotient("F3", ["t"], [])):
         assert R._std_monomials is None and not hasattr(R, "_mul_table")
+
+
+GROEBNER_CASES = [
+    ("F2", ["x", "y"], ["x^2", "x*y", "y^2"]),
+    ("F2", ["x", "y"], ["x^4", "y^3"]),
+    ("F2", ["x"], ["x^4"]),
+    ("F3", ["x", "y", "z"], ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]),
+    ("F3", ["x", "y"], ["x^2", "y^2 - x*y"]),
+    ("F2", ["x", "y"], ["x^2 + x", "y^2"]),
+    ("F5", ["x", "y", "z"], ["x*y - z", "y*z - x", "z*x - y"]),
+    ("F7", ["x", "y"], ["x^3 - y^2", "x*y - 1"]),
+    ("Q", ["x", "y"], ["x^2 + y", "x*y - 1"]),
+    ("Q", ["x", "y", "z"], ["x + y + z", "x*y + y*z + z*x", "x*y*z - 1"]),
+]
+
+
+def random_ideal(rng, p, nvars):
+    names = ["x", "y", "z"][:nvars]
+    monomials = [m for m in itertools.product(range(3), repeat=nvars) if sum(m) <= 2]
+    ideal = []
+    for _ in range(rng.randint(2, 3)):
+        terms = rng.sample(monomials, rng.randint(1, 3))
+        ideal.append(" + ".join(f"{rng.randint(1, p - 1)}*" + "*".join(
+            f"{v}^{e}" for v, e in zip(names, m) if e) if any(m) else str(rng.randint(1, p - 1))
+            for m in terms))
+    return names, ideal
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "deglex", "lex"])
+def test_groebner_basis_matches_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    sympy_order = {"degrevlex": "grevlex", "deglex": "grlex", "lex": "lex"}[order]
+    rng = random.Random(f"groebner:{order}")
+    cases = GROEBNER_CASES + [(f"F{p}", *random_ideal(rng, p, rng.randint(2, 3)))
+                              for p in (2, 3, 5, 7) for _ in range(3)]
+    for coeff, variables, ideal in cases:
+        try:
+            R = poly_quotient(coeff, variables, ideal, order=order)
+        except ZeroRing:
+            R = None
+        syms = sympy.symbols(variables)
+        options = {} if coeff == "Q" else {"modulus": int(coeff[1:])}
+        exprs = [sympy.sympify(g.replace("^", "**"), locals=dict(zip(variables, syms)))
+                 for g in ideal]
+        G = sympy.groebner(exprs, *syms, order=sympy_order, **options)
+        if R is None:
+            assert list(G.exprs) == [1]
+            continue
+        ours = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                      if coeff == "Q" else c for e, c in g}, *syms, **options)
+                for g in R.groebner]
+        theirs = list(G.polys)
+        assert len(ours) == len(theirs), (coeff, variables, ideal)
+        assert all(any(a == b for b in theirs) for a in ours), (coeff, variables, ideal)
