@@ -5,16 +5,21 @@ Resolutions are built by repeated kernels, minimalized over local rings,
 and every infinite-resolution statement is windowed: verdicts carry the
 depth they were checked to.  No module is ever enumerated:
 
-- over a prime field or a finite-dimensional F_p-algebra, Ext^i(M, N) is
-  computed in F_p coordinates: Hom(F_i, N) = N^{b_i}, so its dimension is
-  b_i dim N minus the ranks of the two dual differentials, F_p matrices
-  built from the action of the differentials' entries on N.  The
-  resolution stays packed (linalg.packed_resolution), which checks each
-  d_i d_{i+1} = 0 on packed columns apart from the kernel computation;
-- elsewhere, and for the homology of Koszul-extension targets, homology
-  cardinalities are ratios of span cardinalities (finite rings) or come
-  from explicit subquotients (Z, Q, F_p[x]); the matrix products that
-  validate each ChainComplex check d d = 0.
+- over a finite ring, Ext^i(M, N) comes from the resolution alone:
+  Hom(F_i, N) = N^{b_i}, so |Ext^i| is |N|^{b_i} over the sizes of the
+  images of the two dual differentials Hom(d_i, N) and Hom(d_{i+1}, N).
+  Over a prime field or a finite-dimensional F_p-algebra those sizes are
+  p^rank of F_p matrices built from the action of the differentials'
+  entries on N, and the resolution stays packed
+  (linalg.packed_resolution), which checks each d_i d_{i+1} = 0 on packed
+  columns apart from the kernel computation.  Over Z/n each size is one
+  Howell form (linalg.dual_image_cardinalities), and the products that
+  validate the resolution's ChainComplex check d d = 0;
+- over Z, Q and F_p[x], and for the homology of Koszul-extension targets,
+  homology comes from the presented complex Hom(F, N): ratios of span
+  cardinalities over finite rings, explicit subquotients over Z, Q and
+  F_p[x]; the matrix products that validate each ChainComplex check
+  d d = 0.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotLocal, NotRegular, ToolkitError,
 )
 from .linalg import (
-    HomologySummary, fp_module, has_linear_solve, image_membership, kernel_basis,
-    kernel_cardinality, kernel_resolution, minimal_generators, packed_resolution,
-    span_cardinality, subquotient,
+    HomologySummary, dual_image_cardinalities, fp_module, has_linear_solve,
+    image_membership, kernel_basis, kernel_cardinality, kernel_resolution,
+    minimal_generators, packed_resolution, span_cardinality, subquotient,
 )
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RingHom, Zmod, poly_quotient
@@ -75,10 +80,11 @@ class ModulePresentation:
         return ModulePresentation(ring, 1, rel)
 
     def cardinality(self):
-        if span_cardinality(self.ring, Matrix.identity(self.ring, self.gens)) is None:
+        """|coker relations| over a finite ring, None over an infinite one."""
+        size = self.ring.cardinality()
+        if size is None:
             return None
-        total = self.ring.cardinality() ** self.gens
-        return total // span_cardinality(self.ring, self.relations)
+        return size ** self.gens // span_cardinality(self.ring, self.relations)
 
     @cached_property
     def fp_data(self):
@@ -240,41 +246,57 @@ def _check_window(window):
 def ext_table(M, N, window):
     """[Ext^i(M, N) for i = 0..window] as homology summaries.
 
-    M and N are presentations over a linear_solve ring; the resolution of M
-    is taken to depth window + 1, so every listed value is exact.  Window 0
-    lists Hom(M, N) alone; a negative window is rejected.  Over a ring with
-    an F_p view the resolution and the values stay in F_p coordinates,
-    elsewhere they come from the homology of the presented complex Hom(F, N).
+    M and N are presentations over one linear_solve ring; the resolution of
+    M is taken to depth window + 1, so every listed value is exact.  Window
+    0 lists Hom(M, N) alone; a negative window is rejected, and so are
+    modules over different rings, before any resolution work.  Over a
+    finite ring the values come from the resolution alone, through
+    Hom(F_i, N) = N^{b_i} (`_finite_ext_table`): in F_p coordinates over a
+    ring with an F_p view, from Howell image sizes over Z/n.  Over Z, Q and
+    F_p[x] they come from the homology of the presented complex Hom(F, N).
     """
     _check_window(window)
-    fp = N.fp_data
-    if fp is None:
+    if M.ring != N.ring:
+        raise MixedRings("hom over different rings")
+    ring, fp = N.ring, N.fp_data
+    if fp is not None:
+        diffs = packed_resolution(ring, _first_differential(M), window)
+        betti = [M.gens] + [len(cols) for cols in diffs]
+        size, images = fp.p ** fp.dim, [fp.p ** fp.dual_rank(cols) for cols in diffs]
+    elif ring.is_finite():
+        # the validated complex: the products of its construction check d d = 0
+        res = resolution_complex(M, window + 1)
+        diffs = [res.diff(i) for i in range(1, window + 2)]
+        betti = [M.gens] + [d.cols for d in diffs]
+        size = N.cardinality()
+        images = dual_image_cardinalities(ring, diffs, N.relations)
+    else:
         G = hom_into_presented(resolution_complex(M, window + 1),
                                module_as_presented_complex(N))
         # Hom(F_i, N) sits in homological degree -i
         return [presented_homology(G, -i) for i in range(window + 1)]
-    first = _first_differential(M)
-    if M.ring != N.ring:
-        raise MixedRings("hom over different rings")
-    return _fp_ext_table(M.gens, packed_resolution(M.ring, first, window), N, fp, window)
+    return _finite_ext_table(N, size, betti, images, window)
 
 
-def _fp_ext_table(gens, diffs, N, fp, window):
-    """Ext^i(M, N) for i = 0..window from Hom(F_i, N) = N^{b_i}:
-    dim Ext^i = b_i dim N - rank d*_{i+1} - rank d*_i, d*_i = Hom(d_i, N).
+def _finite_ext_table(N, size, betti, images, window):
+    """Ext^i(M, N) for i = 0..window over a finite ring, from Hom(F_i, N) =
+    N^{b_i}: |Ext^i| = |N|^{b_i} / (|im Hom(d_i, N)| |im Hom(d_{i+1}, N)|).
 
-    `diffs` holds the packed columns of d_1, d_2, ... (`packed_resolution`),
-    M has `gens` generators, and the differentials past the list are zero.
-    The summaries are the ones presented_homology gives for Hom(F, N)."""
-    diffs = diffs + [[]] * (window + 1 - len(diffs))
-    betti = [gens] + [len(cols) for cols in diffs]
-    dual = [0] + [fp.dual_rank(cols) for cols in diffs]
+    `size` is |N|, `betti` lists b_0, b_1, ... and `images` the image sizes
+    for d_1, d_2, ...; the Betti numbers and differentials past the lists
+    are zero.  The summaries are the ones presented_homology gives for
+    Hom(F, N), and its divisibility check is kept."""
+    betti = betti + [0] * (window + 2 - len(betti))
+    images = [1] + images + [1] * (window + 1 - len(images))
     out = []
     for i in range(window + 1):
         if betti[i] * N.gens == 0:
             out.append(_zero_ambient_summary(N.ring))
             continue
-        card = fp.p ** (betti[i] * fp.dim - dual[i + 1] - dual[i])
+        num, den = size ** betti[i], images[i] * images[i + 1]
+        if num % den:
+            raise ArithmeticError("image sizes do not divide |Hom(F_i, N)|")
+        card = num // den
         out.append(HomologySummary(N.ring, card == 1, cardinality=card))
     return out
 

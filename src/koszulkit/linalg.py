@@ -19,7 +19,9 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   every entry, transforms included, stays reduced; only pivot arithmetic
   runs in the Euclidean lift, Z or the ambient F_p[x].  It gives
   howell_form, kernels (from the Howell form of [A^T | I]), solutions and
-  cardinalities.  Over a field it gives row_echelon, the Hermite form.
+  cardinalities, among them the image sizes of Hom(d, N) that Ext over Z/n
+  reads; its input rows are written from the stored rows of the matrices.
+  Over a field it gives row_echelon, the Hermite form.
 - The domains Z, Q and F_p[x] run smith_data with recorded transforms for
   kernels, solutions and subquotients.  A subquotient over Z/n is the one
   over Z of the lifts enlarged by n Z^u.
@@ -823,20 +825,35 @@ def _transpose(grid):
     return [list(col) for col in zip(*grid)]
 
 
+def _column_grid(A, pad=0):
+    """The dense payload rows of A^T, each followed by `pad` zeros, filled
+    from A's stored rows in one pass."""
+    zero = A.ring.zero_payload
+    W = [[zero] * (A.rows + pad) for _ in range(A.cols)]
+    for i, (cols, vals) in enumerate(A.sparse_rows):
+        for j, v in zip(cols, vals):
+            W[j][i] = v
+    return W
+
+
 def _augmented_transpose(A):
     """The dense payload rows of [A^T | I]: row j pairs column j of A with e_j."""
-    return _payload_grid(A.transpose().hstack(Matrix.identity(A.ring, A.cols)))
+    W, one = _column_grid(A, A.cols), A.ring.one_payload
+    for j, row in enumerate(W, start=A.rows):
+        row[j] = one
+    return W
 
 
-def _howell_span_size(ring, ctx, A):
-    """|column span of A| over ED/(f): the product of the sizes of the
-    ideals (d), d a pivot of the Howell form of A^T, where |(d)| is
-    |ED/(f/d)|: n/d over Z, p^(deg f - deg d) over F_p[x]."""
-    W, f = _payload_grid(A.transpose()), ctx.modulus
+def _howell_span_size(ring, ctx, W, ncols):
+    """|span of the dense rows W| (ncols wide) over ED/(f): the product of
+    the sizes of the ideals (d), d a pivot of their Howell form, where
+    |(d)| is |ED/(f/d)|: n/d over Z, p^(deg f - deg d) over F_p[x].  W is
+    reduced in place."""
+    f = ctx.modulus
     if ring.kind == POLYQUOT:
         return prod(ring.coeff.p ** (f[0][0][0] - W[i][j][0][0][0])
-                    for j, i in _howell(ring, ctx, W, A.rows))
-    return prod(f // W[i][j] for j, i in _howell(ring, ctx, W, A.rows))
+                    for j, i in _howell(ring, ctx, W, ncols))
+    return prod(f // W[i][j] for j, i in _howell(ring, ctx, W, ncols))
 
 
 def _howell_solve(ring, ctx, A, B):
@@ -849,10 +866,8 @@ def _howell_solve(ring, ctx, A, B):
     pivot_row = dict(_howell(ring, ctx, W, left))
     add, mul, neg = ring.add_payload, ring.mul_payload, ring.neg_payload
     divmod_ = ctx.ed.divmod_payload
-    pad = [ring.zero_payload] * A.cols
     out = []
-    for b in _payload_grid(B.transpose()):
-        y = b + pad
+    for y in _column_grid(B, A.cols):
         for j in range(left):
             if not y[j]:
                 continue
@@ -965,7 +980,49 @@ def span_cardinality(ring, A):
         return view.p ** view.rank(A)
     if ctx.modulus is None:
         raise CapabilityMissing(f"{ring} is not finite")
-    return _howell_span_size(ring, ctx, A)
+    return _howell_span_size(ring, ctx, _column_grid(A), A.rows)
+
+
+def dual_image_cardinalities(ring, diffs, relations):
+    """[|im Hom(d, N)| for d in diffs] over Z/n or F_p[x]/(f), where N =
+    coker(relations) and Hom(d, N) : N^{d.rows} -> N^{d.cols}, phi -> phi d.
+
+    In the (target, source) row-major layout of R^{g c}, for g generators
+    of N and c columns of d, the image is span[I_g (x) d^T | relations (x)
+    I_c] over span(relations)^c.  The Howell input of that span is written
+    from the stored rows: row j of d once at each offset a c, and each
+    relation column once at each source k.
+    """
+    ctx = lift_context(ring)
+    if ctx is None or ctx.modulus is None:
+        raise CapabilityMissing(f"{ring} is not Z/n or F_p[x]/(f)")
+    g, zero = relations.rows, ring.zero_payload
+    rel_cols = [[(a, v) for a, v in enumerate(col) if v] for col in _column_grid(relations)]
+    rel_card = span_cardinality(ring, relations)
+    out = []
+    for d in diffs:
+        c = d.cols
+        width = g * c
+        W = []
+        for cols, vals in d.sparse_rows:
+            if not cols:
+                continue
+            for off in range(0, width, c):
+                row = [zero] * width
+                for j, v in zip(cols, vals):
+                    row[off + j] = v
+                W.append(row)
+        if not W:  # Hom(0, N) = 0
+            out.append(1)
+            continue
+        for col in rel_cols:
+            for k in range(c):
+                row = [zero] * width
+                for a, v in col:
+                    row[a * c + k] = v
+                W.append(row)
+        out.append(_howell_span_size(ring, ctx, W, width) // rel_card ** c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1295,9 +1352,10 @@ def minimal_generators(ring, M):
     F_p-algebra column c_j is kept exactly when it lies outside the F_p-span
     of mM and c_1 ... c_{j-1}.
     """
-    cols = [c for c in M.columns() if not c.is_zero()]
-    if len(cols) != M.cols:
-        M = _hstack_all(cols, ring, M.rows)
+    # the zero columns are those no stored row reaches
+    used = sorted({j for cols, _ in M.sparse_rows for j in cols})
+    if len(used) != M.cols:
+        M = M.submatrix(range(M.rows), used)
     if M.cols <= 1 or not ring.local:
         return M
     # prime fields keep the solve loop below, which decides the kept columns
@@ -1306,7 +1364,7 @@ def minimal_generators(ring, M):
         # mM is spanned by the columns times the nonconstant monomials
         nonconstant = [((m, 1),) for m in view.std if sum(m) > 0]
         keep = _nakayama_keep(view, view.columns(M), M.rows, nonconstant)
-        return _hstack_all([cols[j] for j in keep], ring, M.rows)
+        return M.submatrix(range(M.rows), keep)
     mgens = _maximal_ideal_elements(ring)
     cols = M.columns()
     changed = True
