@@ -3,32 +3,35 @@
 Modules enter as free presentations (cokernels of explicit matrices).
 Resolutions are built by repeated kernels, minimalized over local rings,
 and every infinite-resolution statement is windowed: verdicts carry the
-depth they were checked to.  No module is ever enumerated:
+depth they were checked to.  No module is ever enumerated.
 
-- over a finite ring, Ext^i(M, N) comes from the resolution alone:
-  Hom(F_i, N) = N^{b_i}, so |Ext^i| is |N|^{b_i} over the sizes of the
-  images of the two dual differentials Hom(d_i, N) and Hom(d_{i+1}, N).
-  Over a prime field or a finite-dimensional F_p-algebra those sizes are
-  p^rank of F_p matrices built from the action of the differentials'
-  entries on N, and the resolution stays packed
-  (linalg.packed_resolution), which checks each d_i d_{i+1} = 0 on packed
-  columns apart from the kernel computation.  Over Z/n each size is one
-  Howell form (linalg.dual_image_cardinalities), and the products that
-  validate the resolution's ChainComplex check d d = 0;
-- over Z, Q and F_p[x], and for the homology of Koszul-extension targets,
-  homology comes from the presented complex Hom(F, N): ratios of span
-  cardinalities over finite rings, explicit subquotients over Z, Q and
-  F_p[x]; the matrix products that validate each ChainComplex check
-  d d = 0.
+Every derived Hom is the homology of Hom(G, N) for a bounded complex G of
+finite free modules and a module N in degree 0 (`hom_homology`).  Ext
+takes G = F, the resolution; the Koszul-side checks take G = F (x) K*,
+since Hom(F, K (x) N) = Hom(F (x) K*, N) for the Koszul complex K.
+
+- Over a finite ring Hom(G_m, N) = N^{rank G_m}, so |H_{-m}| is
+  |N|^{rank G_m} over the sizes of the images of the two dual
+  differentials Hom(d_m, N) and Hom(d_{m+1}, N).  Over a prime field or a
+  finite-dimensional F_p-algebra those sizes are p^rank of F_p matrices
+  built from the action of the differentials' entries on N, and Ext's
+  resolution stays packed (linalg.packed_resolution), which checks each
+  d_i d_{i+1} = 0 on packed columns apart from the kernel computation.
+  Over Z/n each size is one Howell form (linalg.dual_image_cardinalities).
+- Over Z, Q and F_p[x] the homology is an explicit subquotient of
+  Hom(G, R^g) modulo the relations of N in each degree.
+
+Apart from the packed resolution, G is a validated ChainComplex, so the
+matrix products of its construction check d d = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .complexes import (
-    ChainComplex, free_module_complex, hom_complex, hom_summands, homology, tensor,
+    ChainComplex, free_module_complex, hom_complex, homology, tensor,
 )
 from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotLocal, NotRegular, ToolkitError,
@@ -123,124 +126,89 @@ def resolution_complex(pres, depth):
 
 
 # ---------------------------------------------------------------------------
-# presented-complex homology
+# derived Hom: the homology of Hom(G, N)
 #
-# A presented complex is a free complex of ambients together with one
-# relation matrix per degree; differentials must map relation spans into
-# relation spans.  Homology at degree t:
-#     { v : d_t v in span(rel_{t-1}) }  /  ( im d_{t+1} + span(rel_t) )
-# Over finite rings the cardinality is
-#     |amb_t| * |span rel_{t-1}| / |span [d_t | rel_{t-1}]| / |span [d_{t+1} | rel_t]|.
+# G is a bounded complex of finite free modules and N a module in degree 0,
+# so Hom(G, N) has Hom(G_m, N) = N^{rank G_m} in degree -m, and its
+# differential into degree -m-1 precomposes with d_{m+1}.  Ext^i(M, N) is
+# the case G = F, the resolution of M, at m = i.
 
 
-@dataclass
-class PresentedComplex:
-    ambient: ChainComplex
-    relations: dict                        # degree -> Matrix
-    _cache: dict = field(default_factory=dict)
-
-    def relation(self, n):
-        m = self.relations.get(n)
-        if m is None:
-            return Matrix.zeros(self.ambient.ring, self.ambient.rank(n), 0)
-        return m
-
-    def _rel_card(self, n):
-        key = ("rel", n)
-        if key not in self._cache:
-            self._cache[key] = span_cardinality(self.ambient.ring, self.relation(n))
-        return self._cache[key]
-
-    def _boundary_card(self, n):
-        # |span [d_n | rel_{n-1}]|, shared between adjacent homology degrees
-        key = ("bnd", n)
-        if key not in self._cache:
-            self._cache[key] = span_cardinality(
-                self.ambient.ring, self.ambient.diff(n).hstack(self.relation(n - 1)))
-        return self._cache[key]
+def _check_inputs(window, first, *others):
+    """Refuse a negative window and inputs over different rings."""
+    if window < 0:
+        raise ToolkitError(f"the window must be nonnegative, got {window}")
+    if any(x.ring != first.ring for x in others):
+        raise MixedRings("hom over different rings")
 
 
 def _zero_ambient_summary(ring):
-    """The homology in a degree where the ambient has rank 0."""
+    """The homology in a degree where Hom(G_m, N) = 0."""
     return HomologySummary(ring, True, cardinality=1 if ring.is_finite() else None,
                            dimension=0 if ring.kind in ("rationals", "primefield") else None,
                            free_rank=0, invariant_factors=())
 
 
-def presented_homology(pc, t):
-    ring = pc.ambient.ring
-    amb_rank = pc.ambient.rank(t)
-    if amb_rank == 0:
-        return _zero_ambient_summary(ring)
-    d_t = pc.ambient.diff(t)
-    d_next = pc.ambient.diff(t + 1)
-    rel_prev = pc.relation(t - 1)
-    rel_t = pc.relation(t)
-    if ring.is_finite():
-        amb_card = ring.cardinality() ** amb_rank
-        num = amb_card * pc._rel_card(t - 1)
-        den = pc._boundary_card(t)
-        wcard = pc._boundary_card(t + 1)
-        if num % den or (num // den) % wcard:
-            raise ArithmeticError("span cardinalities violate divisibility")
-        card = num // den // wcard
-        return HomologySummary(ring, card == 1, cardinality=card)
-    # explicit subquotient over Z, F_p[x], Q
-    V = kernel_basis(ring, d_t.hstack(rel_prev))
-    V = V.submatrix(range(amb_rank), range(V.cols)) if V.cols else \
-        Matrix.zeros(ring, amb_rank, 0)
-    W = d_next.hstack(rel_t)
-    return subquotient(ring, V, W)
+def hom_homology(G, N, degrees):
+    """[H_{-m} Hom(G, N) for m in degrees] as homology summaries, for
+    `degrees` an ascending range of degrees m of G.
 
-
-def hom_into_presented(source_free, target):
-    """Hom(source, target) as a presented complex.
-
-    `source_free` is a free complex, `target` a PresentedComplex; the
-    result's ambient is the hom complex of the ambients.  Relations are
-    block-diagonal over the nonzero summands Hom(M_i, N_{i+n}) of each
-    degree (`hom_summands`), each block kron(rel_{i+n}, I_{rank M_i}) in the
-    (target, source) row-major layout.
+    Over a finite ring the values come from G's differentials alone
+    (`_finite_ext_table`): the sizes of the images of Hom(d_m, N) are F_p
+    ranks (FpModule.dual_rank) over a ring with an F_p view and Howell
+    image sizes (dual_image_cardinalities) over Z/n.  Over Z, Q and F_p[x]
+    they are subquotients of Hom(G, R^g), g = N.gens, whose degree -m
+    carries N's relations (x) I_{rank G_m}.  G comes validated, so every
+    value rests on d d = 0.
     """
-    amb = hom_complex(source_free, target.ambient)
-    ring = amb.ring
-    relations = {}
-    for n, summands in hom_summands(source_free, target.ambient).items():
-        rels = [target.relation(i + n) for i, _, _ in summands]
-        blocks = {(k, k): rel.kron(Matrix.identity(ring, b))
-                  for k, (rel, (_, _, b)) in enumerate(zip(rels, summands)) if rel.cols}
-        if blocks:
-            relations[n] = Matrix.from_blocks(
-                ring, [a * b for _, a, b in summands],
-                [rel.cols * b for rel, (_, _, b) in zip(rels, summands)], blocks)
-    return PresentedComplex(amb, relations)
+    ring, fp = N.ring, N.fp_data
+    needed = [m for m in range(degrees.start, degrees.stop + 1) if G.rank(m) and G.rank(m - 1)]
+    if fp is not None:
+        images = [fp.p ** fp.dual_rank(fp.view.columns(G.diff(m))) for m in needed]
+        size = fp.p ** fp.dim
+    elif ring.is_finite():
+        images = dual_image_cardinalities(ring, [G.diff(m) for m in needed], N.relations)
+        size = N.cardinality()
+    else:
+        H = hom_complex(G, free_module_complex(ring, N.gens))
+
+        def rel(m):
+            return N.relations.kron(Matrix.identity(ring, G.rank(m)))
+
+        out = []
+        for m in degrees:
+            if not H.rank(-m):
+                out.append(_zero_ambient_summary(ring))
+                continue
+            V = kernel_basis(ring, H.diff(-m).hstack(rel(m + 1)))
+            V = V.submatrix(range(H.rank(-m)), range(V.cols))
+            out.append(subquotient(ring, V, H.diff(1 - m).hstack(rel(m))))
+        return out
+    ranks = {m: G.rank(m) for m in degrees}
+    return _finite_ext_table(N, size, ranks, dict(zip(needed, images)), degrees)
 
 
-def module_as_presented_complex(pres, degree=0):
-    amb = free_module_complex(pres.ring, pres.gens, degree)
-    return PresentedComplex(amb, {degree: pres.relations})
+def _finite_ext_table(N, size, ranks, images, degrees):
+    """[H_{-m} Hom(G, N) for m in degrees] over a finite ring, from
+    Hom(G_m, N) = N^{rank G_m}:
+        |H_{-m}| = |N|^{rank G_m} / (|im Hom(d_m, N)| |im Hom(d_{m+1}, N)|).
 
-
-def tensor_koszul_presented(K, pres):
-    """K (x) M as a presented complex: ambients K_j (x) R^g, relations
-    spread block-diagonally."""
-    ring = K.ring
-    amb = tensor(K.complex, free_module_complex(ring, pres.gens))
-    relations = {}
-    for j in range(K.e + 1):
-        binom = K.degree_rank(j)
-        if binom and pres.relations.cols:
-            relations[j] = Matrix.identity(ring, binom).kron(pres.relations)
-    return PresentedComplex(amb, relations)
-
-
-# ---------------------------------------------------------------------------
-# Ext
-
-
-def _check_window(window):
-    if window < 0:
-        raise ToolkitError(f"the window must be nonnegative, got {window}")
+    `size` is |N|; `ranks` and `images` map a degree m of G to rank G_m and
+    to |im Hom(d_m, N)|, absent degrees meaning rank 0 and image 1.  A
+    value whose image sizes do not divide |N|^{rank G_m} raises
+    ArithmeticError."""
+    out = []
+    for m in degrees:
+        rank = ranks.get(m, 0)
+        if rank * N.gens == 0:
+            out.append(_zero_ambient_summary(N.ring))
+            continue
+        num, den = size ** rank, images.get(m, 1) * images.get(m + 1, 1)
+        if num % den:
+            raise ArithmeticError("image sizes do not divide |Hom(G_m, N)|")
+        card = num // den
+        out.append(HomologySummary(N.ring, card == 1, cardinality=card))
+    return out
 
 
 def ext_table(M, N, window):
@@ -249,56 +217,21 @@ def ext_table(M, N, window):
     M and N are presentations over one linear_solve ring; the resolution of
     M is taken to depth window + 1, so every listed value is exact.  Window
     0 lists Hom(M, N) alone; a negative window is rejected, and so are
-    modules over different rings, before any resolution work.  Over a
-    finite ring the values come from the resolution alone, through
-    Hom(F_i, N) = N^{b_i} (`_finite_ext_table`): in F_p coordinates over a
-    ring with an F_p view, from Howell image sizes over Z/n.  Over Z, Q and
-    F_p[x] they come from the homology of the presented complex Hom(F, N).
+    modules over different rings, before any resolution work.  Over a ring
+    with an F_p view the resolution stays packed
+    (linalg.packed_resolution) and its columns feed `_finite_ext_table`
+    directly; otherwise the values are `hom_homology` of the validated
+    resolution.
     """
-    _check_window(window)
-    if M.ring != N.ring:
-        raise MixedRings("hom over different rings")
-    ring, fp = N.ring, N.fp_data
-    if fp is not None:
-        diffs = packed_resolution(ring, _first_differential(M), window)
-        betti = [M.gens] + [len(cols) for cols in diffs]
-        size, images = fp.p ** fp.dim, [fp.p ** fp.dual_rank(cols) for cols in diffs]
-    elif ring.is_finite():
-        # the validated complex: the products of its construction check d d = 0
-        res = resolution_complex(M, window + 1)
-        diffs = [res.diff(i) for i in range(1, window + 2)]
-        betti = [M.gens] + [d.cols for d in diffs]
-        size = N.cardinality()
-        images = dual_image_cardinalities(ring, diffs, N.relations)
-    else:
-        G = hom_into_presented(resolution_complex(M, window + 1),
-                               module_as_presented_complex(N))
-        # Hom(F_i, N) sits in homological degree -i
-        return [presented_homology(G, -i) for i in range(window + 1)]
-    return _finite_ext_table(N, size, betti, images, window)
-
-
-def _finite_ext_table(N, size, betti, images, window):
-    """Ext^i(M, N) for i = 0..window over a finite ring, from Hom(F_i, N) =
-    N^{b_i}: |Ext^i| = |N|^{b_i} / (|im Hom(d_i, N)| |im Hom(d_{i+1}, N)|).
-
-    `size` is |N|, `betti` lists b_0, b_1, ... and `images` the image sizes
-    for d_1, d_2, ...; the Betti numbers and differentials past the lists
-    are zero.  The summaries are the ones presented_homology gives for
-    Hom(F, N), and its divisibility check is kept."""
-    betti = betti + [0] * (window + 2 - len(betti))
-    images = [1] + images + [1] * (window + 1 - len(images))
-    out = []
-    for i in range(window + 1):
-        if betti[i] * N.gens == 0:
-            out.append(_zero_ambient_summary(N.ring))
-            continue
-        num, den = size ** betti[i], images[i] * images[i + 1]
-        if num % den:
-            raise ArithmeticError("image sizes do not divide |Hom(F_i, N)|")
-        card = num // den
-        out.append(HomologySummary(N.ring, card == 1, cardinality=card))
-    return out
+    _check_inputs(window, M, N)
+    fp = N.fp_data
+    if fp is None:
+        return hom_homology(resolution_complex(M, window + 1), N, range(window + 1))
+    diffs = packed_resolution(N.ring, _first_differential(M), window)
+    ranks = {i: len(cols) for i, cols in enumerate(diffs, start=1)}
+    ranks[0] = M.gens
+    images = {i: fp.p ** fp.dual_rank(cols) for i, cols in enumerate(diffs, start=1)}
+    return _finite_ext_table(N, fp.p ** fp.dim, ranks, images, range(window + 1))
 
 
 def ext_sup(M, N, window):
@@ -447,29 +380,40 @@ class TransferVerdict:
         return self.ring_level.ok == self.dg_match
 
 
+def _through_extension(M, X, K, window, degrees):
+    """[H_{-m} Hom(res M, K (x) X) for m in degrees], m <= window.
+
+    K is a bounded complex of finite free modules, so Hom(F, K (x) X) =
+    Hom(F (x) K*, X) with K* = Hom(K, R): the values are `hom_homology` of
+    G = F (x) K* into X in degree 0.  F reaches degree window + e + 1, past
+    which no value at m <= window looks.
+    """
+    dual = hom_complex(K.complex, free_module_complex(K.ring, 1))
+    G = tensor(resolution_complex(M, window + K.e + 1), dual)
+    return hom_homology(G, X, degrees)
+
+
 def koszul_sdc_transfer(K, C, window):
     """Paired verdicts: the ring-level homothety check of C, and the
     DG-level comparison of derived homs into the extension against the
     homology of the algebra itself.
 
-    The DG side computes H of Hom(res C, K (x) C) and matches it degreewise
-    against H(K) on [-window, e]; by the adjunction reduction this is the
-    homothety condition for the extension.
+    The DG side takes H_t of Hom(res C, K (x) C) through the adjunction,
+    as H_t of Hom(res C (x) K*, C) (`_through_extension`), and matches it
+    degreewise against H_t(K) on [-window, e]; by the adjunction reduction
+    this is the homothety condition for the extension.  A negative window
+    and K and C over different rings are refused before any work.
     """
+    _check_inputs(window, C, K)
     ring_level = homothety_check(C, window)
-    res = resolution_complex(C, window + K.e + 1)
-    target = tensor_koszul_presented(K, C)
-    G = hom_into_presented(res, target)
     degrees = tuple(range(-window, K.e + 1))
+    # H_t is the value at m = -t
+    lefts = _through_extension(C, C, K, window, range(-K.e, window + 1))[::-1]
     details = []
-    match = True
-    for t in degrees:
-        left = presented_homology(G, t)
+    for t, left in zip(degrees, lefts):
         right = homology(K.complex, t)
-        same = left.same_as(right)
-        details.append((t, left.cardinality, right.cardinality, same))
-        if not same:
-            match = False
+        details.append((t, left.cardinality, right.cardinality, left.same_as(right)))
+    match = all(same for *_, same in details)
     return TransferVerdict(ring_level, match, window, degrees, tuple(details))
 
 
@@ -495,26 +439,26 @@ def ext_sup_via_koszul(M, X, K, window):
     """The largest degree with nonvanishing Ext, computed twice.
 
     Directly from Hom(res M, X), and through the extension Hom(res M,
-    K (x) X).  The bottom nonzero homology degree is preserved by the
-    extension, so away from the window edge the two sups agree exactly.
-    At the edge the extension side at depth `window` aggregates the e
-    degrees above it, so the direct side scans [window, window + e] when
-    deciding whether the edge is active.
+    K (x) X), taken as Hom(res M (x) K*, X) (`_through_extension`).  Over a
+    local ring with the sequence of K in the maximal ideal, the bottom
+    nonzero homology degree is preserved by the extension, so away from
+    the window edge the two sups agree exactly.  The agreement rests on
+    that hypothesis: over Z with K on 3, K (x) Z/2 is acyclic because 3 is a
+    unit on Z/2, and M = X = Z/2 honestly gives agree=False.  At the edge
+    the extension side at depth `window` aggregates the e degrees above it,
+    so the direct side scans [window, window + e] when deciding whether the
+    edge is active.  A negative window and inputs over different rings are
+    refused before any work.
     """
-    _check_window(window)
+    _check_inputs(window, M, X, K)
     e = K.e
     table = ext_table(M, X, window + e)
     nonzero_direct = [i for i in range(window + 1) if not table[i].is_zero]
     direct_sup = max(nonzero_direct) if nonzero_direct else None
     direct_top = any(not table[i].is_zero
                      for i in range(window, window + e + 1))
-    # degree -window of the hom complex into the extension is exact only
-    # when the resolution reaches e + 1 steps further down
-    res = resolution_complex(M, window + e + 1)
-    target = tensor_koszul_presented(K, X)
-    G = hom_into_presented(res, target)
-    nonzero = [i for i in range(window + 1)
-               if not presented_homology(G, -i).is_zero]
+    nonzero = [i for i, h in enumerate(_through_extension(M, X, K, window, range(window + 1)))
+               if not h.is_zero]
     k_sup = max(nonzero) if nonzero else None
     k_top = window in nonzero
     return ExtSupResult(direct_sup, k_sup, direct_top, k_top)

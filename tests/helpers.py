@@ -5,12 +5,19 @@ import itertools
 import operator
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 
 from koszulkit.cli import main
-from koszulkit.complexes import ChainComplex, tensor_differential, tensor_layout, zero_complex
+from koszulkit.complexes import (
+    ChainComplex, free_module_complex, homology, tensor, tensor_differential, tensor_layout,
+    zero_complex,
+)
 from koszulkit.descent import Assignment, SystemVariable, VarPoly, _assignment_matrix
+from koszulkit.duality import ExtSupResult, resolution_complex
 from koszulkit.errors import MixedRings
-from koszulkit.linalg import invert, kernel_basis, minimal_generators
+from koszulkit.linalg import (
+    HomologySummary, invert, kernel_basis, minimal_generators, span_cardinality, subquotient,
+)
 from koszulkit.matrices import Matrix
 
 
@@ -237,7 +244,6 @@ def reference_hom_complex(M, N):
 
 def reference_hom_relations(source_free, target):
     """The relations of Hom(source, target) with every summand scanned."""
-    from koszulkit.duality import PresentedComplex
     amb = reference_hom_complex(source_free, target.ambient)
     ring = amb.ring
     relations = {}
@@ -253,6 +259,105 @@ def reference_hom_relations(source_free, target):
                   if a and rel.cols and b}
         relations[n] = Matrix.from_blocks(ring, heights, widths, blocks)
     return PresentedComplex(amb, relations)
+
+
+# ---------------------------------------------------------------------------
+# the presented-complex oracle for derived Homs: a target given as a free
+# complex of ambients with one relation matrix per degree, Hom(F, target)
+# with relations in every degree (`reference_hom_relations`), and its
+# homology from ratios of span cardinalities over finite rings and from
+# subquotients over Z, Q and F_p[x]
+
+
+@dataclass
+class PresentedComplex:
+    """A free complex of ambients and its relations, degree -> Matrix; the
+    differentials map relation spans into relation spans.  Homology at t:
+        { v : d_t v in span(rel_{t-1}) } / ( im d_{t+1} + span(rel_t) )."""
+
+    ambient: ChainComplex
+    relations: dict
+
+    def relation(self, n):
+        m = self.relations.get(n)
+        if m is None:
+            return Matrix.zeros(self.ambient.ring, self.ambient.rank(n), 0)
+        return m
+
+
+def module_as_presented_complex(pres, degree=0):
+    return PresentedComplex(free_module_complex(pres.ring, pres.gens, degree),
+                            {degree: pres.relations})
+
+
+def tensor_koszul_presented(K, pres):
+    """K (x) M: ambients K_j (x) R^g, relations spread block-diagonally."""
+    ring = K.ring
+    amb = tensor(K.complex, free_module_complex(ring, pres.gens))
+    relations = {j: Matrix.identity(ring, K.degree_rank(j)).kron(pres.relations)
+                 for j in range(K.e + 1) if K.degree_rank(j) and pres.relations.cols}
+    return PresentedComplex(amb, relations)
+
+
+def presented_homology(pc, t):
+    ring = pc.ambient.ring
+    amb_rank = pc.ambient.rank(t)
+    if amb_rank == 0:
+        return HomologySummary(ring, True, cardinality=1 if ring.is_finite() else None,
+                               dimension=0 if ring.kind in ("rationals", "primefield") else None,
+                               free_rank=0, invariant_factors=())
+    d_t, d_next = pc.ambient.diff(t), pc.ambient.diff(t + 1)
+    rel_prev, rel_t = pc.relation(t - 1), pc.relation(t)
+    if ring.is_finite():
+        # |amb_t| |span rel_{t-1}| / |span [d_t | rel_{t-1}]| / |span [d_{t+1} | rel_t]|
+        num = ring.cardinality() ** amb_rank * span_cardinality(ring, rel_prev)
+        den = span_cardinality(ring, d_t.hstack(rel_prev))
+        wcard = span_cardinality(ring, d_next.hstack(rel_t))
+        if num % den or (num // den) % wcard:
+            raise ArithmeticError("span cardinalities violate divisibility")
+        card = num // den // wcard
+        return HomologySummary(ring, card == 1, cardinality=card)
+    V = kernel_basis(ring, d_t.hstack(rel_prev))
+    V = V.submatrix(range(amb_rank), range(V.cols))
+    return subquotient(ring, V, d_next.hstack(rel_t))
+
+
+def presented_route(M, N, window):
+    """Ext^0..Ext^window of the presented complex Hom(F, N)."""
+    G = reference_hom_relations(resolution_complex(M, window + 1),
+                                module_as_presented_complex(N))
+    return [presented_homology(G, -i) for i in range(window + 1)]
+
+
+def presented_koszul_side(M, X, K, window, degrees):
+    """[H_t Hom(res M, K (x) X) for t in degrees] on the presented complex,
+    the resolution taken to depth window + e + 1."""
+    G = reference_hom_relations(resolution_complex(M, window + K.e + 1),
+                                tensor_koszul_presented(K, X))
+    return [presented_homology(G, t) for t in degrees]
+
+
+def presented_transfer_details(K, C, window):
+    """The `details` of koszul_sdc_transfer(K, C, window) on the oracle."""
+    degrees = range(-window, K.e + 1)
+    out = []
+    for t, left in zip(degrees, presented_koszul_side(C, C, K, window, degrees)):
+        right = homology(K.complex, t)
+        out.append((t, left.cardinality, right.cardinality, left.same_as(right)))
+    return tuple(out)
+
+
+def presented_ext_sup(M, X, K, window):
+    """ext_sup_via_koszul(M, X, K, window) with the extension side on the
+    oracle and the direct side from its presented Ext table."""
+    e = K.e
+    table = presented_route(M, X, window + e)
+    direct = [i for i in range(window + 1) if not table[i].is_zero]
+    side = presented_koszul_side(M, X, K, window, [-i for i in range(window + 1)])
+    nonzero = [i for i, h in enumerate(side) if not h.is_zero]
+    return ExtSupResult(max(direct) if direct else None, max(nonzero) if nonzero else None,
+                        any(not table[i].is_zero for i in range(window, window + e + 1)),
+                        window in nonzero)
 
 
 def reference_resolve(pres, depth):

@@ -6,9 +6,9 @@
 - The packed resolution loop (`packed_resolution`) behind `resolve` and
   `ext_table`: the same matrices as resolving step by step on payload
   matrices, and a planted kernel error caught by its d.d = 0 check.
-- The F_p Hom route of `ext_table` (Hom(F_i, N) = N^{b_i}) against
-  presented_homology on the presented complex Hom(F, N), summary for
-  summary, edge cases included.
+- The F_p Hom route of `ext_table` (Hom(F_i, N) = N^{b_i}) against the
+  presented-complex oracle of `helpers` (presented_route: span ratios on
+  Hom(F, N) with its relations), summary for summary, edge cases included.
 - Betti numbers of the residue field against closed forms: b_n = d^n over
   k[x_1..x_d]/(x)^2, and the Poincare series (1+t)^d / (1-t^2)^d over
   k[x_1..x_d]/(x_1^{a_1}, ..., x_d^{a_d}) (Tate, Illinois J. Math. 1957).
@@ -30,7 +30,7 @@ from koszulkit.linalg import (
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, Zmod, poly_quotient
 
-from helpers import reference_resolve
+from helpers import presented_route, reference_resolve
 
 RINGS = {
     "F2[x]/(x^4)": poly_quotient("F2", ["x"], ["x^4"]),
@@ -203,13 +203,7 @@ def test_a_planted_kernel_error_over_a_prime_field(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the F_p Hom route against presented_homology
-
-
-def presented_route(M, N, window):
-    res = du.resolution_complex(M, window + 1)
-    G = du.hom_into_presented(res, du.module_as_presented_complex(N))
-    return [du.presented_homology(G, -i) for i in range(window + 1)]
+# the F_p Hom route against the presented-complex oracle
 
 
 @pytest.mark.parametrize("name", list(ALL))

@@ -1,12 +1,17 @@
-"""Hom complexes assembled from their nonzero summands.
+"""Hom complexes assembled from their nonzero summands, and derived Homs
+against the presented-complex oracle.
 
-`complexes.hom_complex` and `duality.hom_into_presented` list, in each
-degree, only the summands Hom(M_i, N_j) with both ranks nonzero.  The
-references in `helpers` scan every summand of every degree between the
-extremes, as the assembly did before.  Ranks, differentials and relations
-must agree byte for byte, in the same order, on complexes with gaps in
-their support, negative degrees, targets in several degrees, zero
-complexes and modules in one degree.
+`complexes.hom_complex` lists, in each degree, only the summands
+Hom(M_i, N_j) with both ranks nonzero.  The references in `helpers` scan
+every summand of every degree between the extremes, as the assembly did
+before.  Ranks and differentials must agree byte for byte, in the same
+order, on complexes with gaps in their support, negative degrees, targets
+in several degrees, zero complexes and modules in one degree.
+
+`duality.hom_homology` takes the homology of Hom(G, N) for N in degree 0
+alone.  A module in degree d is reached by shifting G, and a Koszul
+extension K (x) C through Hom(F, K (x) C) = Hom(F (x) K*, C); both must give
+the summaries of the oracle, whose relations sit in every degree.
 """
 
 import random
@@ -20,7 +25,8 @@ from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod, poly_quotient
 
 from helpers import (
-    random_bounded_complex, random_matrix, reference_hom_complex, reference_hom_relations,
+    module_as_presented_complex, presented_homology, random_bounded_complex, random_matrix,
+    reference_hom_complex, reference_hom_relations, tensor_koszul_presented,
 )
 
 Z = ZZ()
@@ -39,10 +45,15 @@ def assert_same_complex(A, B):
         [(n, stored(d)) for n, d in B._diffs.items()]
 
 
-def assert_same_presented(G, H):
-    assert_same_complex(G.ambient, H.ambient)
-    assert [(n, stored(m)) for n, m in G.relations.items()] == \
-        [(n, stored(m)) for n, m in H.relations.items()]
+def assert_oracle_homology(F, target, G, N):
+    """Hom(F, target) on the oracle against hom_homology(G, N), degree by
+    degree: H_t of the one is H_{-m} of the other at m = -t.  The oracle's
+    ambient must also be the Hom complex of the ambients."""
+    oracle = reference_hom_relations(F, target)
+    assert_same_complex(cx.hom_complex(F, target.ambient), oracle.ambient)
+    degrees = oracle.ambient.degrees() or range(1)
+    assert du.hom_homology(G, N, range(-degrees[-1], 1 - degrees[0]))[::-1] == \
+        [presented_homology(oracle, t) for t in degrees]
 
 
 def gapped(ring, rng, shift):
@@ -81,9 +92,7 @@ def test_zero_complexes():
         assert_same_complex(H, reference_hom_complex(A, B))
     empty = du.ModulePresentation(Z4, 0, Matrix.zeros(Z4, 0, 0))
     res = du.resolution_complex(du.ModulePresentation.residue_field(Z4), 3)
-    target = du.module_as_presented_complex(empty)
-    assert_same_presented(du.hom_into_presented(res, target),
-                          reference_hom_relations(res, target))
+    assert_oracle_homology(res, module_as_presented_complex(empty), res, empty)
 
 
 @pytest.mark.parametrize("ring", [Z4, F2XY], ids=["Z/4", "F2[x,y]/(x,y)^2"])
@@ -96,9 +105,9 @@ def test_module_target_in_one_degree(ring, degree):
     for M in modules:
         res = du.resolution_complex(M, 4)
         for N in modules:
-            target = du.module_as_presented_complex(N, degree)
-            assert_same_presented(du.hom_into_presented(res, target),
-                                  reference_hom_relations(res, target))
+            # Hom(F, N placed in degree d) is Hom(F shifted by -d, N)
+            assert_oracle_homology(res, module_as_presented_complex(N, degree),
+                                   cx.shift(res, -degree), N)
 
 
 def test_koszul_presented_target_in_several_degrees():
@@ -110,8 +119,8 @@ def test_koszul_presented_target_in_several_degrees():
         rng = random.Random(f"koszul-target:{ring!r}")
         for C in [du.ModulePresentation.residue_field(ring),
                   du.ModulePresentation(ring, 2, random_matrix(ring, 2, 2, rng))]:
-            target = du.tensor_koszul_presented(K, C)
+            target = tensor_koszul_presented(K, C)
             assert len(target.ambient.support) == K.e + 1
             res = du.resolution_complex(C, 3 + K.e)
-            assert_same_presented(du.hom_into_presented(res, target),
-                                  reference_hom_relations(res, target))
+            dual = cx.hom_complex(K.complex, cx.free_module_complex(ring, 1))
+            assert_oracle_homology(res, target, cx.tensor(res, dual), C)

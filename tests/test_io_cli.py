@@ -393,6 +393,24 @@ def test_cli_sdc_and_lift(tmp_path):
     assert code == 1 and "Tor_1" in out
 
 
+def test_cli_sdc_check_koszul_transfer(tmp_path):
+    kz = tmp_path / "K.kz"
+    assert run_cli(["koszul", "build", "--ring", "polyquot coeff=F2 vars=x,y "
+                    "order=degrevlex ideal=[x^2, x*y, y^2]", "--sequence", "x",
+                    "-o", str(kz)])[0] == 0
+    check = ["sdc", "check", "--koszul", str(kz), "--window", "4", "--module"]
+    code, out, _ = run_cli(check + [str(GOLDEN / "omega.pm")])
+    assert (code, out) == (0, "ring-level: semidualizing (window 4)\n"
+                              "dg-level match: yes\nverdicts agree: yes\n")
+    code, out, _ = run_cli(check + [str(GOLDEN / "k.pm")])
+    assert (code, out) == (1, "ring-level: not semidualizing: Ext^1 nonzero (card 4)\n"
+                              "dg-level match: no\nverdicts agree: yes\n")
+    # K over Z/4 against a module over F2[x,y]/(x,y)^2
+    code, out, err = run_cli(["sdc", "check", "--module", str(GOLDEN / "omega.pm"),
+                              "--koszul", str(GOLDEN / "K4_on_2.kz")])
+    assert (code, out) == (2, "") and "different rings" in err
+
+
 def test_cli_koszul_verify(tmp_path):
     kz = tmp_path / "K.kz"
     run_cli(["koszul", "build", "--ring", "primefield 7",
