@@ -24,8 +24,14 @@ form.  Over Z/27 it also checks Ext(Z/9, Z/3) and Ext(Z/3, Z/9) at window
 20 against the closed form for cyclic modules over Z/p^k: the resolution
 of Z/p^a alternates p^a and p^(k-a), so |Ext^0(Z/p^a, Z/p^b)| = p^min(a,b),
 and Ext^n has p^(min(k-a, b) - max(b-a, 0)) elements for odd n and
-p^(min(a, b) - max(b-k+a, 0)) for even n > 0.  It prints wall times.  It
-exits 1 on a wrong answer only, never on time.
+p^(min(a, b) - max(b-k+a, 0)) for even n > 0.
+
+Over the chain rings Z/27, Z/8, F2[x]/(x^4) and F3[x]/(x^3) it takes
+ext_table(k, k) at window 10,000 and checks that |Ext^n(k, k)| = |k| in
+every degree and that the resolution of k stopped at a certified period
+(i, q) (linalg.resolution), so that the window costs what i + q degrees
+do; over Z/27 it also times ext_sup(k, k) at window 10^6.  It prints wall
+times.  It exits 1 on a wrong answer only, never on time.
 """
 
 import sys
@@ -35,7 +41,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from koszulkit.duality import ModulePresentation, ext_table, resolve
+from koszulkit.duality import ModulePresentation, ext_sup, ext_table, resolve
+from koszulkit.linalg import minimal_generators, resolution
 from koszulkit.rings import Zmod, poly_quotient
 
 XY2 = ["x^2", "x*y", "y^2"]
@@ -54,6 +61,10 @@ CASES = [
 ]
 # (p, k, a, b, window): Ext(Z/p^a, Z/p^b) over Z/p^k
 CYCLIC = [(3, 3, 2, 1, 20), (3, 3, 1, 2, 20)]
+# chain rings, whose resolution of k repeats: Ext(k, k) at window 10,000
+PERIODIC = [lambda: Zmod(27), lambda: Zmod(8), lambda: poly_quotient("F2", ["x"], ["x^4"]),
+            lambda: poly_quotient("F3", ["x"], ["x^3"])]
+PERIODIC_WINDOW = 10_000
 
 
 def cyclic_ext(p, k, a, b, window):
@@ -101,6 +112,24 @@ def main():
               f"resolve {resolve_ms:.1f} ms, ext_table {ext_ms:.1f} ms, "
               f"Betti numbers {[M.gens] + [d.cols for d in diffs]}: "
               + ("ok" if ok else "WRONG closed form"))
+    for make in PERIODIC:
+        R = make()
+        k = ModulePresentation.residue_field(R)
+        table, ext_ms = timed(ext_table, k, k, PERIODIC_WINDOW)
+        period = resolution(R, minimal_generators(R, k.relations), PERIODIC_WINDOW).period
+        checks = {
+            "|Ext^n(k, k)| = |k|": [h.cardinality for h in table]
+            == [k.cardinality()] * (PERIODIC_WINDOW + 1),
+            "certified period": period is not None,
+        }
+        line = f"{R}, window {PERIODIC_WINDOW}: ext_table {ext_ms:.1f} ms, period {period}"
+        if R == Zmod(27):
+            sup, sup_ms = timed(ext_sup, k, k, 10 ** 6)
+            checks["ext_sup at window 10^6"] = sup == (10 ** 6, True)
+            line += f", ext_sup at window 10^6 {sup_ms:.1f} ms"
+        failed = [name for name, ok in checks.items() if not ok]
+        wrong += [(repr(R), name) for name in failed]
+        print(f"{line}: " + ("ok" if not failed else "WRONG " + ", ".join(failed)))
     return 1 if wrong else 0
 
 

@@ -2,8 +2,11 @@
 
 Modules enter as free presentations (cokernels of explicit matrices).
 Resolutions are built by repeated kernels, minimalized over local rings,
-and every infinite-resolution statement is windowed: verdicts carry the
-depth they were checked to.  No module is ever enumerated.
+in one loop (linalg.resolution) that stops at a certified period: when a
+differential repeats one or two steps back, the cycle's products vanish
+and each of its spots is exact by image sizes, so the periodic
+continuation is the resolution and Ext repeats with it.  Verdicts still
+carry the window they were asked for.  No module is ever enumerated.
 
 Every derived Hom is the homology of Hom(G, N) for a bounded complex G of
 finite free modules and a module N in degree 0 (`hom_homology`).  Ext
@@ -15,20 +18,22 @@ since Hom(F, K (x) N) = Hom(F (x) K*, N) for the Koszul complex K.
   differentials Hom(d_m, N) and Hom(d_{m+1}, N).  Over a prime field or a
   finite-dimensional F_p-algebra those sizes are p^rank of F_p matrices
   built from the action of the differentials' entries on N, and Ext's
-  resolution stays packed (linalg.packed_resolution), which checks each
-  d_i d_{i+1} = 0 on packed columns apart from the kernel computation.
-  Over Z/n each size is one Howell form (linalg.dual_image_cardinalities).
+  resolution stays in packed F_p coordinates.  Over Z/n each size is one
+  Howell form (linalg.dual_image_cardinalities).  Ext reads only the
+  degrees below the end of the first period.
 - Over Z, Q and F_p[x] the homology is an explicit subquotient of
   Hom(G, R^g) modulo the relations of N in each degree.
 
-Apart from the packed resolution, G is a validated ChainComplex, so the
-matrix products of its construction check d d = 0.
+The resolution loop checks each d_i d_{i+1} = 0 apart from the kernel
+computation; every other G is a validated ChainComplex, so the matrix
+products of its construction check d d = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .complexes import (
     ChainComplex, free_module_complex, hom_complex, homology, tensor,
@@ -38,8 +43,8 @@ from .errors import (
 )
 from .linalg import (
     HomologySummary, dual_image_cardinalities, fp_module, has_linear_solve,
-    image_membership, kernel_basis, kernel_cardinality, kernel_resolution,
-    minimal_generators, packed_resolution, span_cardinality, subquotient,
+    image_membership, kernel_basis, kernel_cardinality, minimal_generators, periodic,
+    resolution, span_cardinality, subquotient,
 )
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RingHom, Zmod, poly_quotient
@@ -107,22 +112,40 @@ def _first_differential(pres):
     return minimal_generators(pres.ring, pres.relations)
 
 
+def _resolution(pres, depth):
+    """The resolution of pres to depth `depth` as the loop leaves it
+    (linalg.Resolution): d_1 and up to depth - 1 kernels."""
+    return resolution(pres.ring, _first_differential(pres), depth - 1)
+
+
 def resolve(pres, depth):
     """Free resolution differentials [d_1, ..., d_depth], minimalized where
-    the ring is local; the list stops early when a kernel vanishes."""
-    first = _first_differential(pres)
-    return [first] + kernel_resolution(pres.ring, first, depth - 1)
+    the ring is local; the list stops early when a kernel vanishes.
+
+    The loop (linalg.resolution) stops at a certified period (i, q): the
+    differentials d_i ... d_{i+q-1} repeat, their products around the cycle
+    vanish and every spot of the cycle is exact by image sizes.  Each step
+    is a function of the previous differential, so the list continued by
+    d_{m+q} = d_m is the one that resolving step by step gives.
+    """
+    return _resolution(pres, depth).matrices(max(depth, 1))
+
+
+def _complex_of(pres, res, depth):
+    """d_1 ... d_depth of `res` as a free complex F_0 <- F_1 <- ...; the
+    loop has checked every product d_n d_{n+1} = 0, around a period too."""
+    ranks = {0: pres.gens}
+    dmap = {}
+    for i, d in enumerate(res.matrices(depth), start=1):
+        ranks[i] = d.cols
+        dmap[i] = d
+    return ChainComplex(pres.ring, ranks, dmap, _validated=True)
 
 
 def resolution_complex(pres, depth):
-    """The resolution as a validated free complex F_0 <- F_1 <- ..."""
-    diffs = resolve(pres, depth)
-    ranks = {0: pres.gens}
-    dmap = {}
-    for i, d in enumerate(diffs, start=1):
-        ranks[i] = d.cols
-        dmap[i] = d
-    return ChainComplex(pres.ring, ranks, dmap)
+    """The resolution as a free complex F_0 <- F_1 <- ..., d d = 0 checked
+    by the loop."""
+    return _complex_of(pres, _resolution(pres, depth), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +185,37 @@ def hom_homology(G, N, degrees):
     value rests on d d = 0.
     """
     ring, fp = N.ring, N.fp_data
-    needed = [m for m in range(degrees.start, degrees.stop + 1) if G.rank(m) and G.rank(m - 1)]
+    if ring.is_finite():
+        needed = [m for m in range(degrees.start, degrees.stop + 1)
+                  if G.rank(m) and G.rank(m - 1)]
+        diffs = [G.diff(m) for m in needed]
+        size, images = _dual_images(N, [fp.view.columns(d) for d in diffs] if fp else diffs)
+        ranks = {m: G.rank(m) for m in degrees}
+        return _finite_ext_table(N, size, ranks, dict(zip(needed, images)), degrees)
+    H = hom_complex(G, free_module_complex(ring, N.gens))
+
+    def rel(m):
+        return N.relations.kron(Matrix.identity(ring, G.rank(m)))
+
+    out = []
+    for m in degrees:
+        if not H.rank(-m):
+            out.append(_zero_ambient_summary(ring))
+            continue
+        V = kernel_basis(ring, H.diff(-m).hstack(rel(m + 1)))
+        V = V.submatrix(range(H.rank(-m)), range(V.cols))
+        out.append(subquotient(ring, V, H.diff(1 - m).hstack(rel(m))))
+    return out
+
+
+def _dual_images(N, diffs):
+    """(|N|, [|im Hom(d, N)| for d in diffs]) over a finite ring: p^rank
+    over a ring with an F_p view, each d given by the packed coordinates of
+    its columns, and one Howell image size per matrix d over Z/n."""
+    fp = N.fp_data
     if fp is not None:
-        images = [fp.p ** fp.dual_rank(fp.view.columns(G.diff(m))) for m in needed]
-        size = fp.p ** fp.dim
-    elif ring.is_finite():
-        images = dual_image_cardinalities(ring, [G.diff(m) for m in needed], N.relations)
-        size = N.cardinality()
-    else:
-        H = hom_complex(G, free_module_complex(ring, N.gens))
-
-        def rel(m):
-            return N.relations.kron(Matrix.identity(ring, G.rank(m)))
-
-        out = []
-        for m in degrees:
-            if not H.rank(-m):
-                out.append(_zero_ambient_summary(ring))
-                continue
-            V = kernel_basis(ring, H.diff(-m).hstack(rel(m + 1)))
-            V = V.submatrix(range(H.rank(-m)), range(V.cols))
-            out.append(subquotient(ring, V, H.diff(1 - m).hstack(rel(m))))
-        return out
-    ranks = {m: G.rank(m) for m in degrees}
-    return _finite_ext_table(N, size, ranks, dict(zip(needed, images)), degrees)
+        return fp.p ** fp.dim, [fp.p ** fp.dual_rank(cols) for cols in diffs]
+    return N.cardinality(), dual_image_cardinalities(N.ring, diffs, N.relations)
 
 
 def _finite_ext_table(N, size, ranks, images, degrees):
@@ -211,35 +241,72 @@ def _finite_ext_table(N, size, ranks, images, degrees):
     return out
 
 
+def _ext_values(M, N, window, res=None):
+    """(values, period): values lists Ext^m(M, N) for m = 0 .. window, or
+    for m = 0 .. i + q - 1 when that is shorter and the resolution `res` of
+    M (made to depth window + 1 when not given) has a certified period
+    (i, q); past it Ext^{m+q} = Ext^m for m >= i.
+
+    Over a finite ring only the ranks and the dual image sizes of the
+    listed degrees are computed, from the loop's own differentials: packed
+    columns over a ring with an F_p view, matrices over Z/n.  Over Z, Q and
+    F_p[x] the values are `hom_homology` of the validated resolution.
+    """
+    _check_inputs(window, M, N)
+    if res is None:
+        res = _resolution(M, window + 1)
+    if not N.ring.is_finite():
+        return hom_homology(_complex_of(M, res, window + 1), N, range(window + 1)), None
+    period, n = res.period, len(res.diffs)
+    top = window if period is None else min(window, n)
+    live = range(1, min(top + 1, n) + 1)
+    size, images = _dual_images(N, [res.diffs[m - 1] for m in live])
+    images = dict(zip(live, images))
+    if period and top == n:  # Ext^n reads d_{n+1} = d_i
+        images[n + 1] = images[period[0]]
+    return _finite_ext_table(N, size, dict(enumerate(res.ranks)), images, range(top + 1)), period
+
+
 def ext_table(M, N, window):
     """[Ext^i(M, N) for i = 0..window] as homology summaries.
 
     M and N are presentations over one linear_solve ring; the resolution of
     M is taken to depth window + 1, so every listed value is exact.  Window
     0 lists Hom(M, N) alone; a negative window is rejected, and so are
-    modules over different rings, before any resolution work.  Over a ring
-    with an F_p view the resolution stays packed
-    (linalg.packed_resolution) and its columns feed `_finite_ext_table`
-    directly; otherwise the values are `hom_homology` of the validated
-    resolution.
+    modules over different rings, before any resolution work.  Over a
+    finite ring the values come from the resolution's differentials alone
+    (`_finite_ext_table`): F_p ranks over a ring with an F_p view, whose
+    resolution stays packed, and Howell image sizes over Z/n.
+
+    The resolution stops at a certified period (i, q) (linalg.resolution):
+    its products around the cycle vanish and each spot of the cycle is
+    exact by image sizes, so the cycled differentials are a free resolution
+    and Hom(F_m, N) with its two differentials repeats for m >= i.  Then
+    only Ext^0 .. Ext^{i+q-1} are computed, and Ext^m for m >= i is
+    Ext^{i + (m - i) mod q}, so any window costs what i + q degrees do.
     """
-    _check_inputs(window, M, N)
-    fp = N.fp_data
-    if fp is None:
-        return hom_homology(resolution_complex(M, window + 1), N, range(window + 1))
-    diffs = packed_resolution(N.ring, _first_differential(M), window)
-    ranks = {i: len(cols) for i, cols in enumerate(diffs, start=1)}
-    ranks[0] = M.gens
-    images = {i: fp.p ** fp.dual_rank(cols) for i, cols in enumerate(diffs, start=1)}
-    return _finite_ext_table(N, fp.p ** fp.dim, ranks, images, range(window + 1))
+    values, period = _ext_values(M, N, window)
+    return periodic(values, period, window + 1)
 
 
 def ext_sup(M, N, window):
-    """Largest i <= window with Ext^i nonzero, or None; flags top-of-window."""
-    table = ext_table(M, N, window)
-    nonzero = [i for i, h in enumerate(table) if not h.is_zero]
-    top = not table[window].is_zero
-    return (max(nonzero) if nonzero else None), top
+    """Largest i <= window with Ext^i nonzero, or None; flags top-of-window.
+
+    With a certified period (i, q), only the degrees below i + q are
+    computed (`_ext_values`); each degree m past them reads the value at
+    i + (m - i) mod q, and the last q degrees of the window meet every
+    value of the cycle, each at its largest degree in the window.
+    """
+    values, period = _ext_values(M, N, window)
+    n = len(values)
+    q = period[1] if period else 0
+
+    def value(m):
+        return values[m] if m < n else values[n - q + (m - n) % q]
+
+    degrees = chain(range(n), range(max(n, window + 1 - q), window + 1))
+    nonzero = [m for m in degrees if not value(m).is_zero]
+    return (max(nonzero) if nonzero else None), not value(window).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +356,26 @@ def homothety_check(C, window):
     carry a concrete witness; positives mean no obstruction within the
     window plus an exact degree-zero isomorphism check.
     """
-    ring = C.ring
+    _homothety_ring(C.ring)
+    return _homothety(C, window)
+
+
+def _homothety_ring(ring):
+    """Refuse a ring the homothety check does not run over."""
     if not ring.local:
         raise NotLocal(f"{ring} is not certified local")
     if not ring.is_finite() or not has_linear_solve(ring):
         raise CapabilityMissing("homothety check needs a finite linear_solve ring")
-    table = ext_table(C, C, window)
-    for i in range(1, window + 1):
+
+
+def _homothety(C, window, res=None):
+    """homothety_check's verdict, with Ext read from the resolution `res`
+    of C when it is given.  The values up to a certified period list every
+    value of the window, each at its least degree, so the first nonzero
+    one is the witness."""
+    ring = C.ring
+    table, _ = _ext_values(C, C, window, res)
+    for i in range(1, len(table)):
         if not table[i].is_zero:
             return SdcVerdict("not_semidualizing", window, i, table[i],
                               ring_cardinality=ring.cardinality())
@@ -380,17 +460,17 @@ class TransferVerdict:
         return self.ring_level.ok == self.dg_match
 
 
-def _through_extension(M, X, K, window, degrees):
-    """[H_{-m} Hom(res M, K (x) X) for m in degrees], m <= window.
+def _through_extension(F, X, K, degrees):
+    """[H_{-m} Hom(F, K (x) X) for m in degrees], F a resolution as a
+    validated complex.
 
     K is a bounded complex of finite free modules, so Hom(F, K (x) X) =
     Hom(F (x) K*, X) with K* = Hom(K, R): the values are `hom_homology` of
-    G = F (x) K* into X in degree 0.  F reaches degree window + e + 1, past
-    which no value at m <= window looks.
+    G = F (x) K* into X in degree 0.  For m <= window, F must reach degree
+    window + e + 1, past which no value looks.
     """
     dual = hom_complex(K.complex, free_module_complex(K.ring, 1))
-    G = tensor(resolution_complex(M, window + K.e + 1), dual)
-    return hom_homology(G, X, degrees)
+    return hom_homology(tensor(F, dual), X, degrees)
 
 
 def koszul_sdc_transfer(K, C, window):
@@ -401,14 +481,19 @@ def koszul_sdc_transfer(K, C, window):
     The DG side takes H_t of Hom(res C, K (x) C) through the adjunction,
     as H_t of Hom(res C (x) K*, C) (`_through_extension`), and matches it
     degreewise against H_t(K) on [-window, e]; by the adjunction reduction
-    this is the homothety condition for the extension.  A negative window
-    and K and C over different rings are refused before any work.
+    this is the homothety condition for the extension.  C is resolved once,
+    to depth window + e + 1, for both sides.  A negative window and K and C
+    over different rings are refused before any work.
     """
     _check_inputs(window, C, K)
-    ring_level = homothety_check(C, window)
+    _homothety_ring(C.ring)
+    depth = window + K.e + 1
+    res = _resolution(C, depth)
+    ring_level = _homothety(C, window, res)
     degrees = tuple(range(-window, K.e + 1))
     # H_t is the value at m = -t
-    lefts = _through_extension(C, C, K, window, range(-K.e, window + 1))[::-1]
+    lefts = _through_extension(_complex_of(C, res, depth), C, K,
+                               range(-K.e, window + 1))[::-1]
     details = []
     for t, left in zip(degrees, lefts):
         right = homology(K.complex, t)
@@ -452,12 +537,14 @@ def ext_sup_via_koszul(M, X, K, window):
     """
     _check_inputs(window, M, X, K)
     e = K.e
-    table = ext_table(M, X, window + e)
+    res = _resolution(M, window + e + 1)
+    table = periodic(*_ext_values(M, X, window + e, res), window + e + 1)
     nonzero_direct = [i for i in range(window + 1) if not table[i].is_zero]
     direct_sup = max(nonzero_direct) if nonzero_direct else None
     direct_top = any(not table[i].is_zero
                      for i in range(window, window + e + 1))
-    nonzero = [i for i, h in enumerate(_through_extension(M, X, K, window, range(window + 1)))
+    F = _complex_of(M, res, window + e + 1)
+    nonzero = [i for i, h in enumerate(_through_extension(F, X, K, range(window + 1)))
                if not h.is_zero]
     k_sup = max(nonzero) if nonzero else None
     k_top = window in nonzero

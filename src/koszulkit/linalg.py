@@ -10,10 +10,10 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   for p = 2, one byte and a byte-translate reduction up to p = 13, wider
   fields above), so one code path serves every p.  It gives kernels,
   solutions and ranks, hence cardinalities, the unit test and minimal
-  generating sets.  A resolution (`packed_resolution`) stays in these
-  coordinates from one step to the next and checks each d_i d_{i+1} = 0
-  there, and `FpModule` holds a finitely presented module as an F_p-space,
-  with the action of the ring on it.
+  generating sets.  A resolution stays in these coordinates from one step
+  to the next and checks each d_i d_{i+1} = 0 there, and `FpModule` holds
+  a finitely presented module as an F_p-space, with the action of the ring
+  on it.
 - Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
   1986, Storjohann & Mulders 1998) with the ring's own row operations, so
   every entry, transforms included, stays reduced; only pivot arithmetic
@@ -25,6 +25,12 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
 - The domains Z, Q and F_p[x] run smith_data with recorded transforms for
   kernels, solutions and subquotients.  A subquotient over Z/n is the one
   over Z of the lifts enlarged by n Z^u.
+
+One resolution loop (`resolution`) serves every ring: packed F_p columns
+over a ring with an F_p view, matrices otherwise.  It checks every product
+d_i d_{i+1} = 0 itself and, over a finite ring, stops at a differential
+that repeats one or two steps back once the cycle is certified exact by
+image sizes (`_certify_period`).
 """
 
 from __future__ import annotations
@@ -676,11 +682,22 @@ class _FpView:
             ((1 << (n * Dw)) - 1) // ((1 << Dw) - 1))
 
     def coordinates(self, vecs):
-        """The coordinates s nonzero in some entry of some vector of `vecs`."""
+        """The coordinates s nonzero in some entry of some vector of `vecs`.
+
+        The union of the vectors is folded onto its first entry, the upper
+        half of its entries OR-ed onto the lower half until one is left: OR
+        carries nothing between fields, so a field of the result is nonzero
+        exactly when that coordinate is nonzero in some entry."""
         union = 0
         for v in vecs:
             union |= v
-        return {t % self.dim for t, _ in self.codec.nonzero(union)}
+        Dw = self.dim * self.codec.width
+        n = -(-union.bit_length() // Dw)  # the entries the union reaches
+        while n > 1:
+            half = (n + 1) // 2
+            union = union >> half * Dw | union & ((1 << half * Dw) - 1)
+            n = half
+        return {t for t, _ in self.codec.nonzero(union)}
 
     def rank(self, A):
         """Rank of A's expansion: |column span of A| = p ** rank."""
@@ -909,17 +926,24 @@ def kernel_basis(ring, A):
     """Columns generating ker(A) as a module (a basis over fields, Z, F_p[x]).
 
     Over Z/n and F_p[x]/(f) these are the rows of the Howell form of
-    [A^T | I] whose left part is zero, read from their right part.
+    [A^T | I] whose left part is zero, read from their right part straight
+    into the stored rows of the kernel matrix.
     """
     view, ctx = _engine(ring)
     if view is not None:
         rows, ncols = view.rows(A)
         return view.matrix(_fp_kernel(view.codec, rows, ncols), A.cols)
     if ctx.modulus is not None:
-        W = _augmented_transpose(A)
-        pivots = _howell(ring, ctx, W, A.rows + A.cols, reduce_from=A.rows)
-        return Matrix.from_columns(ring, A.cols,
-                                   [W[i][A.rows:] for j, i in pivots if j >= A.rows])
+        W, left = _augmented_transpose(A), A.rows
+        kernel = [W[i] for j, i in _howell(ring, ctx, W, left + A.cols, reduce_from=left)
+                  if j >= left]
+        at, vals = [[] for _ in range(A.cols)], [[] for _ in range(A.cols)]
+        for c, row in enumerate(kernel):
+            for r, v in enumerate(row[left:]):
+                if v:
+                    at[r].append(c)
+                    vals[r].append(v)
+        return Matrix(ring, A.cols, len(kernel), tuple(zip(map(tuple, at), map(tuple, vals))))
     sd = smith_data(ctx.ed, _payload_grid(A), A.rows, A.cols)
     return Matrix.from_columns(ring, A.cols, [[row[j] for row in sd.T]
                                               for j in range(A.cols) if not sd.diag(j)])
@@ -1416,64 +1440,188 @@ def _products_vanish(view, cols, nrows, kernel):
     return True
 
 
-def packed_resolution(ring, d, steps):
-    """The resolution below d in the F_p coordinates of the ring's view, or
-    None over a ring with no F_p view: [columns of d, of d_2, ...] as packed
-    vectors, each d_{i+1} over R^{columns of d_i}, with up to `steps`
-    kernels and none after the first that vanishes.
+class _PackedSteps:
+    """Resolution steps over a ring with an F_p view.  A differential is the
+    list of packed coordinate vectors of its columns, its row count kept
+    alongside.
 
-    Each step expands the previous columns into F_p rows (`expand`), takes
-    their kernel (`_fp_kernel`) and keeps a minimal generating set of it
-    (`_nakayama_keep`, over a local algebra); over F_p[x]/(f), whose kernels
-    come from the Howell form, the step is minimal_generators(kernel_basis)
-    on the matrix.  Every step checks d_i d_{i+1} = 0 with
-    `_products_vanish` and raises NotAComplex when it fails.
+    A step expands the columns into F_p rows (`expand`), takes their kernel
+    (`_fp_kernel`) and keeps a minimal generating set of it
+    (`_nakayama_keep`, over a local algebra); over F_p[x]/(f), whose
+    kernels come from the Howell form, it is minimal_generators(kernel_basis)
+    on the matrix.  Products are checked by `_products_vanish`, and an image
+    has p^rank elements, the rank of the expansion.
+    """
+
+    def __init__(self, ring, view):
+        self.ring, self.view = ring, view
+        self.packed = _engine(ring)[0] is not None
+        self.local = ring.local and ring.kind == POLYQUOT
+        self._mgens = None
+
+    def start(self, d):
+        return self.view.columns(d)
+
+    @staticmethod
+    def width(cols):
+        return len(cols)
+
+    def kernel(self, cols, nrows):
+        view = self.view
+        if not self.packed:
+            K = kernel_basis(self.ring, view.matrix(cols, nrows))
+            return view.columns(minimal_generators(self.ring, K))
+        vecs = _fp_kernel(view.codec, view.expand(cols, nrows), len(cols) * view.dim)
+        if len(vecs) > 1 and self.local:
+            if self._mgens is None:
+                self._mgens = [g.payload for g in _maximal_ideal_elements(self.ring)]
+            vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), self._mgens)]
+        return vecs
+
+    def vanishes(self, cols, nrows, kernel):
+        return _products_vanish(self.view, cols, nrows, kernel)
+
+    def image_size(self, cols, nrows):
+        view = self.view
+        return view.p ** len(_fp_rref(view.codec, view.expand(cols, nrows), len(cols) * view.dim))
+
+    def matrix(self, cols, nrows):
+        return self.view.matrix(cols, nrows)
+
+
+class _MatrixSteps:
+    """Resolution steps on matrices, over a ring with no F_p view (Z/n, Z, Q
+    and F_p[x]): a step is minimal_generators(kernel_basis), products are
+    matrix products and image sizes are Howell span sizes
+    (`span_cardinality`)."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    @staticmethod
+    def start(d):
+        return d
+
+    @staticmethod
+    def width(d):
+        return d.cols
+
+    def kernel(self, d, nrows):
+        return minimal_generators(self.ring, kernel_basis(self.ring, d))
+
+    @staticmethod
+    def vanishes(d, nrows, kernel):
+        return (d * kernel).is_zero()
+
+    def image_size(self, d, nrows):
+        return span_cardinality(self.ring, d)
+
+    @staticmethod
+    def matrix(d, nrows):
+        return d
+
+
+def periodic(prefix, period, length):
+    """The first `length` entries of `prefix`, continued when a period
+    (i, q) is given by repeating its last q entries in turn."""
+    need = length - len(prefix)
+    if period is None or need <= 0:
+        return prefix[:length]
+    q = period[1]
+    return prefix + (prefix[-q:] * (need // q + 1))[:need]
+
+
+@dataclass
+class Resolution:
+    """A free resolution F_0 <- F_1 <- ... as `resolution` leaves it.
+
+    `diffs` holds d_1 ... d_n in the loop's form (packed columns over a
+    ring with an F_p view, matrices otherwise) and `ranks` the ranks of
+    F_0 ... F_n.  With a certified `period` (i, q), n = i + q - 1 and
+    d_{m+q} = d_m for every m >= i, so the resolution never ends.  Without
+    one it ends at d_n when F_n = 0 and is cut at the step count otherwise.
+    """
+
+    ops: object     # _PackedSteps or _MatrixSteps
+    ranks: list
+    diffs: list
+    period: tuple | None = None
+
+    def matrices(self, count):
+        """[d_1, ..., d_count] as matrices, fewer where the resolution ends."""
+        return periodic([self.ops.matrix(d, rows) for d, rows in
+                         zip(self.diffs[:count], self.ranks)], self.period, count)
+
+
+def _certify_period(ops, diffs, ranks, i, q):
+    """Check that d_i, ..., d_{i+q-1}, continued by d_{m+q} = d_m, is exact
+    at every F_m with m >= i (the argument is in `resolution`): a product
+    around the cycle that does not vanish raises NotAComplex, a spot whose
+    image sizes do not multiply to |R|^{rank F_j} raises ArithmeticError."""
+    loop = range(i, i + q)
+    images = {j: ops.image_size(diffs[j - 1], ranks[j - 1]) for j in loop}
+    size = ops.ring.cardinality()
+    for j in loop:
+        after = j + 1 if j + 1 < i + q else i
+        if ranks[after - 1] != ranks[j] or \
+                not ops.vanishes(diffs[j - 1], ranks[j - 1], diffs[after - 1]):
+            raise NotAComplex(j)
+        if size ** ranks[j] != images[j] * images[after]:
+            raise ArithmeticError(f"the repeat from d_{i} is not exact at F_{j}")
+
+
+def resolution(ring, d, steps):
+    """The free resolution below d = d_1, with up to `steps` kernels, as a
+    Resolution; it stops at the first kernel that vanishes or at a certified
+    period.
+
+    Each step takes a minimal generating set of the kernel of the last
+    differential (_PackedSteps over a ring with an F_p view, _MatrixSteps
+    otherwise) and checks d_n d_{n+1} = 0 apart from the kernel, raising
+    NotAComplex when it fails.  Over a finite ring the new d_{n+1} is then
+    compared with d_{n+1-q} for q = 1 and 2: the same rows and the same
+    stored entries (columns).  A step is a function of the last differential
+    alone, so on a repeat every later step would repeat too: d_{m+q} = d_m
+    for m >= i = n + 1 - q, and cycling d_i ... d_n gives exactly what the
+    loop would compute by running on.
+
+    The period (i, q) is kept only once `_certify_period` has checked the
+    cycle apart from the kernel steps.  Every product d_j d_{j+1} around it
+    vanishes, d_{i+q} = d_i included, so im d_{j+1} lies in ker d_j; over a
+    finite ring |ker d_j| = |R|^{rank F_j} / |im d_j|, so F_j is exact when
+    |R|^{rank F_j} = |im d_j| |im d_{j+1}|, the image sizes being Howell
+    span sizes or F_p ranks.  The q spots j = i .. i+q-1 cover every m >= i,
+    so the cycled differentials are a free resolution and Ext^{m+q}(M, N) =
+    Ext^m(M, N) for m >= i and every N.  A repeat that fails raises.
     """
     view = _fp_view_of(ring)
-    if view is None:
-        return None
-    packed = _engine(ring)[0] is not None
-    local, mgens = ring.local and ring.kind == POLYQUOT, None
-    out, nrows = [view.columns(d)], d.rows
+    ops = _MatrixSteps(ring) if view is None else _PackedSteps(ring, view)
+    diffs = [ops.start(d)]
+    ranks = [d.rows, ops.width(diffs[0])]
+    finite = ring.is_finite()
     for _ in range(steps):
-        cols = out[-1]
-        if not cols:
+        n = len(diffs)
+        if not ranks[n]:
             break
-        if packed:
-            vecs = _fp_kernel(view.codec, view.expand(cols, nrows), len(cols) * view.dim)
-            if len(vecs) > 1 and local:
-                if mgens is None:
-                    mgens = [g.payload for g in _maximal_ideal_elements(ring)]
-                vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), mgens)]
-        else:
-            d = minimal_generators(ring, kernel_basis(ring, d))
-            vecs = view.columns(d)
-        if not _products_vanish(view, cols, nrows, vecs):
-            raise NotAComplex(len(out))
-        out.append(vecs)
-        nrows = len(cols)
-    return out
+        new = ops.kernel(diffs[-1], ranks[n - 1])
+        if not ops.vanishes(diffs[-1], ranks[n - 1], new):
+            raise NotAComplex(n)
+        for q in (1, 2) if finite else ():
+            if q <= n and ranks[n] == ranks[n - q] and new == diffs[n - q]:
+                _certify_period(ops, diffs, ranks, n + 1 - q, q)
+                return Resolution(ops, ranks, diffs, (n + 1 - q, q))
+        diffs.append(new)
+        ranks.append(ops.width(new))
+    return Resolution(ops, ranks, diffs)
 
 
 def kernel_resolution(ring, d, steps):
-    """Up to `steps` further resolution differentials below d: each one is a
-    minimal generating set of the kernel of the one before.  The list stops
-    with the first kernel that vanishes, a matrix with no columns.
-
-    Over a ring with an F_p view the steps run in F_p coordinates
-    (`packed_resolution`) and become matrices once, at the end.
+    """Up to `steps` further resolution differentials below d, as matrices:
+    each one is a minimal generating set of the kernel of the one before
+    (`resolution`, continued by its certified period).  The list stops with
+    the first kernel that vanishes, a matrix with no columns.
     """
-    packed = packed_resolution(ring, d, steps)
-    if packed is not None:
-        view = _fp_view_of(ring)
-        return [view.matrix(cols, len(prev)) for prev, cols in zip(packed, packed[1:])]
-    out = []
-    for _ in range(steps):
-        if d.cols == 0:
-            break
-        d = minimal_generators(ring, kernel_basis(ring, d))
-        out.append(d)
-    return out
+    return resolution(ring, d, steps).matrices(1 + max(steps, 0))[1:]
 
 
 def syzygies(ring, A):

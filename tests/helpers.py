@@ -13,7 +13,7 @@ from koszulkit.complexes import (
     zero_complex,
 )
 from koszulkit.descent import Assignment, SystemVariable, VarPoly, _assignment_matrix
-from koszulkit.duality import ExtSupResult, resolution_complex
+from koszulkit.duality import ExtSupResult, hom_homology
 from koszulkit.errors import MixedRings
 from koszulkit.linalg import (
     HomologySummary, invert, kernel_basis, minimal_generators, span_cardinality, subquotient,
@@ -324,7 +324,7 @@ def presented_homology(pc, t):
 
 def presented_route(M, N, window):
     """Ext^0..Ext^window of the presented complex Hom(F, N)."""
-    G = reference_hom_relations(resolution_complex(M, window + 1),
+    G = reference_hom_relations(reference_resolution_complex(M, window + 1),
                                 module_as_presented_complex(N))
     return [presented_homology(G, -i) for i in range(window + 1)]
 
@@ -332,7 +332,7 @@ def presented_route(M, N, window):
 def presented_koszul_side(M, X, K, window, degrees):
     """[H_t Hom(res M, K (x) X) for t in degrees] on the presented complex,
     the resolution taken to depth window + e + 1."""
-    G = reference_hom_relations(resolution_complex(M, window + K.e + 1),
+    G = reference_hom_relations(reference_resolution_complex(M, window + K.e + 1),
                                 tensor_koszul_presented(K, X))
     return [presented_homology(G, t) for t in degrees]
 
@@ -363,12 +363,27 @@ def presented_ext_sup(M, X, K, window):
 def reference_resolve(pres, depth):
     """[d_1, ..., d_depth]: the minimal generators of the relations, then
     minimal_generators(kernel_basis(d)) step by step on payload matrices,
-    stopping after the first kernel that vanishes."""
+    stopping after the first kernel that vanishes.  It runs to full depth
+    and never looks for a period."""
     ring = pres.ring
     diffs = [minimal_generators(ring, pres.relations)]
     while len(diffs) < depth and diffs[-1].cols:
         diffs.append(minimal_generators(ring, kernel_basis(ring, diffs[-1])))
     return diffs
+
+
+def reference_resolution_complex(pres, depth):
+    """reference_resolve as a validated complex F_0 <- F_1 <- ..."""
+    diffs = dict(enumerate(reference_resolve(pres, depth), start=1))
+    ranks = {0: pres.gens, **{i: d.cols for i, d in diffs.items()}}
+    return ChainComplex(pres.ring, ranks, diffs)
+
+
+def full_depth_ext_table(M, N, window):
+    """Ext^0 .. Ext^window read degree by degree off the full-depth
+    resolution (reference_resolve to depth window + 1, no period), through
+    the one formula of `hom_homology`."""
+    return hom_homology(reference_resolution_complex(M, window + 1), N, range(window + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 - The coordinate resolution step `syzygies` against
   minimal_generators(kernel_basis(.)) and against the Nakayama rule
   checked by `solve`.
-- The packed resolution loop (`packed_resolution`) behind `resolve` and
+- The resolution loop (`linalg.resolution`, packed here) behind `resolve` and
   `ext_table`: the same matrices as resolving step by step on payload
   matrices, and a planted kernel error caught by its d.d = 0 check.
 - The F_p Hom route of `ext_table` (Hom(F_i, N) = N^{b_i}) against the
@@ -114,6 +114,20 @@ def test_minimal_generators_follow_the_nakayama_rule(name):
             assert minimal_generators(R, M).columns() == nakayama_oracle(R, M)
 
 
+@pytest.mark.parametrize("name", list(ALL))
+def test_coordinates_are_the_nonzero_coordinates_of_some_entry(name):
+    # the folded union against every nonzero field read one by one
+    view = _fp_view_of(ALL[name])
+    rng = random.Random(f"coordinates:{name}")
+    for n in (1, 2, 3, 7, 16):
+        for density in (0.05, 0.3):
+            vecs = [sum(rng.randrange(1, view.p) << t * view.codec.width
+                        for t in range(n * view.dim) if rng.random() < density)
+                    for _ in range(rng.randint(0, 3))]
+            expected = {t % view.dim for v in vecs for t, _ in view.codec.nonzero(v)}
+            assert view.coordinates(vecs) == expected
+
+
 def test_resolution_over_a_view_ring_is_built_by_the_coordinate_step():
     R = RINGS["F2[x,y]/(x,y)^2"]
     k = du.ModulePresentation.residue_field(R)
@@ -163,7 +177,8 @@ def test_a_free_module_resolution_stops_at_once():
         F = du.ModulePresentation.free(R, 3)
         (d,) = du.resolve(F, 6)
         assert (d.rows, d.cols) == (3, 0)
-        assert linalg.packed_resolution(R, d, 6) == [[]]
+        res = linalg.resolution(R, d, 6)
+        assert (res.diffs, res.ranks, res.period) == ([[]], [3, 0], None)
         table = du.ext_table(F, F, 2)
         assert table[0].cardinality == R.cardinality() ** 9
         assert all(h.is_zero for h in table[1:])

@@ -83,11 +83,11 @@ def test_zmod_route_builds_no_hom_complex(monkeypatch):
     k = du.ModulePresentation.residue_field(R)
     calls = [count_calls(monkeypatch, f) for f in (
         complexes.hom_complex, complexes.tensor, linalg.subquotient)]
-    resolves = count_calls(monkeypatch, du.resolve)
+    loops = count_calls(monkeypatch, linalg.resolution)
     assert [h.cardinality for h in du.ext_table(k, k, 20)] == [3] * 21
     assert calls == [[], [], []]
-    # the resolution still goes through resolve
-    assert len(resolves) == 1
+    # one run of the resolution loop, which returns no matrices to resolve
+    assert len(loops) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_image_sizes_that_do_not_divide_raise(monkeypatch):
 ])
 def test_mixed_rings_are_refused_before_any_resolution(left, right, monkeypatch):
     seen = [count_calls(monkeypatch, f) for f in (
-        du.resolve, linalg.minimal_generators, linalg.packed_resolution)]
+        du.resolve, linalg.minimal_generators, linalg.resolution)]
     M = du.ModulePresentation(left, 1, Matrix.from_rows(left, [[left.from_int(2)]]))
     N = du.ModulePresentation.free(right, 1)
     with pytest.raises(MixedRings):

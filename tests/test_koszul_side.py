@@ -142,19 +142,22 @@ def test_the_hom_side_reads_every_value_from_the_finite_formula(name, monkeypatc
     homs = count_calls(monkeypatch, complexes.hom_complex)
     quotients = count_calls(monkeypatch, linalg.subquotient)
     du.ext_sup_via_koszul(k, k, K, 2)
-    # Ext^0..Ext^4 directly, then degrees m = 0..2 of F (x) K*
-    assert tables == [range(5), range(3)]
+    # Ext^0..Ext^4 directly, or up to a certified period (i, q) only
+    # Ext^0..Ext^{i+q-1}; then degrees m = 0..2 of F (x) K*
+    period = linalg.resolution(ring, du._first_differential(k), 4).period
+    computed = 5 if period is None else sum(period)
+    assert tables == [range(min(5, computed)), range(3)]
     assert homs == [K.complex] and quotients == []
     v = du.koszul_sdc_transfer(K, k, 2)
     # the homothety check's Ext table, then m = -e..window; the only
     # subquotients are those of H(K), one per degree of [-2, e]
-    assert tables[2:] == [range(3), range(-2, 3)]
+    assert tables[2:] == [range(min(3, computed)), range(-2, 3)]
     assert homs == [K.complex] * 2 and len(quotients) == len(v.degrees)
 
 
 def test_mixed_rings_are_refused_before_any_resolution(monkeypatch):
     seen = [count_calls(monkeypatch, f) for f in (
-        du.resolve, linalg.minimal_generators, linalg.packed_resolution)]
+        du.resolve, linalg.minimal_generators, linalg.resolution)]
     Z4 = RINGS["Z/4"][0]
     quad = RINGS["F2[x,y]/(x,y)^2"][0]
     K = koszul(Z4, [Z4.from_int(2)])
