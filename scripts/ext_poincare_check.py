@@ -30,8 +30,16 @@ Over the chain rings Z/27, Z/8, F2[x]/(x^4) and F3[x]/(x^3) it takes
 ext_table(k, k) at window 10,000 and checks that |Ext^n(k, k)| = |k| in
 every degree and that the resolution of k stopped at a certified period
 (i, q) (linalg.resolution), so that the window costs what i + q degrees
-do; over Z/27 it also times ext_sup(k, k) at window 10^6.  It prints wall
-times.  It exits 1 on a wrong answer only, never on time.
+do; over Z/27 it also times ext_sup(k, k) at window 10^6, and over
+F2[x]/(x^4) homothety_check(k, 6).
+
+Over the non-local algebras F2[x]/(x^4 + x^2) = F2[x]/(x^2) x F2[x]/((x+1)^2)
+and F2[x,y]/(x^2 + x, y^2 + y) = F2^4, the direct factors M = R/(x^2) and
+R/(x) are projective: at window 10,000 it checks Ext^0(M, M) = |M| and
+Ext^n(M, M) = 0 for n >= 1, that every rank of the resolution is at most
+1 and that it stopped at a certified period.
+
+It prints wall times.  It exits 1 on a wrong answer only, never on time.
 """
 
 import sys
@@ -41,7 +49,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from koszulkit.duality import ModulePresentation, ext_sup, ext_table, resolve
+from koszulkit.duality import ModulePresentation, ext_sup, ext_table, homothety_check, resolve
 from koszulkit.linalg import minimal_generators, resolution
 from koszulkit.rings import Zmod, poly_quotient
 
@@ -65,6 +73,9 @@ CYCLIC = [(3, 3, 2, 1, 20), (3, 3, 1, 2, 20)]
 PERIODIC = [lambda: Zmod(27), lambda: Zmod(8), lambda: poly_quotient("F2", ["x"], ["x^4"]),
             lambda: poly_quotient("F3", ["x"], ["x^3"])]
 PERIODIC_WINDOW = 10_000
+# (ring, a): the direct factor R/(x^a) of a non-local algebra R
+NON_LOCAL = [(lambda: poly_quotient("F2", ["x"], ["x^4 + x^2"]), 2),
+             (lambda: poly_quotient("F2", ["x", "y"], ["x^2 + x", "y^2 + y"]), 1)]
 
 
 def cyclic_ext(p, k, a, b, window):
@@ -127,9 +138,29 @@ def main():
             sup, sup_ms = timed(ext_sup, k, k, 10 ** 6)
             checks["ext_sup at window 10^6"] = sup == (10 ** 6, True)
             line += f", ext_sup at window 10^6 {sup_ms:.1f} ms"
+        if R == poly_quotient("F2", ["x"], ["x^4"]):
+            verdict, homothety_ms = timed(homothety_check, k, 6)
+            checks["k is not semidualizing"] = not verdict.ok
+            line += f", homothety_check at window 6 {homothety_ms:.1f} ms"
         failed = [name for name, ok in checks.items() if not ok]
         wrong += [(repr(R), name) for name in failed]
         print(f"{line}: " + ("ok" if not failed else "WRONG " + ", ".join(failed)))
+    for make, a in NON_LOCAL:
+        R = make()
+        M = ModulePresentation.cyclic(R, [R.variable("x") ** a])
+        table, ext_ms = timed(ext_table, M, M, PERIODIC_WINDOW)
+        res = resolution(R, minimal_generators(R, M.relations), PERIODIC_WINDOW)
+        checks = {
+            "Ext^0 = |M|, Ext^n = 0 for n >= 1": [h.cardinality for h in table]
+            == [M.cardinality()] + [1] * PERIODIC_WINDOW,
+            "ranks at most 1": max(res.ranks) <= 1,
+            "certified period": res.period is not None,
+        }
+        failed = [name for name, ok in checks.items() if not ok]
+        wrong += [(repr(R), name) for name in failed]
+        print(f"R/({'x' if a == 1 else f'x^{a}'}) over {R}, window {PERIODIC_WINDOW}: ext_table {ext_ms:.1f} ms, "
+              f"ranks {res.ranks}, period {res.period}: "
+              + ("ok" if not failed else "WRONG " + ", ".join(failed)))
     return 1 if wrong else 0
 
 

@@ -47,14 +47,7 @@ def _save(obj, out_path):
     if out_path:
         kio.save(obj, out_path)
     else:
-        sys.stdout.write(_plain(obj))
-
-
-def _plain(obj):
-    for cls, fn in kio._SAVERS.items():
-        if isinstance(obj, cls):
-            return fn(obj)
-    raise ToolkitError(f"cannot print {type(obj).__name__}")
+        sys.stdout.write(kio.dumps(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotAComplex, NotLocal,
 )
-from .linalg import homology_module, kernel_resolution
+from .linalg import has_linear_solve, homology_module, kernel_resolution
 from .matrices import Matrix
 
 
@@ -386,17 +386,12 @@ def homology(M, n):
 
 def sup_inf(M):
     """Degrees of extreme nonzero homology, or an explicit acyclic flag."""
-    if not has_solver(M.ring):
+    if not has_linear_solve(M.ring):
         raise CapabilityMissing(f"homology needs linear solving over {M.ring}")
     found = [n for n in M.degrees() if not homology(M, n).is_zero]
     if not found:
         return HomologyBounds(True, None, None)
     return HomologyBounds(False, max(found), min(found))
-
-
-def has_solver(ring):
-    from .linalg import has_linear_solve
-    return has_linear_solve(ring)
 
 
 def is_quasi_iso(phi, homotopy=None):
@@ -428,7 +423,7 @@ def augment_by_resolution(A, m, depth_budget=4):
     m..m+depth_budget-1; over non-field rings the resolution may continue
     forever, so the top added degree can carry homology (windowed output).
     """
-    if not has_solver(A.ring):
+    if not has_linear_solve(A.ring):
         raise CapabilityMissing(f"resolution needs linear solving over {A.ring}")
     if A.support and max(A.support) > m:
         raise DimensionMismatch(f"support of A must lie in degrees <= {m}")

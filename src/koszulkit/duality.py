@@ -42,9 +42,9 @@ from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotLocal, NotRegular, ToolkitError,
 )
 from .linalg import (
-    HomologySummary, dual_image_cardinalities, fp_module, has_linear_solve,
-    image_membership, kernel_basis, kernel_cardinality, minimal_generators, periodic,
-    resolution, span_cardinality, subquotient,
+    HomologySummary, _maximal_ideal_elements, dual_image_cardinalities, fp_module,
+    has_linear_solve, image_membership, kernel_basis, kernel_cardinality, minimal_generators,
+    periodic, resolution, span_cardinality, subquotient,
 )
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RingHom, Zmod, poly_quotient
@@ -72,7 +72,6 @@ class ModulePresentation:
         """R / (maximal ideal), for rings with a certified maximal ideal."""
         if not ring.local:
             raise NotLocal(f"{ring} is not certified local")
-        from .linalg import _maximal_ideal_elements
         gens = _maximal_ideal_elements(ring)
         if not gens:
             return ModulePresentation.free(ring, 1)

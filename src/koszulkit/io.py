@@ -687,17 +687,18 @@ _SAVERS = {
 }
 
 
+def dumps(obj):
+    """The canonical text form of any serializable toolkit object."""
+    for cls, fn in _SAVERS.items():
+        if isinstance(obj, cls):
+            return fn(obj)
+    raise FormatError(f"cannot serialize {type(obj).__name__}")
+
+
 def save(obj, path):
     import pathlib
     p = pathlib.Path(path)
-    if p.suffix == ".json":
-        p.write_text(to_json(obj), encoding="utf-8")
-        return
-    for cls, fn in _SAVERS.items():
-        if isinstance(obj, cls):
-            p.write_text(fn(obj), encoding="utf-8")
-            return
-    raise FormatError(f"cannot serialize {type(obj).__name__}")
+    p.write_text(to_json(obj) if p.suffix == ".json" else dumps(obj), encoding="utf-8")
 
 
 _LOADERS = {

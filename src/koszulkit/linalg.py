@@ -10,10 +10,10 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   for p = 2, one byte and a byte-translate reduction up to p = 13, wider
   fields above), so one code path serves every p.  It gives kernels,
   solutions and ranks, hence cardinalities, the unit test and minimal
-  generating sets.  A resolution stays in these coordinates from one step
-  to the next and checks each d_i d_{i+1} = 0 there, and `FpModule` holds
-  a finitely presented module as an F_p-space, with the action of the ring
-  on it.
+  generating sets.  A resolution over any of these rings, F_p[x]/(f)
+  included, stays in these coordinates from one step to the next and
+  checks each d_i d_{i+1} = 0 there, and `FpModule` holds a finitely
+  presented module as an F_p-space, with the action of the ring on it.
 - Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
   1986, Storjohann & Mulders 1998) with the ring's own row operations, so
   every entry, transforms included, stays reduced; only pivot arithmetic
@@ -21,7 +21,9 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   howell_form, kernels (from the Howell form of [A^T | I]), solutions and
   cardinalities, among them the image sizes of Hom(d, N) that Ext over Z/n
   reads; its input rows are written from the stored rows of the matrices.
-  Over a field it gives row_echelon, the Hermite form.
+  Over F_p[x]/(f) it serves only the public kernels, solutions and spans,
+  not the resolution.  Over a field it gives row_echelon, the Hermite
+  form.
 - The domains Z, Q and F_p[x] run smith_data with recorded transforms for
   kernels, solutions and subquotients.  A subquotient over Z/n is the one
   over Z of the lifts enlarged by n Z^u.
@@ -704,20 +706,35 @@ class _FpView:
         return len(_fp_rref(self.codec, *self.rows(A)))
 
 
-def _nakayama_keep(view, vecs, n, multipliers):
-    """The indices j, in order, of the vectors v_j (of n entries) outside
-    the F_p-span of every product m * v, m in `multipliers`, v in `vecs`,
-    and of v_0 ... v_{j-1}.
+def _nakayama_keep(view, vecs, n, submodule=False):
+    """The indices j, in order, of the vectors v_j (of n entries) that a
+    generating set of their R-span keeps, R an F_p-algebra.
 
-    With the products spanning m V, these are the columns that a minimal
-    generating set keeps: the pivot columns among v_0 ... v_k of one
-    reduction of [m V | v_0 ... v_k].
+    - Over a local algebra, v_j is kept when it lies outside m V + F_p v_0
+      + ... + F_p v_{j-1}: the pivot columns among v_0 ... v_j of one
+      reduction of [m V | v_0 ... v_j], a minimal generating set (Nakayama).
+      m V is spanned by the nonconstant standard monomials times V, or by
+      the variables among them when V is an R-submodule (`submodule`): every
+      standard monomial is a product of those.
+    - Over any other algebra, v_j is kept when it lies outside R times the
+      kept vectors before it, each kept vector's products with the
+      nonconstant monomials joining the span.
     """
     span = _Echelon(view.codec)
+    nonconstant = [(b, sum(e)) for b, e in zip(view.basis, view.std) if any(e)]
+    if not view.ring.local:
+        acts, keep = [view.action(b, n) for b, _ in nonconstant], []
+        for j, v in enumerate(vecs):
+            if span.add(v):
+                keep.append(j)
+                for act in acts:
+                    span.add(act(v))
+        return keep
     present = view.coordinates(vecs)
-    for m in multipliers:
+    for m, degree in nonconstant:
         # m V = 0 when no vector has a coordinate that m reads
-        if any(view.products[view.index[e]][s] for e, _ in m for s in present):
+        if (degree == 1 or not submodule) and any(
+                view.products[view.index[e]][s] for e, _ in m for s in present):
             act = view.action(m, n)
             for v in vecs:
                 span.add(act(v))
@@ -1371,24 +1388,24 @@ def _hstack_all(cols, ring, rows):
 def minimal_generators(ring, M):
     """Reduce the columns of M to a minimal generating set of their span.
 
-    Nakayama over certified-local rings; elsewhere only zero columns are
-    dropped (kernel bases over Z and F_p[x] are already minimal).  Over an
-    F_p-algebra column c_j is kept exactly when it lies outside the F_p-span
-    of mM and c_1 ... c_{j-1}.
+    Over an F_p-algebra column c_j is kept exactly when it lies outside
+    the F_p-span of mM and c_1 ... c_{j-1} (local) or outside R times the
+    kept c_i, i < j (`_nakayama_keep`).  Elsewhere Nakayama over certified-
+    local rings; over the rest only zero columns are dropped (kernel bases
+    over Z and F_p[x] are already minimal).
     """
     # the zero columns are those no stored row reaches
     used = sorted({j for cols, _ in M.sparse_rows for j in cols})
     if len(used) != M.cols:
         M = M.submatrix(range(M.rows), used)
-    if M.cols <= 1 or not ring.local:
+    if M.cols <= 1:
         return M
     # prime fields keep the solve loop below, which decides the kept columns
     view = _fp_view_of(ring) if ring.kind == POLYQUOT else None
     if view is not None:
-        # mM is spanned by the columns times the nonconstant monomials
-        nonconstant = [((m, 1),) for m in view.std if sum(m) > 0]
-        keep = _nakayama_keep(view, view.columns(M), M.rows, nonconstant)
-        return M.submatrix(range(M.rows), keep)
+        return M.submatrix(range(M.rows), _nakayama_keep(view, view.columns(M), M.rows))
+    if not ring.local:
+        return M
     mgens = _maximal_ideal_elements(ring)
     cols = M.columns()
     changed = True
@@ -1446,18 +1463,14 @@ class _PackedSteps:
     alongside.
 
     A step expands the columns into F_p rows (`expand`), takes their kernel
-    (`_fp_kernel`) and keeps a minimal generating set of it
-    (`_nakayama_keep`, over a local algebra); over F_p[x]/(f), whose
-    kernels come from the Howell form, it is minimal_generators(kernel_basis)
-    on the matrix.  Products are checked by `_products_vanish`, and an image
-    has p^rank elements, the rank of the expansion.
+    (`_fp_kernel`) and, over an F_p-algebra, keeps the vectors of it that
+    `_nakayama_keep` keeps: a minimal generating set over a local algebra.
+    Products are checked by `_products_vanish`, and an image has p^rank
+    elements, the rank of the expansion.
     """
 
     def __init__(self, ring, view):
         self.ring, self.view = ring, view
-        self.packed = _engine(ring)[0] is not None
-        self.local = ring.local and ring.kind == POLYQUOT
-        self._mgens = None
 
     def start(self, d):
         return self.view.columns(d)
@@ -1468,14 +1481,9 @@ class _PackedSteps:
 
     def kernel(self, cols, nrows):
         view = self.view
-        if not self.packed:
-            K = kernel_basis(self.ring, view.matrix(cols, nrows))
-            return view.columns(minimal_generators(self.ring, K))
         vecs = _fp_kernel(view.codec, view.expand(cols, nrows), len(cols) * view.dim)
-        if len(vecs) > 1 and self.local:
-            if self._mgens is None:
-                self._mgens = [g.payload for g in _maximal_ideal_elements(self.ring)]
-            vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), self._mgens)]
+        if len(vecs) > 1 and view.std is not None:
+            vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), submodule=True)]
         return vecs
 
     def vanishes(self, cols, nrows, kernel):
@@ -1575,8 +1583,8 @@ def resolution(ring, d, steps):
     Resolution; it stops at the first kernel that vanishes or at a certified
     period.
 
-    Each step takes a minimal generating set of the kernel of the last
-    differential (_PackedSteps over a ring with an F_p view, _MatrixSteps
+    Each step takes a generating set of the kernel of the last
+    differential, minimal over a local ring (_PackedSteps over a ring with an F_p view, _MatrixSteps
     otherwise) and checks d_n d_{n+1} = 0 apart from the kernel, raising
     NotAComplex when it fails.  Over a finite ring the new d_{n+1} is then
     compared with d_{n+1-q} for q = 1 and 2: the same rows and the same
@@ -1617,14 +1625,14 @@ def resolution(ring, d, steps):
 
 def kernel_resolution(ring, d, steps):
     """Up to `steps` further resolution differentials below d, as matrices:
-    each one is a minimal generating set of the kernel of the one before
-    (`resolution`, continued by its certified period).  The list stops with
+    each one generates the kernel of the one before, minimally over a local
+    ring (`resolution`, continued by its certified period).  The list stops with
     the first kernel that vanishes, a matrix with no columns.
     """
     return resolution(ring, d, steps).matrices(1 + max(steps, 0))[1:]
 
 
 def syzygies(ring, A):
-    """A minimal generating set of ker A: minimal_generators(kernel_basis(A)),
-    one step of `kernel_resolution`."""
+    """A generating set of ker A, minimal over a local ring: one step of
+    `kernel_resolution`."""
     return (kernel_resolution(ring, A, 1) or [Matrix.zeros(ring, 0, 0)])[0]

@@ -1,11 +1,13 @@
 """Ext over prime fields and finite F_p-algebras, computed in F_p coordinates.
 
-- The coordinate resolution step `syzygies` against
-  minimal_generators(kernel_basis(.)) and against the Nakayama rule
-  checked by `solve`.
+- The coordinate resolution step `syzygies` against the keep rule checked
+  by `solve` on the F_p kernel (Nakayama over a local algebra, R times the
+  kept columns over a non-local one), and its span against |ker A|.
 - The resolution loop (`linalg.resolution`, packed here) behind `resolve` and
   `ext_table`: the same matrices as resolving step by step on payload
-  matrices, and a planted kernel error caught by its d.d = 0 check.
+  matrices, and a planted kernel error caught by its d.d = 0 check.  Over
+  F_p[x]/(f) Ext makes no Howell kernel and no matrix, and a projective
+  direct factor of a non-local algebra resolves in rank one with a period.
 - The F_p Hom route of `ext_table` (Hom(F_i, N) = N^{b_i}) against the
   presented-complex oracle of `helpers` (presented_route: span ratios on
   Hom(F, N) with its relations), summary for summary, edge cases included.
@@ -24,13 +26,13 @@ from koszulkit import duality as du
 from koszulkit import linalg
 from koszulkit.errors import NotAComplex
 from koszulkit.linalg import (
-    _fp_view_of, _maximal_ideal_elements, kernel_basis, minimal_generators, solve,
-    syzygies,
+    _fp_view_of, _maximal_ideal_elements, kernel_basis, kernel_cardinality,
+    minimal_generators, solve, span_cardinality, syzygies,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, Zmod, poly_quotient
 
-from helpers import presented_route, reference_resolve
+from helpers import count_calls, presented_route, reference_resolve
 
 RINGS = {
     "F2[x]/(x^4)": poly_quotient("F2", ["x"], ["x^4"]),
@@ -71,23 +73,37 @@ def random_presentation(name, rng):
 # the coordinate resolution step
 
 
-def nakayama_oracle(R, M):
-    """The columns c_j of M outside m M + R c_1 + ... + R c_{j-1}, by solve.
+def hstack(R, rows, cols):
+    return Matrix.from_blocks(R, [rows], [c.cols for c in cols],
+                              {(0, i): c for i, c in enumerate(cols)})
 
-    That span equals m M + F_p c_1 + ... + F_p c_{j-1}, so these are the
-    columns a minimal generating set keeps."""
+
+def nakayama_oracle(R, M):
+    """The columns of M a generating set keeps, by solve.
+
+    Over a local algebra, the columns c_j of M outside m M + R c_1 + ... +
+    R c_{j-1}: that span equals m M + F_p c_1 + ... + F_p c_{j-1}, so these
+    are the columns a minimal generating set keeps.  Over a non-local
+    algebra, the columns c_j outside R times the kept c_i with i < j."""
     cols = [c for c in M.columns() if not c.is_zero()]
-    if len(cols) <= 1 or not R.local or R.kind != "polyquot":
+    if len(cols) <= 1 or R.kind != "polyquot":
         return cols
+    if not R.local:
+        kept = []
+        for c in cols:
+            if not kept or solve(R, hstack(R, M.rows, kept), c) is None:
+                kept.append(c)
+        return kept
     mM = [c.scale(g) for g in _maximal_ideal_elements(R) for c in cols]
-    kept = []
-    for j, c in enumerate(cols):
-        W = mM + cols[:j]
-        W = Matrix.from_blocks(R, [M.rows], [w.cols for w in W],
-                               {(0, i): w for i, w in enumerate(W)})
-        if solve(R, W, c) is None:
-            kept.append(c)
-    return kept
+    return [c for j, c in enumerate(cols)
+            if solve(R, hstack(R, M.rows, mM + cols[:j]), c) is None]
+
+
+def fp_kernel(R, A):
+    """ker A as the columns of the F_p kernel of A's expansion, one for each
+    non-pivot column (kernel_basis over the rings with no Euclidean lift)."""
+    view = _fp_view_of(R)
+    return view.matrix(linalg._fp_kernel(view.codec, *view.rows(A)), A.cols)
 
 
 @pytest.mark.parametrize("name", list(RINGS))
@@ -97,11 +113,10 @@ def test_coordinate_step_keeps_the_columns_of_kernel_then_minimal_generators(nam
     for rows, cols in [(1, 1), (1, 3), (2, 4), (3, 3), (4, 2), (2, 5), (0, 3), (3, 0)]:
         A = random_matrix(name, rows, cols, rng)
         step = syzygies(R, A)
-        K = kernel_basis(R, A)
-        assert step == minimal_generators(R, K)
-        kept = nakayama_oracle(R, K)
-        assert step.columns() == kept
+        assert step.columns() == nakayama_oracle(R, fp_kernel(R, A))
         assert (A * step).is_zero()
+        # the step spans ker A: both sizes come from Howell over F_p[x]/(f)
+        assert span_cardinality(R, step) == kernel_cardinality(R, A)
 
 
 @pytest.mark.parametrize("name", list(RINGS))
@@ -215,6 +230,55 @@ def test_a_planted_kernel_error_over_a_prime_field(monkeypatch):
                         lambda *args: [codec.axpy(v, 1, 1) for v in kernel(*args)])
     with pytest.raises(NotAComplex):
         syzygies(R, A)
+
+
+# ---------------------------------------------------------------------------
+# one kernel step for every F_p-algebra
+
+
+UNIVARIATE = {
+    "F2[x]/(x^4)": RINGS["F2[x]/(x^4)"],
+    "F3[x]/(x^3)": poly_quotient("F3", ["x"], ["x^3"]),
+}
+
+
+@pytest.mark.parametrize("name", list(UNIVARIATE))
+def test_ext_over_a_univariate_algebra_makes_no_howell_round_trip(name, monkeypatch):
+    # the resolution of k stays in F_p coordinates: no differential goes back
+    # to a matrix and through the Howell kernel
+    R = UNIVARIATE[name]
+    k = du.ModulePresentation.residue_field(R)
+    howell = count_calls(monkeypatch, linalg._howell)
+    kernels = count_calls(monkeypatch, linalg.kernel_basis)
+    matrices, matrix = [], linalg._FpView.matrix
+    monkeypatch.setattr(linalg._FpView, "matrix",
+                        lambda view, *args: matrices.append(args) or matrix(view, *args))
+    assert [h.cardinality for h in du.ext_table(k, k, 6)] == [R.coeff.p] * 7
+    assert not du.homothety_check(k, 6).ok
+    assert (howell, kernels, matrices) == ([], [], [])
+
+
+NON_LOCAL = {
+    # (R, a): R/(x^a) is a direct factor of R
+    "F2[x]/(x^4+x^2)": (poly_quotient("F2", ["x"], ["x^4 + x^2"]), 2),
+    "F3[x]/(x^3-x)": (poly_quotient("F3", ["x"], ["x^3 - x"]), 1),
+    "F2[x,y]/(x^2+x,y^2+y)": (poly_quotient("F2", ["x", "y"], ["x^2 + x", "y^2 + y"]), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_LOCAL))
+def test_a_direct_factor_of_a_non_local_algebra_resolves_in_rank_one(name):
+    # R/(x^a) is projective, so Ext^i(M, M) = 0 for i >= 1 and Hom(M, M) = M;
+    # without pruning, the kernels of the multivariate case grow threefold
+    R, a = NON_LOCAL[name]
+    assert not R.local
+    M = du.ModulePresentation.cyclic(R, [R.variable("x") ** a])
+    res = linalg.resolution(R, minimal_generators(R, M.relations), 6)
+    assert max(res.ranks) <= 1 and res.period is not None
+    table = du.ext_table(M, M, 40)
+    assert table[0].cardinality == M.cardinality()
+    assert all(h.cardinality == 1 for h in table[1:])
+    assert du.ext_table(M, M, 3) == presented_route(M, M, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ code keeps each coordinate in a field of one int (`linalg._Codec`) and runs
 forward elimination with back substitution.  Reduced echelon rows are
 unique, so pivots, pivot rows, kernel bases and solutions must agree entry
 for entry over F2, F3, F5, F7, F13 and F101 (the wide-field codec), and so
-must the indices `_nakayama_keep` keeps and the ranks `FpModule.dual_rank`
-gives.
+must the indices `_nakayama_keep` keeps, over a local and a non-local
+algebra, and the ranks `FpModule.dual_rank` gives.
 """
 
 import random
@@ -226,7 +226,7 @@ def test_echelon_growth_matches_the_list_path(p):
 
 
 # ---------------------------------------------------------------------------
-# algebras: the Nakayama reduction and Hom ranks
+# algebras: the keep rule and Hom ranks
 
 
 def algebra(p):
@@ -251,6 +251,15 @@ def coords(view, entries):
     return out
 
 
+def random_vectors(R, view, rng, n, count):
+    vecs = [[random_payload(R, view, rng) for _ in range(n)] for _ in range(count)]
+    # some vectors are multiples of earlier ones, which the keep rule drops
+    for j in range(1, count, 3):
+        a = random_payload(R, view, rng)
+        vecs[j] = [R.mul_payload(a, e) for e in vecs[j - 1]]
+    return vecs
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_nakayama_keep_matches_the_list_path(p):
     R = algebra(p)
@@ -259,18 +268,34 @@ def test_nakayama_keep_matches_the_list_path(p):
     rng = random.Random(f"nakayama:{p}")
     multipliers = [((m, 1),) for m in view.std if sum(m) > 0]
     for n, count in [(1, 4), (2, 6), (3, 9)]:
-        vecs = [[random_payload(R, view, rng) for _ in range(n)] for _ in range(count)]
-        # some vectors are multiples of earlier ones, which Nakayama drops
-        for j in range(1, count, 3):
-            a = random_payload(R, view, rng)
-            vecs[j] = [R.mul_payload(a, e) for e in vecs[j - 1]]
+        vecs = random_vectors(R, view, rng, n, count)
         ref = ReferenceEchelon(p)
         for m in multipliers:
             for v in vecs:
                 ref.add(coords(view, [R.mul_payload(m, e) for e in v]))
         expect = [j for j, v in enumerate(vecs) if ref.add(coords(view, v))]
         packed = [pack(codec, coords(view, v)) for v in vecs]
-        assert _nakayama_keep(view, packed, n, multipliers) == expect
+        assert _nakayama_keep(view, packed, n) == expect
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_the_non_local_keep_rule_matches_the_list_path(p):
+    # F_p[x,y]/(x^2 - x, x*y, y^2) has the idempotent x: v_j is kept when
+    # it lies outside R times the vectors kept before it
+    R = poly_quotient(f"F{p}", ["x", "y"], ["x^2 - x", "x*y", "y^2"])
+    view = _fp_view_of(R)
+    assert not R.local
+    rng = random.Random(f"non-local:{p}")
+    for n, count in [(1, 4), (2, 6), (3, 9)]:
+        vecs = random_vectors(R, view, rng, n, count)
+        ref, expect = ReferenceEchelon(p), []
+        for j, v in enumerate(vecs):
+            if ref.add(coords(view, v)):
+                expect.append(j)
+                for b in view.basis:
+                    ref.add(coords(view, [R.mul_payload(b, e) for e in v]))
+        packed = [pack(view.codec, coords(view, v)) for v in vecs]
+        assert _nakayama_keep(view, packed, n) == expect
 
 
 def reference_dual_rank(R, view, gens, relations, d):

@@ -69,6 +69,27 @@ def test_dg_module_round_trip():
     assert D3.underlying == D.underlying
 
 
+def test_dumps_is_the_one_text_writer(tmp_path, monkeypatch):
+    M = cx.make_complex(Z4, {0: 1, 1: 1}, {1: mat(Z4, [[2]])})
+    objects = [M, koszul(Z4, [Z4.from_int(2)]),
+               ModulePresentation(Z4, 2, mat(Z4, [[2], [0]]))]
+    for obj in objects:
+        text = kio.dumps(obj)
+        assert text == kio._SAVERS[type(obj)](obj)
+        kio.save(obj, str(tmp_path / "obj.txt"))
+        assert (tmp_path / "obj.txt").read_text() == text
+        # the CLI prints it to stdout and writes it to -o through dumps
+        monkeypatch.setattr(kio, "load", lambda *args, obj=obj: obj)
+        assert run_cli(["complex", "new", "in.txt"])[:2] == (0, text)
+        assert run_cli(["complex", "new", "in.txt", "-o", str(tmp_path / "o.txt")])[0] == 0
+        assert (tmp_path / "o.txt").read_text() == text
+    with pytest.raises(FormatError):
+        kio.dumps(object())
+    # an object with no text form is an input error
+    monkeypatch.setattr(kio, "load", lambda *args: object())
+    assert run_cli(["complex", "new", "in.txt"])[0] == 2
+
+
 def test_presentation_round_trip():
     P = ModulePresentation(Z4, 2, mat(Z4, [[2], [0]]))
     text = kio.save_presentation(P)
