@@ -14,6 +14,11 @@ and ext_table(k, k, window) and checks:
   and by p^{k-1} alternate;
 - |Ext^n(k, k)| = |k|^{b_n}, as the differentials of Hom(F, k) vanish.
 
+Over Z/27, Z/8, F2[x]/(x^4) and F2[x,y]/(x,y)^2 it checks the same for k
+presented as the `duality` benchmark presents it: the generators of m
+times seeded units, plus one redundant element of m, in seeded order, so
+that the first resolution step has a column to drop (minimal_generators).
+
 The F_p-algebras run p = 2, 3 and 5 at full size: k[x,y,z]/(x,y,z)^2 at
 window 6 over F2 and F3 (b_n = 3^n, 2,187 generators at the top), and
 k[x,y]/(x,y)^2 at window 9 over F2 and F5 (b_n = 2^n); every p runs the
@@ -42,6 +47,7 @@ Ext^n(M, M) = 0 for n >= 1, that every rank of the resolution is at most
 It prints wall times.  It exits 1 on a wrong answer only, never on time.
 """
 
+import random
 import sys
 import time
 from math import comb
@@ -50,7 +56,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from koszulkit.duality import ModulePresentation, ext_sup, ext_table, homothety_check, resolve
-from koszulkit.linalg import minimal_generators, resolution
+from koszulkit.linalg import _maximal_ideal_elements, minimal_generators, resolution
+from koszulkit.matrices import Matrix
 from koszulkit.rings import Zmod, poly_quotient
 
 XY2 = ["x^2", "x*y", "y^2"]
@@ -67,6 +74,14 @@ CASES = [
     (lambda: Zmod(27), 20, lambda n: 1),
     (lambda: Zmod(8), 20, lambda n: 1),
 ]
+# (ring, window, b_n) for k presented with a redundant relation, three seeds each
+SCRAMBLED = [
+    (lambda: Zmod(27), 20, lambda n: 1),
+    (lambda: Zmod(8), 20, lambda n: 1),
+    (lambda: poly_quotient("F2", ["x"], ["x^4"]), 8, lambda n: 1),
+    (lambda: poly_quotient("F2", ["x", "y"], XY2), 8, lambda n: 2 ** n),
+]
+SCRAMBLED_SEEDS = (91, 92, 93)
 # (p, k, a, b, window): Ext(Z/p^a, Z/p^b) over Z/p^k
 CYCLIC = [(3, 3, 2, 1, 20), (3, 3, 1, 2, 20)]
 # chain rings, whose resolution of k repeats: Ext(k, k) at window 10,000
@@ -91,26 +106,47 @@ def timed(f, *args):
     return out, 1000 * (time.perf_counter() - t0)
 
 
+def scrambled_residue_field(R, seed):
+    """k = R/m presented by the generators of m times seeded units, plus one
+    redundant element of m, in seeded order."""
+    rng = random.Random(seed)
+    elements = list(R.elements())
+    units = [a for a in elements if a.is_unit()]
+    rel = [g * rng.choice(units) for g in _maximal_ideal_elements(R)]
+    rel.append(rng.choice([a for a in elements if not a.is_unit() and not a.is_zero()]))
+    rng.shuffle(rel)
+    return ModulePresentation(R, 1, Matrix.from_rows(R, [rel]))
+
+
+def check_residue_field(k, window, betti, label):
+    """The wrong answers among the Betti numbers of k and |Ext^n(k, k)|."""
+    diffs, resolve_ms = timed(resolve, k, window + 1)
+    table, ext_ms = timed(ext_table, k, k, window)
+    found = [k.gens] + [d.cols for d in diffs]
+    expected = [betti(n) for n in range(window + 2)]
+    q = k.cardinality()
+    checks = {
+        "Betti numbers": found == expected,
+        "|Ext^n(k, k)| = |k|^b_n": [h.cardinality for h in table]
+        == [q ** b for b in expected[:window + 1]],
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    print(f"{label}, window {window}: resolve {resolve_ms:.1f} ms, ext_table {ext_ms:.1f} ms, "
+          f"Betti numbers {found}: " + ("ok" if not failed else "WRONG " + ", ".join(failed)))
+    return [(label, name) for name in failed]
+
+
 def main():
     wrong = []
     for make, window, betti in CASES:
         R = make()
-        k = ModulePresentation.residue_field(R)
-        diffs, resolve_ms = timed(resolve, k, window + 1)
-        table, ext_ms = timed(ext_table, k, k, window)
-        found = [k.gens] + [d.cols for d in diffs]
-        expected = [betti(n) for n in range(window + 2)]
-        q = k.cardinality()
-        checks = {
-            "Betti numbers": found == expected,
-            "|Ext^n(k, k)| = |k|^b_n": [h.cardinality for h in table]
-            == [q ** b for b in expected[:window + 1]],
-        }
-        failed = [name for name, ok in checks.items() if not ok]
-        wrong += [(repr(R), name) for name in failed]
-        print(f"{R}, window {window}: resolve {resolve_ms:.1f} ms, ext_table {ext_ms:.1f} ms, "
-              f"Betti numbers {found}: "
-              + ("ok" if not failed else "WRONG " + ", ".join(failed)))
+        wrong += check_residue_field(ModulePresentation.residue_field(R), window, betti, repr(R))
+    for make, window, betti in SCRAMBLED:
+        R = make()
+        for seed in SCRAMBLED_SEEDS:
+            k = scrambled_residue_field(R, seed)
+            rel = ", ".join(str(a) for a in k.relations.data[0])
+            wrong += check_residue_field(k, window, betti, f"R/({rel}) over {R}")
     for p, k, a, b, window in CYCLIC:
         R = Zmod(p ** k)
         M, N = (ModulePresentation.cyclic(R, [R.from_int(p ** e)]) for e in (a, b))

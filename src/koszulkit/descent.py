@@ -41,7 +41,7 @@ from .dgmodules import (
     DGModule, extend, extension_action, is_k_linear,
 )
 from .errors import (
-    CapabilityMissing, IncompleteAssignment, MixedRings, NonCanonicalHarness,
+    CapabilityMissing, IncompleteAssignment, MixedRings, NonCanonicalHarness, NotMinimal,
     RankMismatch, ShapeMismatch, UnverifiedDGModule, VerificationFailed, WindowViolated,
 )
 from .koszul import koszul_base_change
@@ -378,7 +378,6 @@ def generate_system(K, P, F=None, check_minimal=True):
     """
     ring = K.ring
     if check_minimal and ring.local and not is_minimal(P):
-        from .errors import NotMinimal
         raise NotMinimal("P has a unit entry in some differential")
     shape = shape_of(K, P)
     m, e, r = shape.m, shape.e, shape.r_at

@@ -42,9 +42,10 @@ from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotLocal, NotRegular, ToolkitError,
 )
 from .linalg import (
-    HomologySummary, _maximal_ideal_elements, dual_image_cardinalities, fp_module,
-    has_linear_solve, image_membership, kernel_basis, kernel_cardinality, minimal_generators,
-    periodic, resolution, span_cardinality, subquotient,
+    HomologySummary, _grid_to_matrix, _is_unit, _maximal_ideal_elements, _payload_grid,
+    dual_image_cardinalities, fp_module, has_linear_solve, image_membership, kernel_basis,
+    kernel_cardinality, lift_context, minimal_generators, periodic, resolution, smith_data,
+    span_cardinality, subquotient,
 )
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RingHom, Zmod, poly_quotient
@@ -593,7 +594,6 @@ def _chain_ring_iso(S, M1, M2):
     sums of cyclic modules; matching factor multisets are aligned by a
     permutation and conjugated back.  Returns (phi, psi) or None.
     """
-    from .linalg import lift_context, smith_data, _grid_to_matrix, _is_unit, _payload_grid
     ctx = lift_context(S)
     ed, f = ctx.ed, ctx.modulus
 

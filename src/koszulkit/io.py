@@ -10,6 +10,7 @@ object is turned into its text form and read by the same loader.
 from __future__ import annotations
 
 import json
+import pathlib
 import re
 from functools import partial
 
@@ -696,7 +697,6 @@ def dumps(obj):
 
 
 def save(obj, path):
-    import pathlib
     p = pathlib.Path(path)
     p.write_text(to_json(obj) if p.suffix == ".json" else dumps(obj), encoding="utf-8")
 
@@ -726,7 +726,6 @@ def _load_text(text, coefficient_ring=None, where=""):
 
 
 def load(path, coefficient_ring=None):
-    import pathlib
     p = pathlib.Path(path)
     text = p.read_text(encoding="utf-8")
     if p.suffix == ".json":

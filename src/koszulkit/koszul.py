@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .complexes import ChainComplex, homology, sup_inf, tensor
+from .complexes import ChainComplex, free_module_complex, homology, sup_inf, tensor
 from .dgmodules import AxiomReport, AxiomResult, DGModule, _first_failure, verify_dg_module
 from .errors import CapabilityMissing, MixedRings
 from .matrices import Matrix
@@ -235,7 +235,6 @@ def depth_sensitivity_probe(K, module_rank_or_complex):
     Returns the top nonzero homology degree, or None when acyclic; equals 0
     exactly when the sequence is regular on the free module at desk scale.
     """
-    from .complexes import free_module_complex
     if isinstance(module_rank_or_complex, int):
         M = free_module_complex(K.ring, module_rank_or_complex)
     else:

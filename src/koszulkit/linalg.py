@@ -9,11 +9,11 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   int with each coordinate in a fixed-width field (_Codec: one bit and XOR
   for p = 2, one byte and a byte-translate reduction up to p = 13, wider
   fields above), so one code path serves every p.  It gives kernels,
-  solutions and ranks, hence cardinalities, the unit test and minimal
-  generating sets.  A resolution over any of these rings, F_p[x]/(f)
-  included, stays in these coordinates from one step to the next and
-  checks each d_i d_{i+1} = 0 there, and `FpModule` holds a finitely
-  presented module as an F_p-space, with the action of the ring on it.
+  solutions and ranks, hence cardinalities and the unit test.  A
+  resolution over any of these rings, F_p[x]/(f) included, stays in these
+  coordinates from one step to the next and checks each d_i d_{i+1} = 0
+  there, and `FpModule` holds a finitely presented module as an F_p-space,
+  from which `dual_rank` reads the rank of Hom(d, N).
 - Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
   1986, Storjohann & Mulders 1998) with the ring's own row operations, so
   every entry, transforms included, stays reduced; only pivot arithmetic
@@ -28,11 +28,18 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   kernels, solutions and subquotients.  A subquotient over Z/n is the one
   over Z of the lifts enlarged by n Z^u.
 
+One Nakayama rule picks minimal generating sets over every local ring:
+c_j is kept when it lies outside m M + R c_1 + ... + R c_{j-1}.  It has
+two implementations, F_p coordinates over a ring with an F_p view
+(`_nakayama_keep`, prime fields included) and one `solve` per column
+against [m M | c_1 ... c_{j-1}] over Z/p^k and Q (`minimal_generators`).
+
 One resolution loop (`resolution`) serves every ring: packed F_p columns
-over a ring with an F_p view, matrices otherwise.  It checks every product
-d_i d_{i+1} = 0 itself and, over a finite ring, stops at a differential
-that repeats one or two steps back once the cycle is certified exact by
-image sizes (`_certify_period`).
+over a ring with an F_p view, matrices otherwise.  Each step keeps the
+kernel generators of that rule.  It checks every product d_i d_{i+1} = 0
+itself and, over a finite ring, stops at a differential that repeats one
+or two steps back once the cycle is certified exact by image sizes
+(`_certify_period`).
 """
 
 from __future__ import annotations
@@ -509,12 +516,6 @@ class _Echelon:
         return False
 
 
-def _table_sum(codec, n, terms):
-    """The sum of c * T over the pairs (T, c) of `terms`, with 0 < c < p
-    and T a table of n packed vectors."""
-    return [codec.lincomb(0, [(c, table[i]) for table, c in terms]) for i in range(n)]
-
-
 class _FpView:
     """F_p coordinates for a prime field or a finite-dimensional F_p-algebra.
 
@@ -561,7 +562,8 @@ class _FpView:
             return (payload,)
         if len(payload) == 1 and payload[0][1] == 1:
             return self._monomial(payload[0][0])
-        return _table_sum(self.codec, self.dim, [(self._monomial(m), c) for m, c in payload])
+        tables = [(c, self._monomial(m)) for m, c in payload]
+        return [self.codec.lincomb(0, [(c, t[i]) for c, t in tables]) for i in range(self.dim)]
 
     def rows(self, A):
         """(rows, column count) of A expanded over F_p.
@@ -715,13 +717,14 @@ def _nakayama_keep(view, vecs, n, submodule=False):
       reduction of [m V | v_0 ... v_j], a minimal generating set (Nakayama).
       m V is spanned by the nonconstant standard monomials times V, or by
       the variables among them when V is an R-submodule (`submodule`): every
-      standard monomial is a product of those.
+      standard monomial is a product of those.  A prime field has no
+      nonconstant monomial, so it keeps the pivots.
     - Over any other algebra, v_j is kept when it lies outside R times the
       kept vectors before it, each kept vector's products with the
       nonconstant monomials joining the span.
     """
     span = _Echelon(view.codec)
-    nonconstant = [(b, sum(e)) for b, e in zip(view.basis, view.std) if any(e)]
+    nonconstant = [(b, sum(e)) for b, e in zip(view.basis, view.std or ()) if any(e)]
     if not view.ring.local:
         acts, keep = [view.action(b, n) for b, _ in nonconstant], []
         for j, v in enumerate(vecs):
@@ -1079,8 +1082,8 @@ class FpModule:
     of R^gens give a complement, the coordinates that are not pivots, and
     the projection onto it, reduction by those rows; `dim` is dim_{F_p} N.
     Vectors of R^gens and of N are packed by the view's codec.  The action
-    on N of each standard monomial is made on first use and kept, at most
-    view.dim of them, and an element acts by their sum.
+    on N of each basis element of R over F_p, the columns `dual_rank` reads,
+    is made on first use and kept, at most view.dim of them.
     """
 
     def __init__(self, view, gens, relations):
@@ -1111,16 +1114,6 @@ class FpModule:
             cols = self._monomial_action[b] = tuple(
                 self.project(act(1 << t * w)) for t in self._free)
         return cols
-
-    def action(self, payload):
-        """The packed columns of the dim x dim matrix of payload acting on N."""
-        if self.view.std is None:
-            terms = [(1, payload)] if payload else []
-        else:
-            terms = [(((m, 1),), c) for m, c in payload]
-        if len(terms) == 1 and terms[0][1] == 1:
-            return self._monomial(terms[0][0])
-        return _table_sum(self.codec, self.dim, [(self._monomial(b), c) for b, c in terms])
 
     def dual_rank(self, cols):
         """The F_p rank of Hom(d, N) : N^{d.rows} -> N^{d.cols}, phi -> phi d,
@@ -1372,7 +1365,7 @@ def image_membership(ring, V, W):
 
 
 # ---------------------------------------------------------------------------
-# minimal generating sets (Nakayama reduction over local rings)
+# minimal generating sets (the Nakayama rule over local rings)
 
 
 def _maximal_ideal_elements(ring):
@@ -1380,46 +1373,34 @@ def _maximal_ideal_elements(ring):
             for g in ring.maximal_ideal]
 
 
-def _hstack_all(cols, ring, rows):
-    return Matrix.from_blocks(ring, [rows], [c.cols for c in cols],
-                              {(0, j): c for j, c in enumerate(cols)})
-
-
 def minimal_generators(ring, M):
     """Reduce the columns of M to a minimal generating set of their span.
 
-    Over an F_p-algebra column c_j is kept exactly when it lies outside
-    the F_p-span of mM and c_1 ... c_{j-1} (local) or outside R times the
-    kept c_i, i < j (`_nakayama_keep`).  Elsewhere Nakayama over certified-
-    local rings; over the rest only zero columns are dropped (kernel bases
-    over Z and F_p[x] are already minimal).
+    Over a local ring column c_j is kept exactly when it lies outside m M +
+    R c_1 + ... + R c_{j-1} (Nakayama), one rule with two implementations:
+    F_p coordinates over a ring with an F_p view (`_nakayama_keep`, where a
+    prime field keeps its pivot columns), one `solve` against [m M | c_1 ...
+    c_{j-1}] per column over Z/p^k and Q.  A non-local F_p-algebra keeps c_j
+    outside R times the kept c_i, i < j; over the other rings (Z/n for
+    composite n, Z, F_p[x]) only zero columns are dropped (kernel bases over
+    Z and F_p[x] are already minimal).
     """
     # the zero columns are those no stored row reaches
     used = sorted({j for cols, _ in M.sparse_rows for j in cols})
     if len(used) != M.cols:
         M = M.submatrix(range(M.rows), used)
-    if M.cols <= 1:
+    view = _fp_view_of(ring)
+    if M.cols <= 1 or not (view or ring.local):
         return M
-    # prime fields keep the solve loop below, which decides the kept columns
-    view = _fp_view_of(ring) if ring.kind == POLYQUOT else None
+    rows = range(M.rows)
     if view is not None:
-        return M.submatrix(range(M.rows), _nakayama_keep(view, view.columns(M), M.rows))
-    if not ring.local:
-        return M
-    mgens = _maximal_ideal_elements(ring)
-    cols = M.columns()
-    changed = True
-    while changed and len(cols) > 1:
-        changed = False
-        for j in range(len(cols)):
-            others = [c for k, c in enumerate(cols) if k != j]
-            mcols = [c.scale(g) for g in mgens for c in cols]
-            W = _hstack_all(others + mcols, ring, M.rows)
-            if W.cols and solve(ring, W, cols[j]) is not None:
-                cols.pop(j)
-                changed = True
-                break
-    return _hstack_all(cols, ring, M.rows)
+        keep = _nakayama_keep(view, view.columns(M), M.rows)
+    else:
+        # column (j, t) of m M is g_t c_j
+        mM = M.kron(Matrix.from_rows(ring, [_maximal_ideal_elements(ring)]))
+        keep = [j for j in range(M.cols) if solve(
+            ring, mM.hstack(M.submatrix(rows, range(j))), M.submatrix(rows, [j])) is None]
+    return M if len(keep) == M.cols else M.submatrix(rows, keep)
 
 
 def _products_vanish(view, cols, nrows, kernel):
@@ -1499,9 +1480,10 @@ class _PackedSteps:
 
 class _MatrixSteps:
     """Resolution steps on matrices, over a ring with no F_p view (Z/n, Z, Q
-    and F_p[x]): a step is minimal_generators(kernel_basis), products are
-    matrix products and image sizes are Howell span sizes
-    (`span_cardinality`)."""
+    and F_p[x]): a step is minimal_generators(kernel_basis), which keeps the
+    Nakayama rule's columns by one `solve` each over Z/p^k and Q and drops
+    only zero columns elsewhere; products are matrix products and image
+    sizes are Howell span sizes (`span_cardinality`)."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -1584,8 +1566,10 @@ def resolution(ring, d, steps):
     period.
 
     Each step takes a generating set of the kernel of the last
-    differential, minimal over a local ring (_PackedSteps over a ring with an F_p view, _MatrixSteps
-    otherwise) and checks d_n d_{n+1} = 0 apart from the kernel, raising
+    differential, minimal over a local ring by the one Nakayama rule of
+    `minimal_generators` (in F_p coordinates by _PackedSteps over a ring
+    with an F_p view, by one solve per column by _MatrixSteps over Z/p^k
+    and Q), and checks d_n d_{n+1} = 0 apart from the kernel, raising
     NotAComplex when it fails.  Over a finite ring the new d_{n+1} is then
     compared with d_{n+1-q} for q = 1 and 2: the same rows and the same
     stored entries (columns).  A step is a function of the last differential
@@ -1626,13 +1610,17 @@ def resolution(ring, d, steps):
 def kernel_resolution(ring, d, steps):
     """Up to `steps` further resolution differentials below d, as matrices:
     each one generates the kernel of the one before, minimally over a local
-    ring (`resolution`, continued by its certified period).  The list stops with
-    the first kernel that vanishes, a matrix with no columns.
+    ring, where its columns are those the Nakayama rule of
+    `minimal_generators` keeps (`resolution`, continued by its certified
+    period).  The list stops with the first kernel that vanishes, a matrix
+    with no columns.
     """
     return resolution(ring, d, steps).matrices(1 + max(steps, 0))[1:]
 
 
 def syzygies(ring, A):
-    """A generating set of ker A, minimal over a local ring: one step of
+    """A generating set of ker A, minimal over a local ring, where it keeps
+    the kernel generators outside m ker A and the ones before them (the
+    Nakayama rule of `minimal_generators`): one step of
     `kernel_resolution`."""
     return (kernel_resolution(ring, A, 1) or [Matrix.zeros(ring, 0, 0)])[0]

@@ -20,6 +20,7 @@ import operator
 import re
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     CapabilityMissing,
@@ -632,7 +633,6 @@ class Ring:
         if self.kind == RATIONALS:
             return a != 0
         if self.kind in (ZMOD, PRIMEFIELD):
-            from math import gcd
             return a != 0 and gcd(a, self.modulus) == 1
         # polynomial quotient
         if not a:

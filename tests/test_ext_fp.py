@@ -1,8 +1,13 @@
-"""Ext over prime fields and finite F_p-algebras, computed in F_p coordinates.
+"""Ext over prime fields and finite F_p-algebras, computed in F_p coordinates,
+and the one keep rule of `minimal_generators` on every ring tier.
 
 - The coordinate resolution step `syzygies` against the keep rule checked
   by `solve` on the F_p kernel (Nakayama over a local algebra, R times the
   kept columns over a non-local one), and its span against |ker A|.
+- `minimal_generators` against that rule over F_p-algebras, prime fields,
+  Z/8, Z/27, Q and the non-local Z/12 (every nonzero column); the pivot
+  columns of sympy's rref over Q and GF(p); at most one `solve` per column
+  over Z/27 and Q and none in F_p coordinates.
 - The resolution loop (`linalg.resolution`, packed here) behind `resolve` and
   `ext_table`: the same matrices as resolving step by step on payload
   matrices, and a planted kernel error caught by its d.d = 0 check.  Over
@@ -14,6 +19,8 @@
 - Betti numbers of the residue field against closed forms: b_n = d^n over
   k[x_1..x_d]/(x)^2, and the Poincare series (1+t)^d / (1-t^2)^d over
   k[x_1..x_d]/(x_1^{a_1}, ..., x_d^{a_d}) (Tate, Illinois J. Math. 1957).
+- Minimality with no keep rule read: |Ext^i(M, k)| = |k|^{rank F_i} for
+  presentations with relations in m over Z/p^k and local F_p-algebras.
 - The caches of the F_p view and of a module's F_p data stay bounded.
 """
 
@@ -30,8 +37,9 @@ from koszulkit.linalg import (
     minimal_generators, solve, span_cardinality, syzygies,
 )
 from koszulkit.matrices import Matrix
-from koszulkit.rings import GF, Zmod, poly_quotient
+from koszulkit.rings import GF, QQ, Zmod, poly_quotient
 
+import helpers
 from helpers import count_calls, presented_route, reference_resolve
 
 RINGS = {
@@ -53,6 +61,9 @@ ODD_P = {
     "F13[x]/(x^2)": poly_quotient("F13", ["x"], ["x^2"]),
 }
 ALL = {**RINGS, **ODD_P}
+# every tier of minimal_generators: the rings above, with an F_p view, then
+# the chain rings Z/p^k and the field Q, and the non-local Z/12
+TIERS = {**RINGS, "Z/8": Zmod(8), "Z/27": Zmod(27), "Q": QQ(), "Z/12": Zmod(12)}
 POOLS = {name: list(R.elements()) for name, R in ALL.items()}
 
 
@@ -81,12 +92,13 @@ def hstack(R, rows, cols):
 def nakayama_oracle(R, M):
     """The columns of M a generating set keeps, by solve.
 
-    Over a local algebra, the columns c_j of M outside m M + R c_1 + ... +
-    R c_{j-1}: that span equals m M + F_p c_1 + ... + F_p c_{j-1}, so these
-    are the columns a minimal generating set keeps.  Over a non-local
-    algebra, the columns c_j outside R times the kept c_i with i < j."""
+    Over a local ring, the columns c_j of M outside m M + R c_1 + ... +
+    R c_{j-1}: the columns a minimal generating set keeps (Nakayama).  Over
+    a non-local F_p-algebra, the columns c_j outside R times the kept c_i
+    with i < j; over a non-local ring with no F_p view, every nonzero
+    column."""
     cols = [c for c in M.columns() if not c.is_zero()]
-    if len(cols) <= 1 or R.kind != "polyquot":
+    if len(cols) <= 1 or not (R.local or _fp_view_of(R)):
         return cols
     if not R.local:
         kept = []
@@ -97,6 +109,13 @@ def nakayama_oracle(R, M):
     mM = [c.scale(g) for g in _maximal_ideal_elements(R) for c in cols]
     return [c for j, c in enumerate(cols)
             if solve(R, hstack(R, M.rows, mM + cols[:j]), c) is None]
+
+
+def sparse_matrix(R, rows, cols, rng):
+    """A seeded matrix over R whose entries are zero half the time, so that
+    some columns lie in the span of the others and some do not."""
+    return Matrix.from_rows(R, [[helpers.random_element(R, rng) if rng.random() < 0.5 else R.zero
+                                 for _ in range(cols)] for _ in range(rows)])
 
 
 def fp_kernel(R, A):
@@ -119,14 +138,45 @@ def test_coordinate_step_keeps_the_columns_of_kernel_then_minimal_generators(nam
         assert span_cardinality(R, step) == kernel_cardinality(R, A)
 
 
-@pytest.mark.parametrize("name", list(RINGS))
+@pytest.mark.parametrize("name", list(TIERS))
 def test_minimal_generators_follow_the_nakayama_rule(name):
-    R = RINGS[name]
+    R = TIERS[name]
     rng = random.Random(f"mingens:{name}")
-    for rows, cols in [(1, 4), (2, 3), (3, 5)]:
-        M = random_matrix(name, rows, cols, rng)
-        if R.kind == "polyquot":
+    for rows, cols in [(1, 4), (2, 3), (3, 5), (2, 6)]:
+        for M in (helpers.random_matrix(R, rows, cols, rng), sparse_matrix(R, rows, cols, rng)):
             assert minimal_generators(R, M).columns() == nakayama_oracle(R, M)
+
+
+@pytest.mark.parametrize("name", ["Q", "F7", "F2"])
+def test_minimal_generators_keep_the_pivot_columns_of_rref(monkeypatch, name):
+    # over a field m = 0, so the Nakayama rule keeps the pivot columns of
+    # the reduced row echelon form, here sympy's
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    R = TIERS[name]
+    domain = sympy.QQ if name == "Q" else sympy.GF(R.modulus)
+    solves = count_calls(monkeypatch, linalg.solve)
+    rng = random.Random(f"pivots:{name}")
+    for rows, cols in [(1, 4), (2, 5), (3, 3), (3, 6), (4, 4)] * 4:
+        M = sparse_matrix(R, rows, cols, rng)
+        entries = [[domain(x.payload.numerator, x.payload.denominator) if name == "Q"
+                    else domain(x.payload) for x in row] for row in M.data]
+        _, pivots = DomainMatrix(entries, (rows, cols), domain).rref()
+        solves.clear()
+        assert minimal_generators(R, M) == M.submatrix(range(rows), list(pivots))
+        # one solve per column at most over Q, none in F_p coordinates
+        assert len(solves) <= (cols if name == "Q" else 0)
+
+
+def test_minimal_generators_solve_at_most_once_per_column_over_a_chain_ring(monkeypatch):
+    R = TIERS["Z/27"]
+    solves = count_calls(monkeypatch, linalg.solve)
+    rng = random.Random("solves:Z/27")
+    for rows, cols in [(1, 4), (2, 5), (3, 3), (3, 6), (4, 4)] * 4:
+        M = sparse_matrix(R, rows, cols, rng)
+        solves.clear()
+        minimal_generators(R, M)
+        assert len(solves) <= cols
 
 
 @pytest.mark.parametrize("name", list(ALL))
@@ -359,6 +409,42 @@ def test_betti_numbers_and_ext_of_the_residue_field_follow_the_poincare_series(
 
 
 # ---------------------------------------------------------------------------
+# minimality, certified by Ext(M, k)
+
+
+LOCAL = {
+    "Z/8": Zmod(8),
+    "Z/25": Zmod(25),
+    "Z/27": Zmod(27),
+    "F2[x]/(x^4)": poly_quotient("F2", ["x"], ["x^4"]),
+    "F2[x,y]/(x,y)^2": RINGS["F2[x,y]/(x,y)^2"],
+    "F3[x,y]/(x^2,y^2)": RINGS["F3[x,y]/(x^2,y^2)"],
+}
+
+
+@pytest.mark.parametrize("name", list(LOCAL))
+def test_resolutions_are_minimal_by_the_ext_of_the_residue_field(name):
+    # A free resolution F of M is minimal exactly when every d_i has its
+    # entries in m; then Hom(F, k) has zero differentials and |Ext^i(M, k)|
+    # = |k|^{rank F_i}.  A unit entry in d_i or d_{i+1} makes Hom(d, k)
+    # nonzero and Ext^i smaller, so this reads no keep rule.  The relation
+    # entries lie in m, so F_0 = R^gens is minimal too.
+    R = LOCAL[name]
+    k = du.ModulePresentation.residue_field(R)
+    q, window = k.cardinality(), 5
+    pool = helpers.maximal_ideal_pool(R)
+    rng = random.Random(f"minimal:{name}")
+    for _ in range(6):
+        gens, c = rng.randint(1, 3), rng.randint(1, 4)
+        M = du.ModulePresentation(R, gens, Matrix.from_rows(
+            R, [[rng.choice(pool) for _ in range(c)] for _ in range(gens)]))
+        res = linalg.resolution(R, minimal_generators(R, M.relations), window)
+        ranks = [gens] + [d.cols for d in res.matrices(window)]
+        ranks += [0] * (window + 1 - len(ranks))
+        assert [h.cardinality for h in du.ext_table(M, k, window)] == [q ** r for r in ranks]
+
+
+# ---------------------------------------------------------------------------
 # bounded caches
 
 
@@ -387,9 +473,10 @@ def test_fp_view_caches_stay_bounded_by_the_standard_monomials():
             (vab,) = view.columns(one.scale(a * b))
             vb, vab = coords(vb, view.dim), coords(vab, view.dim)
             assert [sum(x * y for x, y in zip(r, vb)) % 3 for r in rows] == vab
-        # a acts on k = R/m as its constant term
-        assert [coords(c, fp.dim) for c in fp.action(a.payload)] == [[a.payload[-1][1] if a.payload
-                                         and not any(a.payload[-1][0]) else 0]]
+        # a acts on k = R/m as its constant term, so Hom([a], k) : k -> k,
+        # phi -> phi a, has rank 1 exactly when that term is nonzero
+        constant = bool(a.payload) and not any(a.payload[-1][0])
+        assert fp.dual_rank(view.columns(one.scale(a))) == int(constant)
         view.action(a.payload, 2)
     du.resolve(k, 4)
     assert len(view._monomial_rows) <= view.dim

@@ -223,7 +223,7 @@ def test_minimal_generators_drop_zero_columns_from_the_stored_rows(monkeypatch):
                     any(A.data[i][j] for i in range(A.rows))]
             expected = A.submatrix(range(A.rows), kept)
             if R.local and len(kept) > 1:
-                continue  # the Nakayama loop reads columns after the zero test
+                continue  # the Nakayama pass solves after the zero test
             with monkeypatch.context() as m:
                 forbid(m, "columns", "transpose")
                 assert minimal_generators(R, A) == expected
