@@ -44,8 +44,8 @@ from .errors import (
 from .linalg import (
     HomologySummary, _grid_to_matrix, _is_unit, _maximal_ideal_elements, _payload_grid,
     dual_image_cardinalities, fp_module, has_linear_solve, image_membership, kernel_basis,
-    kernel_cardinality, lift_context, minimal_generators, periodic, resolution, smith_data,
-    span_cardinality, subquotient,
+    kernel_cardinality, lift_context, minimal_generators, periodic, preimage, resolution,
+    smith_data, span_cardinality, subquotient,
 )
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RingHom, Zmod, poly_quotient
@@ -202,8 +202,7 @@ def hom_homology(G, N, degrees):
         if not H.rank(-m):
             out.append(_zero_ambient_summary(ring))
             continue
-        V = kernel_basis(ring, H.diff(-m).hstack(rel(m + 1)))
-        V = V.submatrix(range(H.rank(-m)), range(V.cols))
+        V = preimage(ring, H.diff(-m), rel(m + 1))
         out.append(subquotient(ring, V, H.diff(1 - m).hstack(rel(m))))
     return out
 
@@ -661,11 +660,8 @@ def lifting_verify(R, x, M, N):
     if N.ring != S:
         raise DimensionMismatch(f"N must be presented over {S}")
     # Tor_1(S, M) = {v : x v in span(relations)} / span(relations)
-    g = M.gens
-    xI = Matrix.identity(R, g).scale(x)
-    V = kernel_basis(R, xI.hstack(M.relations))
-    V = V.submatrix(range(g), range(V.cols)) if V.cols else Matrix.zeros(R, g, 0)
-    tor1 = subquotient(R, V.hstack(M.relations), M.relations)
+    xI = Matrix.identity(R, M.gens).scale(x)
+    tor1 = subquotient(R, preimage(R, xI, M.relations), M.relations)
     if not tor1.is_zero:
         return LiftingVerdict(False, (1, tor1), False, "Tor obstruction")
     SM = M.map_through(proj)

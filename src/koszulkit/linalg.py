@@ -25,8 +25,8 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   not the resolution.  Over a field it gives row_echelon, the Hermite
   form.
 - The domains Z, Q and F_p[x] run smith_data with recorded transforms for
-  kernels, solutions and subquotients.  A subquotient over Z/n is the one
-  over Z of the lifts enlarged by n Z^u.
+  kernels, solutions and subquotients R^c / preimage(V, W), whose Smith
+  diagonal also serves Z/n on the lift enlarged by n Z^c.
 
 One Nakayama rule picks minimal generating sets over every local ring:
 c_j is kept when it lies outside m M + R c_1 + ... + R c_{j-1}.  It has
@@ -1284,77 +1284,67 @@ class HomologySummary:
             (other.free_rank, other.invariant_factors)
 
 
-def _domain_subquotient(ring, V, W):
-    """span(V)/span(W) over Z, Q or F_p[x]: free rank plus invariant factors."""
-    ctx = lift_context(ring)
-    ed = ctx.ed
-    sd = smith_data(ed, _payload_grid(V), V.rows, V.cols)
-    # basis of span(V): nonzero d_i times column i of S^{-1}
-    basis_cols = []
-    for i in range(min(V.rows, V.cols)):
-        d = sd.diag(i)
-        if d:
-            basis_cols.append([ctx.from_payload(ed.mul_payload(sd.Si[r][i], d))
-                               for r in range(V.rows)])
-    k = len(basis_cols)
-    if k == 0:
-        return HomologySummary(ring, True, free_rank=0, invariant_factors=())
-    B = Matrix.from_columns(ring, V.rows, basis_cols)
-    coords = solve(ring, B, W) if W.cols else Matrix.zeros(ring, k, 0)
-    if coords is None:
-        raise ArithmeticError("image generators not inside the kernel span")
-    csd = smith_data(ed, _payload_grid(coords), k, coords.cols)
-    ds = [d for d in map(csd.diag, range(min(k, coords.cols))) if d]
-    factors = tuple(ring.box(ctx.from_payload(d)) for d in ds if not _is_unit(ed, d))
-    free_rank = k - len(ds)
-    return HomologySummary(ring, free_rank == 0 and not factors, free_rank=free_rank,
-                           invariant_factors=factors)
+def preimage(ring, A, B):
+    """Generators of {y : A y in span B}: the first A.cols coordinates of the
+    kernel generators of [A | B]."""
+    K = kernel_basis(ring, A.hstack(B))
+    return K.submatrix(range(A.cols), range(K.cols))
+
+
+def _finite_summary(ring, num, den):
+    """A module of num / den elements, with its dimension over a prime field."""
+    card, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("image span does not divide kernel span")
+    dim = next(k for k in count() if ring.p ** k >= card) if ring.kind == PRIMEFIELD else None
+    return HomologySummary(ring, card == 1, cardinality=card, dimension=dim)
 
 
 def subquotient(ring, V, W):
-    """Present span(V)/span(W); W's columns must lie inside span(V)."""
-    view, ctx = _engine(ring)
+    """(span V + span W) / span W, the image of span V in R^u / span W: span
+    V / span W whenever W lies in span V.
+
+    Over a finite ring other than Z/n it has |span [V | W]| / |span W|
+    elements.  Elsewhere it is R^c / span Y for Y = preimage(V, W), c =
+    V.cols, and one Smith diagonal of Y (over Z/n of its lift to Z next to
+    n I_c) gives c minus its nonzero entries as the free rank and its
+    non-units as the invariant factors.
+    """
+    _, ctx = _engine(ring)
     if V.rows != W.rows:
         raise DimensionMismatch("ambient ranks differ")
-    if ring.kind == PRIMEFIELD:
-        dim = view.rank(V) - view.rank(W)
-        return HomologySummary(ring, dim == 0, dimension=dim,
-                               cardinality=ring.modulus ** dim)
-    if ring.kind == RATIONALS:
-        dim = _domain_subquotient(ring, V, W).free_rank
-        return HomologySummary(ring, dim == 0, dimension=dim)
+    if ring.is_finite() and ring.kind != ZMOD:
+        return _finite_summary(ring, span_cardinality(ring, V.hstack(W)), span_cardinality(ring, W))
+    c, grid = V.cols, _payload_grid(preimage(ring, V, W))
     if ring.kind == ZMOD:
-        # span(V)/span(W) over Z/n is the quotient of the Z-lifts, each
-        # enlarged by n Z^u, so it is finite and its invariants are integers
-        Z = ZZ()
-        nI = Matrix.identity(Z, V.rows).scale(Z.from_int(ring.modulus))
-        lift = lambda M: Matrix(Z, M.rows, M.cols, M.sparse_rows).hstack(nI)
-        factors = tuple(f.payload for f in
-                        _domain_subquotient(Z, lift(V), lift(W)).invariant_factors)
-        card = prod(factors)
-        return HomologySummary(ring, card == 1, cardinality=card,
+        grid = [row + [ring.modulus if j == i else 0 for j in range(c)]
+                for i, row in enumerate(grid)]
+    sd = smith_data(ctx.ed, grid, c, len(grid[0]) if grid else 0)
+    ds = [d for d in map(sd.diag, range(c)) if d]
+    factors = tuple(d for d in ds if not _is_unit(ctx.ed, d))
+    free_rank = c - len(ds)
+    if ring.kind == ZMOD:  # the invariants of an abelian group
+        return HomologySummary(ring, not factors, cardinality=prod(factors),
                                invariant_factors=factors, free_rank=0)
-    if ctx is not None and ctx.modulus is None:
-        return _domain_subquotient(ring, V, W)
-    # finite quotient rings: cardinality ratio
-    cv = span_cardinality(ring, V)
-    cw = span_cardinality(ring, W)
-    if cv % cw:
-        raise ArithmeticError("image span does not divide kernel span")
-    card = cv // cw
-    return HomologySummary(ring, card == 1, cardinality=card)
+    if ring.kind == RATIONALS:
+        return HomologySummary(ring, free_rank == 0, dimension=free_rank)
+    return HomologySummary(ring, free_rank == 0 and not factors, free_rank=free_rank,
+                           invariant_factors=tuple(map(ring.box, factors)))
 
 
 def homology_module(ring, d_in, d_out):
-    """ker(d_out)/im(d_in) for consecutive differentials d_out . d_in = 0."""
+    """ker(d_out)/im(d_in) for consecutive differentials d_out . d_in = 0:
+    over a finite ring other than Z/n, |ker d_out| / |im d_in| elements,
+    with no kernel built; elsewhere the subquotient of a kernel basis."""
     _engine(ring)  # CapabilityMissing without a solver
     if d_out.cols != d_in.rows:
         raise DimensionMismatch(
             f"d_out takes {d_out.cols} columns but d_in lands in {d_in.rows}")
     if not (d_out * d_in).is_zero():
         raise NotAComplex(0, "d_out . d_in != 0")
-    V = kernel_basis(ring, d_out)
-    return subquotient(ring, V, d_in)
+    if ring.is_finite() and ring.kind != ZMOD:
+        return _finite_summary(ring, kernel_cardinality(ring, d_out), span_cardinality(ring, d_in))
+    return subquotient(ring, kernel_basis(ring, d_out), d_in)
 
 
 def image_membership(ring, V, W):

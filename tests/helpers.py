@@ -6,6 +6,7 @@ import operator
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from math import prod
 
 from koszulkit.cli import main
 from koszulkit.complexes import (
@@ -16,9 +17,11 @@ from koszulkit.descent import Assignment, SystemVariable, VarPoly, _assignment_m
 from koszulkit.duality import ExtSupResult, hom_homology
 from koszulkit.errors import MixedRings
 from koszulkit.linalg import (
-    HomologySummary, invert, kernel_basis, minimal_generators, span_cardinality, subquotient,
+    HomologySummary, _fp_view_of, _is_unit, _payload_grid, invert, kernel_basis, lift_context,
+    minimal_generators, smith_data, solve, span_cardinality, subquotient,
 )
 from koszulkit.matrices import Matrix
+from koszulkit.rings import ZZ
 
 
 def random_element(ring, rng):
@@ -384,6 +387,68 @@ def full_depth_ext_table(M, N, window):
     resolution (reference_resolve to depth window + 1, no period), through
     the one formula of `hom_homology`."""
     return hom_homology(reference_resolution_complex(M, window + 1), N, range(window + 1))
+
+
+# ---------------------------------------------------------------------------
+# the subquotient routes that `linalg.subquotient` replaced, kept as its
+# oracle: three Smith decompositions over Z, Q and F_p[x] (a basis of
+# span V, the coordinates of W on it by `solve`, their Smith form), Z/n as
+# the quotient over Z of both lifts enlarged by n Z^u, and a ratio of span
+# sizes over the other finite rings.  W must lie inside span(V).
+
+
+def _reference_domain_subquotient(ring, V, W):
+    """span(V)/span(W) over Z, Q or F_p[x]: free rank plus invariant factors."""
+    ctx = lift_context(ring)
+    ed = ctx.ed
+    sd = smith_data(ed, _payload_grid(V), V.rows, V.cols)
+    # basis of span(V): nonzero d_i times column i of S^{-1}
+    basis_cols = [[ed.mul_payload(sd.Si[r][i], sd.diag(i)) for r in range(V.rows)]
+                  for i in range(min(V.rows, V.cols)) if sd.diag(i)]
+    k = len(basis_cols)
+    if k == 0:
+        return HomologySummary(ring, True, free_rank=0, invariant_factors=())
+    B = Matrix.from_columns(ring, V.rows, basis_cols)
+    coords = solve(ring, B, W) if W.cols else Matrix.zeros(ring, k, 0)
+    if coords is None:
+        raise ArithmeticError("image generators not inside the kernel span")
+    csd = smith_data(ed, _payload_grid(coords), k, coords.cols)
+    ds = [d for d in map(csd.diag, range(min(k, coords.cols))) if d]
+    factors = tuple(ring.box(d) for d in ds if not _is_unit(ed, d))
+    free_rank = k - len(ds)
+    return HomologySummary(ring, free_rank == 0 and not factors, free_rank=free_rank,
+                           invariant_factors=factors)
+
+
+def reference_subquotient(ring, V, W):
+    """span(V)/span(W) by the per-ring routes; W inside span(V)."""
+    if ring.kind == "primefield":
+        view = _fp_view_of(ring)
+        dim = view.rank(V) - view.rank(W)
+        return HomologySummary(ring, dim == 0, dimension=dim, cardinality=ring.modulus ** dim)
+    if ring.kind == "rationals":
+        dim = _reference_domain_subquotient(ring, V, W).free_rank
+        return HomologySummary(ring, dim == 0, dimension=dim)
+    if ring.kind == "zmod":
+        Z = ZZ()
+        nI = Matrix.identity(Z, V.rows).scale(Z.from_int(ring.modulus))
+        lift = lambda M: Matrix(Z, M.rows, M.cols, M.sparse_rows).hstack(nI)
+        factors = tuple(f.payload for f in
+                        _reference_domain_subquotient(Z, lift(V), lift(W)).invariant_factors)
+        card = prod(factors)
+        return HomologySummary(ring, card == 1, cardinality=card,
+                               invariant_factors=factors, free_rank=0)
+    if not ring.is_finite():
+        return _reference_domain_subquotient(ring, V, W)
+    cv, cw = span_cardinality(ring, V), span_cardinality(ring, W)
+    if cv % cw:
+        raise ArithmeticError("image span does not divide kernel span")
+    return HomologySummary(ring, cv == cw, cardinality=cv // cw)
+
+
+def reference_homology_module(ring, d_in, d_out):
+    """ker(d_out)/im(d_in) as reference_subquotient of a kernel basis."""
+    return reference_subquotient(ring, kernel_basis(ring, d_out), d_in)
 
 
 # ---------------------------------------------------------------------------

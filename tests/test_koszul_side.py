@@ -11,8 +11,8 @@ Checked here:
   F2[x,y]/(x^2,y^2) with e = 1, 2, 3, on the inputs of the transfer and
   Ext-sup tests and acceptance criteria, and over Z;
 - over a finite ring every Hom-side value comes from the finite formula
-  (`_finite_ext_table`), with no subquotient, and the only Hom complex
-  built is K*;
+  (`_finite_ext_table`), with no subquotient and no homology module, and
+  the only Hom complex built is K*;
 - K and the modules over different rings are refused before any
   resolution work.
 """
@@ -132,7 +132,8 @@ def test_ext_sup_over_the_integers_matches_the_oracle():
 
 @pytest.mark.parametrize("name", list(RINGS))
 def test_the_hom_side_reads_every_value_from_the_finite_formula(name, monkeypatch):
-    # no presented homology: no subquotient and no span ratio per degree
+    # no presented homology: no subquotient, homology module or span ratio
+    # per degree
     ring = RINGS[name][0]
     K = algebra(name, 2)
     k = du.ModulePresentation.residue_field(ring)
@@ -141,18 +142,19 @@ def test_the_hom_side_reads_every_value_from_the_finite_formula(name, monkeypatc
                         lambda *args: tables.append(args[-1]) or formula(*args))
     homs = count_calls(monkeypatch, complexes.hom_complex)
     quotients = count_calls(monkeypatch, linalg.subquotient)
+    homologies = count_calls(monkeypatch, linalg.homology_module)
     du.ext_sup_via_koszul(k, k, K, 2)
     # Ext^0..Ext^4 directly, or up to a certified period (i, q) only
     # Ext^0..Ext^{i+q-1}; then degrees m = 0..2 of F (x) K*
     period = linalg.resolution(ring, du._first_differential(k), 4).period
     computed = 5 if period is None else sum(period)
     assert tables == [range(min(5, computed)), range(3)]
-    assert homs == [K.complex] and quotients == []
+    assert homs == [K.complex] and quotients == homologies == []
     v = du.koszul_sdc_transfer(K, k, 2)
     # the homothety check's Ext table, then m = -e..window; the only
-    # subquotients are those of H(K), one per degree of [-2, e]
+    # homologies are those of H(K), one per degree of [-2, e]
     assert tables[2:] == [range(min(3, computed)), range(-2, 3)]
-    assert homs == [K.complex] * 2 and len(quotients) == len(v.degrees)
+    assert homs == [K.complex] * 2 and len(homologies) == len(v.degrees)
 
 
 def test_mixed_rings_are_refused_before_any_resolution(monkeypatch):
