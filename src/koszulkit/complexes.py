@@ -12,7 +12,7 @@ from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotAComplex, NotLocal,
 )
 from .linalg import has_linear_solve, homology_module, kernel_resolution
-from .matrices import Matrix
+from .matrices import Matrix, vanishes
 
 
 class ChainComplex:
@@ -36,7 +36,9 @@ class ChainComplex:
     def _validate(self):
         for n in sorted(self._diffs):
             if n + 1 in self._diffs:
-                if not (self._diffs[n] * self._diffs[n + 1]).is_zero():
+                d, d_next = self._diffs[n], self._diffs[n + 1]
+                if not vanishes(d.ring, d.rows, d_next.cols,
+                                [(d.ring.one_payload, d, d_next)]):
                     raise NotAComplex(n)
 
     # -- shape ------------------------------------------------------------------
@@ -161,39 +163,32 @@ class Homotopy:
 
 
 def is_chain_map(phi):
-    """Pure equation check d_target . phi = phi . d_source in every degree."""
-    src, tgt = phi.source, phi.target
-    degrees = set(src.degrees()) | set(tgt.degrees())
-    for n in sorted(degrees):
-        lhs = tgt.diff(n) * phi.component(n)
-        rhs = phi.component(n - 1) * src.diff(n)
-        if lhs != rhs:
-            return False
-    return True
-
-
-def is_null_homotopy(sigma, phi):
-    """d_target . sigma + sigma . d_source = phi, degreewise."""
+    """Pure equation check d_target . phi - phi . d_source = 0 in every
+    degree."""
     src, tgt = phi.source, phi.target
     ring = src.ring
-    degrees = set(src.degrees()) | set(tgt.degrees())
-    for n in sorted(degrees):
-        s_n = sigma.component(n, tgt.rank(n + 1), src.rank(n), ring)
-        s_prev = sigma.component(n - 1, tgt.rank(n), src.rank(n - 1), ring)
-        lhs = tgt.diff(n + 1) * s_n + s_prev * src.diff(n)
-        if lhs != phi.component(n):
+    one = ring.one_payload
+    minus_one = ring.neg_payload(one)
+    for n in sorted(set(src.degrees()) | set(tgt.degrees())):
+        if not vanishes(ring, tgt.rank(n - 1), src.rank(n), [
+                (one, tgt.diff(n), phi.component(n)),
+                (minus_one, phi.component(n - 1), src.diff(n))]):
             return False
     return True
 
 
 def is_contraction(sigma, complex_):
-    """sigma(n-1) . d(n) + d(n+1) . sigma(n) = id, degreewise."""
+    """sigma(n-1) . d(n) + d(n+1) . sigma(n) - id = 0, degreewise."""
     ring = complex_.ring
+    one = ring.one_payload
+    minus_one = ring.neg_payload(one)
     for n in complex_.degrees():
-        s_n = sigma.component(n, complex_.rank(n + 1), complex_.rank(n), ring)
-        s_prev = sigma.component(n - 1, complex_.rank(n), complex_.rank(n - 1), ring)
-        lhs = s_prev * complex_.diff(n) + complex_.diff(n + 1) * s_n
-        if lhs != Matrix.identity(ring, complex_.rank(n)):
+        r = complex_.rank(n)
+        s_n = sigma.component(n, complex_.rank(n + 1), r, ring)
+        s_prev = sigma.component(n - 1, r, complex_.rank(n - 1), ring)
+        if not vanishes(ring, r, r, [
+                (one, s_prev, complex_.diff(n)), (one, complex_.diff(n + 1), s_n),
+                (minus_one, Matrix.identity(ring, r), None)]):
             return False
     return True
 
@@ -234,31 +229,32 @@ def tensor_layout(M, N, n):
 
 
 def tensor_differential(M, N, n):
-    """The degree-n differential of M (x) N, built from its nonzero blocks.
+    """The degree-n differential of M (x) N, written row by row.
 
     Summand p of the source maps by d_M (x) 1 into summand p of the target
-    and by (-1)^{n-p} 1 (x) d_N into summand p-1.  M and N may be any
-    complexes of matrices, validated or not, over one scalar ring.
+    and by (-1)^{n-p} 1 (x) d_N into summand p-1 (`Matrix.from_kron_blocks`).
+    M and N may be any complexes of matrices, validated or not, over one
+    scalar ring.
     """
-    src = tensor_layout(M, N, n)
-    tgt = tensor_layout(M, N, n - 1)
-    at = {p: k for k, (p, _, _) in enumerate(tgt)}
-    one = M.ring.one
-    blocks = {}
-    for k, (p, mp, np_) in enumerate(src):
+    row_at, rows = {}, 0
+    for p, mp, np_ in tensor_layout(M, N, n - 1):
+        row_at[p] = rows
+        rows += mp * np_
+    blocks, cols = [], 0
+    for p, mp, np_ in tensor_layout(M, N, n):
         d = M._diffs.get(n - p)
         if d is not None and np_:
-            blocks[k, k] = d.kron(Matrix.identity(M.ring, np_))
+            blocks.append((row_at[p], cols, d, np_, False))
         d = N._diffs.get(p)
         if d is not None and mp:
-            sign = one if (n - p) % 2 == 0 else -one
-            blocks[at[p - 1], k] = Matrix.identity(M.ring, mp).kron(d).scale(sign)
-    return Matrix.from_blocks(M.ring, [a * b for _, a, b in tgt],
-                              [a * b for _, a, b in src], blocks)
+            blocks.append((row_at[p - 1], cols, mp, d, (n - p) % 2 == 1))
+        cols += mp * np_
+    return Matrix.from_kron_blocks(M.ring, rows, cols, blocks)
 
 
-def tensor(M, N):
-    """Tensor product complex with the usual sign on the right differential.
+def tensor(M, N, top=None):
+    """Tensor product complex with the usual sign on the right differential,
+    and with no degree above `top` when it is given.
 
     Summands ordered by p ascending; each M_{n-p} (x) N_p block carries the
     row-major tensor basis, so the structure maps are Kronecker products.
@@ -268,8 +264,9 @@ def tensor(M, N):
     ring = M.ring
     if M.is_zero_complex() or N.is_zero_complex():
         return zero_complex(ring)
+    stop = max(M.support) + max(N.support) + 1
     degrees = range(min(M.support) + min(N.support),
-                    max(M.support) + max(N.support) + 1)
+                    stop if top is None else min(stop, top + 1))
     ranks = {n: sum(mr * nr for _, mr, nr in tensor_layout(M, N, n))
              for n in degrees}
     diffs = {n: tensor_differential(M, N, n) for n in degrees
@@ -293,7 +290,8 @@ def hom_complex(M, N):
     """Hom complex with d(f) = d_N . f - (-1)^{|f|} f . d_M.
 
     Each degree is the sum of its nonzero summands (`hom_summands`); the
-    blocks of the differential between them are Kronecker products.
+    blocks of the differential between them are Kronecker products with an
+    identity, written row by row (`Matrix.from_kron_blocks`).
     """
     if M.ring != N.ring:
         raise MixedRings("hom over different rings")
@@ -305,21 +303,22 @@ def hom_complex(M, N):
         tgt = summands.get(n - 1)
         if tgt is None:
             continue
-        at = {i: k for k, (i, _, _) in enumerate(tgt)}
-        sign = ring.one if n % 2 == 0 else -ring.one
-        blocks = {}
-        for k, (i, a, b) in enumerate(src):
+        row_at, rows = {}, 0
+        for i, a, b in tgt:
+            row_at[i] = rows
+            rows += a * b
+        blocks, cols = [], 0
+        for i, a, b in src:
             # postcompose with d_N: vec_row(D F) = (D kron I) vec_row(F)
             d = N._diffs.get(i + n)
             if d is not None:
-                blocks[at[i], k] = d.kron(Matrix.identity(ring, b))
+                blocks.append((row_at[i], cols, d, b, False))
             # precompose with d_M, sign -(-1)^n: (I kron d_M^T)
             d = M._diffs.get(i + 1)
             if d is not None:
-                blocks[at[i + 1], k] = Matrix.identity(ring, a).kron(
-                    d.transpose()).scale(-sign)
-        diffs[n] = Matrix.from_blocks(ring, [a * b for _, a, b in tgt],
-                                      [a * b for _, a, b in src], blocks)
+                blocks.append((row_at[i + 1], cols, a, d.transpose(), n % 2 == 0))
+            cols += a * b
+        diffs[n] = Matrix.from_kron_blocks(ring, rows, cols, blocks)
     return ChainComplex(ring, ranks, diffs)
 
 
@@ -346,20 +345,6 @@ def cone(phi):
             blocks[1, 1] = src._diffs[n - 1].scale(-ring.one)
         diffs[n] = Matrix.from_blocks(ring, heights, widths, blocks)
     return ChainComplex(ring, {n: r for n, r in ranks.items() if r}, diffs)
-
-
-def cone_contraction_of_identity(M):
-    """The standard contraction of cone(id): lower-left identity blocks."""
-    ring = M.ring
-    comps = {}
-    for n in M.degrees():
-        heights = [M.rank(n + 1), M.rank(n)]
-        widths = [M.rank(n), M.rank(n - 1)]
-        if not (sum(heights) and sum(widths)):
-            continue
-        blocks = {(1, 0): Matrix.identity(ring, M.rank(n))} if M.rank(n) else {}
-        comps[n] = Matrix.from_blocks(ring, heights, widths, blocks)
-    return Homotopy(comps, "contraction")
 
 
 def base_change(hom, M):

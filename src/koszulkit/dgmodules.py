@@ -10,8 +10,10 @@ associativity is decided on that presentation (see `verify_dg_module`):
 rho(e_g) rho(e_h) for every pair of generators, and one factorisation
 rho(e_U) = rho(e_min U) rho(e_(U - min U)) of each stored rho(e_U) with
 |U| >= 3.  A pass then compares 2^e - 1 + e(e - 1)/2 pairs of basis
-elements, one matrix product per pair and degree, instead of the e * 2^e
-pairs with |G| = 1 that also suffice, or the 4^e of every identity.
+elements, one identity per pair and degree, instead of the e * 2^e pairs
+with |G| = 1 that also suffice, or the 4^e of every identity.  Each
+identity is one call of the check kernel `matrices.vanishes` on its
+difference, which builds no product.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 
 from .complexes import ChainMap, tensor, tensor_layout
 from .errors import MixedRings
-from .matrices import Matrix
+from .matrices import Matrix, vanishes
 
 
 @dataclass
@@ -89,17 +91,19 @@ def extension_action(K, M, H, n):
     """Multiplication by e_H on K (x) M, from degree n to degree n + |H|.
 
     On the summand K_{n-p} (x) M_p it is the algebra's multiplication
-    matrix (x) the identity; the action is block-diagonal over summands.
+    matrix (x) the identity, written row by row
+    (`Matrix.from_kron_blocks`); the action is block-diagonal over
+    summands.
     """
-    h = len(H)
-    src = tensor_layout(K.complex, M, n)
-    tgt = tensor_layout(K.complex, M, n + h)
-    blocks = {}
-    for k, (p, kp, mp) in enumerate(src):
-        if kp and mp and K.degree_rank(n - p + h):
-            blocks[k, k] = K.mult_matrix(H, n - p).kron(Matrix.identity(K.ring, mp))
-    return Matrix.from_blocks(K.ring, [a * b for _, a, b in tgt],
-                              [a * b for _, a, b in src], blocks)
+    rows = cols = 0
+    blocks = []
+    for (p, kp, mp), (_, kq, _) in zip(tensor_layout(K.complex, M, n),
+                                        tensor_layout(K.complex, M, n + len(H))):
+        if kp and mp and kq:
+            blocks.append((rows, cols, K.mult_matrix(H, n - p), mp, False))
+        rows += kq * mp
+        cols += kp * mp
+    return Matrix.from_kron_blocks(K.ring, rows, cols, blocks)
 
 
 def extend(K, M):
@@ -125,7 +129,8 @@ def verify_dg_module(D):
     degree n.  The axioms are rho(e_()) = 1; the identity
     rho(e_G) rho(e_H) = rho(e_G e_H) for every basis pair (G, H); and
     d rho(e_H) - (-1)^|H| rho(e_H) d = rho(d e_H) for every H.  Each is an
-    equality of graded maps, one matrix per degree.  When unitality holds,
+    equality of graded maps, one matrix per degree, decided as the
+    vanishing of the difference of its sides (`matrices.vanishes`).  When unitality holds,
     associativity is checked on the presentation of the exterior algebra:
 
     (P1) rho(e_g) rho(e_h) = rho(e_g e_h) for all generators g and h, that
@@ -182,6 +187,9 @@ def verify_dg_module(D):
     K = D.algebra
     under = D.underlying
     ring = under.ring
+    one = ring.one_payload
+    neg = ring.neg_payload
+    minus_one = neg(one)
     degrees = [n for n in under.degrees() if under.rank(n)]
     basis = [S for d in K.basis.values() for S in d]  # by degree
     generators = [S for S in basis if len(S) <= 1]    # a prefix of basis
@@ -195,31 +203,31 @@ def verify_dg_module(D):
         for G, H in pairs:
             prod = K.product_of_basis(G, H)
             for n in degrees:
-                if not under.rank(n + len(G) + len(H)):
+                top = under.rank(n + len(G) + len(H))
+                if not top:
                     continue
-                lhs = D.action_matrix(G, n + len(H)) * D.action_matrix(H, n)
-                if prod is None:
-                    ok = lhs.is_zero()
-                else:
+                # rho(e_G) rho(e_H) - sign rho(e_U) = 0, for e_G e_H = sign e_U
+                terms = [(one, D.action_matrix(G, n + len(H)), D.action_matrix(H, n))]
+                if prod is not None:
                     sign, U = prod
-                    rhs = D.action_matrix(U, n)
-                    ok = lhs == (rhs if sign == 1 else -rhs)
-                if not ok:
+                    terms.append((minus_one if sign == 1 else one, D.action_matrix(U, n), None))
+                if not vanishes(ring, top, under.rank(n), terms):
                     yield f"e_{G} . e_{H} at degree {n}"
 
     def leibniz(elements):
         for H in elements:
             h = len(H)
-            sign = ring.one if h % 2 == 0 else -ring.one
+            # d rho(e_H) - (-1)^|H| rho(e_H) d - rho(d e_H) = 0
+            minus_sign = minus_one if h % 2 == 0 else one
             for n in degrees:
-                if not under.rank(n + h - 1):
+                top = under.rank(n + h - 1)
+                if not top:
                     continue
-                # d rho(e_H) = sign rho(e_H) d + rho(d e_H), with no subtraction
-                lhs = under.diff(n + h) * D.action_matrix(H, n)
-                rhs = D.action_matrix(H, n - 1).scale(sign) * under.diff(n)
-                for coeff, H2 in K.diff_of_basis(H):
-                    rhs = rhs + D.action_matrix(H2, n).scale(coeff)
-                if lhs != rhs:
+                terms = [(one, under.diff(n + h), D.action_matrix(H, n)),
+                         (minus_sign, D.action_matrix(H, n - 1), under.diff(n))]
+                terms += [(neg(ring.unbox(coeff)), D.action_matrix(H2, n), None)
+                          for coeff, H2 in K.diff_of_basis(H)]
+                if not vanishes(ring, top, under.rank(n), terms):
                     yield f"e_{H} at degree {n}"
 
     unit = _first_failure("unitality", unitality())
@@ -248,12 +256,16 @@ def is_k_linear(phi, source_dg, target_dg):
     K = source_dg.algebra
     if target_dg.algebra is not K and target_dg.algebra.elements != K.elements:
         raise MixedRings("DG modules over different algebras")
+    ring = phi.source.ring
+    one = ring.one_payload
+    minus_one = ring.neg_payload(one)
     for H in (S for d in K.basis.values() for S in d):
         h = len(H)
         for n in set(source_dg.underlying.degrees()) | set(target_dg.underlying.degrees()):
-            lhs = phi.component(n + h) * source_dg.action_matrix(H, n)
-            rhs = target_dg.action_matrix(H, n) * phi.component(n)
-            if lhs != rhs:
+            # phi rho(e_H) - rho(e_H) phi = 0
+            if not vanishes(ring, phi.target.rank(n + h), phi.source.rank(n), [
+                    (one, phi.component(n + h), source_dg.action_matrix(H, n)),
+                    (minus_one, target_dg.action_matrix(H, n), phi.component(n))]):
                 return False
     return True
 

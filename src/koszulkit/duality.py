@@ -465,11 +465,12 @@ def _through_extension(F, X, K, degrees):
 
     K is a bounded complex of finite free modules, so Hom(F, K (x) X) =
     Hom(F (x) K*, X) with K* = Hom(K, R): the values are `hom_homology` of
-    G = F (x) K* into X in degree 0.  For m <= window, F must reach degree
-    window + e + 1, past which no value looks.
+    G = F (x) K* into X in degree 0.  The value at m reads G up to degree
+    m + 1, so G is built only up to max(degrees) + 1; for m <= window, F
+    must reach degree window + e + 1, past which no value looks.
     """
     dual = hom_complex(K.complex, free_module_complex(K.ring, 1))
-    return hom_homology(tensor(F, dual), X, degrees)
+    return hom_homology(tensor(F, dual, top=degrees.stop), X, degrees)
 
 
 def koszul_sdc_transfer(K, C, window):

@@ -17,7 +17,7 @@ from functools import cached_property
 from .complexes import ChainComplex, free_module_complex, homology, sup_inf, tensor
 from .dgmodules import AxiomReport, AxiomResult, DGModule, _first_failure, verify_dg_module
 from .errors import CapabilityMissing, MixedRings
-from .matrices import Matrix
+from .matrices import Matrix, vanishes
 
 
 def subsets_by_degree(e):
@@ -172,10 +172,13 @@ def verify_dga(K, mult_override=None):
     mult = mult_override if mult_override is not None else K.mult
     action = DGModule(K, K.complex, mult)
     unitality, associativity, leibniz = verify_dg_module(action).results
+    ring, rank, rho = K.ring, K.degree_rank, action.action_matrix
+    one = ring.one_payload
 
     ok, ce = True, ""
     for n in range(1, K.e + 1):
-        if not (K.complex.diff(n - 1) * K.complex.diff(n)).is_zero():
+        d_in, d_out = K.complex.diff(n - 1), K.complex.diff(n)
+        if not vanishes(ring, d_in.rows, d_out.cols, [(one, d_in, d_out)]):
             ok, ce = False, f"degree {n}"
             break
     d_squared = AxiomResult("d_squared_zero", ok, ce)
@@ -183,26 +186,23 @@ def verify_dga(K, mult_override=None):
     # when associativity holds, every product is the stored rho of its
     # structure constant, and those commute and square as the identities say
     basis = [] if associativity.ok else [S for d in K.basis.values() for S in d]
-    products = {}
-
-    def rho2(G, H, n):
-        """rho(e_G) rho(e_H) from degree n."""
-        if (G, H, n) not in products:
-            products[G, H, n] = action.action_matrix(G, n + len(H)) * action.action_matrix(H, n)
-        return products[G, H, n]
 
     def commuting():
         for k, G in enumerate(basis):
             for H in basis[k:]:  # (e_H, e_G) is the identity of (e_G, e_H)
+                # rho(e_G) rho(e_H) - (-1)^(|G||H|) rho(e_H) rho(e_G) = 0
+                c = one if len(G) * len(H) % 2 else ring.neg_payload(one)
                 for n in range(K.e + 1 - len(G) - len(H)):
-                    swapped = rho2(H, G, n)
-                    if rho2(G, H, n) != (-swapped if len(G) * len(H) % 2 else swapped):
+                    if not vanishes(ring, rank(n + len(G) + len(H)), rank(n), [
+                            (one, rho(G, n + len(H)), rho(H, n)),
+                            (c, rho(H, n + len(G)), rho(G, n))]):
                         yield f"e_{G}, e_{H} at degree {n}"
 
     def squares_zero():
         for S in [S for S in basis if len(S) % 2]:
             for n in range(K.e + 1 - 2 * len(S)):
-                if not rho2(S, S, n).is_zero():
+                if not vanishes(ring, rank(n + 2 * len(S)), rank(n),
+                                [(one, rho(S, n + len(S)), rho(S, n))]):
                     yield f"e_{S} at degree {n}"
 
     commutativity = _first_failure("graded_commutativity", commuting())

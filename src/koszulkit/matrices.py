@@ -3,14 +3,21 @@
 A matrix stores each row as its nonzero entries: a pair of tuples, the
 columns in increasing order and the payloads in the same order.  A zero
 payload is never stored.  Every kernel below (product, sum, negation,
-scaling, Kronecker product, transpose, block assembly, equality) runs on
-the stored entries in time proportional to their number; the product is
-Gustavson's row-by-row sparse product ("Two fast algorithms for sparse
-matrices", ACM TOMS 1978).  A row of the left factor with one stored entry
-scales one row of the right factor: when that entry is one the product
-reuses the stored row object itself, and when it is minus one it negates
-the row, so a product by a signed permutation matrix makes no
-multiplication.
+scaling, Kronecker product, transpose, block assembly, equality, and the
+check kernel `vanishes`) runs on the stored entries in time proportional
+to their number; the product is Gustavson's row-by-row sparse product
+("Two fast algorithms for sparse matrices", ACM TOMS 1978).  A row of the
+left factor with one stored entry scales one row of the right factor:
+when that entry is one the product reuses the stored row object itself,
+and when it is minus one it negates the row, so a product by a signed
+permutation matrix makes no multiplication.
+
+`vanishes` decides an identity sum c A B = 0 the same way, one row at a
+time into one dict, and answers at the first nonzero row without
+building a product, a sum or a comparison.  `from_kron_blocks` writes the
+rows of the blocks A (x) I_n and I_n (x) A of tensor, Hom and extension
+structure maps straight from the rows of A, with no identity matrix and
+no Kronecker product; `from_blocks` places general blocks through it.
 
 Kernels compute on payloads, never on boxed entries, through the payload
 protocol of the `ring` slot, the one that `rings.Ring` defines:
@@ -123,9 +130,7 @@ class Matrix:
         """
         row_at = [0, *accumulate(heights)]
         col_at = [0, *accumulate(widths)]
-        out_cols = [[] for _ in range(row_at[-1])]
-        out_vals = [[] for _ in range(row_at[-1])]
-        # block columns in increasing order keep every assembled row sorted
+        placed = []
         for (i, j), m in sorted(blocks.items(), key=itemgetter(0)):
             if not (0 <= i < len(heights) and 0 <= j < len(widths)):
                 raise DimensionMismatch(
@@ -136,11 +141,47 @@ class Matrix:
                 raise DimensionMismatch(
                     f"block ({i},{j}) is {m.rows}x{m.cols}, expected "
                     f"{heights[i]}x{widths[j]}")
-            c0 = col_at[j]
-            for r, (cols, vals) in enumerate(m.sparse_rows, start=row_at[i]):
-                out_cols[r].extend(c + c0 for c in cols)
-                out_vals[r].extend(vals)
-        return cls(ring, row_at[-1], col_at[-1],
+            placed.append((row_at[i], col_at[j], m, 1, False))
+        return cls.from_kron_blocks(ring, row_at[-1], col_at[-1], placed)
+
+    @classmethod
+    def from_kron_blocks(cls, ring, rows, cols, blocks):
+        """The rows x cols matrix whose nonzero blocks are Kronecker products
+        of a matrix with an identity, written row by row from the rows of
+        the matrix: no identity and no Kronecker product is built.
+
+        `blocks` holds (row offset, column offset, left, right, negate)
+        tuples.  One of left and right is a Matrix A and the other an int
+        n, standing for the identity I_n; negate asks for the block's
+        negative.  Row a n + t of A (x) I_n is row a of A at the columns
+        b n + t, and row a h + t of I_n (x) A, for A of shape h x w, is
+        row t of A at the columns a w + s.  Blocks do not overlap, and
+        every position that no block covers is zero.
+        """
+        neg = ring.neg_payload
+        out_cols = [[] for _ in range(rows)]
+        out_vals = [[] for _ in range(rows)]
+        # blocks by column offset keep every assembled row sorted
+        for r0, c0, left, right, negate in sorted(blocks, key=itemgetter(1)):
+            A = right if isinstance(left, int) else left
+            stored = A.sparse_rows
+            if negate:
+                stored = [(cs, tuple(map(neg, vs))) for cs, vs in stored]
+            if A is left:  # A (x) I_n
+                n = right
+                for a, (cs, vs) in enumerate(stored):
+                    at = [b * n + c0 for b in cs]
+                    r = r0 + a * n
+                    for t in range(n):
+                        out_cols[r + t].extend([c + t for c in at] if t else at)
+                        out_vals[r + t].extend(vs)
+            else:  # I_n (x) A
+                for a in range(left):
+                    c_a = c0 + a * A.cols
+                    for r, (cs, vs) in enumerate(stored, start=r0 + a * A.rows):
+                        out_cols[r].extend([c + c_a for c in cs])
+                        out_vals[r].extend(vs)
+        return cls(ring, rows, cols,
                    tuple((tuple(c), tuple(v)) for c, v in zip(out_cols, out_vals)))
 
     @classmethod
@@ -360,3 +401,74 @@ class Matrix:
             return f"Matrix({self.rows}x{self.cols})"
         body = "; ".join(", ".join(repr(a) for a in r) for r in self.data)
         return f"[{body}]"
+
+
+def vanishes(ring, rows, cols, terms):
+    """Is the rows x cols sum of c A B over the triples (c, A, B) of `terms`
+    zero?  c is a payload, and B None stands for the identity: the term
+    c A.
+
+    Row i of the sum gathers the rows of B that the stored entries a_ik of
+    row i of A pick, each with its factor c a_ik (or row i of A itself,
+    with factor c, when B is None), and the first row whose sum is nonzero
+    answers no; no product matrix, sum or comparison is built.  Two
+    gathered rows that are equal under opposite factors, the common case
+    of signed-permutation structure maps, cancel by one tuple comparison.
+    Any other row accumulates into one dict, Gustavson's product: it
+    starts as a copy of the first gathered row, which is that row itself
+    under the factor one.  A term raises what its product would
+    (MixedRings, then DimensionMismatch "AxB * CxD"), and a term of
+    another shape than rows x cols the DimensionMismatch of a sum.
+    """
+    one = ring.one_payload
+    add, mul, neg = ring.add_payload, ring.mul_payload, ring.neg_payload
+    minus_one = neg(one)
+    live = []
+    for c, A, B in terms:
+        if (A.ring is not ring and A.ring != ring) or (
+                B is not None and B.ring is not ring and B.ring != ring):
+            raise MixedRings("matrices over different rings")
+        if B is not None and A.cols != B.rows:
+            raise DimensionMismatch(f"{A.rows}x{A.cols} * {B.rows}x{B.cols}")
+        width = A.cols if B is None else B.cols
+        if (A.rows, width) != (rows, cols):
+            raise DimensionMismatch(f"{rows}x{cols} + {A.rows}x{width}")
+        if c:
+            live.append((c, A.sparse_rows, None if B is None else B.sparse_rows))
+    for i in range(rows):
+        parts = []  # (factor, columns, payloads) of each gathered row
+        for c, rows_a, rows_b in live:
+            ks, avals = rows_a[i]
+            if rows_b is None:
+                if ks:
+                    parts.append((c, ks, avals))
+                continue
+            for k, a in zip(ks, avals):
+                bcols, bvals = rows_b[k]
+                if bcols:
+                    parts.append((a if c == one else mul(c, a), bcols, bvals))
+        if not parts:
+            continue
+        if len(parts) == 2:
+            (s, cs, vs), (t, ct, vt) = parts
+            if vs == vt and cs == ct and t == (
+                    minus_one if s == one else one if s == minus_one else neg(s)):
+                continue
+        acc = {}
+        for s, cs, vs in parts:
+            if len(cs) == 1:
+                j, v = cs[0], vs[0]
+                if s != one:
+                    v = neg(v) if s == minus_one else mul(s, v)
+                acc[j] = add(acc[j], v) if j in acc else v
+                continue
+            if s != one:
+                vs = map(neg, vs) if s == minus_one else [mul(s, v) for v in vs]
+            if not acc:
+                acc = dict(zip(cs, vs))
+                continue
+            for j, v in zip(cs, vs):
+                acc[j] = add(acc[j], v) if j in acc else v
+        if any(acc.values()):
+            return False
+    return True

@@ -16,10 +16,12 @@ from pathlib import Path
 import pytest
 
 from koszulkit import complexes as cx
+from koszulkit import dgmodules as kg
+from koszulkit import koszul as kk
 from koszulkit.dgmodules import AxiomReport, AxiomResult, DGModule, extend, verify_dg_module
 from koszulkit.io import load
 from koszulkit.koszul import koszul, verify_dga
-from koszulkit.matrices import Matrix
+from koszulkit.matrices import Matrix, vanishes
 from koszulkit.rings import Zmod, poly_quotient
 
 from helpers import maximal_ideal_pool
@@ -211,20 +213,35 @@ def test_reduced_pass_reports_what_every_identity_reports(rname):
     assert {("leibniz",), ("associativity", "leibniz")} <= set(failing)
 
 
+def _count_products(monkeypatch):
+    """Count the products the axiom passes decide: every Matrix product, and
+    every term c A B of a `vanishes` call, whose product is never built."""
+    calls = {"products": 0, "terms": 0}
+    product, check = Matrix.__mul__, vanishes
+
+    def multiplying(self, other):
+        calls["products"] += 1
+        return product(self, other)
+
+    def checking(ring, rows, cols, terms):
+        terms = list(terms)
+        calls["terms"] += sum(1 for _, _, B in terms if B is not None)
+        return check(ring, rows, cols, terms)
+
+    monkeypatch.setattr(Matrix, "__mul__", multiplying)
+    for module in (kg, kk):
+        monkeypatch.setattr(module, "vanishes", checking)
+    return calls
+
+
 def test_module_pass_makes_e_times_2_to_the_e_products(monkeypatch):
     Z4 = Zmod(4)
     D = extend(koszul(Z4, [2] * 5), load(GOLDEN / "P.cx"))
-    calls = []
-    product = Matrix.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return product(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counting)
+    calls = _count_products(monkeypatch)
     assert verify_dg_module(D).ok
-    # a check of all 4^e pairs makes 3,496 products here
-    assert len(calls) <= 1100
+    # a check of all 4^e pairs makes 3,496 products here; none is built
+    assert calls["products"] == 0
+    assert calls["terms"] <= 1100
 
 
 def test_presentation_pass_product_counts(monkeypatch):
@@ -233,21 +250,14 @@ def test_presentation_pass_product_counts(monkeypatch):
     Z4 = Zmod(4)
     D = extend(koszul(Z4, [2] * 5), load(GOLDEN / "P.cx"))
     K6 = koszul(Z4, [2] * 6)
-    calls = []
-    product = Matrix.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return product(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counting)
+    calls = _count_products(monkeypatch)
     assert verify_dg_module(D).ok
     # associativity over the pairs with |G| = 1 makes 800 products here
-    assert len(calls) <= 320
-    calls.clear()
+    assert calls == {"products": 0, "terms": 303}
+    calls["terms"] = 0
     assert verify_dga(K6).ok
     # and 1,242 here
-    assert len(calls) <= 430
+    assert calls == {"products": 0, "terms": 408}
 
 def _generator_mutation(K, ring, rng):
     """A copy of K.mult with the action of one generator e_i changed in one
@@ -400,3 +410,42 @@ def test_generator_edits_seen_only_by_descending_pairs(rname, e):
                                 == reference_dga_axioms(K, action).lines()
                         found[k] += 1
     assert min(found) >= 2, found
+
+
+# odd characteristic, where the signs of the Leibniz rule show
+PLANT_RINGS = {**RINGS, "Z/9": lambda: Zmod(9),
+               "F3[x]/(x^2)": lambda: poly_quotient("F3", ["x"], ["x^2"])}
+
+
+@pytest.mark.parametrize("rname", sorted(PLANT_RINGS))
+def test_single_entry_plants_report_the_reference_lines(rname):
+    """Moving any one entry of any stored action matrix or differential of
+    K(a, a) and of an extension by one, the pass reports the lines of the
+    product-by-product reference."""
+    ring = PLANT_RINGS[rname]()
+    K, modules = _targeted_structures(ring, 2)
+
+    def planted(M):
+        for i in range(M.rows):
+            for j in range(M.cols):
+                grid = [list(r) for r in M.data]
+                grid[i][j] = grid[i][j] + ring.one
+                yield Matrix.from_rows(ring, grid)
+
+    failing = 0
+    for D in modules:
+        under = D.underlying
+        mutants = [DGModule(K, under, _replaced(D.action, H, n, bad))
+                   for H, per in D.action.items() for n, M in per.items() for bad in planted(M)]
+        ranks = {n: under.rank(n) for n in under.degrees()}
+        for n in under.degrees():
+            for bad in planted(under.diff(n)):
+                diffs = {m: under.diff(m) for m in under.degrees()}
+                diffs[n] = bad
+                mutants.append(DGModule(K, cx.ChainComplex(ring, ranks, diffs, _validated=True),
+                                        D.action))
+        for mutant in mutants:
+            lines = verify_dg_module(mutant).lines()
+            assert lines == reference_module_axioms(mutant).lines()
+            failing += any("FAIL" in line for line in lines)
+    assert failing >= 40

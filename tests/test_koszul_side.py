@@ -171,3 +171,26 @@ def test_mixed_rings_are_refused_before_any_resolution(monkeypatch):
         with pytest.raises(MixedRings):
             run()
     assert seen == [[], [], []]
+
+
+@pytest.mark.parametrize("name", ["Z/4", "F2[x,y]/(x,y)^2"])
+def test_g_is_built_only_in_the_degrees_read(name, monkeypatch):
+    """G = F (x) K* reaches degree window + 1, the last that hom_homology
+    reads, and there it is the full tensor product truncated."""
+    ring = RINGS[name][0]
+    K = algebra(name, 2)
+    k = du.ModulePresentation.residue_field(ring)
+    reads, hom_homology = [], du.hom_homology
+    monkeypatch.setattr(du, "hom_homology",
+                        lambda G, N, degrees: reads.append((G, degrees)) or
+                        hom_homology(G, N, degrees))
+    window = 3
+    du.koszul_sdc_transfer(K, k, window)
+    du.ext_sup_via_koszul(k, k, K, window)
+    F = du.resolution_complex(k, window + K.e + 1)
+    dual = complexes.hom_complex(K.complex, complexes.free_module_complex(ring, 1))
+    full = complexes.tensor(F, dual)
+    assert max(full.support) == window + K.e + 1
+    for G, degrees in reads:
+        assert max(G.support) == max(degrees) + 1 == window + 1
+        assert G == complexes.truncate_above(full, window + 1)
