@@ -255,14 +255,14 @@ class PolynomialSystem:
 
 
 def _term_compiler(size, coefficients):
-    """flat(terms): the flat terms of a dict monomial key -> nonzero
-    payload, in print order; a payload not yet in `coefficients` is
-    appended to it."""
+    """flat(items): the flat terms of the (monomial key, nonzero payload)
+    pairs `items`, given in print order (ascending keys); a payload not
+    yet in `coefficients` is appended to it."""
     square, index = size * size, {}
 
-    def flat(terms):
+    def flat(items):
         out = []
-        for mono, c in sorted(terms.items()):
+        for mono, c in items:
             k = index.get(c)
             if k is None:
                 k = index[c] = len(coefficients)
@@ -292,9 +292,15 @@ def _fused_entries(ring, size, rows, cols, products, delta=False):
     a constant.  Row i of every product accumulates, Gustavson-style,
     straight into the term dicts of row i of the result, so no product,
     difference or identity is built as a matrix of its own.
+
+    An elementary product a b with a factor 1 or -1 is the other factor or
+    its negation, with no ring product.  Every variable operand carries
+    1 or -1, so in S1-S4 only B (-y) has no factor 1, and no product calls
+    `mul` at all.
     """
-    add, mul = ring.add_payload, ring.mul_payload
-    minus_one = ring.neg_payload(ring.one_payload)
+    add, mul, neg = ring.add_payload, ring.mul_payload, ring.neg_payload
+    one = ring.one_payload
+    minus_one = neg(one)
     square = size * size
     out = []
     for i in range(rows):
@@ -302,9 +308,18 @@ def _fused_entries(ring, size, rows, cols, products, delta=False):
         for L, R in products:
             for k, v, a in L[i]:
                 for j, w, b in R[k]:
-                    c = mul(a, b)
-                    if not c:
-                        continue
+                    if a == one:
+                        c = b
+                    elif b == one:
+                        c = a
+                    elif a == minus_one:
+                        c = neg(b)
+                    elif b == minus_one:
+                        c = neg(a)
+                    else:
+                        c = mul(a, b)
+                        if not c:
+                            continue
                     mono = (w if v == size else v if w == size else
                             v * size + w - square if v <= w else w * size + v - square)
                     terms = acc[j]
@@ -420,7 +435,7 @@ def generate_system(K, P, F=None, check_minimal=True):
     def add_equations(tag, h, n, rows, cols, products, delta=False):
         for i, row in enumerate(_fused_entries(ring, size, rows, cols, products, delta), 1):
             positions.extend((tag, h, n, i, j) for j in range(1, cols + 1))
-            terms.extend(map(flat, row))
+            terms.extend(flat(sorted(entry.items())) for entry in row)
 
     # S1: the candidate differential squares to zero
     for n in range(1, m):
@@ -544,30 +559,25 @@ class VerificationReport:
         return [s.line() for s in self.subsystems]
 
 
-def verify_assignment(system, assignment):
-    """Evaluate every equation under the assignment; report per subsystem.
-
-    Works over any ring tier: the equations are evaluated on payloads of
-    the target ring, against a list of values indexed by variable.  A
-    non-identity hom maps each entry of the coefficient table once, for
-    this call only.  Verification runs in canonical equation order and
-    records the first failing position of each subsystem.
+def _value_vector(system, assignment):
+    """The payloads of the assignment's values in variable (index) order,
+    in the target ring of its hom, which must map from the system's ring.
 
     Completeness is checked first.  An assignment with fewer values than
-    the shape's variable count is incomplete at once, so the value list
-    is only built for an assignment at least as long: the check costs time
-    in proportion to the assignment, never to the shape.  Only a failing
-    check walks the shape's variables, for the first five missing ones.
+    the shape's variable count is incomplete at once, so the vector is
+    only built, one lookup per variable of `system.variables`, for an
+    assignment at least as long: the check costs time in proportion to
+    the assignment, never to the shape.  Only a failing check walks the
+    shape's variables, for the first five missing ones.
     """
     shape, values = system.shape, assignment.values
     vals = None
     if len(values) >= shape.count():
-        vals, index = [None] * shape.count(), shape.index
-        for v, x in values.items():
-            k = index(*v)
-            if k is not None:
-                vals[k] = x
-    if vals is None or None in vals:
+        try:
+            vals = list(map(values.__getitem__, system.variables))
+        except KeyError:
+            pass
+    if vals is None:
         missing = list(islice((v for v in shape.variables() if v not in values), 6))
         raise IncompleteAssignment(f"missing values for {missing[:5]}"
                                    + ("..." if len(missing) > 5 else ""))
@@ -575,11 +585,22 @@ def verify_assignment(system, assignment):
     if hom.source != system.ring:
         raise MixedRings(f"the assignment maps from {hom.source}, "
                          f"the system is over {system.ring}")
+    return list(map(hom.target.unbox, vals))
+
+
+def _evaluate(system, hom, vals):
+    """The report of the system's equations on the value vector `vals`.
+
+    A term with a variable of value zero is dropped before any ring call
+    (payloads are normal forms, so zero is the only falsy one); the others
+    cost c (x y), or c x.  Ring arithmetic is exact, so every sum, and
+    with it every first failure, is the one of the full evaluation.
+    """
     target = hom.target
-    add, mul, unbox = target.add_payload, target.mul_payload, target.unbox
-    vals = list(map(unbox, vals))
+    add, mul = target.add_payload, target.mul_payload
     coefficients = system.coefficients
     if not hom.is_identity():
+        unbox = target.unbox
         coefficients = [unbox(hom(hom.source.box(c))) for c in coefficients]
     zero, failed = target.zero_payload, {}  # tag -> (h, n, row, col) of its first failure
     for (tag, h, n, row, col), flat in zip(system.positions, system.terms):
@@ -587,17 +608,36 @@ def verify_assignment(system, assignment):
             continue
         acc = zero
         for c, a, b in flat:
-            c = coefficients[c]
-            if a >= 0:
-                c = mul(c, vals[a])
-                if b >= 0:
-                    c = mul(c, vals[b])
-            acc = add(acc, c)
+            if a < 0:
+                acc = add(acc, coefficients[c])
+                continue
+            x = vals[a]
+            if not x:
+                continue
+            if b >= 0:
+                y = vals[b]
+                if not y:
+                    continue
+                x = mul(x, y)
+            acc = add(acc, mul(coefficients[c], x))
         if acc:
             failed[tag] = (h, n, row, col)
     counts = system.equation_counts()
     return VerificationReport([SubsystemReport(tag, counts.get(tag, 0), failed.get(tag))
                                for tag in ("S1", "S2", "S3", "S4")])
+
+
+def verify_assignment(system, assignment):
+    """Evaluate every equation under the assignment; report per subsystem.
+
+    Works over any ring tier: the equations are evaluated on payloads of
+    the target ring, against the value vector (`_value_vector`), and a
+    term with a zero-valued variable costs no ring call (`_evaluate`).  A
+    non-identity hom maps each entry of the coefficient table once, for
+    this call only.  Verification runs in canonical equation order and
+    records the first failing position of each subsystem.
+    """
+    return _evaluate(system, assignment.hom, _value_vector(system, assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -615,24 +655,18 @@ class DescentCertificate:
     rechecks: dict
 
 
-def _assignment_matrix(assignment, shape, family, n):
-    """The values of the degree-n block of `family` variables, as a matrix."""
-    rows, cols = shape.dims(family, n)
-    if rows == 0 or cols == 0:
-        return Matrix.zeros(assignment.target, rows, cols)
-    return Matrix.from_rows(assignment.target, [
-        [assignment.values[SystemVariable(family, n, i, j)] for j in range(1, cols + 1)]
-        for i in range(1, rows + 1)])
-
-
 def reconstruct(K, system, assignment):
     """Build the descended complex and its quasiisomorphism certificate.
 
-    Verifies the assignment first; every certified property (square-zero,
-    chain map, K-linearity, contraction) is then re-checked by independent
-    matrix arithmetic, and any disagreement raises VerificationFailed.
+    Verifies the assignment first, on the value vector it then reads the
+    X, Y and Z blocks from: the shape's index order is block by block, row
+    by row, so each block row is one slice of the vector.  Every certified
+    property (square-zero, chain map, K-linearity, contraction) is then
+    re-checked by independent matrix arithmetic, and any disagreement
+    raises VerificationFailed.
     """
-    report = verify_assignment(system, assignment)
+    vals = _value_vector(system, assignment)
+    report = _evaluate(system, assignment.hom, vals)
     if not report.passed:
         raise VerificationFailed(
             "assignment fails: " + "; ".join(
@@ -640,32 +674,37 @@ def reconstruct(K, system, assignment):
     shape = system.shape
     target = assignment.target
     hom = assignment.hom
-    K_t = K if hom.is_identity() else koszul_base_change(hom, K)
+
+    def block(family, n):
+        rows, cols = shape.dims(family, n)
+        start = shape.index(family, n, 1, 1)
+        if start is None:
+            return Matrix.zeros(target, rows, cols)
+        return Matrix.from_payload_rows(target, rows, cols, [
+            vals[k:k + cols] for k in range(start, start + rows * cols, cols)])
 
     ranks = {n: shape.s_at(n) for n in range(shape.m + 1)}
-    diffs = {n: _assignment_matrix(assignment, shape, "X", n) for n in range(1, shape.m + 1)}
+    diffs = {n: block("X", n) for n in range(1, shape.m + 1)}
     try:
         A = ChainComplex(target, ranks, diffs)
     except Exception as exc:
         raise VerificationFailed(f"S1 passed but d.d != 0 on values: {exc}")
 
+    # the module side, mapped into the target ring
+    u_mats, v_mats, K_t = system.u_mats, system.v_mats, K
+    if not hom.is_identity():
+        K_t = koszul_base_change(hom, K)
+        u_mats = {n: mat.map_entries(hom, target) for n, mat in u_mats.items()}
+        v_mats = {H: {n: mat.map_entries(hom, target) for n, mat in per.items()}
+                  for H, per in v_mats.items()}
     ext = extend(K_t, A)
-    # module side mapped into the target ring
     module_under = ChainComplex(
-        target, {n: shape.r_at(n) for n in range(shape.m + shape.e + 1)},
-        {n: system.u_mats[n].map_entries(hom, target)
-         for n in system.u_mats})
-    module_action = {}
-    for H, per in system.v_mats.items():
-        module_action[H] = {n: mat.map_entries(hom, target)
-                            for n, mat in per.items()}
-    module_side = DGModule(K_t, module_under, module_action)
+        target, {n: shape.r_at(n) for n in range(shape.m + shape.e + 1)}, u_mats)
+    module_side = DGModule(K_t, module_under, v_mats)
 
     degrees = range(shape.m + shape.e + 1)
-    phi = ChainMap(module_under, ext.underlying, {
-        n: _assignment_matrix(assignment, shape, "Y", n) for n in degrees})
-    sigma = Homotopy({
-        n: _assignment_matrix(assignment, shape, "Z", n) for n in degrees}, "contraction")
+    phi = ChainMap(module_under, ext.underlying, {n: block("Y", n) for n in degrees})
+    sigma = Homotopy({n: block("Z", n) for n in degrees}, "contraction")
 
     rechecks = {
         "chain_map": is_chain_map(phi),

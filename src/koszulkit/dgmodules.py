@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .complexes import ChainMap, tensor, tensor_layout
+from .complexes import tensor, tensor_layout
 from .errors import MixedRings
 from .matrices import Matrix, vanishes
 
@@ -268,92 +268,3 @@ def is_k_linear(phi, source_dg, target_dg):
                     (minus_one, target_dg.action_matrix(H, n), phi.component(n))]):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# adjunction between complex maps M -> N and K-linear maps K (x) M -> N
-
-
-@dataclass
-class AdjunctionTransport:
-    """forward: psi (M -> underlying N) to the K-linear extension; backward:
-    restrict along the unit summand 1 (x) M.  backward . forward = id always;
-    forward . backward = id exactly on K-linear maps."""
-
-    K: object
-    M: object
-    N: object
-
-    def forward(self, psi):
-        K, M, N = self.K, self.M, self.N
-        ext = tensor(K.complex, M)
-        block = lambda H, p: N.action_matrix(H, p) * psi.component(p)
-        comps = {n: _summand_columns(K, M, n, N.underlying.rank(n), block)
-                 for n in ext.degrees()}
-        return ChainMap(ext, N.underlying, comps)
-
-    def backward(self, Phi):
-        K, M = self.K, self.M
-        comps = {}
-        for n in M.support:
-            src = tensor_layout(K.complex, M, n)
-            offset = 0
-            sliced = None
-            for (p, mrank, prank) in src:
-                width = mrank * prank
-                if p == n and width:
-                    sliced = Phi.component(n).submatrix(
-                        range(Phi.component(n).rows), range(offset, offset + width))
-                offset += width
-            if sliced is not None:
-                comps[n] = sliced
-        return ChainMap(M, Phi.target, comps)
-
-
-def adjunction_transport(K, M, N):
-    """Correspondence object for maps M -> N.underlying vs K (x) M -> N."""
-    return AdjunctionTransport(K, M, N)
-
-
-def unit_map(K, M):
-    """The chain map M -> K (x) M embedding into the unit summand."""
-    ext = tensor(K.complex, M)
-    ring = K.ring
-    comps = {}
-    for n in M.support:
-        rows = ext.rank(n)
-        cols = M.rank(n)
-        if rows == 0 or cols == 0:
-            continue
-        offset = 0
-        grid_rows = [[ring.zero] * cols for _ in range(rows)]
-        for (p, mrank, prank) in tensor_layout(K.complex, M, n):
-            width = mrank * prank
-            if p == n and width:
-                # the unit basis vector of K_0 is first in its summand
-                for i in range(cols):
-                    grid_rows[offset + i][i] = ring.one
-            offset += width
-        comps[n] = Matrix.from_rows(ring, grid_rows)
-    return ChainMap(M, ext, comps)
-
-
-def multiplication_map(K, D):
-    """The action K (x) D.underlying -> D.underlying as a chain map.
-
-    Columns over the summand K_{n-p} (x) D_p send the (H, x) basis vector
-    to the action of e_H on x.
-    """
-    M = D.underlying
-    ext = tensor(K.complex, M)
-    comps = {n: _summand_columns(K, M, n, M.rank(n), D.action_matrix)
-             for n in ext.degrees()}
-    return ChainMap(ext, M, comps)
-
-
-def _summand_columns(K, M, n, height, block):
-    """A map out of (K (x) M)_n, given on e_H (x) M_p by block(H, p)."""
-    pieces = [(H, p) for p, kp, mp in tensor_layout(K.complex, M, n) if kp and mp
-              for H in K.basis[n - p]]
-    return Matrix.from_blocks(K.ring, [height], [M.rank(p) for _, p in pieces],
-                              {(0, j): block(H, p) for j, (H, p) in enumerate(pieces)})

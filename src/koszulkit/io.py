@@ -119,6 +119,30 @@ def _field_lines(lines, prefix):
     return out
 
 
+def _quote(line):
+    """The file line `line` as an error message names it."""
+    return repr(line if len(line) <= 60 else line[:57] + "...")
+
+
+_RANK = re.compile(r"rank\s+(-?\d+)\s*=\s*(\d+)")
+_DIFF = re.compile(r"diff\s+(-?\d+)\s*=\s*(.*)")
+
+
+def _read_complex_line(ring, line, ranks, diffs):
+    """Read a `rank n = r` or a `diff n = matrix` line into `ranks` or
+    `diffs`; False for any other line.  A second line for a degree is a
+    FormatError: no line silently overrides another."""
+    for pattern, table, read in ((_RANK, ranks, int), (_DIFF, diffs, partial(parse_matrix, ring))):
+        m = pattern.fullmatch(line)
+        if m:
+            n = int(m[1])
+            if n in table:
+                raise FormatError(f"a second {line.split()[0]} {n} line: {_quote(line)}")
+            table[n] = read(m[2])
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # complexes
 
@@ -137,15 +161,8 @@ def load_complex(text):
     ring = _expect_kind(lines, "complex")
     ranks, diffs = {}, {}
     for line in lines[2:]:
-        m = re.fullmatch(r"rank\s+(-?\d+)\s*=\s*(\d+)", line)
-        if m:
-            ranks[int(m.group(1))] = int(m.group(2))
-            continue
-        m = re.fullmatch(r"diff\s+(-?\d+)\s*=\s*(.*)", line)
-        if m:
-            diffs[int(m.group(1))] = parse_matrix(ring, m.group(2))
-            continue
-        raise FormatError(f"unrecognized complex line: {line!r}")
+        if not _read_complex_line(ring, line, ranks, diffs):
+            raise FormatError(f"unrecognized complex line: {line!r}")
     return ChainComplex(ring, ranks, diffs)
 
 
@@ -199,49 +216,57 @@ def load_dg_module(text):
 
 def parse_dg_module(text):
     """The DG module in `text` (its text or its JSON form), without checking
-    its axioms."""
+    its axioms.  A line given twice, an `act` line for a subset outside
+    the Koszul algebra's basis or from a degree of rank 0, and an `act`
+    matrix whose shape the ranks do not give are FormatErrors that name
+    the line."""
     if text.lstrip().startswith("{"):
         text = _json_text(text)
     lines = _split_lines(text)
     ring = _expect_kind(lines, "dgmodule")
     sequence = None
     ranks, diffs = {}, {}
-    action = {}
+    acts = {}  # (H, n) -> (matrix, line)
     for line in lines[2:]:
         if line.startswith("sequence "):
+            if sequence is not None:
+                raise FormatError(f"a second sequence line: {_quote(line)}")
             sequence = _parse_sequence(ring, line[len("sequence "):])
             continue
-        m = re.fullmatch(r"rank\s+(-?\d+)\s*=\s*(\d+)", line)
-        if m:
-            ranks[int(m.group(1))] = int(m.group(2))
-            continue
-        m = re.fullmatch(r"diff\s+(-?\d+)\s*=\s*(.*)", line)
-        if m:
-            diffs[int(m.group(1))] = parse_matrix(ring, m.group(2))
+        if _read_complex_line(ring, line, ranks, diffs):
             continue
         m = re.fullmatch(r"act\s+(\{[^}]*\})\s+(-?\d+)\s*=\s*(.*)", line)
         if m:
-            H = _parse_subset(m.group(1))
-            action.setdefault(H, {})[int(m.group(2))] = parse_matrix(ring, m.group(3))
+            key = _parse_subset(m.group(1)), int(m.group(2))
+            if key in acts:
+                raise FormatError(f"a second act {_subset_text(key[0])} {key[1]} line: "
+                                  f"{_quote(line)}")
+            acts[key] = parse_matrix(ring, m.group(3)), line
             continue
         raise FormatError(f"unrecognized dgmodule line: {line!r}")
     if sequence is None:
         raise FormatError("dgmodule file needs a sequence line")
     K = koszul(ring, sequence)
     under = ChainComplex(ring, ranks, diffs)
-    full_action = {}
-    for H in (S for d in K.basis.values() for S in d):
-        per = {}
+    basis = [S for d in K.basis.values() for S in d]
+    action = {H: {} for H in basis}
+    for (H, n), (mat, line) in acts.items():
+        if H not in action:
+            raise FormatError(f"{_subset_text(H)} names no basis element of the Koszul "
+                              f"algebra (e = {K.e}): {_quote(line)}")
+        rows, cols = under.rank(n + len(H)), under.rank(n)
+        if not cols:
+            raise FormatError(f"the complex has rank 0 in degree {n}: {_quote(line)}")
+        if (mat.rows, mat.cols) != (rows, cols):
+            raise FormatError(f"the act matrix is {mat.rows}x{mat.cols}, the ranks make it "
+                              f"{rows}x{cols}: {_quote(line)}")
+        action[H][n] = mat
+    for H in basis:
         for n in under.degrees():
-            rows = under.rank(n + len(H))
-            cols = under.rank(n)
-            got = action.get(H, {}).get(n)
-            if got is not None:
-                per[n] = got
-            elif rows and cols:
-                per[n] = Matrix.zeros(ring, rows, cols)
-        full_action[H] = per
-    return DGModule(K, under, full_action)
+            rows, cols = under.rank(n + len(H)), under.rank(n)
+            if rows and cols:
+                action[H].setdefault(n, Matrix.zeros(ring, rows, cols))
+    return DGModule(K, under, action)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +408,14 @@ def _polynomial_reader(ring, shape, coefficients):
     """read(text): the flat terms of the polynomial written as `text` in
     the term grammar, whatever the order of its terms, with equal
     monomials merged and cancelled; any other text is a FormatError.
-    New coefficient payloads join `coefficients`."""
+    New coefficient payloads join `coefficients`.
+
+    The printer writes terms in print order, ascending monomial keys, so
+    the terms are appended as read while their keys ascend.  Only at the
+    first key that does not ascend (a term out of order, or a monomial met
+    again) do they go into a dict that merges equal monomials, sorted at
+    the end.  Either way the compiler sees the terms in print order, so
+    the coefficient table fills as for the printed text."""
     size = shape.count()
     square, flat = size * size, _term_compiler(size, coefficients)
     var_of, read_before = _Memo(partial(_token_index, shape)), {}  # text -> flat terms
@@ -417,7 +449,7 @@ def _polynomial_reader(ring, shape, coefficients):
             return done
         # the text split at each sign, as `\s*[+-]\s*` splits it
         pieces = text.replace("-", "+-").split("+")
-        terms = {}
+        items, terms, top = [], None, -square - 1  # below every monomial key
         for piece in pieces if pieces[0] else pieces[1:]:
             if piece.startswith("-"):
                 signed, body = minus, piece[1:].strip()
@@ -443,6 +475,12 @@ def _polynomial_reader(ring, shape, coefficients):
                 c = coefficient(signed, key)
             if not c:
                 continue
+            if terms is None:
+                if mono > top:
+                    items.append((mono, c))
+                    top = mono
+                    continue
+                terms = dict(items)
             s = terms.get(mono)
             if s is not None:
                 c = add(s, c)
@@ -450,7 +488,7 @@ def _polynomial_reader(ring, shape, coefficients):
                     del terms[mono]
                     continue
             terms[mono] = c
-        done = read_before[text] = flat(terms)
+        done = read_before[text] = flat(items if terms is None else sorted(terms.items()))
         return done
 
     return read

@@ -10,12 +10,14 @@ from math import prod
 
 from koszulkit.cli import main
 from koszulkit.complexes import (
-    ChainComplex, Homotopy, free_module_complex, homology, tensor, tensor_differential,
+    ChainComplex, ChainMap, Homotopy, free_module_complex, homology, tensor, tensor_differential,
     tensor_layout, zero_complex,
 )
-from koszulkit.descent import Assignment, SystemVariable, VarPoly, _assignment_matrix
+from koszulkit.descent import (
+    Assignment, SubsystemReport, SystemVariable, VarPoly, VerificationReport,
+)
 from koszulkit.duality import ExtSupResult, hom_homology
-from koszulkit.errors import MixedRings
+from koszulkit.errors import IncompleteAssignment, MixedRings
 from koszulkit.linalg import (
     HomologySummary, _fp_view_of, _is_unit, _payload_grid, invert, kernel_basis, lift_context,
     minimal_generators, smith_data, solve, span_cardinality, subquotient,
@@ -127,6 +129,54 @@ def span_of_columns(ring, K):
     return out
 
 
+def assignment_matrix(assignment, shape, family, n):
+    """The values of the degree-n block of `family` variables, as a matrix,
+    read one variable at a time."""
+    rows, cols = shape.dims(family, n)
+    if rows == 0 or cols == 0:
+        return Matrix.zeros(assignment.target, rows, cols)
+    return Matrix.from_rows(assignment.target, [
+        [assignment.values[SystemVariable(family, n, i, j)] for j in range(1, cols + 1)]
+        for i in range(1, rows + 1)])
+
+
+def reference_verify_assignment(system, assignment):
+    """`descent.verify_assignment` as a plain evaluation: values placed by
+    `shape.index`, and every term multiplied out, zero factors included."""
+    shape, values = system.shape, assignment.values
+    vals = [None] * shape.count()
+    for v, x in values.items():
+        k = shape.index(*v)
+        if k is not None:
+            vals[k] = x
+    if None in vals:
+        raise IncompleteAssignment("missing values")
+    hom = assignment.hom
+    if hom.source != system.ring:
+        raise MixedRings("the assignment maps from another ring")
+    target = hom.target
+    add, mul, unbox = target.add_payload, target.mul_payload, target.unbox
+    vals = list(map(unbox, vals))
+    coefficients = [unbox(hom(hom.source.box(c))) for c in system.coefficients]
+    failed = {}
+    for (tag, h, n, row, col), flat in zip(system.positions, system.terms):
+        if tag in failed:
+            continue
+        acc = target.zero_payload
+        for c, a, b in flat:
+            c = coefficients[c]
+            if a >= 0:
+                c = mul(c, vals[a])
+                if b >= 0:
+                    c = mul(c, vals[b])
+            acc = add(acc, c)
+        if acc:
+            failed[tag] = (h, n, row, col)
+    counts = system.equation_counts()
+    return VerificationReport([SubsystemReport(tag, counts.get(tag, 0), failed.get(tag))
+                               for tag in ("S1", "S2", "S3", "S4")])
+
+
 def conjugated_assignment(K, P, system, sol, rng):
     """Transport the canonical solution along a random degreewise change of
     basis of P: X conjugates, Y and Z ride along the induced isomorphism of
@@ -162,19 +212,19 @@ def conjugated_assignment(K, P, system, sol, rng):
 
     vals = {}
     for n in range(1, shape.m + 1):
-        Xn = _assignment_matrix(sol, shape, "X", n)
+        Xn = assignment_matrix(sol, shape, "X", n)
         Xp = ginv[n - 1] * Xn * g[n]
         for i in range(Xp.rows):
             for j in range(Xp.cols):
                 vals[SystemVariable("X", n, i + 1, j + 1)] = Xp.data[i][j]
     for n in range(shape.m + shape.e + 1):
-        Yn = _assignment_matrix(sol, shape, "Y", n)
+        Yn = assignment_matrix(sol, shape, "Y", n)
         Yp = gaminv[n] * Yn
         for i in range(Yp.rows):
             for j in range(Yp.cols):
                 vals[SystemVariable("Y", n, i + 1, j + 1)] = Yp.data[i][j]
     for n in range(shape.m + shape.e + 1):
-        Zn = _assignment_matrix(sol, shape, "Z", n)
+        Zn = assignment_matrix(sol, shape, "Z", n)
         Zp = theta(n + 1) * Zn * theta(n, inverse=True)
         for i in range(Zp.rows):
             for j in range(Zp.cols):
@@ -712,3 +762,91 @@ def reference_extension_action(K, M, H, n):
             blocks[k, k] = K.mult_matrix(H, n - p).kron(Matrix.identity(K.ring, mp))
     return Matrix.from_blocks(K.ring, [a * b for _, a, b in tgt],
                               [a * b for _, a, b in src], blocks)
+
+
+# the adjunction between complex maps M -> N and K-linear maps K (x) M -> N
+
+
+@dataclass
+class AdjunctionTransport:
+    """forward: psi (M -> underlying N) to the K-linear extension; backward:
+    restrict along the unit summand 1 (x) M.  backward . forward = id always;
+    forward . backward = id exactly on K-linear maps."""
+
+    K: object
+    M: object
+    N: object
+
+    def forward(self, psi):
+        K, M, N = self.K, self.M, self.N
+        ext = tensor(K.complex, M)
+        block = lambda H, p: N.action_matrix(H, p) * psi.component(p)
+        comps = {n: _summand_columns(K, M, n, N.underlying.rank(n), block)
+                 for n in ext.degrees()}
+        return ChainMap(ext, N.underlying, comps)
+
+    def backward(self, Phi):
+        K, M = self.K, self.M
+        comps = {}
+        for n in M.support:
+            src = tensor_layout(K.complex, M, n)
+            offset = 0
+            sliced = None
+            for (p, mrank, prank) in src:
+                width = mrank * prank
+                if p == n and width:
+                    sliced = Phi.component(n).submatrix(
+                        range(Phi.component(n).rows), range(offset, offset + width))
+                offset += width
+            if sliced is not None:
+                comps[n] = sliced
+        return ChainMap(M, Phi.target, comps)
+
+
+def adjunction_transport(K, M, N):
+    """Correspondence object for maps M -> N.underlying vs K (x) M -> N."""
+    return AdjunctionTransport(K, M, N)
+
+
+def unit_map(K, M):
+    """The chain map M -> K (x) M embedding into the unit summand."""
+    ext = tensor(K.complex, M)
+    ring = K.ring
+    comps = {}
+    for n in M.support:
+        rows = ext.rank(n)
+        cols = M.rank(n)
+        if rows == 0 or cols == 0:
+            continue
+        offset = 0
+        grid_rows = [[ring.zero] * cols for _ in range(rows)]
+        for (p, mrank, prank) in tensor_layout(K.complex, M, n):
+            width = mrank * prank
+            if p == n and width:
+                # the unit basis vector of K_0 is first in its summand
+                for i in range(cols):
+                    grid_rows[offset + i][i] = ring.one
+            offset += width
+        comps[n] = Matrix.from_rows(ring, grid_rows)
+    return ChainMap(M, ext, comps)
+
+
+def multiplication_map(K, D):
+    """The action K (x) D.underlying -> D.underlying as a chain map.
+
+    Columns over the summand K_{n-p} (x) D_p send the (H, x) basis vector
+    to the action of e_H on x.
+    """
+    M = D.underlying
+    ext = tensor(K.complex, M)
+    comps = {n: _summand_columns(K, M, n, M.rank(n), D.action_matrix)
+             for n in ext.degrees()}
+    return ChainMap(ext, M, comps)
+
+
+def _summand_columns(K, M, n, height, block):
+    """A map out of (K (x) M)_n, given on e_H (x) M_p by block(H, p)."""
+    pieces = [(H, p) for p, kp, mp in tensor_layout(K.complex, M, n) if kp and mp
+              for H in K.basis[n - p]]
+    return Matrix.from_blocks(K.ring, [height], [M.rank(p) for _, p in pieces],
+                              {(0, j): block(H, p) for j, (H, p) in enumerate(pieces)})

@@ -1,15 +1,14 @@
 import random
 
 from koszulkit import complexes as cx
-from koszulkit.dgmodules import (
-    AxiomResult, DGModule, adjunction_transport, extend, is_k_linear,
-    multiplication_map, unit_map, verify_dg_module,
-)
+from koszulkit.dgmodules import AxiomResult, DGModule, extend, is_k_linear, verify_dg_module
 from koszulkit.koszul import koszul, verify_dga
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, RingHom, ZZ, Zmod
 
-from helpers import count_calls, random_matrix
+from helpers import (
+    adjunction_transport, count_calls, multiplication_map, random_matrix, unit_map,
+)
 
 Z = ZZ()
 Z4 = Zmod(4)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,49 @@ def test_cli_dg_verify_reports_a_failing_module_with_exit_1(tmp_path):
         # every other loader still rejects the module as malformed
         with pytest.raises(FormatError, match="fails the leibniz axiom"):
             kio.load(str(path))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("rank 1 = 3", "a second rank 1 line"),
+    ("diff 1 = 2x1 [[0], [0]]", "a second diff 1 line"),
+])
+def test_cli_complex_rejects_a_repeated_line(tmp_path, line, message):
+    # the first diff 1 gives H0 = Z/2 + Z/4; a silent override gave Z/4 + Z/4
+    cxf = tmp_path / "P.cx"
+    cxf.write_text((GOLDEN / "P.cx").read_text() + line + "\n")
+    code, out, err = run_cli(["complex", "homology", str(cxf)])
+    assert (code, out, err) == (2, "", f"error: {message}: {line!r}\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("rank 1 = 3", "a second rank 1 line"),
+    ("diff 2 = 3x2 [[2, 0], [0, 0], [2, 2]]", "a second diff 2 line"),
+    ("sequence [2]", "a second sequence line"),
+    ("act {1} 0 = 3x2 [[1, 0], [0, 1], [0, 0]]", "a second act {1} 0 line"),
+    ("act {2} 0 = 3x2 [[1, 0], [0, 1], [0, 0]]",
+     "{2} names no basis element of the Koszul algebra (e = 1)"),
+    ("act {1,1} 0 = 2x2 [[0, 0], [0, 0]]",
+     "{1,1} names no basis element of the Koszul algebra (e = 1)"),
+    ("act {1} 9 = 1x1 [[3]]", "the complex has rank 0 in degree 9"),
+    ("act {1} -1 = 2x0 [[], []]", "the complex has rank 0 in degree -1"),
+    # the file's own act {1} 1 line, rewritten 2x2: replaced, not appended
+    ("act {1} 1 = 2x2 [[0, 0], [0, 0]]", "the act matrix is 2x2, the ranks make it 2x3"),
+])
+def test_cli_dg_module_rejects_overrides_and_misplaced_actions(tmp_path, edit, message):
+    dgf = tmp_path / "F.dg"
+    assert run_cli(["dg", "extend", str(GOLDEN / "K4_on_2.kz"), str(GOLDEN / "P.cx"),
+                    "-o", str(dgf)])[0] == 0
+    assert run_cli(["dg", "verify", str(dgf)])[0] == 0
+    lines = dgf.read_text().splitlines()
+    if edit.startswith("act {1} 1 "):
+        lines = [edit if line.startswith("act {1} 1 ") else line for line in lines]
+    else:
+        lines.append(edit)
+    dgf.write_text("\n".join(lines) + "\n")
+    expected = (2, "", f"error: {message}: {edit!r}\n")
+    assert run_cli(["dg", "verify", str(dgf)]) == expected
+    with pytest.raises(FormatError, match=re.escape(message)):
+        kio.parse_dg_module(dgf.read_text())
 
 
 def test_cli_zero_ring_exit_2(tmp_path):
