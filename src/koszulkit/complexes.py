@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import (
     CapabilityMissing, DimensionMismatch, MixedRings, NotAComplex, NotLocal,
 )
-from .linalg import has_linear_solve, homology_module, kernel_resolution
+from .linalg import homology_module, kernel_resolution
 from .matrices import Matrix, vanishes
 
 
@@ -127,25 +127,6 @@ class ChainMap:
             return Matrix.zeros(self.source.ring, self.target.rank(n),
                                 self.source.rank(n))
         return m
-
-    @staticmethod
-    def identity(complex_):
-        return ChainMap(complex_, complex_, {
-            n: Matrix.identity(complex_.ring, complex_.rank(n))
-            for n in complex_.support})
-
-    @staticmethod
-    def zero(source, target):
-        return ChainMap(source, target, {})
-
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise DimensionMismatch("composition of non-matching chain maps")
-        comps = {}
-        for n in set(self.components) | set(other.components):
-            comps[n] = self.component(n) * other.component(n)
-        return ChainMap(other.source, self.target, comps)
 
 
 @dataclass
@@ -371,7 +352,7 @@ def homology(M, n):
 
 def sup_inf(M):
     """Degrees of extreme nonzero homology, or an explicit acyclic flag."""
-    if not has_linear_solve(M.ring):
+    if not M.ring.linear_solve:
         raise CapabilityMissing(f"homology needs linear solving over {M.ring}")
     found = [n for n in M.degrees() if not homology(M, n).is_zero]
     if not found:
@@ -408,7 +389,7 @@ def augment_by_resolution(A, m, depth_budget=4):
     m..m+depth_budget-1; over non-field rings the resolution may continue
     forever, so the top added degree can carry homology (windowed output).
     """
-    if not has_linear_solve(A.ring):
+    if not A.ring.linear_solve:
         raise CapabilityMissing(f"resolution needs linear solving over {A.ring}")
     if A.support and max(A.support) > m:
         raise DimensionMismatch(f"support of A must lie in degrees <= {m}")

@@ -45,7 +45,6 @@ from .errors import (
     RankMismatch, ShapeMismatch, UnverifiedDGModule, VerificationFailed, WindowViolated,
 )
 from .koszul import koszul_base_change
-from .linalg import has_linear_solve
 from .matrices import Matrix
 from .rings import RingHom
 
@@ -738,7 +737,7 @@ def truncate_extend(K, A, sup_bound, depth_budget=None):
     vanishing window sup_bound + e < i < m, plus the widened window for the
     extension.  m must be at least sup_bound + 2e + 1."""
     ring = A.ring
-    if not has_linear_solve(ring):
+    if not ring.linear_solve:
         raise CapabilityMissing(f"truncate_extend needs linear solving over {ring}")
     if not A.support:
         raise ShapeMismatch("cannot extend the zero complex")

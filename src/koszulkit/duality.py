@@ -43,7 +43,7 @@ from .errors import (
 )
 from .linalg import (
     HomologySummary, _grid_to_matrix, _is_unit, _maximal_ideal_elements, _payload_grid,
-    dual_image_cardinalities, fp_module, has_linear_solve, image_membership, kernel_basis,
+    dual_image_cardinalities, fp_module, image_membership, kernel_basis,
     kernel_cardinality, lift_context, minimal_generators, periodic, preimage, resolution,
     smith_data, span_cardinality, subquotient,
 )
@@ -107,7 +107,7 @@ class ModulePresentation:
 
 def _first_differential(pres):
     """d_1 of the resolution: a minimal generating set of the relations."""
-    if not has_linear_solve(pres.ring):
+    if not pres.ring.linear_solve:
         raise CapabilityMissing(f"cannot resolve over {pres.ring}")
     return minimal_generators(pres.ring, pres.relations)
 
@@ -140,12 +140,6 @@ def _complex_of(pres, res, depth):
         ranks[i] = d.cols
         dmap[i] = d
     return ChainComplex(pres.ring, ranks, dmap, _validated=True)
-
-
-def resolution_complex(pres, depth):
-    """The resolution as a free complex F_0 <- F_1 <- ..., d d = 0 checked
-    by the loop."""
-    return _complex_of(pres, _resolution(pres, depth), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +357,7 @@ def _homothety_ring(ring):
     """Refuse a ring the homothety check does not run over."""
     if not ring.local:
         raise NotLocal(f"{ring} is not certified local")
-    if not ring.is_finite() or not has_linear_solve(ring):
+    if not ring.is_finite() or not ring.linear_solve:
         raise CapabilityMissing("homothety check needs a finite linear_solve ring")
 
 

@@ -128,17 +128,26 @@ _RANK = re.compile(r"rank\s+(-?\d+)\s*=\s*(\d+)")
 _DIFF = re.compile(r"diff\s+(-?\d+)\s*=\s*(.*)")
 
 
+def _line_matrix(ring, text, line):
+    """The matrix `text` read off the file line `line`: a FormatError of
+    `parse_matrix` names the line."""
+    try:
+        return parse_matrix(ring, text)
+    except FormatError as exc:
+        raise FormatError(f"{exc}: {_quote(line)}") from None
+
+
 def _read_complex_line(ring, line, ranks, diffs):
     """Read a `rank n = r` or a `diff n = matrix` line into `ranks` or
     `diffs`; False for any other line.  A second line for a degree is a
     FormatError: no line silently overrides another."""
-    for pattern, table, read in ((_RANK, ranks, int), (_DIFF, diffs, partial(parse_matrix, ring))):
+    for pattern, table in ((_RANK, ranks), (_DIFF, diffs)):
         m = pattern.fullmatch(line)
         if m:
             n = int(m[1])
             if n in table:
                 raise FormatError(f"a second {line.split()[0]} {n} line: {_quote(line)}")
-            table[n] = read(m[2])
+            table[n] = int(m[2]) if table is ranks else _line_matrix(ring, m[2], line)
             return True
     return False
 
@@ -241,7 +250,7 @@ def parse_dg_module(text):
             if key in acts:
                 raise FormatError(f"a second act {_subset_text(key[0])} {key[1]} line: "
                                   f"{_quote(line)}")
-            acts[key] = parse_matrix(ring, m.group(3)), line
+            acts[key] = _line_matrix(ring, m.group(3), line), line
             continue
         raise FormatError(f"unrecognized dgmodule line: {line!r}")
     if sequence is None:
@@ -279,17 +288,27 @@ def save_presentation(P):
 
 
 def load_presentation(text):
+    """The module presentation in `text`.  The gens line, a non-negative
+    integer, comes first; a second gens or relations line is a
+    FormatError that names the line."""
     lines = _split_lines(text)
     ring = _expect_kind(lines, "module")
     gens = None
     rel = None
     for line in lines[2:]:
         if line.startswith("gens "):
-            gens = int(line[len("gens "):])
+            if gens is not None:
+                raise FormatError(f"a second gens line: {_quote(line)}")
+            m = re.fullmatch(r"gens\s+(\d+)", line)
+            if not m:
+                raise FormatError(f"gens must be a non-negative integer: {_quote(line)}")
+            gens = int(m[1])
         elif line.startswith("relations "):
             if gens is None:
                 raise FormatError("gens line must precede relations")
-            rel = parse_matrix(ring, line[len("relations "):])
+            if rel is not None:
+                raise FormatError(f"a second relations line: {_quote(line)}")
+            rel = _line_matrix(ring, line[len("relations "):], line)
         else:
             raise FormatError(f"unrecognized module line: {line!r}")
     if gens is None:
@@ -303,14 +322,9 @@ def load_presentation(text):
 # chain maps
 
 
-def save_chain_map(phi):
-    lines = [f"ring {ring_spec(phi.source.ring)}", "map"]
-    for n in sorted(phi.components):
-        lines.append(f"component {n} = {format_matrix(phi.components[n])}")
-    return "\n".join(lines) + "\n"
-
-
 def load_chain_map(text, source, target):
+    """The chain map in `text` from `source` to `target`; a second
+    `component n` line is a FormatError that names the line."""
     lines = _split_lines(text)
     ring = _expect_kind(lines, "map")
     comps = {}
@@ -318,7 +332,10 @@ def load_chain_map(text, source, target):
         m = re.fullmatch(r"component\s+(-?\d+)\s*=\s*(.*)", line)
         if not m:
             raise FormatError(f"unrecognized map line: {line!r}")
-        comps[int(m.group(1))] = parse_matrix(ring, m.group(2))
+        n = int(m.group(1))
+        if n in comps:
+            raise FormatError(f"a second component {n} line: {_quote(line)}")
+        comps[n] = _line_matrix(ring, m.group(2), line)
     return ChainMap(source, target, comps)
 
 
@@ -706,12 +723,6 @@ def _json_text(text):
     return "\n".join(lines) + "\n"
 
 
-def from_json(text, coefficient_ring=None):
-    """The object in `text`; an assignment maps from `coefficient_ring` as
-    in `load_assignment`."""
-    return _load_text(_json_text(text), coefficient_ring)
-
-
 # ---------------------------------------------------------------------------
 # extension-aware entry points
 
@@ -749,23 +760,20 @@ _LOADERS = {
 }
 
 
-def _load_text(text, coefficient_ring=None, where=""):
-    """The object in the text form `text`, read by its kind's loader;
-    `where` names the source in the error for an unreadable kind line."""
-    lines = _split_lines(text)
-    if len(lines) < 2:
-        raise FormatError(f"truncated file{where}")
-    kind = lines[1].strip()
-    if kind not in _LOADERS:
-        raise FormatError(f"unknown object kind {kind!r}{where}")
-    if kind == "assignment":
-        return load_assignment(text, coefficient_ring)
-    return _LOADERS[kind](text)
-
-
 def load(path, coefficient_ring=None):
+    """The object in the file `path`, its text form or, for a `.json` path,
+    its JSON form, read by its kind's loader; an assignment maps from
+    `coefficient_ring` as in `load_assignment`."""
     p = pathlib.Path(path)
     text = p.read_text(encoding="utf-8")
     if p.suffix == ".json":
         text = _json_text(text)
-    return _load_text(text, coefficient_ring, f" in {path}")
+    lines = _split_lines(text)
+    if len(lines) < 2:
+        raise FormatError(f"truncated file in {path}")
+    kind = lines[1].strip()
+    if kind not in _LOADERS:
+        raise FormatError(f"unknown object kind {kind!r} in {path}")
+    if kind == "assignment":
+        return load_assignment(text, coefficient_ring)
+    return _LOADERS[kind](text)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .complexes import ChainComplex, free_module_complex, homology, sup_inf, tensor
+from .complexes import ChainComplex
 from .dgmodules import AxiomReport, AxiomResult, DGModule, _first_failure, verify_dg_module
-from .errors import CapabilityMissing, MixedRings
+from .errors import MixedRings
 from .matrices import Matrix, vanishes
 
 
@@ -212,34 +212,9 @@ def verify_dga(K, mult_override=None):
 
 
 # ---------------------------------------------------------------------------
-# base change and homological probes
+# base change
 
 
 def koszul_base_change(hom, K):
     """The Koszul algebra on the image sequence over the target ring."""
     return koszul(hom.target, [hom(a) for a in K.elements])
-
-
-def co_complete_witness(K):
-    """Can the quotient by the sequence be certified complete?
-
-    True exactly when the ring is finite (finite quotients are complete);
-    None means unknown, never silently assumed.
-    """
-    return True if K.ring.is_finite() else None
-
-
-def depth_sensitivity_probe(K, module_rank_or_complex):
-    """sup of H(K (x) M) for a module M placed in degree 0.
-
-    Returns the top nonzero homology degree, or None when acyclic; equals 0
-    exactly when the sequence is regular on the free module at desk scale.
-    """
-    if isinstance(module_rank_or_complex, int):
-        M = free_module_complex(K.ring, module_rank_or_complex)
-    else:
-        M = module_rank_or_complex
-        if set(M.support) - {0}:
-            raise CapabilityMissing("probe expects a module in degree 0")
-    bounds = sup_inf(tensor(K.complex, M))
-    return None if bounds.acyclic else bounds.sup

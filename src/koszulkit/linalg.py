@@ -131,10 +131,6 @@ def _fp_view_of(ring):
     return view
 
 
-def has_linear_solve(ring):
-    return lift_context(ring) is not None or _fp_view_of(ring) is not None
-
-
 def _engine(ring):
     """(F_p view, None) or (None, lift context): how kernels, solutions and
     cardinalities over `ring` are computed.
@@ -998,15 +994,6 @@ def solve(ring, A, B):
         Matrix.from_columns(ring, A.cols, Y)
 
 
-def invert(ring, A):
-    """Two-sided inverse of a square matrix, or None."""
-    if A.rows != A.cols:
-        return None
-    identity = Matrix.identity(ring, A.rows)
-    X = solve(ring, A, identity)
-    return X if X is not None and X * A == identity else None
-
-
 def kernel_cardinality(ring, A):
     """|ker A| over a finite ring: |R|^cols / |column span of A|."""
     size = ring.cardinality()
@@ -1224,16 +1211,6 @@ def howell_form(ring, A):
         Matrix.from_payload_rows(ring, n, n, [U[i] for i in order]),
         Matrix.from_payload_rows(ring, n, n, _transpose([UiT[i] for i in order])),
         Matrix.identity(ring, cols), Matrix.identity(ring, cols), padded)
-
-
-def matrix_normal_form(ring, A):
-    """The ring-appropriate normal form: echelon, smith, or howell."""
-    if ring.kind in (RATIONALS, PRIMEFIELD):
-        return row_echelon(ring, A)
-    ctx = lift_context(ring)
-    if ctx is None:
-        raise CapabilityMissing(f"no matrix normal form over {ring}")
-    return smith_form(ring, A) if ctx.modulus is None else howell_form(ring, A)
 
 
 # ---------------------------------------------------------------------------
@@ -1606,11 +1583,3 @@ def kernel_resolution(ring, d, steps):
     with no columns.
     """
     return resolution(ring, d, steps).matrices(1 + max(steps, 0))[1:]
-
-
-def syzygies(ring, A):
-    """A generating set of ker A, minimal over a local ring, where it keeps
-    the kernel generators outside m ker A and the ones before them (the
-    Nakayama rule of `minimal_generators`): one step of
-    `kernel_resolution`."""
-    return (kernel_resolution(ring, A, 1) or [Matrix.zeros(ring, 0, 0)])[0]

@@ -200,12 +200,6 @@ class Matrix:
             grid[0][0].ring, [row[0].rows for row in grid], widths,
             {(i, j): m for i, row in enumerate(grid) for j, m in enumerate(row)})
 
-    @classmethod
-    def diag(cls, ring, entries):
-        unbox = ring.unbox
-        return cls(ring, len(entries), len(entries),
-                   tuple(_row((i,), (unbox(x),)) for i, x in enumerate(entries)))
-
     # -- access ----------------------------------------------------------------
 
     @property

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from math import prod
 
+from koszulkit import io as kio
 from koszulkit.cli import main
 from koszulkit.complexes import (
     ChainComplex, ChainMap, Homotopy, free_module_complex, homology, tensor, tensor_differential,
@@ -16,10 +17,10 @@ from koszulkit.complexes import (
 from koszulkit.descent import (
     Assignment, SubsystemReport, SystemVariable, VarPoly, VerificationReport,
 )
-from koszulkit.duality import ExtSupResult, hom_homology
+from koszulkit.duality import ExtSupResult, _complex_of, _resolution, hom_homology
 from koszulkit.errors import IncompleteAssignment, MixedRings
 from koszulkit.linalg import (
-    HomologySummary, _fp_view_of, _is_unit, _payload_grid, invert, kernel_basis, lift_context,
+    HomologySummary, _fp_view_of, _is_unit, _payload_grid, kernel_basis, lift_context,
     minimal_generators, smith_data, solve, span_cardinality, subquotient,
 )
 from koszulkit.matrices import Matrix
@@ -44,6 +45,42 @@ def random_matrix(ring, rows, cols, rng):
         return Matrix.zeros(ring, rows, cols)
     return Matrix.from_rows(
         ring, [[random_element(ring, rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def invert(ring, A):
+    """Two-sided inverse of a square matrix, by `solve` against the
+    identity, or None."""
+    if A.rows != A.cols:
+        return None
+    identity = Matrix.identity(ring, A.rows)
+    X = solve(ring, A, identity)
+    return X if X is not None and X * A == identity else None
+
+
+def identity_map(M):
+    """The identity chain map of the complex M."""
+    return ChainMap(M, M, {n: Matrix.identity(M.ring, M.rank(n)) for n in M.support})
+
+
+def resolution_complex(pres, depth):
+    """The resolution of `pres` to depth `depth` as the free complex
+    F_0 <- F_1 <- ... that duality's Ext and transfer checks read."""
+    return _complex_of(pres, _resolution(pres, depth), depth)
+
+
+def load_json(tmp_path, text, coefficient_ring=None):
+    """The object in the JSON document `text`, read by `io.load` from a
+    `.json` file under `tmp_path`."""
+    path = tmp_path / "object.json"
+    path.write_text(text, encoding="utf-8")
+    return kio.load(path, coefficient_ring)
+
+
+def chain_map_text(phi):
+    """The `.map` text of the chain map phi, as `dg klinear` reads it."""
+    lines = [f"ring {kio.ring_spec(phi.source.ring)}", "map"]
+    lines += [f"component {n} = {kio.format_matrix(m)}" for n, m in sorted(phi.components.items())]
+    return "\n".join(lines) + "\n"
 
 
 def random_invertible(ring, n, rng, tries=200):

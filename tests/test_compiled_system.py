@@ -14,7 +14,7 @@ from koszulkit.errors import FormatError
 from koszulkit.koszul import koszul
 from koszulkit.rings import Zmod
 
-from helpers import run_cli
+from helpers import load_json, run_cli
 from test_system_format import quotient_instance
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -89,14 +89,14 @@ def test_load_reads_each_distinct_ring_term_and_factor_once(monkeypatch):
 # agreement
 
 
-def test_a_round_trip_keeps_the_compiled_tables():
+def test_a_round_trip_keeps_the_compiled_tables(tmp_path):
     golden = golden_system()
     assert kio.save_system(golden) == (GOLDEN / "S.sys").read_text()
     systems = [golden] + [ds.generate_system(koszul(K.ring, list(K.elements) * e), P)
                           for K, P in [quotient_instance("F2")] for e in (1, 2)]
     for system in systems:
         for loaded in (kio.load_system(kio.save_system(system)),
-                       kio.from_json(kio.to_json(system))):
+                       load_json(tmp_path, kio.to_json(system))):
             assert tables(loaded) == tables(system)
             assert loaded == system
     assert any(len(c) == 2 for c in systems[-1].coefficients)

@@ -9,6 +9,8 @@ from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, ZZ, Zmod, parse_element, poly_quotient
 
+from helpers import resolution_complex
+
 Z = ZZ()
 Z4 = Zmod(4)
 F5 = GF(5)
@@ -50,7 +52,7 @@ def test_resolution_terminates_over_pid():
 
 def test_betti_numbers_of_residue_field_over_quad():
     k = du.ModulePresentation.residue_field(QUAD)
-    rc = du.resolution_complex(k, 4)
+    rc = resolution_complex(k, 4)
     assert [rc.rank(i) for i in range(4)] == [1, 2, 4, 8]
 
 

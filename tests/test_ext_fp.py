@@ -1,9 +1,10 @@
 """Ext over prime fields and finite F_p-algebras, computed in F_p coordinates,
 and the one keep rule of `minimal_generators` on every ring tier.
 
-- The coordinate resolution step `syzygies` against the keep rule checked
-  by `solve` on the F_p kernel (Nakayama over a local algebra, R times the
-  kept columns over a non-local one), and its span against |ker A|.
+- One coordinate resolution step, `kernel_resolution(R, A, 1)`, against
+  the keep rule checked by `solve` on the F_p kernel (Nakayama over a
+  local algebra, R times the kept columns over a non-local one), and its
+  span against |ker A|.
 - `minimal_generators` against that rule over F_p-algebras, prime fields,
   Z/8, Z/27, Q and the non-local Z/12 (every nonzero column); the pivot
   columns of sympy's rref over Q and GF(p); at most one `solve` per column
@@ -34,13 +35,13 @@ from koszulkit import linalg
 from koszulkit.errors import NotAComplex
 from koszulkit.linalg import (
     _fp_view_of, _maximal_ideal_elements, kernel_basis, kernel_cardinality,
-    minimal_generators, solve, span_cardinality, syzygies,
+    kernel_resolution, minimal_generators, solve, span_cardinality,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, QQ, Zmod, poly_quotient
 
 import helpers
-from helpers import count_calls, presented_route, reference_resolve
+from helpers import count_calls, presented_route, reference_resolve, resolution_complex
 
 RINGS = {
     "F2[x]/(x^4)": poly_quotient("F2", ["x"], ["x^4"]),
@@ -131,7 +132,8 @@ def test_coordinate_step_keeps_the_columns_of_kernel_then_minimal_generators(nam
     rng = random.Random(f"syzygies:{name}")
     for rows, cols in [(1, 1), (1, 3), (2, 4), (3, 3), (4, 2), (2, 5), (0, 3), (3, 0)]:
         A = random_matrix(name, rows, cols, rng)
-        step = syzygies(R, A)
+        # no step below a matrix with no columns: its kernel is 0
+        step = (kernel_resolution(R, A, 1) or [Matrix.zeros(R, 0, 0)])[0]
         assert step.columns() == nakayama_oracle(R, fp_kernel(R, A))
         assert (A * step).is_zero()
         # the step spans ker A: both sizes come from Howell over F_p[x]/(f)
@@ -273,13 +275,13 @@ def test_a_planted_kernel_error_raises_not_a_complex(name, monkeypatch):
 def test_a_planted_kernel_error_over_a_prime_field(monkeypatch):
     R = RINGS["F7"]
     A = Matrix.from_rows(R, [[R.from_int(1), R.from_int(2), R.from_int(3)]])
-    assert syzygies(R, A).cols == 2
+    assert kernel_resolution(R, A, 1)[0].cols == 2
     codec = _fp_view_of(R).codec
     kernel = linalg._fp_kernel
     monkeypatch.setattr(linalg, "_fp_kernel",
                         lambda *args: [codec.axpy(v, 1, 1) for v in kernel(*args)])
     with pytest.raises(NotAComplex):
-        syzygies(R, A)
+        kernel_resolution(R, A, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ POINCARE = [
 def test_betti_numbers_and_ext_of_the_residue_field_follow_the_poincare_series(
         name, R, betti):
     k = du.ModulePresentation.residue_field(R)
-    rc = du.resolution_complex(k, 7)
+    rc = resolution_complex(k, 7)
     assert [rc.rank(n) for n in range(8)] == [betti(n) for n in range(8)]
     # minimal: Hom(F, k) has zero differentials, so Ext^n(k, k) = k^{b_n}
     p = R.coeff.p

@@ -26,7 +26,7 @@ from koszulkit.rings import ZZ, Zmod, poly_quotient
 
 from helpers import (
     module_as_presented_complex, presented_homology, random_bounded_complex, random_matrix,
-    reference_hom_complex, reference_hom_relations, tensor_koszul_presented,
+    reference_hom_complex, reference_hom_relations, resolution_complex, tensor_koszul_presented,
 )
 
 Z = ZZ()
@@ -91,7 +91,7 @@ def test_zero_complexes():
         assert H.is_zero_complex() and H == cx.zero_complex(Z)
         assert_same_complex(H, reference_hom_complex(A, B))
     empty = du.ModulePresentation(Z4, 0, Matrix.zeros(Z4, 0, 0))
-    res = du.resolution_complex(du.ModulePresentation.residue_field(Z4), 3)
+    res = resolution_complex(du.ModulePresentation.residue_field(Z4), 3)
     assert_oracle_homology(res, module_as_presented_complex(empty), res, empty)
 
 
@@ -103,7 +103,7 @@ def test_module_target_in_one_degree(ring, degree):
     modules = [k, du.ModulePresentation.free(ring, 2),
                du.ModulePresentation(ring, 2, random_matrix(ring, 2, 3, rng))]
     for M in modules:
-        res = du.resolution_complex(M, 4)
+        res = resolution_complex(M, 4)
         for N in modules:
             # Hom(F, N placed in degree d) is Hom(F shifted by -d, N)
             assert_oracle_homology(res, module_as_presented_complex(N, degree),
@@ -121,6 +121,6 @@ def test_koszul_presented_target_in_several_degrees():
                   du.ModulePresentation(ring, 2, random_matrix(ring, 2, 2, rng))]:
             target = tensor_koszul_presented(K, C)
             assert len(target.ambient.support) == K.e + 1
-            res = du.resolution_complex(C, 3 + K.e)
+            res = resolution_complex(C, 3 + K.e)
             dual = cx.hom_complex(K.complex, cx.free_module_complex(ring, 1))
             assert_oracle_homology(res, target, cx.tensor(res, dual), C)

@@ -17,7 +17,9 @@ from koszulkit.koszul import koszul, verify_dga
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod, parse_element, poly_quotient
 
-from helpers import count_calls, random_minimal_complex, run_cli
+from helpers import (
+    chain_map_text, count_calls, identity_map, load_json, random_minimal_complex, run_cli,
+)
 
 Z = ZZ()
 Z4 = Zmod(4)
@@ -30,7 +32,7 @@ def mat(ring, rows):
 
 # --- round trips ---
 
-def test_complex_round_trip():
+def test_complex_round_trip(tmp_path):
     M = cx.make_complex(Z4, {0: 1, 1: 2, 2: 1}, {
         1: mat(Z4, [[2, 0]]),
         2: mat(Z4, [[2], [0]]),
@@ -39,7 +41,7 @@ def test_complex_round_trip():
     assert kio.load_complex(text) == M
     assert kio.save_complex(kio.load_complex(text)) == text
     # json mirror
-    assert kio.from_json(kio.to_json(M)) == M
+    assert load_json(tmp_path, kio.to_json(M)) == M
 
 
 def test_zero_shaped_matrix_round_trip():
@@ -48,15 +50,15 @@ def test_zero_shaped_matrix_round_trip():
     assert kio.load_complex(text) == M
 
 
-def test_koszul_round_trip():
+def test_koszul_round_trip(tmp_path):
     K = koszul(Z4, [Z4.from_int(2), Z4.from_int(0)])
     text = kio.save_koszul(K)
     K2 = kio.load_koszul(text)
     assert K2.complex == K.complex and K2.elements == K.elements
-    assert kio.from_json(kio.to_json(K)).complex == K.complex
+    assert load_json(tmp_path, kio.to_json(K)).complex == K.complex
 
 
-def test_dg_module_round_trip():
+def test_dg_module_round_trip(tmp_path):
     K = koszul(Z4, [Z4.from_int(2)])
     P = cx.make_complex(Z4, {0: 1, 1: 1}, {1: mat(Z4, [[2]])})
     D = extend(K, P)
@@ -66,7 +68,7 @@ def test_dg_module_round_trip():
     for H in D.action:
         for n in D.action[H]:
             assert D2.action_matrix(H, n) == D.action_matrix(H, n)
-    D3 = kio.from_json(kio.to_json(D))
+    D3 = load_json(tmp_path, kio.to_json(D))
     assert D3.underlying == D.underlying
 
 
@@ -91,16 +93,16 @@ def test_dumps_is_the_one_text_writer(tmp_path, monkeypatch):
     assert run_cli(["complex", "new", "in.txt"])[0] == 2
 
 
-def test_presentation_round_trip():
+def test_presentation_round_trip(tmp_path):
     P = ModulePresentation(Z4, 2, mat(Z4, [[2], [0]]))
     text = kio.save_presentation(P)
     P2 = kio.load_presentation(text)
     assert (P2.gens, P2.relations) == (P.gens, P.relations)
-    P3 = kio.from_json(kio.to_json(P))
+    P3 = load_json(tmp_path, kio.to_json(P))
     assert (P3.gens, P3.relations) == (P.gens, P.relations)
 
 
-def test_system_and_assignment_round_trip():
+def test_system_and_assignment_round_trip(tmp_path):
     rng = random.Random(7)
     K = koszul(Z4, [Z4.from_int(2)])
     P = random_minimal_complex(Z4, rng, max_top=2)
@@ -118,8 +120,8 @@ def test_system_and_assignment_round_trip():
     # a loaded system verifies the loaded assignment identically
     assert ds.verify_assignment(loaded, sol2).passed
     # json mirror of both
-    assert kio.save_system(kio.from_json(kio.to_json(system))) == text
-    assert kio.save_assignment(kio.from_json(kio.to_json(sol))) == atext
+    assert kio.save_system(load_json(tmp_path, kio.to_json(system))) == text
+    assert kio.save_assignment(load_json(tmp_path, kio.to_json(sol))) == atext
 
 
 def json_objects():
@@ -132,12 +134,12 @@ def json_objects():
 
 @pytest.mark.parametrize("index", range(6),
                          ids=["complex", "koszul", "dgmodule", "module", "system", "assignment"])
-def test_json_without_one_of_its_keys_is_a_format_error(index):
+def test_json_without_one_of_its_keys_is_a_format_error(index, tmp_path):
     data = json.loads(kio.to_json(json_objects()[index]))
-    kio.from_json(json.dumps(data))
+    load_json(tmp_path, json.dumps(data))
     for key in data:
         with pytest.raises(FormatError):
-            kio.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
+            load_json(tmp_path, json.dumps({k: v for k, v in data.items() if k != key}))
 
 
 @pytest.mark.parametrize("document", ["[1]", "3", "null", '"complex"',
@@ -145,9 +147,9 @@ def test_json_without_one_of_its_keys_is_a_format_error(index):
                                       '{"kind": ["complex"], "ring": "zmod 4"}',
                                       '{"kind": "complex", "ring": "zmod 4", "diffs": {},'
                                       ' "ranks": {"0": "1\\nrank 1 = 1"}}'])
-def test_json_that_is_not_an_object_of_a_known_kind_is_a_format_error(document):
+def test_json_that_is_not_an_object_of_a_known_kind_is_a_format_error(document, tmp_path):
     with pytest.raises(FormatError):
-        kio.from_json(document)
+        load_json(tmp_path, document)
 
 
 @pytest.mark.parametrize("argv, document", [
@@ -330,6 +332,14 @@ def test_cli_complex_rejects_a_repeated_line(tmp_path, line, message):
     assert (code, out, err) == (2, "", f"error: {message}: {line!r}\n")
 
 
+def golden_extension(tmp_path):
+    """The `dg extend` output of the golden K on 2 over Z/4 and P.cx."""
+    dgf = tmp_path / "F.dg"
+    assert run_cli(["dg", "extend", str(GOLDEN / "K4_on_2.kz"), str(GOLDEN / "P.cx"),
+                    "-o", str(dgf)])[0] == 0
+    return dgf
+
+
 @pytest.mark.parametrize("edit, message", [
     ("rank 1 = 3", "a second rank 1 line"),
     ("diff 2 = 3x2 [[2, 0], [0, 0], [2, 2]]", "a second diff 2 line"),
@@ -345,9 +355,7 @@ def test_cli_complex_rejects_a_repeated_line(tmp_path, line, message):
     ("act {1} 1 = 2x2 [[0, 0], [0, 0]]", "the act matrix is 2x2, the ranks make it 2x3"),
 ])
 def test_cli_dg_module_rejects_overrides_and_misplaced_actions(tmp_path, edit, message):
-    dgf = tmp_path / "F.dg"
-    assert run_cli(["dg", "extend", str(GOLDEN / "K4_on_2.kz"), str(GOLDEN / "P.cx"),
-                    "-o", str(dgf)])[0] == 0
+    dgf = golden_extension(tmp_path)
     assert run_cli(["dg", "verify", str(dgf)])[0] == 0
     lines = dgf.read_text().splitlines()
     if edit.startswith("act {1} 1 "):
@@ -359,6 +367,58 @@ def test_cli_dg_module_rejects_overrides_and_misplaced_actions(tmp_path, edit, m
     assert run_cli(["dg", "verify", str(dgf)]) == expected
     with pytest.raises(FormatError, match=re.escape(message)):
         kio.parse_dg_module(dgf.read_text())
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["gens -1"], "gens must be a non-negative integer: 'gens -1'"),
+    (["gens x"], "gens must be a non-negative integer: 'gens x'"),
+    (["gens 1", "gens 2", "relations 2x1 [[2], [0]]"], "a second gens line: 'gens 2'"),
+    (["gens 2", "relations 2x1 [[2], [0]]", "relations 2x1 [[0], [0]]"],
+     "a second relations line: 'relations 2x1 [[0], [0]]'"),
+])
+def test_cli_module_rejects_a_bad_or_repeated_line(tmp_path, lines, message):
+    # before: gens -1 exited 3, gens x named no line, and a second gens or
+    # relations line silently won (Ext^0: card 32 for gens 1, gens 2)
+    pm = tmp_path / "M.pm"
+    pm.write_text("ring zmod 4\nmodule\n" + "".join(line + "\n" for line in lines))
+    argv = ["ext", "table", "-M", str(pm), "-N", str(pm), "--window", "0"]
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
+def test_cli_chain_map_rejects_a_repeated_component(tmp_path):
+    # before: the later component 0 won and klinear printed two FAIL lines
+    dgf = golden_extension(tmp_path)
+    D = kio.load(str(dgf))
+    zero = f"component 0 = {kio.format_matrix(Matrix.zeros(Z4, 2, 2))}"
+    mapf = tmp_path / "dup.map"
+    mapf.write_text(chain_map_text(identity_map(D.underlying)) + zero + "\n")
+    expected = (2, "", f"error: a second component 0 line: {zero!r}\n")
+    assert run_cli(["dg", "klinear", str(dgf), str(dgf), str(mapf)]) == expected
+
+
+@pytest.mark.parametrize("kind, bad, message", [
+    ("cx", "diff 1 = 2x1 [[2]]", "expected 2 rows, found 1"),
+    ("dg", "act {1} -1 = 2x0 []", "expected 2 rows, found 0"),
+    ("pm", "relations 2x1 [[2], [0, 1]]", "expected 1 entries per row, got 2"),
+    ("map", "component 1 = 3x3 [[1, 0, 0], [0, 1, 0]]", "expected 3 rows, found 2"),
+])
+def test_cli_matrix_error_names_its_line(tmp_path, kind, bad, message):
+    # before: the error gave only the message, with no line
+    dgf = golden_extension(tmp_path)
+    path = tmp_path / f"bad.{kind}"
+    if kind == "cx":
+        path.write_text((GOLDEN / "P.cx").read_text().replace("diff 1 = 2x1 [[2], [0]]", bad))
+        argv = ["complex", "homology", str(path)]
+    elif kind == "dg":
+        path.write_text(dgf.read_text() + bad + "\n")
+        argv = ["dg", "verify", str(path)]
+    elif kind == "pm":
+        path.write_text(f"ring zmod 4\nmodule\ngens 2\n{bad}\n")
+        argv = ["ext", "table", "-M", str(path), "-N", str(path)]
+    else:
+        path.write_text(f"ring zmod 4\nmap\n{bad}\n")
+        argv = ["dg", "klinear", str(dgf), str(dgf), str(path)]
+    assert run_cli(argv) == (2, "", f"error: {message}: {bad!r}\n")
 
 
 def test_cli_zero_ring_exit_2(tmp_path):
@@ -395,9 +455,9 @@ def test_cli_dg_extend_verify_klinear(tmp_path):
     assert code == 0 and "leibniz: ok" in out
     # identity map between the module and itself is a K-linear chain map
     D = kio.load(str(dgf))
-    ident = cx.ChainMap.identity(D.underlying)
+    ident = identity_map(D.underlying)
     mapf = tmp_path / "id.map"
-    mapf.write_text(kio.save_chain_map(ident))
+    mapf.write_text(chain_map_text(ident))
     code, out, _ = run_cli(["dg", "klinear", str(dgf), str(dgf), str(mapf)])
     assert code == 0
     assert out.splitlines() == ["chain_map ok", "k_linear ok"]
@@ -407,7 +467,7 @@ def test_cli_dg_extend_verify_klinear(tmp_path):
         1: mat(Z4, [[0, 1], [1, 0]]),
         2: Matrix.identity(Zmod(4), 1)})
     badf = tmp_path / "bad.map"
-    badf.write_text(kio.save_chain_map(bad))
+    badf.write_text(chain_map_text(bad))
     code, out, _ = run_cli(["dg", "klinear", str(dgf), str(dgf), str(badf)])
     assert code == 1
 

@@ -27,7 +27,9 @@ from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod, parse_element, poly_quotient
 
-from helpers import count_calls, presented_ext_sup, presented_transfer_details
+from helpers import (
+    count_calls, presented_ext_sup, presented_transfer_details, resolution_complex,
+)
 
 RINGS = {
     "Z/4": (Zmod(4), ["2", "2", "2"]),
@@ -187,7 +189,7 @@ def test_g_is_built_only_in_the_degrees_read(name, monkeypatch):
     window = 3
     du.koszul_sdc_transfer(K, k, window)
     du.ext_sup_via_koszul(k, k, K, window)
-    F = du.resolution_complex(k, window + K.e + 1)
+    F = resolution_complex(k, window + K.e + 1)
     dual = complexes.hom_complex(K.complex, complexes.free_module_complex(ring, 1))
     full = complexes.tensor(F, dual)
     assert max(full.support) == window + K.e + 1

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from koszulkit.errors import CapabilityMissing, DimensionMismatch, MixedRings, NotAComplex
 from koszulkit.linalg import (
-    homology_module, howell_form, image_membership, invert, kernel_basis,
-    kernel_cardinality, matrix_normal_form, minimal_generators, row_echelon,
-    smith_form, solve, span_cardinality, subquotient,
+    homology_module, howell_form, image_membership, kernel_basis, kernel_cardinality,
+    minimal_generators, row_echelon, smith_form, solve, span_cardinality, subquotient,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, parse_element, poly_quotient
@@ -107,16 +106,25 @@ def test_howell_certificate_and_canonicity():
         U = None
         while U is None:
             cand = random_matrix(Z12, A.rows, A.rows, rng)
-            if invert(Z12, cand) is not None:
+            # a square matrix over a commutative ring with a right inverse
+            # is invertible
+            if solve(Z12, cand, Matrix.identity(Z12, A.rows)) is not None:
                 U = cand
         hf2 = howell_form(Z12, U * A)
         assert hf2.matrix == hf.matrix
 
 
 def test_normal_form_dispatch():
-    assert matrix_normal_form(F5, Matrix.identity(F5, 2)).form == "echelon"
-    assert matrix_normal_form(Z, Matrix.identity(Z, 2)).form == "smith"
-    assert matrix_normal_form(Z12, Matrix.identity(Z12, 2)).form == "howell"
+    # each ring tier has its normal form, and each form refuses the rings
+    # it is not for
+    for nf, ring, form in ((row_echelon, F5, "echelon"), (smith_form, Z, "smith"),
+                           (howell_form, Z12, "howell")):
+        result = nf(ring, Matrix.identity(ring, 2))
+        assert result.form == form and result.verify()
+    for nf, ring in ((row_echelon, Z), (row_echelon, Z12), (smith_form, Z12),
+                     (howell_form, Z), (smith_form, QUAD)):
+        with pytest.raises(CapabilityMissing):
+            nf(ring, Matrix.identity(ring, 2))
 
 
 # --- brute-force kernel agreement over Z/12 ---

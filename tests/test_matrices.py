@@ -150,7 +150,8 @@ def test_constructors_store_no_zero(name):
     assert by_rows == Matrix.from_entries(ring, 3, 4, entries) == Matrix.from_rows(ring, g)
     for M in (Matrix.zeros(ring, 3, 2), Matrix.zeros(ring, 0, 4), Matrix.zeros(ring, 4, 0),
               Matrix.identity(ring, 3), Matrix.identity(ring, 0),
-              Matrix.diag(ring, [ring.one, ring.zero, element(ring, rng)]),
+              Matrix.from_entries(ring, 3, 3, [(0, 0, ring.one_payload), (1, 1, ring.zero_payload),
+                                               (2, 2, ring.unbox(element(ring, rng)))]),
               matrix(ring, 3, 3, rng), matrix(ring, 2, 3, rng, zero=True),
               Matrix.from_columns(ring, 3, [[ring.zero_payload, ring.one_payload,
                                              ring.zero_payload]]),

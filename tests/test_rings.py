@@ -240,6 +240,8 @@ def test_finite_enumeration():
     assert len(list(Z4.elements())) == 4
     assert len(list(QUAD.elements())) == 8
     assert Z4.cardinality() == 4
+    assert Z4.is_finite() and QUAD.is_finite()
+    assert not Z.is_finite() and not Q.is_finite()
 
 
 def test_repr_of_a_polynomial_ring_without_relations():

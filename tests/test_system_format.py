@@ -16,7 +16,7 @@ from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
 from koszulkit.rings import RingElement, RingHom, ZZ, Zmod, make_ring, parse_element
 
-from helpers import run_cli
+from helpers import load_json, run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 QUOTIENTS = {
@@ -36,7 +36,7 @@ def quotient_instance(name):
 
 
 @pytest.mark.parametrize("name", sorted(QUOTIENTS))
-def test_polynomial_coefficients_round_trip_and_verify(name):
+def test_polynomial_coefficients_round_trip_and_verify(name, tmp_path):
     K, P = quotient_instance(name)
     system = ds.generate_system(K, P)
     text = kio.save_system(system)
@@ -45,11 +45,11 @@ def test_polynomial_coefficients_round_trip_and_verify(name):
             "Q": "x*Y_0_1_1 - 1/2*y*Y_0_1_1"}[name] in text
     sol = ds.canonical_solution(K, P)
     assert ds.verify_assignment(system, sol).passed
-    for loaded in (kio.load_system(text), kio.from_json(kio.to_json(system))):
+    for loaded in (kio.load_system(text), load_json(tmp_path, kio.to_json(system))):
         assert kio.save_system(loaded) == text
         assert [eq.poly for eq in loaded.equations] == [eq.poly for eq in system.equations]
         assert ds.verify_assignment(loaded, sol).passed
-    assert kio.to_json(kio.from_json(kio.to_json(system))) == kio.to_json(system)
+    assert kio.to_json(load_json(tmp_path, kio.to_json(system))) == kio.to_json(system)
 
 
 def test_cli_descent_pipeline_over_a_polynomial_quotient(tmp_path):
