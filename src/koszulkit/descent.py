@@ -41,7 +41,7 @@ from .dgmodules import (
     DGModule, extend, extension_action, is_k_linear,
 )
 from .errors import (
-    CapabilityMissing, IncompleteAssignment, MixedRings, NonCanonicalHarness, NotMinimal,
+    CapabilityMissing, IncompleteAssignment, MixedRings, NotMinimal,
     RankMismatch, ShapeMismatch, UnverifiedDGModule, VerificationFailed, WindowViolated,
 )
 from .koszul import koszul_base_change
@@ -214,7 +214,6 @@ class PolynomialSystem:
     # the harness data, which only generated systems carry
     u_mats: dict = field(default_factory=dict, compare=False)    # degree -> differential
     v_mats: dict = field(default_factory=dict, compare=False)    # basis tuple -> degree -> action
-    canonical_p_diffs: dict | None = field(default=None, compare=False)
 
     @cached_property
     def variables(self):
@@ -239,12 +238,6 @@ class PolynomialSystem:
 
     def equation_counts(self):
         return dict(Counter(map(itemgetter(0), self.positions)))
-
-    def canonical_solution(self):
-        if self.canonical_p_diffs is None:
-            raise NonCanonicalHarness(
-                "the system was generated from a non-canonical DG module")
-        return _canonical_assignment(self.ring, self.shape, self.canonical_p_diffs)
 
 
 # Monomial keys, for a shape of `size` variables: a variable index v is
@@ -476,9 +469,7 @@ def generate_system(K, P, F=None, check_minimal=True):
 
     v_mats = {H: {n: F.action_matrix(H, n) for n in range(0, m + e - len(H) + 1)}
               for H in basis}
-    return PolynomialSystem(
-        ring, shape, positions, terms, coefficients, u_mats, v_mats,
-        {n: P.diff(n) for n in range(1, m + 1)} if canonical else None)
+    return PolynomialSystem(ring, shape, positions, terms, coefficients, u_mats, v_mats)
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +490,13 @@ class Assignment:
         return self.hom.target
 
 
-def _canonical_assignment(ring, shape, p_diffs):
+def canonical_solution(K, P):
+    """X = differentials of P, Y = identity, Z = the cone-of-identity
+    contraction (lower-left identity blocks)."""
+    ring, shape = K.ring, shape_of(K, P)
     values = dict.fromkeys(shape.variables(), ring.zero)
-    for n, d in p_diffs.items():
-        for i, row in enumerate(d.data, 1):
+    for n in range(1, shape.m + 1):
+        for i, row in enumerate(P.diff(n).data, 1):
             for j, x in enumerate(row, 1):
                 values[SystemVariable("X", n, i, j)] = x
     for n in range(shape.m + shape.e + 1):
@@ -512,14 +506,6 @@ def _canonical_assignment(ring, shape, p_diffs):
             values[SystemVariable("Y", n, i, i)] = ring.one
             values[SystemVariable("Z", n, below + i, i)] = ring.one
     return Assignment(RingHom.identity(ring), values)
-
-
-def canonical_solution(K, P):
-    """X = differentials of P, Y = identity, Z = the cone-of-identity
-    contraction (lower-left identity blocks)."""
-    shape = shape_of(K, P)
-    return _canonical_assignment(K.ring, shape,
-                                 {n: P.diff(n) for n in range(1, shape.m + 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ class UnverifiedDGModule(ToolkitError):
     pass
 
 
-class NonCanonicalHarness(ToolkitError):
-    pass
-
-
 class IncompleteAssignment(ToolkitError):
     pass
 

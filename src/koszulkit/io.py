@@ -56,7 +56,10 @@ def parse_matrix(ring, text):
         row = []
         for e in entries:
             if e not in payloads:
-                payloads[e] = parse_element(ring, e).payload
+                try:
+                    payloads[e] = parse_element(ring, e).payload
+                except (ElementSyntaxError, UnknownVariable) as exc:
+                    raise FormatError(f"bad matrix entry {e!r}: {exc}") from None
             row.append(payloads[e])
         data.append(row)
     if cols == 0:

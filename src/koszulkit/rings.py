@@ -11,6 +11,14 @@ is itself a Ring, QQ() or GF(p), and the polynomial helpers and
 `groebner_basis` compute on coefficients through its protocol.
 `RingElement` boxes a payload with its ring for callers that want
 operators.
+
+A finite F_p-algebra, a quotient over F_p with finitely many standard
+monomials, has p^dim elements, and the matrix kernels, Koszul and DG
+checks and descent evaluation ask it for the same few sums and products
+over and over.  Its add, neg and mul therefore go through tables of
+results that the ring owns and fills on first use, each bounded (see
+`Ring`).  A payload is a canonical, hashable normal form and the ops are
+pure, so a stored result is exactly the payload the op would build.
 """
 
 from __future__ import annotations
@@ -269,6 +277,24 @@ def groebner_basis(gens, cf, key, budget=DEFAULT_GROEBNER_BUDGET):
 # ---------------------------------------------------------------------------
 # rings
 
+# the most results a finite F_p-algebra keeps per operation table
+OP_TABLE_CAP = 2 ** 10
+
+
+def _tabled(op, table, bound):
+    """op through `table`, keyed by the operand tuple, which keeps at most
+    `bound` results."""
+    get = table.get
+
+    def tabled(*operands):
+        c = get(operands)
+        if c is None:
+            c = op(*operands)
+            if len(table) < bound:
+                table[operands] = c
+        return c
+    return tabled
+
 
 class Ring:
     """A computable commutative ring descriptor with capability flags.
@@ -294,6 +320,16 @@ class Ring:
 
     A polynomial quotient made by `poly_quotient` keeps its relation-free
     ring, whose payloads are its own, as `ambient`.
+
+    On a finite F_p-algebra (a quotient over F_p with finitely many
+    standard monomials, |R| = p^dim) add_payload, neg_payload and
+    mul_payload look their operand tuple up in tables that the ring owns,
+    `_op_tables`, and store the op's result there on a miss.  The add and
+    mul tables hold at most min(|R|^2, OP_TABLE_CAP) results, the neg
+    table min(|R|, OP_TABLE_CAP); a full table still answers what it holds
+    and computes the rest without storing it.  Payloads are canonical and
+    hashable and the ops are pure, so a hit is exactly the op's result.
+    Every other ring binds its ops directly.
     """
 
     def __init__(self, kind, modulus=None, coeff=None, variables=None,
@@ -343,6 +379,8 @@ class Ring:
             self._std_monomials = self._standard_monomials()
             if self._std_monomials is not None:
                 self._bind_table_product()
+                if self.coeff.kind == PRIMEFIELD:
+                    self._bind_op_tables()
             self.linear_solve = self.coeff.kind == PRIMEFIELD and (
                 len(self.variables) == 1 or self._std_monomials is not None)
             self._detect_local()
@@ -573,6 +611,17 @@ class Ring:
             return tuple((std[i], acc[i]) for i in sorted(acc, reverse=True) if acc[i])
 
         self.mul_payload = product
+
+    def _bind_op_tables(self):
+        """Route a finite F_p-algebra's add, neg and mul through the tables
+        of the class docstring: `_op_tables[name]` maps the operand tuple,
+        (a, b) or for neg (a,), to the result of the op bound before."""
+        size = self.cardinality()
+        pairs, singles = min(size * size, OP_TABLE_CAP), min(size, OP_TABLE_CAP)
+        tables = self._op_tables = {"add": {}, "neg": {}, "mul": {}}
+        self.add_payload = _tabled(self.add_payload, tables["add"], pairs)
+        self.neg_payload = _tabled(self.neg_payload, tables["neg"], singles)
+        self.mul_payload = _tabled(self.mul_payload, tables["mul"], pairs)
 
     def _constant(self, c):
         """The polynomial payload of the constant with coefficient payload c."""

@@ -6,7 +6,7 @@ from koszulkit import complexes as cx
 from koszulkit import descent as ds
 from koszulkit.dgmodules import DGModule, extend, extension_action, verify_dg_module
 from koszulkit.errors import (
-    NonCanonicalHarness, NotMinimal, RankMismatch, ShapeMismatch,
+    NotMinimal, RankMismatch, ShapeMismatch,
     UnverifiedDGModule, VerificationFailed, WindowViolated,
 )
 from koszulkit.koszul import koszul
@@ -184,14 +184,13 @@ def test_canonical_solution_passes_and_reconstructs():
     assert cx.is_contraction(cert.sigma, cx.cone(cert.phi))
 
 
-def test_canonical_solution_from_system_requires_canonical_harness():
+def test_canonical_solution_solves_the_system_of_the_supplied_extension():
+    # F = extend(K, P) supplied explicitly gives the canonical system again
     K, P = small_instance()
-    system = ds.generate_system(K, P)
-    assert system.canonical_solution() is not None
-    F = extend(K, P)
-    system2 = ds.generate_system(K, P, F)
-    with pytest.raises(NonCanonicalHarness):
-        system2.canonical_solution()
+    sol = ds.canonical_solution(K, P)
+    system = ds.generate_system(K, P, extend(K, P))
+    assert system == ds.generate_system(K, P)
+    assert ds.verify_assignment(system, sol).passed
 
 
 def test_not_minimal_rejected():

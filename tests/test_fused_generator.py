@@ -183,9 +183,12 @@ def test_fused_generator_matches_reference_for_a_non_canonical_module():
         K = koszul(Z4, [Z4.from_int(2)] * e)
         P = random_minimal_complex(Z4, rng, max_top=2)
         # the extension of the complex with the same ranks and zero maps
-        F = extend(K, cx.make_complex(Z4, {n: P.rank(n) for n in P.support}, {}))
-        system = assert_matches_reference(K, P, F)
-        assert system.canonical_p_diffs is None
+        P0 = cx.make_complex(Z4, {n: P.rank(n) for n in P.support}, {})
+        system = assert_matches_reference(K, P, extend(K, P0))
+        # the system describes F, so P0's canonical solution solves it and
+        # P's, whose differential is not zero, does not
+        assert ds.verify_assignment(system, ds.canonical_solution(K, P0)).passed
+        assert not ds.verify_assignment(system, ds.canonical_solution(K, P)).passed
 
 
 def test_s3_takes_the_canonical_action_once(monkeypatch):

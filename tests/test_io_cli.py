@@ -185,18 +185,21 @@ def test_format_errors():
 @pytest.mark.parametrize("bad", ["2 +", "y", "1/0", "3 3"])
 def test_bad_matrix_entry_fails_as_the_element_parser_does(tmp_path, bad):
     """Each distinct entry text is parsed once; a bad entry after good
-    repeats still raises the element parser's own error, and exits 2."""
+    repeats still fails with the element parser's own message, as a
+    FormatError that names the entry (and, from a file, the line), and
+    exits 2."""
     with pytest.raises(ToolkitError) as expected:
         parse_element(Z4, bad)
     body = f"3x3 [[0, 1, 0], [1, 0, 1], [0, {bad}, 1]]"
-    with pytest.raises(type(expected.value)) as got:
+    with pytest.raises(FormatError) as got:
         kio.parse_matrix(Z4, body)
-    assert str(got.value) == str(expected.value)
+    message = f"bad matrix entry {bad!r}: {expected.value}"
+    assert str(got.value) == message
     cxf = tmp_path / "P.cx"
     cxf.write_text(f"ring zmod 4\ncomplex\nrank 0 = 3\nrank 1 = 3\ndiff 1 = {body}\n")
     code, out, err = run_cli(["complex", "homology", str(cxf)])
     assert (code, out) == (2, "")
-    assert err == f"error: {expected.value}\n"
+    assert err == f"error: {message}: {'diff 1 = ' + body!r}\n"
 
 
 def test_repeated_entry_texts_give_equal_payloads():
@@ -401,6 +404,15 @@ def test_cli_chain_map_rejects_a_repeated_component(tmp_path):
     ("dg", "act {1} -1 = 2x0 []", "expected 2 rows, found 0"),
     ("pm", "relations 2x1 [[2], [0, 1]]", "expected 1 entries per row, got 2"),
     ("map", "component 1 = 3x3 [[1, 0, 0], [0, 1, 0]]", "expected 3 rows, found 2"),
+    # a bad entry: before, the message named neither the entry nor the line
+    ("cx", "diff 1 = 2x1 [[2y], [0]]",
+     "bad matrix entry '2y': trailing input 'y' (at position 1)"),
+    ("dg", "act {1} -1 = 2x1 [[1], [x]]",
+     "bad matrix entry 'x': unknown variable 'x' at position 0"),
+    ("pm", "relations 2x1 [[2], [1+]]",
+     "bad matrix entry '1+': expected a number or variable, got '' (at position 2)"),
+    ("map", "component 1 = 3x3 [[1, 0, 0], [0, 1, 0], [0, 0, (1]]",
+     "bad matrix entry '(1': expected a number or variable, got '(' (at position 0)"),
 ])
 def test_cli_matrix_error_names_its_line(tmp_path, kind, bad, message):
     # before: the error gave only the message, with no line
