@@ -1,17 +1,26 @@
 #!/usr/bin/env python3
-"""Check the Z/n Howell engine on 40x40 matrices over Z/8, seeds 0-3, and
-Smith over Z on 24x24 integer matrices, seeds 0-1.
+"""Check the Z/n Howell engine on 40x40 matrices over Z/8, Z/27 and Z/36,
+seeds 0-3, and Smith over Z on 24x24 integer matrices, seeds 0-1.
 
     python3 scripts/zmod_elimination_check.py
 
-Each seed s draws a 40x40 matrix A with entries uniform mod 8 from
-random.Random(s), runs howell_form and kernel_basis on it, and checks:
+For each modulus n (Z/36 is not local, so its Howell pivots need not be
+powers of one prime) each seed s draws a 40x40 matrix A with entries
+uniform mod n and a 40x3 matrix X0 from random.Random(s), runs howell_form,
+kernel_basis and solve(A, A X0) on them, and checks:
 
 - the Howell certificate: U * padded A = H and U * U^-1 = 1 (verify());
 - A * K = 0 for the kernel basis K;
-- |span K| = |ker A| = prod_j gcd(d_j, 8), where the d_j are the Smith
-  diagonal of the lift of A to Z, counting 8 for d_j = 0 and for j >= rank;
-- every entry of H, U, U^-1 and K is below 8.
+- |span K| = |ker A|, counted without koszulkit: |ker A| = |coker A| for
+  a square A, the product over the prime powers p^k of n (the Chinese
+  remainder theorem) of p^e for each diagonal entry p^e u (u a unit) of a
+  Smith form over Z/p^k, with a pivot of least valuation at each step, and
+  p^k for each zero diagonal entry;
+- over Z/8 also |ker A| = prod_j gcd(d_j, 8), where the d_j are the Smith
+  diagonal of the lift of A to Z, counting 8 for d_j = 0 and for j >= rank
+  (this Smith over Z grows past a minute on some 40x40 lifts mod 27 and 36);
+- solve returns some X with A X = A X0;
+- every entry of H, U, U^-1, K and X is below n.
 
 Then each seed s of the Smith part draws a 24x24 matrix over Z with entries
 in [-9, 9] from random.Random(s), runs smith_form on it and checks the
@@ -30,11 +39,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from koszulkit.linalg import howell_form, kernel_basis, smith_form, span_cardinality
+from koszulkit.linalg import howell_form, kernel_basis, smith_form, solve, span_cardinality
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod
 
-N, SIZE, SEEDS = 8, 40, range(4)
+MODULI, SIZE, SEEDS, RHS_COLS = (8, 27, 36), 40, range(4), 3
 Z_SIZE, Z_SEEDS = 24, range(2)
 
 
@@ -52,28 +61,73 @@ def smith_kernel_count(A, n):
     return prod(gcd(x, n) if x else n for x in d)
 
 
+def valuation(x, p):
+    e = 0
+    while x % p == 0:
+        x, e = x // p, e + 1
+    return e
+
+
+def local_kernel_count(rows, n):
+    """|ker A| over Z/n for the square matrix of int rows, from Smith forms
+    over the Z/p^k that make up Z/n."""
+    count, rest, p = 1, n, 2
+    while rest > 1:
+        k = valuation(rest, p)
+        if k:
+            rest, q = rest // p ** k, p ** k
+            m = [[x % q for x in row] for row in rows]
+            while True:
+                e, i, j = min(((valuation(x, p), i, j) for i, row in enumerate(m)
+                               for j, x in enumerate(row) if x), default=(k, None, None))
+                if i is None:
+                    break
+                # clear column j below and above with row i, then drop both:
+                # the other entries of row i are multiples of p^e
+                pivot = m.pop(i)
+                u_inv = pow(pivot[j] // p ** e, -1, q)
+                for row in m:
+                    f = row[j] // p ** e * u_inv
+                    row[:] = [(x - f * y) % q for x, y in zip(row, pivot)]
+                    del row[j]
+                count *= p ** e
+            count *= q ** len(m)  # the zero diagonal entries
+        p += 1
+    return count
+
+
+def random_matrix(R, n, rows, cols, rng):
+    return Matrix.from_rows(R, [[R.from_int(rng.randrange(n)) for _ in range(cols)]
+                                for _ in range(rows)])
+
+
 def main():
-    R = Zmod(N)
     wrong = []
-    for seed in SEEDS:
-        rng = random.Random(seed)
-        A = Matrix.from_rows(R, [[R.from_int(rng.randrange(N)) for _ in range(SIZE)]
-                                 for _ in range(SIZE)])
+    for n, seed in ((n, seed) for n in MODULI for seed in SEEDS):
+        R, rng = Zmod(n), random.Random(seed)
+        A = random_matrix(R, n, SIZE, SIZE, rng)
+        B = A * random_matrix(R, n, SIZE, RHS_COLS, rng)
         nf, howell_ms = timed(howell_form, R, A)
         K, kernel_ms = timed(kernel_basis, R, A)
-        count, smith_ms = timed(smith_kernel_count, A, N)
+        X, solve_ms = timed(solve, R, A, B)
+        count = local_kernel_count([[x.payload for x in row] for row in A.data], n)
+        smith = timed(smith_kernel_count, A, n) if n == 8 else None
         entries = [x.payload for M in (nf.matrix, nf.left, nf.left_inv, K)
-                   for row in M.data for x in row]
+                   + ((X,) if X is not None else ()) for row in M.data for x in row]
         checks = {
             "howell certificate": nf.verify(),
             "A K = 0": (A * K).is_zero(),
-            "|span K| = Smith count": span_cardinality(R, K) == count,
-            f"entries below {N}": all(0 <= x < N for x in entries),
+            "|span K| = |ker A|": span_cardinality(R, K) == count,
+            "Smith count over Z": smith is None or smith[0] == count,
+            "A X = B": X is not None and A * X == B,
+            f"entries below {n}": all(0 <= x < n for x in entries),
         }
         failed = [name for name, ok in checks.items() if not ok]
-        wrong += [(seed, name) for name in failed]
-        print(f"seed {seed}: howell_form {howell_ms:.1f} ms, kernel_basis {kernel_ms:.1f} ms "
-              f"({K.cols} generators, |ker A| = {count}), Smith over Z {smith_ms:.0f} ms, "
+        wrong += [(f"Z/{n} seed {seed}", name) for name in failed]
+        print(f"Z/{n} seed {seed}: howell_form {howell_ms:.1f} ms, "
+              f"kernel_basis {kernel_ms:.1f} ms ({K.cols} generators, |ker A| = {count}), "
+              f"solve {solve_ms:.1f} ms, "
+              + (f"Smith over Z {smith[1]:.0f} ms, " if smith else "") +
               f"largest entry {max(entries, default=0).bit_length()} bits: "
               + ("ok" if not failed else "WRONG " + ", ".join(failed)))
     Z = ZZ()

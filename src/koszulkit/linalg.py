@@ -15,9 +15,10 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   there, and `FpModule` holds a finitely presented module as an F_p-space,
   from which `dual_rank` reads the rank of Hom(d, N).
 - Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
-  1986, Storjohann & Mulders 1998) with the ring's own row operations, so
-  every entry, transforms included, stays reduced; only pivot arithmetic
-  runs in the Euclidean lift, Z or the ambient F_p[x].  It gives
+  1986, Storjohann & Mulders 1998) with the ring's own row kernels
+  (`axpy_payloads`, `combine_payloads`), so every entry, transforms
+  included, stays reduced; only pivot arithmetic runs in the Euclidean
+  lift, Z or the ambient F_p[x].  It gives
   howell_form, kernels (from the Howell form of [A^T | I]), solutions and
   cardinalities, among them the image sizes of Hom(d, N) that Ext over Z/n
   reads; its input rows are written from the stored rows of the matrices.
@@ -174,6 +175,7 @@ def smith_data(ed, grid, rows, cols):
     S, Si = _identity_grid(ed, rows), _identity_grid(ed, rows)
     T, Ti = _identity_grid(ed, cols), _identity_grid(ed, cols)
     add, neg, mul = ed.add_payload, ed.neg_payload, ed.mul_payload
+    axpy_, combine_ = ed.axpy_payloads, ed.combine_payloads
     divmod_, gcdex, size = ed.divmod_payload, ed.gcdex_payload, ed.size_payload
     minus_one = neg(ed.one_payload)
 
@@ -194,8 +196,7 @@ def smith_data(ed, grid, rows, cols):
         # rows (i,j) <- (a ri + b rj, c ri + d rj); requires det = ad - bc = 1
         for mat in (m, S):
             ri, rj = mat[i], mat[j]
-            mat[i] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rj)]
-            mat[j] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rj)]
+            mat[i], mat[j] = combine_(a, ri, b, rj), combine_(c, ri, d, rj)
         # Si <- Si * inverse([[a,b],[c,d]]) acting on columns i, j
         for r in Si:
             x, y = r[i], r[j]
@@ -210,16 +211,13 @@ def smith_data(ed, grid, rows, cols):
                 r[i] = add(mul(a, x), mul(b, y))
                 r[j] = add(mul(c, x), mul(d, y))
         ri, rj = Ti[i], Ti[j]
-        Ti[i] = [add(mul(d, x), neg(mul(c, y))) for x, y in zip(ri, rj)]
-        Ti[j] = [add(mul(a, y), neg(mul(b, x))) for x, y in zip(ri, rj)]
+        Ti[i], Ti[j] = combine_(d, ri, neg(c), rj), combine_(a, rj, neg(b), ri)
 
-    # the combinations (1, 0, -q, 1) as _howell's axpy: the same integers,
-    # with the unchanged row (column) and the zero multiplicands skipped
     def row_sub(i, j, q):
         # row j -= q row i; column i of Si += q column j
         nq = neg(q)
         for mat in (m, S):
-            mat[j] = [add(x, mul(nq, y)) if y else x for x, y in zip(mat[j], mat[i])]
+            mat[j] = axpy_(mat[j], nq, mat[i])
         for r in Si:
             if r[j]:
                 r[i] = add(r[i], mul(q, r[j]))
@@ -231,7 +229,7 @@ def smith_data(ed, grid, rows, cols):
             for r in mat:
                 if r[i]:
                     r[j] = add(r[j], mul(nq, r[i]))
-        Ti[i] = [add(x, mul(q, y)) if y else x for x, y in zip(Ti[i], Ti[j])]
+        Ti[i] = axpy_(Ti[i], q, Ti[j])
 
     def eliminate(combine, sub, k, i, b):
         # kill the entry b of row or column i against the pivot m[k][k];
@@ -774,7 +772,7 @@ def _howell(ring, ctx, W, ncols, reduce_from=None, transforms=False):
     With transforms, W padded with `ncols` zero rows has the zero rows
     needed: each pivot fills at most one.
     """
-    add, mul, neg = ring.add_payload, ring.mul_payload, ring.neg_payload
+    neg, axpy_, combine_ = ring.neg_payload, ring.axpy_payloads, ring.combine_payloads
     zero, one = ring.zero_payload, ring.one_payload
     ed, reduce_ = ctx.ed, ctx.from_payload
     f = ed.zero_payload if ctx.modulus is None else ctx.modulus
@@ -787,29 +785,30 @@ def _howell(ring, ctx, W, ncols, reduce_from=None, transforms=False):
             mat[i], mat[k] = mat[k], mat[i]
 
     def scale(r, c, c_inv, j):
-        W[r][j:] = [mul(c, x) for x in W[r][j:]]
+        # each entry x becomes c x + 0 x
+        xs = W[r][j:]
+        W[r][j:] = combine_(c, xs, zero, xs)
         if transforms:
-            U[r] = [mul(c, x) for x in U[r]]
-            UiT[r] = [mul(c_inv, x) for x in UiT[r]]
+            U[r] = combine_(c, U[r], zero, U[r])
+            UiT[r] = combine_(c_inv, UiT[r], zero, UiT[r])
 
     def axpy(i, c, r, j):
         # row i += c * row r, where row r vanishes left of column j
-        W[i][j:] = [add(x, mul(c, y)) for x, y in zip(W[i][j:], W[r][j:])]
+        W[i][j:] = axpy_(W[i][j:], c, W[r][j:])
         if transforms:
-            U[i] = [add(x, mul(c, y)) for x, y in zip(U[i], U[r])]
-            nc = neg(c)  # column r of U^-1 -= c * column i
-            UiT[r] = [add(x, mul(nc, y)) for x, y in zip(UiT[r], UiT[i])]
+            U[i] = axpy_(U[i], c, U[r])
+            UiT[r] = axpy_(UiT[r], neg(c), UiT[i])  # column r of U^-1 -= c * column i
 
     def combine(i, k, a, b, c, d, j):
         # rows (i, k) <- (a ri + b rk, c ri + d rk), both vanishing left of j
         for mat, start in ((W, j), (U, 0)) if transforms else ((W, j),):
             ri, rk = mat[i][start:], mat[k][start:]
-            mat[i][start:] = [add(mul(a, x), mul(b, y)) for x, y in zip(ri, rk)]
-            mat[k][start:] = [add(mul(c, x), mul(d, y)) for x, y in zip(ri, rk)]
+            mat[i][start:] = combine_(a, ri, b, rk)
+            mat[k][start:] = combine_(c, ri, d, rk)
         if transforms:  # columns i, k of U^-1 times the inverse [[d, -b], [-c, a]]
             ti, tk = UiT[i], UiT[k]
-            UiT[i] = [add(mul(d, x), neg(mul(c, y))) for x, y in zip(ti, tk)]
-            UiT[k] = [add(mul(a, y), neg(mul(b, x))) for x, y in zip(ti, tk)]
+            UiT[i] = combine_(d, ti, neg(c), tk)
+            UiT[k] = combine_(a, tk, neg(b), ti)
 
     pivots = []
     r = 0
@@ -840,7 +839,8 @@ def _howell(ring, ctx, W, ncols, reduce_from=None, transforms=False):
             z = next(k for k in range(len(W) - 1, r, -1) if not any(W[k]))
             combine(r, z, s, neg(reduce_(t)), v, u, j)
         else:
-            tail = [mul(v, x) for x in W[r][j + 1:]]
+            xs = W[r][j + 1:]
+            tail = combine_(v, xs, zero, xs)
             if any(tail):
                 W.append([zero] * (j + 1) + tail)
             scale(r, s, None, j)
@@ -897,8 +897,7 @@ def _howell_solve(ring, ctx, A, B):
     W = _augmented_transpose(A)
     left = A.rows
     pivot_row = dict(_howell(ring, ctx, W, left))
-    add, mul, neg = ring.add_payload, ring.mul_payload, ring.neg_payload
-    divmod_ = ctx.ed.divmod_payload
+    axpy, neg, divmod_ = ring.axpy_payloads, ring.neg_payload, ctx.ed.divmod_payload
     out = []
     for y in _column_grid(B, A.cols):
         for j in range(left):
@@ -910,8 +909,7 @@ def _howell_solve(ring, ctx, A, B):
             q, rem = divmod_(y[j], row[j])
             if rem:
                 return None
-            nq = neg(q)
-            y[j:] = [add(x, mul(nq, w)) for x, w in zip(y[j:], row[j:])]
+            y[j:] = axpy(y[j:], neg(q), row[j:])
         out.append([neg(x) for x in y[left:]])
     return Matrix.from_columns(ring, A.cols, out)
 

@@ -24,8 +24,14 @@ protocol of the `ring` slot, the one that `rings.Ring` defines:
 
   zero_payload, one_payload       the zero payload is the only falsy one
   add_payload(a, b), neg_payload(a), mul_payload(a, b)
+  axpy_payloads(xs, c, ys)        the row [x + c y], x kept where y is zero
+  combine_payloads(a, xs, b, ys)  the row [a x + b y]
   box(payload) -> entry           unbox(entry) -> payload
   zero, one                       the boxed zero and one
+
+The two row kernels return exactly the payloads that add_payload and
+mul_payload give entry by entry; the Howell and Smith eliminations of
+`linalg` make their row operations through them.
 
 Every matrix of the library is over a `rings.Ring`, whose entries are
 RingElements; the descent compiler builds its equations on payload rows of

@@ -296,6 +296,14 @@ def _tabled(op, table, bound):
     return tabled
 
 
+def _plain_axpy(xs, c, ys):
+    return [x + c * y if y else x for x, y in zip(xs, ys)]
+
+
+def _plain_combine(a, xs, b, ys):
+    return [a * x + b * y for x, y in zip(xs, ys)]
+
+
 class Ring:
     """A computable commutative ring descriptor with capability flags.
 
@@ -308,7 +316,11 @@ class Ring:
 
       zero_payload, one_payload       the zero payload is the only falsy one
       add_payload(a, b), neg_payload(a), mul_payload(a, b)
+      axpy_payloads(xs, c, ys)        the row [x + c y], x kept where y is zero
+      combine_payloads(a, xs, b, ys)  the row [a x + b y]
 
+    where each row kernel returns exactly the payloads that add_payload and
+    mul_payload give entry by entry (Z/n and F_p reduce each entry once);
     the fields Q and F_p add inv_payload(a), and the Euclidean domains Z, Q,
     F_p and k[x] (one variable, no relations) add
 
@@ -334,7 +346,10 @@ class Ring:
 
     def __init__(self, kind, modulus=None, coeff=None, variables=None,
                  ideal=None, order="degrevlex", groebner=None,
-                 budget=DEFAULT_GROEBNER_BUDGET, ambient=None):
+                 ambient=None):
+        # every instance attribute name takes one of the 30 keys CPython
+        # 3.11 shares among the rings' dicts; a ring made after they run out
+        # gets an unshared dict, on which every attribute read is slower
         self.kind = kind
         self.ambient = ambient
         self.modulus = modulus
@@ -345,7 +360,6 @@ class Ring:
         self.ideal = ideal
         self.groebner = groebner
         self._key = monomial_key(order) if kind == POLYQUOT else None
-        self._budget = budget
         self._bind_payload_ops()
         self._derive_capabilities()
         self.zero = RingElement(self, self.zero_payload)
@@ -354,7 +368,6 @@ class Ring:
     # -- capability derivation ------------------------------------------------
 
     def _derive_capabilities(self):
-        self.has_eq = True  # every supported representation is canonical
         self.local = False
         self.nilpotency_bound = None
         self.maximal_ideal = ()
@@ -443,6 +456,7 @@ class Ring:
             self.zero_payload, self.one_payload = 0, 1
             self.add_payload, self.neg_payload, self.mul_payload = \
                 operator.add, operator.neg, operator.mul
+            self.axpy_payloads, self.combine_payloads = _plain_axpy, _plain_combine
             self.divmod_payload = divmod
             self.gcdex_payload = _int_gcdex
             self.canon_payload = lambda a: (-1, -a) if a < 0 else (1, a)
@@ -451,6 +465,7 @@ class Ring:
             self.zero_payload, self.one_payload = Fraction(0), Fraction(1)
             self.add_payload, self.neg_payload, self.mul_payload = \
                 operator.add, operator.neg, operator.mul
+            self.axpy_payloads, self.combine_payloads = _plain_axpy, _plain_combine
             self.inv_payload = lambda a: 1 / a
             self._bind_field_ops()
         elif self.kind in (ZMOD, PRIMEFIELD):
@@ -459,6 +474,10 @@ class Ring:
             self.add_payload = lambda a, b: (a + b) % n
             self.neg_payload = lambda a: -a % n
             self.mul_payload = lambda a, b: a * b % n
+            self.axpy_payloads = lambda xs, c, ys: [(x + c * y) % n if y else x
+                                                    for x, y in zip(xs, ys)]
+            self.combine_payloads = lambda a, xs, b, ys: [(a * x + b * y) % n
+                                                          for x, y in zip(xs, ys)]
             if self.kind == PRIMEFIELD:
                 self.inv_payload = lambda a: pow(a, -1, n)
                 self._bind_field_ops()
@@ -468,6 +487,8 @@ class Ring:
             self.add_payload = self._poly_add_payload
             self.neg_payload = lambda a: _poly_neg(a, self.coeff, self._key)
             self.mul_payload = self._poly_mul_payload
+            self.axpy_payloads = self._composed_axpy
+            self.combine_payloads = self._composed_combine
             if len(self.variables) == 1 and not self.groebner:
                 self._bind_univariate_ops()
             elif len(self.variables) == 1 and self.ambient is not None:
@@ -622,6 +643,16 @@ class Ring:
         self.add_payload = _tabled(self.add_payload, tables["add"], pairs)
         self.neg_payload = _tabled(self.neg_payload, tables["neg"], singles)
         self.mul_payload = _tabled(self.mul_payload, tables["mul"], pairs)
+
+    # the row kernels of a polynomial ring, through whichever add and mul
+    # are bound when they run (op tables included)
+    def _composed_axpy(self, xs, c, ys):
+        add, mul = self.add_payload, self.mul_payload
+        return [add(x, mul(c, y)) if y else x for x, y in zip(xs, ys)]
+
+    def _composed_combine(self, a, xs, b, ys):
+        add, mul = self.add_payload, self.mul_payload
+        return [add(mul(a, x), mul(b, y)) for x, y in zip(xs, ys)]
 
     def _constant(self, c):
         """The polynomial payload of the constant with coefficient payload c."""
@@ -942,8 +973,7 @@ def poly_quotient(coeff, variables, ideal_texts=(), order="degrevlex",
     if any(not any(g[0][0]) for g in gb):
         raise ZeroRing(f"the ideal of {coeff}[{', '.join(variables)}] contains 1")
     return Ring(POLYQUOT, coeff=coeff, variables=variables,
-                ideal=tuple(gens), order=order, groebner=gb, budget=budget,
-                ambient=scratch)
+                ideal=tuple(gens), order=order, groebner=gb, ambient=scratch)
 
 
 def make_ring(spec, budget=DEFAULT_GROEBNER_BUDGET):

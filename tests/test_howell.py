@@ -201,7 +201,11 @@ def test_solve_decides_membership(rname):
 
 def test_zmod_elimination_stays_reduced(monkeypatch):
     """Row operations run in Z/n, so every operand and result, transforms
-    included, lies in [0, n); the lift Z only does pivot arithmetic."""
+    included, lies in [0, n); the lift Z only does pivot arithmetic.  A row
+    kernel call is recorded entry by entry: its scalars and every entry of
+    its operand rows and its result row."""
+    ops = ("add_payload", "mul_payload", "neg_payload", "axpy_payloads", "combine_payloads")
+
     def lift_row_operation(*args):
         raise AssertionError("a row operation ran in the lift")
 
@@ -214,12 +218,13 @@ def test_zmod_elimination_stays_reduced(monkeypatch):
         def recorded(op):
             def wrapper(*args):
                 out = op(*args)
-                seen.append(args + (out,))
+                for x in args + (out,):
+                    seen.extend(x if isinstance(x, list) else [x])
                 return out
             return wrapper
 
         with monkeypatch.context() as m:
-            for name in ("add_payload", "mul_payload", "neg_payload"):
+            for name in ops:
                 m.setattr(R, name, recorded(getattr(R, name)))
                 m.setattr(ZZ(), name, lift_row_operation)
             forms, results = [], []
@@ -229,7 +234,7 @@ def test_zmod_elimination_stays_reduced(monkeypatch):
                             solve(R, A, A * random_matrix(R, A.cols, 2, rng))]
                 kernel_cardinality(R, A)
         assert len(seen) > 10_000
-        assert all(0 <= x < n for call in seen for x in call)
+        assert all(0 <= x < n for x in seen)
         results += [M for nf in forms for M in (nf.matrix, nf.left, nf.left_inv)]
         assert all(0 <= x.payload < n for M in results for r in M.data for x in r)
         assert all(nf.verify() for nf in forms)

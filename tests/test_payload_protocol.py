@@ -126,3 +126,50 @@ def test_payload_operations_agree_with_element_arithmetic(ring, data):
                                                                  ring.one_payload))
     if hasattr(ring, "inv_payload") and pa:
         assert mul(pa, ring.inv_payload(pa)) == ring.one_payload
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against add_payload and mul_payload entry by entry
+
+
+def finite_payloads(ring):
+    return st.sampled_from([x.payload for x in ring.elements()])
+
+
+F2X3 = poly_quotient("F2", ["x"], ["x^3"])
+F2XY = poly_quotient("F2", ["x", "y"], ["x^2", "x*y", "y^2"])
+KERNEL_TIERS = {
+    "Z": (ZZ(), st.integers(-10**6, 10**6)),
+    "Q": (QQ(), st.fractions(-100, 100, max_denominator=60)),
+    "Z/8": (Zmod(8), st.integers(0, 7)),
+    "Z/36": (Zmod(36), st.integers(0, 35)),
+    "F2": (GF(2), st.integers(0, 1)),
+    "F7": (GF(7), st.integers(0, 6)),
+    "F2[x]": (poly_quotient("F2", ["x"]), univariate(st.integers(0, 1))),
+    "F5[x]": (poly_quotient("F5", ["x"]), univariate(st.integers(0, 4))),
+    "F2[x]/(x^3)": (F2X3, finite_payloads(F2X3)),
+    # its add and mul look their results up in the ring's operation tables
+    "F2[x,y]/(x,y)^2": (F2XY, finite_payloads(F2XY)),
+}
+
+
+def typed(row):
+    return [(type(x), x) for x in row]
+
+
+@pytest.mark.parametrize("name", KERNEL_TIERS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_kernels_equal_the_per_entry_composition(name, data):
+    ring, payloads = KERNEL_TIERS[name]
+    add, mul, zero, one = ring.add_payload, ring.mul_payload, ring.zero_payload, \
+        ring.one_payload
+    entries = st.one_of(st.just(zero), payloads)  # zero entries come often
+    scalars = st.one_of(st.sampled_from([zero, one, ring.neg_payload(one)]), payloads)
+    n = data.draw(st.integers(0, 6))  # empty rows included
+    xs, ys = (data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2))
+    a, b, c = (data.draw(scalars) for _ in range(3))
+    assert typed(ring.axpy_payloads(xs, c, ys)) == \
+        typed([add(x, mul(c, y)) for x, y in zip(xs, ys)])
+    assert typed(ring.combine_payloads(a, xs, b, ys)) == \
+        typed([add(mul(a, x), mul(b, y)) for x, y in zip(xs, ys)])

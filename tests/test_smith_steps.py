@@ -16,10 +16,11 @@ from fractions import Fraction
 import pytest
 
 from koszulkit.linalg import _identity_grid, _is_unit, _quo, _unit_inv, smith_data
-from koszulkit.rings import QQ, ZZ, poly_quotient
+from koszulkit.rings import GF, QQ, ZZ, poly_quotient
 
 Z = ZZ()
 Q = QQ()
+F2, F7 = GF(2), GF(7)
 F2X = poly_quotient("F2", ["x"])
 F3X = poly_quotient("F3", ["x"])
 
@@ -218,6 +219,19 @@ def test_rational_grids():
         grid = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)]
                 for _ in range(rows)]
         assert assert_same_steps(Q, grid)[1]["subtract"]
+
+
+@pytest.mark.parametrize("F", [F2, F7], ids=["F2", "F7"])
+@pytest.mark.parametrize("rows, cols", [(3, 3), (6, 6), (9, 9), (2, 7), (7, 2), (5, 8),
+                                        (8, 5)])
+def test_prime_field_grids(F, rows, cols):
+    # prime fields eliminate on the inline-mod row kernels
+    rng = random.Random(f"{F.p}:{rows}x{cols}")
+    steps = Counter()
+    for _ in range(3):
+        grid = int_grid(rng, rows, cols, 0, F.p - 1)
+        steps += assert_same_steps(F, grid)[1]
+    assert steps["subtract"]
 
 
 @pytest.mark.parametrize("R", [F2X, F3X], ids=["F2[x]", "F3[x]"])
