@@ -19,10 +19,11 @@ presented as the `duality` benchmark presents it: the generators of m
 times seeded units, plus one redundant element of m, in seeded order, so
 that the first resolution step has a column to drop (minimal_generators).
 
-The F_p-algebras run p = 2, 3 and 5 at full size: k[x,y,z]/(x,y,z)^2 at
-window 6 over F2 and F3 (b_n = 3^n, 2,187 generators at the top), and
-k[x,y]/(x,y)^2 at window 9 over F2 and F5 (b_n = 2^n); every p runs the
-same packed F_p resolution.  Z/27 and Z/8 have no F_p view, so their Ext
+The F_p-algebras run p = 2, 3, 5 and 17 at full size: k[x,y,z]/(x,y,z)^2
+at window 6 over F2 and F3 (b_n = 3^n, 2,187 generators at the top),
+k[x,y]/(x,y)^2 at window 9 over F2 and F5 and at window 7 over F17 (b_n =
+2^n), whose coordinates take two bytes each; every p runs the same packed
+F_p resolution.  Z/27 and Z/8 have no F_p view, so their Ext
 comes from the resolution alone: |Hom(F_n, k)| = |k|^{b_n} over the sizes
 of the images of Hom(d_n, k) and Hom(d_{n+1}, k), each from one Howell
 form.  Over Z/27 it also checks Ext(Z/9, Z/3) and Ext(Z/3, Z/9) at window
@@ -31,7 +32,8 @@ of Z/p^a alternates p^a and p^(k-a), so |Ext^0(Z/p^a, Z/p^b)| = p^min(a,b),
 and Ext^n has p^(min(k-a, b) - max(b-a, 0)) elements for odd n and
 p^(min(a, b) - max(b-k+a, 0)) for even n > 0.
 
-Over the chain rings Z/27, Z/8, F2[x]/(x^4) and F3[x]/(x^3) it takes
+Over the chain rings Z/27, Z/8, F2[x]/(x^4), F3[x]/(x^3) and F101[x]/(x^3)
+(two-byte coordinates again) it takes
 ext_table(k, k) at window 10,000 and checks that |Ext^n(k, k)| = |k| in
 every degree and that the resolution of k stopped at a certified period
 (i, q) (linalg.resolution), so that the window costs what i + q degrees
@@ -68,6 +70,7 @@ CASES = [
     (lambda: poly_quotient("F2", ["x", "y", "z"], XYZ2), 6, lambda n: 3 ** n),
     (lambda: poly_quotient("F3", ["x", "y", "z"], XYZ2), 6, lambda n: 3 ** n),
     (lambda: poly_quotient("F5", ["x", "y"], XY2), 9, lambda n: 2 ** n),
+    (lambda: poly_quotient("F17", ["x", "y"], XY2), 7, lambda n: 2 ** n),
     (lambda: poly_quotient("F3", ["x", "y", "z"], ["x^2", "y^2", "z^2"]), 6,
      lambda n: comb(n + 2, 2)),
     (lambda: poly_quotient("F2", ["x", "y"], ["x^4", "y^3"]), 6, lambda n: n + 1),
@@ -86,7 +89,8 @@ SCRAMBLED_SEEDS = (91, 92, 93)
 CYCLIC = [(3, 3, 2, 1, 20), (3, 3, 1, 2, 20)]
 # chain rings, whose resolution of k repeats: Ext(k, k) at window 10,000
 PERIODIC = [lambda: Zmod(27), lambda: Zmod(8), lambda: poly_quotient("F2", ["x"], ["x^4"]),
-            lambda: poly_quotient("F3", ["x"], ["x^3"])]
+            lambda: poly_quotient("F3", ["x"], ["x^3"]),
+            lambda: poly_quotient("F101", ["x"], ["x^3"])]
 PERIODIC_WINDOW = 10_000
 # (ring, a): the direct factor R/(x^a) of a non-local algebra R
 NON_LOCAL = [(lambda: poly_quotient("F2", ["x"], ["x^4 + x^2"]), 2),

@@ -11,9 +11,11 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   fields above), so one code path serves every p.  It gives kernels,
   solutions and ranks, hence cardinalities and the unit test.  A
   resolution over any of these rings, F_p[x]/(f) included, stays in these
-  coordinates from one step to the next and checks each d_i d_{i+1} = 0
-  there, and `FpModule` holds a finitely presented module as an F_p-space,
-  from which `dual_rank` reads the rank of Hom(d, N).
+  coordinates from one step to the next: a step reduces the columns b_a
+  c_j of the expansion once (_reduce_columns), with no F_p rows made, for
+  its kernel and rank, and checks each d_i d_{i+1} = 0 there.  `FpModule`
+  holds a finitely presented module as an F_p-space, from which
+  `dual_rank` reads the rank of Hom(d, N).
 - Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
   1986, Storjohann & Mulders 1998) with the ring's own row kernels
   (`axpy_payloads`, `combine_payloads`), so every entry, transforms
@@ -52,9 +54,7 @@ from math import prod
 
 from .errors import BudgetExceeded, CapabilityMissing, DimensionMismatch, NotAComplex
 from .matrices import Matrix
-from .rings import (
-    INTEGERS, POLYQUOT, PRIMEFIELD, RATIONALS, ZMOD, ZZ,
-)
+from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RATIONALS, ZMOD, ZZ
 
 _SMITH_SWEEP_CAP = 10_000
 
@@ -578,32 +578,6 @@ class _FpView:
                         out[b] |= row << shift
         return out, A.cols * D
 
-    def expand(self, cols, nrows):
-        """The packed rows of the expansion over F_p of the matrix with
-        nrows rows whose columns have coordinates `cols`: what `rows` gives
-        for that matrix."""
-        codec, D, std = self.codec, self.dim, self.std
-        out = [0] * (nrows * D)
-        made = {}  # an entry's terms -> its nonzero multiplication rows, by index
-        for j, v in enumerate(cols):
-            shift = j * D * codec.width
-            if std is None:
-                for i, c in codec.nonzero(v):
-                    out[i] |= c << shift
-                continue
-            entries = {}  # row -> the entry's terms, which mult_rows reads as a payload
-            for t, c in codec.nonzero(v):
-                entries.setdefault(t // D, []).append((std[t % D], c))
-            for i, payload in entries.items():
-                key = tuple(payload)
-                rows = made.get(key)
-                if rows is None:
-                    rows = made[key] = [(b, row) for b, row in enumerate(self.mult_rows(payload))
-                                        if row]
-                for b, row in rows:
-                    out[i * D + b] |= row << shift
-        return out
-
     def columns(self, A):
         """The coordinate vectors of A's columns."""
         D, w = self.dim, self.codec.width
@@ -697,6 +671,12 @@ class _FpView:
             n = half
         return {t for t, _ in self.codec.nonzero(union)}
 
+    def acting(self, vecs):
+        """The a for which b_a v can be nonzero for some v in `vecs`: b_a b_s
+        != 0 for some coordinate s that `coordinates` finds."""
+        present = self.coordinates(vecs)
+        return {a for a, row in enumerate(self.products) if any(row[s] for s in present)}
+
     def rank(self, A):
         """Rank of A's expansion: |column span of A| = p ** rank."""
         return len(_fp_rref(self.codec, *self.rows(A)))
@@ -718,9 +698,9 @@ def _nakayama_keep(view, vecs, n, submodule=False):
       nonconstant monomials joining the span.
     """
     span = _Echelon(view.codec)
-    nonconstant = [(b, sum(e)) for b, e in zip(view.basis, view.std or ()) if any(e)]
+    nonconstant = [(a, sum(e)) for a, e in enumerate(view.std or ()) if any(e)]
     if not view.ring.local:
-        acts, keep = [view.action(b, n) for b, _ in nonconstant], []
+        acts, keep = [view.action(view.basis[a], n) for a, _ in nonconstant], []
         for j, v in enumerate(vecs):
             if span.add(v):
                 keep.append(j)
@@ -728,11 +708,10 @@ def _nakayama_keep(view, vecs, n, submodule=False):
                     span.add(act(v))
         return keep
     present = view.coordinates(vecs)
-    for m, degree in nonconstant:
-        # m V = 0 when no vector has a coordinate that m reads
-        if (degree == 1 or not submodule) and any(
-                view.products[view.index[e]][s] for e, _ in m for s in present):
-            act = view.action(m, n)
+    for a, degree in nonconstant:
+        # b_a V = 0 when b_a b_s = 0 at every coordinate s present
+        if (degree == 1 or not submodule) and any(view.products[a][s] for s in present):
+            act = view.action(view.basis[a], n)
             for v in vecs:
                 span.add(act(v))
     return [j for j, v in enumerate(vecs) if span.add(v)]
@@ -1324,9 +1303,7 @@ def homology_module(ring, d_in, d_out):
 
 def image_membership(ring, V, W):
     """True when every column of V lies in the column span of W."""
-    if V.cols == 0:
-        return True
-    return solve(ring, W, V) is not None
+    return V.cols == 0 or solve(ring, W, V) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -1381,11 +1358,8 @@ def _products_vanish(view, cols, nrows, kernel):
     """
     codec, D, p, products = view.codec, view.dim, view.p, view.products
     Dw = D * codec.width
-    # b_a d = 0 when no entry of d has a coordinate s with b_a b_s != 0, and
-    # then K's coordinates at a add nothing
-    present = view.coordinates(cols)
-    live = view.spread([a for a, row in enumerate(products) if any(row[s] for s in present)],
-                       len(cols))
+    # b_a d = 0 for every a outside `acting`, and K's coordinates there add nothing
+    live = view.spread(view.acting(cols), len(cols))
     entries = {}  # column j of d -> (shift of the entry, s, x) for its coordinates
     for v in kernel:
         v &= live
@@ -1403,16 +1377,46 @@ def _products_vanish(view, cols, nrows, kernel):
     return True
 
 
+def _reduce_columns(view, cols, nrows):
+    """(rank, kernel) of the expansion over F_p of the matrix with nrows
+    rows and columns of coordinates `cols`, by one column reduction.
+
+    Column t = j D + a of the expansion is b_a c_j (`action`; c_j for the
+    unit b_0, 0 for an a outside `acting`), taken in order of t with a 1 in
+    field nrows D + t above its row fields, so each axpy reduces the column
+    and its combination together.  A column is reduced at its lowest field
+    by the kept column there, scaled to 1, until it is kept or its row
+    fields vanish and its shifted tag is a kernel vector.  The kept columns
+    are the first independent ones: their count is the rank, and each
+    kernel vector is the one `_fp_kernel` gives for that free column on the
+    expanded rows.
+    """
+    codec, top = view.codec, nrows * view.dim  # top: the first tag field
+    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
+    live = view.acting(cols) if view.dim > 1 else ()
+    acts = [view.action(b, nrows) if a in live else None for a, b in enumerate(view.basis) if a]
+    pivots, kernel, tag = {}, [], 1 << top * w
+    for c in cols:
+        for v in (c, *[act(c) if act else 0 for act in acts]):
+            v, tag = v | tag, tag << w
+            while (low := ((v & -v).bit_length() - 1) // w) in pivots:
+                v = axpy(v, p - (v >> low * w & mask), pivots[low])
+            if low >= top:
+                kernel.append(v >> top * w)
+            else:
+                x = v >> low * w & mask
+                pivots[low] = v if x == 1 else axpy(0, pow(x, -1, p), v)
+    return len(pivots), kernel
+
+
 class _PackedSteps:
     """Resolution steps over a ring with an F_p view.  A differential is the
     list of packed coordinate vectors of its columns, its row count kept
-    alongside.
-
-    A step expands the columns into F_p rows (`expand`), takes their kernel
-    (`_fp_kernel`) and, over an F_p-algebra, keeps the vectors of it that
-    `_nakayama_keep` keeps: a minimal generating set over a local algebra.
-    Products are checked by `_products_vanish`, and an image has p^rank
-    elements, the rank of the expansion.
+    alongside.  A step reduces the columns of its expansion over F_p once
+    (`_reduce_columns`) for its kernel and rank, and over an F_p-algebra
+    keeps the kernel vectors that `_nakayama_keep` keeps: a minimal
+    generating set over a local algebra.  Products are checked by
+    `_products_vanish`, and an image has p^rank elements.
     """
 
     def __init__(self, ring, view):
@@ -1421,13 +1425,10 @@ class _PackedSteps:
     def start(self, d):
         return self.view.columns(d)
 
-    @staticmethod
-    def width(cols):
-        return len(cols)
+    width = staticmethod(len)
 
     def kernel(self, cols, nrows):
-        view = self.view
-        vecs = _fp_kernel(view.codec, view.expand(cols, nrows), len(cols) * view.dim)
+        view, vecs = self.view, _reduce_columns(self.view, cols, nrows)[1]
         if len(vecs) > 1 and view.std is not None:
             vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), submodule=True)]
         return vecs
@@ -1436,8 +1437,7 @@ class _PackedSteps:
         return _products_vanish(self.view, cols, nrows, kernel)
 
     def image_size(self, cols, nrows):
-        view = self.view
-        return view.p ** len(_fp_rref(view.codec, view.expand(cols, nrows), len(cols) * view.dim))
+        return self.view.p ** _reduce_columns(self.view, cols, nrows)[0]
 
     def matrix(self, cols, nrows):
         return self.view.matrix(cols, nrows)

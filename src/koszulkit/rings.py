@@ -963,12 +963,8 @@ def poly_quotient(coeff, variables, ideal_texts=(), order="degrevlex",
     # which the quotient keeps as its ambient ring
     scratch = Ring(POLYQUOT, coeff=coeff, variables=variables, ideal=(),
                    order=order, groebner=())
-    gens = []
-    for text in ideal_texts:
-        if isinstance(text, str):
-            gens.append(parse_element(scratch, text).payload)
-        else:
-            gens.append(text)
+    gens = [parse_element(scratch, t).payload if isinstance(t, str) else t for t in ideal_texts]
+    gens = [g for g in gens if g]  # a zero generator adds nothing to the ideal
     gb = groebner_basis(gens, coeff, key, budget=budget)
     if any(not any(g[0][0]) for g in gb):
         raise ZeroRing(f"the ideal of {coeff}[{', '.join(variables)}] contains 1")

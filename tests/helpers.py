@@ -20,8 +20,9 @@ from koszulkit.descent import (
 from koszulkit.duality import ExtSupResult, _complex_of, _resolution, hom_homology
 from koszulkit.errors import IncompleteAssignment, MixedRings
 from koszulkit.linalg import (
-    HomologySummary, _fp_view_of, _is_unit, _payload_grid, kernel_basis, lift_context,
-    minimal_generators, smith_data, solve, span_cardinality, subquotient,
+    HomologySummary, _PackedSteps, _fp_kernel, _fp_rref, _fp_view_of, _is_unit,
+    _nakayama_keep, _payload_grid, kernel_basis, lift_context, minimal_generators, smith_data,
+    solve, span_cardinality, subquotient,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ
@@ -467,6 +468,45 @@ def reference_resolution_complex(pres, depth):
     diffs = dict(enumerate(reference_resolve(pres, depth), start=1))
     ranks = {0: pres.gens, **{i: d.cols for i, d in diffs.items()}}
     return ChainComplex(pres.ring, ranks, diffs)
+
+
+def reference_expand(view, cols, nrows):
+    """The packed rows of the expansion over F_p of the matrix with nrows
+    rows whose columns have coordinates `cols` (each entry a as the dim x
+    dim matrix of multiplication by a): what `view.rows` gives for that
+    matrix, built row by row from the entries' multiplication rows."""
+    codec, D, std = view.codec, view.dim, view.std
+    out = [0] * (nrows * D)
+    for j, v in enumerate(cols):
+        shift = j * D * codec.width
+        if std is None:
+            for i, c in codec.nonzero(v):
+                out[i] |= c << shift
+            continue
+        entries = {}  # row -> the entry's terms, as a payload
+        for t, c in codec.nonzero(v):
+            entries.setdefault(t // D, []).append((std[t % D], c))
+        for i, payload in entries.items():
+            for b, row in enumerate(view.mult_rows(tuple(payload))):
+                out[i * D + b] |= row << shift
+    return out
+
+
+class ReferencePackedSteps(_PackedSteps):
+    """`_PackedSteps` on the row route: kernels by `_fp_kernel` and ranks by
+    `_fp_rref`, both on the expanded rows."""
+
+    def kernel(self, cols, nrows):
+        view = self.view
+        vecs = _fp_kernel(view.codec, reference_expand(view, cols, nrows), len(cols) * view.dim)
+        if len(vecs) > 1 and view.std is not None:
+            vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), submodule=True)]
+        return vecs
+
+    def image_size(self, cols, nrows):
+        view = self.view
+        rows = reference_expand(view, cols, nrows)
+        return view.p ** len(_fp_rref(view.codec, rows, len(cols) * view.dim))
 
 
 def full_depth_ext_table(M, N, window):

@@ -258,14 +258,14 @@ def test_a_planted_kernel_error_raises_not_a_complex(name, monkeypatch):
     R = PACKED[name]
     k = du.ModulePresentation.residue_field(R)
     codec = _fp_view_of(R).codec
-    kernel = linalg._fp_kernel
+    reduce_columns = linalg._reduce_columns
 
     def corrupted(*args):
-        vecs = kernel(*args)
-        return [codec.axpy(vecs[0], 1, 1)] + vecs[1:] if vecs else vecs
+        rank, vecs = reduce_columns(*args)
+        return rank, ([codec.axpy(vecs[0], 1, 1)] + vecs[1:] if vecs else vecs)
 
     assert du.ext_table(k, k, 2) == presented_route(k, k, 2)
-    monkeypatch.setattr(linalg, "_fp_kernel", corrupted)
+    monkeypatch.setattr(linalg, "_reduce_columns", corrupted)
     for run in (lambda: du.ext_table(k, k, 2), lambda: du.resolve(k, 3)):
         with pytest.raises(NotAComplex) as err:
             run()
@@ -277,9 +277,13 @@ def test_a_planted_kernel_error_over_a_prime_field(monkeypatch):
     A = Matrix.from_rows(R, [[R.from_int(1), R.from_int(2), R.from_int(3)]])
     assert kernel_resolution(R, A, 1)[0].cols == 2
     codec = _fp_view_of(R).codec
-    kernel = linalg._fp_kernel
-    monkeypatch.setattr(linalg, "_fp_kernel",
-                        lambda *args: [codec.axpy(v, 1, 1) for v in kernel(*args)])
+    reduce_columns = linalg._reduce_columns
+
+    def corrupted(*args):
+        rank, vecs = reduce_columns(*args)
+        return rank, [codec.axpy(v, 1, 1) for v in vecs]
+
+    monkeypatch.setattr(linalg, "_reduce_columns", corrupted)
     with pytest.raises(NotAComplex):
         kernel_resolution(R, A, 1)
 

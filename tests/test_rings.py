@@ -15,7 +15,7 @@ from koszulkit.rings import (
     make_ring, normal_form, parse_element, poly_quotient, ring_spec,
 )
 
-from helpers import random_element
+from helpers import random_element, run_cli
 
 Z = ZZ()
 Q = QQ()
@@ -167,6 +167,19 @@ def test_units():
 def test_ring_spec_round_trip():
     for ring in (Z, Q, Z4, F5, QUAD):
         assert make_ring(ring_spec(ring)) == ring
+
+
+@pytest.mark.parametrize("ideal, same_as", [
+    ("x^2, 2*x", "x^2"), ("2*x^2", ""), ("0, x^3, 0", "x^3"),
+])
+def test_a_zero_ideal_generator_is_not_printed(ideal, same_as):
+    # 2 = 0 in F2, so these ideals are spelled with a zero generator
+    spec = "polyquot coeff=F2 vars=x order=degrevlex ideal=[{}]"
+    R, S = make_ring(spec.format(ideal)), make_ring(spec.format(same_as))
+    assert R == S and hash(R) == hash(S)
+    assert ring_spec(R) == ring_spec(S) == spec.format(same_as)
+    code, out, _ = run_cli(["ring", "new", spec.format(ideal)])
+    assert code == 0 and out.splitlines()[0] == f"ring {spec.format(same_as)}"
 
 
 def test_groebner_reduced_basis_is_deterministic():
