@@ -87,34 +87,46 @@ class DGModule:
         return f"DGModule({self.algebra!r}, {self.underlying!r})"
 
 
-def extension_action(K, M, H, n):
-    """Multiplication by e_H on K (x) M, from degree n to degree n + |H|.
+def _summands(K, M, n):
+    """The summands K_{n-p} (x) M_p of (K (x) M)_n, p ascending over M's
+    support, as (n - p, rank K_{n-p}, rank M_p, offset) with zero-width
+    summands kept, so the summands of two degrees pair up by position."""
+    out, at = [], 0
+    for p, kp, mp in tensor_layout(K.complex, M, n):
+        out.append((n - p, kp, mp, at))
+        at += kp * mp
+    return out, at
 
-    On the summand K_{n-p} (x) M_p it is the algebra's multiplication
-    matrix (x) the identity, written row by row
-    (`Matrix.from_kron_blocks`); the action is block-diagonal over
-    summands.
-    """
-    rows = cols = 0
-    blocks = []
-    for (p, kp, mp), (_, kq, _) in zip(tensor_layout(K.complex, M, n),
-                                        tensor_layout(K.complex, M, n + len(H))):
-        if kp and mp and kq:
-            blocks.append((rows, cols, K.mult_matrix(H, n - p), mp, False))
-        rows += kq * mp
-        cols += kp * mp
+
+def _action(K, H, source, target):
+    """Multiplication by e_H from the degree whose `_summands` are `source`
+    to the one |H| above, `target`: block-diagonal, with the block
+    mult(e_H from K_k) (x) I on each summand K_k (x) M_p."""
+    (src, cols), (tgt, rows) = source, target
+    blocks = [(r0, c0, K.mult_matrix(H, k), mp, False)
+              for (k, kp, mp, c0), (_, kq, _, r0) in zip(src, tgt) if kp and mp and kq]
     return Matrix.from_kron_blocks(K.ring, rows, cols, blocks)
 
 
+def extension_action(K, M, H, n):
+    """Multiplication by e_H on K (x) M, from degree n to degree n + |H|;
+    `extend` builds every action through the same blocks."""
+    return _action(K, H, _summands(K, M, n), _summands(K, M, n + len(H)))
+
+
 def extend(K, M):
-    """The extension K (x) M with action e_h . (u (x) x) = (e_h u) (x) x."""
+    """The extension K (x) M with action e_h . (u (x) x) = (e_h u) (x) x:
+    each degree's summand offsets are computed once, and every action
+    between nonzero degrees is gathered from them as in `extension_action`."""
     if K.ring != M.ring:
         raise MixedRings("extend over different rings")
     under = tensor(K.complex, M)
+    summands = {n: _summands(K, M, n) for n in under.degrees() if under.rank(n)}
     action = {}
     for H in (S for d in K.basis.values() for S in d):
-        action[H] = {n: extension_action(K, M, H, n) for n in under.degrees()
-                     if under.rank(n) and under.rank(n + len(H))}
+        h = len(H)
+        action[H] = {n: _action(K, H, at, summands[n + h])
+                     for n, at in summands.items() if n + h in summands}
     D = DGModule(K, under, action)
     if not D.axioms.ok:
         raise ArithmeticError(f"extension failed its own axioms: {D.axioms.failures()}")
@@ -182,6 +194,8 @@ def verify_dg_module(D):
     for e_g and e_H' gives it for e_g e_H'; that step uses the G = ()
     identity rho(e_()) rho = rho on rho(d e_g) rho(e_H') = a_g rho(e_H').
 
+    The pass reads ranks, differentials and actions from tables local to
+    the call; an action that is not stored is the zero matrix, made once.
     Every call checks afresh; D.axioms keeps one report per module.
     """
     K = D.algebra
@@ -193,41 +207,58 @@ def verify_dg_module(D):
     degrees = [n for n in under.degrees() if under.rank(n)]
     basis = [S for d in K.basis.values() for S in d]  # by degree
     generators = [S for S in basis if len(S) <= 1]    # a prefix of basis
+    # local tables: every rank and differential a check reads, and the
+    # actions of each H by degree, a zero matrix kept where none is stored
+    lo, hi = (degrees[0], degrees[-1]) if degrees else (0, -1)
+    rank = {n: under.rank(n) for n in range(lo - 1, hi + K.e + 2)}
+    diff = {n: under.diff(n) for n in range(lo, hi + 2)}
+    acts = {H: dict(D.action.get(H) or ()) for H in basis}
+
+    def absent(H, n):
+        m = acts[H][n] = D.action_matrix(H, n)
+        return m
 
     def unitality():
+        unit = acts[()]
         for n in degrees:
-            if D.action_matrix((), n) != Matrix.identity(ring, under.rank(n)):
+            if (unit.get(n) or absent((), n)) != Matrix.identity(ring, rank[n]):
                 yield f"degree {n}"
 
     def associativity(pairs):
         for G, H in pairs:
+            g, h = len(G), len(H)
+            rho_G, rho_H = acts[G], acts[H]
             prod = K.product_of_basis(G, H)
+            if prod is not None:
+                sign, U = prod
+                c, rho_U = (minus_one if sign == 1 else one), acts[U]
             for n in degrees:
-                top = under.rank(n + len(G) + len(H))
+                top = rank[n + g + h]
                 if not top:
                     continue
                 # rho(e_G) rho(e_H) - sign rho(e_U) = 0, for e_G e_H = sign e_U
-                terms = [(one, D.action_matrix(G, n + len(H)), D.action_matrix(H, n))]
+                terms = [(one, rho_G.get(n + h) or absent(G, n + h),
+                          rho_H.get(n) or absent(H, n))]
                 if prod is not None:
-                    sign, U = prod
-                    terms.append((minus_one if sign == 1 else one, D.action_matrix(U, n), None))
-                if not vanishes(ring, top, under.rank(n), terms):
+                    terms.append((c, rho_U.get(n) or absent(U, n), None))
+                if not vanishes(ring, top, rank[n], terms):
                     yield f"e_{G} . e_{H} at degree {n}"
 
     def leibniz(elements):
         for H in elements:
             h = len(H)
+            rho_H = acts[H]
             # d rho(e_H) - (-1)^|H| rho(e_H) d - rho(d e_H) = 0
             minus_sign = minus_one if h % 2 == 0 else one
+            d_terms = [(neg(ring.unbox(coeff)), H2) for coeff, H2 in K.diff_of_basis(H)]
             for n in degrees:
-                top = under.rank(n + h - 1)
+                top = rank[n + h - 1]
                 if not top:
                     continue
-                terms = [(one, under.diff(n + h), D.action_matrix(H, n)),
-                         (minus_sign, D.action_matrix(H, n - 1), under.diff(n))]
-                terms += [(neg(ring.unbox(coeff)), D.action_matrix(H2, n), None)
-                          for coeff, H2 in K.diff_of_basis(H)]
-                if not vanishes(ring, top, under.rank(n), terms):
+                terms = [(one, diff[n + h], rho_H.get(n) or absent(H, n)),
+                         (minus_sign, rho_H.get(n - 1) or absent(H, n - 1), diff[n])]
+                terms += [(c, acts[H2].get(n) or absent(H2, n), None) for c, H2 in d_terms]
+                if not vanishes(ring, top, rank[n], terms):
                     yield f"e_{H} at degree {n}"
 
     unit = _first_failure("unitality", unitality())

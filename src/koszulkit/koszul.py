@@ -17,7 +17,7 @@ from functools import cached_property
 from .complexes import ChainComplex
 from .dgmodules import AxiomReport, AxiomResult, DGModule, _first_failure, verify_dg_module
 from .errors import MixedRings
-from .matrices import Matrix, vanishes
+from .matrices import _EMPTY, Matrix, vanishes
 
 
 def subsets_by_degree(e):
@@ -49,8 +49,15 @@ class KoszulAlgebra:
         self.e = len(self.elements)
         self.basis = subsets_by_degree(self.e)
         self.index = {S: i for n in self.basis for i, S in enumerate(self.basis[n])}
-        self.complex = self._build_complex()
-        self.mult = self._build_mult()
+        # the structure matrices are written from subset bitmasks: S is the
+        # mask with bit s - 1 set for each s in S, and where[mask] is the
+        # subset's index inside its degree
+        masks = [sum(1 << (s - 1) for s in S) for S in self.index]
+        where = [0] * (1 << self.e)
+        for m, i in zip(masks, self.index.values()):
+            where[m] = i
+        self.complex = self._build_complex(masks, where)
+        self.mult = self._build_mult(masks, where)
 
     # -- structure constants -------------------------------------------------
 
@@ -73,38 +80,58 @@ class KoszulAlgebra:
 
     # -- matrices ---------------------------------------------------------------
 
-    def _build_complex(self):
-        ring = self.ring
-        ranks = {n: len(self.basis[n]) for n in range(self.e + 1)}
-        diffs = {}
-        for n in range(1, self.e + 1):
-            entries = [(self.index[S2], j, coeff.payload)
-                       for j, S in enumerate(self.basis[n])
-                       for coeff, S2 in self.diff_of_basis(S)]
-            diffs[n] = Matrix.from_entries(ring, ranks[n - 1], ranks[n], entries)
+    def _build_complex(self, masks, where):
+        """The differentials, each row written in place with no sort.
+
+        Row T of d_n holds, for each s outside T in increasing order, the
+        entry (-1)^j a_s at the column of T + s, where j counts the elements
+        of T below s; the columns increase with s, since the lexicographic
+        order of T + s does.  A zero a_s gives no entry.
+        """
+        ring, e = self.ring, self.e
+        signed = [(a.payload, ring.neg_payload(a.payload)) for a in self.elements]
+        ranks = {n: len(self.basis[n]) for n in range(e + 1)}
+        rows = {n: [] for n in range(1, e + 1)}
+        for t in masks[:-1]:  # every subset but the full one, by degree
+            cols, vals = [], []
+            for s, (a, minus_a) in enumerate(signed):
+                if a and not t >> s & 1:
+                    cols.append(where[t | 1 << s])
+                    vals.append(minus_a if (t & ((1 << s) - 1)).bit_count() & 1 else a)
+            rows[t.bit_count() + 1].append((tuple(cols), tuple(vals)))
+        diffs = {n: Matrix(ring, ranks[n - 1], ranks[n], tuple(r)) for n, r in rows.items()}
         return ChainComplex(ring, ranks, diffs)
 
-    def _build_mult(self):
-        """mult[h][n]: the matrix of e_h * (-) from degree n to n + |h|.
+    def _build_mult(self, masks, where):
+        """mult[h][n]: the matrix of e_h * (-) from degree n to n + |h|, a
+        signed partial permutation written row by row from subset bitmasks.
 
-        e_H * e_S vanishes unless S avoids H, so only those S are visited;
-        the shuffle sign counts, for each s in S, the elements of H above s.
+        Row U of mult[H][n] has one entry exactly when U contains H: at the
+        column of S = U - H, the shuffle sign of e_H e_S.  That sign counts,
+        for each s in S, the elements of H above s, so it is (-1)^|S & W|
+        for the mask W of the positions with an odd number of elements of H
+        above them.  Only the S that avoid H are visited, as the submasks of
+        the complement of H; each fills its row in place, with no sort.
         """
-        ring = self.ring
-        signed_one = (ring.one_payload, ring.neg_payload(ring.one_payload))
+        ring, e = self.ring, self.e
+        one = ring.one_payload
+        signed = ((one,), (ring.neg_payload(one),))
+        rank = [len(self.basis[n]) for n in range(e + 1)]
+        column = [(i,) for i in where]
         mult = {}
-        for h_deg in range(self.e + 1):
-            for H in self.basis[h_deg]:
-                rest = [s for s in range(1, self.e + 1) if s not in H]
-                above = {s: sum(1 for h in H if h > s) for s in rest}
-                per_degree = {}
-                for n in range(0, self.e - h_deg + 1):
-                    entries = [(self.index[tuple(sorted(H + S))], self.index[S],
-                                signed_one[sum(above[s] for s in S) % 2])
-                               for S in itertools.combinations(rest, n)]
-                    per_degree[n] = Matrix.from_entries(
-                        ring, len(self.basis[n + h_deg]), len(self.basis[n]), entries)
-                mult[H] = per_degree
+        for H, h in zip(self.index, masks):
+            h_deg, rest = len(H), (1 << e) - 1 - h
+            W = sum(1 << b for b in range(e) if (h >> b + 1).bit_count() & 1)
+            table = [[_EMPTY] * rank[n + h_deg] for n in range(e - h_deg + 1)]
+            S = rest
+            while True:  # every submask S of rest, rest itself first
+                table[S.bit_count()][where[S | h]] = (
+                    column[S], signed[(S & W).bit_count() & 1])
+                if not S:
+                    break
+                S = (S - 1) & rest
+            mult[H] = {n: Matrix(ring, len(rows), rank[n], tuple(rows))
+                       for n, rows in enumerate(table)}
         return mult
 
     def mult_matrix(self, H, n):

@@ -16,8 +16,9 @@ permutation matrix makes no multiplication.
 time into one dict, and answers at the first nonzero row without
 building a product, a sum or a comparison.  `from_kron_blocks` writes the
 rows of the blocks A (x) I_n and I_n (x) A of tensor, Hom and extension
-structure maps straight from the rows of A, with no identity matrix and
-no Kronecker product; `from_blocks` places general blocks through it.
+structure maps as whole row tuples shifted from the rows of A, with no
+identity matrix and no Kronecker product; `from_blocks` places general
+blocks through it.
 
 Kernels compute on payloads, never on boxed entries, through the payload
 protocol of the `ring` slot, the one that `rings.Ring` defines:
@@ -37,7 +38,7 @@ Every matrix of the library is over a `rings.Ring`, whose entries are
 RingElements; the descent compiler builds its equations on payload rows of
 its own and needs no second scalar ring.  Code that computes on payloads,
 such as the elimination engines of `linalg`, hands them over with
-`from_payload_rows`, `from_columns` or `from_entries` and never boxes.
+`from_payload_rows` or `from_columns` and never boxes.
 `data` is the dense view, a tuple of row tuples of boxed entries, built on
 first use and kept.
 """
@@ -101,17 +102,6 @@ class Matrix:
             [[unbox(x) for x in r] for r in rows_list])
 
     @classmethod
-    def from_entries(cls, ring, rows, cols, entries):
-        """The rows x cols matrix with payload v at (i, j) for every triple
-        (i, j, v) of `entries`; positions are distinct, and every position
-        not given (or given a zero payload) is zero."""
-        out = [[] for _ in range(rows)]
-        for i, j, v in entries:
-            out[i].append((j, v))
-        return cls(ring, rows, cols, tuple(
-            _row_of_pairs(sorted(r, key=itemgetter(0))) if r else _EMPTY for r in out))
-
-    @classmethod
     def from_columns(cls, ring, height, columns):
         """The height x len(columns) matrix whose columns are the lists of
         payloads in `columns`, zeros included."""
@@ -153,42 +143,74 @@ class Matrix:
     @classmethod
     def from_kron_blocks(cls, ring, rows, cols, blocks):
         """The rows x cols matrix whose nonzero blocks are Kronecker products
-        of a matrix with an identity, written row by row from the rows of
+        of a matrix with an identity, written as whole rows from the rows of
         the matrix: no identity and no Kronecker product is built.
 
         `blocks` holds (row offset, column offset, left, right, negate)
         tuples.  One of left and right is a Matrix A and the other an int
-        n, standing for the identity I_n; negate asks for the block's
-        negative.  Row a n + t of A (x) I_n is row a of A at the columns
-        b n + t, and row a h + t of I_n (x) A, for A of shape h x w, is
-        row t of A at the columns a w + s.  Blocks do not overlap, and
-        every position that no block covers is zero.
+        n >= 0, standing for the identity I_n; negate asks for the block's
+        negative.  Either way the block is A.rows n x A.cols n.  Row a n + t
+        of A (x) I_n is row a of A at the columns b n + t, and row a h + t of
+        I_n (x) A, for A of shape h x w, is row t of A shifted by a w.
+        Every position that no block covers is zero.
+
+        Each output row is the shifted row tuple of the one block that fills
+        it, or A's own row when the shift is zero.  Blocks run by column
+        offset, so a row that several blocks share is joined once, at the
+        end, from its pieces in column order.  A block outside the frame or
+        overlapping another raises DimensionMismatch.
         """
         neg = ring.neg_payload
-        out_cols = [[] for _ in range(rows)]
-        out_vals = [[] for _ in range(rows)]
-        # blocks by column offset keep every assembled row sorted
+        out = [_EMPTY] * rows
+        ends = [0] * rows  # past the last column each row's blocks cover
+        shared = []        # the rows that several blocks fill
         for r0, c0, left, right, negate in sorted(blocks, key=itemgetter(1)):
-            A = right if isinstance(left, int) else left
+            A, n = (right, left) if isinstance(left, int) else (left, right)
             stored = A.sparse_rows
+            h, w = len(stored) * n, A.cols * n
+            r1 = r0 + h
+            if min(r0, c0, n) < 0 or r1 > rows or c0 + w > cols:
+                raise DimensionMismatch(
+                    f"a {h}x{w} block at ({r0},{c0}) outside a {rows}x{cols} matrix")
+            if not (h and w):
+                continue
             if negate:
                 stored = [(cs, tuple(map(neg, vs))) for cs, vs in stored]
-            if A is left:  # A (x) I_n
-                n = right
-                for a, (cs, vs) in enumerate(stored):
-                    at = [b * n + c0 for b in cs]
-                    r = r0 + a * n
-                    for t in range(n):
-                        out_cols[r + t].extend([c + t for c in at] if t else at)
-                        out_vals[r + t].extend(vs)
-            else:  # I_n (x) A
-                for a in range(left):
-                    c_a = c0 + a * A.cols
-                    for r, (cs, vs) in enumerate(stored, start=r0 + a * A.rows):
-                        out_cols[r].extend([c + c_a for c in cs])
-                        out_vals[r].extend(vs)
-        return cls(ring, rows, cols,
-                   tuple((tuple(c), tuple(v)) for c, v in zip(out_cols, out_vals)))
+            if n == 1 and not c0:
+                band = stored
+            elif A is right:  # I_n (x) A: n shifted copies of A's rows
+                band = [(tuple([c + s for c in cs]), vs) if cs else _EMPTY
+                        for s in range(c0, c0 + w, A.cols) for cs, vs in stored]
+            else:  # A (x) I_n: row a of A n times, at the columns b n + c0 + t
+                band = [(tuple([b * n + s for b in cs]), vs) if cs else _EMPTY
+                        for cs, vs in stored for s in range(c0, c0 + n)]
+            reach = max(ends[r0:r1])
+            if reach > c0:
+                raise DimensionMismatch(
+                    f"a {h}x{w} block at ({r0},{c0}) overlaps another block")
+            ends[r0:r1] = [c0 + w] * h
+            if not reach:  # no earlier block in these rows
+                out[r0:r1] = band
+                continue
+            for r, row in enumerate(band, r0):
+                if row[0]:
+                    cur = out[r]
+                    if not cur[0]:
+                        out[r] = row
+                    elif cur.__class__ is list:  # a shared row's pieces so far
+                        cur.append(row)
+                    else:
+                        out[r] = [cur, row]
+                        shared.append(r)
+        for r in shared:
+            pieces = out[r]
+            if len(pieces) == 2:  # the common case, one concatenation
+                (ca, va), (cb, vb) = pieces
+                out[r] = (ca + cb, va + vb)
+            else:
+                cs, vs = zip(*pieces)
+                out[r] = (tuple([c for p in cs for c in p]), tuple([v for p in vs for v in p]))
+        return cls(ring, rows, cols, tuple(out))
 
     @classmethod
     def block(cls, grid):

@@ -41,6 +41,15 @@ def random_element(ring, rng):
     raise ValueError(f"no generator for {ring}")
 
 
+def matrix_from_entries(ring, rows, cols, entries):
+    """The rows x cols matrix with payload v at (i, j) for each triple
+    (i, j, v) of `entries` (positions distinct), zero elsewhere."""
+    grid = [[ring.zero_payload] * cols for _ in range(rows)]
+    for i, j, v in entries:
+        grid[i][j] = v
+    return Matrix.from_payload_rows(ring, rows, cols, grid)
+
+
 def random_matrix(ring, rows, cols, rng):
     if rows == 0 or cols == 0:
         return Matrix.zeros(ring, rows, cols)

@@ -12,14 +12,14 @@ import pytest
 from koszulkit import complexes as cx
 from koszulkit import descent as ds
 from koszulkit.complexes import ChainComplex, ChainMap, Homotopy
-from koszulkit.dgmodules import extension_action, is_k_linear
+from koszulkit.dgmodules import extend, extension_action, is_k_linear
 from koszulkit.errors import DimensionMismatch, MixedRings
 from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix, vanishes
 from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, poly_quotient
 
 from helpers import (
-    maximal_ideal_pool, random_element, random_minimal_complex,
+    matrix_from_entries, maximal_ideal_pool, random_element, random_minimal_complex,
     reference_extension_action, reference_is_chain_map, reference_is_contraction,
     reference_is_k_linear, reference_tensor_differential,
 )
@@ -114,7 +114,7 @@ def test_vanishes_on_cancelling_products(name):
         # a signed permutation P: P A - (P A) = 0 row by row
         perm = list(range(m))
         rng.shuffle(perm)
-        P = Matrix.from_entries(ring, m, m, [(i, perm[i], rng.choice((one, minus_one)))
+        P = matrix_from_entries(ring, m, m, [(i, perm[i], rng.choice((one, minus_one)))
                                             for i in range(m)])
         assert vanishes(ring, m, k, [(one, P, A), (minus_one, P * A, None)])
         c = element(ring, rng).payload
@@ -238,20 +238,122 @@ def test_from_kron_blocks_matches_kron_and_from_blocks():
             assert got == want, name
 
 
+def _kron_block(ring, left, right, negate):
+    """The block a from_kron_blocks tuple stands for, built by kron."""
+    if isinstance(left, int):
+        block = Matrix.identity(ring, left).kron(right)
+    else:
+        block = left.kron(Matrix.identity(ring, right))
+    return -block if negate else block
+
+
+def dense_kron_reference(ring, rows, cols, blocks):
+    """The rows x cols matrix with each block written into a dense grid."""
+    grid = [[ring.zero] * cols for _ in range(rows)]
+    for r0, c0, *spec in blocks:
+        block = _kron_block(ring, *spec)
+        for i, line in enumerate(block.data):
+            for j, x in enumerate(line):
+                grid[r0 + i][c0 + j] = x
+    return Matrix.from_rows(ring, grid) if rows else Matrix.zeros(ring, 0, cols)
+
+
+def assert_stored_form(M):
+    """One (columns, payloads) pair per row: columns strictly increasing and
+    below M.cols, one payload each, and no zero payload."""
+    assert len(M.sparse_rows) == M.rows
+    for cs, vs in M.sparse_rows:
+        assert len(cs) == len(vs)
+        assert all(0 <= a < b for a, b in zip(cs, cs[1:]))
+        assert all(0 <= c < M.cols for c in cs)
+        assert all(vs)
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_from_kron_blocks_joins_shared_rows(name):
+    """One row band takes 1-6 blocks of both kinds, given in shuffled order,
+    negated or not, with n = 0 and 1 and matrices with no rows among them;
+    each layout equals the dense kron reference and is stored canonically."""
+    ring = RINGS[name]
+    rng = random.Random(f"shared-rows:{name}")
+    for _ in range(30):
+        band = rng.randint(1, 6)
+        blocks, c0 = [], rng.randint(0, 2)
+        for _ in range(rng.randint(1, 6)):
+            n = rng.choice((0, 1, 1, 2, 3))
+            h = rng.randint(0, band // n) if n else rng.randint(0, 3)
+            A = matrix(ring, h, rng.randint(0, 3), rng)
+            r0 = rng.randint(0, band - h * n)
+            spec = (n, A) if rng.random() < 0.5 else (A, n)
+            blocks.append((r0, c0, *spec, rng.random() < 0.5))
+            c0 += A.cols * n + rng.randint(0, 2)
+        rows, cols = band + rng.randint(0, 2), c0 + rng.randint(0, 2)
+        rng.shuffle(blocks)
+        got = Matrix.from_kron_blocks(ring, rows, cols, blocks)
+        assert got == dense_kron_reference(ring, rows, cols, blocks), blocks
+        assert_stored_form(got)
+
+
+def test_from_kron_blocks_joins_a_row_of_300_blocks():
+    ring = RINGS["Z/12"]
+    rng = random.Random("300-blocks")
+    blocks = [(0, j, matrix(ring, 1, 1, rng), 1, rng.random() < 0.5) for j in range(300)]
+    rng.shuffle(blocks)
+    got = Matrix.from_kron_blocks(ring, 1, 300, blocks)
+    assert got == dense_kron_reference(ring, 1, 300, blocks)
+    assert_stored_form(got)
+    assert len(got.sparse_rows[0][0]) == sum(1 for *_, A, _, _ in blocks if not A.is_zero())
+
+
+def test_from_kron_blocks_rejects_blocks_outside_the_frame_or_overlapping():
+    ring = Zmod(4)
+    A, I3 = Matrix.identity(ring, 2), Matrix.identity(ring, 3)
+    Z = Matrix.zeros(ring, 2, 2)
+    bad = [
+        (2, 2, [(0, 1, A, 1, False)]),                        # columns 1-2 of 2
+        (2, 2, [(1, 0, A, 1, False)]),                        # rows 1-2 of 2
+        (2, 4, [(0, -1, A, 1, False)]),                       # a negative offset
+        (4, 4, [(0, 0, 2, I3, False)]),                       # I_2 (x) I_3 is 6x6
+        (2, 4, [(0, 0, A, 1, False), (0, 1, A, 1, False)]),   # columns 1 and 2 twice
+        (2, 4, [(0, 1, A, 1, False), (0, 0, A, 1, False)]),   # the same, given later
+        (3, 4, [(1, 0, A, 1, False), (0, 1, Z, 1, False)]),   # a zero block still covers
+        (4, 4, [(0, 0, A, 2, False), (2, 2, Z, 1, False)]),   # inside A (x) I_2
+    ]
+    for rows, cols, blocks in bad:
+        with pytest.raises(DimensionMismatch):
+            Matrix.from_kron_blocks(ring, rows, cols, blocks)
+    # blocks that only touch, and empty blocks on the frame's edge, are fine
+    got = Matrix.from_kron_blocks(ring, 2, 4, [
+        (0, 2, A, 1, True), (0, 0, A, 1, False), (2, 4, A, 0, False), (0, 4, 0, A, False)])
+    assert got == Matrix.from_blocks(ring, [2], [2, 2], {(0, 0): A, (0, 1): -A})
+
+
 @pytest.mark.parametrize("name", ["Z/12", "F2[x]/(x^3)", "F2[x,y]/(x,y)^2"])
 def test_extension_action_matches_the_kron_blocks(name):
     ring = RINGS[name]
     rng = random.Random(f"extension:{name}")
     pool = maximal_ideal_pool(ring)
-    for e in (0, 1, 2, 3):
+    gapped = ChainComplex(ring, {-1: 1, 0: 2, 2: 1}, {   # a gap and negative support
+        0: Matrix.from_rows(ring, [[pool[0], pool[-1]]])})
+    for e in (0, 1, 2, 3, 4):
         K = koszul(ring, [rng.choice(pool) for _ in range(e)])
-        for P in (random_minimal_complex(ring, rng),
-                  ChainComplex(ring, {0: 2, 2: 1}, {}),    # a zero-rank summand
-                  ChainComplex(ring, {1: 1}, {})):
+        complexes = [gapped] if e == 4 else [
+            random_minimal_complex(ring, rng),
+            ChainComplex(ring, {0: 2, 2: 1}, {}),    # a zero-rank summand
+            ChainComplex(ring, {1: 1}, {}), gapped]
+        for P in complexes:
+            D = extend(K, P)
+            under = D.underlying
+            degrees = range(min(P.support) - 2, max(P.support) + e + 2)
             for H in (S for d in K.basis.values() for S in d):
-                for n in range(-2, max(P.support) + e + 2):
-                    assert extension_action(K, P, H, n) \
-                        == reference_extension_action(K, P, H, n), (e, H, n)
+                # extend stores the actions between nonzero degrees, no others
+                stored = [n for n in degrees if under.rank(n) and under.rank(n + len(H))]
+                assert list(D.action[H]) == stored, (e, H)
+                for n in degrees:
+                    want = reference_extension_action(K, P, H, n)
+                    assert extension_action(K, P, H, n) == want, (e, H, n)
+                    if n in stored:
+                        assert D.action[H][n] == want, (e, H, n)
 
 
 # ---------------------------------------------------------------------------

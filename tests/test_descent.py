@@ -13,7 +13,9 @@ from koszulkit.koszul import koszul
 from koszulkit.matrices import Matrix
 from koszulkit.rings import RingHom, ZZ, Zmod, parse_element, poly_quotient
 
-from helpers import conjugated_assignment, count_calls, random_minimal_complex
+from helpers import (
+    conjugated_assignment, count_calls, matrix_from_entries, random_minimal_complex,
+)
 
 Z = ZZ()
 Z4 = Zmod(4)
@@ -113,7 +115,7 @@ def evaluated_b_rows(K, P, n):
                 assert var.family == "X"
                 term = term * values[var]
             entries[i, j] = term.payload
-    return Matrix.from_entries(ring, len(rows), shape.r_at(n),
+    return matrix_from_entries(ring, len(rows), shape.r_at(n),
                                [(i, j, v) for (i, j), v in entries.items()])
 
 

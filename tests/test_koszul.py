@@ -2,12 +2,12 @@ import random
 
 from koszulkit import complexes as cx
 from koszulkit.koszul import (
-    koszul, koszul_base_change, shuffle_sign, subsets_by_degree, verify_dga,
+    KoszulAlgebra, koszul, koszul_base_change, shuffle_sign, subsets_by_degree, verify_dga,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, RingHom, ZZ, Zmod, poly_quotient
 
-from helpers import maximal_ideal_pool, random_element
+from helpers import matrix_from_entries, maximal_ideal_pool, random_element
 
 Z = ZZ()
 Z4 = Zmod(4)
@@ -176,13 +176,33 @@ def all_pairs_mult(K):
                 prod = K.product_of_basis(H, S)
                 if prod is not None:
                     entries.append((K.index[prod[1]], j, signed_one[prod[0]]))
-            mult[H][n] = Matrix.from_entries(
+            mult[H][n] = matrix_from_entries(
                 K.ring, len(K.basis[n + len(H)]), len(K.basis[n]), entries)
     return mult
 
 
 def test_multiplication_matrices_match_the_all_pairs_products():
-    for ring in (Z4, Z):
-        for e in range(7):
-            K = koszul(ring, [ring.from_int(2)] * e)
-            assert K.mult == all_pairs_mult(K)
+    x, y = QUAD.variable("x"), QUAD.variable("y")
+    for ring, a in ((Z4, Z4.from_int(2)), (Z, Z.from_int(2)), (QUAD, None)):
+        for e in range(8):
+            seq = [a] * e if a is not None else [(x, y)[i % 2] for i in range(e)]
+            K = koszul(ring, seq)
+            assert K.mult == all_pairs_mult(K), (ring, e)
+
+
+def test_differentials_match_the_alternating_sums():
+    """Each differential equals the matrix of d(e_S) from `diff_of_basis`,
+    for sequences with zero, unit and nilpotent entries."""
+    rng = random.Random("koszul-differentials")
+    for ring in (Z4, Z, GF(5), QUAD):
+        pool = [ring.from_int(c) for c in (0, 1, -1, 2, 3)]
+        pool += maximal_ideal_pool(ring) if ring.is_finite() else []
+        for e in range(8):
+            K = KoszulAlgebra(ring, [rng.choice(pool) for _ in range(e)])
+            assert sorted(K.complex.support) == list(range(e + 1))
+            for n in range(1, e + 1):
+                entries = [(K.index[S2], j, c.payload)
+                           for j, S in enumerate(K.basis[n])
+                           for c, S2 in K.diff_of_basis(S)]
+                want = matrix_from_entries(ring, len(K.basis[n - 1]), len(K.basis[n]), entries)
+                assert K.complex.diff(n) == want, (ring, e, n)

@@ -13,7 +13,7 @@ from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, poly_quotient
 
 from helpers import (
     VarPolyRing, count_calls, dense_add, dense_from_blocks, dense_is_zero, dense_kron,
-    dense_mul, dense_neg, dense_scale, dense_transpose, random_element,
+    dense_mul, dense_neg, dense_scale, dense_transpose, matrix_from_entries, random_element,
 )
 
 Q_EPS = poly_quotient("Q", ["x"], ["x^2"])
@@ -147,18 +147,18 @@ def test_constructors_store_no_zero(name):
     entries = [(i, j, v) for i, r in enumerate(payloads) for j, v in enumerate(r)]
     rng.shuffle(entries)
     by_rows = Matrix.from_payload_rows(ring, 3, 4, payloads)
-    assert by_rows == Matrix.from_entries(ring, 3, 4, entries) == Matrix.from_rows(ring, g)
+    assert by_rows == matrix_from_entries(ring, 3, 4, entries) == Matrix.from_rows(ring, g)
     for M in (Matrix.zeros(ring, 3, 2), Matrix.zeros(ring, 0, 4), Matrix.zeros(ring, 4, 0),
               Matrix.identity(ring, 3), Matrix.identity(ring, 0),
-              Matrix.from_entries(ring, 3, 3, [(0, 0, ring.one_payload), (1, 1, ring.zero_payload),
+              matrix_from_entries(ring, 3, 3, [(0, 0, ring.one_payload), (1, 1, ring.zero_payload),
                                                (2, 2, ring.unbox(element(ring, rng)))]),
               matrix(ring, 3, 3, rng), matrix(ring, 2, 3, rng, zero=True),
               Matrix.from_columns(ring, 3, [[ring.zero_payload, ring.one_payload,
                                              ring.zero_payload]]),
               Matrix.from_columns(ring, 0, [[], []]),
-              by_rows, Matrix.from_entries(ring, 3, 4, entries),
+              by_rows, matrix_from_entries(ring, 3, 4, entries),
               Matrix.from_payload_rows(ring, 0, 3, []),
-              Matrix.from_entries(ring, 2, 0, [])):
+              matrix_from_entries(ring, 2, 0, [])):
         assert_stored_sparsely(M)
         assert M.is_zero() == dense_is_zero(M)
     assert Matrix.from_columns(ring, 0, [[], []]).cols == 2
