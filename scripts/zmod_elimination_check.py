@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Check the Z/n Howell engine on 40x40 matrices over Z/8, Z/27 and Z/36,
-seeds 0-3, and Smith over Z on 24x24 integer matrices, seeds 0-1.
+seeds 0-3, the F_p column reduction on 30x30 matrices over F2[x]/(x^8),
+F3[x]/(x^3) and F2[x]/(x^4+x^2), seeds 0-1, and Smith over Z on 24x24
+integer matrices, seeds 0-1.
 
     python3 scripts/zmod_elimination_check.py
 
@@ -22,6 +24,20 @@ kernel_basis and solve(A, A X0) on them, and checks:
 - solve returns some X with A X = A X0;
 - every entry of H, U, U^-1, K and X is below n.
 
+Then each seed s of the F_p[x]/(f) part draws a 30x30 matrix A whose
+entries are x times elements uniform mod f, so none is a unit, and a 30x3
+matrix X0 from random.Random(s), runs kernel_basis and solve(A, A X0) (the
+column reduction over F_p) and howell_form on A^T (the Howell engine, which
+these calls no longer use), and checks:
+
+- A * K = 0 and A X = A X0;
+- |span K| = |ker A| = |R|^30 / |column span of A|, where the column span
+  of A is the row span of A^T, of size the product of p^(deg f - deg d)
+  over the Howell pivots d of A^T;
+- every entry of K and X has degree below deg f.
+
+It prints the times of kernel_basis, solve and howell_form.
+
 Then each seed s of the Smith part draws a 24x24 matrix over Z with entries
 in [-9, 9] from random.Random(s), runs smith_form on it and checks the
 certificate S * A * T = D, S * S^-1 = 1 and T * T^-1 = 1 (verify()), a
@@ -41,9 +57,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from koszulkit.linalg import howell_form, kernel_basis, smith_form, solve, span_cardinality
 from koszulkit.matrices import Matrix
-from koszulkit.rings import ZZ, Zmod
+from koszulkit.rings import ZZ, Zmod, poly_quotient
 
 MODULI, SIZE, SEEDS, RHS_COLS = (8, 27, 36), 40, range(4), 3
+ALGEBRAS = (("F2", "x^8"), ("F3", "x^3"), ("F2", "x^4 + x^2"))
+ALGEBRA_SIZE, ALGEBRA_SEEDS = 30, range(2)
 Z_SIZE, Z_SEEDS = 24, range(2)
 
 
@@ -101,6 +119,47 @@ def random_matrix(R, n, rows, cols, rng):
                                 for _ in range(rows)])
 
 
+def degree(payload):
+    """The degree of a nonzero element of F_p[x]/(f), terms by descending
+    exponent."""
+    return payload[0][0][0]
+
+
+def random_poly_matrix(R, rows, cols, rng, factor):
+    """Entries uniform mod f, each times `factor`."""
+    pool = list(R.elements())
+    return Matrix.from_rows(R, [[factor * rng.choice(pool) for _ in range(cols)]
+                                for _ in range(rows)])
+
+
+def check_algebra(coeff, relation, seed):
+    """The F_p[x]/(f) checks of one matrix; returns the failed check names."""
+    R, rng = poly_quotient(coeff, ["x"], [relation]), random.Random(seed)
+    p, deg_f, n = R.coeff.p, degree(R.groebner[0]), ALGEBRA_SIZE
+    A = random_poly_matrix(R, n, n, rng, R.variable("x"))
+    B = A * random_poly_matrix(R, n, RHS_COLS, rng, R.one)
+    K, kernel_ms = timed(kernel_basis, R, A)
+    X, solve_ms = timed(solve, R, A, B)
+    nf, howell_ms = timed(howell_form, R, A.transpose())
+    # |ker A| = p^(n deg f) / prod p^(deg f - deg d)
+    exponent = n * deg_f - sum(deg_f - degree(d.payload) for d in nf.diagonal() if d)
+    count = p ** exponent
+    entries = [x.payload for M in (K,) + ((X,) if X is not None else ())
+               for row in M.data for x in row if not x.is_zero()]
+    checks = {
+        "A K = 0": (A * K).is_zero(),
+        "|span K| = |ker A|": span_cardinality(R, K) == count,
+        "A X = B": X is not None and A * X == B,
+        f"degrees below {deg_f}": all(degree(x) < deg_f for x in entries),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    print(f"{R} seed {seed}: kernel_basis {kernel_ms:.1f} ms ({K.cols} generators, "
+          f"|ker A| = {p}^{exponent}), "
+          f"solve {solve_ms:.1f} ms, howell_form of A^T {howell_ms:.1f} ms: "
+          + ("ok" if not failed else "WRONG " + ", ".join(failed)))
+    return failed
+
+
 def main():
     wrong = []
     for n, seed in ((n, seed) for n in MODULI for seed in SEEDS):
@@ -130,6 +189,9 @@ def main():
               + (f"Smith over Z {smith[1]:.0f} ms, " if smith else "") +
               f"largest entry {max(entries, default=0).bit_length()} bits: "
               + ("ok" if not failed else "WRONG " + ", ".join(failed)))
+    for (coeff, relation), seed in ((a, s) for a in ALGEBRAS for s in ALGEBRA_SEEDS):
+        wrong += [(f"{coeff}[x]/({relation}) seed {seed}", name)
+                  for name in check_algebra(coeff, relation, seed)]
     Z = ZZ()
     for seed in Z_SEEDS:
         rng = random.Random(seed)

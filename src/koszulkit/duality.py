@@ -16,9 +16,10 @@ since Hom(F, K (x) N) = Hom(F (x) K*, N) for the Koszul complex K.
 - Over a finite ring Hom(G_m, N) = N^{rank G_m}, so |H_{-m}| is
   |N|^{rank G_m} over the sizes of the images of the two dual
   differentials Hom(d_m, N) and Hom(d_{m+1}, N).  Over a prime field or a
-  finite-dimensional F_p-algebra those sizes are p^rank of F_p matrices
-  built from the action of the differentials' entries on N, and Ext's
-  resolution stays in packed F_p coordinates.  Over Z/n each size is one
+  finite-dimensional F_p-algebra, F_p[x]/(f) included, those sizes are
+  p^rank of F_p matrices built from the action of the differentials'
+  entries on N, and Ext's resolution stays in packed F_p coordinates.  Over
+  Z/n, the one finite ring left on the Howell engine, each size is one
   Howell form (linalg.dual_image_cardinalities).  Ext reads only the
   degrees below the end of the first period.
 - Over Z, Q and F_p[x] the homology is an explicit subquotient of

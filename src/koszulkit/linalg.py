@@ -3,30 +3,31 @@
 Three elimination engines, all on payloads through the one payload
 protocol of `rings.Ring`, so no entry is boxed into a RingElement:
 
-- F_p and finite-dimensional F_p-algebras run reduced row echelon form
-  over F_p (_fp_rref), an algebra element expanded to its multiplication
-  matrix on the standard monomials.  Every F_p vector, for every p, is one
-  int with each coordinate in a fixed-width field (_Codec: one bit and XOR
-  for p = 2, one byte and a byte-translate reduction up to p = 13, wider
-  fields above), so one code path serves every p.  It gives kernels,
-  solutions and ranks, hence cardinalities and the unit test.  A
-  resolution over any of these rings, F_p[x]/(f) included, stays in these
-  coordinates from one step to the next: a step reduces the columns b_a
-  c_j of the expansion once (_reduce_columns), with no F_p rows made, for
-  its kernel and rank, and checks each d_i d_{i+1} = 0 there.  `FpModule`
-  holds a finitely presented module as an F_p-space, from which
+- F_p and every finite-dimensional F_p-algebra, F_p[x]/(f) included, run
+  one column reduction over F_p (_reduce_columns), an algebra element
+  standing for its multiplication matrix on the standard monomials.  Every
+  F_p vector, for every p, is one int with each coordinate in a
+  fixed-width field (_Codec: one bit and XOR for p = 2, one byte and a
+  byte-translate reduction up to p = 13, wider fields above), so one code
+  path serves every p.  The reduction takes the columns b_a c_j of a
+  matrix's expansion once, each tagged with its own coordinate, and makes
+  no F_p rows: the columns it keeps give the rank, hence cardinalities and
+  the unit test of a non-local algebra; those that reduce to zero give the
+  kernel, the same one for `kernel_basis` and a resolution step
+  (_packed_kernel); a right-hand side reduced against the kept columns
+  gives a solution (_packed_solve).  `FpModule` holds a finitely presented
+  module as an F_p-space by reduced row echelon form (_fp_rref), from which
   `dual_rank` reads the rank of Hom(d, N).
-- Z/n = Z/(n) and F_p[x]/(f) run one Howell row reducer (_howell; Howell
-  1986, Storjohann & Mulders 1998) with the ring's own row kernels
+- Z/n = Z/(n) runs one Howell row reducer (_howell; Howell 1986,
+  Storjohann & Mulders 1998) with the ring's own row kernels
   (`axpy_payloads`, `combine_payloads`), so every entry, transforms
   included, stays reduced; only pivot arithmetic runs in the Euclidean
-  lift, Z or the ambient F_p[x].  It gives
-  howell_form, kernels (from the Howell form of [A^T | I]), solutions and
-  cardinalities, among them the image sizes of Hom(d, N) that Ext over Z/n
-  reads; its input rows are written from the stored rows of the matrices.
-  Over F_p[x]/(f) it serves only the public kernels, solutions and spans,
-  not the resolution.  Over a field it gives row_echelon, the Hermite
-  form.
+  lift Z.  It gives howell_form, kernels (from the Howell form of [A^T |
+  I]), solutions and cardinalities, among them the image sizes of Hom(d, N)
+  that Ext over Z/n reads; its input rows are written from the stored rows
+  of the matrices.  The same reducer, lifted to the ambient F_p[x], gives
+  the public `howell_form` over F_p[x]/(f) and, over a field, row_echelon,
+  the Hermite form.
 - The domains Z, Q and F_p[x] run smith_data with recorded transforms for
   kernels, solutions and subquotients R^c / preimage(V, W), whose Smith
   diagonal also serves Z/n on the lift enlarged by n Z^c.
@@ -52,7 +53,9 @@ from functools import cached_property
 from itertools import count
 from math import prod
 
-from .errors import BudgetExceeded, CapabilityMissing, DimensionMismatch, NotAComplex
+from .errors import (
+    BudgetExceeded, CapabilityMissing, DimensionMismatch, MixedRings, NotAComplex,
+)
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RATIONALS, ZMOD, ZZ
 
@@ -104,8 +107,9 @@ def lift_context(ring):
     """The Euclidean lift behind a linear_solve ring, or None.
 
     Z, Q, F_p and F_p[x] are their own lift; Z/n lifts to Z and F_p[x]/(f)
-    to its ambient F_p[x].  A ring's payloads are payloads of its lift, so
-    only results are converted, by reduction modulo the generator.
+    to its ambient F_p[x], for its Howell form and the chain ring
+    isomorphisms of `duality`.  A ring's payloads are payloads of its lift,
+    so only results are converted, by reduction modulo the generator.
     """
     if ring.kind == ZMOD:
         n = ring.modulus
@@ -132,16 +136,22 @@ def _fp_view_of(ring):
     return view
 
 
-def _engine(ring):
+def _engine(ring, *matrices):
     """(F_p view, None) or (None, lift context): how kernels, solutions and
-    cardinalities over `ring` are computed.
+    cardinalities over `ring` are computed.  Raises MixedRings when one of
+    `matrices` is over another ring, CapabilityMissing when no engine takes
+    the ring.
 
-    Prime fields and the F_p-algebras with no Euclidean lift run on F_p
-    rows, Z/n and F_p[x]/(f) (a lift with a modulus) on _howell, the domains
-    Z, Q and F_p[x] on smith_data.
+    Prime fields and every finite-dimensional F_p-algebra, F_p[x]/(f)
+    included, run on the column reduction of their expansion over F_p
+    (_reduce_columns); Z/n (a lift with a modulus) runs on _howell, the
+    domains Z, Q and F_p[x] on smith_data.
     """
-    ctx = None if ring.kind == PRIMEFIELD else lift_context(ring)
-    view = None if ctx is not None else _fp_view_of(ring)
+    for A in matrices:
+        if A.ring is not ring and A.ring != ring:
+            raise MixedRings(f"a matrix over {A.ring} given to linear algebra over {ring}")
+    view = _fp_view_of(ring)
+    ctx = None if view is not None else lift_context(ring)
     if ctx is None and view is None:
         raise CapabilityMissing(f"{ring} does not support linear solving")
     return view, ctx
@@ -399,17 +409,15 @@ def _fp_rref(codec, rows, ncols):
     the pivot columns.  Entries beyond `ncols` (right-hand sides) are carried
     along by the row operations but never chosen as pivots.
 
-    `rows` holds packed vectors of `codec` (a _Codec or the prime p).
-    Forward elimination groups the rows by their lowest nonzero column; at
-    each column that starts a row, the first such row is scaled to 1 there
-    and clears the column from the others with one axpy each.  Back
-    substitution then clears each pivot row's later pivot columns at once
-    with `lincomb`, from the last pivot up.  Pivot rows come first, in
-    pivot order.  Reduced echelon rows are unique, so they are those of
-    Gauss-Jordan elimination column by column.
+    `rows` holds packed vectors of the _Codec `codec`.  Forward elimination
+    groups the rows by their lowest nonzero column; at each column that
+    starts a row, the first such row is scaled to 1 there and clears the
+    column from the others with one axpy each.  Back substitution then
+    clears each pivot row's later pivot columns at once with `lincomb`, from
+    the last pivot up.  Pivot rows come first, in pivot order.  Reduced
+    echelon rows are unique, so they are those of Gauss-Jordan elimination
+    column by column.
     """
-    if isinstance(codec, int):
-        codec = _Codec(codec)
     p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
     starts = {}  # column -> the rows whose lowest nonzero coordinate is there
     for r, v in enumerate(rows):
@@ -446,44 +454,6 @@ def _fp_rref(codec, rows, ncols):
     return list(pivot_row)
 
 
-def _fp_kernel(codec, rows, ncols):
-    """Kernel basis vectors of the matrix given by packed rows, one for each
-    non-pivot column in increasing order."""
-    work = list(rows)
-    pivots = _fp_rref(codec, work, ncols)
-    p, w = codec.p, codec.width
-    pivot_set = set(pivots)
-    free = [f for f in range(ncols) if f not in pivot_set]
-    # a reduced pivot row is nonzero only at its pivot and at free columns
-    vecs = {f: 1 << f * w for f in free}
-    for row, pc in zip(work, pivots):
-        for f, x in codec.nonzero(row):
-            if f != pc:
-                vecs[f] |= (p - x) << pc * w
-    return [vecs[f] for f in free]
-
-
-def _fp_solve(codec, rows, ncols, rhs):
-    """One solution x of rows * x = b for every packed vector b in `rhs`, or
-    None when some b lies outside the column span.
-
-    The right-hand sides ride along as extra columns of a single elimination.
-    """
-    w = codec.width
-    work = list(rows)
-    for k, b in enumerate(rhs):
-        for i, x in codec.nonzero(b):
-            work[i] |= x << (ncols + k) * w
-    pivots = _fp_rref(codec, work, ncols)
-    if any(work[r] >> ncols * w for r in range(len(pivots), len(work))):
-        return None
-    sols = [0] * len(rhs)
-    for row, pc in zip(work, pivots):
-        for k, x in codec.nonzero(row >> ncols * w):
-            sols[k] |= x << pc * w
-    return sols
-
-
 class _Echelon:
     """An F_p-subspace of packed vectors grown one vector at a time.
 
@@ -517,9 +487,9 @@ class _FpView:
     coefficients on the standard monomials of an algebra, the payloads of
     `basis`.  A vector of n entries has n * dim coordinates, entry i's from
     i * dim on, packed into one int by the view's codec (_Codec, chosen once
-    from p).  A matrix becomes the packed rows of its expansion over F_p, in
-    which each entry a stands for the dim x dim matrix of multiplication by
-    a.
+    from p).  A matrix is the list of the vectors of its columns
+    (`columns`); its expansion over F_p, in which each entry a stands for
+    the dim x dim matrix of multiplication by a, is never written out.
     """
 
     def __init__(self, ring):
@@ -558,25 +528,6 @@ class _FpView:
             return self._monomial(payload[0][0])
         tables = [(c, self._monomial(m)) for m, c in payload]
         return [self.codec.lincomb(0, [(c, t[i]) for c, t in tables]) for i in range(self.dim)]
-
-    def rows(self, A):
-        """(rows, column count) of A expanded over F_p.
-
-        Zero entries are skipped entirely, which matters for the sparse
-        block matrices of hom complexes.
-        """
-        D, w = self.dim, self.codec.width
-        if self.std is None:
-            return [sum(a << j * w for j, a in zip(js, payloads))
-                    for js, payloads in A.sparse_rows], A.cols
-        out = [0] * (A.rows * D)
-        for i, (js, payloads) in enumerate(A.sparse_rows):
-            for j, payload in zip(js, payloads):
-                shift = j * D * w
-                for b, row in enumerate(self.mult_rows(payload), start=i * D):
-                    if row:
-                        out[b] |= row << shift
-        return out, A.cols * D
 
     def columns(self, A):
         """The coordinate vectors of A's columns."""
@@ -677,10 +628,6 @@ class _FpView:
         present = self.coordinates(vecs)
         return {a for a, row in enumerate(self.products) if any(row[s] for s in present)}
 
-    def rank(self, A):
-        """Rank of A's expansion: |column span of A| = p ** rank."""
-        return len(_fp_rref(self.codec, *self.rows(A)))
-
 
 def _nakayama_keep(view, vecs, n, submodule=False):
     """The indices j, in order, of the vectors v_j (of n entries) that a
@@ -717,6 +664,75 @@ def _nakayama_keep(view, vecs, n, submodule=False):
     return [j for j, v in enumerate(vecs) if span.add(v)]
 
 
+def _reduce_columns(view, cols, nrows):
+    """(pivots, kernel) of the expansion over F_p of the matrix with nrows
+    rows and columns of coordinates `cols`, by one column reduction.
+
+    Column t = j D + a of the expansion is b_a c_j (`action`; c_j for the
+    unit b_0, 0 for an a outside `acting`), taken in order of t with a 1 in
+    field nrows D + t above its row fields, so each axpy reduces the column
+    and its combination together.  A column is reduced at its lowest field
+    by the kept column there, scaled to 1, until it is kept or its row
+    fields vanish and its shifted tag is a kernel vector.  The kept columns,
+    by their lowest field, are the pivots: the first independent columns,
+    as many as the rank.  Each kernel vector is the one reduced row echelon
+    form of the expanded rows gives for that free column: e_t plus a
+    combination of earlier kept columns.
+    """
+    codec, top = view.codec, nrows * view.dim  # top: the first tag field
+    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
+    live = view.acting(cols) if view.dim > 1 else ()
+    acts = [view.action(b, nrows) if a in live else None for a, b in enumerate(view.basis) if a]
+    pivots, kernel, tag = {}, [], 1 << top * w
+    for c in cols:
+        for v in (c, *[act(c) if act else 0 for act in acts]):
+            v, tag = v | tag, tag << w
+            while (low := ((v & -v).bit_length() - 1) // w) in pivots:
+                v = axpy(v, p - (v >> low * w & mask), pivots[low])
+            if low >= top:
+                kernel.append(v >> top * w)
+            else:
+                x = v >> low * w & mask
+                pivots[low] = v if x == 1 else axpy(0, pow(x, -1, p), v)
+    return pivots, kernel
+
+
+def _packed_kernel(view, cols, nrows):
+    """Generators of the kernel of the matrix with nrows rows and columns of
+    coordinates `cols`: the kernel vectors of its column reduction, over an
+    F_p-algebra those that `_nakayama_keep` keeps of them (a minimal
+    generating set over a local algebra).  `kernel_basis` and every
+    resolution step take this kernel."""
+    vecs = _reduce_columns(view, cols, nrows)[1]
+    if len(vecs) > 1 and view.std is not None:
+        vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), submodule=True)]
+    return vecs
+
+
+def _packed_solve(view, cols, nrows, rhs):
+    """One solution x of A x = b for every packed vector b of `rhs`, or None
+    when some b lies outside the column span of A, the matrix with nrows
+    rows and columns of coordinates `cols`.
+
+    b is reduced against the kept columns of A's column reduction.  Each
+    one holds A y in its row fields and y in its tag fields, so when b's
+    row fields vanish its tag fields hold -x for x with A x = b, where the
+    tag of column t = j dim + a is coordinate t of x.  As x lives on the
+    pivot columns only, it is the solution of the reduced row echelon form.
+    """
+    codec, top = view.codec, nrows * view.dim
+    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
+    pivots = _reduce_columns(view, cols, nrows)[0]
+    sols = []
+    for v in rhs:
+        while (low := ((v & -v).bit_length() - 1) // w) in pivots:
+            v = axpy(v, p - (v >> low * w & mask), pivots[low])
+        if 0 <= low < top:  # a row field no kept column reaches
+            return None
+        sols.append(axpy(0, p - 1, v >> top * w))
+    return sols
+
+
 # ---------------------------------------------------------------------------
 # Howell row reduction over ED/(f)
 
@@ -731,8 +747,9 @@ def _howell(ring, ctx, W, ncols, reduce_from=None, transforms=False):
     no entry, transforms included, leaves the ring; only pivot arithmetic
     (gcdex, exact division) runs in ED.  Returns the pivots as (column,
     row) pairs, and with `transforms` also U and U^-1 transposed (so its
-    column operations are row operations too), where U * W_in = W_out.
-    Column by column:
+    column operations are row operations too), where U * W_in = W_out.  It
+    serves kernels, solutions and span sizes over Z/n, `howell_form` over
+    Z/n and F_p[x]/(f) and `row_echelon` over a field.  Column by column:
 
     - gather: the entry of least size at or below the pivot row moves up;
       an entry the pivot divides is cleared by a subtraction, any other by
@@ -857,19 +874,15 @@ def _augmented_transpose(A):
 
 
 def _howell_span_size(ring, ctx, W, ncols):
-    """|span of the dense rows W| (ncols wide) over ED/(f): the product of
-    the sizes of the ideals (d), d a pivot of their Howell form, where
-    |(d)| is |ED/(f/d)|: n/d over Z, p^(deg f - deg d) over F_p[x].  W is
+    """|span of the dense rows W| (ncols wide) over Z/n: the product of the
+    sizes n/d of the ideals (d), d a pivot of their Howell form.  W is
     reduced in place."""
-    f = ctx.modulus
-    if ring.kind == POLYQUOT:
-        return prod(ring.coeff.p ** (f[0][0][0] - W[i][j][0][0][0])
-                    for j, i in _howell(ring, ctx, W, ncols))
-    return prod(f // W[i][j] for j, i in _howell(ring, ctx, W, ncols))
+    n = ctx.modulus
+    return prod(n // W[i][j] for j, i in _howell(ring, ctx, W, ncols))
 
 
 def _howell_solve(ring, ctx, A, B):
-    """X with A X = B over ED/(f), or None.  The rows of [A^T | I] pair A x
+    """X with A X = B over Z/n, or None.  The rows of [A^T | I] pair A x
     with x; each column b of B, as the row (b^T | 0), is reduced against the
     left pivots of their Howell form, which decide membership, to (0 | -x^T).
     """
@@ -918,14 +931,15 @@ def _grid_to_matrix(ring, ctx, grid, cols):
 def kernel_basis(ring, A):
     """Columns generating ker(A) as a module (a basis over fields, Z, F_p[x]).
 
-    Over Z/n and F_p[x]/(f) these are the rows of the Howell form of
-    [A^T | I] whose left part is zero, read from their right part straight
-    into the stored rows of the kernel matrix.
+    Over a ring with an F_p view they are the kernel generators of a
+    resolution step (_packed_kernel): a basis over a prime field, a minimal
+    generating set over a local algebra.  Over Z/n they are the rows of the
+    Howell form of [A^T | I] whose left part is zero, read from their right
+    part straight into the stored rows of the kernel matrix.
     """
-    view, ctx = _engine(ring)
+    view, ctx = _engine(ring, A)
     if view is not None:
-        rows, ncols = view.rows(A)
-        return view.matrix(_fp_kernel(view.codec, rows, ncols), A.cols)
+        return view.matrix(_packed_kernel(view, view.columns(A), A.rows), A.cols)
     if ctx.modulus is not None:
         W, left = _augmented_transpose(A), A.rows
         kernel = [W[i] for j, i in _howell(ring, ctx, W, left + A.cols, reduce_from=left)
@@ -944,12 +958,11 @@ def kernel_basis(ring, A):
 
 def solve(ring, A, B):
     """Some X with A X = B, or None; B may have several columns."""
-    view, ctx = _engine(ring)
+    view, ctx = _engine(ring, A, B)
     if A.rows != B.rows:
         raise DimensionMismatch(f"A is {A.rows}x{A.cols}, rhs has {B.rows} rows")
     if view is not None:
-        rows, ncols = view.rows(A)
-        sols = _fp_solve(view.codec, rows, ncols, view.columns(B))
+        sols = _packed_solve(view, view.columns(A), A.rows, view.columns(B))
         return None if sols is None else view.matrix(sols, A.cols)
     if ctx.modulus is not None:
         return _howell_solve(ring, ctx, A, B)
@@ -980,20 +993,23 @@ def kernel_cardinality(ring, A):
 
 
 def span_cardinality(ring, A):
-    """|column span of A| as a submodule of ring^rows (finite rings)."""
+    """|column span of A| as a submodule of ring^rows (finite rings): p^rank
+    of its column reduction over a ring with an F_p view, a Howell span size
+    over Z/n."""
+    view, ctx = _engine(ring, A)
     if A.cols == 0:
         return 1
-    view, ctx = _engine(ring)
     if view is not None:
-        return view.p ** view.rank(A)
+        return view.p ** len(_reduce_columns(view, view.columns(A), A.rows)[0])
     if ctx.modulus is None:
         raise CapabilityMissing(f"{ring} is not finite")
     return _howell_span_size(ring, ctx, _column_grid(A), A.rows)
 
 
 def dual_image_cardinalities(ring, diffs, relations):
-    """[|im Hom(d, N)| for d in diffs] over Z/n or F_p[x]/(f), where N =
-    coker(relations) and Hom(d, N) : N^{d.rows} -> N^{d.cols}, phi -> phi d.
+    """[|im Hom(d, N)| for d in diffs] over Z/n, where N = coker(relations)
+    and Hom(d, N) : N^{d.rows} -> N^{d.cols}, phi -> phi d.  A ring with an
+    F_p view reads these ranks from `FpModule.dual_rank` instead.
 
     In the (target, source) row-major layout of R^{g c}, for g generators
     of N and c columns of d, the image is span[I_g (x) d^T | relations (x)
@@ -1001,9 +1017,9 @@ def dual_image_cardinalities(ring, diffs, relations):
     from the stored rows: row j of d once at each offset a c, and each
     relation column once at each source k.
     """
+    if ring.kind != ZMOD:
+        raise CapabilityMissing(f"{ring} is not Z/n")
     ctx = lift_context(ring)
-    if ctx is None or ctx.modulus is None:
-        raise CapabilityMissing(f"{ring} is not Z/n or F_p[x]/(f)")
     g, zero = relations.rows, ring.zero_payload
     rel_cols = [[(a, v) for a, v in enumerate(col) if v] for col in _column_grid(relations)]
     rel_card = span_cardinality(ring, relations)
@@ -1264,7 +1280,7 @@ def subquotient(ring, V, W):
     n I_c) gives c minus its nonzero entries as the free rank and its
     non-units as the invariant factors.
     """
-    _, ctx = _engine(ring)
+    _, ctx = _engine(ring, V, W)
     if V.rows != W.rows:
         raise DimensionMismatch("ambient ranks differ")
     if ring.is_finite() and ring.kind != ZMOD:
@@ -1290,7 +1306,7 @@ def homology_module(ring, d_in, d_out):
     """ker(d_out)/im(d_in) for consecutive differentials d_out . d_in = 0:
     over a finite ring other than Z/n, |ker d_out| / |im d_in| elements,
     with no kernel built; elsewhere the subquotient of a kernel basis."""
-    _engine(ring)  # CapabilityMissing without a solver
+    _engine(ring, d_in, d_out)  # CapabilityMissing without a solver
     if d_out.cols != d_in.rows:
         raise DimensionMismatch(
             f"d_out takes {d_out.cols} columns but d_in lands in {d_in.rows}")
@@ -1377,46 +1393,15 @@ def _products_vanish(view, cols, nrows, kernel):
     return True
 
 
-def _reduce_columns(view, cols, nrows):
-    """(rank, kernel) of the expansion over F_p of the matrix with nrows
-    rows and columns of coordinates `cols`, by one column reduction.
-
-    Column t = j D + a of the expansion is b_a c_j (`action`; c_j for the
-    unit b_0, 0 for an a outside `acting`), taken in order of t with a 1 in
-    field nrows D + t above its row fields, so each axpy reduces the column
-    and its combination together.  A column is reduced at its lowest field
-    by the kept column there, scaled to 1, until it is kept or its row
-    fields vanish and its shifted tag is a kernel vector.  The kept columns
-    are the first independent ones: their count is the rank, and each
-    kernel vector is the one `_fp_kernel` gives for that free column on the
-    expanded rows.
-    """
-    codec, top = view.codec, nrows * view.dim  # top: the first tag field
-    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
-    live = view.acting(cols) if view.dim > 1 else ()
-    acts = [view.action(b, nrows) if a in live else None for a, b in enumerate(view.basis) if a]
-    pivots, kernel, tag = {}, [], 1 << top * w
-    for c in cols:
-        for v in (c, *[act(c) if act else 0 for act in acts]):
-            v, tag = v | tag, tag << w
-            while (low := ((v & -v).bit_length() - 1) // w) in pivots:
-                v = axpy(v, p - (v >> low * w & mask), pivots[low])
-            if low >= top:
-                kernel.append(v >> top * w)
-            else:
-                x = v >> low * w & mask
-                pivots[low] = v if x == 1 else axpy(0, pow(x, -1, p), v)
-    return len(pivots), kernel
-
-
 class _PackedSteps:
     """Resolution steps over a ring with an F_p view.  A differential is the
     list of packed coordinate vectors of its columns, its row count kept
-    alongside.  A step reduces the columns of its expansion over F_p once
-    (`_reduce_columns`) for its kernel and rank, and over an F_p-algebra
-    keeps the kernel vectors that `_nakayama_keep` keeps: a minimal
-    generating set over a local algebra.  Products are checked by
-    `_products_vanish`, and an image has p^rank elements.
+    alongside.  A step takes the kernel generators of `_packed_kernel`, the
+    ones `kernel_basis` gives: one column reduction of the expansion over
+    F_p, of whose kernel vectors an F_p-algebra keeps those of
+    `_nakayama_keep`, a minimal generating set over a local algebra.
+    Products are checked by `_products_vanish`, and an image has p^rank
+    elements, the rank of the same reduction.
     """
 
     def __init__(self, ring, view):
@@ -1428,27 +1413,26 @@ class _PackedSteps:
     width = staticmethod(len)
 
     def kernel(self, cols, nrows):
-        view, vecs = self.view, _reduce_columns(self.view, cols, nrows)[1]
-        if len(vecs) > 1 and view.std is not None:
-            vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), submodule=True)]
-        return vecs
+        return _packed_kernel(self.view, cols, nrows)
 
     def vanishes(self, cols, nrows, kernel):
         return _products_vanish(self.view, cols, nrows, kernel)
 
     def image_size(self, cols, nrows):
-        return self.view.p ** _reduce_columns(self.view, cols, nrows)[0]
+        return self.view.p ** len(_reduce_columns(self.view, cols, nrows)[0])
 
     def matrix(self, cols, nrows):
         return self.view.matrix(cols, nrows)
 
 
 class _MatrixSteps:
-    """Resolution steps on matrices, over a ring with no F_p view (Z/n, Z, Q
-    and F_p[x]): a step is minimal_generators(kernel_basis), which keeps the
+    """Resolution steps on matrices, over a ring with no F_p view: Z/n, Z, Q
+    and F_p[x].  A step is minimal_generators(kernel_basis), a Howell kernel
+    over Z/n and a Smith kernel over the domains, of which it keeps the
     Nakayama rule's columns by one `solve` each over Z/p^k and Q and drops
-    only zero columns elsewhere; products are matrix products and image
-    sizes are Howell span sizes (`span_cardinality`)."""
+    only zero columns elsewhere.  Products are matrix products; image
+    sizes, read only over the finite Z/n, are Howell span sizes
+    (`span_cardinality`)."""
 
     def __init__(self, ring):
         self.ring = ring

@@ -734,13 +734,13 @@ class Ring:
 
     def _unit_by_multiplication_matrix(self, a):
         # a is a unit iff multiplication by a is injective on the standard
-        # monomials, i.e. has full rank over the coefficient field
-        from .linalg import _fp_view_of, kernel_basis
+        # monomials, i.e. has full rank over the coefficient field: over F_p,
+        # iff the column [a] spans all of R
+        from .linalg import kernel_basis, span_cardinality
         from .matrices import Matrix
         std, cf = self._std_monomials, self.coeff
         if cf.kind == PRIMEFIELD:
-            mult_by_a = Matrix(self, 1, 1, (((0,), (a,)),))
-            return _fp_view_of(self).rank(mult_by_a) == len(std)
+            return span_cardinality(self, Matrix(self, 1, 1, (((0,), (a,)),))) == self.cardinality()
         index = {m: i for i, m in enumerate(std)}
         grid = [[cf.zero_payload] * len(std) for _ in std]
         for j, m in enumerate(std):

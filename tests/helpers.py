@@ -20,7 +20,7 @@ from koszulkit.descent import (
 from koszulkit.duality import ExtSupResult, _complex_of, _resolution, hom_homology
 from koszulkit.errors import IncompleteAssignment, MixedRings
 from koszulkit.linalg import (
-    HomologySummary, _PackedSteps, _fp_kernel, _fp_rref, _fp_view_of, _is_unit,
+    HomologySummary, _PackedSteps, _fp_rref, _fp_view_of, _is_unit,
     _nakayama_keep, _payload_grid, kernel_basis, lift_context, minimal_generators, smith_data,
     solve, span_cardinality, subquotient,
 )
@@ -482,8 +482,8 @@ def reference_resolution_complex(pres, depth):
 def reference_expand(view, cols, nrows):
     """The packed rows of the expansion over F_p of the matrix with nrows
     rows whose columns have coordinates `cols` (each entry a as the dim x
-    dim matrix of multiplication by a): what `view.rows` gives for that
-    matrix, built row by row from the entries' multiplication rows."""
+    dim matrix of multiplication by a), built row by row from the entries'
+    multiplication rows: the rows that the row route eliminated."""
     codec, D, std = view.codec, view.dim, view.std
     out = [0] * (nrows * D)
     for j, v in enumerate(cols):
@@ -501,13 +501,59 @@ def reference_expand(view, cols, nrows):
     return out
 
 
+def row_kernel(codec, rows, ncols):
+    """The row route's kernel of packed rows: one vector for each non-pivot
+    column f of their reduced row echelon form (`_fp_rref`), in increasing
+    order, e_f minus column f of the pivot rows at their pivots."""
+    work = list(rows)
+    pivots = _fp_rref(codec, work, ncols)
+    p, w = codec.p, codec.width
+    pivot_set = set(pivots)
+    free = [f for f in range(ncols) if f not in pivot_set]
+    # a reduced pivot row is nonzero only at its pivot and at free columns
+    vecs = {f: 1 << f * w for f in free}
+    for row, pc in zip(work, pivots):
+        for f, x in codec.nonzero(row):
+            if f != pc:
+                vecs[f] |= (p - x) << pc * w
+    return [vecs[f] for f in free]
+
+
+def row_solve(codec, rows, ncols, rhs):
+    """The row route's solution x of rows * x = b for every packed b of
+    `rhs`, or None when some b lies outside the column span: the right-hand
+    sides ride along as extra columns of one `_fp_rref`, and x is zero at
+    every free column."""
+    w = codec.width
+    work = list(rows)
+    for k, b in enumerate(rhs):
+        for i, x in codec.nonzero(b):
+            work[i] |= x << (ncols + k) * w
+    pivots = _fp_rref(codec, work, ncols)
+    if any(work[r] >> ncols * w for r in range(len(pivots), len(work))):
+        return None
+    sols = [0] * len(rhs)
+    for row, pc in zip(work, pivots):
+        for k, x in codec.nonzero(row >> ncols * w):
+            sols[k] |= x << pc * w
+    return sols
+
+
+def row_rank(ring, A):
+    """The rank over F_p of A's expansion, by `_fp_rref` on its rows
+    (`reference_expand`): |column span of A| = p ** row_rank."""
+    view = _fp_view_of(ring)
+    rows = reference_expand(view, view.columns(A), A.rows)
+    return len(_fp_rref(view.codec, rows, A.cols * view.dim))
+
+
 class ReferencePackedSteps(_PackedSteps):
-    """`_PackedSteps` on the row route: kernels by `_fp_kernel` and ranks by
+    """`_PackedSteps` on the row route: kernels by `row_kernel` and ranks by
     `_fp_rref`, both on the expanded rows."""
 
     def kernel(self, cols, nrows):
         view = self.view
-        vecs = _fp_kernel(view.codec, reference_expand(view, cols, nrows), len(cols) * view.dim)
+        vecs = row_kernel(view.codec, reference_expand(view, cols, nrows), len(cols) * view.dim)
         if len(vecs) > 1 and view.std is not None:
             vecs = [vecs[j] for j in _nakayama_keep(view, vecs, len(cols), submodule=True)]
         return vecs
@@ -559,8 +605,7 @@ def _reference_domain_subquotient(ring, V, W):
 def reference_subquotient(ring, V, W):
     """span(V)/span(W) by the per-ring routes; W inside span(V)."""
     if ring.kind == "primefield":
-        view = _fp_view_of(ring)
-        dim = view.rank(V) - view.rank(W)
+        dim = row_rank(ring, V) - row_rank(ring, W)
         return HomologySummary(ring, dim == 0, dimension=dim, cardinality=ring.modulus ** dim)
     if ring.kind == "rationals":
         dim = _reference_domain_subquotient(ring, V, W).free_rank

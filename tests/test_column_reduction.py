@@ -3,11 +3,12 @@
 `linalg._reduce_columns` reads the kernel and the rank of a differential's
 expansion over F_p from the columns b_a c_j, with no F_p rows made.  The
 oracle is the row route it replaced: the expansion row by row
-(`helpers.reference_expand`), then `_fp_kernel` and `_fp_rref`.  Kernel
-vectors must be equal as packed ints, so every resolution, period and Ext
-table stays byte-identical.  Rings cover one-bit, one-byte and two-byte
-fields (F17, F101), local algebras of dimension up to 12 and a non-local
-one; shapes include 0 rows and 0 columns.
+(`helpers.reference_expand`, itself checked against ring products entry by
+entry), then `helpers.row_kernel` and `_fp_rref`.  Kernel vectors must be
+equal as packed ints, so every resolution, period and Ext table stays
+byte-identical.  Rings cover one-bit, one-byte and two-byte fields (F17,
+F101), local algebras of dimension up to 12 and a non-local one; shapes
+include 0 rows and 0 columns.
 """
 
 import random
@@ -16,11 +17,11 @@ import pytest
 
 from koszulkit import duality as du
 from koszulkit import linalg
-from koszulkit.linalg import _fp_kernel, _fp_rref, _fp_view_of, _reduce_columns
+from koszulkit.linalg import _fp_rref, _fp_view_of, _reduce_columns
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, poly_quotient
 
-from helpers import ReferencePackedSteps, count_calls, reference_expand
+from helpers import ReferencePackedSteps, count_calls, reference_expand, row_kernel
 
 PRIME = {f"F{p}": GF(p) for p in (2, 3, 5, 7, 13, 17, 101)}
 ALGEBRAS = {
@@ -51,6 +52,22 @@ def random_columns(view, nrows, ncols, rng):
     return cols
 
 
+def product_expansion(view, cols, nrows):
+    """The rows of the expansion over F_p as lists, from ring products: the
+    entry at row (i, b), column (j, a) is coordinate b of a_ij b_a."""
+    R, D = view.ring, view.dim
+    rows = [[0] * (len(cols) * D) for _ in range(nrows * D)]
+    for i, entries in enumerate(view.matrix(cols, nrows).data):
+        for j, x in enumerate(entries):
+            for a, b_a in enumerate(view.basis):
+                product = R.mul_payload(x.payload, b_a)
+                terms = [(0, product)] if view.std is None else \
+                    [(view.index[m], c) for m, c in product]
+                for b, c in terms:
+                    rows[i * D + b][j * D + a] = c
+    return rows
+
+
 def shapes(rng):
     yield from [(0, 0), (0, 3), (3, 0), (1, 1)]
     for _ in range(36):
@@ -64,11 +81,13 @@ def test_kernel_and_rank_equal_the_row_route(name):
     for nrows, ncols in shapes(rng):
         cols = random_columns(view, nrows, ncols, rng)
         rows = reference_expand(view, cols, nrows)
-        assert rows == view.rows(view.matrix(cols, nrows))[0]
-        rank, kernel = _reduce_columns(view, cols, nrows)
-        assert kernel == _fp_kernel(view.codec, rows, ncols * view.dim)
-        assert rank == len(_fp_rref(view.codec, rows, ncols * view.dim))
-        assert rank + len(kernel) == ncols * view.dim
+        w = view.codec.width
+        assert rows == [sum(x << t * w for t, x in enumerate(row))
+                        for row in product_expansion(view, cols, nrows)]
+        pivots, kernel = _reduce_columns(view, cols, nrows)
+        assert kernel == row_kernel(view.codec, rows, ncols * view.dim)
+        assert len(pivots) == len(_fp_rref(view.codec, rows, ncols * view.dim))
+        assert len(pivots) + len(kernel) == ncols * view.dim
 
 
 @pytest.mark.parametrize("name", list(RINGS))
@@ -91,8 +110,9 @@ def test_resolutions_equal_the_row_route(name, monkeypatch):
 ], ids=["F2[x,y]/(x,y)^2", "F3[x]/(x^3)"])
 def test_ext_makes_no_row_kernel(R, sizes, monkeypatch):
     k = du.ModulePresentation.residue_field(R)
-    kernels = count_calls(monkeypatch, linalg._fp_kernel)
     reductions = count_calls(monkeypatch, linalg._reduce_columns)
     assert [h.cardinality for h in du.ext_table(k, k, 6)] == sizes
-    assert kernels == [] and reductions
-    assert not hasattr(linalg._FpView, "expand")
+    assert reductions
+    # the row route is gone: no expansion into rows and no row kernel
+    assert not hasattr(linalg._FpView, "expand") and not hasattr(linalg._FpView, "rows")
+    assert not hasattr(linalg, "_fp_kernel")

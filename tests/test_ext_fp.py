@@ -121,9 +121,10 @@ def sparse_matrix(R, rows, cols, rng):
 
 def fp_kernel(R, A):
     """ker A as the columns of the F_p kernel of A's expansion, one for each
-    non-pivot column (kernel_basis over the rings with no Euclidean lift)."""
+    non-pivot column of its rows' reduced echelon form (the row route)."""
     view = _fp_view_of(R)
-    return view.matrix(linalg._fp_kernel(view.codec, *view.rows(A)), A.cols)
+    rows = helpers.reference_expand(view, view.columns(A), A.rows)
+    return view.matrix(helpers.row_kernel(view.codec, rows, A.cols * view.dim), A.cols)
 
 
 @pytest.mark.parametrize("name", list(RINGS))
@@ -472,7 +473,8 @@ def test_fp_view_caches_stay_bounded_by_the_standard_monomials():
 
     for a in elements:
         # the expansion of [a] maps the coordinates of b to those of a b
-        rows, _ = view.rows(Matrix.from_rows(R, [[a]]))
+        (va,) = view.columns(one.scale(a))
+        rows = helpers.reference_expand(view, [va], 1)
         rows = [coords(r, view.dim) for r in rows]
         for b in elements[:9]:
             (vb,) = view.columns(one.scale(b))

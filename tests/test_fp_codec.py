@@ -3,12 +3,14 @@ replaced.
 
 The reference below is that path: a vector is a list of ints mod p, and
 `reference_rref` is column-by-column Gauss-Jordan elimination.  The packed
-code keeps each coordinate in a field of one int (`linalg._Codec`) and runs
-forward elimination with back substitution.  Reduced echelon rows are
-unique, so pivots, pivot rows, kernel bases and solutions must agree entry
-for entry over F2, F3, F5, F7, F13 and F101 (the wide-field codec), and so
-must the indices `_nakayama_keep` keeps, over a local and a non-local
-algebra, and the ranks `FpModule.dual_rank` gives.
+code keeps each coordinate in a field of one int (`linalg._Codec`): `_fp_rref`
+runs forward elimination with back substitution, and `kernel_basis` and
+`solve` over F_p reduce the matrix's columns (`_reduce_columns`).  Reduced
+echelon rows are unique, and the kernel basis and the solution that is zero
+at every free column are too, so pivots, pivot rows, kernel bases and
+solutions must agree entry for entry over F2, F3, F5, F7, F13 and F101 (the
+wide-field codec), and so must the indices `_nakayama_keep` keeps, over a
+local and a non-local algebra, and the ranks `FpModule.dual_rank` gives.
 """
 
 import random
@@ -16,8 +18,7 @@ import random
 import pytest
 
 from koszulkit.linalg import (
-    FpModule, _Codec, _Echelon, _fp_kernel, _fp_rref, _fp_solve, _fp_view_of,
-    _nakayama_keep,
+    FpModule, _Codec, _Echelon, _fp_rref, _fp_view_of, _nakayama_keep, kernel_basis, solve,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, poly_quotient
@@ -165,47 +166,56 @@ def test_codec_width_and_reduction(p):
             (a + sum(c * t[j] for c, t in terms)) % p for j, a in enumerate(x)]
 
 
+def columns_of(R, nrows, vecs):
+    """The nrows x len(vecs) matrix over R whose columns are the lists `vecs`."""
+    return Matrix.from_payload_rows(R, nrows, len(vecs), [[v[i] for v in vecs]
+                                                          for i in range(nrows)])
+
+
+def list_columns(codec, M):
+    """The columns of M over F_p as lists of M.rows ints."""
+    return [unpack(codec, v, M.rows) for v in _fp_view_of(M.ring).columns(M)]
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_packed_eliminations_match_the_list_path(p):
-    codec = _Codec(p)
+    codec, R = _Codec(p), GF(p)
     rng = random.Random(f"fp-oracle:{p}")
     for grid, ncols in shapes(p, rng):
         ref = [list(r) for r in grid]
         ref_pivots = reference_rref(p, ref, ncols)
         packed = [pack(codec, r) for r in grid]
-        # the prime and its codec name the same elimination
-        for key in (p, codec):
-            work = list(packed)
-            assert _fp_rref(key, work, ncols) == ref_pivots
-            rank = len(ref_pivots)
-            assert [unpack(codec, v, ncols) for v in work[:rank]] == ref[:rank]
-            assert not any(work[rank:])
-
-        kernel = _fp_kernel(codec, packed, ncols)
-        assert [unpack(codec, v, ncols) for v in kernel] == reference_kernel(p, grid, ncols)
+        work = list(packed)
+        assert _fp_rref(codec, work, ncols) == ref_pivots
+        rank = len(ref_pivots)
+        assert [unpack(codec, v, ncols) for v in work[:rank]] == ref[:rank]
+        assert not any(work[rank:])
 
         nrows = len(grid)
+        A = Matrix.from_payload_rows(R, nrows, ncols, grid)
+        assert list_columns(codec, kernel_basis(R, A)) == reference_kernel(p, grid, ncols)
+
         x = [rng.randrange(p) for _ in range(ncols)]
         inside = [sum(a * b for a, b in zip(row, x)) % p for row in grid]
         outside = [rng.randrange(p) for _ in range(nrows)]
         for rhs in ([inside], [inside, outside], [outside], []):
             expect = reference_solve(p, grid, ncols, rhs)
-            got = _fp_solve(codec, packed, ncols, [pack(codec, b) for b in rhs])
+            got = solve(R, A, columns_of(R, nrows, rhs))
             if expect is None:
                 assert got is None
             else:
-                assert [unpack(codec, v, ncols) for v in got] == expect
+                assert list_columns(codec, got) == expect
 
 
 @pytest.mark.parametrize("p", ALL_P)
 def test_inconsistent_system_gives_none(p):
-    codec = _Codec(p)
+    codec, R = _Codec(p), GF(p)
     # rows (1, 1) and (-1, -1): b = (1, 0) is outside the column span
     grid = [[1, 1], [p - 1, p - 1]]
-    rows = [pack(codec, r) for r in grid]
+    A = Matrix.from_payload_rows(R, 2, 2, grid)
     assert reference_solve(p, grid, 2, [[1, 0]]) is None
-    assert _fp_solve(codec, rows, 2, [pack(codec, [1, 0])]) is None
-    assert unpack(codec, _fp_solve(codec, rows, 2, [pack(codec, [1, p - 1])])[0], 2) == [1, 0]
+    assert solve(R, A, columns_of(R, 2, [[1, 0]])) is None
+    assert list_columns(codec, solve(R, A, columns_of(R, 2, [[1, p - 1]]))) == [[1, 0]]
 
 
 @pytest.mark.parametrize("p", ALL_P)

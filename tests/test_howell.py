@@ -1,11 +1,15 @@
 """The Howell engine over Z/n and F_p[x]/(f) against independent oracles.
 
+Over Z/n the Howell engine gives kernels, solutions and Howell forms; over
+F_p[x]/(f) it gives the Howell form alone, and kernels and solutions come
+from the column reduction over F_p, checked here by the same oracles.
 Kernels must span the whole kernel: enumeration decides it on small shapes,
 and on workload shapes |ker A| comes from the Smith diagonal of the lift to
-Z (Z/n) or from the rank of the F_p expansion (F_p[x]/(f)).  Howell forms
-over Z/n must equal the Hermite form over Z of the lift stacked on n*I,
-reduced mod n.  Every entry stays reduced, and degenerate shapes give the
-answers of the Smith-over-the-lift engine this one replaced.
+Z (Z/n) or from the row rank of the F_p expansion (F_p[x]/(f),
+`helpers.row_rank`).  Howell forms over Z/n must equal the Hermite form over
+Z of the lift stacked on n*I, reduced mod n.  Every entry stays reduced,
+and degenerate shapes give the answers of the Smith-over-the-lift engine
+this one replaced.
 """
 
 import random
@@ -20,6 +24,8 @@ from koszulkit.linalg import (
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod, poly_quotient
+
+from helpers import row_rank
 
 RINGS = {
     "Z/8": lambda: Zmod(8),
@@ -126,8 +132,8 @@ def test_poly_quotient_kernel_matches_the_fp_rank(rname):
         A = low_rank_matrix(R, rows, inner, cols, rng)
         K = kernel_basis(R, A)
         assert (A * K).is_zero()
-        count = 2 ** (cols * view.dim - view.rank(A))
-        assert 2 ** view.rank(K) == count == kernel_cardinality(R, A)
+        count = 2 ** (cols * view.dim - row_rank(R, A))
+        assert 2 ** row_rank(R, K) == count == kernel_cardinality(R, A)
 
 
 # ---------------------------------------------------------------------------

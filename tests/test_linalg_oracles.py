@@ -22,7 +22,7 @@ from koszulkit.linalg import (
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, QQ, ZZ, RingElement, Zmod, parse_element, poly_quotient
 
-from helpers import random_matrix
+from helpers import count_calls, random_matrix
 
 
 def sparse_matrix(ring, rows, cols, rng):
@@ -292,10 +292,7 @@ def test_local_unit_rule_agrees_with_the_multiplication_matrix(
     elements = list(R.elements())
     by_rank = {a: R._unit_by_multiplication_matrix(a.payload) for a in elements if a}
     by_constant = {a: any(not any(e) for e, _ in a.payload) for a in elements if a}
-    ranks = []
-    rank = linalg._FpView.rank
-    monkeypatch.setattr(linalg._FpView, "rank",
-                        lambda self, A: ranks.append(A) or rank(self, A))
+    ranks = count_calls(monkeypatch, linalg.span_cardinality)
     assert {a: a.is_unit() for a in elements if a} == by_rank
     if local:
         assert by_constant == by_rank
