@@ -61,6 +61,8 @@ class ModulePresentation:
     relations: Matrix
 
     def __post_init__(self):
+        if self.relations.ring != self.ring:
+            raise MixedRings(f"relations over {self.relations.ring} for a module over {self.ring}")
         if self.relations.rows != self.gens:
             raise DimensionMismatch(
                 f"relations have {self.relations.rows} rows for {self.gens} generators")

@@ -4,20 +4,22 @@ Three elimination engines, all on payloads through the one payload
 protocol of `rings.Ring`, so no entry is boxed into a RingElement:
 
 - F_p and every finite-dimensional F_p-algebra, F_p[x]/(f) included, run
-  one column reduction over F_p (_reduce_columns), an algebra element
-  standing for its multiplication matrix on the standard monomials.  Every
-  F_p vector, for every p, is one int with each coordinate in a
-  fixed-width field (_Codec: one bit and XOR for p = 2, one byte and a
-  byte-translate reduction up to p = 13, wider fields above), so one code
-  path serves every p.  The reduction takes the columns b_a c_j of a
-  matrix's expansion once, each tagged with its own coordinate, and makes
-  no F_p rows: the columns it keeps give the rank, hence cardinalities and
-  the unit test of a non-local algebra; those that reduce to zero give the
-  kernel, the same one for `kernel_basis` and a resolution step
-  (_packed_kernel); a right-hand side reduced against the kept columns
-  gives a solution (_packed_solve).  `FpModule` holds a finitely presented
-  module as an F_p-space by reduced row echelon form (_fp_rref), from which
-  `dual_rank` reads the rank of Hom(d, N).
+  on one F_p reducer (_Echelon), an algebra element standing for its
+  multiplication matrix on the standard monomials.  Every F_p vector, for
+  every p, is one int with each coordinate in a fixed-width field (_Codec:
+  one bit and XOR for p = 2, one byte and a byte-translate reduction up to
+  p = 13, wider fields above), so one code path serves every p.  An
+  _Echelon keeps one row per pivot, keyed by its highest nonzero field.  A
+  matrix's column reduction (_reduce_columns) takes the columns b_a c_j of
+  its expansion once, each tagged with its own coordinate in the fields
+  below its rows, and makes no F_p rows: the columns it keeps give the
+  rank, hence cardinalities and the unit test of a non-local algebra; those
+  that reduce to zero give the kernel, the same one for `kernel_basis` and
+  a resolution step (_packed_kernel); a right-hand side reduced by the kept
+  columns gives a solution (_packed_solve).  The Nakayama rule
+  (_nakayama_keep) grows its spans in the same reducer, and so does
+  `FpModule`, a finitely presented module as an F_p-space, whose
+  `dual_rank` is the rank of Hom(d, N).
 - Z/n = Z/(n) runs one Howell row reducer (_howell; Howell 1986,
   Storjohann & Mulders 1998) with the ring's own row kernels
   (`axpy_payloads`, `combine_payloads`), so every entry, transforms
@@ -404,61 +406,14 @@ def _nonzero_fields(v, k):
     return out
 
 
-def _fp_rref(codec, rows, ncols):
-    """In-place reduced row echelon over the first `ncols` columns; returns
-    the pivot columns.  Entries beyond `ncols` (right-hand sides) are carried
-    along by the row operations but never chosen as pivots.
-
-    `rows` holds packed vectors of the _Codec `codec`.  Forward elimination
-    groups the rows by their lowest nonzero column; at each column that
-    starts a row, the first such row is scaled to 1 there and clears the
-    column from the others with one axpy each.  Back substitution then
-    clears each pivot row's later pivot columns at once with `lincomb`, from
-    the last pivot up.  Pivot rows come first, in pivot order.  Reduced
-    echelon rows are unique, so they are those of Gauss-Jordan elimination
-    column by column.
-    """
-    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
-    starts = {}  # column -> the rows whose lowest nonzero coordinate is there
-    for r, v in enumerate(rows):
-        if v:
-            starts.setdefault(((v & -v).bit_length() - 1) // w, []).append(r)
-    pivot_row = {}  # pivot column -> the index of its row
-    for col in range(ncols):
-        if not starts:
-            break
-        rest = starts.pop(col, None)
-        if rest is None:
-            continue
-        shift = col * w
-        r = pivot_row[col] = rest.pop(0)
-        x = rows[r] >> shift & mask
-        if x != 1:
-            rows[r] = axpy(0, pow(x, -1, p), rows[r])
-        for i in rest:
-            v = rows[i] = axpy(rows[i], p - (rows[i] >> shift & mask), rows[r])
-            if v:
-                starts.setdefault(((v & -v).bit_length() - 1) // w, []).append(i)
-    below, reduced = 0, []  # below: the fields of the pivot columns right of col
-    for col, r in reversed(pivot_row.items()):
-        if rows[r] & below:
-            rows[r] = codec.lincomb(rows[r], [(p - x, rows[pivot_row[j]]) for j, x in
-                                              codec.nonzero(rows[r] & below)])
-        reduced.append(rows[r])
-        below |= mask << col * w
-    reduced.reverse()
-    if len(reduced) < len(rows):
-        kept = set(pivot_row.values())
-        reduced += [v for r, v in enumerate(rows) if r not in kept]
-    rows[:] = reduced
-    return list(pivot_row)
-
-
 class _Echelon:
-    """An F_p-subspace of packed vectors grown one vector at a time.
+    """An F_p-subspace of packed vectors grown one vector at a time, the one
+    F_p reducer of this module.
 
-    It keeps one echelon row per pivot, keyed by its highest nonzero
-    coordinate and scaled to 1 there.
+    `rows` keeps one echelon row per pivot, keyed by its highest nonzero
+    field (from v.bit_length()) and scaled to 1 there, so each row is zero
+    above its key.  A vector is reduced by the row at its highest nonzero
+    field until that field is no key; the rank of the span is len(rows).
     """
 
     def __init__(self, codec):
@@ -469,15 +424,13 @@ class _Echelon:
         """Add v to the span; True when it was outside."""
         rows, codec = self.rows, self.codec
         p, w = codec.p, codec.width
-        while v:
-            h = (v.bit_length() - 1) // w
-            r = rows.get(h)
-            x = v >> h * w
-            if r is None:
-                rows[h] = v if x == 1 else codec.axpy(0, pow(x, -1, p), v)
-                return True
-            v = codec.axpy(v, p - x, r)
-        return False
+        while (h := (v.bit_length() - 1) // w) in rows:
+            v = codec.axpy(v, p - (v >> h * w), rows[h])
+        if not v:
+            return False
+        x = v >> h * w
+        rows[h] = v if x == 1 else codec.axpy(0, pow(x, -1, p), v)
+        return True
 
 
 class _FpView:
@@ -665,36 +618,38 @@ def _nakayama_keep(view, vecs, n, submodule=False):
 
 
 def _reduce_columns(view, cols, nrows):
-    """(pivots, kernel) of the expansion over F_p of the matrix with nrows
+    """(span, kernel) of the expansion over F_p of the matrix with nrows
     rows and columns of coordinates `cols`, by one column reduction.
 
     Column t = j D + a of the expansion is b_a c_j (`action`; c_j for the
-    unit b_0, 0 for an a outside `acting`), taken in order of t with a 1 in
-    field nrows D + t above its row fields, so each axpy reduces the column
-    and its combination together.  A column is reduced at its lowest field
-    by the kept column there, scaled to 1, until it is kept or its row
-    fields vanish and its shifted tag is a kernel vector.  The kept columns,
-    by their lowest field, are the pivots: the first independent columns,
-    as many as the rank.  Each kernel vector is the one reduced row echelon
-    form of the expanded rows gives for that free column: e_t plus a
-    combination of earlier kept columns.
+    unit b_0, 0 for an a outside `acting`), taken in order of t.  Its row
+    fields are shifted up to start at field len(cols) D, above its tag, a 1
+    in field t, so each axpy reduces the column and its combination
+    together.  A column is reduced at its highest field by the kept column
+    there until it is kept, scaled to 1 there, or its row fields vanish and
+    its tag fields are a kernel vector.  The kept columns are the rows of
+    the _Echelon `span`: the first independent columns, as many as the
+    rank.  Each kernel vector is e_t plus the one combination of earlier
+    kept columns that A maps to minus column t, the vector the reduced row
+    echelon form of the expanded rows gives for that free column.
     """
-    codec, top = view.codec, nrows * view.dim  # top: the first tag field
-    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
+    codec, top = view.codec, len(cols) * view.dim  # top: the first row field
+    p, w, axpy, shift = codec.p, codec.width, codec.axpy, top * codec.width
     live = view.acting(cols) if view.dim > 1 else ()
     acts = [view.action(b, nrows) if a in live else None for a, b in enumerate(view.basis) if a]
-    pivots, kernel, tag = {}, [], 1 << top * w
+    span, kernel, tag = _Echelon(codec), [], 1
+    pivots = span.rows
     for c in cols:
         for v in (c, *[act(c) if act else 0 for act in acts]):
-            v, tag = v | tag, tag << w
-            while (low := ((v & -v).bit_length() - 1) // w) in pivots:
-                v = axpy(v, p - (v >> low * w & mask), pivots[low])
-            if low >= top:
-                kernel.append(v >> top * w)
+            v, tag = v << shift | tag, tag << w
+            while (h := (v.bit_length() - 1) // w) in pivots:
+                v = axpy(v, p - (v >> h * w), pivots[h])
+            if h < top:
+                kernel.append(v)
             else:
-                x = v >> low * w & mask
-                pivots[low] = v if x == 1 else axpy(0, pow(x, -1, p), v)
-    return pivots, kernel
+                x = v >> h * w
+                pivots[h] = v if x == 1 else axpy(0, pow(x, -1, p), v)
+    return span, kernel
 
 
 def _packed_kernel(view, cols, nrows):
@@ -714,22 +669,24 @@ def _packed_solve(view, cols, nrows, rhs):
     when some b lies outside the column span of A, the matrix with nrows
     rows and columns of coordinates `cols`.
 
-    b is reduced against the kept columns of A's column reduction.  Each
-    one holds A y in its row fields and y in its tag fields, so when b's
-    row fields vanish its tag fields hold -x for x with A x = b, where the
-    tag of column t = j dim + a is coordinate t of x.  As x lives on the
-    pivot columns only, it is the solution of the reduced row echelon form.
+    b, its fields shifted up to A's row fields, is reduced by the kept
+    columns of A's column reduction.  Each one holds A y in its row fields
+    and y in its tag fields, so when b's row fields vanish its tag fields
+    hold -x for x with A x = b, where the tag of column t = j dim + a is
+    coordinate t of x.  As x lives on the kept columns only, it is the
+    solution of the reduced row echelon form.
     """
-    codec, top = view.codec, nrows * view.dim
-    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
-    pivots = _reduce_columns(view, cols, nrows)[0]
+    codec, top = view.codec, len(cols) * view.dim
+    p, w, axpy = codec.p, codec.width, codec.axpy
+    pivots = _reduce_columns(view, cols, nrows)[0].rows
     sols = []
-    for v in rhs:
-        while (low := ((v & -v).bit_length() - 1) // w) in pivots:
-            v = axpy(v, p - (v >> low * w & mask), pivots[low])
-        if 0 <= low < top:  # a row field no kept column reaches
+    for b in rhs:
+        v = b << top * w
+        while (h := (v.bit_length() - 1) // w) in pivots:
+            v = axpy(v, p - (v >> h * w), pivots[h])
+        if h >= top:  # a row field no kept column reaches
             return None
-        sols.append(axpy(0, p - 1, v >> top * w))
+        sols.append(axpy(0, p - 1, v))
     return sols
 
 
@@ -1000,7 +957,7 @@ def span_cardinality(ring, A):
     if A.cols == 0:
         return 1
     if view is not None:
-        return view.p ** len(_reduce_columns(view, view.columns(A), A.rows)[0])
+        return view.p ** len(_reduce_columns(view, view.columns(A), A.rows)[0].rows)
     if ctx.modulus is None:
         raise CapabilityMissing(f"{ring} is not finite")
     return _howell_span_size(ring, ctx, _column_grid(A), A.rows)
@@ -1058,23 +1015,24 @@ class FpModule:
     F_p view.
 
     The relation span is the F_p-span of the relation columns times a basis
-    of R over F_p.  Its reduced echelon rows over the gens * dim coordinates
-    of R^gens give a complement, the coordinates that are not pivots, and
-    the projection onto it, reduction by those rows; `dim` is dim_{F_p} N.
-    Vectors of R^gens and of N are packed by the view's codec.  The action
-    on N of each basis element of R over F_p, the columns `dual_rank` reads,
-    is made on first use and kept, at most view.dim of them.
+    of R over F_p, grown in an _Echelon over the gens * dim coordinates of
+    R^gens.  The coordinates that are not its keys span a complement, and
+    `project` is the projection onto it along the span; `dim` is dim_{F_p}
+    N.  Vectors of R^gens and of N are packed by the view's codec.  The
+    action on N of each basis element of R over F_p, the columns
+    `dual_rank` reads, is made on first use and kept, at most view.dim of
+    them.
     """
 
     def __init__(self, view, gens, relations):
         self.view, self.codec, self.p, self.gens = view, view.codec, view.p, gens
-        self._ncoords = gens * view.dim
-        cols = view.columns(relations)
-        rows = [view.action(b, gens)(c) for b in view.basis for c in cols]
-        self._pivots = _fp_rref(self.codec, rows, self._ncoords)
-        self._rows = rows[:len(self._pivots)]
-        pivot_set = set(self._pivots)
-        self._free = [t for t in range(self._ncoords) if t not in pivot_set]
+        cols, span = view.columns(relations), _Echelon(self.codec)
+        for b in view.basis:
+            act = view.action(b, gens)
+            for c in cols:
+                span.add(act(c))
+        self._rows = sorted(span.rows.items(), reverse=True)
+        self._free = [t for t in range(gens * view.dim) if t not in span.rows]
         self.dim = len(self._free)
         self._monomial_action = {}
 
@@ -1082,9 +1040,11 @@ class FpModule:
         """N's coordinates of the class of v, a vector of R^gens."""
         codec = self.codec
         p, w, mask = codec.p, codec.width, codec.mask
-        # the rows are reduced, so each one's coefficient is read off v at once
-        v = codec.lincomb(v, [(p - x, row) for row, pc in zip(self._rows, self._pivots)
-                              if (x := v >> pc * w & mask)])
+        # each row is zero above its key, so clearing the keys from the
+        # highest down leaves every cleared key zero
+        for h, row in self._rows:
+            if x := v >> h * w & mask:
+                v = codec.axpy(v, p - x, row)
         return sum((v >> t * w & mask) << i * w for i, t in enumerate(self._free))
 
     def _monomial(self, b):
@@ -1100,7 +1060,8 @@ class FpModule:
         for d given by the packed coordinates of its columns.  Its (l, k)
         block is the action of d[k][l], the sum of c times the action of b_s
         over the coordinates (k dim R + s, c) of column l.  Its transpose, of
-        the same rank, is built here, n rows for each row k of d."""
+        the same rank, is built here, n rows for each row k of d, and the
+        rank is the count of rows an _Echelon keeps."""
         n, codec, view = self.dim, self.codec, self.view
         D, basis, shift = view.dim, view.basis, n * codec.width
         # Hom(d, N) = 0 when no entry of d has a coordinate whose basis
@@ -1115,9 +1076,9 @@ class FpModule:
                 for r, col in enumerate(self._monomial(basis[s])):
                     if col:
                         block[r].append((c, col << l * shift))
-        rows = [row for block in terms.values() for pairs in block
-                if pairs and (row := codec.lincomb(0, pairs))]
-        return len(_fp_rref(codec, rows, len(cols) * n))
+        span = _Echelon(codec)
+        return sum(span.add(codec.lincomb(0, pairs))
+                   for block in terms.values() for pairs in block if pairs)
 
 
 def fp_module(ring, gens, relations):
@@ -1419,7 +1380,7 @@ class _PackedSteps:
         return _products_vanish(self.view, cols, nrows, kernel)
 
     def image_size(self, cols, nrows):
-        return self.view.p ** len(_reduce_columns(self.view, cols, nrows)[0])
+        return self.view.p ** len(_reduce_columns(self.view, cols, nrows)[0].rows)
 
     def matrix(self, cols, nrows):
         return self.view.matrix(cols, nrows)

@@ -20,7 +20,7 @@ from koszulkit.descent import (
 from koszulkit.duality import ExtSupResult, _complex_of, _resolution, hom_homology
 from koszulkit.errors import IncompleteAssignment, MixedRings
 from koszulkit.linalg import (
-    HomologySummary, _PackedSteps, _fp_rref, _fp_view_of, _is_unit,
+    HomologySummary, _PackedSteps, _fp_view_of, _is_unit,
     _nakayama_keep, _payload_grid, kernel_basis, lift_context, minimal_generators, smith_data,
     solve, span_cardinality, subquotient,
 )
@@ -499,6 +499,60 @@ def reference_expand(view, cols, nrows):
             for b, row in enumerate(view.mult_rows(tuple(payload))):
                 out[i * D + b] |= row << shift
     return out
+
+
+# the row route's reducer, which `linalg` no longer runs: reduced row
+# echelon form of packed rows, the oracle of the column reduction
+
+
+def _fp_rref(codec, rows, ncols):
+    """In-place reduced row echelon over the first `ncols` columns; returns
+    the pivot columns.  Entries beyond `ncols` (right-hand sides) are carried
+    along by the row operations but never chosen as pivots.
+
+    `rows` holds packed vectors of the _Codec `codec`.  Forward elimination
+    groups the rows by their lowest nonzero column; at each column that
+    starts a row, the first such row is scaled to 1 there and clears the
+    column from the others with one axpy each.  Back substitution then
+    clears each pivot row's later pivot columns at once with `lincomb`, from
+    the last pivot up.  Pivot rows come first, in pivot order.  Reduced
+    echelon rows are unique, so they are those of Gauss-Jordan elimination
+    column by column.
+    """
+    p, w, mask, axpy = codec.p, codec.width, codec.mask, codec.axpy
+    starts = {}  # column -> the rows whose lowest nonzero coordinate is there
+    for r, v in enumerate(rows):
+        if v:
+            starts.setdefault(((v & -v).bit_length() - 1) // w, []).append(r)
+    pivot_row = {}  # pivot column -> the index of its row
+    for col in range(ncols):
+        if not starts:
+            break
+        rest = starts.pop(col, None)
+        if rest is None:
+            continue
+        shift = col * w
+        r = pivot_row[col] = rest.pop(0)
+        x = rows[r] >> shift & mask
+        if x != 1:
+            rows[r] = axpy(0, pow(x, -1, p), rows[r])
+        for i in rest:
+            v = rows[i] = axpy(rows[i], p - (rows[i] >> shift & mask), rows[r])
+            if v:
+                starts.setdefault(((v & -v).bit_length() - 1) // w, []).append(i)
+    below, reduced = 0, []  # below: the fields of the pivot columns right of col
+    for col, r in reversed(pivot_row.items()):
+        if rows[r] & below:
+            rows[r] = codec.lincomb(rows[r], [(p - x, rows[pivot_row[j]]) for j, x in
+                                              codec.nonzero(rows[r] & below)])
+        reduced.append(rows[r])
+        below |= mask << col * w
+    reduced.reverse()
+    if len(reduced) < len(rows):
+        kept = set(pivot_row.values())
+        reduced += [v for r, v in enumerate(rows) if r not in kept]
+    rows[:] = reduced
+    return list(pivot_row)
 
 
 def row_kernel(codec, rows, ncols):

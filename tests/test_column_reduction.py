@@ -4,11 +4,11 @@
 expansion over F_p from the columns b_a c_j, with no F_p rows made.  The
 oracle is the row route it replaced: the expansion row by row
 (`helpers.reference_expand`, itself checked against ring products entry by
-entry), then `helpers.row_kernel` and `_fp_rref`.  Kernel vectors must be
-equal as packed ints, so every resolution, period and Ext table stays
-byte-identical.  Rings cover one-bit, one-byte and two-byte fields (F17,
-F101), local algebras of dimension up to 12 and a non-local one; shapes
-include 0 rows and 0 columns.
+entry), then `helpers.row_kernel` and `helpers._fp_rref`.  Kernel vectors
+must be equal as packed ints, so every resolution, period and Ext table
+stays byte-identical.  Rings cover one-bit, one-byte and two-byte fields
+(F17, F101), local algebras of dimension up to 12 and a non-local one;
+shapes include 0 rows and 0 columns.
 """
 
 import random
@@ -17,11 +17,11 @@ import pytest
 
 from koszulkit import duality as du
 from koszulkit import linalg
-from koszulkit.linalg import _fp_rref, _fp_view_of, _reduce_columns
+from koszulkit.linalg import _fp_view_of, _reduce_columns
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, poly_quotient
 
-from helpers import ReferencePackedSteps, count_calls, reference_expand, row_kernel
+from helpers import ReferencePackedSteps, _fp_rref, count_calls, reference_expand, row_kernel
 
 PRIME = {f"F{p}": GF(p) for p in (2, 3, 5, 7, 13, 17, 101)}
 ALGEBRAS = {
@@ -84,10 +84,10 @@ def test_kernel_and_rank_equal_the_row_route(name):
         w = view.codec.width
         assert rows == [sum(x << t * w for t, x in enumerate(row))
                         for row in product_expansion(view, cols, nrows)]
-        pivots, kernel = _reduce_columns(view, cols, nrows)
+        span, kernel = _reduce_columns(view, cols, nrows)
         assert kernel == row_kernel(view.codec, rows, ncols * view.dim)
-        assert len(pivots) == len(_fp_rref(view.codec, rows, ncols * view.dim))
-        assert len(pivots) + len(kernel) == ncols * view.dim
+        assert len(span.rows) == len(_fp_rref(view.codec, rows, ncols * view.dim))
+        assert len(span.rows) + len(kernel) == ncols * view.dim
 
 
 @pytest.mark.parametrize("name", list(RINGS))

@@ -3,11 +3,13 @@ replaced.
 
 The reference below is that path: a vector is a list of ints mod p, and
 `reference_rref` is column-by-column Gauss-Jordan elimination.  The packed
-code keeps each coordinate in a field of one int (`linalg._Codec`): `_fp_rref`
-runs forward elimination with back substitution, and `kernel_basis` and
-`solve` over F_p reduce the matrix's columns (`_reduce_columns`).  Reduced
-echelon rows are unique, and the kernel basis and the solution that is zero
-at every free column are too, so pivots, pivot rows, kernel bases and
+code keeps each coordinate in a field of one int (`linalg._Codec`).
+`helpers._fp_rref`, the row route's reducer kept as an oracle, runs forward
+elimination with back substitution; `kernel_basis` and `solve` over F_p
+reduce the matrix's columns (`_reduce_columns`), and `_Echelon`, the one
+reducer of `linalg`, grows a span keyed by its highest fields.  Reduced echelon
+rows are unique, and the kernel basis and the solution that is zero at
+every free column are too, so pivots, pivot rows, kernel bases and
 solutions must agree entry for entry over F2, F3, F5, F7, F13 and F101 (the
 wide-field codec), and so must the indices `_nakayama_keep` keeps, over a
 local and a non-local algebra, and the ranks `FpModule.dual_rank` gives.
@@ -18,10 +20,12 @@ import random
 import pytest
 
 from koszulkit.linalg import (
-    FpModule, _Codec, _Echelon, _fp_rref, _fp_view_of, _nakayama_keep, kernel_basis, solve,
+    FpModule, _Codec, _Echelon, _fp_view_of, _nakayama_keep, kernel_basis, solve,
 )
 from koszulkit.matrices import Matrix
 from koszulkit.rings import GF, poly_quotient
+
+from helpers import _fp_rref
 
 PRIMES = [3, 5, 7, 13, 101]
 ALL_P = [2] + PRIMES  # F2, one bit per coordinate, against the same reference
@@ -233,6 +237,11 @@ def test_echelon_growth_matches_the_list_path(p):
                     w = [(a + c * b) % p for a, b in zip(w, r)]
                 v = w
             assert span.add(pack(codec, v)) == ref.add(v)
+            # one row per key, zero above it and 1 there
+            for h, row in span.rows.items():
+                assert (row.bit_length() - 1) // codec.width == h
+                assert row >> h * codec.width == 1
+        assert len(span.rows) == len(ref.rows)
 
 
 # ---------------------------------------------------------------------------
