@@ -11,19 +11,20 @@ carry the window they were asked for.  No module is ever enumerated.
 Every derived Hom is the homology of Hom(G, N) for a bounded complex G of
 finite free modules and a module N in degree 0 (`hom_homology`).  Ext
 takes G = F, the resolution; the Koszul-side checks take G = F (x) K*,
-since Hom(F, K (x) N) = Hom(F (x) K*, N) for the Koszul complex K.
+since Hom(F, K (x) N) = Hom(F (x) K*, N) for the Koszul complex K.  The
+image of Hom(d, N) is the column span of one block per differential d,
+B(d) = [I_g (x) d^T | rel (x) I_c], over that of the relations
+(`_hom_block`).
 
 - Over a finite ring Hom(G_m, N) = N^{rank G_m}, so |H_{-m}| is
-  |N|^{rank G_m} over the sizes of the images of the two dual
-  differentials Hom(d_m, N) and Hom(d_{m+1}, N).  Over a prime field or a
-  finite-dimensional F_p-algebra, F_p[x]/(f) included, those sizes are
-  p^rank of F_p matrices built from the action of the differentials'
-  entries on N, and Ext's resolution stays in packed F_p coordinates.  Over
-  Z/n, the one finite ring left on the Howell engine, each size is one
-  Howell form (linalg.dual_image_cardinalities).  Ext reads only the
-  degrees below the end of the first period.
-- Over Z, Q and F_p[x] the homology is an explicit subquotient of
-  Hom(G, R^g) modulo the relations of N in each degree.
+  |N|^{rank G_m} over the sizes of the images of Hom(d_m, N) and
+  Hom(d_{m+1}, N): over a prime field or a finite-dimensional
+  F_p-algebra p^rank of Hom(d, N) on N's F_p coordinates (FpModule.
+  dual_rank, the packed form of B(d); Ext's resolution stays packed), over
+  Z/n |span B(d)| / |span rel|^c.  Ext reads only the degrees below the
+  end of the first period.
+- Over Z, Q and F_p[x] the cycles in degree -m are the kernel of
+  B(d_{m+1}) cut to Hom(G_m, R^g), the boundaries the span of B(d_m).
 
 The resolution loop checks each d_i d_{i+1} = 0 apart from the kernel
 computation; every other G is a validated ChainComplex, so the matrix
@@ -44,9 +45,9 @@ from .errors import (
 )
 from .linalg import (
     HomologySummary, _grid_to_matrix, _is_unit, _maximal_ideal_elements, _payload_grid,
-    dual_image_cardinalities, fp_module, image_membership, kernel_basis,
-    kernel_cardinality, lift_context, minimal_generators, periodic, preimage, resolution,
-    smith_data, span_cardinality, subquotient,
+    fp_module, image_membership, kernel_basis, kernel_cardinality, lift_context,
+    minimal_generators, periodic, preimage, resolution, smith_data, span_cardinality,
+    subquotient,
 )
 from .matrices import Matrix
 from .rings import INTEGERS, POLYQUOT, PRIMEFIELD, RingHom, Zmod, poly_quotient
@@ -169,17 +170,26 @@ def _zero_ambient_summary(ring):
                            free_rank=0, invariant_factors=())
 
 
+def _hom_block(N, d):
+    """B(d) = [I_g (x) d^T | rel (x) I_c] for d : R^c -> R^r and N =
+    coker(rel : R^s -> R^g), in the (target, source) row-major layout of
+    Hom(R^c, R^g) = R^{g c}: Hom(d, R^g), phi -> phi d, next to the
+    relations of N^c.  Its kernel, cut to the first g r coordinates, lifts
+    the phi with phi d = 0 in N^c."""
+    g, c, rel = N.gens, d.cols, N.relations
+    return Matrix.from_kron_blocks(N.ring, g * c, g * d.rows + rel.cols * c, [
+        (0, 0, g, d.transpose(), False), (0, g * d.rows, rel, c, False)])
+
+
 def hom_homology(G, N, degrees):
     """[H_{-m} Hom(G, N) for m in degrees] as homology summaries, for
     `degrees` an ascending range of degrees m of G.
 
-    Over a finite ring the values come from G's differentials alone
-    (`_finite_ext_table`): the sizes of the images of Hom(d_m, N) are F_p
-    ranks (FpModule.dual_rank) over a ring with an F_p view and Howell
-    image sizes (dual_image_cardinalities) over Z/n.  Over Z, Q and F_p[x]
-    they are subquotients of Hom(G, R^g), g = N.gens, whose degree -m
-    carries N's relations (x) I_{rank G_m}.  G comes validated, so every
-    value rests on d d = 0.
+    Each value reads the blocks B(d_m) and B(d_{m+1}) (`_hom_block`): over
+    a finite ring their image sizes alone (`_dual_images`,
+    `_finite_ext_table`); over Z, Q and F_p[x] the kernel of B(d_{m+1}),
+    cut to Hom(G_m, R^g), modulo the span of B(d_m).  G comes validated,
+    so every value rests on d d = 0.
     """
     ring, fp = N.ring, N.fp_data
     if ring.is_finite():
@@ -189,29 +199,30 @@ def hom_homology(G, N, degrees):
         size, images = _dual_images(N, [fp.view.columns(d) for d in diffs] if fp else diffs)
         ranks = {m: G.rank(m) for m in degrees}
         return _finite_ext_table(N, size, ranks, dict(zip(needed, images)), degrees)
-    H = hom_complex(G, free_module_complex(ring, N.gens))
-
-    def rel(m):
-        return N.relations.kron(Matrix.identity(ring, G.rank(m)))
-
     out = []
     for m in degrees:
-        if not H.rank(-m):
+        width = N.gens * G.rank(m)
+        if not width:
             out.append(_zero_ambient_summary(ring))
             continue
-        V = preimage(ring, H.diff(-m), rel(m + 1))
-        out.append(subquotient(ring, V, H.diff(1 - m).hstack(rel(m))))
+        Z = kernel_basis(ring, _hom_block(N, G.diff(m + 1)))
+        out.append(subquotient(ring, Z.submatrix(range(width), range(Z.cols)),
+                               _hom_block(N, G.diff(m))))
     return out
 
 
 def _dual_images(N, diffs):
     """(|N|, [|im Hom(d, N)| for d in diffs]) over a finite ring: p^rank
     over a ring with an F_p view, each d given by the packed coordinates of
-    its columns, and one Howell image size per matrix d over Z/n."""
+    its columns; over Z/n, each d a matrix, |span B(d)| / |span rel|^c for
+    the block B(d) of `_hom_block`, with the relation span counted once."""
     fp = N.fp_data
     if fp is not None:
         return fp.p ** fp.dim, [fp.p ** fp.dual_rank(cols) for cols in diffs]
-    return N.cardinality(), dual_image_cardinalities(N.ring, diffs, N.relations)
+    ring = N.ring
+    rel_card = span_cardinality(ring, N.relations)
+    return ring.cardinality() ** N.gens // rel_card, \
+        [span_cardinality(ring, _hom_block(N, d)) // rel_card ** d.cols for d in diffs]
 
 
 def _finite_ext_table(N, size, ranks, images, degrees):
@@ -272,7 +283,7 @@ def ext_table(M, N, window):
     modules over different rings, before any resolution work.  Over a
     finite ring the values come from the resolution's differentials alone
     (`_finite_ext_table`): F_p ranks over a ring with an F_p view, whose
-    resolution stays packed, and Howell image sizes over Z/n.
+    resolution stays packed, and span sizes of Hom blocks over Z/n.
 
     The resolution stops at a certified period (i, q) (linalg.resolution):
     its products around the cycle vanish and each spot of the cycle is
@@ -379,8 +390,7 @@ def _homothety(C, window, res=None):
     hom_card = table[0].cardinality
     g = C.gens
     # relation span of Hom(F_0, C), (target, source) row-major layout
-    U0 = C.relations.kron(Matrix.identity(ring, g)) if C.relations.cols else \
-        Matrix.zeros(ring, g * g, 0)
+    U0 = _hom_block(C, Matrix.zeros(ring, 0, g))
     id_vec = _identity_hom_vector(ring, g)
     # r annihilates C exactly when r . id lies in the span of U0, so the
     # kernel of [id | U0] is the annihilator times the kernel of U0
@@ -416,15 +426,18 @@ def biduality_check(X, C, window):
     """C-reflexivity of X within the window.
 
     Stage one checks boundedness of the derived homs: Ext^i(X, C) must
-    vanish at the top of the window.  For free X the biduality map reduces
-    componentwise to the homothety of C and the verdict is exact; other
-    positives are reported as inconclusive (windowed honesty).
+    vanish at the top of the window.  The zero module is reflexive against
+    every C.  For free X the biduality map reduces componentwise to the
+    homothety of C and the verdict is exact; other positives are reported
+    as inconclusive (windowed honesty).
     """
     sup_val, top_nonzero = ext_sup(X, C, window)
     if top_nonzero:
         return BidualityVerdict(
             "not_reflexive", window,
             f"Ext^{window}(X, C) nonzero at the window top; derived homs unbounded")
+    if X.gens == 0:
+        return BidualityVerdict("reflexive", window, "the zero module")
     if X.relations.cols == 0:
         inner = homothety_check(C, window)
         if inner.ok:

@@ -25,11 +25,12 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   (`axpy_payloads`, `combine_payloads`), so every entry, transforms
   included, stays reduced; only pivot arithmetic runs in the Euclidean
   lift Z.  It gives howell_form, kernels (from the Howell form of [A^T |
-  I]), solutions and cardinalities, among them the image sizes of Hom(d, N)
-  that Ext over Z/n reads; its input rows are written from the stored rows
-  of the matrices.  The same reducer, lifted to the ambient F_p[x], gives
-  the public `howell_form` over F_p[x]/(f) and, over a field, row_echelon,
-  the Hermite form.
+  I]), solutions and span sizes (`span_cardinality`), its input rows
+  written from the stored rows of the matrices.  Ext over Z/n reads its
+  image sizes of Hom(d, N) as span sizes of one Hom block per
+  differential (`duality._hom_block`).  The same reducer, lifted to the
+  ambient F_p[x], gives the public `howell_form` over F_p[x]/(f) and,
+  over a field, row_echelon, the Hermite form.
 - The domains Z, Q and F_p[x] run smith_data with recorded transforms for
   kernels, solutions and subquotients R^c / preimage(V, W), whose Smith
   diagonal also serves Z/n on the lift enlarged by n Z^c.
@@ -961,49 +962,6 @@ def span_cardinality(ring, A):
     if ctx.modulus is None:
         raise CapabilityMissing(f"{ring} is not finite")
     return _howell_span_size(ring, ctx, _column_grid(A), A.rows)
-
-
-def dual_image_cardinalities(ring, diffs, relations):
-    """[|im Hom(d, N)| for d in diffs] over Z/n, where N = coker(relations)
-    and Hom(d, N) : N^{d.rows} -> N^{d.cols}, phi -> phi d.  A ring with an
-    F_p view reads these ranks from `FpModule.dual_rank` instead.
-
-    In the (target, source) row-major layout of R^{g c}, for g generators
-    of N and c columns of d, the image is span[I_g (x) d^T | relations (x)
-    I_c] over span(relations)^c.  The Howell input of that span is written
-    from the stored rows: row j of d once at each offset a c, and each
-    relation column once at each source k.
-    """
-    if ring.kind != ZMOD:
-        raise CapabilityMissing(f"{ring} is not Z/n")
-    ctx = lift_context(ring)
-    g, zero = relations.rows, ring.zero_payload
-    rel_cols = [[(a, v) for a, v in enumerate(col) if v] for col in _column_grid(relations)]
-    rel_card = span_cardinality(ring, relations)
-    out = []
-    for d in diffs:
-        c = d.cols
-        width = g * c
-        W = []
-        for cols, vals in d.sparse_rows:
-            if not cols:
-                continue
-            for off in range(0, width, c):
-                row = [zero] * width
-                for j, v in zip(cols, vals):
-                    row[off + j] = v
-                W.append(row)
-        if not W:  # Hom(0, N) = 0
-            out.append(1)
-            continue
-        for col in rel_cols:
-            for k in range(c):
-                row = [zero] * width
-                for a, v in col:
-                    row[a * c + k] = v
-                W.append(row)
-        out.append(_howell_span_size(ring, ctx, W, width) // rel_card ** c)
-    return out
 
 
 # ---------------------------------------------------------------------------

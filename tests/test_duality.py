@@ -259,6 +259,16 @@ def test_biduality_trivial_and_failing():
     assert v.outcome == "not_reflexive"
 
 
+@pytest.mark.parametrize("ring, relations", [(Zmod(27), 0), (Zmod(27), 2), (QUAD, 0)])
+def test_the_zero_module_is_reflexive_against_any_target(ring, relations):
+    # the target k is not semidualizing, and 0 is reflexive all the same
+    zero = du.ModulePresentation(ring, 0, Matrix.zeros(ring, 0, relations))
+    k = du.ModulePresentation.residue_field(ring)
+    assert not du.homothety_check(k, 3).ok
+    v = du.biduality_check(zero, k, 3)
+    assert (v.outcome, v.detail) == ("reflexive", "the zero module")
+
+
 def test_biduality_inconclusive_for_non_free_positive():
     omega = omega_presentation()
     v = du.biduality_check(omega, omega, 5)

@@ -1,8 +1,9 @@
 """Ext over Z/n, computed from the resolution alone.
 
 Hom(F_i, N) = N^{b_i}, so |Ext^i(M, N)| is |N|^{b_i} over the sizes of the
-images of Hom(d_i, N) and Hom(d_{i+1}, N), each one Howell pass
-(`linalg.dual_image_cardinalities`).  Checked here:
+images of Hom(d_i, N) and Hom(d_{i+1}, N), each the span size of one Hom
+block over that of N's relations (`duality._hom_block`, read by
+`duality._dual_images`), one Howell pass each.  Checked here:
 
 - the summaries equal those of the presented-complex oracle in `helpers`
   (presented_route), the route this one replaced, on seeded presentations
@@ -152,9 +153,13 @@ def test_a_planted_kernel_error_raises_not_a_complex(monkeypatch):
 def test_image_sizes_that_do_not_divide_raise(monkeypatch):
     R = RINGS[27]
     k = du.ModulePresentation.residue_field(R)
-    images = du.dual_image_cardinalities
-    monkeypatch.setattr(du, "dual_image_cardinalities",
-                        lambda *args: [2 * x for x in images(*args)])
+    dual_images = du._dual_images
+
+    def doubled(*args):
+        size, images = dual_images(*args)
+        return size, [2 * x for x in images]
+
+    monkeypatch.setattr(du, "_dual_images", doubled)
     with pytest.raises(ArithmeticError):
         du.ext_table(k, k, 2)
 

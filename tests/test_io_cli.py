@@ -530,6 +530,15 @@ def test_cli_sdc_and_lift(tmp_path):
     assert code == 1 and "Tor_1" in out
 
 
+def test_cli_the_zero_module_is_reflexive(tmp_path):
+    zpm, kpm = tmp_path / "Z.pm", tmp_path / "k.pm"
+    zpm.write_text("ring zmod 27\nmodule\ngens 0\n")
+    kpm.write_text("ring zmod 27\nmodule\ngens 1\nrelations 1x1 [[3]]\n")
+    code, out, _ = run_cli(["sdc", "bidual", "--source", str(zpm),
+                            "--module", str(kpm), "--window", "3"])
+    assert (code, out) == (0, "reflexive: the zero module\n")
+
+
 def test_cli_sdc_check_koszul_transfer(tmp_path):
     kz = tmp_path / "K.kz"
     assert run_cli(["koszul", "build", "--ring", "polyquot coeff=F2 vars=x,y "
