@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Check the Z/n Howell engine on 40x40 matrices over Z/8, Z/27 and Z/36,
-seeds 0-3, the F_p column reduction on 30x30 matrices over F2[x]/(x^8),
+seeds 0-3, minimal generators on 40-row matrices over Z/8 and Z/27, seeds
+0-3, the F_p column reduction on 30x30 matrices over F2[x]/(x^8),
 F3[x]/(x^3) and F2[x]/(x^4+x^2), seeds 0-1, and Smith over Z on 24x24
 integer matrices, seeds 0-1.
 
@@ -23,6 +24,22 @@ kernel_basis and solve(A, A X0) on them, and checks:
   (this Smith over Z grows past a minute on some 40x40 lifts mod 27 and 36);
 - solve returns some X with A X = A X0;
 - every entry of H, U, U^-1, K and X is below n.
+
+Then each seed s of the Nakayama part draws, over Z/p^k = Z/8 and Z/27, B =
+C D from random.Random(s), where C is 40x8 with column j p^(v_j) times
+entries uniform mod p^k (v_j uniform in [0, k], so a column may vanish),
+and D (8x12) and X (12x12) are uniform mod p^k.  It runs minimal_generators
+on M = [B | B X | p B], whose span is that of B, and on M with its columns
+reversed, where the columns in m M come first.  With the least-valuation
+Smith form over Z/p^k above (independent of koszulkit) it checks:
+
+- the number of kept columns is the number of nonzero diagonal entries of
+  M's Smith form, the least number of generators of its span;
+- the kept columns K span the span of M: they lie in it, and |coker K| =
+  |coker M|, each the product of p^e over the diagonal entries p^e u of its
+  Smith form, with e = k for a zero entry and for each row past the rank.
+
+It prints the time of minimal_generators.
 
 Then each seed s of the F_p[x]/(f) part draws a 30x30 matrix A whose
 entries are x times elements uniform mod f, so none is a unit, and a 30x3
@@ -55,11 +72,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from koszulkit.linalg import howell_form, kernel_basis, smith_form, solve, span_cardinality
+from koszulkit.linalg import (
+    howell_form, kernel_basis, minimal_generators, smith_form, solve, span_cardinality,
+)
 from koszulkit.matrices import Matrix
 from koszulkit.rings import ZZ, Zmod, poly_quotient
 
 MODULI, SIZE, SEEDS, RHS_COLS = (8, 27, 36), 40, range(4), 3
+PRIME_POWERS, NAKAYAMA_RANK, NAKAYAMA_COLS = ((2, 3), (3, 3)), 8, 12
 ALGEBRAS = (("F2", "x^8"), ("F3", "x^3"), ("F2", "x^4 + x^2"))
 ALGEBRA_SIZE, ALGEBRA_SEEDS = 30, range(2)
 Z_SIZE, Z_SEEDS = 24, range(2)
@@ -86,32 +106,80 @@ def valuation(x, p):
     return e
 
 
+def payload_rows(A):
+    return [[x.payload for x in row] for row in A.data]
+
+
+def smith_valuations(rows, p, k):
+    """The valuations e of the nonzero diagonal entries p^e u (u a unit) of
+    the Smith form over Z/p^k of the matrix of int rows, with a pivot of
+    least valuation at each step."""
+    q = p ** k
+    m, out = [[x % q for x in row] for row in rows], []
+    while True:
+        e, i, j = min(((valuation(x, p), i, j) for i, row in enumerate(m)
+                       for j, x in enumerate(row) if x), default=(k, None, None))
+        if i is None:
+            return out
+        # clear column j with row i, then drop both: the other entries of
+        # row i are multiples of p^e
+        pivot = m.pop(i)
+        u_inv = pow(pivot[j] // p ** e, -1, q)
+        for row in m:
+            f = row[j] // p ** e * u_inv
+            row[:] = [(x - f * y) % q for x, y in zip(row, pivot)]
+            del row[j]
+        out.append(e)
+
+
+def coker_count(rows, nrows, p, k):
+    """|coker A| over Z/p^k for the matrix of int rows with nrows rows."""
+    e = smith_valuations(rows, p, k)
+    return p ** (sum(e) + k * (nrows - len(e)))
+
+
 def local_kernel_count(rows, n):
-    """|ker A| over Z/n for the square matrix of int rows, from Smith forms
-    over the Z/p^k that make up Z/n."""
+    """|ker A| over Z/n for the square matrix of int rows, which is |coker
+    A|, from Smith forms over the Z/p^k that make up Z/n."""
     count, rest, p = 1, n, 2
     while rest > 1:
         k = valuation(rest, p)
         if k:
-            rest, q = rest // p ** k, p ** k
-            m = [[x % q for x in row] for row in rows]
-            while True:
-                e, i, j = min(((valuation(x, p), i, j) for i, row in enumerate(m)
-                               for j, x in enumerate(row) if x), default=(k, None, None))
-                if i is None:
-                    break
-                # clear column j below and above with row i, then drop both:
-                # the other entries of row i are multiples of p^e
-                pivot = m.pop(i)
-                u_inv = pow(pivot[j] // p ** e, -1, q)
-                for row in m:
-                    f = row[j] // p ** e * u_inv
-                    row[:] = [(x - f * y) % q for x, y in zip(row, pivot)]
-                    del row[j]
-                count *= p ** e
-            count *= q ** len(m)  # the zero diagonal entries
+            rest //= p ** k
+            count *= coker_count(rows, len(rows), p, k)
         p += 1
     return count
+
+
+def check_nakayama(p, k, seed):
+    """The minimal generator checks of one matrix over Z/p^k, its columns in
+    order and reversed; returns the failed check names."""
+    q, rng = p ** k, random.Random(seed)
+    R, c = Zmod(q), NAKAYAMA_COLS
+    scales = [p ** rng.randrange(k + 1) for _ in range(NAKAYAMA_RANK)]
+    C = Matrix.from_rows(R, [[R.from_int(v * rng.randrange(q)) for v in scales]
+                             for _ in range(SIZE)])
+    B = C * random_matrix(R, q, NAKAYAMA_RANK, c, rng)
+    M = B.hstack(B * random_matrix(R, q, c, c, rng)).hstack(B.scale(R.from_int(p)))
+    mu = len(smith_valuations(payload_rows(M), p, k))
+    coker = coker_count(payload_rows(M), SIZE, p, k)
+    failed = []
+    for order in ("in order", "reversed"):
+        if order == "reversed":
+            M = M.submatrix(range(SIZE), range(M.cols - 1, -1, -1))
+        K, ms = timed(minimal_generators, R, M)
+        columns = payload_rows(M.transpose())
+        checks = {
+            "kept = nonzero Smith diagonal": K.cols == mu,
+            "kept columns of M": all(col in columns for col in payload_rows(K.transpose())),
+            "|coker K| = |coker M|": coker_count(payload_rows(K), SIZE, p, k) == coker,
+        }
+        wrong = [f"{name} ({order})" for name, ok in checks.items() if not ok]
+        print(f"Z/{q} seed {seed}, columns {order}: minimal_generators {ms:.1f} ms "
+              f"({SIZE}x{M.cols} -> {K.cols} columns): "
+              + ("ok" if not wrong else "WRONG " + ", ".join(wrong)))
+        failed += wrong
+    return failed
 
 
 def random_matrix(R, n, rows, cols, rng):
@@ -169,7 +237,7 @@ def main():
         nf, howell_ms = timed(howell_form, R, A)
         K, kernel_ms = timed(kernel_basis, R, A)
         X, solve_ms = timed(solve, R, A, B)
-        count = local_kernel_count([[x.payload for x in row] for row in A.data], n)
+        count = local_kernel_count(payload_rows(A), n)
         smith = timed(smith_kernel_count, A, n) if n == 8 else None
         entries = [x.payload for M in (nf.matrix, nf.left, nf.left_inv, K)
                    + ((X,) if X is not None else ()) for row in M.data for x in row]
@@ -189,6 +257,8 @@ def main():
               + (f"Smith over Z {smith[1]:.0f} ms, " if smith else "") +
               f"largest entry {max(entries, default=0).bit_length()} bits: "
               + ("ok" if not failed else "WRONG " + ", ".join(failed)))
+    for (p, k), seed in ((pk, s) for pk in PRIME_POWERS for s in SEEDS):
+        wrong += [(f"Z/{p ** k} seed {seed}", name) for name in check_nakayama(p, k, seed)]
     for (coeff, relation), seed in ((a, s) for a in ALGEBRAS for s in ALGEBRA_SEEDS):
         wrong += [(f"{coeff}[x]/({relation}) seed {seed}", name)
                   for name in check_algebra(coeff, relation, seed)]

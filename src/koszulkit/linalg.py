@@ -36,10 +36,10 @@ protocol of `rings.Ring`, so no entry is boxed into a RingElement:
   diagonal also serves Z/n on the lift enlarged by n Z^c.
 
 One Nakayama rule picks minimal generating sets over every local ring:
-c_j is kept when it lies outside m M + R c_1 + ... + R c_{j-1}.  It has
-two implementations, F_p coordinates over a ring with an F_p view
-(`_nakayama_keep`, prime fields included) and one `solve` per column
-against [m M | c_1 ... c_{j-1}] over Z/p^k and Q (`minimal_generators`).
+c_j is kept when it lies outside m M + R c_1 + ... + R c_{j-1}, read as
+the pivot columns of [m M | M] in one reduction on each engine: F_p
+columns over a ring with an F_p view (`_nakayama_keep`, prime fields
+included), one Howell form over Z/p^k and Q (`minimal_generators`).
 
 One resolution loop (`resolution`) serves every ring: packed F_p columns
 over a ring with an F_p view, matrices otherwise.  Each step keeps the
@@ -1253,14 +1253,16 @@ def _maximal_ideal_elements(ring):
 def minimal_generators(ring, M):
     """Reduce the columns of M to a minimal generating set of their span.
 
-    Over a local ring column c_j is kept exactly when it lies outside m M +
-    R c_1 + ... + R c_{j-1} (Nakayama), one rule with two implementations:
-    F_p coordinates over a ring with an F_p view (`_nakayama_keep`, where a
-    prime field keeps its pivot columns), one `solve` against [m M | c_1 ...
-    c_{j-1}] per column over Z/p^k and Q.  A non-local F_p-algebra keeps c_j
-    outside R times the kept c_i, i < j; over the other rings (Z/n for
-    composite n, Z, F_p[x]) only zero columns are dropped (kernel bases over
-    Z and F_p[x] are already minimal).
+    Over a local ring c_j is kept exactly when it lies outside m M + R c_1 +
+    ... + R c_{j-1} (Nakayama): when its column of [m M | M] carries a pivot
+    of one reduction, in F_p columns over a ring with an F_p view
+    (`_nakayama_keep`), of its rows in Howell form over Z/p^k and Q.  These
+    rings are quasi-Frobenius, so c_j is outside the span of the columns
+    before it exactly when some y^T [m M | M] vanishes before c_j and not at
+    it, and the Howell rows pivoting at or after c_j span every such vector.
+    A non-local F_p-algebra keeps c_j outside R times the kept c_i, i < j.
+    Elsewhere (Z, F_p[x], composite Z/n) only zero columns are dropped: over
+    Z/6 the read with the radical keeps both of [2, 3], which 2 + 3 alone spans.
     """
     # the zero columns are those no stored row reaches
     used = sorted({j for cols, _ in M.sparse_rows for j in cols})
@@ -1269,15 +1271,14 @@ def minimal_generators(ring, M):
     view = _fp_view_of(ring)
     if M.cols <= 1 or not (view or ring.local):
         return M
-    rows = range(M.rows)
     if view is not None:
         keep = _nakayama_keep(view, view.columns(M), M.rows)
     else:
         # column (j, t) of m M is g_t c_j
         mM = M.kron(Matrix.from_rows(ring, [_maximal_ideal_elements(ring)]))
-        keep = [j for j in range(M.cols) if solve(
-            ring, mM.hstack(M.submatrix(rows, range(j))), M.submatrix(rows, [j])) is None]
-    return M if len(keep) == M.cols else M.submatrix(rows, keep)
+        pivots = _howell(ring, lift_context(ring), _payload_grid(mM.hstack(M)), mM.cols + M.cols)
+        keep = [j - mM.cols for j, _ in pivots if j >= mM.cols]
+    return M if len(keep) == M.cols else M.submatrix(range(M.rows), keep)
 
 
 def _products_vanish(view, cols, nrows, kernel):
@@ -1348,7 +1349,7 @@ class _MatrixSteps:
     """Resolution steps on matrices, over a ring with no F_p view: Z/n, Z, Q
     and F_p[x].  A step is minimal_generators(kernel_basis), a Howell kernel
     over Z/n and a Smith kernel over the domains, of which it keeps the
-    Nakayama rule's columns by one `solve` each over Z/p^k and Q and drops
+    Howell pivot columns of the Nakayama rule over Z/p^k and Q and drops
     only zero columns elsewhere.  Products are matrix products; image
     sizes, read only over the finite Z/n, are Howell span sizes
     (`span_cardinality`)."""
@@ -1433,17 +1434,16 @@ def resolution(ring, d, steps):
     Resolution; it stops at the first kernel that vanishes or at a certified
     period.
 
-    Each step takes a generating set of the kernel of the last
-    differential, minimal over a local ring by the one Nakayama rule of
-    `minimal_generators` (in F_p coordinates by _PackedSteps over a ring
-    with an F_p view, by one solve per column by _MatrixSteps over Z/p^k
-    and Q), and checks d_n d_{n+1} = 0 apart from the kernel, raising
-    NotAComplex when it fails.  Over a finite ring the new d_{n+1} is then
-    compared with d_{n+1-q} for q = 1 and 2: the same rows and the same
-    stored entries (columns).  A step is a function of the last differential
-    alone, so on a repeat every later step would repeat too: d_{m+q} = d_m
-    for m >= i = n + 1 - q, and cycling d_i ... d_n gives exactly what the
-    loop would compute by running on.
+    Each step takes a generating set of the kernel of the last differential,
+    minimal over a local ring by the one Nakayama rule of
+    `minimal_generators`: pivot columns of one F_p column reduction by
+    _PackedSteps, of one Howell form by _MatrixSteps.  It checks d_n d_{n+1}
+    = 0 apart from the kernel, raising NotAComplex when it fails.  Over a
+    finite ring the new d_{n+1} is then compared with d_{n+1-q} for q = 1
+    and 2: the same rows and the same stored entries (columns).  A step is a
+    function of the last differential alone, so on a repeat every later step
+    would repeat too: d_{m+q} = d_m for m >= i = n + 1 - q, and cycling d_i
+    ... d_n gives exactly what the loop would compute by running on.
 
     The period (i, q) is kept only once `_certify_period` has checked the
     cycle apart from the kernel steps.  Every product d_j d_{j+1} around it

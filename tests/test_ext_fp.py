@@ -6,9 +6,11 @@ and the one keep rule of `minimal_generators` on every ring tier.
   local algebra, R times the kept columns over a non-local one), and its
   span against |ker A|.
 - `minimal_generators` against that rule over F_p-algebras, prime fields,
-  Z/8, Z/27, Q and the non-local Z/12 (every nonzero column); the pivot
-  columns of sympy's rref over Q and GF(p); at most one `solve` per column
-  over Z/27 and Q and none in F_p coordinates.
+  Z/4, Z/5, Z/8, Z/25, Z/27, Q and the non-local Z/12 (every nonzero
+  column); the pivot columns of sympy's rref over Q and GF(p); no `solve`
+  over Z/p^k, Q and prime fields, and over Z/p^k and Q exactly one
+  `_howell` per matrix with two nonzero columns or more, whose pivot
+  columns of [m M | M] are the keeps.
 - The resolution loop (`linalg.resolution`, packed here) behind `resolve` and
   `ext_table`: the same matrices as resolving step by step on payload
   matrices, and a planted kernel error caught by its d.d = 0 check.  Over
@@ -63,8 +65,11 @@ ODD_P = {
 }
 ALL = {**RINGS, **ODD_P}
 # every tier of minimal_generators: the rings above, with an F_p view, then
-# the chain rings Z/p^k and the field Q, and the non-local Z/12
-TIERS = {**RINGS, "Z/8": Zmod(8), "Z/27": Zmod(27), "Q": QQ(), "Z/12": Zmod(12)}
+# the chain rings Z/p^k (Z/5 with no F_p view) and the field Q, and the
+# non-local Z/12
+CHAIN_RINGS = {"Z/4": Zmod(4), "Z/5": Zmod(5), "Z/8": Zmod(8), "Z/25": Zmod(25),
+               "Z/27": Zmod(27), "Q": QQ()}
+TIERS = {**RINGS, **CHAIN_RINGS, "Z/12": Zmod(12)}
 POOLS = {name: list(R.elements()) for name, R in ALL.items()}
 
 
@@ -165,21 +170,57 @@ def test_minimal_generators_keep_the_pivot_columns_of_rref(monkeypatch, name):
         entries = [[domain(x.payload.numerator, x.payload.denominator) if name == "Q"
                     else domain(x.payload) for x in row] for row in M.data]
         _, pivots = DomainMatrix(entries, (rows, cols), domain).rref()
-        solves.clear()
         assert minimal_generators(R, M) == M.submatrix(range(rows), list(pivots))
-        # one solve per column at most over Q, none in F_p coordinates
-        assert len(solves) <= (cols if name == "Q" else 0)
+        # a Howell form over Q, F_p coordinates over a prime field
+        assert not solves
 
 
-def test_minimal_generators_solve_at_most_once_per_column_over_a_chain_ring(monkeypatch):
+def test_minimal_generators_make_no_solve_over_a_chain_ring(monkeypatch):
     R = TIERS["Z/27"]
     solves = count_calls(monkeypatch, linalg.solve)
     rng = random.Random("solves:Z/27")
     for rows, cols in [(1, 4), (2, 5), (3, 3), (3, 6), (4, 4)] * 4:
-        M = sparse_matrix(R, rows, cols, rng)
+        minimal_generators(R, sparse_matrix(R, rows, cols, rng))
+    assert not solves
+
+
+def redundant_matrix(R, rows, cols, rng):
+    """[B | B X | g B] for a seeded sparse B and X, g the generator of m
+    (none over Q): columns in the span of earlier ones and in m M, shuffled
+    so that redundant columns come first too."""
+    B = sparse_matrix(R, rows, cols, rng)
+    blocks = [B, B * sparse_matrix(R, cols, rng.randint(1, 3), rng)]
+    blocks += [B.scale(g) for g in _maximal_ideal_elements(R)]
+    columns = [c for block in blocks for c in block.columns()]
+    rng.shuffle(columns)
+    return hstack(R, rows, columns)
+
+
+@pytest.mark.parametrize("name", list(CHAIN_RINGS))
+def test_minimal_generators_read_the_pivots_of_one_howell_form(monkeypatch, name):
+    # over Z/p^k and Q the keeps are the pivot columns of the Howell form of
+    # [m M | M]: one _howell call, no solve, the columns of the solve rule
+    R = CHAIN_RINGS[name]
+    solves = count_calls(monkeypatch, linalg.solve)
+    howells = count_calls(monkeypatch, linalg._howell)
+    rng = random.Random(f"howell keeps:{name}")
+    for rows, cols in [(1, 2), (1, 4), (2, 3), (3, 3), (3, 5), (4, 2)] * 3:
+        M = redundant_matrix(R, rows, cols, rng)
+        expected = nakayama_oracle(R, M)  # by solve, so counted before the reset
         solves.clear()
-        minimal_generators(R, M)
-        assert len(solves) <= cols
+        howells.clear()
+        kept = minimal_generators(R, M).columns()
+        assert kept == expected
+        nonzero = sum(not c.is_zero() for c in M.columns())
+        assert (len(solves), len(howells)) == (0, 1 if nonzero >= 2 else 0)
+
+
+def test_minimal_generators_drop_a_column_in_m_m_over_z27():
+    # 3 = 3 c_2 lies in m M, so only c_2 generates; a Howell read of M alone,
+    # without the m M block, has a pivot in both columns
+    R = TIERS["Z/27"]
+    M = Matrix.from_rows(R, [[R.from_int(3), R.one]])
+    assert minimal_generators(R, M) == M.submatrix([0], [1])
 
 
 @pytest.mark.parametrize("name", list(ALL))
